@@ -57,16 +57,16 @@ fn des_event_throughput(r: &mut Runner) {
         let mut sim = Simulation::new();
         let to_b = sim.add_mailbox();
         let to_a = sim.add_mailbox();
-        sim.spawn("a", move |ctx| {
+        sim.spawn("a", move |ctx| async move {
             for i in 0..rounds {
-                ctx.send(to_b, i);
-                let _: u32 = ctx.recv(to_a);
+                ctx.send(to_b, i).await;
+                let _: u32 = ctx.recv(to_a).await;
             }
         });
-        sim.spawn("b", move |ctx| {
+        sim.spawn("b", move |ctx| async move {
             for _ in 0..rounds {
-                let v: u32 = ctx.recv(to_b);
-                ctx.send(to_a, v);
+                let v: u32 = ctx.recv(to_b).await;
+                ctx.send(to_a, v).await;
             }
         });
         black_box(sim.run().expect("no deadlock"))
@@ -75,9 +75,9 @@ fn des_event_throughput(r: &mut Runner) {
         let mut sim = Simulation::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         for _ in 0..16 {
-            sim.spawn("w", move |ctx| {
+            sim.spawn("w", move |ctx| async move {
                 for _ in 0..50 {
-                    ctx.compute(cpu, 0.01);
+                    ctx.compute(cpu, 0.01).await;
                 }
             });
         }

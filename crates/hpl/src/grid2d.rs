@@ -19,9 +19,8 @@
 //! through the same DES fabric as the 1-D simulation, with row/column
 //! collectives running on [`SubComm`](etm_mpisim::SubComm) views.
 
-use std::sync::Arc;
-
-use etm_support::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{gather, ring_bcast};
@@ -95,8 +94,8 @@ impl GridRank<'_> {
 }
 
 /// One rank's timed execution on an `R × C` grid.
-fn run_rank_grid(
-    comm: &SimComm<'_>,
+async fn run_rank_grid(
+    comm: &SimComm,
     params: &HplParams,
     grid: GridShape,
     cost: &GridRank<'_>,
@@ -137,7 +136,7 @@ fn run_rank_grid(
                 let below = (rows_left.saturating_sub(j)) as f64 / grid.rows as f64;
                 flops += below * (2.0 + 2.0 * (w - j - 1) as f64);
             }
-            comm.compute(cost.panel(flops));
+            comm.compute(cost.panel(flops)).await;
             ph.pfact += comm.now() - t0;
 
             // mxswp: per eliminated column, a pivot all-reduce over the
@@ -146,12 +145,12 @@ fn run_rank_grid(
             if grid.rows > 1 {
                 for _ in 0..w {
                     let mine = SimMsg::of(16.0);
-                    let _ = gather(&col_comm, 0, mine);
+                    let _ = gather(&col_comm, 0, mine).await;
                     let payload = (col_comm.rank() == 0).then(|| SimMsg::of(16.0));
-                    let _ = ring_bcast(&col_comm, 0, payload);
+                    let _ = ring_bcast(&col_comm, 0, payload).await;
                 }
             } else {
-                comm.compute(cost.memop(16.0 * w as f64));
+                comm.compute(cost.memop(16.0 * w as f64)).await;
             }
             ph.mxswp += comm.now() - t1;
         }
@@ -161,10 +160,10 @@ fn run_rank_grid(
         let panel_bytes = 8.0 * (my_rows.max(1) * w) as f64 + 8.0 * w as f64;
         let root = owner_col; // row-subcomm index == column index
         let payload = (c_me == owner_col).then(|| SimMsg::of(panel_bytes));
-        let _ = ring_bcast(&row_comm, root, payload);
+        let _ = ring_bcast(&row_comm, root, payload).await;
         let stall = cost.pm.sync_stall(cost.kind, cost.m);
         if stall > 0.0 {
-            comm.idle(stall);
+            comm.idle(stall).await;
         }
         ph.bcast += comm.now() - t_b;
 
@@ -174,21 +173,24 @@ fn run_rank_grid(
         if my_tcols > 0 {
             let t_l = comm.now();
             let local_bytes = 2.0 * (w * my_tcols) as f64 * 8.0;
-            comm.compute(cost.memop(local_bytes));
+            comm.compute(cost.memop(local_bytes)).await;
             if grid.rows > 1 {
                 let map_payload = (col_comm.rank() == 0).then(|| SimMsg::of(8.0 * w as f64));
-                let _ = ring_bcast(&col_comm, 0, map_payload);
+                let _ = ring_bcast(&col_comm, 0, map_payload).await;
                 // Remote half of the row exchanges, pipelined through the
                 // column: charge one column transfer of my share.
                 comm.send(
                     col_comm.to_parent((col_comm.rank() + 1) % grid.rows),
                     0x1A5_0000 + (k as u32 & 0xFFFF),
                     SimMsg::of(local_bytes / 2.0),
-                );
-                let _ = comm.recv(
-                    col_comm.to_parent((col_comm.rank() + grid.rows - 1) % grid.rows),
-                    0x1A5_0000 + (k as u32 & 0xFFFF),
-                );
+                )
+                .await;
+                let _ = comm
+                    .recv(
+                        col_comm.to_parent((col_comm.rank() + grid.rows - 1) % grid.rows),
+                        0x1A5_0000 + (k as u32 & 0xFFFF),
+                    )
+                    .await;
             }
             ph.laswp += comm.now() - t_l;
         }
@@ -200,12 +202,12 @@ fn run_rank_grid(
             if grid.rows > 1 {
                 let u12_bytes = 8.0 * (w * my_tcols) as f64;
                 let payload = (r_me == owner_row).then(|| SimMsg::of(u12_bytes));
-                let _ = ring_bcast(&col_comm, owner_row, payload);
+                let _ = ring_bcast(&col_comm, owner_row, payload).await;
             }
             let trsm = (w * w * my_tcols) as f64 / grid.rows as f64;
             let gemm_rows = rows_left.saturating_sub(w) as f64 / grid.rows as f64;
             let gemm = 2.0 * gemm_rows * (w * my_tcols) as f64;
-            comm.compute(cost.gemm(trsm + gemm));
+            comm.compute(cost.gemm(trsm + gemm)).await;
             ph.update += comm.now() - t_u;
         }
     }
@@ -214,12 +216,12 @@ fn run_rank_grid(
     // compute per rank plus a solution broadcast across the grid.
     let t_s = comm.now();
     let flops = (n as f64) * (n as f64) / grid.len() as f64;
-    comm.compute(cost.panel(flops));
+    comm.compute(cost.panel(flops)).await;
     let x_bytes = 8.0 * n as f64;
     let row_payload = (c_me == 0).then(|| SimMsg::of(x_bytes));
-    let _ = ring_bcast(&row_comm, 0, row_payload);
+    let _ = ring_bcast(&row_comm, 0, row_payload).await;
     let col_payload = (r_me == 0).then(|| SimMsg::of(x_bytes));
-    let _ = ring_bcast(&col_comm, 0, col_payload);
+    let _ = ring_bcast(&col_comm, 0, col_payload).await;
     ph.uptrsv += comm.now() - t_s;
 
     ph
@@ -248,12 +250,11 @@ pub fn simulate_hpl_grid(
     );
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results: Arc<Mutex<Vec<Option<PhaseTimes>>>> =
-        Arc::new(Mutex::new(vec![None; placement.len()]));
+    let results = Rc::new(RefCell::new(vec![None; placement.len()]));
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
-        let results = Arc::clone(&results);
+        let results = Rc::clone(&results);
         let spec = spec.clone();
         let params = *params;
         let kind = slot.kind;
@@ -261,7 +262,7 @@ pub fn simulate_hpl_grid(
         let node = slot.node;
         let rank = slot.rank;
         let placement_cl = placement.clone();
-        sim.spawn(format!("hpl2d-rank{rank}"), move |ctx| {
+        sim.spawn(format!("hpl2d-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());
             let oc = pm.node_overcommit(&placement_cl, node, params.nb);
@@ -272,14 +273,14 @@ pub fn simulate_hpl_grid(
                 oc,
                 nb: params.nb,
             };
-            let ph = run_rank_grid(&comm, &params, grid, &cost);
-            results.lock()[rank] = Some(ph);
+            let ph = run_rank_grid(&comm, &params, grid, &cost).await;
+            results.borrow_mut()[rank] = Some(ph);
         });
     }
 
     let wall_seconds = sim.run().expect("2-D HPL simulation deadlocked");
     let phases: Vec<PhaseTimes> = results
-        .lock()
+        .borrow()
         .iter()
         .map(|p| p.expect("every rank reports"))
         .collect();

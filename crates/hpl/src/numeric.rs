@@ -17,7 +17,7 @@ use etm_linalg::lu::dgetf2;
 use etm_linalg::verify::{residual, Residual};
 use etm_linalg::Matrix;
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{build_thread_comms, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::{block_on, build_thread_comms, Comm, ThreadComm, ThreadMsg};
 
 use crate::dist::BlockCyclic;
 use crate::params::{BcastAlgo, HplParams};
@@ -90,8 +90,8 @@ fn bcast_panel(
     msg: Option<ThreadMsg>,
 ) -> ThreadMsg {
     match algo {
-        BcastAlgo::Ring => ring_bcast(comm, root, msg),
-        BcastAlgo::Binomial => binomial_bcast(comm, root, msg),
+        BcastAlgo::Ring => block_on(ring_bcast(comm, root, msg)),
+        BcastAlgo::Binomial => block_on(binomial_bcast(comm, root, msg)),
     }
 }
 
@@ -207,7 +207,7 @@ fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
                     if from == me {
                         unreachable!("token stays local between owned blocks");
                     }
-                    comm.recv(from, UPTRSV_TAG).data
+                    block_on(comm.recv(from, UPTRSV_TAG)).data
                 }
             }
         };
@@ -235,7 +235,7 @@ fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
             if next == me {
                 token = Some(z);
             } else {
-                comm.send(next, UPTRSV_TAG, ThreadMsg::floats(z));
+                block_on(comm.send(next, UPTRSV_TAG, ThreadMsg::floats(z)));
             }
         } else {
             token = Some(z);
@@ -248,7 +248,7 @@ fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
     } else {
         None
     };
-    let x = ring_bcast(&comm, root, payload).data;
+    let x = block_on(ring_bcast(&comm, root, payload)).data;
     st.phases.uptrsv += t_s.elapsed().as_secs_f64();
 
     (x, st.phases)

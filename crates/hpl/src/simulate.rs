@@ -15,9 +15,8 @@
 //! broadcast counts toward `bcast` — precisely how the paper's Fig. 4
 //! items are measured.
 
-use std::sync::Arc;
-
-use etm_support::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
@@ -113,17 +112,16 @@ impl RankCost<'_> {
     }
 }
 
-fn bcast_sim(comm: &SimComm<'_>, algo: BcastAlgo, root: usize, msg: Option<SimMsg>) -> SimMsg {
+async fn bcast_sim(comm: &SimComm, algo: BcastAlgo, root: usize, msg: Option<SimMsg>) -> SimMsg {
     match algo {
-        BcastAlgo::Ring => ring_bcast(comm, root, msg),
-        BcastAlgo::Binomial => binomial_bcast(comm, root, msg),
+        BcastAlgo::Ring => ring_bcast(comm, root, msg).await,
+        BcastAlgo::Binomial => binomial_bcast(comm, root, msg).await,
     }
 }
 
 /// One rank's timed execution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_rank_sim(
-    comm: &SimComm<'_>,
+pub(crate) async fn run_rank_sim(
+    comm: &SimComm,
     params: &HplParams,
     dist: &impl ColumnAssignment,
     cost: &RankCost<'_>,
@@ -143,10 +141,10 @@ pub(crate) fn run_rank_sim(
         // --- rfact on the owner.
         if me == owner {
             let t0 = comm.now();
-            comm.compute(cost.panel(pfact_flops(rows, w)));
+            comm.compute(cost.panel(pfact_flops(rows, w))).await;
             ph.pfact += comm.now() - t0;
             let t1 = comm.now();
-            comm.compute(cost.memop(16.0 * w as f64));
+            comm.compute(cost.memop(16.0 * w as f64)).await;
             ph.mxswp += comm.now() - t1;
         }
 
@@ -156,10 +154,10 @@ pub(crate) fn run_rank_sim(
         let bytes = 8.0 * (rows * w) as f64 + 8.0 * w as f64;
         let t_b = comm.now();
         let payload = (me == owner).then(|| SimMsg::of(bytes));
-        let _ = bcast_sim(comm, params.bcast, owner, payload);
+        let _ = bcast_sim(comm, params.bcast, owner, payload).await;
         let stall = cost.pm.sync_stall(cost.kind, cost.m);
         if stall > 0.0 {
-            comm.idle(stall);
+            comm.idle(stall).await;
         }
         ph.bcast += comm.now() - t_b;
 
@@ -167,7 +165,7 @@ pub(crate) fn run_rank_sim(
         if tcols > 0 {
             let t_l = comm.now();
             let touched = 2.0 * (w * tcols) as f64 * 8.0;
-            comm.compute(cost.memop(touched));
+            comm.compute(cost.memop(touched)).await;
             ph.laswp += comm.now() - t_l;
         }
 
@@ -175,7 +173,7 @@ pub(crate) fn run_rank_sim(
         {
             let t_f = comm.now();
             let flops = (w * w) as f64 + 2.0 * ((rows - w) * w) as f64;
-            comm.compute(cost.panel(flops));
+            comm.compute(cost.panel(flops)).await;
             ph.uptrsv += comm.now() - t_f;
         }
 
@@ -184,7 +182,7 @@ pub(crate) fn run_rank_sim(
             let t_u = comm.now();
             let trsm = (w * w * tcols) as f64;
             let gemm = 2.0 * ((rows - w) * w * tcols) as f64;
-            comm.compute(cost.gemm(trsm + gemm));
+            comm.compute(cost.gemm(trsm + gemm)).await;
             ph.update += comm.now() - t_u;
         }
     }
@@ -204,7 +202,7 @@ pub(crate) fn run_rank_sim(
                 // Initial token is my own replicated rhs: no transfer.
             } else {
                 let from = dist.owner(k + 1);
-                let _ = comm.recv(from, UPTRSV_TAG);
+                let _ = comm.recv(from, UPTRSV_TAG).await;
             }
             holding = true;
         }
@@ -212,11 +210,11 @@ pub(crate) fn run_rank_sim(
         let w = dist.block_width(k);
         // trsv on the diagonal block + elimination above.
         let flops = (w * w) as f64 + 2.0 * (start * w) as f64;
-        comm.compute(cost.panel(flops));
+        comm.compute(cost.panel(flops)).await;
         if k > 0 {
             let next = dist.owner(k - 1);
             if next != me {
-                comm.send(next, UPTRSV_TAG, SimMsg::of(token_bytes));
+                comm.send(next, UPTRSV_TAG, SimMsg::of(token_bytes)).await;
                 holding = false;
             }
         }
@@ -227,7 +225,7 @@ pub(crate) fn run_rank_sim(
     let t_x = comm.now();
     let root = dist.owner(0);
     let payload = (me == root).then(|| SimMsg::of(token_bytes));
-    let _ = ring_bcast(comm, root, payload);
+    let _ = ring_bcast(comm, root, payload).await;
     ph.bcast += comm.now() - t_x;
 
     ph
@@ -308,11 +306,11 @@ pub fn simulate_hpl_perturbed(
     if perturb.net_slowdown != 1.0 {
         fabric.derate_nics(&mut sim, perturb.net_slowdown);
     }
-    let results: Arc<Mutex<Vec<Option<PhaseTimes>>>> = Arc::new(Mutex::new(vec![None; p]));
+    let results = Rc::new(RefCell::new(vec![None; p]));
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
-        let results = Arc::clone(&results);
+        let results = Rc::clone(&results);
         let spec = spec.clone();
         let params = *params;
         let kind = slot.kind;
@@ -320,7 +318,7 @@ pub fn simulate_hpl_perturbed(
         let node = slot.node;
         let rank = slot.rank;
         let placement_cl = placement.clone();
-        sim.spawn(format!("hpl-rank{rank}"), move |ctx| {
+        sim.spawn(format!("hpl-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());
             let oc = pm.node_overcommit(&placement_cl, node, params.nb);
@@ -332,14 +330,14 @@ pub fn simulate_hpl_perturbed(
                 nb: params.nb,
             };
             let dist = BlockCyclic::new(params.n, params.nb, placement_cl.len());
-            let ph = run_rank_sim(&comm, &params, &dist, &cost);
-            results.lock()[rank] = Some(ph);
+            let ph = run_rank_sim(&comm, &params, &dist, &cost).await;
+            results.borrow_mut()[rank] = Some(ph);
         });
     }
 
     let wall_seconds = sim.run().expect("HPL simulation deadlocked");
     let phases: Vec<PhaseTimes> = results
-        .lock()
+        .borrow()
         .iter()
         .map(|p| p.expect("every rank reports"))
         .collect();

@@ -10,9 +10,8 @@
 //! one process per PE and column blocks dealt in proportion to each PE's
 //! peak speed.
 
-use std::sync::Arc;
-
-use etm_support::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, PerfModel, Placement};
 use etm_mpisim::SimFabric;
@@ -54,12 +53,11 @@ pub fn simulate_hpl_weighted(
 
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results: Arc<Mutex<Vec<Option<crate::PhaseTimes>>>> =
-        Arc::new(Mutex::new(vec![None; placement.len()]));
+    let results = Rc::new(RefCell::new(vec![None; placement.len()]));
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
-        let results = Arc::clone(&results);
+        let results = Rc::clone(&results);
         let spec = spec.clone();
         let params = *params;
         let kind = slot.kind;
@@ -67,7 +65,7 @@ pub fn simulate_hpl_weighted(
         let rank = slot.rank;
         let placement_cl = placement.clone();
         let dist = dist.clone();
-        sim.spawn(format!("hplw-rank{rank}"), move |ctx| {
+        sim.spawn(format!("hplw-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());
             let oc = pm.node_overcommit(&placement_cl, node, params.nb);
@@ -78,14 +76,14 @@ pub fn simulate_hpl_weighted(
                 oc,
                 nb: params.nb,
             };
-            let ph = run_rank_sim(&comm, &params, &dist, &cost);
-            results.lock()[rank] = Some(ph);
+            let ph = run_rank_sim(&comm, &params, &dist, &cost).await;
+            results.borrow_mut()[rank] = Some(ph);
         });
     }
 
     let wall_seconds = sim.run().expect("weighted HPL simulation deadlocked");
     let phases: Vec<crate::PhaseTimes> = results
-        .lock()
+        .borrow()
         .iter()
         .map(|p| p.expect("every rank reports"))
         .collect();

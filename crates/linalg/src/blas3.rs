@@ -102,13 +102,19 @@ pub fn par_dgemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) 
         return;
     }
     // Stripe width balancing parallelism against per-task overhead.
-    let stripe = BLOCK.max(c.cols() / (4 * pool::num_threads()).max(1));
+    let threads = pool::num_threads();
+    let stripe = BLOCK.max(c.cols() / (4 * threads).max(1));
     let (mn, chunk_len) = (m * c.cols(), stripe * m);
-    pool::par_chunks_mut(&mut c.as_mut_slice()[..mn], chunk_len, |idx, chunk| {
-        let j0 = idx * stripe;
-        let width = chunk.len() / m;
-        gemm_stripe(alpha, a, b, beta, chunk, j0, width);
-    });
+    pool::par_chunks_mut(
+        &mut c.as_mut_slice()[..mn],
+        chunk_len,
+        threads,
+        |idx, chunk| {
+            let j0 = idx * stripe;
+            let width = chunk.len() / m;
+            gemm_stripe(alpha, a, b, beta, chunk, j0, width);
+        },
+    );
 }
 
 /// Solves `A·X = alpha·B` in place (left-side dtrsm): `B` is overwritten

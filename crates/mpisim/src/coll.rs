@@ -3,8 +3,9 @@
 //! HPL broadcasts each factored panel along the process row; its default
 //! `1ring` algorithm is the [`ring_bcast`] here. [`binomial_bcast`] is
 //! the log-depth alternative, and [`barrier`] is a 0-byte gather/release
-//! used for run synchronization. Implemented once so the thread and the
-//! discrete-event backends execute byte-identical communication patterns.
+//! used for run synchronization. Implemented once, as `async` functions,
+//! so the thread and the discrete-event backends execute byte-identical
+//! communication patterns.
 
 use crate::Comm;
 
@@ -20,7 +21,7 @@ const COLL_TAG: u32 = 0xC011_0000;
 ///
 /// # Panics
 /// Panics if the root passes `None` or a non-root passes `Some`.
-pub fn ring_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg {
+pub async fn ring_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg {
     let p = comm.size();
     let me = comm.rank();
     if p == 1 {
@@ -30,16 +31,16 @@ pub fn ring_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg
     let prev = (me + p - 1) % p;
     if me == root {
         let m = msg.expect("root must supply the message");
-        comm.send(next, COLL_TAG, m.clone());
+        comm.send(next, COLL_TAG, m.clone()).await;
         m
     } else {
         assert!(
             msg.is_none(),
             "non-root rank {me} must not supply a message"
         );
-        let m = comm.recv(prev, COLL_TAG);
+        let m = comm.recv(prev, COLL_TAG).await;
         if next != root {
-            comm.send(next, COLL_TAG, m.clone());
+            comm.send(next, COLL_TAG, m.clone()).await;
         }
         m
     }
@@ -51,7 +52,7 @@ pub fn ring_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg
 ///
 /// # Panics
 /// Same contract as [`ring_bcast`].
-pub fn binomial_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg {
+pub async fn binomial_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C::Msg {
     let p = comm.size();
     let me = comm.rank();
     let rel = (me + p - root) % p; // root-relative rank
@@ -69,11 +70,11 @@ pub fn binomial_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C:
         if let Some(m) = &have {
             if rel < span && rel + span < p {
                 let dst = (rel + span + root) % p;
-                comm.send(dst, COLL_TAG + 1, m.clone());
+                comm.send(dst, COLL_TAG + 1, m.clone()).await;
             }
         } else if rel < 2 * span && rel >= span {
             let src = (rel - span + root) % p;
-            have = Some(comm.recv(src, COLL_TAG + 1));
+            have = Some(comm.recv(src, COLL_TAG + 1).await);
         }
         span *= 2;
     }
@@ -81,7 +82,7 @@ pub fn binomial_bcast<C: Comm>(comm: &C, root: usize, msg: Option<C::Msg>) -> C:
 }
 
 /// Barrier: gather 0-byte tokens to rank 0, then a release broadcast.
-pub fn barrier<C: Comm>(comm: &C) {
+pub async fn barrier<C: Comm>(comm: &C) {
     let p = comm.size();
     let me = comm.rank();
     if p == 1 {
@@ -89,31 +90,31 @@ pub fn barrier<C: Comm>(comm: &C) {
     }
     if me == 0 {
         for from in 1..p {
-            let _ = comm.recv(from, COLL_TAG + 2);
+            let _ = comm.recv(from, COLL_TAG + 2).await;
         }
         for to in 1..p {
-            comm.send(to, COLL_TAG + 3, C::Msg::default());
+            comm.send(to, COLL_TAG + 3, C::Msg::default()).await;
         }
     } else {
-        comm.send(0, COLL_TAG + 2, C::Msg::default());
-        let _ = comm.recv(0, COLL_TAG + 3);
+        comm.send(0, COLL_TAG + 2, C::Msg::default()).await;
+        let _ = comm.recv(0, COLL_TAG + 3).await;
     }
 }
 
 /// Gathers one message from every rank to the root; returns `Some(msgs)`
 /// (indexed by rank) at the root and `None` elsewhere.
-pub fn gather<C: Comm>(comm: &C, root: usize, msg: C::Msg) -> Option<Vec<C::Msg>> {
+pub async fn gather<C: Comm>(comm: &C, root: usize, msg: C::Msg) -> Option<Vec<C::Msg>> {
     let p = comm.size();
     let me = comm.rank();
     if me == root {
         let mut all: Vec<Option<C::Msg>> = (0..p).map(|_| None).collect();
         all[root] = Some(msg);
         for from in (0..p).filter(|&r| r != root) {
-            all[from] = Some(comm.recv(from, COLL_TAG + 4));
+            all[from] = Some(comm.recv(from, COLL_TAG + 4).await);
         }
         Some(all.into_iter().map(|m| m.expect("gathered")).collect())
     } else {
-        comm.send(root, COLL_TAG + 4, msg);
+        comm.send(root, COLL_TAG + 4, msg).await;
         None
     }
 }
@@ -121,6 +122,7 @@ pub fn gather<C: Comm>(comm: &C, root: usize, msg: C::Msg) -> Option<Vec<C::Msg>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use crate::threadcomm::{build_thread_comms, ThreadMsg};
     use std::thread;
 
@@ -151,7 +153,7 @@ mod tests {
                     } else {
                         None
                     };
-                    let got = ring_bcast(&c, root, payload);
+                    let got = block_on(ring_bcast(&c, root, payload));
                     assert_eq!(got.data, vec![root as f64, 42.0]);
                 });
             }
@@ -168,7 +170,7 @@ mod tests {
                     } else {
                         None
                     };
-                    let got = binomial_bcast(&c, root, payload);
+                    let got = block_on(binomial_bcast(&c, root, payload));
                     assert_eq!(got.data, vec![13.0]);
                 });
             }
@@ -179,7 +181,7 @@ mod tests {
     fn barrier_completes() {
         run_all(6, |c| {
             for _ in 0..5 {
-                barrier(&c);
+                block_on(barrier(&c));
             }
         });
     }
@@ -188,7 +190,7 @@ mod tests {
     fn gather_collects_by_rank() {
         run_all(5, |c| {
             let mine = ThreadMsg::floats(vec![c.rank() as f64]);
-            match gather(&c, 2, mine) {
+            match block_on(gather(&c, 2, mine)) {
                 Some(all) => {
                     assert_eq!(c.rank(), 2);
                     for (r, m) in all.iter().enumerate() {

@@ -37,18 +37,18 @@ pub fn ping_pong(
     let fabric = SimFabric::build(&mut sim, spec, placement);
     let seed0 = fabric.seed(0);
     let seed1 = fabric.seed(1);
-    sim.spawn("pinger", move |ctx| {
+    sim.spawn("pinger", move |ctx| async move {
         let comm = seed0.bind(ctx);
         for _ in 0..reps {
-            comm.send(1, 1, SimMsg::of(block_bytes));
-            let _ = comm.recv(1, 2);
+            comm.send(1, 1, SimMsg::of(block_bytes)).await;
+            let _ = comm.recv(1, 2).await;
         }
     });
-    sim.spawn("ponger", move |ctx| {
+    sim.spawn("ponger", move |ctx| async move {
         let comm = seed1.bind(ctx);
         for _ in 0..reps {
-            let _ = comm.recv(0, 1);
-            comm.send(0, 2, SimMsg::of(block_bytes));
+            let _ = comm.recv(0, 1).await;
+            comm.send(0, 2, SimMsg::of(block_bytes)).await;
         }
     });
     let total = sim.run().expect("ping-pong deadlocked");

@@ -1,7 +1,7 @@
 //! Discrete-event-backed communicator: messages carry byte counts and
 //! sending charges virtual time against the shared CPU/NIC resources.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, CommLibProfile, NetworkSpec, Placement};
 use etm_sim::{Ctx, MailboxId, ResourceId, Simulation};
@@ -41,7 +41,7 @@ struct FabricShared {
 /// for all ranks. Build it once per [`Simulation`], then hand each rank
 /// its [`SimCommSeed`].
 pub struct SimFabric {
-    shared: Arc<FabricShared>,
+    shared: Rc<FabricShared>,
 }
 
 impl SimFabric {
@@ -80,7 +80,7 @@ impl SimFabric {
         }
         let mailboxes = (0..size * size).map(|_| sim.add_mailbox()).collect();
         SimFabric {
-            shared: Arc::new(FabricShared {
+            shared: Rc::new(FabricShared {
                 node_of_rank: placement.slots.iter().map(|s| s.node).collect(),
                 cpu_of_rank,
                 nic_of_node,
@@ -139,21 +139,21 @@ impl SimFabric {
         assert!(rank < self.shared.size, "rank out of range");
         SimCommSeed {
             rank,
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
 
 /// Per-rank half-built communicator; bind it to the process's [`Ctx`]
-/// inside the spawned closure.
+/// in the spawned process body.
 pub struct SimCommSeed {
     rank: usize,
-    shared: Arc<FabricShared>,
+    shared: Rc<FabricShared>,
 }
 
 impl SimCommSeed {
     /// Binds the seed to the executing process's context.
-    pub fn bind(self, ctx: &Ctx) -> SimComm<'_> {
+    pub fn bind(self, ctx: Ctx) -> SimComm {
         SimComm {
             ctx,
             rank: self.rank,
@@ -163,13 +163,13 @@ impl SimCommSeed {
 }
 
 /// A rank's endpoint on the simulated fabric.
-pub struct SimComm<'a> {
-    ctx: &'a Ctx,
+pub struct SimComm {
+    ctx: Ctx,
     rank: usize,
-    shared: Arc<FabricShared>,
+    shared: Rc<FabricShared>,
 }
 
-impl SimComm<'_> {
+impl SimComm {
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         self.ctx.now()
@@ -183,13 +183,13 @@ impl SimComm<'_> {
 
     /// Performs `seconds` of uncontended-equivalent CPU work (elongated
     /// by processor sharing if co-resident ranks compute simultaneously).
-    pub fn compute(&self, seconds: f64) {
-        self.ctx.compute(self.cpu(), seconds);
+    pub async fn compute(&self, seconds: f64) {
+        self.ctx.compute(self.cpu(), seconds).await;
     }
 
     /// Advances virtual time without consuming any resource.
-    pub fn idle(&self, seconds: f64) {
-        self.ctx.hold(seconds);
+    pub async fn idle(&self, seconds: f64) {
+        self.ctx.hold(seconds).await;
     }
 
     /// Whether `other` is on the same node (intra-node path).
@@ -202,7 +202,7 @@ impl SimComm<'_> {
     }
 }
 
-impl Comm for SimComm<'_> {
+impl Comm for SimComm {
     type Msg = SimMsg;
 
     fn rank(&self) -> usize {
@@ -222,7 +222,7 @@ impl Comm for SimComm<'_> {
     ///   multiprocessing collapse;
     /// * inter-node: network latency + NIC occupancy at wire bandwidth —
     ///   concurrent transfers from one node contend for its NIC.
-    fn send(&self, to: usize, tag: u32, msg: SimMsg) {
+    async fn send(&self, to: usize, tag: u32, msg: SimMsg) {
         if to != self.rank {
             if self.same_node(to) {
                 let copy = if msg.bytes > 0.0 {
@@ -230,28 +230,28 @@ impl Comm for SimComm<'_> {
                 } else {
                     0.0
                 };
-                self.ctx.hold(self.shared.profile.intra_latency);
+                self.ctx.hold(self.shared.profile.intra_latency).await;
                 if copy > 0.0 {
-                    self.ctx.compute(self.cpu(), copy);
+                    self.ctx.compute(self.cpu(), copy).await;
                 }
             } else {
                 let node = self.shared.node_of_rank[self.rank];
                 let nic = self.shared.nic_of_node[node].expect("sender node has a NIC");
-                self.ctx.hold(self.shared.network.latency);
+                self.ctx.hold(self.shared.network.latency).await;
                 if msg.bytes > 0.0 {
-                    self.ctx.compute(nic, msg.bytes);
+                    self.ctx.compute(nic, msg.bytes).await;
                 }
             }
         }
-        self.ctx.send(self.mailbox(self.rank, to), (tag, msg));
+        self.ctx.send(self.mailbox(self.rank, to), (tag, msg)).await;
     }
 
     /// Receives and pays the receiver-side cost: an inter-node message
     /// must also cross *this* node's NIC and protocol stack, so the
     /// receiver occupies its own NIC for the message size (store-and-
     /// forward; concurrent inbound transfers to one node contend).
-    fn recv(&self, from: usize, tag: u32) -> SimMsg {
-        let (got_tag, msg): (u32, SimMsg) = self.ctx.recv(self.mailbox(from, self.rank));
+    async fn recv(&self, from: usize, tag: u32) -> SimMsg {
+        let (got_tag, msg): (u32, SimMsg) = self.ctx.recv(self.mailbox(from, self.rank)).await;
         assert_eq!(
             got_tag, tag,
             "rank {}: expected tag {tag} from {from}, got {got_tag}",
@@ -260,7 +260,7 @@ impl Comm for SimComm<'_> {
         if from != self.rank && !self.same_node(from) && msg.bytes > 0.0 {
             let node = self.shared.node_of_rank[self.rank];
             let nic = self.shared.nic_of_node[node].expect("receiver node has a NIC");
-            self.ctx.compute(nic, msg.bytes);
+            self.ctx.compute(nic, msg.bytes).await;
         }
         msg
     }

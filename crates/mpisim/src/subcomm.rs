@@ -5,6 +5,8 @@
 //! *columns*; [`SubComm`] gives each row/column its own rank space so the
 //! generic collectives in [`crate::coll`] work unchanged.
 
+use std::future::Future;
+
 use crate::Comm;
 
 /// A view of a parent communicator restricted to `members` (parent
@@ -59,11 +61,11 @@ impl<C: Comm> Comm for SubComm<'_, C> {
         self.members.len()
     }
 
-    fn send(&self, to: usize, tag: u32, msg: Self::Msg) {
-        self.parent.send(self.members[to], tag, msg);
+    fn send(&self, to: usize, tag: u32, msg: Self::Msg) -> impl Future<Output = ()> {
+        self.parent.send(self.members[to], tag, msg)
     }
 
-    fn recv(&self, from: usize, tag: u32) -> Self::Msg {
+    fn recv(&self, from: usize, tag: u32) -> impl Future<Output = Self::Msg> {
         self.parent.recv(self.members[from], tag)
     }
 }
@@ -71,6 +73,7 @@ impl<C: Comm> Comm for SubComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use crate::coll::{barrier, gather, ring_bcast};
     use crate::threadcomm::{build_thread_comms, ThreadMsg};
     use std::thread;
@@ -94,9 +97,9 @@ mod tests {
                     assert_eq!(sub.to_parent(sub.rank()), c.rank());
                     // Row-local broadcast from sub-rank 0.
                     let payload = (sub.rank() == 0).then(|| ThreadMsg::floats(vec![row[0] as f64]));
-                    let got = ring_bcast(&sub, 0, payload);
+                    let got = block_on(ring_bcast(&sub, 0, payload));
                     assert_eq!(got.data, vec![row[0] as f64]);
-                    barrier(&sub);
+                    block_on(barrier(&sub));
                 })
             })
             .collect();
@@ -120,7 +123,7 @@ mod tests {
                     };
                     let sub = SubComm::new(&c, col);
                     let mine = ThreadMsg::floats(vec![c.rank() as f64]);
-                    if let Some(all) = gather(&sub, 0, mine) {
+                    if let Some(all) = block_on(gather(&sub, 0, mine)) {
                         assert_eq!(sub.rank(), 0);
                         assert_eq!(all.len(), 2);
                         assert_eq!(all[1].data[0], (c.rank() + 2) as f64);

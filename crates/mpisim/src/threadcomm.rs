@@ -50,13 +50,13 @@ impl Comm for ThreadComm {
         self.size
     }
 
-    fn send(&self, to: usize, tag: u32, msg: ThreadMsg) {
+    async fn send(&self, to: usize, tag: u32, msg: ThreadMsg) {
         self.txs[to]
             .send((tag, msg))
             .expect("receiver rank hung up");
     }
 
-    fn recv(&self, from: usize, tag: u32) -> ThreadMsg {
+    async fn recv(&self, from: usize, tag: u32) -> ThreadMsg {
         let (got_tag, msg) = self.rxs[from].recv().expect("sender rank hung up");
         assert_eq!(
             got_tag, tag,
@@ -110,6 +110,7 @@ pub fn build_thread_comms(size: usize) -> Vec<ThreadComm> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block_on;
     use std::thread;
 
     #[test]
@@ -118,12 +119,12 @@ mod tests {
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
         let h = thread::spawn(move || {
-            let m = c1.recv(0, 7);
+            let m = block_on(c1.recv(0, 7));
             assert_eq!(m.data, vec![1.0, 2.0]);
-            c1.send(0, 8, ThreadMsg::floats(vec![3.0]));
+            block_on(c1.send(0, 8, ThreadMsg::floats(vec![3.0])));
         });
-        c0.send(1, 7, ThreadMsg::floats(vec![1.0, 2.0]));
-        let back = c0.recv(1, 8);
+        block_on(c0.send(1, 7, ThreadMsg::floats(vec![1.0, 2.0])));
+        let back = block_on(c0.recv(1, 8));
         assert_eq!(back.data, vec![3.0]);
         h.join().unwrap();
     }
@@ -134,11 +135,11 @@ mod tests {
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
         for i in 0..10 {
-            c0.send(1, i, ThreadMsg::floats(vec![i as f64]));
+            block_on(c0.send(1, i, ThreadMsg::floats(vec![i as f64])));
         }
         let h = thread::spawn(move || {
             for i in 0..10 {
-                let m = c1.recv(0, i);
+                let m = block_on(c1.recv(0, i));
                 assert_eq!(m.data[0], i as f64);
             }
         });
@@ -150,15 +151,15 @@ mod tests {
         let mut comms = build_thread_comms(2);
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.send(
+        block_on(c0.send(
             1,
             0,
             ThreadMsg {
                 data: vec![],
                 ints: vec![4, 2],
             },
-        );
-        assert_eq!(c1.recv(0, 0).ints, vec![4, 2]);
+        ));
+        assert_eq!(block_on(c1.recv(0, 0)).ints, vec![4, 2]);
     }
 
     #[test]
@@ -167,15 +168,15 @@ mod tests {
         let mut comms = build_thread_comms(2);
         let c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.send(1, 1, ThreadMsg::default());
-        let _ = c1.recv(0, 2);
+        block_on(c0.send(1, 1, ThreadMsg::default()));
+        let _ = block_on(c1.recv(0, 2));
     }
 
     #[test]
     fn self_send_works() {
         let mut comms = build_thread_comms(1);
         let c0 = comms.pop().unwrap();
-        c0.send(0, 3, ThreadMsg::floats(vec![9.0]));
-        assert_eq!(c0.recv(0, 3).data, vec![9.0]);
+        block_on(c0.send(0, 3, ThreadMsg::floats(vec![9.0])));
+        assert_eq!(block_on(c0.recv(0, 3)).data, vec![9.0]);
     }
 }

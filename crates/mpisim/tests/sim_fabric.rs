@@ -1,17 +1,20 @@
 //! Integration tests: collectives and contention on the discrete-event
 //! fabric.
 
+use std::future::Future;
+
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::{CommLibProfile, Configuration, Placement};
 use etm_mpisim::coll::{barrier, binomial_bcast, gather, ring_bcast};
-use etm_mpisim::{Comm, SimFabric, SimMsg};
+use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg};
 use etm_sim::Simulation;
 
-/// Runs `body` on every rank of the given configuration and returns the
+/// Runs `body` as every rank of the given configuration and returns the
 /// simulation's end time.
-fn run_ranks<F>(cfg: Configuration, body: F) -> f64
+fn run_ranks<F, Fut>(cfg: Configuration, body: F) -> f64
 where
-    F: Fn(&etm_mpisim::SimComm<'_>) + Send + Sync + Clone + 'static,
+    F: Fn(SimComm) -> Fut,
+    Fut: Future<Output = ()> + 'static,
 {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let placement = Placement::new(&spec, &cfg).unwrap();
@@ -19,24 +22,20 @@ where
     let fabric = SimFabric::build(&mut sim, &spec, &placement);
     for rank in 0..placement.len() {
         let seed = fabric.seed(rank);
-        let body = body.clone();
-        sim.spawn(format!("rank{rank}"), move |ctx| {
-            let comm = seed.bind(ctx);
-            body(&comm);
-        });
+        sim.spawn(format!("rank{rank}"), |ctx| body(seed.bind(ctx)));
     }
     sim.run().expect("ranks deadlocked")
 }
 
 #[test]
 fn ring_bcast_works_on_sim_fabric() {
-    let end = run_ranks(Configuration::p1m1_p2m2(1, 1, 8, 1), |comm| {
+    let end = run_ranks(Configuration::p1m1_p2m2(1, 1, 8, 1), |comm| async move {
         let msg = if comm.rank() == 0 {
             Some(SimMsg::of(1_000_000.0))
         } else {
             None
         };
-        let got = ring_bcast(comm, 0, msg);
+        let got = ring_bcast(&comm, 0, msg).await;
         assert_eq!(got.bytes, 1_000_000.0);
     });
     // 8 inter-node hops of 1 MB at 11.5 MB/s each ≈ 0.087 s per hop; the
@@ -52,13 +51,13 @@ fn binomial_bcast_faster_than_ring_for_many_ranks() {
     // beats the ring's P-1 chain end-to-end latency for the last rank.
     let cfg = Configuration::p1m1_p2m2(1, 1, 8, 1);
     let bytes = 500_000.0;
-    let t_ring = run_ranks(cfg.clone(), move |comm| {
+    let t_ring = run_ranks(cfg.clone(), move |comm| async move {
         let msg = (comm.rank() == 0).then(|| SimMsg::of(bytes));
-        let _ = ring_bcast(comm, 0, msg);
+        let _ = ring_bcast(&comm, 0, msg).await;
     });
-    let t_binom = run_ranks(cfg, move |comm| {
+    let t_binom = run_ranks(cfg, move |comm| async move {
         let msg = (comm.rank() == 0).then(|| SimMsg::of(bytes));
-        let _ = binomial_bcast(comm, 0, msg);
+        let _ = binomial_bcast(&comm, 0, msg).await;
     });
     assert!(
         t_binom < t_ring,
@@ -68,9 +67,9 @@ fn binomial_bcast_faster_than_ring_for_many_ranks() {
 
 #[test]
 fn barrier_and_gather_on_sim_fabric() {
-    run_ranks(Configuration::p1m1_p2m2(1, 2, 4, 1), |comm| {
-        barrier(comm);
-        let res = gather(comm, 0, SimMsg::of(comm.rank() as f64));
+    run_ranks(Configuration::p1m1_p2m2(1, 2, 4, 1), |comm| async move {
+        barrier(&comm).await;
+        let res = gather(&comm, 0, SimMsg::of(comm.rank() as f64)).await;
         if comm.rank() == 0 {
             let all = res.unwrap();
             for (r, m) in all.iter().enumerate() {
@@ -79,7 +78,7 @@ fn barrier_and_gather_on_sim_fabric() {
         } else {
             assert!(res.is_none());
         }
-        barrier(comm);
+        barrier(&comm).await;
     });
 }
 
@@ -115,17 +114,17 @@ fn nic_contention_slows_concurrent_senders() {
     for (i, &rank) in on_first_node.iter().enumerate() {
         let seed = fabric.seed(rank);
         let dst = elsewhere[i];
-        sim.spawn(format!("send{rank}"), move |ctx| {
+        sim.spawn(format!("send{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
-            comm.send(dst, 5, SimMsg::of(bytes));
+            comm.send(dst, 5, SimMsg::of(bytes)).await;
         });
     }
     for (i, &rank) in elsewhere.iter().enumerate() {
         let seed = fabric.seed(rank);
         let src = on_first_node[i];
-        sim.spawn(format!("recv{rank}"), move |ctx| {
+        sim.spawn(format!("recv{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
-            let _ = comm.recv(src, 5);
+            let _ = comm.recv(src, 5).await;
         });
     }
     let end = sim.run().unwrap();
@@ -152,20 +151,20 @@ fn intra_node_send_contends_with_compute() {
         let mut sim = Simulation::new();
         let fabric = SimFabric::build(&mut sim, &spec, &placement);
         let s0 = fabric.seed(0);
-        sim.spawn("sender", move |ctx| {
+        sim.spawn("sender", move |ctx| async move {
             let comm = s0.bind(ctx);
-            comm.send(1, 9, SimMsg::of(bytes));
+            comm.send(1, 9, SimMsg::of(bytes)).await;
         });
         let s1 = fabric.seed(1);
-        sim.spawn("receiver", move |ctx| {
+        sim.spawn("receiver", move |ctx| async move {
             let comm = s1.bind(ctx);
-            let _ = comm.recv(0, 9);
+            let _ = comm.recv(0, 9).await;
         });
         let s2 = fabric.seed(2);
-        sim.spawn("load", move |ctx| {
+        sim.spawn("load", move |ctx| async move {
             let comm = s2.bind(ctx);
             if with_load {
-                comm.compute(10.0 * copy_alone);
+                comm.compute(10.0 * copy_alone).await;
             }
         });
         sim.run().unwrap()

@@ -1,28 +1,29 @@
-//! The simulation kernel: event queue, process scheduling, cooperative
-//! hand-off between the kernel thread and process threads.
+//! The simulation kernel: event queue, process scheduling, and the
+//! single-threaded executor that runs process bodies as futures.
 //!
 //! ## Scheduling discipline
 //!
-//! Every simulated process runs on its own OS thread, but the kernel
-//! enforces *one runnable process at a time*: a process executes only
-//! after the kernel hands it a `Go` token, and it returns control by
-//! sending a [`Request`] and blocking on its private wake channel. Events
-//! at equal virtual time are ordered by an insertion sequence number, so a
-//! whole simulation is a deterministic function of its inputs — re-running
-//! a measurement campaign always reproduces the same virtual timings,
+//! Every simulated process is a future polled on the thread that calls
+//! [`Simulation::run`]; there is one runnable process at a time and no
+//! OS thread per process. A blocking primitive on [`Ctx`] stores its
+//! `Request` in a slot shared with the kernel and returns `Pending`
+//! once; the kernel then services the request. `Send`, and a `Recv`
+//! that finds a message waiting, re-poll the same process immediately;
+//! everything else parks it until an event wakes it. Events at equal
+//! virtual time are ordered by an insertion sequence number, so a whole
+//! simulation is a deterministic function of its inputs — re-running a
+//! measurement campaign always reproduces the same virtual timings,
 //! which the estimation-model experiments rely on.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use etm_support::channel::{bounded, unbounded, Receiver, Sender};
-use etm_support::sync::Mutex;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use crate::mailbox::{Mailbox, MailboxId, Payload};
 use crate::resource::{ResourceId, SharedResource};
@@ -43,23 +44,7 @@ enum Request {
     Send { mb: MailboxId, msg: Payload },
     /// Block until a message is available in the mailbox.
     Recv { mb: MailboxId },
-    /// The process body returned normally.
-    Finished,
-    /// The process body panicked; the payload is re-thrown on the kernel
-    /// thread so test assertions inside processes fail the test.
-    Panicked(Box<dyn Any + Send>),
 }
-
-/// Wake-up token handed to a blocked process. Carries the received message
-/// when the wake completes a `recv`.
-enum Wake {
-    Go,
-    Delivery(Payload),
-}
-
-/// Marker payload used to unwind a process thread when the simulation is
-/// dropped while the process is still blocked.
-struct Cancelled;
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EvKind {
@@ -111,22 +96,34 @@ impl fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
+/// State shared between the kernel and every [`Ctx`]: the virtual clock
+/// and the hand-off slots of the one process being polled.
+struct Shared {
+    clock: Cell<SimTime>,
+    /// The request the polled process yielded with.
+    request: Cell<Option<Request>>,
+    /// The message a resumed `recv` picks up.
+    delivery: Cell<Option<Payload>>,
+}
+
 struct ProcessRecord {
     name: String,
-    go_tx: Sender<Wake>,
-    handle: Option<JoinHandle<()>>,
-    finished: bool,
+    /// The process body; `None` once it has returned.
+    future: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    /// A message taken from a mailbox for this parked receiver, handed
+    /// over when its wake event fires.
+    delivery: Option<Payload>,
 }
 
 /// Handle given to each process body for interacting with the simulation.
 ///
-/// All methods that block in virtual time suspend the calling process and
-/// resume it when the corresponding event fires.
+/// The primitives that take virtual time are `async`: awaiting one
+/// suspends the calling process and resumes it when the corresponding
+/// event fires. A process may only await these primitives (and futures
+/// built from them); any other pending future is a programming error.
 pub struct Ctx {
     pid: Pid,
-    clock: Arc<AtomicU64>,
-    req_tx: Sender<(Pid, Request)>,
-    go_rx: Receiver<Wake>,
+    shared: Rc<Shared>,
 }
 
 impl Ctx {
@@ -137,29 +134,32 @@ impl Ctx {
 
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
-        f64::from_bits(self.clock.load(Ordering::Relaxed))
+        self.shared.clock.get().secs()
     }
 
-    fn yield_with(&self, req: Request) -> Wake {
-        if self.req_tx.send((self.pid, req)).is_err() {
-            panic::panic_any(Cancelled);
-        }
-        match self.go_rx.recv() {
-            Ok(wake) => wake,
-            Err(_) => panic::panic_any(Cancelled),
-        }
+    /// Hands `req` to the kernel and suspends until it resumes us.
+    async fn yield_with(&self, req: Request) {
+        let mut req = Some(req);
+        poll_fn(|_| match req.take() {
+            Some(r) => {
+                self.shared.request.set(Some(r));
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
+        })
+        .await
     }
 
     /// Suspends the process for `dt` virtual seconds.
     ///
     /// # Panics
     /// Panics if `dt` is negative or NaN.
-    pub fn hold(&self, dt: f64) {
+    pub async fn hold(&self, dt: f64) {
         assert!(
             dt >= 0.0 && !dt.is_nan(),
             "hold duration must be >= 0, got {dt}"
         );
-        self.yield_with(Request::Hold(dt));
+        self.yield_with(Request::Hold(dt)).await;
     }
 
     /// Performs `work` work-units on a processor-sharing resource and
@@ -167,28 +167,26 @@ impl Ctx {
     /// resource of speed `s`, each progresses at `s/n` — the elapsed
     /// virtual time therefore depends on contention, exactly like a
     /// time-sliced CPU or a shared network link.
-    pub fn compute(&self, res: ResourceId, work: f64) {
-        self.yield_with(Request::Compute { res, work });
+    pub async fn compute(&self, res: ResourceId, work: f64) {
+        self.yield_with(Request::Compute { res, work }).await;
     }
 
     /// Transfers `bytes` over a shared link: a fixed `latency` hold
     /// followed by occupying the link's bandwidth (processor sharing with
     /// any concurrent transfers). The link's resource speed is interpreted
     /// as bytes per second.
-    pub fn transfer(&self, link: ResourceId, bytes: f64, latency: f64) {
+    pub async fn transfer(&self, link: ResourceId, bytes: f64, latency: f64) {
         if latency > 0.0 {
-            self.hold(latency);
+            self.hold(latency).await;
         }
-        self.compute(link, bytes);
+        self.compute(link, bytes).await;
     }
 
     /// Posts a message to `mb` without blocking (delivery is instantaneous
     /// in virtual time; model transport cost with [`Ctx::transfer`]).
-    pub fn send<T: Any + Send>(&self, mb: MailboxId, msg: T) {
-        self.yield_with(Request::Send {
-            mb,
-            msg: Box::new(msg),
-        });
+    pub async fn send<T: Any>(&self, mb: MailboxId, msg: T) {
+        let msg = Box::new(msg);
+        self.yield_with(Request::Send { mb, msg }).await;
     }
 
     /// Receives the next message from `mb`, blocking in virtual time until
@@ -197,16 +195,19 @@ impl Ctx {
     /// # Panics
     /// Panics if the message at the head of the mailbox is not a `T`;
     /// mixing payload types in one mailbox is a programming error.
-    pub fn recv<T: Any + Send>(&self, mb: MailboxId) -> T {
-        match self.yield_with(Request::Recv { mb }) {
-            Wake::Delivery(payload) => match payload.downcast::<T>() {
-                Ok(boxed) => *boxed,
-                Err(_) => panic!(
-                    "mailbox type mismatch: expected {}",
-                    std::any::type_name::<T>()
-                ),
-            },
-            Wake::Go => unreachable!("recv woken without a delivery"),
+    pub async fn recv<T: Any>(&self, mb: MailboxId) -> T {
+        self.yield_with(Request::Recv { mb }).await;
+        let payload = self
+            .shared
+            .delivery
+            .take()
+            .expect("recv resumed without a delivery");
+        match payload.downcast::<T>() {
+            Ok(boxed) => *boxed,
+            Err(_) => panic!(
+                "mailbox type mismatch: expected {}",
+                std::any::type_name::<T>()
+            ),
         }
     }
 }
@@ -217,17 +218,12 @@ impl Ctx {
 /// A `Simulation` is single-shot: `run` consumes the event horizon and the
 /// value cannot be reused for a second run.
 pub struct Simulation {
-    clock: Arc<AtomicU64>,
+    shared: Rc<Shared>,
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     resources: Vec<SharedResource>,
-    mailboxes: Vec<Mutex<Mailbox>>,
+    mailboxes: Vec<Mailbox>,
     processes: Vec<ProcessRecord>,
-    req_tx: Sender<(Pid, Request)>,
-    req_rx: Receiver<(Pid, Request)>,
-    /// Messages taken from a mailbox for a parked receiver whose wake
-    /// event has been scheduled but not yet fired.
-    pending_deliveries: Vec<(Pid, Payload)>,
     events_dispatched: u64,
     ran: bool,
 }
@@ -241,18 +237,17 @@ impl Default for Simulation {
 impl Simulation {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
-        install_cancel_hook();
-        let (req_tx, req_rx) = unbounded();
         Simulation {
-            clock: Arc::new(AtomicU64::new(0f64.to_bits())),
+            shared: Rc::new(Shared {
+                clock: Cell::new(SimTime::ZERO),
+                request: Cell::new(None),
+                delivery: Cell::new(None),
+            }),
             queue: BinaryHeap::new(),
             seq: 0,
             resources: Vec::new(),
             mailboxes: Vec::new(),
             processes: Vec::new(),
-            req_tx,
-            req_rx,
-            pending_deliveries: Vec::new(),
             events_dispatched: 0,
             ran: false,
         }
@@ -290,57 +285,31 @@ impl Simulation {
     /// Registers a mailbox for message passing between processes.
     pub fn add_mailbox(&mut self) -> MailboxId {
         let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mutex::new(Mailbox::default()));
+        self.mailboxes.push(Mailbox::default());
         id
     }
 
-    /// Spawns a simulated process. The body runs on its own thread but is
-    /// scheduled cooperatively by the kernel, starting at virtual time 0.
+    /// Spawns a simulated process, starting at virtual time 0. `body`
+    /// receives the process's [`Ctx`] and returns the future the kernel
+    /// polls, typically an `async move` block.
     ///
     /// # Panics
     /// Panics if called after [`Simulation::run`].
-    pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> Pid
+    pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(&Ctx) + Send + 'static,
+        F: FnOnce(Ctx) -> Fut,
+        Fut: Future<Output = ()> + 'static,
     {
         assert!(!self.ran, "cannot spawn after the simulation has run");
         let pid = Pid(self.processes.len());
-        let (go_tx, go_rx) = bounded(1);
         let ctx = Ctx {
             pid,
-            clock: Arc::clone(&self.clock),
-            req_tx: self.req_tx.clone(),
-            go_rx,
+            shared: Rc::clone(&self.shared),
         };
-        let name = name.into();
-        let thread_name = name.clone();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                // Wait for the kernel's first Go before touching anything.
-                if ctx.go_rx.recv().is_err() {
-                    return; // simulation dropped before starting
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                match result {
-                    Ok(()) => {
-                        let _ = ctx.req_tx.send((ctx.pid, Request::Finished));
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            // Quietly exit: the simulation was torn down.
-                        } else {
-                            let _ = ctx.req_tx.send((ctx.pid, Request::Panicked(payload)));
-                        }
-                    }
-                }
-            })
-            .expect("failed to spawn simulation process thread");
         self.processes.push(ProcessRecord {
-            name,
-            go_tx,
-            handle: Some(handle),
-            finished: false,
+            name: name.into(),
+            future: Some(Box::pin(body(ctx))),
+            delivery: None,
         });
         // Start event at t = 0.
         self.push_event(SimTime::ZERO, EvKind::WakeProcess(pid));
@@ -353,12 +322,8 @@ impl Simulation {
         self.queue.push(Reverse(Event { time, seq, kind }));
     }
 
-    fn set_clock(&self, t: SimTime) {
-        self.clock.store(t.secs().to_bits(), Ordering::Relaxed);
-    }
-
     fn now(&self) -> SimTime {
-        SimTime::new(f64::from_bits(self.clock.load(Ordering::Relaxed)))
+        self.shared.clock.get()
     }
 
     /// Reschedules the completion event for a resource after a membership
@@ -373,20 +338,26 @@ impl Simulation {
         }
     }
 
-    /// Resumes `pid` and services its requests until it blocks, finishes
-    /// or panics.
-    fn resume(&mut self, pid: Pid, wake: Wake) {
-        if self.processes[pid.0].go_tx.send(wake).is_err() {
-            // Thread already gone (only possible after a panic we have
-            // since rethrown); nothing to do.
-            return;
-        }
+    /// Polls `pid` and services its requests until it blocks or
+    /// finishes. A panic in the process body unwinds out of here.
+    fn resume(&mut self, pid: Pid) {
+        let mut cx = Context::from_waker(Waker::noop());
         loop {
-            let (from, req) = self
-                .req_rx
-                .recv()
-                .expect("process hung up without Finished/Panicked");
-            debug_assert_eq!(from, pid, "only the resumed process may issue requests");
+            let proc = &mut self.processes[pid.0];
+            let Some(future) = proc.future.as_mut() else {
+                return;
+            };
+            self.shared.delivery.set(proc.delivery.take());
+            if future.as_mut().poll(&mut cx).is_ready() {
+                proc.future = None;
+                return;
+            }
+            let Some(req) = self.shared.request.take() else {
+                panic!(
+                    "process {} is pending on a future that is not a simulation primitive",
+                    proc.name
+                );
+            };
             match req {
                 Request::Hold(dt) => {
                     let at = self.now() + dt;
@@ -401,48 +372,19 @@ impl Simulation {
                     return;
                 }
                 Request::Send { mb, msg } => {
-                    let woken = self.mailboxes[mb.0].lock().post(msg);
-                    if let Some((waiter, payload)) = woken {
+                    if let Some((waiter, payload)) = self.mailboxes[mb.0].post(msg) {
                         // Deliver at the current instant; the waiter runs
                         // after the sender yields for real.
-                        self.pending_deliveries.push((waiter, payload));
+                        self.processes[waiter.0].delivery = Some(payload);
                         let now = self.now();
                         self.push_event(now, EvKind::WakeProcess(waiter));
                     }
-                    // Sender continues immediately.
-                    if self.processes[pid.0].go_tx.send(Wake::Go).is_err() {
-                        return;
-                    }
+                    // The sender continues immediately.
                 }
-                Request::Recv { mb } => {
-                    let taken = self.mailboxes[mb.0].lock().take_or_wait(pid);
-                    match taken {
-                        Some(payload) => {
-                            if self.processes[pid.0]
-                                .go_tx
-                                .send(Wake::Delivery(payload))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        None => return, // parked in the mailbox
-                    }
-                }
-                Request::Finished => {
-                    self.processes[pid.0].finished = true;
-                    if let Some(h) = self.processes[pid.0].handle.take() {
-                        let _ = h.join();
-                    }
-                    return;
-                }
-                Request::Panicked(payload) => {
-                    self.processes[pid.0].finished = true;
-                    if let Some(h) = self.processes[pid.0].handle.take() {
-                        let _ = h.join();
-                    }
-                    panic::resume_unwind(payload);
-                }
+                Request::Recv { mb } => match self.mailboxes[mb.0].take_or_wait(pid) {
+                    Some(payload) => self.processes[pid.0].delivery = Some(payload),
+                    None => return, // parked in the mailbox
+                },
             }
         }
     }
@@ -454,26 +396,16 @@ impl Simulation {
     /// still blocked.
     ///
     /// # Panics
-    /// Re-raises any panic from a process body on the calling thread.
+    /// A panic in a process body unwinds out of `run`.
     pub fn run(&mut self) -> Result<f64, DeadlockError> {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
         while let Some(Reverse(ev)) = self.queue.pop() {
             debug_assert!(ev.time >= self.now(), "event in the past");
             self.events_dispatched += 1;
-            self.set_clock(ev.time);
+            self.shared.clock.set(ev.time);
             match ev.kind {
-                EvKind::WakeProcess(pid) => {
-                    if self.processes[pid.0].finished {
-                        continue;
-                    }
-                    // A wake may complete a pending mailbox delivery.
-                    let wake = match self.pending_deliveries.iter().position(|(p, _)| *p == pid) {
-                        Some(i) => Wake::Delivery(self.pending_deliveries.remove(i).1),
-                        None => Wake::Go,
-                    };
-                    self.resume(pid, wake);
-                }
+                EvKind::WakeProcess(pid) => self.resume(pid),
                 EvKind::ResourceFire { res, generation } => {
                     if self.resources[res.0].generation != generation {
                         continue; // stale: membership changed since scheduling
@@ -483,7 +415,7 @@ impl Simulation {
                     let done = self.resources[res.0].take_completed(true);
                     self.reschedule_resource(res);
                     for pid in done {
-                        self.resume(pid, Wake::Go);
+                        self.resume(pid);
                     }
                 }
             }
@@ -491,7 +423,7 @@ impl Simulation {
         let blocked: Vec<String> = self
             .processes
             .iter()
-            .filter(|p| !p.finished)
+            .filter(|p| p.future.is_some())
             .map(|p| p.name.clone())
             .collect();
         if blocked.is_empty() {
@@ -523,35 +455,4 @@ impl Simulation {
             resources,
         }
     }
-}
-
-impl Drop for Simulation {
-    fn drop(&mut self) {
-        // Closing the Go channels unblocks any parked process thread; its
-        // next primitive call unwinds with `Cancelled`, which the thread
-        // wrapper swallows.
-        for p in &mut self.processes {
-            let (dead_tx, _) = bounded(1);
-            p.go_tx = dead_tx;
-            if let Some(h) = p.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
-/// Installs (once, process-wide) a panic hook that suppresses the default
-/// "thread panicked" report for the internal `Cancelled` unwind marker and
-/// delegates everything else to the previous hook.
-fn install_cancel_hook() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<Cancelled>().is_none() {
-                previous(info);
-            }
-        }));
-    });
 }

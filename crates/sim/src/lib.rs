@@ -9,14 +9,15 @@
 //! ## Model
 //!
 //! A [`Simulation`] owns a virtual clock and an event queue. User code
-//! spawns *processes* — ordinary Rust closures that run on dedicated OS
-//! threads but are scheduled **cooperatively**: exactly one process runs at
-//! any instant, and control returns to the kernel whenever the process
-//! calls a blocking primitive on its [`Ctx`] handle. This yields fully
-//! deterministic executions (identical event interleavings for identical
-//! inputs) while letting simulation logic be written as straight-line code.
+//! spawns *processes* — `async` blocks that the kernel polls as futures
+//! on the thread calling [`Simulation::run`]. Exactly one process runs
+//! at any instant, and control returns to the kernel whenever the
+//! process awaits a primitive on its [`Ctx`] handle. No process gets an
+//! OS thread, and handing control back and forth costs a function call.
+//! Executions are fully deterministic (identical event interleavings for
+//! identical inputs) while simulation logic stays straight-line code.
 //!
-//! Primitives:
+//! Primitives (each one is `async`):
 //!
 //! * [`Ctx::hold`] — advance this process's local time by a delay.
 //! * [`Ctx::compute`] — occupy a processor-sharing CPU for a given amount
@@ -36,9 +37,9 @@
 //! let mut sim = Simulation::new();
 //! let cpu = sim.add_shared_resource("cpu", 1.0);
 //! for i in 0..2 {
-//!     sim.spawn(format!("worker{i}"), move |ctx| {
+//!     sim.spawn(format!("worker{i}"), move |ctx| async move {
 //!         // Two jobs of 1.0s of work share one CPU: both finish at t=2.
-//!         ctx.compute(cpu, 1.0);
+//!         ctx.compute(cpu, 1.0).await;
 //!     });
 //! }
 //! let end = sim.run().expect("no deadlock");

@@ -16,7 +16,7 @@ use crate::kernel::Pid;
 pub struct MailboxId(pub(crate) usize);
 
 /// Type-erased message payload.
-pub(crate) type Payload = Box<dyn Any + Send>;
+pub(crate) type Payload = Box<dyn Any>;
 
 #[derive(Default)]
 pub(crate) struct Mailbox {

@@ -1,8 +1,8 @@
 //! End-to-end tests of the discrete-event kernel: timing semantics,
 //! processor sharing, message passing, determinism and deadlock detection.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use etm_sim::Simulation;
 
@@ -15,17 +15,17 @@ fn empty_simulation_finishes_at_zero() {
 #[test]
 fn hold_advances_time() {
     let mut sim = Simulation::new();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let seen2 = Arc::clone(&seen);
-    sim.spawn("p", move |ctx| {
-        ctx.hold(1.5);
-        seen2.lock().unwrap().push(ctx.now());
-        ctx.hold(0.5);
-        seen2.lock().unwrap().push(ctx.now());
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let seen2 = Rc::clone(&seen);
+    sim.spawn("p", move |ctx| async move {
+        ctx.hold(1.5).await;
+        seen2.borrow_mut().push(ctx.now());
+        ctx.hold(0.5).await;
+        seen2.borrow_mut().push(ctx.now());
     });
     let end = sim.run().unwrap();
     assert!((end - 2.0).abs() < 1e-12);
-    let seen = seen.lock().unwrap();
+    let seen = seen.borrow();
     assert!((seen[0] - 1.5).abs() < 1e-12);
     assert!((seen[1] - 2.0).abs() < 1e-12);
 }
@@ -34,7 +34,7 @@ fn hold_advances_time() {
 fn parallel_holds_overlap() {
     let mut sim = Simulation::new();
     for _ in 0..10 {
-        sim.spawn("p", |ctx| ctx.hold(3.0));
+        sim.spawn("p", |ctx| async move { ctx.hold(3.0).await });
     }
     assert!((sim.run().unwrap() - 3.0).abs() < 1e-12);
 }
@@ -43,8 +43,8 @@ fn parallel_holds_overlap() {
 fn compute_on_uncontended_cpu_takes_work_over_speed() {
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 2.0);
-    sim.spawn("p", move |ctx| {
-        ctx.compute(cpu, 6.0);
+    sim.spawn("p", move |ctx| async move {
+        ctx.compute(cpu, 6.0).await;
         assert!((ctx.now() - 3.0).abs() < 1e-12);
     });
     assert!((sim.run().unwrap() - 3.0).abs() < 1e-12);
@@ -55,7 +55,7 @@ fn processor_sharing_two_jobs_double_duration() {
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     for _ in 0..2 {
-        sim.spawn("p", move |ctx| ctx.compute(cpu, 1.0));
+        sim.spawn("p", move |ctx| async move { ctx.compute(cpu, 1.0).await });
     }
     assert!((sim.run().unwrap() - 2.0).abs() < 1e-12);
 }
@@ -67,20 +67,20 @@ fn processor_sharing_staggered_arrivals() {
     // B: has consumed 1 unit by t=3, 2 remain alone: finishes at t=5.
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
-    let a_done = Arc::new(Mutex::new(0.0));
-    let a_done2 = Arc::clone(&a_done);
-    sim.spawn("a", move |ctx| {
-        ctx.compute(cpu, 2.0);
-        *a_done2.lock().unwrap() = ctx.now();
+    let a_done = Rc::new(Cell::new(0.0));
+    let a_done2 = Rc::clone(&a_done);
+    sim.spawn("a", move |ctx| async move {
+        ctx.compute(cpu, 2.0).await;
+        a_done2.set(ctx.now());
     });
-    sim.spawn("b", move |ctx| {
-        ctx.hold(1.0);
-        ctx.compute(cpu, 3.0);
+    sim.spawn("b", move |ctx| async move {
+        ctx.hold(1.0).await;
+        ctx.compute(cpu, 3.0).await;
         assert!((ctx.now() - 5.0).abs() < 1e-9, "b at {}", ctx.now());
     });
     let end = sim.run().unwrap();
     assert!((end - 5.0).abs() < 1e-9);
-    assert!((*a_done.lock().unwrap() - 3.0).abs() < 1e-9);
+    assert!((a_done.get() - 3.0).abs() < 1e-9);
 }
 
 #[test]
@@ -88,8 +88,8 @@ fn transfer_includes_latency_and_bandwidth() {
     let mut sim = Simulation::new();
     // 100 bytes/s link, 0.5 s latency: 50 bytes take 0.5 + 0.5 = 1.0 s.
     let link = sim.add_shared_resource("link", 100.0);
-    sim.spawn("s", move |ctx| {
-        ctx.transfer(link, 50.0, 0.5);
+    sim.spawn("s", move |ctx| async move {
+        ctx.transfer(link, 50.0, 0.5).await;
         assert!((ctx.now() - 1.0).abs() < 1e-12);
     });
     assert!((sim.run().unwrap() - 1.0).abs() < 1e-12);
@@ -99,12 +99,12 @@ fn transfer_includes_latency_and_bandwidth() {
 fn send_recv_rendezvous() {
     let mut sim = Simulation::new();
     let mb = sim.add_mailbox();
-    sim.spawn("sender", move |ctx| {
-        ctx.hold(2.0);
-        ctx.send(mb, 42u64);
+    sim.spawn("sender", move |ctx| async move {
+        ctx.hold(2.0).await;
+        ctx.send(mb, 42u64).await;
     });
-    sim.spawn("receiver", move |ctx| {
-        let v: u64 = ctx.recv(mb);
+    sim.spawn("receiver", move |ctx| async move {
+        let v: u64 = ctx.recv(mb).await;
         assert_eq!(v, 42);
         // Receiver was blocked until the send at t=2.
         assert!((ctx.now() - 2.0).abs() < 1e-12);
@@ -116,14 +116,14 @@ fn send_recv_rendezvous() {
 fn send_before_recv_is_buffered() {
     let mut sim = Simulation::new();
     let mb = sim.add_mailbox();
-    sim.spawn("sender", move |ctx| {
-        ctx.send(mb, 1u32);
-        ctx.send(mb, 2u32);
+    sim.spawn("sender", move |ctx| async move {
+        ctx.send(mb, 1u32).await;
+        ctx.send(mb, 2u32).await;
     });
-    sim.spawn("receiver", move |ctx| {
-        ctx.hold(5.0);
-        let a: u32 = ctx.recv(mb);
-        let b: u32 = ctx.recv(mb);
+    sim.spawn("receiver", move |ctx| async move {
+        ctx.hold(5.0).await;
+        let a: u32 = ctx.recv(mb).await;
+        let b: u32 = ctx.recv(mb).await;
         assert_eq!((a, b), (1, 2));
         assert!((ctx.now() - 5.0).abs() < 1e-12);
     });
@@ -135,17 +135,17 @@ fn ping_pong_alternates() {
     let mut sim = Simulation::new();
     let to_b = sim.add_mailbox();
     let to_a = sim.add_mailbox();
-    sim.spawn("a", move |ctx| {
+    sim.spawn("a", move |ctx| async move {
         for i in 0..100u32 {
-            ctx.send(to_b, i);
-            let echo: u32 = ctx.recv(to_a);
+            ctx.send(to_b, i).await;
+            let echo: u32 = ctx.recv(to_a).await;
             assert_eq!(echo, i);
         }
     });
-    sim.spawn("b", move |ctx| {
+    sim.spawn("b", move |ctx| async move {
         for _ in 0..100 {
-            let v: u32 = ctx.recv(to_b);
-            ctx.send(to_a, v);
+            let v: u32 = ctx.recv(to_b).await;
+            ctx.send(to_a, v).await;
         }
     });
     sim.run().unwrap();
@@ -155,8 +155,8 @@ fn ping_pong_alternates() {
 fn deadlock_is_reported_with_process_names() {
     let mut sim = Simulation::new();
     let mb = sim.add_mailbox();
-    sim.spawn("starved", move |ctx| {
-        let _: u32 = ctx.recv(mb);
+    sim.spawn("starved", move |ctx| async move {
+        let _: u32 = ctx.recv(mb).await;
     });
     let err = sim.run().unwrap_err();
     assert_eq!(err.blocked, vec!["starved".to_string()]);
@@ -171,17 +171,17 @@ fn determinism_same_inputs_same_timings() {
         let link = sim.add_shared_resource("link", 1e6);
         let mb = sim.add_mailbox();
         for i in 0..8usize {
-            sim.spawn(format!("w{i}"), move |ctx| {
-                ctx.hold(0.01 * i as f64);
-                ctx.compute(cpu, 0.3 + 0.05 * i as f64);
-                ctx.transfer(link, 1e5, 1e-4);
-                ctx.send(mb, i);
+            sim.spawn(format!("w{i}"), move |ctx| async move {
+                ctx.hold(0.01 * i as f64).await;
+                ctx.compute(cpu, 0.3 + 0.05 * i as f64).await;
+                ctx.transfer(link, 1e5, 1e-4).await;
+                ctx.send(mb, i).await;
             });
         }
-        sim.spawn("collector", move |ctx| {
+        sim.spawn("collector", move |ctx| async move {
             let mut sum = 0usize;
             for _ in 0..8 {
-                sum += ctx.recv::<usize>(mb);
+                sum += ctx.recv::<usize>(mb).await;
             }
             assert_eq!(sum, 28);
         });
@@ -201,26 +201,26 @@ fn many_processes_share_one_cpu_fairly() {
     let n = 16;
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
-    let finished = Arc::new(AtomicUsize::new(0));
+    let finished = Rc::new(Cell::new(0));
     for _ in 0..n {
-        let f = Arc::clone(&finished);
-        sim.spawn("p", move |ctx| {
-            ctx.compute(cpu, 1.0);
-            f.fetch_add(1, Ordering::SeqCst);
+        let f = Rc::clone(&finished);
+        sim.spawn("p", move |ctx| async move {
+            ctx.compute(cpu, 1.0).await;
+            f.set(f.get() + 1);
         });
     }
     let end = sim.run().unwrap();
     assert!((end - n as f64).abs() < 1e-9, "end={end}");
-    assert_eq!(finished.load(Ordering::SeqCst), n);
+    assert_eq!(finished.get(), n);
 }
 
 #[test]
 fn zero_work_compute_completes_at_current_time() {
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
-    sim.spawn("p", move |ctx| {
-        ctx.hold(1.0);
-        ctx.compute(cpu, 0.0);
+    sim.spawn("p", move |ctx| async move {
+        ctx.hold(1.0).await;
+        ctx.compute(cpu, 0.0).await;
         assert!((ctx.now() - 1.0).abs() < 1e-12);
     });
     sim.run().unwrap();
@@ -230,19 +230,60 @@ fn zero_work_compute_completes_at_current_time() {
 #[should_panic(expected = "inside process")]
 fn process_panics_propagate_to_run() {
     let mut sim = Simulation::new();
-    sim.spawn("bad", |_ctx| panic!("inside process"));
+    sim.spawn("bad", |ctx| async move {
+        ctx.hold(1.0).await;
+        panic!("inside process");
+    });
     let _ = sim.run();
 }
 
 #[test]
-fn drop_with_blocked_processes_does_not_hang() {
+fn dropped_simulation_drops_parked_futures() {
+    /// Sets its flag when dropped, i.e. when the future owning it is.
+    struct DropFlag(Rc<Cell<bool>>);
+    impl Drop for DropFlag {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+    let dropped = Rc::new(Cell::new(false));
     let mut sim = Simulation::new();
     let mb = sim.add_mailbox();
-    sim.spawn("parked", move |ctx| {
-        let _: u32 = ctx.recv(mb);
+    let flag = DropFlag(Rc::clone(&dropped));
+    sim.spawn("parked", move |ctx| async move {
+        let _flag = flag;
+        let _: u32 = ctx.recv(mb).await;
     });
-    let _ = sim.run(); // deadlocks, leaves the thread parked
-    drop(sim); // must join the thread without hanging
+    assert!(sim.run().is_err(), "the receiver stays parked");
+    assert!(!dropped.get(), "a parked process keeps its future");
+    drop(sim);
+    assert!(dropped.get(), "dropping the simulation drops the future");
+}
+
+#[test]
+fn send_then_recv_at_one_instant_takes_no_time_and_no_switch() {
+    // A self-send followed by a receive completes inside one resume: the
+    // clock does not move and the other runnable process does not run
+    // in between.
+    let mut sim = Simulation::new();
+    let mb = sim.add_mailbox();
+    let other_ran = Rc::new(Cell::new(false));
+    let seen = Rc::clone(&other_ran);
+    sim.spawn("self-send", move |ctx| async move {
+        ctx.hold(1.0).await;
+        ctx.send(mb, 7u32).await;
+        let v: u32 = ctx.recv(mb).await;
+        assert_eq!(v, 7);
+        assert_eq!(ctx.now(), 1.0);
+        assert!(!seen.get(), "no other process ran between send and recv");
+    });
+    let flag = Rc::clone(&other_ran);
+    sim.spawn("other", move |ctx| async move {
+        ctx.hold(1.0).await;
+        flag.set(true);
+    });
+    assert_eq!(sim.run().unwrap(), 1.0);
+    assert!(other_ran.get());
 }
 
 #[test]
@@ -250,12 +291,12 @@ fn two_cpus_independent() {
     let mut sim = Simulation::new();
     let cpu0 = sim.add_shared_resource("cpu0", 1.0);
     let cpu1 = sim.add_shared_resource("cpu1", 1.0);
-    sim.spawn("a", move |ctx| {
-        ctx.compute(cpu0, 2.0);
+    sim.spawn("a", move |ctx| async move {
+        ctx.compute(cpu0, 2.0).await;
         assert!((ctx.now() - 2.0).abs() < 1e-12);
     });
-    sim.spawn("b", move |ctx| {
-        ctx.compute(cpu1, 2.0);
+    sim.spawn("b", move |ctx| async move {
+        ctx.compute(cpu1, 2.0).await;
         assert!((ctx.now() - 2.0).abs() < 1e-12);
     });
     assert!((sim.run().unwrap() - 2.0).abs() < 1e-12);
@@ -265,10 +306,10 @@ fn two_cpus_independent() {
 fn stats_track_utilization_and_events() {
     let mut sim = Simulation::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
-    sim.spawn("worker", move |ctx| {
-        ctx.compute(cpu, 1.0);
-        ctx.hold(1.0); // idle second
-        ctx.compute(cpu, 2.0);
+    sim.spawn("worker", move |ctx| async move {
+        ctx.compute(cpu, 1.0).await;
+        ctx.hold(1.0).await; // idle second
+        ctx.compute(cpu, 2.0).await;
     });
     let end = sim.run().unwrap();
     assert!((end - 4.0).abs() < 1e-9);
@@ -294,7 +335,7 @@ fn derated_resource_serves_slower_end_to_end() {
         if let Some(s) = slowdown {
             sim.derate_resource(cpu, s);
         }
-        sim.spawn("p", move |ctx| ctx.compute(cpu, 3.0));
+        sim.spawn("p", move |ctx| async move { ctx.compute(cpu, 3.0).await });
         sim.run().unwrap()
     };
     let clean = wall_of(None);
@@ -312,7 +353,9 @@ fn derate_is_deterministic_under_contention() {
         let cpu = sim.add_shared_resource("cpu", 1.0);
         sim.derate_resource(cpu, 1.5);
         for i in 0..2 {
-            sim.spawn(format!("p{i}"), move |ctx| ctx.compute(cpu, 1.0));
+            sim.spawn(format!("p{i}"), move |ctx| async move {
+                ctx.compute(cpu, 1.0).await
+            });
         }
         sim.run().unwrap()
     };

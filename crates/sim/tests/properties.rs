@@ -2,7 +2,8 @@
 //! ordering invariants, driven by the deterministic in-tree harness
 //! ([`etm_support::prop`]).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use etm_sim::Simulation;
 use etm_support::prop::check;
@@ -35,10 +36,10 @@ fn private_cpus_end_time_is_max_schedule() {
             let total: f64 = sched.iter().map(|(h, w)| h + w).sum();
             expected = expected.max(total);
             let sched = sched.clone();
-            sim.spawn(format!("p{i}"), move |ctx| {
+            sim.spawn(format!("p{i}"), move |ctx| async move {
                 for (hold, work) in sched {
-                    ctx.hold(hold);
-                    ctx.compute(cpu, work);
+                    ctx.hold(hold).await;
+                    ctx.compute(cpu, work).await;
                 }
             });
         }
@@ -64,7 +65,9 @@ fn shared_cpu_makespan_equals_total_work() {
         let total: f64 = works.iter().sum();
         for (i, w) in works.iter().enumerate() {
             let w = *w;
-            sim.spawn(format!("w{i}"), move |ctx| ctx.compute(cpu, w));
+            sim.spawn(format!("w{i}"), move |ctx| async move {
+                ctx.compute(cpu, w).await
+            });
         }
         let end = sim.run().expect("simulation completes");
         assert!(
@@ -84,20 +87,17 @@ fn shared_cpu_smaller_jobs_finish_first() {
             .collect();
         let mut sim = Simulation::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
-        let finish: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let finish = Rc::new(RefCell::new(Vec::new()));
         for (i, w) in works.iter().enumerate() {
             let w = *w;
-            let finish = Arc::clone(&finish);
-            sim.spawn(format!("w{i}"), move |ctx| {
-                ctx.compute(cpu, w);
-                finish
-                    .lock()
-                    .expect("no poisoned test mutex")
-                    .push((i, ctx.now()));
+            let finish = Rc::clone(&finish);
+            sim.spawn(format!("w{i}"), move |ctx| async move {
+                ctx.compute(cpu, w).await;
+                finish.borrow_mut().push((i, ctx.now()));
             });
         }
         sim.run().expect("simulation completes");
-        let finish = finish.lock().expect("no poisoned test mutex");
+        let finish = finish.borrow();
         for (i, ti) in finish.iter() {
             for (j, tj) in finish.iter() {
                 if works[*i] < works[*j] - 1e-12 {
@@ -120,14 +120,14 @@ fn mailbox_order_preserved() {
         let count = rng.range_inclusive(1, 49);
         let mut sim = Simulation::new();
         let mb = sim.add_mailbox();
-        sim.spawn("sender", move |ctx| {
+        sim.spawn("sender", move |ctx| async move {
             for i in 0..count {
-                ctx.send(mb, i);
+                ctx.send(mb, i).await;
             }
         });
-        sim.spawn("receiver", move |ctx| {
+        sim.spawn("receiver", move |ctx| async move {
             for i in 0..count {
-                let got: usize = ctx.recv(mb);
+                let got: usize = ctx.recv(mb).await;
                 assert_eq!(got, i);
             }
         });
@@ -147,15 +147,15 @@ fn arbitrary_workloads_are_deterministic() {
             let mb = sim.add_mailbox();
             let n = works.len();
             for (i, (h, w)) in works.into_iter().enumerate() {
-                sim.spawn(format!("p{i}"), move |ctx| {
-                    ctx.hold(h);
-                    ctx.compute(cpu, w);
-                    ctx.send(mb, i);
+                sim.spawn(format!("p{i}"), move |ctx| async move {
+                    ctx.hold(h).await;
+                    ctx.compute(cpu, w).await;
+                    ctx.send(mb, i).await;
                 });
             }
-            sim.spawn("collector", move |ctx| {
+            sim.spawn("collector", move |ctx| async move {
                 for _ in 0..n {
-                    let _: usize = ctx.recv(mb);
+                    let _: usize = ctx.recv(mb).await;
                 }
             });
             sim.run().expect("simulation completes")

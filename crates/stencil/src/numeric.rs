@@ -1,7 +1,7 @@
 //! Numeric 2-D Jacobi: real arithmetic, distributed by row strips over
 //! the thread-backed communicator, validated against a serial sweep.
 
-use etm_mpisim::{build_thread_comms, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::{block_on, build_thread_comms, Comm, ThreadComm, ThreadMsg};
 
 /// Result of a numeric stencil run.
 #[derive(Debug, Clone)]
@@ -68,25 +68,24 @@ fn run_rank(comm: ThreadComm, n: usize, iters: usize) -> Option<Vec<f64>> {
             cur[(lr + 1) * n + c] = init(start + lr, c);
         }
     }
-    for it in 0..iters {
-        let _ = it;
+    for _ in 0..iters {
         // Halo exchange with neighbours (boundary strips skip one side).
         if me > 0 {
-            comm.send(me - 1, HALO_UP, ThreadMsg::floats(cur[n..2 * n].to_vec()));
+            block_on(comm.send(me - 1, HALO_UP, ThreadMsg::floats(cur[n..2 * n].to_vec())));
         }
         if me < p - 1 {
-            comm.send(
+            block_on(comm.send(
                 me + 1,
                 HALO_DOWN,
                 ThreadMsg::floats(cur[rows * n..(rows + 1) * n].to_vec()),
-            );
+            ));
         }
         if me > 0 {
-            let up = comm.recv(me - 1, HALO_DOWN).data;
+            let up = block_on(comm.recv(me - 1, HALO_DOWN)).data;
             cur[..n].copy_from_slice(&up);
         }
         if me < p - 1 {
-            let down = comm.recv(me + 1, HALO_UP).data;
+            let down = block_on(comm.recv(me + 1, HALO_UP)).data;
             cur[(rows + 1) * n..].copy_from_slice(&down);
         }
         // Sweep interior of my strip (global boundary rows/cols fixed).
@@ -111,17 +110,17 @@ fn run_rank(comm: ThreadComm, n: usize, iters: usize) -> Option<Vec<f64>> {
         let mut full = vec![0.0; n * n];
         full[..rows * n].copy_from_slice(&cur[n..(rows + 1) * n]);
         for r in 1..p {
-            let msg = comm.recv(r, GATHER).data;
+            let msg = block_on(comm.recv(r, GATHER)).data;
             let (rs, _) = strip(n, p, r);
             full[rs * n..rs * n + msg.len()].copy_from_slice(&msg);
         }
         Some(full)
     } else {
-        comm.send(
+        block_on(comm.send(
             0,
             GATHER,
             ThreadMsg::floats(cur[n..(rows + 1) * n].to_vec()),
-        );
+        ));
         None
     }
 }

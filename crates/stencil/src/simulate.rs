@@ -3,9 +3,8 @@
 //! same `(Ta, Tc)` sample shape as the HPL simulation so the estimation
 //! pipeline runs unchanged on a second application.
 
-use std::sync::Arc;
-
-use etm_support::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{gather, ring_bcast};
@@ -108,11 +107,11 @@ pub fn simulate_stencil(
     let p = placement.len();
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results: Arc<Mutex<Vec<Option<StencilTimes>>>> = Arc::new(Mutex::new(vec![None; p]));
+    let results = Rc::new(RefCell::new(vec![None; p]));
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
-        let results = Arc::clone(&results);
+        let results = Rc::clone(&results);
         let spec = spec.clone();
         let params = *params;
         let kind = slot.kind;
@@ -120,7 +119,7 @@ pub fn simulate_stencil(
         let node = slot.node;
         let rank = slot.rank;
         let placement_cl = placement.clone();
-        sim.spawn(format!("stencil-rank{rank}"), move |ctx| {
+        sim.spawn(format!("stencil-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());
             let oc = pm.node_overcommit(&placement_cl, node, 1);
@@ -132,47 +131,46 @@ pub fn simulate_stencil(
             let sweep_bytes = 6.0 * 8.0 * (my_rows * params.n) as f64;
             let halo_bytes = 8.0 * params.n as f64;
             let mut ph = StencilTimes::default();
-            for it in 0..params.iters {
-                let tag_base = (it as u32) & 0x0FFF;
-                let _ = tag_base;
+            for _ in 0..params.iters {
                 // Halo exchange (send both, then receive both).
                 let t0 = comm.now();
                 if me > 0 {
-                    comm.send(me - 1, HALO_UP, SimMsg::of(halo_bytes));
+                    comm.send(me - 1, HALO_UP, SimMsg::of(halo_bytes)).await;
                 }
                 if me < np - 1 {
-                    comm.send(me + 1, HALO_DOWN, SimMsg::of(halo_bytes));
+                    comm.send(me + 1, HALO_DOWN, SimMsg::of(halo_bytes)).await;
                 }
                 if me > 0 {
-                    let _ = comm.recv(me - 1, HALO_DOWN);
+                    let _ = comm.recv(me - 1, HALO_DOWN).await;
                 }
                 if me < np - 1 {
-                    let _ = comm.recv(me + 1, HALO_UP);
+                    let _ = comm.recv(me + 1, HALO_UP).await;
                 }
                 let stall = pm.sync_stall(kind, m);
                 if stall > 0.0 {
-                    comm.idle(stall);
+                    comm.idle(stall).await;
                 }
                 ph.halo += comm.now() - t0;
                 // Sweep.
                 let t1 = comm.now();
                 let mp = pm.mp_factor(kind, m);
-                comm.compute(pm.memop_time(kind, sweep_bytes, oc) * mp);
+                comm.compute(pm.memop_time(kind, sweep_bytes, oc) * mp)
+                    .await;
                 ph.compute += comm.now() - t1;
                 // Convergence all-reduce (gather 8 B to 0, broadcast back).
                 let t2 = comm.now();
-                let _ = gather(&comm, 0, SimMsg::of(8.0));
+                let _ = gather(&comm, 0, SimMsg::of(8.0)).await;
                 let payload = (me == 0).then(|| SimMsg::of(8.0));
-                let _ = ring_bcast(&comm, 0, payload);
+                let _ = ring_bcast(&comm, 0, payload).await;
                 ph.reduce += comm.now() - t2;
             }
-            results.lock()[rank] = Some(ph);
+            results.borrow_mut()[rank] = Some(ph);
         });
     }
 
     let wall_seconds = sim.run().expect("stencil simulation deadlocked");
     let phases: Vec<StencilTimes> = results
-        .lock()
+        .borrow()
         .iter()
         .map(|p| p.expect("every rank reports"))
         .collect();

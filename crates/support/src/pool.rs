@@ -15,22 +15,35 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// A worker's panic payload, kept until the scope has joined.
+type PanicSlot = Mutex<Option<Box<dyn Any + Send>>>;
+
+/// Records `payload` unless an earlier panic already claimed the slot.
+fn keep_first_panic(slot: &PanicSlot, payload: Box<dyn Any + Send>) {
+    let mut slot = slot.lock();
+    if slot.is_none() {
+        *slot = Some(payload);
+    }
+}
+
 /// Applies `f` to consecutive `chunk_len`-sized chunks of `data` (last
-/// chunk may be shorter), fanning the chunks out over scoped worker
-/// threads. `f` receives the chunk index and the chunk. Equivalent to
-/// `data.chunks_mut(chunk_len).enumerate().for_each(...)` but parallel;
-/// a panic in any chunk propagates to the caller.
+/// chunk may be shorter), fanning the chunks out over `threads` scoped
+/// worker threads. `f` receives the chunk index and the chunk.
+/// Equivalent to `data.chunks_mut(chunk_len).enumerate().for_each(...)`
+/// but parallel. With `threads == 1` (or a single chunk) the chunks run
+/// inline on the caller's thread.
 ///
 /// # Panics
-/// Panics if `chunk_len == 0`, and re-raises panics from `f`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+/// Panics if `chunk_len == 0` or `threads == 0`, and re-raises the first
+/// panic from `f` with its own payload.
+pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let nchunks = data.len().div_ceil(chunk_len);
-    let threads = num_threads().min(nchunks);
+    assert!(threads > 0, "need at least one worker");
+    let threads = threads.min(data.len().div_ceil(chunk_len));
     if threads <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
@@ -43,15 +56,22 @@ where
         let _ = tx.send(pair);
     }
     drop(tx);
+    let first_panic = PanicSlot::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
                 while let Ok((i, chunk)) = rx.recv() {
-                    f(i, chunk);
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
+                        keep_first_panic(&first_panic, payload);
+                        return;
+                    }
                 }
             });
         }
     });
+    if let Some(payload) = first_panic.into_inner() {
+        resume_unwind(payload);
+    }
 }
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning
@@ -85,7 +105,7 @@ where
     }
     drop(job_tx);
     let (res_tx, res_rx) = unbounded();
-    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let first_panic = PanicSlot::new(None);
     std::thread::scope(|s| {
         let f = &f;
         let job_rx = &job_rx;
@@ -99,10 +119,7 @@ where
                             let _ = res_tx.send((i, r));
                         }
                         Err(payload) => {
-                            let mut slot = first_panic.lock();
-                            if slot.is_none() {
-                                *slot = Some(payload);
-                            }
+                            keep_first_panic(first_panic, payload);
                             return;
                         }
                     }
@@ -111,7 +128,7 @@ where
         }
         drop(res_tx); // the workers' clones keep the channel open
     });
-    if let Some(payload) = first_panic.lock().take() {
+    if let Some(payload) = first_panic.into_inner() {
         resume_unwind(payload);
     }
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
@@ -134,7 +151,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 pub struct ThreadPool {
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
-    first_panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
+    first_panic: Arc<PanicSlot>,
 }
 
 impl ThreadPool {
@@ -146,7 +163,7 @@ impl ThreadPool {
         assert!(threads > 0, "need at least one worker");
         let (tx, rx) = unbounded::<Job>();
         let rx = Arc::new(rx);
-        let first_panic: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
+        let first_panic = Arc::new(PanicSlot::new(None));
         let workers = (0..threads)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -156,10 +173,7 @@ impl ThreadPool {
                     .spawn(move || {
                         while let Ok(job) = rx.recv() {
                             if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                                let mut slot = first_panic.lock();
-                                if slot.is_none() {
-                                    *slot = Some(payload);
-                                }
+                                keep_first_panic(&first_panic, payload);
                             }
                         }
                     })
@@ -216,28 +230,30 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn par_chunks_matches_serial() {
-        let mut par: Vec<u64> = (0..1000).collect();
-        let mut ser = par.clone();
+    fn par_chunks_matches_serial_at_any_width() {
+        let mut ser: Vec<u64> = (0..1000).collect();
         for (i, c) in ser.chunks_mut(64).enumerate() {
             for v in c.iter_mut() {
                 *v = *v * 3 + i as u64;
             }
         }
-        par_chunks_mut(&mut par, 64, |i, c| {
-            for v in c.iter_mut() {
-                *v = *v * 3 + i as u64;
-            }
-        });
-        assert_eq!(par, ser);
+        for threads in [1, 2, 3, 8] {
+            let mut par: Vec<u64> = (0..1000).collect();
+            par_chunks_mut(&mut par, 64, threads, |i, c| {
+                for v in c.iter_mut() {
+                    *v = *v * 3 + i as u64;
+                }
+            });
+            assert_eq!(par, ser, "threads = {threads}");
+        }
     }
 
     #[test]
     fn par_chunks_empty_and_tiny() {
         let mut empty: Vec<u8> = vec![];
-        par_chunks_mut(&mut empty, 8, |_, _| panic!("no chunks expected"));
+        par_chunks_mut(&mut empty, 8, 4, |_, _| panic!("no chunks expected"));
         let mut one = vec![7u8];
-        par_chunks_mut(&mut one, 8, |i, c| {
+        par_chunks_mut(&mut one, 8, 4, |i, c| {
             assert_eq!(i, 0);
             c[0] += 1;
         });
@@ -247,8 +263,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk blew up")]
     fn par_chunks_propagates_panics() {
+        // Four workers on any core count: the worker's own message must
+        // reach the caller, not the scope's generic one.
         let mut data = vec![0u8; 256];
-        par_chunks_mut(&mut data, 16, |i, _| {
+        par_chunks_mut(&mut data, 16, 4, |i, _| {
             if i == 7 {
                 panic!("chunk blew up");
             }

@@ -28,15 +28,11 @@
 #                           the median trend table (`cargo xtask
 #                           bench-trend` -> results/bench/TREND.md).
 #
-# Both tiers write machine-readable per-stage wall times to
-# results/ci_timing.json (stage name, seconds, tier) next to the
-# human-readable summary, so CI dashboards can trend stage cost without
-# scraping the log.
-#
-# ETM_NET_TESTS=1 additionally opts the full tier into the preserved
-# legacy proptest suites (see proptest_legacy below); they need the
-# registry `proptest` crate and so never run in the default offline
-# gate.
+# Both tiers write machine-readable per-stage results to
+# results/ci_timing.json (stage name, seconds, status `ok`/`failed`,
+# tier, and the name of the failed stage or null) next to the
+# human-readable summary, so CI dashboards can trend stage cost and see
+# where a run stopped without scraping the log.
 #
 # Stages run in cheapest-first order so a formatting slip fails in
 # seconds, not after a full build. Per-stage wall times are printed in a
@@ -54,36 +50,52 @@ done
 
 STAGE_NAMES=()
 STAGE_TIMES=()
+STAGE_STATUS=()
+# The stage being run; a failing command exits the script (set -e) with
+# this still set, and the EXIT trap records it as failed.
+CURRENT_STAGE=""
+CURRENT_T0=0
+FAILED_STAGE=""
 
 stage() {
   local name="$1"; shift
   echo
   echo "=== stage: $name ==="
-  local t0 t1
-  t0=$(date +%s)
+  CURRENT_STAGE="$name"
+  CURRENT_T0=$(date +%s)
   "$@"
-  t1=$(date +%s)
-  STAGE_NAMES+=("$name")
-  STAGE_TIMES+=($((t1 - t0)))
+  record_stage ok
+}
+
+record_stage() {
+  STAGE_NAMES+=("$CURRENT_STAGE")
+  STAGE_TIMES+=($(($(date +%s) - CURRENT_T0)))
+  STAGE_STATUS+=("$1")
+  if [ "$1" = failed ]; then FAILED_STAGE="$CURRENT_STAGE"; fi
+  CURRENT_STAGE=""
 }
 
 summary() {
+  if [ -n "$CURRENT_STAGE" ]; then record_stage failed; fi
   echo
   echo "=== stage timing ==="
   local i
   for i in "${!STAGE_NAMES[@]}"; do
-    printf '  %-22s %4ss\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}"
+    printf '  %-22s %4ss  %s\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_STATUS[$i]}"
   done
-  # The same timings, machine-readable, for CI dashboards. Written on
-  # every exit path so a failed run still records what it paid for.
+  # The same results, machine-readable, for CI dashboards. Written on
+  # every exit path so a failed run still records what it paid for and
+  # which stage failed.
   local tier="full"
   [ "$QUICK" = 1 ] && tier="quick"
+  local failed="null"
+  if [ -n "$FAILED_STAGE" ]; then failed="\"$FAILED_STAGE\""; fi
   mkdir -p results
   {
-    printf '{\n  "tier": "%s",\n  "stages": [\n' "$tier"
+    printf '{\n  "tier": "%s",\n  "failed_stage": %s,\n  "stages": [\n' "$tier" "$failed"
     for i in "${!STAGE_NAMES[@]}"; do
-      printf '    {"stage": "%s", "wall_s": %s}' \
-        "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}"
+      printf '    {"stage": "%s", "wall_s": %s, "status": "%s"}' \
+        "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_STATUS[$i]}"
       if [ "$i" -lt $((${#STAGE_NAMES[@]} - 1)) ]; then printf ','; fi
       printf '\n'
     done
@@ -136,23 +148,6 @@ analyze_gate() {
   fi
 }
 
-proptest_legacy() {
-  # Escape hatch for the preserved upstream proptest suites
-  # (tests/proptest_legacy.rs behind each crate's off-by-default
-  # `proptest` feature). They require the registry `proptest` crate,
-  # so they cannot build in the default offline gate: set
-  # ETM_NET_TESTS=1 on a networked machine (after restoring the
-  # registry dependency in the five manifests) to run them.
-  if [ "${ETM_NET_TESTS:-0}" = 1 ]; then
-    local crate
-    for crate in etm-cluster etm-hpl etm-linalg etm-lsq etm-sim; do
-      cargo test -q -p "$crate" --features proptest --test proptest_legacy
-    done
-  else
-    echo "skipped (set ETM_NET_TESTS=1 to opt in; needs the registry proptest crate)"
-  fi
-}
-
 # --- quick tier: cheap static checks first, then tier-1 -------------
 stage "fmt"        cargo fmt --all --check
 stage "lint"       cargo xtask check hermetic lint
@@ -172,7 +167,6 @@ stage "audit"      cargo xtask check audit
 stage "chaos"      cargo run -q --release -p etm-repro --bin repro -- chaos
 stage "loop"       cargo run -q --release -p etm-repro --bin repro -- loop
 stage "bench"      bench_smoke
-stage "proptest-legacy" proptest_legacy
 
 echo
 echo "ci.sh: green"
