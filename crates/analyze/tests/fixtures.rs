@@ -72,13 +72,13 @@ fn c003_fires_on_snapshot_fixture() {
     );
     assert!(
         got.iter()
-            .any(|m| m.contains("CompiledSnapshot") && m.contains("AtomicUsize")),
-        "expected interior mutability inside the compiled serving layer: {got:?}"
+            .any(|m| m.contains("ServingTables") && m.contains("AtomicUsize")),
+        "expected interior mutability inside the serving tables: {got:?}"
     );
     assert!(
         got.iter()
-            .any(|m| m.contains("MonotoneCertificate") && m.contains("AtomicU32")),
-        "expected interior mutability inside the monotonicity certificate: {got:?}"
+            .any(|m| m.contains("BoundCache") && m.contains("AtomicU32")),
+        "expected interior mutability inside the bound cache: {got:?}"
     );
     assert!(
         got.iter().any(|m| m.contains("&mut self")),

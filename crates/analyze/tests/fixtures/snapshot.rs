@@ -2,15 +2,15 @@
 
 struct EngineSnapshot {
     estimator: Estimator,
-    compiled: CompiledSnapshot,
-    certificate: MonotoneCertificate,
+    tables: ServingTables,
+    bounds: BoundCache,
     generation: u64,
 }
 
-// Monotonicity certificates ride inside the published snapshot as pure
-// data; a lazily-refreshed hit counter here would be written while the
+// Bound tables ride inside the published snapshot as pure data; a
+// lazily-refreshed hit counter here would be written while the
 // optimizer's bound scans read it.
-struct MonotoneCertificate {
+struct BoundCache {
     monotone_in_p: Vec<bool>,
     bound_hits: AtomicU32,
 }
@@ -24,10 +24,10 @@ struct CoefCache {
     hits: AtomicU64,
 }
 
-// The compiled serving layer rides inside the published snapshot, so
-// it is held to the same frozen-deeply rule: a memo counter here is a
-// data race waiting for a reader.
-struct CompiledSnapshot {
+// Serving tables riding inside the published snapshot are held to the
+// same frozen-deeply rule: a memo counter here is a data race waiting
+// for a reader.
+struct ServingTables {
     banks: Vec<f64>,
     memo_hits: AtomicUsize,
 }

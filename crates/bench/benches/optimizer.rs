@@ -2,7 +2,7 @@
 //! configurations) on one pinned snapshot of the fitted Basic
 //! campaign, at the plan's largest evaluation size:
 //!
-//! * `exhaustive_best_config` — the batched exhaustive sweep (the §4
+//! * `exhaustive_best_config` — the exhaustive sweep (the §4
 //!   baseline every pruned run is audited against);
 //! * `anytime_cold` — branch-and-bound to exhaustion, no warm start
 //!   (bit-identical argmin, strictly fewer estimates);
@@ -75,13 +75,12 @@ fn main() {
 
     // Pre-estimate the whole grid once so `front_extract` times only
     // the non-dominated filtering.
-    let compiled = snapshot.compiled();
     let points: Vec<(Configuration, f64, f64)> = space
         .enumerate()
         .into_iter()
         .filter_map(|cfg| {
-            let t = compiled.estimate(&cfg, n).ok()?;
-            let parts = compiled.estimate_raw_parts(&cfg, n).ok()?;
+            let t = snapshot.estimate(&cfg, n).ok()?;
+            let parts = snapshot.estimator().estimate_raw_parts(&cfg, n).ok()?;
             let e = energy.joules(&cfg, parts.ta, parts.tc);
             (t.is_finite() && e.is_finite()).then_some((cfg, t, e))
         })

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The `(Ta, Tc)` pair is the makespan kind's split from the *raw* §3
-//! model (`CompiledSnapshot::estimate_raw_parts` in `etm-core`): the
+//! model (`Estimator::estimate_raw_parts` in `etm-core`): the
 //! §4.1 adjustment corrects the communication-bias of the *time*
 //! objective but does not re-attribute time between phases, so energy
 //! deliberately follows the un-adjusted component decomposition. All

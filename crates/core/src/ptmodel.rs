@@ -165,6 +165,37 @@ impl PtModel {
         self.ta(n, p) + self.tc(n, p)
     }
 
+    /// The largest process count up to which [`PtModel::total`] is
+    /// certified non-increasing in `P` at size `n`, or `None` when the
+    /// coefficients cannot vouch for it.
+    ///
+    /// The total is `t(P) = A/P + B + C·P` with
+    /// `A = k7·TaRef(N) + k10·TcRef(N)`, `C = k9·TcRef(N)` and `B`
+    /// independent of `P`. When `k7, k9, k10 ≥ 0` and both reference
+    /// polynomials are finite and non-negative at `n`, `t` is
+    /// non-increasing on `P ∈ [1, √(A/C)]`; `Some(f64::INFINITY)` means
+    /// on every `P ≥ 1` (the `C = 0` case). The branch-and-bound
+    /// optimizer uses this to take a P-range's minimum at the range's
+    /// upper end without scanning.
+    pub fn monotone_p_limit(&self, n: usize) -> Option<f64> {
+        if !(self.ka[0] >= 0.0 && self.kc[0] >= 0.0 && self.kc[1] >= 0.0) {
+            return None;
+        }
+        let ref_ta = self.reference.ta(n);
+        let ref_tc = self.reference.tc(n);
+        // `>= 0.0` is false for NaN, so this also rejects NaN refs.
+        if !(ref_ta.is_finite() && ref_tc.is_finite() && ref_ta >= 0.0 && ref_tc >= 0.0) {
+            return None;
+        }
+        let a = self.ka[0] * ref_ta + self.kc[1] * ref_tc;
+        let c = self.kc[0] * ref_tc;
+        Some(if c == 0.0 {
+            f64::INFINITY
+        } else {
+            (a / c).sqrt()
+        })
+    }
+
     /// Scales the model by constant factors (§3.5 model composition):
     /// the paper derives Athlon models from Pentium-II models with
     /// `Ta × 0.27`, `Tc × 0.85`.

@@ -25,7 +25,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bank;
 mod design;
 mod multifit;
 mod poly;
@@ -33,7 +32,6 @@ mod qr;
 mod stats;
 mod transform;
 
-pub use bank::CoefficientBank;
 pub use design::DesignMatrix;
 pub use multifit::{multifit_linear, multifit_linear_ridge, LinearFit, LsqError};
 pub use poly::{eval_poly, fit_poly, PolyFit};

@@ -1,5 +1,5 @@
-//! The optimizer experiment: anytime branch-and-bound vs the batched
-//! exhaustive selection, plus the time×energy Pareto front.
+//! The optimizer experiment: anytime branch-and-bound vs the exhaustive
+//! selection, plus the time×energy Pareto front.
 //!
 //! [`pareto_experiment`] pins one snapshot of a fitted campaign engine
 //! and, for every evaluation size of the plan, runs
@@ -149,6 +149,44 @@ pub fn pareto_experiment(plan: &MeasurementPlan) -> ParetoReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cold time-only search's pruning counters and argmin on the
+    /// Basic snapshot, pinned per evaluation size: a bound or
+    /// certificate that silently prunes less still satisfies
+    /// `evaluated + pruned == candidates`, but not these figures.
+    #[test]
+    fn time_only_pruning_counters_are_pinned_on_the_paper_grid() {
+        // (n, evaluated, pruned, certificate_hits, argmin time bits,
+        // Athlon M, Pentium-II PEs)
+        const PINNED: [(usize, usize, usize, usize, u64, usize, usize); 5] = [
+            (3200, 14, 48, 142, 0x4034_0282_5a50_ed21, 1, 0),
+            (4800, 18, 44, 151, 0x4049_e75c_7e57_6b8c, 3, 8),
+            (6400, 22, 40, 154, 0x4059_68e5_8cd4_457e, 3, 8),
+            (8000, 21, 41, 161, 0x4065_c42e_08fc_442c, 3, 8),
+            (9600, 21, 41, 162, 0x4071_111c_6599_15cb, 3, 8),
+        ];
+        let plan = MeasurementPlan::basic();
+        assert_eq!(plan.evaluation_ns, PINNED.map(|row| row.0));
+        let engine = engine_for(&plan);
+        let snapshot = engine.snapshot();
+        let space = evaluation_space();
+        for (n, evaluated, pruned, hits, bits, m1, p2) in PINNED {
+            let report = anytime_search(&snapshot, &space, n, &AnytimeOptions::default());
+            assert_eq!(
+                (report.evaluated, report.pruned, report.certificate_hits),
+                (evaluated, pruned, hits),
+                "n={n}: (evaluated, pruned, certificate_hits)"
+            );
+            let best = report.best.expect("the fitted grid is estimable");
+            assert_eq!(best.time.to_bits(), bits, "n={n}: argmin time");
+            let m2 = usize::from(p2 > 0);
+            assert_eq!(
+                best.config,
+                etm_cluster::Configuration::p1m1_p2m2(1, m1, p2, m2),
+                "n={n}: argmin"
+            );
+        }
+    }
 
     #[test]
     fn pareto_experiment_passes_its_own_gate_on_the_paper_grid() {

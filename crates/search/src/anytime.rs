@@ -6,16 +6,19 @@
 //! branch-and-bound:
 //!
 //! * **Pruning** — partial configurations (a prefix of kinds fixed, the
-//!   rest free) are lower-bounded straight from the compiled
-//!   [`CoefficientBank`](etm_core::compiled::CompiledSnapshot) rows:
-//!   every multi-PE completion's P-T term is `≥ min` of the tabulated
-//!   per-slot times over the reachable total-process range. Where the
-//!   snapshot's [`MonotoneCertificate`] vouches that a row is
-//!   non-increasing across the whole range, the minimum is a single
-//!   table probe ([`AnytimeReport::certificate_hits`] counts these)
-//!   instead of a scan. Subtrees whose bound cannot beat the incumbent
-//!   are discarded wholesale; subtrees whose fixed prefix uses a group
-//!   with no P-T model are all-error and discarded unconditionally.
+//!   rest free) are lower-bounded from the snapshot's P-T models,
+//!   tabulated once per search through
+//!   [`PtModel::ta`](etm_core::PtModel::ta) and
+//!   [`PtModel::tc`](etm_core::PtModel::tc) over the reachable
+//!   total-process range: every multi-PE completion's P-T term is
+//!   `≥ min` of its model's tabulated times over that range. Where
+//!   [`PtModel::monotone_p_limit`](etm_core::PtModel::monotone_p_limit)
+//!   vouches that a model is non-increasing across the whole range, the
+//!   minimum is a single table probe
+//!   ([`AnytimeReport::certificate_hits`] counts these) instead of a
+//!   scan. Subtrees whose bound cannot beat the incumbent are discarded
+//!   wholesale; subtrees whose fixed prefix uses a group with no P-T
+//!   model are all-error and discarded unconditionally.
 //! * **Anytime** — every improvement is appended to
 //!   [`AnytimeReport::incumbents`], so the best-so-far after any
 //!   evaluation budget is recoverable; at exhaustion the result is the
@@ -45,7 +48,6 @@
 //! which is what makes the full-budget result bit-identical.
 
 use etm_cluster::{Configuration, EnergyModel, KindId, KindUse};
-use etm_core::compiled::CompiledSnapshot;
 use etm_core::engine::EngineSnapshot;
 
 use crate::{ConfigSpace, SearchResult};
@@ -120,9 +122,9 @@ pub struct AnytimeReport {
 
 /// Per-`(kind, m)` tabulated P-T times over the reachable process range.
 struct SlotTable {
-    /// `times[p - 1]` = compiled P-T total at `P = p`.
+    /// `times[p - 1]` = the P-T model's total at `P = p`.
     times: Vec<f64>,
-    /// Largest `P` up to which the row is certified non-increasing;
+    /// Largest `P` up to which the model is certified non-increasing;
     /// `NEG_INFINITY` when the certificate cannot vouch.
     mono_limit: f64,
 }
@@ -177,11 +179,11 @@ fn range_min(tbl: &SlotTable, lo: usize, hi: usize, hits: &mut usize) -> f64 {
 }
 
 struct Searcher<'a> {
-    compiled: &'a CompiledSnapshot,
+    snapshot: &'a EngineSnapshot,
     space: &'a ConfigSpace,
     n: usize,
     kinds: usize,
-    /// `tables[kind][m - 1]`, `None` when the snapshot has no P-T row.
+    /// `tables[kind][m - 1]`, `None` when the snapshot has no P-T model.
     tables: Vec<Vec<Option<SlotTable>>>,
     /// `suffix[j]` = completions of a prefix fixing kinds `0..j`.
     suffix: Vec<usize>,
@@ -222,10 +224,7 @@ impl<'a> Searcher<'a> {
         n: usize,
         opts: &'a AnytimeOptions,
     ) -> Self {
-        let compiled = snapshot.compiled();
-        let cert = snapshot.certificate();
         let kinds = space.available.len();
-        let x = n as f64;
         let p_max: usize = space
             .available
             .iter()
@@ -237,18 +236,16 @@ impl<'a> Searcher<'a> {
             .map(|kind| {
                 (1..=space.max_m[kind])
                     .map(|m| {
-                        compiled.pt_slot(kind, m).map(|slot| {
+                        snapshot.bank().pt.get(&(kind, m)).map(|pt| {
                             let mut times = Vec::with_capacity(p_max);
                             for p in 1..=p_max {
-                                let (ta, tc) = compiled.pt_parts(slot, x, p as f64);
+                                let (ta, tc) = (pt.ta(n, p), pt.tc(n, p));
                                 if !(ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0) {
                                     parts_safe = false;
                                 }
                                 times.push(ta + tc);
                             }
-                            let mono_limit = compiled
-                                .monotone_p_limit(cert, slot, x)
-                                .unwrap_or(f64::NEG_INFINITY);
+                            let mono_limit = pt.monotone_p_limit(n).unwrap_or(f64::NEG_INFINITY);
                             SlotTable { times, mono_limit }
                         })
                     })
@@ -258,7 +255,7 @@ impl<'a> Searcher<'a> {
         let mut suffix = vec![1usize; kinds + 1];
         let mut free_pm_max = vec![0usize; kinds + 1];
         let mut free_base_max = vec![0usize; kinds + 1];
-        let fast_kind = compiled.fast_kind();
+        let fast_kind = snapshot.fast_kind();
         for j in (0..kinds).rev() {
             suffix[j] = suffix[j + 1] * (1 + space.available[j] * space.max_m[j]);
             free_pm_max[j] = free_pm_max[j + 1] + space.available[j] * space.max_m[j];
@@ -269,8 +266,9 @@ impl<'a> Searcher<'a> {
                     space.available[j] * space.max_m[j]
                 };
         }
+        let adjustment = snapshot.adjustment();
         Searcher {
-            compiled,
+            snapshot,
             space,
             n,
             kinds,
@@ -279,9 +277,9 @@ impl<'a> Searcher<'a> {
             free_pm_max,
             free_base_max,
             fast_kind,
-            min_m1: compiled.adjustment_min_m1(),
-            scale: compiled.adjustment_scale(),
-            base_coeff: compiled.adjustment_base_coeff(),
+            min_m1: adjustment.min_m1,
+            scale: adjustment.scale,
+            base_coeff: adjustment.base_coeff,
             energy: opts.energy.as_ref(),
             parts_safe,
             budget: opts.max_evaluations,
@@ -584,12 +582,12 @@ impl<'a> Searcher<'a> {
         let cfg = Configuration {
             uses: fixed.to_vec(),
         };
-        let Ok(t) = self.compiled.estimate(&cfg, self.n) else {
+        let Ok(t) = self.snapshot.estimate(&cfg, self.n) else {
             return;
         };
         if let Some(em) = self.energy {
             // `estimate` succeeded, so the raw walk resolves too.
-            if let Ok(parts) = self.compiled.estimate_raw_parts(&cfg, self.n) {
+            if let Ok(parts) = self.snapshot.estimator().estimate_raw_parts(&cfg, self.n) {
                 let e = em.joules(&cfg, parts.ta, parts.tc);
                 if t.is_finite() && e.is_finite() {
                     self.points.push((n_idx, t, e, cfg.clone()));
@@ -927,11 +925,13 @@ mod tests {
                     },
                 );
                 // Independent O(n²) front over the full enumeration.
-                let compiled = snapshot.compiled();
                 let mut all: Vec<(f64, f64, Configuration)> = Vec::new();
                 for cfg in space.enumerate() {
-                    if let Ok(t) = compiled.estimate(&cfg, n) {
-                        let parts = compiled.estimate_raw_parts(&cfg, n).expect("raw resolves");
+                    if let Ok(t) = snapshot.estimate(&cfg, n) {
+                        let parts = snapshot
+                            .estimator()
+                            .estimate_raw_parts(&cfg, n)
+                            .expect("raw resolves");
                         let en = em.joules(&cfg, parts.ta, parts.tc);
                         if t.is_finite() && en.is_finite() {
                             all.push((t, en, cfg));

@@ -176,7 +176,7 @@ where
         } else if adopted.is_none() {
             adopted = Some((rec_key.clone(), step));
         }
-        if snapshot.compiled().first_untrusted(&recommended).is_some() {
+        if snapshot.health().first_untrusted(&recommended).is_some() {
             // The optimizer refuses untrusted candidates; this counter
             // existing (and staying zero) is the loop's own audit.
             report.untrusted_recommendations += 1;

@@ -8,33 +8,25 @@
 //! concurrently with refits: it keeps evaluating against the generation
 //! it pinned, and a fresh search picks up the next generation.
 //!
-//! Both objectives are served from the snapshot's
-//! [`CompiledSnapshot`](etm_core::compiled::CompiledSnapshot) — the
-//! vectorized form every snapshot carries — and [`best_config`] goes
-//! one step further, evaluating the whole candidate list through
-//! [`EngineSnapshot::estimate_batch`]. The compiled path is
-//! bit-identical to the interpreted `ModelBank` walk (an invariant the
-//! core crate's tests pin down), so the selection is exactly the
-//! paper's §4 exhaustive minimum, just cheaper per candidate.
+//! Both objectives, and [`best_config`], evaluate candidates through
+//! [`EngineSnapshot::estimate`] — the snapshot's `ModelBank` walk — so
+//! the selection is exactly the paper's §4 exhaustive minimum.
 
 use etm_cluster::Configuration;
 use etm_core::engine::EngineSnapshot;
 use etm_core::pipeline::PipelineError;
 
-use crate::{ConfigSpace, SearchResult};
+use crate::{exhaustive, ConfigSpace, SearchResult};
 
 /// An objective closure over a pinned snapshot: the §4.1-adjusted
 /// estimate at problem size `n`. Configurations the bank cannot estimate
 /// (no model for a used `(kind, m)` group) error out, which every
 /// optimizer in this crate treats as "skip the candidate".
-///
-/// Served from the snapshot's compiled coefficient tables —
-/// bit-identical to [`EngineSnapshot::estimate`], including errors.
 pub fn snapshot_objective(
     snapshot: &EngineSnapshot,
     n: usize,
 ) -> impl Fn(&Configuration) -> Result<f64, PipelineError> + '_ {
-    move |config| snapshot.compiled().estimate(config, n)
+    move |config| snapshot.estimate(config, n)
 }
 
 /// A health-aware objective over a pinned snapshot: the same §4.1
@@ -57,17 +49,14 @@ pub fn health_aware_objective(
     fallback_penalty: f64,
 ) -> impl Fn(&Configuration) -> Result<f64, PipelineError> + '_ {
     move |config| {
-        // Health flags were pre-resolved per group when the snapshot
-        // was compiled; reading them here is a dense table probe, not
-        // two sorted-vec scans per group.
-        let compiled = snapshot.compiled();
-        if let Some((kind, m)) = compiled.first_untrusted(config) {
+        let health = snapshot.health();
+        if let Some((kind, m)) = health.first_untrusted(config) {
             return Err(PipelineError::ModelUntrusted { kind, m });
         }
-        let t = compiled.estimate(config, n)?;
+        let t = snapshot.estimate(config, n)?;
         // Skip the multiply entirely when no penalty applies so the
         // healthy path stays bit-identical to `snapshot_objective`.
-        Ok(if compiled.any_fallback(config) && fallback_penalty > 1.0 {
+        Ok(if health.any_fallback(config) && fallback_penalty > 1.0 {
             t * fallback_penalty
         } else {
             t
@@ -79,10 +68,7 @@ pub fn health_aware_objective(
 /// configuration of `space` against the snapshot's model at size `n` and
 /// return the estimated-fastest one. `None` when nothing is estimable.
 ///
-/// The whole candidate list goes through one
-/// [`EngineSnapshot::estimate_batch`] call, so the per-candidate model
-/// walk is amortized into batched Horner sweeps; the selection itself
-/// mirrors [`exhaustive`](crate::exhaustive) exactly — strict `<`, the
+/// This is [`exhaustive`] over [`snapshot_objective`]: strict `<`, the
 /// first minimum wins, every candidate (including inestimable ones)
 /// counts as an evaluation.
 pub fn best_config(
@@ -90,31 +76,13 @@ pub fn best_config(
     space: &ConfigSpace,
     n: usize,
 ) -> Option<SearchResult> {
-    let candidates = space.enumerate();
-    let requests: Vec<(Configuration, usize)> =
-        candidates.iter().map(|cfg| (cfg.clone(), n)).collect();
-    let mut best: Option<SearchResult> = None;
-    for (cfg, result) in candidates.iter().zip(snapshot.estimate_batch(&requests)) {
-        if let Ok(t) = result {
-            if best.as_ref().is_none_or(|b| t < b.time) {
-                best = Some(SearchResult {
-                    config: cfg.clone(),
-                    time: t,
-                    evaluations: 0,
-                });
-            }
-        }
-    }
-    best.map(|mut b| {
-        b.evaluations = candidates.len();
-        b
-    })
+    exhaustive(&space.enumerate(), snapshot_objective(snapshot, n))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exhaustive, greedy};
+    use crate::greedy;
     use etm_cluster::commlib::CommLibProfile;
     use etm_cluster::spec::paper_cluster;
     use etm_core::backend::PolyLsqBackend;
@@ -170,24 +138,23 @@ mod tests {
         assert!(best.time.is_finite() && best.time > 0.0);
     }
 
-    /// The batched selection must agree with a manual `exhaustive` loop
-    /// over the *uncompiled* scalar estimator — same winner, same time
-    /// to the bit, same evaluation count. This is the search-layer view
-    /// of the compiled-snapshot bit-identity invariant.
+    /// The engine-served selection must agree with a manual
+    /// `exhaustive` loop over the snapshot's estimator — same winner,
+    /// same time to the bit, same evaluation count.
     #[test]
-    fn batched_best_config_matches_uncompiled_scalar_search() {
+    fn best_config_matches_a_manual_exhaustive_search() {
         let e = engine();
         let snapshot = e.snapshot();
         let space = ConfigSpace::new(&paper_cluster(CommLibProfile::mpich122()), vec![2, 2]);
         for n in [400usize, 1600, 3200, 9999] {
-            let batched = best_config(&snapshot, &space, n).expect("estimable");
+            let served = best_config(&snapshot, &space, n).expect("estimable");
             let manual = exhaustive(&space.enumerate(), |cfg: &Configuration| {
                 snapshot.estimate(cfg, n)
             })
             .expect("estimable");
-            assert_eq!(batched.config, manual.config, "n={n}");
-            assert_eq!(batched.time.to_bits(), manual.time.to_bits(), "n={n}");
-            assert_eq!(batched.evaluations, manual.evaluations, "n={n}");
+            assert_eq!(served.config, manual.config, "n={n}");
+            assert_eq!(served.time.to_bits(), manual.time.to_bits(), "n={n}");
+            assert_eq!(served.evaluations, manual.evaluations, "n={n}");
         }
     }
 
