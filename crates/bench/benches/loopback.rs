@@ -4,8 +4,9 @@
 //! * `execute_ingest_roundtrip` — one full loop step: simulate the
 //!   recommended configuration on the discrete-event substrate via a
 //!   fault-free [`StepExecutor`], then stream the measured batch back
-//!   through `Engine::ingest_batch` (a fingerprint no-op after the
-//!   first delivery — the quiescent steady state);
+//!   through `Engine::ingest_batch` (a no-op after the first delivery,
+//!   since the re-measured samples carry the same bits — the quiescent
+//!   steady state);
 //! * `breaker_hot_path` — the per-step breaker overhead on a warm
 //!   ledger: `allows` + `record_success` across a 62-configuration
 //!   strike map;
@@ -39,8 +40,8 @@ fn main() {
         ExecutionFaultPlan::default(),
         RetryPolicy::default(),
     );
-    // Prime the engine so the timed ingest is the steady-state
-    // fingerprint no-op, not a first-delivery refit.
+    // Prime the engine so the timed ingest is the steady-state no-op
+    // (same bits as the stored samples), not a first-delivery refit.
     let primed = executor
         .execute(&config, 0)
         .expect("fault-free execution succeeds");

@@ -113,8 +113,8 @@ fn engine_refit_speed(r: &mut Runner) {
     let engine = Engine::new(Box::new(PolyLsqBackend::paper()), db, None).expect("fit");
     let mut round = 0u64;
     r.bench("engine_refit/ingest_single_group", || {
-        // Nudge the sample every call so the group fingerprint always
-        // changes and every iteration pays for a real refit.
+        // Nudge the sample every call so its bits always change and
+        // every iteration pays for a real refit.
         round += 1;
         let mut s = base;
         s.ta *= 1.0 + 1e-9 * round as f64;

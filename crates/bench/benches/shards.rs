@@ -53,7 +53,7 @@ fn paper_backend() -> Box<dyn ModelBackend> {
 /// A whole campaign re-streamed through a warm pool per iteration:
 /// source thread, bounded channel, pull-token fan-out, per-shard
 /// ingest, final merge. Trials are nudged every round so each batch
-/// carries fresh fingerprints and every shard pays for real refits.
+/// changes its samples' bits and every shard pays for real refits.
 fn pool_speed(r: &mut Runner, width: usize) {
     let db = synthetic_db();
     let trials = trials_of_db(&db);

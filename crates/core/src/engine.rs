@@ -19,12 +19,13 @@
 //!   the new one, both complete, and an old snapshot stays valid (and
 //!   bit-stable) for as long as anyone holds it.
 //! * **Incremental ingestion.** [`Engine::ingest`] upserts samples into
-//!   the database, diffs the affected `(kind, m)` groups via their FNV
-//!   content fingerprints, and asks the backend to refit *only* the
-//!   dirty groups ([`ModelBackend::refit_groups`]) — plus the composed
-//!   models and the §4.1 adjustment, which depend on other groups and
-//!   are always rebuilt. A no-op ingest (fingerprints unchanged) swaps
-//!   nothing.
+//!   the database, which reports each slot whose bits changed; a
+//!   `(kind, m)` group is dirty when one of its keys ends the batch
+//!   holding different bits than before it. Only the dirty groups are
+//!   refit ([`ModelBackend::refit_groups`]) — plus the composed models
+//!   and the §4.1 adjustment, which depend on other groups and are
+//!   always rebuilt. A no-op ingest (every key's bits unchanged, even
+//!   if a batch changed a slot and then restored it) swaps nothing.
 //! * **Quarantine & graceful degradation.** Inadmissible samples (NaN /
 //!   infinite / negative / implausibly huge times) never reach the
 //!   database; a [`QuarantinePolicy`] counts *distinct* bad observations
@@ -48,7 +49,7 @@ use etm_support::sync::Mutex;
 
 use crate::adjust::AdjustmentRule;
 use crate::backend::ModelBackend;
-use crate::measurement::{MeasurementDb, Sample, SampleKey};
+use crate::measurement::{same_bits, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
 };
@@ -233,8 +234,8 @@ impl EngineSnapshot {
     }
 }
 
-/// Writer-side state: the measurement database and the per-group content
-/// fingerprints of the last *published* bank.
+/// Writer-side state: the measurement database and the pristine bank
+/// fit from it, plus the quarantine ledger.
 ///
 /// The database sits behind an `Arc` so [`Engine::db`] can hand out the
 /// current version with an O(1) pointer clone instead of deep-copying
@@ -243,7 +244,6 @@ impl EngineSnapshot {
 /// holds an older version.
 struct EngineState {
     db: Arc<MeasurementDb>,
-    fingerprints: std::collections::BTreeMap<(usize, usize), u64>,
     /// Groups a *failed* refit left dirty: their samples are upserted
     /// but the published bank predates them. Merged into the next
     /// ingest's dirty set so the retry refits everything outstanding,
@@ -266,15 +266,6 @@ struct EngineState {
     last_healthy_gen: u64,
     /// Running count of samples the quarantine policy rejected.
     rejected: usize,
-}
-
-impl EngineState {
-    fn fingerprints_of(db: &MeasurementDb) -> std::collections::BTreeMap<(usize, usize), u64> {
-        db.groups()
-            .keys()
-            .map(|&(kind, m)| ((kind, m), db.group_fingerprint(kind, m)))
-            .collect()
-    }
 }
 
 /// The estimator engine; see the module docs for the architecture.
@@ -328,7 +319,6 @@ impl Engine {
         policy: Option<AdjustmentPolicy>,
         bank: ModelBank,
     ) -> Result<Self, PipelineError> {
-        let fingerprints = EngineState::fingerprints_of(&db);
         let pristine = bank.clone();
         let estimator = assemble_estimator(bank, policy.as_ref())?;
         let snapshot = Arc::new(EngineSnapshot {
@@ -344,7 +334,6 @@ impl Engine {
             quarantine: QuarantinePolicy::default(),
             state: Mutex::new(EngineState {
                 db: Arc::new(db),
-                fingerprints,
                 pending_dirty: BTreeSet::new(),
                 pristine,
                 bad: BTreeMap::new(),
@@ -411,20 +400,20 @@ impl Engine {
     }
 
     /// Ingests measurements and refits incrementally: admitted samples
-    /// are upserted into the database, the touched `(kind, m)` groups
-    /// are diffed by content fingerprint, and only the changed groups
-    /// are refit (plus composed models and the adjustment rule, which
-    /// span groups). Publishes and returns the new snapshot; if every
-    /// fingerprint is unchanged (or `samples` is empty) *and* the
-    /// quarantine set did not move, nothing is refit and the current
-    /// snapshot is returned.
+    /// are upserted into the database, and only the `(kind, m)` groups
+    /// with a key whose samples differ bitwise from before the call are
+    /// refit (plus composed models and the adjustment rule, which span
+    /// groups). Publishes and returns the new snapshot; if no key's
+    /// bits changed (or `samples` is empty) *and* the quarantine set
+    /// did not move, nothing is refit and the current snapshot is
+    /// returned.
     ///
     /// Samples the [`QuarantinePolicy`] rejects (non-finite, negative,
     /// or implausibly huge times) are never upserted — they count
     /// against their group's bad budget instead, in delivery order, and
     /// an admitted sample for the same group resets that budget
     /// (re-admission). A change in the resulting quarantine set forces a
-    /// publication even when no fingerprint moved, so consumers see
+    /// publication even when no group is dirty, so consumers see
     /// degradation (and recovery) promptly; see [`EngineSnapshot::health`].
     ///
     /// On a fitting error the database keeps the new samples but no
@@ -443,7 +432,9 @@ impl Engine {
         samples: &[(SampleKey, Sample)],
     ) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.lock();
-        let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
+        // Pre-ingest samples of every key an upsert changed, saved at
+        // the key's first change.
+        let mut before: BTreeMap<SampleKey, Vec<Sample>> = BTreeMap::new();
         for (key, sample) in samples {
             let group = (key.kind, key.m);
             if !self.quarantine.admits(sample) {
@@ -455,14 +446,17 @@ impl Engine {
             }
             // A clean observation re-admits the group in delivery order.
             state.bad.remove(&group);
-            Arc::make_mut(&mut state.db).upsert(*key, *sample);
-            touched.insert(group);
+            let prior = (!before.contains_key(key)).then(|| state.db.samples(key).to_vec());
+            if Arc::make_mut(&mut state.db).upsert(*key, *sample) {
+                if let Some(prior) = prior {
+                    before.insert(*key, prior);
+                }
+            }
         }
         let mut dirty: BTreeSet<(usize, usize)> = state.pending_dirty.clone();
-        for &(kind, m) in &touched {
-            let fp = state.db.group_fingerprint(kind, m);
-            if state.fingerprints.get(&(kind, m)) != Some(&fp) {
-                dirty.insert((kind, m));
+        for (key, saved) in &before {
+            if !same_bits(state.db.samples(key), saved) {
+                dirty.insert((key.kind, key.m));
             }
         }
         let quarantined: BTreeSet<(usize, usize)> = state
@@ -476,8 +470,8 @@ impl Engine {
         }
         let previous = self.snapshot();
         // Build everything that can fail before committing any of it, so
-        // a failed publication leaves fingerprints/pristine untouched
-        // and the pending-dirty retry contract holds.
+        // a failed publication leaves pristine untouched and the
+        // pending-dirty retry contract holds.
         let refit_bank = if dirty.is_empty() {
             None
         } else {
@@ -502,14 +496,9 @@ impl Engine {
                 return Err(e);
             }
         };
-        // Commit: fingerprints now describe the pristine bank backing
-        // the snapshot being published.
+        // Commit: the pristine bank now covers every dirty group.
         if let Some(bank) = refit_bank {
             state.pristine = bank;
-            for &(kind, m) in &dirty {
-                let fp = state.db.group_fingerprint(kind, m);
-                state.fingerprints.insert((kind, m), fp);
-            }
             state.pending_dirty.clear();
         }
         let generation = previous.generation + 1;
@@ -537,8 +526,8 @@ impl Engine {
     /// Ingests one streamed [`TrialBatch`](crate::stream::TrialBatch) —
     /// the consumer side of the streaming layer. Exactly
     /// [`Engine::ingest`] over the batch's trials: duplicates and
-    /// re-deliveries are fingerprint no-ops, a batch that changes
-    /// nothing publishes nothing.
+    /// re-deliveries change no bits and are no-ops, a batch that
+    /// changes nothing publishes nothing.
     ///
     /// # Errors
     /// See [`Engine::ingest`].
@@ -550,7 +539,7 @@ impl Engine {
     }
 
     /// Refits the whole bank from the current database and publishes the
-    /// result, regardless of fingerprints. The batch escape hatch.
+    /// result, whether or not any group is dirty. The batch escape hatch.
     ///
     /// # Errors
     /// Any fitting failure.
@@ -561,7 +550,6 @@ impl Engine {
             fallback_bank(self.backend.as_ref(), &state.db, &bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         state.pristine = bank;
-        state.fingerprints = EngineState::fingerprints_of(&state.db);
         state.pending_dirty.clear();
         let generation = self.snapshot().generation + 1;
         if state.quarantined.is_empty() {
@@ -741,6 +729,60 @@ mod tests {
     }
 
     #[test]
+    fn batch_that_changes_then_reverts_a_slot_publishes_nothing() {
+        let e = engine();
+        let before = e.snapshot();
+        let key = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        let original = synth_sample(1, 2, 1, 800);
+        let mut changed = original;
+        changed.ta *= 1.2;
+        let after = e
+            .ingest(&[(key, changed), (key, original)])
+            .expect("refit ok");
+        assert!(
+            Arc::ptr_eq(&before, &after),
+            "reverted change must not swap"
+        );
+    }
+
+    /// `0.0 == -0.0`, but the fit sees the bits: a re-delivery that only
+    /// flips the sign of a zero time is a change, and the published
+    /// bank must match a one-shot fit of the database it now holds.
+    #[test]
+    fn sign_of_zero_flip_refits_its_group() {
+        let e = engine();
+        let key = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        let mut s = synth_sample(1, 2, 1, 800);
+        s.tc = 0.0;
+        let first = e.ingest(&[(key, s)]).expect("refit ok");
+        assert_eq!(first.refit_groups(), &[(1, 1)]);
+        s.tc = -0.0;
+        let snap = e.ingest(&[(key, s)]).expect("refit ok");
+        assert_eq!(snap.generation(), first.generation() + 1);
+        assert_eq!(snap.refit_groups(), &[(1, 1)]);
+        let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (k, m) in &full.nt {
+            let got = &snap.bank().nt[k];
+            assert_eq!(bits(&m.ka), bits(&got.ka), "{k:?} ka");
+            assert_eq!(bits(&m.kc), bits(&got.kc), "{k:?} kc");
+        }
+        for (g, m) in &full.pt {
+            let got = &snap.bank().pt[g];
+            assert_eq!(bits(&m.ka), bits(&got.ka), "{g:?} ka");
+            assert_eq!(bits(&m.kc), bits(&got.kc), "{g:?} kc");
+        }
+    }
+
+    #[test]
     fn ingest_refits_only_dirty_groups_and_matches_full_fit() {
         let e = engine();
         let old = e.snapshot();
@@ -833,7 +875,7 @@ mod tests {
         assert!(e.quarantined().is_empty());
         // A third distinct bad observation exhausts the budget: the
         // group is quarantined and a degraded snapshot is published
-        // even though no fingerprint moved.
+        // even though no group is dirty.
         let snap = e
             .ingest(&[poisoned(1, 4, 1, 402, f64::NEG_INFINITY)])
             .expect("quarantine is not a fatal error");

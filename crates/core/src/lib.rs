@@ -28,8 +28,9 @@
 //!   [`RobustPolyBackend`], and a per-regime [`BinnedPolyBackend`]
 //!   weighting the §3.4 communication regimes equally.
 //! * [`engine`] — the serving layer: immutable [`EngineSnapshot`]s behind
-//!   `Arc`s, atomically swapped on refit, with fingerprint-diffed
-//!   incremental ingestion ([`Engine::ingest`]).
+//!   `Arc`s, atomically swapped on refit, with incremental ingestion
+//!   that refits only groups whose sample bits changed
+//!   ([`Engine::ingest`]).
 //! * [`stream`] — streaming ingestion: a [`stream::TrialSource`] replays
 //!   a campaign as timestamped [`stream::TrialBatch`]es over an mpmc
 //!   channel (shuffled, duplicated, out-of-order on demand) and a

@@ -5,8 +5,7 @@
 use std::collections::BTreeMap;
 
 use etm_cluster::KindId;
-use etm_support::hash::Fnv1a;
-use etm_support::json::{to_canonical_string, FromJson, Json, JsonError, ToJson};
+use etm_support::json::{FromJson, Json, JsonError, ToJson};
 use etm_support::json_struct;
 
 /// Identifies a measured configuration of a *homogeneous* trial: `pes`
@@ -62,12 +61,28 @@ pub struct Sample {
 impl Sample {
     /// True when every measured time is finite. Non-finite samples are
     /// rejected at ingest: a NaN `ta`/`tc`/`wall` defeats `Sample`'s
-    /// `PartialEq`-based dedup and the group fingerprint diff (NaN
-    /// never compares equal, and NaN canonical JSON is unstable), and
-    /// silently poisons the least-squares fit.
+    /// `PartialEq`-based dedup (NaN never compares equal) and silently
+    /// poisons the least-squares fit.
     pub fn is_finite(&self) -> bool {
         self.ta.is_finite() && self.tc.is_finite() && self.wall.is_finite()
     }
+
+    /// True when both samples hold the same bits in every field. Unlike
+    /// `==`, this tells `0.0` from `-0.0` — the fit sees the bits, so
+    /// change detection must too.
+    pub fn same_bits(&self, other: &Sample) -> bool {
+        self.n == other.n
+            && self.ta.to_bits() == other.ta.to_bits()
+            && self.tc.to_bits() == other.tc.to_bits()
+            && self.wall.to_bits() == other.wall.to_bits()
+            && self.multi_node == other.multi_node
+    }
+}
+
+/// True when two sample lists match element for element in
+/// [`Sample::same_bits`].
+pub fn same_bits(a: &[Sample], b: &[Sample]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
 }
 
 json_struct!(SampleKey { kind, pes, m });
@@ -141,14 +156,21 @@ impl MeasurementDb {
 
     /// Records a trial, replacing any existing sample of the same key
     /// and problem size (streaming ingestion re-measures configurations;
-    /// [`MeasurementDb::record`] asserts that never happens).
-    pub fn upsert(&mut self, key: SampleKey, sample: Sample) {
+    /// [`MeasurementDb::record`] asserts that never happens). Returns
+    /// whether the stored slot changed: an insert, or a replacement
+    /// that differs in any bit ([`Sample::same_bits`]).
+    pub fn upsert(&mut self, key: SampleKey, sample: Sample) -> bool {
         let entry = self.samples.entry(key).or_default();
         match entry.iter_mut().find(|s| s.n == sample.n) {
-            Some(slot) => *slot = sample,
+            Some(slot) if slot.same_bits(&sample) => false,
+            Some(slot) => {
+                *slot = sample;
+                true
+            }
             None => {
                 entry.push(sample);
                 entry.sort_by_key(|s| s.n);
+                true
             }
         }
     }
@@ -161,28 +183,6 @@ impl MeasurementDb {
             groups.entry((key.kind, key.m)).or_default().push(*key);
         }
         groups
-    }
-
-    /// Content fingerprint of one `(kind, m)` group: 64-bit FNV-1a over
-    /// the canonical JSON of the group's `(key, samples)` entries, in key
-    /// order. Two databases whose group contents are value-equal
-    /// fingerprint identically; any added, removed, or changed sample in
-    /// the group changes the hash. The empty group hashes to the FNV
-    /// offset basis, so "group appeared" and "group vanished" both show
-    /// up as fingerprint changes.
-    pub fn group_fingerprint(&self, kind: usize, m: usize) -> u64 {
-        let mut h = Fnv1a::new();
-        for (key, samples) in &self.samples {
-            if key.kind != kind || key.m != m {
-                continue;
-            }
-            h.update(to_canonical_string(key).as_bytes());
-            // NUL separators keep entry boundaries unambiguous.
-            h.update(&[0]);
-            h.update(to_canonical_string(samples).as_bytes());
-            h.update(&[0]);
-        }
-        h.finish()
     }
 
     /// Samples for a configuration (ascending N), empty if none.
@@ -324,27 +324,35 @@ mod tests {
     }
 
     #[test]
-    fn group_fingerprint_tracks_group_content_only() {
+    fn upsert_reports_insert_replace_and_unchanged() {
         let mut db = MeasurementDb::new();
-        db.record(key(1, 1), sample(400, 1.0));
-        db.record(key(1, 2), sample(400, 2.0));
-        let fp = db.group_fingerprint(1, 1);
-        // Changing another group leaves this one's fingerprint alone.
-        db.upsert(key(1, 2), sample(400, 9.0));
-        assert_eq!(db.group_fingerprint(1, 1), fp);
-        // Changing a sample value, or adding one, changes it.
-        db.upsert(key(1, 1), sample(400, 1.5));
-        let fp_changed = db.group_fingerprint(1, 1);
-        assert_ne!(fp_changed, fp);
-        db.upsert(key(2, 1), sample(400, 0.5));
-        assert_ne!(db.group_fingerprint(1, 1), fp_changed);
-        // An absent group hashes like an empty one — stable, and distinct
-        // from any populated group.
-        assert_eq!(
-            db.group_fingerprint(9, 9),
-            MeasurementDb::new().group_fingerprint(9, 9)
-        );
-        assert_ne!(db.group_fingerprint(9, 9), db.group_fingerprint(1, 1));
+        assert!(db.upsert(key(1, 1), sample(400, 1.0)), "insert");
+        assert!(!db.upsert(key(1, 1), sample(400, 1.0)), "same bits");
+        assert!(db.upsert(key(1, 1), sample(400, 1.5)), "replace");
+        assert!(db.upsert(key(1, 1), sample(800, 1.5)), "insert at new N");
+        // Each field's bits count, the sign of a zero included.
+        let base = sample(400, 1.5);
+        for changed in [
+            Sample { ta: 1.0, ..base },
+            Sample { tc: 1.0, ..base },
+            Sample { wall: 2.0, ..base },
+            Sample {
+                multi_node: false,
+                ..base
+            },
+        ] {
+            assert!(db.upsert(key(1, 1), changed), "{changed:?}");
+            assert!(db.upsert(key(1, 1), base));
+        }
+        let zero = Sample { tc: 0.0, ..base };
+        assert!(db.upsert(key(1, 1), zero));
+        assert!(db.upsert(key(1, 1), Sample { tc: -0.0, ..base }));
+        assert!(!db.upsert(key(1, 1), Sample { tc: -0.0, ..base }));
+        assert!(same_bits(db.samples(&key(1, 2)), &[]));
+        assert!(!same_bits(
+            db.samples(&key(1, 1)),
+            &[zero, sample(800, 1.5)]
+        ));
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub enum PipelineError {
     /// quarantine policy counts such samples against the group's bad
     /// budget instead of returning this error; the variant remains the
     /// typed vocabulary for callers that validate samples themselves
-    /// (non-finite values defeat the `PartialEq`-based dedup and the
-    /// fingerprint diff, and would poison the least-squares fit).
+    /// (non-finite values defeat the `PartialEq`-based dedup and would
+    /// poison the least-squares fit).
     NonFiniteSample {
         /// Key of the offending sample.
         key: SampleKey,

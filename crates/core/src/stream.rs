@@ -14,7 +14,8 @@
 //!
 //! Determinism contract: [`replay`] is a pure function of `(trials,
 //! StreamConfig)`, so a streamed campaign is reproducible bit-for-bit,
-//! and — because [`Engine::ingest`] upserts and fingerprint-diffs — the
+//! and — because [`Engine::ingest`] upserts and refits only groups whose
+//! bits changed — the
 //! final database and bank equal the one-shot fit of the same campaign
 //! *regardless* of batch size, order, duplication, or deferral (each
 //! `(key, N)` trial in a campaign has exactly one value, so a stale
@@ -520,7 +521,7 @@ where
 /// `expected_batches` distinct sequence numbers or that stalls past the
 /// timeout. `spawn_source(next_seq)` must produce a source resuming at
 /// batch sequence `next_seq` (re-delivering earlier batches is harmless
-/// — the engine's fingerprint diff makes them no-ops, which is also why
+/// — they change no bits, so the engine treats them as no-ops, which is also why
 /// resuming from the last *published* generation needs no rollback:
 /// the database already holds everything ingested before the death).
 ///

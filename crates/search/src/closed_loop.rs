@@ -307,8 +307,8 @@ mod tests {
     }
 
     /// A synthetic executor: measures the recommendation with the same
-    /// generator the engine was seeded from, so ingest is a fingerprint
-    /// no-op and the loop is quiescent.
+    /// generator the engine was seeded from, so ingest changes no bits
+    /// and the loop is quiescent.
     fn echo_execute(cfg: &Configuration, _step: u64) -> Result<ExecutedStep, ExecutionError> {
         let trials: Vec<(SampleKey, Sample)> = cfg
             .uses
@@ -346,7 +346,7 @@ mod tests {
         assert_eq!(report.untrusted_recommendations, 0);
         // The first execution may add a previously unmeasured key (one
         // new generation); after that, re-delivered identical samples
-        // are fingerprint no-ops and the loop is quiescent.
+        // change no bits and the loop is quiescent.
         assert!(
             report.snapshots.len() <= 2,
             "expected quiescence, saw {} generations",
