@@ -3,6 +3,8 @@
 //! channel, and the per-batch consumer step in isolation — both a batch
 //! that changes its group and a re-delivered one that changes nothing.
 
+use std::time::Duration;
+
 use etm_bench::{black_box, Runner};
 use etm_core::backend::PolyLsqBackend;
 use etm_core::engine::Engine;
@@ -125,7 +127,13 @@ fn end_to_end_speed(r: &mut Runner) {
             })
             .collect();
         let source = TrialSource::spawn(nudged, cfg);
-        let report = consume(&engine, source.receiver(), |_, _| {}).expect("stream fits");
+        let report = consume(
+            &engine,
+            source.receiver(),
+            Duration::from_secs(30),
+            |_, _| {},
+        )
+        .expect("stream fits");
         source.join();
         black_box(report)
     });

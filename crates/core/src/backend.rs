@@ -134,101 +134,6 @@ pub trait ModelBackend: Send + Sync {
     ) -> Result<PtModel, PipelineError> {
         compose_fallback(db, bank, group, exclude, PAPER_TC_SCALE)
     }
-
-    /// Like [`ModelBackend::fit`], but *lenient* about §3.5 composition:
-    /// a group whose P-T model cannot be fit from measurements and whose
-    /// donor kind is absent from `db` is silently left out of the bank
-    /// instead of failing the whole fit with
-    /// [`PipelineError::NoDonor`]. This is what a *shard* of a
-    /// partitioned database needs — its donor may legitimately live on
-    /// another shard, and the deterministic merge recomposes from the
-    /// union (see `etm_core::stream::ShardedConsumer`).
-    ///
-    /// The default delegates to the strict [`ModelBackend::fit`];
-    /// backends built on the shared group-wise machinery override it.
-    ///
-    /// # Errors
-    /// [`PipelineError::Fit`] if a well-posed fit fails numerically.
-    fn fit_partial(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        self.fit(db)
-    }
-
-    /// Lenient form of [`ModelBackend::refit_groups`], with the same
-    /// skip-missing-donor composition rule as
-    /// [`ModelBackend::fit_partial`]. A group skipped this round stays
-    /// out of the bank's measured and composed maps, so a later refit
-    /// re-attempts it once a donor arrives.
-    ///
-    /// # Errors
-    /// [`PipelineError::Fit`] if a well-posed fit fails numerically.
-    fn refit_groups_partial(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        self.refit_groups(db, previous, dirty)
-    }
-}
-
-/// A shard-local view of another backend: `fit`/`refit_groups` route to
-/// the inner backend's *partial* (lenient-composition) variants, so an
-/// engine over a shard of a partitioned database never fails on a §3.5
-/// donor that lives on a different shard. Prediction and quarantine
-/// fallback delegate unchanged.
-///
-/// Used by `etm_core::stream::ShardedConsumer` for its per-shard
-/// engines; the deterministic merge step refits the *union* database
-/// with the strict inner backend, which restores every skipped
-/// composition.
-pub struct ShardBackend {
-    inner: Box<dyn ModelBackend>,
-}
-
-impl ShardBackend {
-    /// Wraps `inner` with lenient shard-local composition.
-    pub fn new(inner: Box<dyn ModelBackend>) -> Self {
-        ShardBackend { inner }
-    }
-}
-
-impl ModelBackend for ShardBackend {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        self.inner.fit_partial(db)
-    }
-
-    fn refit_groups(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        self.inner.refit_groups_partial(db, previous, dirty)
-    }
-
-    fn predict(
-        &self,
-        bank: &ModelBank,
-        config: &Configuration,
-        n: usize,
-    ) -> Result<f64, PipelineError> {
-        self.inner.predict(bank, config, n)
-    }
-
-    fn compose_quarantine_fallback(
-        &self,
-        db: &MeasurementDb,
-        bank: &ModelBank,
-        group: (usize, usize),
-        exclude: &BTreeSet<(usize, usize)>,
-    ) -> Result<PtModel, PipelineError> {
-        self.inner
-            .compose_quarantine_fallback(db, bank, group, exclude)
-    }
 }
 
 /// The §3.5 fallback composition used when a group is quarantined: its
@@ -334,26 +239,6 @@ impl ModelBackend for PolyLsqBackend {
     ) -> Result<ModelBank, PipelineError> {
         refit_bank(db, previous, dirty, self.tc_scale, Weighting::Uniform)
     }
-
-    fn fit_partial(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank_with(db, self.tc_scale, Weighting::Uniform, Composition::Lenient)
-    }
-
-    fn refit_groups_partial(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        refit_bank_with(
-            db,
-            previous,
-            dirty,
-            self.tc_scale,
-            Weighting::Uniform,
-            Composition::Lenient,
-        )
-    }
 }
 
 /// The same polynomial forms fit under relative-error weighting.
@@ -394,26 +279,6 @@ impl ModelBackend for RobustPolyBackend {
         dirty: &BTreeSet<(usize, usize)>,
     ) -> Result<ModelBank, PipelineError> {
         refit_bank(db, previous, dirty, self.tc_scale, Weighting::Relative)
-    }
-
-    fn fit_partial(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank_with(db, self.tc_scale, Weighting::Relative, Composition::Lenient)
-    }
-
-    fn refit_groups_partial(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        refit_bank_with(
-            db,
-            previous,
-            dirty,
-            self.tc_scale,
-            Weighting::Relative,
-            Composition::Lenient,
-        )
     }
 }
 
@@ -459,26 +324,6 @@ impl ModelBackend for BinnedPolyBackend {
         dirty: &BTreeSet<(usize, usize)>,
     ) -> Result<ModelBank, PipelineError> {
         refit_bank(db, previous, dirty, self.tc_scale, Weighting::Binned)
-    }
-
-    fn fit_partial(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank_with(db, self.tc_scale, Weighting::Binned, Composition::Lenient)
-    }
-
-    fn refit_groups_partial(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        refit_bank_with(
-            db,
-            previous,
-            dirty,
-            self.tc_scale,
-            Weighting::Binned,
-            Composition::Lenient,
-        )
     }
 }
 
@@ -623,19 +468,6 @@ fn all_ns(db: &MeasurementDb) -> Vec<usize> {
 /// they span.
 type ComposedLists = (Vec<(usize, usize)>, Vec<usize>);
 
-/// How the §3.5 composition pass treats an unfittable group with no
-/// donor: the batch pipeline fails the fit (a campaign that cannot serve
-/// every group is broken), a shard of a partitioned database skips the
-/// group (its donor may live on another shard; the merge recomposes).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Composition {
-    /// A missing donor is a [`PipelineError::NoDonor`] fit failure.
-    Strict,
-    /// A missing donor leaves the group out of the bank entirely — not
-    /// measured, not composed — to be retried on a later (re)fit.
-    Lenient,
-}
-
 /// The §3.5 composition pass: derives a P-T model for every group in
 /// `unfittable` (ascending order) from a donor kind's model at the same
 /// multiplicity, inserting into `pt` as it goes — a group composed early
@@ -646,7 +478,6 @@ fn compose_unfittable(
     unfittable: &[(usize, usize)],
     construction_ns: &[usize],
     tc_scale: f64,
-    composition: Composition,
 ) -> Result<ComposedLists, PipelineError> {
     let mut composed_groups = Vec::new();
     let mut composed_kinds = Vec::new();
@@ -658,7 +489,6 @@ fn compose_unfittable(
             .map(|(&(dk, _), model)| (dk, *model));
         let (donor_kind, donor_pt) = match donor {
             Some(d) => d,
-            None if composition == Composition::Lenient => continue,
             None => return Err(PipelineError::NoDonor { kind, m }),
         };
         // Single-PE N-T models of both kinds at this m drive the Ta
@@ -681,7 +511,6 @@ fn compose_unfittable(
             });
         let (target_nt, donor_nt) = match (target_nt, donor_nt) {
             (Some(t), Some(d)) => (t, d),
-            _ if composition == Composition::Lenient => continue,
             _ => return Err(PipelineError::NoDonor { kind, m }),
         };
         let composed = compose_fitted(&donor_pt, target_nt, donor_nt, construction_ns, tc_scale);
@@ -701,16 +530,6 @@ pub(crate) fn fit_bank(
     tc_scale: f64,
     weighting: Weighting,
 ) -> Result<ModelBank, PipelineError> {
-    fit_bank_with(db, tc_scale, weighting, Composition::Strict)
-}
-
-/// [`fit_bank`] with an explicit composition mode; see [`Composition`].
-fn fit_bank_with(
-    db: &MeasurementDb,
-    tc_scale: f64,
-    weighting: Weighting,
-    composition: Composition,
-) -> Result<ModelBank, PipelineError> {
     let mut nt = BTreeMap::new();
     for key in db.keys() {
         let samples = db.samples(key);
@@ -728,14 +547,8 @@ fn fit_bank_with(
             None => unfittable.push(group),
         }
     }
-    let (composed_groups, composed_kinds) = compose_unfittable(
-        &nt,
-        &mut pt,
-        &unfittable,
-        &all_ns(db),
-        tc_scale,
-        composition,
-    )?;
+    let (composed_groups, composed_kinds) =
+        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db), tc_scale)?;
     Ok(ModelBank {
         nt,
         pt,
@@ -755,29 +568,6 @@ fn refit_bank(
     dirty: &BTreeSet<(usize, usize)>,
     tc_scale: f64,
     weighting: Weighting,
-) -> Result<ModelBank, PipelineError> {
-    refit_bank_with(
-        db,
-        previous,
-        dirty,
-        tc_scale,
-        weighting,
-        Composition::Strict,
-    )
-}
-
-/// [`refit_bank`] with an explicit composition mode. Under
-/// [`Composition::Lenient`], a group absent from `previous.pt` (skipped
-/// by an earlier lenient pass) lands back in the unfittable list, so
-/// every refit re-attempts it — the moment a donor's data arrives on
-/// this shard, the group gets composed.
-fn refit_bank_with(
-    db: &MeasurementDb,
-    previous: &ModelBank,
-    dirty: &BTreeSet<(usize, usize)>,
-    tc_scale: f64,
-    weighting: Weighting,
-    composition: Composition,
 ) -> Result<ModelBank, PipelineError> {
     let groups = db.groups();
     // N-T: keep clean groups' models (their samples are unchanged by the
@@ -820,14 +610,8 @@ fn refit_bank_with(
             pt.insert(group, previous.pt[&group]);
         }
     }
-    let (composed_groups, composed_kinds) = compose_unfittable(
-        &nt,
-        &mut pt,
-        &unfittable,
-        &all_ns(db),
-        tc_scale,
-        composition,
-    )?;
+    let (composed_groups, composed_kinds) =
+        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db), tc_scale)?;
     Ok(ModelBank {
         nt,
         pt,
@@ -1060,101 +844,6 @@ mod tests {
         let binned = BinnedPolyBackend::paper().fit(&db).unwrap();
         let uniform = PolyLsqBackend::paper().fit(&db).unwrap();
         assert_banks_bit_equal(&binned, &uniform);
-    }
-
-    /// A shard slice of `synth_db` that holds only kind 0 — whose groups
-    /// are all unfittable and whose §3.5 donor (kind 1) lives elsewhere.
-    fn donorless_shard_db() -> MeasurementDb {
-        let sizes = [400usize, 800, 1600, 2400, 3200];
-        let mut db = MeasurementDb::new();
-        for m in 1..=2usize {
-            for &n in &sizes {
-                db.record(SampleKey { kind: 0, pes: 1, m }, synth_sample(0, 1, m, n));
-            }
-        }
-        db
-    }
-
-    #[test]
-    fn lenient_fit_skips_missing_donors_instead_of_failing() {
-        let db = donorless_shard_db();
-        let backend = PolyLsqBackend::paper();
-        // Strict: the whole fit fails on the first donorless group.
-        let err = backend.fit(&db).expect_err("no donor on this shard");
-        assert!(matches!(err, PipelineError::NoDonor { kind: 0, m: 1 }));
-        // Lenient: the N-T curves fit, the donorless groups are simply
-        // absent — not measured, not composed.
-        let bank = backend.fit_partial(&db).expect("lenient fit succeeds");
-        assert_eq!(bank.nt.len(), 2, "both kind-0 N-T curves fit");
-        assert!(bank.pt.is_empty());
-        assert!(bank.composed_groups.is_empty());
-        assert!(bank.composed_kinds.is_empty());
-        // An empty shard fits to an empty bank.
-        let empty = backend
-            .fit_partial(&MeasurementDb::new())
-            .expect("empty shard fits");
-        assert!(empty.nt.is_empty() && empty.pt.is_empty());
-    }
-
-    #[test]
-    fn lenient_fit_equals_strict_when_every_donor_is_present() {
-        let db = synth_db();
-        for backend in [
-            &PolyLsqBackend::paper() as &dyn ModelBackend,
-            &RobustPolyBackend::paper(),
-            &BinnedPolyBackend::paper(),
-        ] {
-            let strict = backend.fit(&db).unwrap();
-            let lenient = backend.fit_partial(&db).unwrap();
-            assert_banks_bit_equal(&strict, &lenient);
-        }
-    }
-
-    #[test]
-    fn lenient_refit_readmits_a_skipped_group_when_its_donor_arrives() {
-        let backend = PolyLsqBackend::paper();
-        let mut db = donorless_shard_db();
-        let sparse = backend.fit_partial(&db).expect("lenient fit succeeds");
-        assert!(sparse.pt.is_empty());
-        // The donor kind's data arrives on this shard: the previously
-        // skipped kind-0 groups must recompose on the next lenient
-        // refit, bit-identical to a strict full fit of the same data.
-        let mut dirty: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for pes in [1usize, 2, 4] {
-            for m in 1..=2usize {
-                for n in [400usize, 800, 1600, 2400, 3200] {
-                    db.upsert(SampleKey { kind: 1, pes, m }, synth_sample(1, pes, m, n));
-                }
-                dirty.insert((1, m));
-            }
-        }
-        let refit = backend
-            .refit_groups_partial(&db, &sparse, &dirty)
-            .expect("lenient refit succeeds");
-        let full = backend.fit(&db).expect("strict fit has donors now");
-        assert_banks_bit_equal(&refit, &full);
-        assert_eq!(refit.composed_groups, vec![(0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn shard_backend_delegates_to_the_partial_path() {
-        let shard = ShardBackend::new(Box::new(PolyLsqBackend::paper()));
-        assert_eq!(shard.name(), "poly_lsq");
-        let db = donorless_shard_db();
-        let bank = shard.fit(&db).expect("lenient via the wrapper");
-        assert!(bank.pt.is_empty());
-        // On a complete database the wrapper is bit-identical to the
-        // strict inner fit — lenience only matters when donors are gone.
-        let full_db = synth_db();
-        let via_shard = shard.fit(&full_db).unwrap();
-        let via_inner = PolyLsqBackend::paper().fit(&full_db).unwrap();
-        assert_banks_bit_equal(&via_shard, &via_inner);
-        let cfg = Configuration::p1m1_p2m2(1, 1, 4, 2);
-        let a = shard.predict(&via_shard, &cfg, 1600).unwrap();
-        let b = PolyLsqBackend::paper()
-            .predict(&via_inner, &cfg, 1600)
-            .unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -372,14 +372,6 @@ impl Engine {
             .collect()
     }
 
-    /// Running count of samples the quarantine policy has rejected at
-    /// ingest. Reads live writer state — unlike
-    /// [`EngineHealth::rejected_samples`], which reports the count as of
-    /// the last *publication*.
-    pub fn rejected_samples(&self) -> usize {
-        self.state.lock().rejected
-    }
-
     /// The current snapshot. A pointer clone under a momentary lock;
     /// all queries on the returned snapshot are lock-free.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
@@ -571,41 +563,6 @@ impl Engine {
         *self.current.lock() = Arc::clone(&snapshot);
         Ok(snapshot)
     }
-}
-
-/// Assembles the combined snapshot a sharded consumer publishes: a
-/// strict full fit of the union database, the §3.5 quarantine-fallback
-/// substitution over the unioned quarantine set, and the §4.1
-/// adjustment — exactly the pipeline a single-consumer [`Engine`] runs,
-/// so the resulting bank is bit-identical to the single-consumer bank
-/// over the same data (see `etm_core::stream::ShardedConsumer`).
-/// `generation` and `last_healthy_gen` count *merge* publications, not
-/// per-shard ingests.
-pub(crate) fn merged_snapshot(
-    backend: &dyn ModelBackend,
-    policy: Option<&AdjustmentPolicy>,
-    db: &MeasurementDb,
-    quarantined: &BTreeSet<(usize, usize)>,
-    generation: u64,
-    last_healthy_gen: u64,
-    rejected: usize,
-) -> Result<Arc<EngineSnapshot>, PipelineError> {
-    let pristine = backend.fit(db)?;
-    let (serving, composed_fallback) = fallback_bank(backend, db, &pristine, quarantined);
-    let estimator = assemble_estimator(serving, policy)?;
-    let health = EngineHealth {
-        quarantined: quarantined.iter().copied().collect(),
-        composed_fallback,
-        healthy_generation: last_healthy_gen,
-        rejected_samples: rejected,
-    };
-    Ok(Arc::new(EngineSnapshot {
-        estimator,
-        generation,
-        backend: backend.name(),
-        refit: Vec::new(),
-        health,
-    }))
 }
 
 /// Builds the bank a (possibly degraded) snapshot serves: `pristine`

@@ -33,11 +33,11 @@
 //!   ([`Engine::ingest`]).
 //! * [`stream`] — streaming ingestion: a [`stream::TrialSource`] replays
 //!   a campaign as timestamped [`stream::TrialBatch`]es over an mpmc
-//!   channel (shuffled, duplicated, out-of-order on demand) and a
-//!   consumer loop drives [`Engine::ingest_batch`], publishing one
-//!   snapshot per effective batch — with stall detection, bounded fit
-//!   retries, and a restarting supervisor
-//!   ([`stream::consume_supervised`]).
+//!   channel (shuffled, duplicated, out-of-order on demand) and one
+//!   drain loop ([`stream::consume`]) drives [`Engine::ingest_batch`],
+//!   publishing one snapshot per effective batch — with stall
+//!   detection, bounded fit retries, and a restarting supervisor
+//!   ([`stream::consume_supervised`]) over the same loop.
 //! * [`faults`] — deterministic fault injection for the streaming
 //!   layer: a seeded [`faults::FaultPlan`] corrupts, drops, truncates,
 //!   floods, stalls, or kills a replayed stream, and the engine's

@@ -5,10 +5,6 @@
 //! in sync with the dispatch table, and the unknown-subcommand error
 //! prints it in full).
 //!
-//! `shards` honors `ETM_STREAM_PACE=<scale>`: when set, the source is
-//! wall-clock paced at `sim_time / scale` (1.0 = real campaign time);
-//! unset streams at full speed, which is what CI measures.
-//!
 //! Text renderings go to stdout; CSV artifacts go to `results/`.
 
 #![deny(unsafe_code)]
@@ -48,7 +44,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["stream"], stream),
     (&["ab"], ab),
     (&["chaos"], chaos),
-    (&["shards"], shards),
     (&["serve"], serve),
     (&["pareto"], pareto),
     (&["loop"], loop_replay),
@@ -58,7 +53,7 @@ const EXPERIMENTS: &[Experiment] = &[
 /// to [`EXPERIMENTS`] so it cannot drift.
 const USAGE: &str = "table1 plans fig1 fig2 fig3 table3 table6 fig6_7 table4 \
      fig8_11 table7 fig12_15 table9 timings ablations models baselines \
-     stream ab chaos shards serve pareto loop all";
+     stream ab chaos serve pareto loop all";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -544,73 +539,6 @@ fn chaos() {
     );
     if failed > 0 {
         eprintln!("chaos invariant violated in {failed} scenario(s)");
-        std::process::exit(1);
-    }
-}
-
-fn shards() {
-    use etm_core::stream::StreamConfig;
-    use etm_repro::shards::shards_experiment;
-    println!("\n== Sharded ingest: pool throughput + deterministic merge (Basic campaign) ==");
-    // ETM_STREAM_PACE=<scale> switches the source to wall-clock pacing
-    // (sim_time / scale); unset streams at full speed for throughput.
-    let pace = std::env::var("ETM_STREAM_PACE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|s| s.is_finite() && *s > 0.0);
-    if let Some(scale) = pace {
-        println!("wall-clock pacing enabled: time_scale {scale}");
-    }
-    let cfg = StreamConfig {
-        batch_size: 32,
-        shuffle_seed: Some(2004),
-        duplicate_every: 7,
-        defer_every: 0,
-        channel_cap: 4,
-    };
-    let run = shards_experiment(&MeasurementPlan::basic(), cfg, &[1, 2, 4, 8], pace);
-    let mut t = TextTable::new(vec![
-        "width",
-        "batches",
-        "samples",
-        "elapsed [ms]",
-        "samples/s",
-        "bit-identical",
-        "quarantine",
-        "decisions",
-    ]);
-    let mut csv = Vec::new();
-    for r in &run.rows {
-        t.row(vec![
-            r.width.to_string(),
-            r.batches.to_string(),
-            r.samples.to_string(),
-            format!("{:.2}", r.elapsed_s * 1e3),
-            format!("{:.0}", r.samples_per_sec),
-            if r.bit_identical { "yes" } else { "FAIL" }.to_string(),
-            if r.quarantine_match { "yes" } else { "FAIL" }.to_string(),
-            r.decisions.to_string(),
-        ]);
-        csv.push(format!(
-            "{},{},{},{:.6},{:.1},{},{},{}",
-            r.width,
-            r.batches,
-            r.samples,
-            r.elapsed_s,
-            r.samples_per_sec,
-            r.bit_identical,
-            r.quarantine_match,
-            r.decisions
-        ));
-    }
-    print!("{}", t.render());
-    write_csv(
-        "shards",
-        "width,batches,samples,elapsed_s,samples_per_sec,bit_identical,quarantine_match,decisions",
-        &csv,
-    );
-    if !run.all_identical() {
-        eprintln!("sharded merge diverged from the single-consumer bank");
         std::process::exit(1);
     }
 }

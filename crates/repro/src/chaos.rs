@@ -26,19 +26,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
-use etm_core::engine::{Engine, EngineSnapshot, QuarantinePolicy};
+use etm_core::engine::{Engine, EngineSnapshot};
 use etm_core::faults::{CorruptKind, FaultPlan, FaultySource};
 use etm_core::pipeline::groups_of;
 use etm_core::plan::{MeasurementPlan, PlanKind};
 use etm_core::stream::{
-    consume_supervised, replay, trials_of_db, BatchSource, ConsumeOptions, ShardedConsumer,
-    StreamConfig, TrialBatch,
+    consume_supervised, replay, trials_of_db, BatchSource, StreamConfig, TrialBatch,
 };
 use etm_core::MeasurementDb;
 use etm_search::OnlineOptimizer;
 
 use crate::experiments::campaign_db;
 use crate::stream::{banks_bit_equal, evaluation_space};
+
+/// How long the supervised consumer waits on a silent source before
+/// declaring it stalled — short, so the stall scenarios finish quickly.
+const STALL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// One chaos scenario's outcome against the ladder invariants.
 #[derive(Clone, Debug)]
@@ -206,13 +209,9 @@ pub fn run_chaos_scenario(
         OnlineOptimizer::new(evaluation_space(), n, 0.05).expect("valid optimizer inputs");
     let mut untrusted_recommendations = 0usize;
     let mut incarnation = 0usize;
-    let opts = ConsumeOptions {
-        stall_timeout: Some(Duration::from_millis(100)),
-        ..ConsumeOptions::default()
-    };
     let sup = consume_supervised(
         &engine,
-        opts,
+        STALL_TIMEOUT,
         expected,
         3,
         |next_seq| {
@@ -314,14 +313,10 @@ pub fn chaos_snapshot_trace(
     let (faulted, _log) = fault.apply(&replay(&trials, &cfg));
     let expected = faulted.len() as u64;
     let mut incarnation = 0usize;
-    let opts = ConsumeOptions {
-        stall_timeout: Some(Duration::from_millis(100)),
-        ..ConsumeOptions::default()
-    };
     let mut trace: Vec<Arc<EngineSnapshot>> = Vec::new();
     consume_supervised(
         &engine,
-        opts,
+        STALL_TIMEOUT,
         expected,
         3,
         |next_seq| {
@@ -343,102 +338,6 @@ pub fn chaos_snapshot_trace(
     )
     .expect("the supervisor absorbs every injected transport fault");
     trace
-}
-
-/// The end state of one fault plan replayed through a
-/// [`ShardedConsumer`] pool — what the shard-determinism acceptance
-/// compares across pool widths.
-#[derive(Clone, Debug)]
-pub struct ShardedChaosOutcome {
-    /// The merged snapshot after the supervised drain.
-    pub snapshot: Arc<EngineSnapshot>,
-    /// Final merged quarantined `(kind, m)` groups (union over shards).
-    pub quarantined: Vec<(usize, usize)>,
-    /// Source respawns the pool supervisor performed.
-    pub restarts: usize,
-    /// Incarnations declared stalled.
-    pub stalls: usize,
-    /// Whether the merged bank is bit-identical to the clean one-shot
-    /// fit of the campaign.
-    pub converged: bool,
-    /// Whether the injected faults are recoverable (see the module
-    /// docs): a recoverable scenario must end converged and
-    /// unquarantined at *every* pool width.
-    pub recoverable: bool,
-}
-
-/// Replays one fault plan through a [`ShardedConsumer`] pool of
-/// `width` workers under the same supervision shape as
-/// [`run_chaos_scenario`] — stale seed, faults on the first source
-/// incarnation only, 100 ms stall timeout, 3 restarts.
-///
-/// The pool-width determinism contract: for any width, the merged
-/// quarantine set and — once both have quiesced — the merged bank are
-/// functions of the faulted batch sequence alone, so two widths of the
-/// same scenario must agree bit-for-bit.
-///
-/// # Panics
-/// Panics when the pool cannot seed or the supervisor's restart budget
-/// is exhausted — neither happens for the fixed scenario sweep.
-pub fn run_sharded_chaos(
-    plan: &MeasurementPlan,
-    fault: &FaultPlan,
-    cfg: StreamConfig,
-    width: usize,
-) -> ShardedChaosOutcome {
-    let db = campaign_db(plan);
-    let trials = trials_of_db(&db);
-    let reference = PolyLsqBackend::paper().fit(&db).expect("one-shot fit");
-    let mut seed_db = MeasurementDb::new();
-    for (k, s) in &trials {
-        let mut stale = *s;
-        stale.ta *= 1.1;
-        seed_db.upsert(*k, stale);
-    }
-    let opts = ConsumeOptions {
-        stall_timeout: Some(Duration::from_millis(100)),
-        ..ConsumeOptions::default()
-    };
-    let pool = ShardedConsumer::new(
-        width,
-        || Box::new(PolyLsqBackend::paper()) as Box<dyn ModelBackend>,
-        seed_db,
-        None,
-        QuarantinePolicy::default(),
-        opts,
-    )
-    .expect("stale campaign seeds the pool");
-    let (faulted, _log) = fault.apply(&replay(&trials, &cfg));
-    let expected = faulted.len() as u64;
-    let mut incarnation = 0usize;
-    let report = pool
-        .consume_supervised(expected, 3, |next_seq| {
-            incarnation += 1;
-            let tail: Vec<TrialBatch> = faulted
-                .iter()
-                .filter(|b| b.seq >= next_seq)
-                .cloned()
-                .collect();
-            let (stall, kill) = if incarnation == 1 {
-                (fault.stall_at, fault.kill_at)
-            } else {
-                (None, None)
-            };
-            Box::new(FaultySource::spawn(tail, cfg.channel_cap, stall, kill))
-                as Box<dyn BatchSource>
-        })
-        .expect("the pool supervisor absorbs every injected transport fault");
-    let snapshot = pool.snapshot();
-    let converged = banks_bit_equal(snapshot.bank(), &reference);
-    let quarantined = snapshot.health().quarantined.clone();
-    ShardedChaosOutcome {
-        snapshot,
-        quarantined,
-        restarts: report.restarts,
-        stalls: report.stalls,
-        converged,
-        recoverable: is_recoverable(fault),
-    }
 }
 
 /// Sweeps every scenario of [`chaos_scenarios`] over one campaign.

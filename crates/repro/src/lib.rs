@@ -27,7 +27,6 @@ pub mod experiments;
 pub mod loopback;
 pub mod pareto;
 pub mod serve;
-pub mod shards;
 pub mod stream;
 pub mod table;
 

@@ -20,6 +20,8 @@
 //! campaign data still arriving mid-stream, so raw estimates on both
 //! sides compare like with like.
 
+use std::time::Duration;
+
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::{CommLibProfile, Configuration, KindId};
 use etm_core::backend::{BinnedPolyBackend, ModelBackend, PolyLsqBackend};
@@ -106,8 +108,10 @@ where
     }
     let engine = engine.expect("campaign must bootstrap an engine");
     on_snapshot(&engine.snapshot());
-    let mut report = consume(&engine, rx, |_, snap| on_snapshot(snap))
-        .expect("completed campaign data is finite");
+    let mut report = consume(&engine, rx, Duration::from_secs(30), |_, snap| {
+        on_snapshot(snap)
+    })
+    .expect("completed campaign data is finite");
     report.batches += bootstrap_batches;
     source.join();
     (engine, report)

@@ -7,8 +7,8 @@
 use etm_core::faults::FaultPlan;
 use etm_core::plan::MeasurementPlan;
 use etm_core::stream::StreamConfig;
-use etm_repro::chaos::{chaos_scenarios, chaos_snapshot_trace, chaos_suite, run_sharded_chaos};
-use etm_repro::stream::{banks_bit_equal, evaluation_space};
+use etm_repro::chaos::{chaos_snapshot_trace, chaos_suite};
+use etm_repro::stream::evaluation_space;
 use etm_search::{exhaustive, health_aware_objective, OnlineOptimizer};
 
 #[test]
@@ -111,60 +111,4 @@ fn optimizer_matches_exhaustive_health_aware_search_through_chaos() {
         !last.health().quarantined.is_empty(),
         "poison-group must quarantine the targeted group"
     );
-}
-
-/// Shard-merge determinism under fault injection: every chaos scenario
-/// replayed at pool widths 1 and 4 must quarantine identical group
-/// sets and — since both ends see the same faulted batch sequence —
-/// publish bit-identical merged banks; recoverable scenarios must
-/// additionally converge on the clean one-shot fit at both widths.
-#[test]
-fn chaos_scenarios_are_deterministic_across_pool_widths() {
-    let plan = MeasurementPlan::nl();
-    let cfg = StreamConfig {
-        batch_size: 16,
-        shuffle_seed: Some(42),
-        duplicate_every: 0,
-        defer_every: 0,
-        channel_cap: 4,
-    };
-    for (name, fault) in chaos_scenarios() {
-        let narrow = run_sharded_chaos(&plan, &fault, cfg, 1);
-        let wide = run_sharded_chaos(&plan, &fault, cfg, 4);
-        assert_eq!(
-            narrow.quarantined, wide.quarantined,
-            "{name}: quarantine sets must match across pool widths"
-        );
-        assert!(
-            banks_bit_equal(narrow.snapshot.bank(), wide.snapshot.bank()),
-            "{name}: merged banks must be bit-identical across pool widths"
-        );
-        assert_eq!(
-            narrow.snapshot.health().composed_fallback,
-            wide.snapshot.health().composed_fallback,
-            "{name}: fallback bookkeeping must match across pool widths"
-        );
-        if narrow.recoverable {
-            assert!(
-                narrow.converged && wide.converged,
-                "{name}: recoverable banks must converge at both widths"
-            );
-            assert!(narrow.quarantined.is_empty(), "{name}");
-        } else {
-            assert!(
-                !narrow.quarantined.is_empty(),
-                "{name}: unrecoverable faults must quarantine"
-            );
-        }
-        // The transport rungs actually fire through the pool, too.
-        if fault.kill_at.is_some() || fault.stall_at.is_some() {
-            assert!(
-                narrow.restarts > 0 && wide.restarts > 0,
-                "{name}: the pool supervisor must restart the source"
-            );
-        }
-        if fault.stall_at.is_some() {
-            assert!(narrow.stalls > 0 && wide.stalls > 0, "{name}");
-        }
-    }
 }

@@ -59,9 +59,9 @@ pub struct OnlineDecision {
     pub front: Vec<ParetoPoint>,
 }
 
-/// Why an [`OnlineOptimizer`] could not be constructed — the
-/// [`etm_core::stream::PaceError`] treatment applied to the optimizer's
-/// inputs.
+/// Why an [`OnlineOptimizer`] could not be constructed: a typed refusal
+/// of a non-finite or out-of-range input, raised before any state is
+/// built.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum OptimizerError {
     /// Hysteresis τ was NaN or ±∞.
@@ -249,8 +249,8 @@ impl OnlineOptimizer {
     /// Observes a *polled* snapshot slot: like [`OnlineOptimizer::observe`],
     /// but a no-op returning `None` when the snapshot's generation was
     /// already observed. This is the entry point for consumers that
-    /// poll a published slot (the sharded consumer's merged snapshot,
-    /// a supervised engine between publications) instead of being
+    /// poll a published slot (a closed loop re-reading the engine, a
+    /// supervised engine between publications) instead of being
     /// driven per publication — polling faster than the producer
     /// publishes must not pad the decision log with duplicates.
     ///
@@ -438,12 +438,11 @@ mod tests {
         assert_eq!(opt.log().len(), 3);
     }
 
-    /// A merged snapshot slot can republish the *same* generation as a
-    /// distinct `Arc` — the sharded consumer's merge path rebuilds the
-    /// snapshot object without bumping the generation when the
-    /// underlying model is unchanged. Deduplication is by generation
-    /// *value*, not pointer identity, so the republished slot must not
-    /// add a duplicate decision-log entry.
+    /// Two snapshot objects can carry the *same* generation as distinct
+    /// `Arc`s (here, two engines over the same data, both at
+    /// generation 0). Deduplication is by generation *value*, not
+    /// pointer identity, so the second slot must not add a duplicate
+    /// decision-log entry.
     #[test]
     fn observe_fresh_dedups_a_republished_generation_across_slots() {
         let first = engine();

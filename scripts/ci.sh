@@ -15,13 +15,12 @@
 #                           degradation-ladder invariant breach and
 #                           writes results/chaos_report.csv), and a
 #                           bench smoke run that writes the substrates
-#                           + streaming + shards + analyze + serving +
+#                           + streaming + analyze + serving +
 #                           optimizer + loopback + model_speed
 #                           baselines, gates each against the
 #                           per-commit store in results/bench/ via
 #                           `cargo xtask bench-diff --latest` (the
-#                           thread-pool `shards`, `serving`,
-#                           workspace-sized `analyze`,
+#                           `serving`, workspace-sized `analyze`,
 #                           microsecond-scale `optimizer`, and
 #                           simulator-driven `loopback` suites get a
 #                           wider 40% gate via repeated
@@ -109,23 +108,21 @@ trap summary EXIT
 
 bench_smoke() {
   # Time the suites fast enough for every CI run (substrate
-  # microbenches, streaming-ingestion throughput, sharded-pool
-  # throughput, the static analyzer itself, the estimate sweeps of
+  # microbenches, streaming-ingestion throughput, the static
+  # analyzer itself, the estimate sweeps of
   # the serving suite, the pruned optimizer, the closed-loop round
   # trip, and the paper's model-construction and incremental-refit
   # speeds) and gate each against the per-commit baseline store:
   # `bench-diff --latest` compares to the newest entry under
   # results/bench/ and then records this run for the current commit.
-  # The `shards` suite times whole thread pools per iteration and
-  # jitters with scheduler load, the `serving` suite kept the gate it
-  # was given for its since-deleted reader-thread rows,
-  # the `analyze` suite times the analyzer over the live
-  # workspace — a corpus that legitimately grows a few percent every
-  # PR, compounding with that jitter — and the `optimizer` suite's
+  # The `serving` suite kept the gate it was given for its
+  # since-deleted reader-thread rows, the `analyze` suite times the
+  # analyzer over the live workspace — a corpus that legitimately
+  # grows a few percent every PR — and the `optimizer` suite's
   # pruned searches finish in single-digit microseconds where a few
   # nanoseconds of scheduler noise is a whole percentage point, and
   # the `loopback` round-trip runs a whole discrete-event simulation
-  # per iteration, so all five get a wider per-suite gate. The
+  # per iteration, so all four get a wider per-suite gate. The
   # `model_speed` gate is the measured spread of its medians over three
   # back-to-back runs on a shared 2-vCPU host: up to 87%
   # (`lsq_kernels/nt_fit_9x4`, `model_construction_speed/basic_54_configs`
@@ -138,11 +135,11 @@ bench_smoke() {
   local out_dir="$PWD/target/etm-bench"
   mkdir -p "$out_dir"
   local suite
-  for suite in substrates streaming shards analyze serving optimizer loopback model_speed; do
+  for suite in substrates streaming analyze serving optimizer loopback model_speed; do
     ETM_BENCH_OUT="$out_dir" ETM_BENCH_SAMPLES=5 \
       cargo bench -q -p etm-bench --bench "$suite"
     cargo xtask bench-diff --latest "$out_dir/BENCH_$suite.json" \
-      --threshold shards=40 --threshold serving=40 --threshold analyze=40 \
+      --threshold serving=40 --threshold analyze=40 \
       --threshold optimizer=40 --threshold loopback=40 --threshold model_speed=90
   done
   cargo xtask bench-trend
