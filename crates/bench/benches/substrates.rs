@@ -4,8 +4,10 @@
 //! substrates are fast enough to carry the reproduction.
 
 use etm_bench::{black_box, Runner};
+use etm_cluster::spec::paper_cluster;
+use etm_cluster::{CommLibProfile, Configuration, KindId, KindUse};
 use etm_hpl::numeric::run_numeric;
-use etm_hpl::HplParams;
+use etm_hpl::{simulate_hpl, HplParams};
 use etm_linalg::blas3::{dgemm, dgemm_naive, par_dgemm};
 use etm_linalg::gen::{hpl_matrix, seeded_matrix};
 use etm_linalg::lu::dgetrf;
@@ -82,6 +84,21 @@ fn des_event_throughput(r: &mut Runner) {
             });
         }
         black_box(sim.run().expect("no deadlock"))
+    });
+    // One contended trial of the Basic construction campaign: 8 Pentium-II
+    // PEs with 6 processes each (48 ranks) at N = 1600 — the unit the
+    // campaign repeats 486 times.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let config = Configuration {
+        uses: vec![KindUse {
+            kind: KindId(1),
+            pes: 8,
+            procs_per_pe: 6,
+        }],
+    };
+    let params = HplParams::order(1600).with_nb(64);
+    r.bench("des_event_throughput/hpl_trial_p2x8m6_n1600", || {
+        black_box(simulate_hpl(&spec, &config, &params).wall_seconds)
     });
 }
 

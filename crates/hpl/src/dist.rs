@@ -33,6 +33,36 @@ pub trait ColumnAssignment {
     }
 }
 
+/// The columns a rank owns to the right of the block a panel loop is
+/// on, kept as a running count: it starts from all of the rank's
+/// columns and drops each owned block's width as the loop passes it.
+/// The loop then pays O(1) per block instead of rescanning the
+/// remaining blocks, and the integer count equals
+/// [`ColumnAssignment::trailing_cols_of`]`(rank, k + 1)` exactly.
+pub(crate) struct TrailingCols {
+    rank: usize,
+    left: usize,
+}
+
+impl TrailingCols {
+    /// Starts the count for `rank` before block 0.
+    pub(crate) fn new(dist: &impl ColumnAssignment, rank: usize) -> Self {
+        TrailingCols {
+            rank,
+            left: dist.trailing_cols_of(rank, 0),
+        }
+    }
+
+    /// Passes block `k` (blocks must be passed in ascending order) and
+    /// returns the rank's columns among blocks `b > k`.
+    pub(crate) fn pass(&mut self, dist: &impl ColumnAssignment, k: usize) -> usize {
+        if dist.owner(k) == self.rank {
+            self.left -= dist.block_width(k);
+        }
+        self.left
+    }
+}
+
 /// Describes how the `n` columns of the matrix are dealt out to `p`
 /// processes in blocks of `nb` columns, round-robin: block `b` belongs
 /// to rank `b mod p`.
@@ -334,6 +364,43 @@ mod tests {
             assert_eq!(ColumnAssignment::owner(&w, b), c.owner(b));
             assert_eq!(ColumnAssignment::block_width(&w, b), c.block_width(b));
             assert_eq!(ColumnAssignment::block_start(&w, b), c.block_start(b));
+        }
+    }
+
+    /// Checks the running count against a fresh rescan at every block.
+    fn assert_running_count_matches(dist: &impl ColumnAssignment, ranks: usize) {
+        for rank in 0..ranks {
+            let mut running = TrailingCols::new(dist, rank);
+            for k in 0..dist.num_blocks() {
+                let want = dist.trailing_cols_of(rank, k + 1);
+                assert_eq!(running.pass(dist, k), want, "rank {rank}, block {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn running_trailing_count_matches_rescan() {
+        // Partial last blocks (N not a multiple of NB) alongside exact
+        // ones, more ranks than blocks, and a single rank.
+        for (n, nb, p) in [
+            (1600, 64, 9),
+            (100, 32, 3),
+            (1000, 64, 7),
+            (33, 32, 5),
+            (10, 3, 1),
+        ] {
+            assert_running_count_matches(&BlockCyclic::new(n, nb, p), p);
+        }
+        for (n, nb, weights) in [
+            (1000, 64, vec![5.0, 1.0, 1.0, 1.0]),
+            (777, 13, vec![2.0, 3.0]),
+            (6400, 64, vec![5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        ] {
+            assert_running_count_matches(&WeightedDist::new(n, nb, &weights), weights.len());
+        }
+        // The 2-D grid deals column blocks over its process columns.
+        for (n, nb, cols) in [(1000, 64, 4), (1600, 64, 3), (500, 64, 2)] {
+            assert_running_count_matches(&BlockCyclic::new(n, nb, cols), cols);
         }
     }
 

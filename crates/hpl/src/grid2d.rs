@@ -27,7 +27,7 @@ use etm_mpisim::coll::{gather, ring_bcast};
 use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg, SubComm};
 use etm_sim::Simulation;
 
-use crate::dist::BlockCyclic;
+use crate::dist::{BlockCyclic, TrailingCols};
 use crate::params::HplParams;
 use crate::phases::{gflops, PhaseTimes};
 use crate::simulate::SimulatedRun;
@@ -115,6 +115,7 @@ async fn run_rank_grid(
     let col_members: Vec<usize> = (0..grid.rows).map(|r| r * grid.cols + c_me).collect();
     let row_comm = SubComm::new(comm, row_members);
     let col_comm = SubComm::new(comm, col_members);
+    let mut trailing = TrailingCols::new(&col_dist, c_me);
 
     for k in 0..nc {
         let start = col_dist.block_start(k);
@@ -124,7 +125,7 @@ async fn run_rank_grid(
         let owner_row = row_dist.owner(k); // diagonal block's process row
                                            // My shares of the trailing matrix.
         let my_rows = rows_left / grid.rows + usize::from(rows_left % grid.rows > r_me);
-        let my_tcols = col_dist.trailing_cols_of(c_me, k + 1);
+        let my_tcols = trailing.pass(&col_dist, k);
 
         // --- rfact: the owning process column factors the panel
         // cooperatively; each member holds ~rows_left/R of it.
@@ -238,7 +239,7 @@ pub fn simulate_hpl_grid(
     params: &HplParams,
     grid: GridShape,
 ) -> SimulatedRun {
-    let placement = Placement::new(spec, config).expect("invalid configuration");
+    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
     assert_eq!(
         grid.len(),
         placement.len(),
@@ -251,17 +252,18 @@ pub fn simulate_hpl_grid(
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, spec, &placement);
     let results = Rc::new(RefCell::new(vec![None; placement.len()]));
+    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
         let results = Rc::clone(&results);
-        let spec = spec.clone();
+        let spec = Rc::clone(&shared_spec);
         let params = *params;
         let kind = slot.kind;
         let m = placement.procs_on_cpu(slot);
         let node = slot.node;
         let rank = slot.rank;
-        let placement_cl = placement.clone();
+        let placement_cl = Rc::clone(&placement);
         sim.spawn(format!("hpl2d-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());

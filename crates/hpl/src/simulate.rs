@@ -23,7 +23,7 @@ use etm_mpisim::coll::{binomial_bcast, ring_bcast};
 use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg};
 use etm_sim::Simulation;
 
-use crate::dist::{BlockCyclic, ColumnAssignment};
+use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
 use crate::params::{BcastAlgo, HplParams};
 use crate::phases::{gflops, PhaseTimes};
 
@@ -130,13 +130,14 @@ pub(crate) async fn run_rank_sim(
     let n = params.n;
     let nc = dist.num_blocks();
     let mut ph = PhaseTimes::default();
+    let mut trailing = TrailingCols::new(dist, me);
 
     for k in 0..nc {
         let owner = dist.owner(k);
         let start = dist.block_start(k);
         let w = dist.block_width(k);
         let rows = n - start;
-        let tcols = dist.trailing_cols_of(me, k + 1);
+        let tcols = trailing.pass(dist, k);
 
         // --- rfact on the owner.
         if me == owner {
@@ -292,7 +293,7 @@ pub fn simulate_hpl_perturbed(
     params: &HplParams,
     perturb: &ExecutionPerturbation,
 ) -> SimulatedRun {
-    let placement = Placement::new(spec, config).expect("invalid configuration");
+    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
     let p = placement.len();
     debug_assert!(BlockCyclic::new(params.n, params.nb, p).num_blocks() > 0);
 
@@ -307,17 +308,18 @@ pub fn simulate_hpl_perturbed(
         fabric.derate_nics(&mut sim, perturb.net_slowdown);
     }
     let results = Rc::new(RefCell::new(vec![None; p]));
+    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
         let results = Rc::clone(&results);
-        let spec = spec.clone();
+        let spec = Rc::clone(&shared_spec);
         let params = *params;
         let kind = slot.kind;
         let m = placement.procs_on_cpu(slot);
         let node = slot.node;
         let rank = slot.rank;
-        let placement_cl = placement.clone();
+        let placement_cl = Rc::clone(&placement);
         sim.spawn(format!("hpl-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());

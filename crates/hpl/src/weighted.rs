@@ -43,7 +43,7 @@ pub fn simulate_hpl_weighted(
             u.kind.0
         );
     }
-    let placement = Placement::new(spec, config).expect("invalid configuration");
+    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
     let weights: Vec<f64> = placement
         .slots
         .iter()
@@ -54,17 +54,19 @@ pub fn simulate_hpl_weighted(
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, spec, &placement);
     let results = Rc::new(RefCell::new(vec![None; placement.len()]));
+    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
+    let dist = Rc::new(dist);
 
     for slot in &placement.slots {
         let seed = fabric.seed(slot.rank);
         let results = Rc::clone(&results);
-        let spec = spec.clone();
+        let spec = Rc::clone(&shared_spec);
         let params = *params;
         let kind = slot.kind;
         let node = slot.node;
         let rank = slot.rank;
-        let placement_cl = placement.clone();
-        let dist = dist.clone();
+        let placement_cl = Rc::clone(&placement);
+        let dist = Rc::clone(&dist);
         sim.spawn(format!("hplw-rank{rank}"), move |ctx| async move {
             let comm = seed.bind(ctx);
             let pm = PerfModel::new(&spec, params.n, placement_cl.len());
@@ -76,7 +78,7 @@ pub fn simulate_hpl_weighted(
                 oc,
                 nb: params.nb,
             };
-            let ph = run_rank_sim(&comm, &params, &dist, &cost).await;
+            let ph = run_rank_sim(&comm, &params, &*dist, &cost).await;
             results.borrow_mut()[rank] = Some(ph);
         });
     }

@@ -14,11 +14,18 @@
 //! simulation is a deterministic function of its inputs — re-running a
 //! measurement campaign always reproduces the same virtual timings,
 //! which the estimation-model experiments rely on.
+//!
+//! ## Event queue
+//!
+//! The queue is an indexed binary min-heap holding at most one entry
+//! per process (its pending wake) and one per resource (its next
+//! completion). A membership or speed change on a resource overwrites
+//! that resource's entry in place with a fresh sequence number, and an
+//! idle resource has no entry, so the queue never holds a stale event
+//! and every dispatched event is live.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::future::{poll_fn, Future};
 use std::pin::Pin;
@@ -46,28 +53,181 @@ enum Request {
     Recv { mb: MailboxId },
 }
 
+/// The owner of a queue entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EvKind {
     WakeProcess(Pid),
-    ResourceFire { res: ResourceId, generation: u64 },
+    ResourceFire(ResourceId),
 }
 
-#[derive(PartialEq, Eq, Debug)]
-struct Event {
-    time: SimTime,
-    seq: u64,
-    kind: EvKind,
-}
+/// Heap position of an owner with no pending entry.
+const NOT_QUEUED: usize = usize::MAX;
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+impl EvKind {
+    /// The owner's index into [`EventQueue::pos`]: process `p` is `2p`,
+    /// resource `r` is `2r + 1`.
+    fn slot(self) -> usize {
+        match self {
+            EvKind::WakeProcess(pid) => 2 * pid.0,
+            EvKind::ResourceFire(res) => 2 * res.0 + 1,
+        }
+    }
+
+    fn of_slot(slot: usize) -> EvKind {
+        if slot.is_multiple_of(2) {
+            EvKind::WakeProcess(Pid(slot / 2))
+        } else {
+            EvKind::ResourceFire(ResourceId(slot / 2))
+        }
     }
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+#[derive(Clone, Copy)]
+struct Entry {
+    /// `(time, seq)` packed by [`order_key`]; one integer compare orders
+    /// two entries.
+    key: u128,
+    /// The owner's [`EvKind::slot`].
+    slot: usize,
+}
+
+impl Entry {
+    /// The event time, unpacked from the key (a `-0.0` reads as `+0.0`).
+    fn time(&self) -> SimTime {
+        SimTime::new(f64::from_bits((self.key >> 64) as u64))
+    }
+}
+
+/// Packs the order key `(time, seq)` into one `u128`. The bits of a
+/// non-negative `f64` sort the way its value does; `-0.0` (which
+/// [`SimTime::new`] accepts) is folded onto `+0.0` first.
+fn order_key(time: SimTime, seq: u64) -> u128 {
+    let secs = time.secs();
+    let bits = if secs == 0.0 { 0 } else { secs.to_bits() };
+    (u128::from(bits) << 64) | u128::from(seq)
+}
+
+/// Indexed binary min-heap keyed by [`order_key`], with at most one
+/// entry per process and one per resource. `pos[slot]` is the heap
+/// index of that owner's entry, or [`NOT_QUEUED`].
+#[derive(Default)]
+struct EventQueue {
+    heap: Vec<Entry>,
+    pos: Vec<usize>,
+}
+
+impl EventQueue {
+    /// Makes room in `pos` for a newly registered owner.
+    fn register(&mut self, kind: EvKind) {
+        let slot = kind.slot();
+        if self.pos.len() <= slot {
+            self.pos.resize(slot + 1, NOT_QUEUED);
+        }
+    }
+
+    /// Schedules `kind` at `(time, seq)`: a resource's existing entry is
+    /// overwritten in place, anything else is inserted.
+    fn schedule(&mut self, kind: EvKind, time: SimTime, seq: u64) {
+        let entry = Entry {
+            key: order_key(time, seq),
+            slot: kind.slot(),
+        };
+        let at = self.pos[entry.slot];
+        if at == NOT_QUEUED {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        } else {
+            debug_assert!(
+                matches!(kind, EvKind::ResourceFire(_)),
+                "{kind:?}: a process never has two pending wakes"
+            );
+            // A fresh seq only ever raises the key, but the time may move
+            // either way (a derate can speed a resource up).
+            let old = self.heap[at].key;
+            self.heap[at] = entry;
+            if entry.key < old {
+                self.sift_up(at);
+            } else {
+                self.sift_down(at);
+            }
+        }
+    }
+
+    /// Drops `kind`'s entry, if it has one.
+    fn remove(&mut self, kind: EvKind) {
+        let at = self.pos[kind.slot()];
+        if at != NOT_QUEUED {
+            self.take(at);
+        }
+    }
+
+    /// Removes and returns the earliest entry.
+    fn pop(&mut self) -> Option<(SimTime, EvKind)> {
+        if self.heap.is_empty() {
+            None
+        } else {
+            let e = self.take(0);
+            Some((e.time(), EvKind::of_slot(e.slot)))
+        }
+    }
+
+    /// Removes the entry at heap index `at`, refilling the hole with the
+    /// last entry.
+    fn take(&mut self, at: usize) -> Entry {
+        let e = self.heap.swap_remove(at);
+        self.pos[e.slot] = NOT_QUEUED;
+        if at < self.heap.len() {
+            if self.heap[at].key < e.key {
+                self.sift_up(at);
+            } else {
+                self.sift_down(at);
+            }
+        }
+        e
+    }
+
+    /// Moves the entry at `i` up to its place, shifting the parents it
+    /// passes down into the hole; records every moved entry's position.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key <= entry.key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i].slot] = i;
+            i = parent;
+        }
+        self.heap[i] = entry;
+        self.pos[entry.slot] = i;
+    }
+
+    /// Moves the entry at `i` down to its place, shifting the smaller
+    /// child up into the hole at each level.
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right].key < self.heap[left].key {
+                right
+            } else {
+                left
+            };
+            if entry.key <= self.heap[child].key {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i].slot] = i;
+            i = child;
+        }
+        self.heap[i] = entry;
+        self.pos[entry.slot] = i;
     }
 }
 
@@ -219,11 +379,13 @@ impl Ctx {
 /// value cannot be reused for a second run.
 pub struct Simulation {
     shared: Rc<Shared>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     seq: u64,
     resources: Vec<SharedResource>,
     mailboxes: Vec<Mailbox>,
     processes: Vec<ProcessRecord>,
+    /// Reused buffer for the processes a resource completion wakes.
+    completed: Vec<Pid>,
     events_dispatched: u64,
     ran: bool,
 }
@@ -243,11 +405,12 @@ impl Simulation {
                 request: Cell::new(None),
                 delivery: Cell::new(None),
             }),
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             seq: 0,
             resources: Vec::new(),
             mailboxes: Vec::new(),
             processes: Vec::new(),
+            completed: Vec::new(),
             events_dispatched: 0,
             ran: false,
         }
@@ -258,6 +421,7 @@ impl Simulation {
     pub fn add_shared_resource(&mut self, name: impl Into<String>, speed: f64) -> ResourceId {
         let id = ResourceId(self.resources.len());
         self.resources.push(SharedResource::new(name, speed));
+        self.queue.register(EvKind::ResourceFire(id));
         id
     }
 
@@ -269,8 +433,8 @@ impl Simulation {
     /// processor-sharing discipline*, so contention, overlap, and
     /// completion ordering all reflect the fault — unlike post-hoc
     /// scaling of measured outputs. Jobs already in service keep the
-    /// work served so far; any completion scheduled under the old rate
-    /// is invalidated and recomputed.
+    /// work served so far; the completion scheduled under the old rate
+    /// is recomputed in place.
     ///
     /// # Panics
     /// Panics if `slowdown` is not a finite positive factor.
@@ -311,6 +475,7 @@ impl Simulation {
             future: Some(Box::pin(body(ctx))),
             delivery: None,
         });
+        self.queue.register(EvKind::WakeProcess(pid));
         // Start event at t = 0.
         self.push_event(SimTime::ZERO, EvKind::WakeProcess(pid));
         pid
@@ -319,7 +484,7 @@ impl Simulation {
     fn push_event(&mut self, time: SimTime, kind: EvKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        self.queue.schedule(kind, time, seq);
     }
 
     fn now(&self) -> SimTime {
@@ -327,14 +492,17 @@ impl Simulation {
     }
 
     /// Reschedules the completion event for a resource after a membership
-    /// change.
+    /// or speed change: overwrites its queue entry with a fresh sequence
+    /// number, or removes the entry once the resource is idle.
     fn reschedule_resource(&mut self, res: ResourceId) {
-        if let Some(t) = self.resources[res.0].next_completion() {
-            let generation = self.resources[res.0].generation;
-            // Guard against float drift placing the completion marginally
-            // in the past.
-            let t = t.max(self.now());
-            self.push_event(t, EvKind::ResourceFire { res, generation });
+        match self.resources[res.0].next_completion() {
+            Some(t) => {
+                // Guard against float drift placing the completion
+                // marginally in the past.
+                let t = t.max(self.now());
+                self.push_event(t, EvKind::ResourceFire(res));
+            }
+            None => self.queue.remove(EvKind::ResourceFire(res)),
         }
     }
 
@@ -400,23 +568,24 @@ impl Simulation {
     pub fn run(&mut self) -> Result<f64, DeadlockError> {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            debug_assert!(ev.time >= self.now(), "event in the past");
+        while let Some((time, kind)) = self.queue.pop() {
+            debug_assert!(time >= self.now(), "event in the past");
             self.events_dispatched += 1;
-            self.shared.clock.set(ev.time);
-            match ev.kind {
+            self.shared.clock.set(time);
+            match kind {
                 EvKind::WakeProcess(pid) => self.resume(pid),
-                EvKind::ResourceFire { res, generation } => {
-                    if self.resources[res.0].generation != generation {
-                        continue; // stale: membership changed since scheduling
-                    }
+                EvKind::ResourceFire(res) => {
+                    // The entry is the resource's only one, so the job set
+                    // is unchanged since it was scheduled.
                     let now = self.now();
+                    let mut done = std::mem::take(&mut self.completed);
                     self.resources[res.0].advance_to(now);
-                    let done = self.resources[res.0].take_completed(true);
+                    self.resources[res.0].take_completed(true, &mut done);
                     self.reschedule_resource(res);
-                    for pid in done {
+                    for &pid in &done {
                         self.resume(pid);
                     }
+                    self.completed = done;
                 }
             }
         }
@@ -453,6 +622,155 @@ impl Simulation {
             end_seconds: now.secs(),
             events: self.events_dispatched,
             resources,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn queue(procs: usize, resources: usize) -> EventQueue {
+        let mut q = EventQueue::default();
+        (0..procs).for_each(|p| q.register(EvKind::WakeProcess(Pid(p))));
+        (0..resources).for_each(|r| q.register(EvKind::ResourceFire(ResourceId(r))));
+        q
+    }
+
+    fn queued(q: &EventQueue, kind: EvKind) -> bool {
+        q.pos[kind.slot()] != NOT_QUEUED
+    }
+
+    /// Heap order holds and every owner's recorded position points at
+    /// its own entry.
+    fn assert_invariant(q: &EventQueue) {
+        for i in 1..q.heap.len() {
+            assert!(
+                q.heap[(i - 1) / 2].key <= q.heap[i].key,
+                "heap order at {i}"
+            );
+        }
+        for (i, e) in q.heap.iter().enumerate() {
+            assert_eq!(q.pos[e.slot], i, "{:?} position", EvKind::of_slot(e.slot));
+        }
+        let queued = q.pos.iter().filter(|&&p| p != NOT_QUEUED).count();
+        assert_eq!(queued, q.heap.len());
+    }
+
+    #[test]
+    fn order_key_sorts_by_time_then_seq_and_folds_negative_zero() {
+        let t = |s: f64| SimTime::new(s);
+        assert_eq!(order_key(t(-0.0), 3), order_key(t(0.0), 3));
+        assert!(order_key(t(0.0), 9) < order_key(t(f64::MIN_POSITIVE), 0));
+        assert!(order_key(t(1.0), 5) < order_key(t(1.0), 6));
+        assert!(order_key(t(1.0), u64::MAX) < order_key(t(1.0 + f64::EPSILON), 0));
+        assert!(order_key(t(2.5e9), 0) < order_key(t(f64::INFINITY), 0));
+    }
+
+    #[test]
+    fn rescheduling_a_resource_overwrites_its_one_entry() {
+        let mut q = queue(2, 1);
+        let fire = EvKind::ResourceFire(ResourceId(0));
+        q.schedule(EvKind::WakeProcess(Pid(0)), SimTime::new(2.0), 0);
+        q.schedule(fire, SimTime::new(1.0), 1);
+        q.schedule(EvKind::WakeProcess(Pid(1)), SimTime::new(3.0), 2);
+        // Later (a new job slows the resource), then earlier (a speed-up).
+        q.schedule(fire, SimTime::new(4.0), 3);
+        assert_invariant(&q);
+        assert_eq!(q.heap.len(), 3, "one entry per owner");
+        q.schedule(fire, SimTime::new(0.5), 4);
+        assert_invariant(&q);
+        assert_eq!(q.heap.len(), 3);
+        let order: Vec<EvKind> = std::iter::from_fn(|| q.pop().map(|(_, k)| k)).collect();
+        assert_eq!(
+            order,
+            [
+                fire,
+                EvKind::WakeProcess(Pid(0)),
+                EvKind::WakeProcess(Pid(1))
+            ]
+        );
+        assert!(q.pos.iter().all(|&p| p == NOT_QUEUED));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two pending wakes")]
+    fn a_second_pending_wake_is_caught() {
+        let mut q = queue(1, 0);
+        q.schedule(EvKind::WakeProcess(Pid(0)), SimTime::new(1.0), 0);
+        q.schedule(EvKind::WakeProcess(Pid(0)), SimTime::new(2.0), 1);
+    }
+
+    #[test]
+    fn an_idle_resource_leaves_the_queue() {
+        let mut q = queue(1, 2);
+        q.schedule(EvKind::ResourceFire(ResourceId(0)), SimTime::new(1.0), 0);
+        q.schedule(EvKind::ResourceFire(ResourceId(1)), SimTime::new(2.0), 1);
+        q.schedule(EvKind::WakeProcess(Pid(0)), SimTime::new(3.0), 2);
+        q.remove(EvKind::ResourceFire(ResourceId(0)));
+        q.remove(EvKind::ResourceFire(ResourceId(0))); // already gone: a no-op
+        assert_invariant(&q);
+        assert!(!queued(&q, EvKind::ResourceFire(ResourceId(0))));
+        let (t, k) = q.pop().unwrap();
+        assert_eq!(
+            (t, k),
+            (SimTime::new(2.0), EvKind::ResourceFire(ResourceId(1)))
+        );
+    }
+
+    #[test]
+    fn random_schedules_pop_in_key_order_like_a_sorted_model() {
+        // A model with one `(key, owner)` per owner, checked against the
+        // heap after every operation of a seeded random mix.
+        let (procs, resources) = (6, 5);
+        let mut q = queue(procs, resources);
+        let mut model: Vec<(u128, EvKind)> = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut seq = 0u64;
+        let mut now = 0.0f64;
+        for _ in 0..4000 {
+            match next(4) {
+                0 | 1 => {
+                    let kind = if next(2) == 0 {
+                        EvKind::WakeProcess(Pid(next(procs as u64) as usize))
+                    } else {
+                        EvKind::ResourceFire(ResourceId(next(resources as u64) as usize))
+                    };
+                    let pending = model.iter().any(|&(_, k)| k == kind);
+                    if matches!(kind, EvKind::WakeProcess(_)) && pending {
+                        continue; // a process has at most one pending wake
+                    }
+                    let time = SimTime::new(now + next(8) as f64 * 0.25);
+                    model.retain(|&(_, k)| k != kind);
+                    model.push((order_key(time, seq), kind));
+                    q.schedule(kind, time, seq);
+                    seq += 1;
+                }
+                2 => {
+                    let kind = EvKind::ResourceFire(ResourceId(next(resources as u64) as usize));
+                    model.retain(|&(_, k)| k != kind);
+                    q.remove(kind);
+                }
+                _ => {
+                    model.sort_by_key(|&(key, _)| key);
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    let got = q.pop();
+                    assert_eq!(got.map(|(_, k)| k), want.map(|(_, k)| k));
+                    if let Some((t, _)) = got {
+                        assert!(t.secs() >= now, "pops never go back in time");
+                        now = t.secs();
+                    }
+                }
+            }
+            assert_invariant(&q);
+            assert_eq!(q.heap.len(), model.len());
         }
     }
 }

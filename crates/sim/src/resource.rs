@@ -12,7 +12,10 @@
 //!
 //! The resource is a pure state machine driven by the simulation kernel:
 //! the kernel advances it to the current virtual time before every
-//! membership change and asks for the next completion to schedule.
+//! membership change and asks for the next completion to schedule. The
+//! kernel keeps exactly one queue entry per busy resource and rewrites
+//! it after each change, so a resource never sees a completion event
+//! scheduled for a job set it no longer has.
 
 use crate::kernel::Pid;
 use crate::time::SimTime;
@@ -41,9 +44,6 @@ pub(crate) struct SharedResource {
     speed: f64,
     jobs: Vec<Job>,
     last_update: SimTime,
-    /// Bumped on every membership change; stale completion events carry an
-    /// old generation and are ignored by the kernel.
-    pub(crate) generation: u64,
     /// Accumulated statistics (busy time, served work, completions).
     pub(crate) stats: crate::stats::ResourceStats,
 }
@@ -56,7 +56,6 @@ impl SharedResource {
             speed,
             jobs: Vec::new(),
             last_update: SimTime::ZERO,
-            generation: 0,
             stats: crate::stats::ResourceStats::default(),
         }
     }
@@ -69,9 +68,8 @@ impl SharedResource {
     /// Divides the service speed by `slowdown` — the fault-injection
     /// hook behind [`crate::Simulation::derate_resource`]. The caller
     /// must have advanced the resource to the current virtual time
-    /// first, so in-flight jobs keep the work they were already served;
-    /// bumping the generation invalidates any completion event
-    /// scheduled under the old rate.
+    /// first, so in-flight jobs keep the work they were already served,
+    /// and reschedule the completion afterwards.
     pub(crate) fn derate(&mut self, slowdown: f64) {
         assert!(
             slowdown.is_finite() && slowdown > 0.0,
@@ -84,7 +82,6 @@ impl SharedResource {
             "derated speed must stay positive on {}",
             self.name
         );
-        self.generation += 1;
     }
 
     /// Current per-job service rate.
@@ -122,22 +119,24 @@ impl SharedResource {
             remaining: work,
             eps,
         });
-        self.generation += 1;
     }
 
-    /// Removes and returns every job whose remaining work is (numerically)
-    /// zero. The caller must have advanced the resource to `now` first.
+    /// Removes every job whose remaining work is (numerically) zero and
+    /// writes their pids into `done`, replacing its contents; the caller
+    /// owns and reuses the buffer. The caller must have advanced the
+    /// resource to `now` first.
     ///
-    /// When `force_min` is set — used by the kernel on a *valid-generation*
-    /// completion event, i.e. the job set is unchanged since the event was
-    /// scheduled, so the minimum job is due exactly now — the
+    /// When `force_min` is set — used by the kernel on a completion
+    /// event, whose job set is unchanged since the event was scheduled
+    /// (the kernel rewrites the event on every change), so the minimum
+    /// job is due exactly now — the
     /// minimum-remaining job is completed even if float drift left it a
     /// few ulps short. Without this, a long simulation can livelock:
     /// `served = rate·(t − last_update)` accumulates relative error
     /// proportional to the absolute time, the job never crosses the fixed
     /// tolerance, and the resource refires at `now + ε` forever.
-    pub(crate) fn take_completed(&mut self, force_min: bool) -> Vec<Pid> {
-        let mut done = Vec::new();
+    pub(crate) fn take_completed(&mut self, force_min: bool, done: &mut Vec<Pid>) {
+        done.clear();
         let mut i = 0;
         while i < self.jobs.len() {
             if self.jobs[i].remaining <= self.jobs[i].eps {
@@ -155,11 +154,7 @@ impl SharedResource {
                 .expect("non-empty");
             done.push(self.jobs.remove(arg_min).pid);
         }
-        if !done.is_empty() {
-            self.generation += 1;
-            self.stats.jobs_completed += done.len() as u64;
-        }
-        done
+        self.stats.jobs_completed += done.len() as u64;
     }
 
     /// Virtual time at which the next job completes, if any job is active.
@@ -191,6 +186,12 @@ mod tests {
         Pid(i)
     }
 
+    fn completed(r: &mut SharedResource, force_min: bool) -> Vec<Pid> {
+        let mut done = Vec::new();
+        r.take_completed(force_min, &mut done);
+        done
+    }
+
     #[test]
     fn single_job_completes_after_work_over_speed() {
         let mut r = SharedResource::new("cpu", 2.0);
@@ -199,7 +200,7 @@ mod tests {
         let t = r.next_completion().unwrap();
         assert!((t.secs() - 2.0).abs() < 1e-12);
         r.advance_to(t);
-        assert_eq!(r.take_completed(false), vec![pid(0)]);
+        assert_eq!(completed(&mut r, false), vec![pid(0)]);
         assert_eq!(r.load(), 0);
     }
 
@@ -212,7 +213,7 @@ mod tests {
         let t = r.next_completion().unwrap();
         assert!((t.secs() - 2.0).abs() < 1e-12, "got {t:?}");
         r.advance_to(t);
-        let mut done = r.take_completed(false);
+        let mut done = completed(&mut r, false);
         done.sort_by_key(|p| p.0);
         assert_eq!(done, vec![pid(0), pid(1)]);
     }
@@ -229,7 +230,7 @@ mod tests {
         let t = r.next_completion().unwrap();
         assert!((t.secs() - 3.0).abs() < 1e-12, "got {t:?}");
         r.advance_to(t);
-        assert_eq!(r.take_completed(false), vec![pid(0)]);
+        assert_eq!(completed(&mut r, false), vec![pid(0)]);
         // Job 1 has 3 - 1 = 2 units left, now alone: finishes at t=5.
         let t = r.next_completion().unwrap();
         assert!((t.secs() - 5.0).abs() < 1e-12, "got {t:?}");
@@ -243,20 +244,28 @@ mod tests {
         let t = r.next_completion().unwrap();
         assert_eq!(t, SimTime::ZERO);
         r.advance_to(t);
-        assert_eq!(r.take_completed(false), vec![pid(0)]);
+        assert_eq!(completed(&mut r, false), vec![pid(0)]);
     }
 
     #[test]
-    fn generation_bumps_on_membership_changes() {
+    fn take_completed_replaces_the_buffer_and_force_min_completes_one() {
         let mut r = SharedResource::new("cpu", 1.0);
-        let g0 = r.generation;
         r.advance_to(SimTime::ZERO);
         r.add_job(pid(0), 1.0);
-        assert!(r.generation > g0);
-        let g1 = r.generation;
-        r.advance_to(SimTime::new(1.0));
-        r.take_completed(false);
-        assert!(r.generation > g1);
+        r.add_job(pid(1), 4.0);
+        // Stale contents from an earlier completion are dropped.
+        let mut done = vec![pid(7), pid(8)];
+        r.take_completed(false, &mut done);
+        assert!(done.is_empty(), "nothing is due at t=0");
+        // A few ulps short of due: only `force_min` completes job 0, and
+        // job 1 stays in service.
+        r.advance_to(SimTime::new(2.0 * (1.0 - 1e-9)));
+        r.take_completed(false, &mut done);
+        assert!(done.is_empty());
+        r.take_completed(true, &mut done);
+        assert_eq!(done, vec![pid(0)]);
+        assert_eq!(r.load(), 1);
+        assert_eq!(r.stats.jobs_completed, 1);
     }
 
     #[test]
@@ -273,12 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn derate_composes_multiplicatively_and_bumps_generation() {
+    fn derate_composes_multiplicatively() {
         let mut r = SharedResource::new("cpu", 4.0);
-        let g0 = r.generation;
         r.derate(2.0);
         r.derate(2.0);
-        assert!(r.generation > g0);
         r.advance_to(SimTime::ZERO);
         r.add_job(pid(0), 1.0);
         let t = r.next_completion().unwrap();

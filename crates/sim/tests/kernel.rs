@@ -153,14 +153,36 @@ fn ping_pong_alternates() {
 
 #[test]
 fn deadlock_is_reported_with_process_names() {
+    // Every blocked process is named, whether it parked at once, after
+    // work on a resource, or after a hold; one that finished is not.
     let mut sim = Simulation::new();
-    let mb = sim.add_mailbox();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    let never = sim.add_mailbox();
+    let fed = sim.add_mailbox();
     sim.spawn("starved", move |ctx| async move {
-        let _: u32 = ctx.recv(mb).await;
+        let _: u32 = ctx.recv(never).await;
+    });
+    sim.spawn("finishes", move |ctx| async move {
+        ctx.compute(cpu, 1.0).await;
+        ctx.send(fed, 1u32).await;
+    });
+    sim.spawn("waits-after-work", move |ctx| async move {
+        let _: u32 = ctx.recv(fed).await;
+        ctx.compute(cpu, 1.0).await;
+        let _: u32 = ctx.recv(fed).await;
+    });
+    sim.spawn("waits-late", move |ctx| async move {
+        ctx.hold(2.5).await;
+        let _: u32 = ctx.recv(never).await;
     });
     let err = sim.run().unwrap_err();
-    assert_eq!(err.blocked, vec!["starved".to_string()]);
-    assert!(err.to_string().contains("starved"));
+    assert_eq!(err.blocked, ["starved", "waits-after-work", "waits-late"]);
+    assert_eq!(err.at.secs(), 2.5);
+    let msg = err.to_string();
+    for name in &err.blocked {
+        assert!(msg.contains(name.as_str()), "{msg}");
+    }
+    assert!(!msg.contains("finishes"));
 }
 
 #[test]
@@ -363,4 +385,69 @@ fn derate_is_deterministic_under_contention() {
     let b = run_once();
     assert_eq!(a.to_bits(), b.to_bits());
     assert!((a - 3.0).abs() < 1e-9, "2 jobs x 1.0 work at speed 1/1.5");
+}
+
+#[test]
+fn late_arrivals_and_a_derate_dispatch_only_live_events() {
+    // The CPU is derated from speed 2 to 1 before the run (the kernel
+    // only takes a derate between runs). Job a (2 units) starts at t=0,
+    // b (3 units) arrives at t=1 and c (1 unit) at t=2. Hand count:
+    //   t=0    three start wakes                            3 events
+    //   t=1    b's wake; a's completion moves from 2 to 3    1
+    //   t=2    c's wake; a's completion moves from 3 to 3.5  1
+    //   t=3.5  a completes, c now due at 4.5                 1
+    //   t=4.5  c completes, b (1.5 left, alone) due at 6     1
+    //   t=6    b completes                                   1
+    // Each arrival rewrites the CPU's one queue entry, so neither the
+    // t=2 nor the t=3 completion it replaced is ever dispatched.
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 2.0);
+    sim.derate_resource(cpu, 2.0);
+    let done = Rc::new(RefCell::new(Vec::new()));
+    for (name, arrive, work) in [("a", 0.0, 2.0), ("b", 1.0, 3.0), ("c", 2.0, 1.0)] {
+        let done = Rc::clone(&done);
+        sim.spawn(name, move |ctx| async move {
+            if arrive > 0.0 {
+                ctx.hold(arrive).await;
+            }
+            ctx.compute(cpu, work).await;
+            done.borrow_mut().push((name, ctx.now()));
+        });
+    }
+    let end = sim.run().unwrap();
+    assert!((end - 6.0).abs() < 1e-9, "end={end}");
+    let done = done.borrow();
+    let names: Vec<&str> = done.iter().map(|&(n, _)| n).collect();
+    assert_eq!(names, ["a", "c", "b"]);
+    for (&(name, t), want) in done.iter().zip([3.5, 4.5, 6.0]) {
+        assert!((t - want).abs() < 1e-9, "{name} at {t}, want {want}");
+    }
+    let stats = sim.stats();
+    assert_eq!(stats.events, 8, "only live events are dispatched");
+    assert_eq!(stats.resources["cpu"].jobs_completed, 3);
+}
+
+#[test]
+fn equal_time_events_run_in_insertion_order_including_negative_zero_holds() {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::new();
+    for (name, dt) in [("p0", 0.0), ("p1", -0.0), ("p2", 0.0), ("p3", -0.0)] {
+        let log = Rc::clone(&log);
+        sim.spawn(name, move |ctx| async move {
+            // A zero hold at t=0, then another at t=1: both rounds must
+            // resume in spawn order whatever the sign of the zero.
+            ctx.hold(dt).await;
+            log.borrow_mut().push((name, ctx.now()));
+            ctx.hold(1.0).await;
+            ctx.hold(dt).await;
+            log.borrow_mut().push((name, ctx.now()));
+        });
+    }
+    assert_eq!(sim.run().unwrap(), 1.0);
+    let log = log.borrow();
+    let order: Vec<&str> = log.iter().map(|&(n, _)| n).collect();
+    assert_eq!(order, ["p0", "p1", "p2", "p3", "p0", "p1", "p2", "p3"]);
+    let times: Vec<f64> = log.iter().map(|&(_, t)| t).collect();
+    assert_eq!(times, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]);
+    assert!(times.iter().all(|t| t.is_sign_positive()));
 }
