@@ -66,14 +66,14 @@ fn model_construction_speed(r: &mut Runner) {
     ] {
         let db = synthetic_db(&sizes, &p2s);
         r.bench(&format!("model_construction_speed/{name}"), || {
-            black_box(ModelBank::fit(&db, 0.85).expect("fit"))
+            black_box(ModelBank::fit(&db).expect("fit"))
         });
     }
 }
 
 fn estimation_speed_62_configs(r: &mut Runner) {
     let db = synthetic_db(&[1600, 3200, 4800, 6400], &[1, 2, 4, 8]);
-    let bank = ModelBank::fit(&db, 0.85).expect("fit");
+    let bank = ModelBank::fit(&db).expect("fit");
     let mut estimator = Estimator::unadjusted(bank);
     estimator.adjustment = AdjustmentRule {
         min_m1: 3,

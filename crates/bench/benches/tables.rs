@@ -84,9 +84,9 @@ fn table479_fit_and_select(r: &mut Runner) {
     ] {
         let db = build_db(&ns);
         r.bench(&format!("table479_fit_and_select/fit_bank/{name}"), || {
-            black_box(ModelBank::fit(&db, 0.85).expect("fit"))
+            black_box(ModelBank::fit(&db).expect("fit"))
         });
-        let bank = ModelBank::fit(&db, 0.85).expect("fit");
+        let bank = ModelBank::fit(&db).expect("fit");
         let estimator = Estimator::unadjusted(bank);
         let candidates: Vec<Configuration> = (1..=3)
             .flat_map(|m1| {

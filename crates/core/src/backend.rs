@@ -1,74 +1,29 @@
-//! Pluggable fitting backends: the seam between *what* the estimator
-//! serves (a [`ModelBank`]) and *how* the models are fit.
+//! The fitting seam: the boundary between *what* the estimator serves
+//! (a [`ModelBank`]) and *how* the models are fit.
 //!
-//! [`ModelBackend`] abstracts the §3 fitting pipeline so the strategy is
-//! swappable without touching any consumer (related work treats the
-//! fitter itself as a design choice — factorized ML models,
-//! arXiv:2003.04287; self-adaptable function models, arXiv:1109.3074):
+//! [`ModelBackend`] abstracts the §3 fitting pipeline so consumers never
+//! depend on the fitter itself (related work treats the fitter as a
+//! design choice — factorized ML models, arXiv:2003.04287). The one
+//! production fitter is [`PolyLsqBackend`], the paper's pipeline
+//! verbatim: ordinary least squares on the §3.2/§3.3 polynomial forms,
+//! §3.4 communication-regime binning, §3.5 composition. `ModelBank::fit`
+//! delegates here, and the `backend_golden` integration test pins the
+//! result against a seed capture. Tests substitute fakes through the
+//! trait to inject fit failures.
 //!
-//! * [`PolyLsqBackend`] — the paper's pipeline verbatim: ordinary least
-//!   squares on the §3.2/§3.3 polynomial forms, §3.4 communication-regime
-//!   binning, §3.5 composition. Bit-identical to the historical
-//!   `ModelBank::fit`, which now delegates here (the
-//!   `backend_golden` integration test pins this against a seed capture).
-//! * [`RobustPolyBackend`] — the same polynomial forms fit under
-//!   *relative-error* weighting: each residual is divided by the measured
-//!   time, so a 10% miss on a 0.1 s point costs as much as a 10% miss on
-//!   a 100 s point. Ordinary LSQ is dominated by the largest-N samples
-//!   and may dip negative at small N; the relative fit trades a little
-//!   large-N accuracy for proportional accuracy across the whole range.
-//!
-//! Both backends share the group-wise machinery below, which is what
-//! makes [`ModelBackend::refit_groups`] possible: a refit of only the
-//! dirty `(kind, m)` groups — reusing every clean group's fitted models
-//! and re-running the (cheap) §3.5 composition pass — produces a bank
+//! The group-wise machinery below is what makes
+//! [`ModelBackend::refit_groups`] possible: a refit of only the dirty
+//! `(kind, m)` groups — reusing every clean group's fitted models and
+//! re-running the (cheap) §3.5 composition pass — produces a bank
 //! bit-identical to a full [`ModelBackend::fit`] over the same database.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use etm_cluster::Configuration;
-use etm_lsq::LsqError;
-
 use crate::compose::{compose_fitted, PAPER_TC_SCALE};
-use crate::measurement::{MeasurementDb, Sample, SampleKey};
+use crate::measurement::{MeasurementDb, SampleKey};
 use crate::ntmodel::NtModel;
-use crate::pipeline::{raw_estimate, ModelBank, PipelineError};
+use crate::pipeline::{ModelBank, PipelineError};
 use crate::ptmodel::{PtModel, PtObservation};
-
-/// Smallest measured time (seconds) a relative weight divides by; keeps
-/// near-zero communication samples from dominating a weighted fit.
-pub const RELATIVE_FLOOR: f64 = 1e-6;
-
-/// How fitting residuals are weighted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Weighting {
-    /// Ordinary least squares: every residual counts absolutely.
-    Uniform,
-    /// Relative-error least squares: each design row and target is
-    /// scaled by `1 / max(|t|, RELATIVE_FLOOR)` for its measured time
-    /// `t`, so the solve minimizes relative residuals.
-    Relative,
-    /// Per-regime binned weighting of the communication fit: `Tc`
-    /// observations are weighted `1 / count(regime)` of their §3.4
-    /// communication regime (single-node vs multi-node), so each
-    /// regime contributes equal *total* weight to the solve and the
-    /// sparse multi-node samples aren't drowned by the single-node
-    /// majority. `Ta` stays uniform (computation has no regimes).
-    Binned,
-}
-
-impl Weighting {
-    /// The row weight for a measurement of `measured` seconds.
-    /// ([`Weighting::Binned`] weights by regime population, not by the
-    /// measured value; its `Tc` weights are computed in
-    /// `fit_pt_group`.)
-    fn weight(self, measured: f64) -> f64 {
-        match self {
-            Weighting::Uniform | Weighting::Binned => 1.0,
-            Weighting::Relative => 1.0 / measured.abs().max(RELATIVE_FLOOR),
-        }
-    }
-}
 
 /// A fitting strategy turning a [`MeasurementDb`] into a [`ModelBank`].
 ///
@@ -102,44 +57,13 @@ pub trait ModelBackend: Send + Sync {
         previous: &ModelBank,
         dirty: &BTreeSet<(usize, usize)>,
     ) -> Result<ModelBank, PipelineError>;
-
-    /// Estimates `config` at problem size `n` from a bank this backend
-    /// fit — the §3.4 binning rule over the bank's models.
-    ///
-    /// # Errors
-    /// See [`raw_estimate`].
-    fn predict(
-        &self,
-        bank: &ModelBank,
-        config: &Configuration,
-        n: usize,
-    ) -> Result<f64, PipelineError> {
-        raw_estimate(bank, config, n)
-    }
-
-    /// Derives a §3.5 *fallback* P-T model for a quarantined `group`
-    /// from a healthy donor in `bank` — the degradation ladder's
-    /// replacement for a model whose measurement stream went bad. See
-    /// [`compose_fallback`] for the donor rule; the default uses the
-    /// paper's communication scale.
-    ///
-    /// # Errors
-    /// [`PipelineError::NoDonor`] when no healthy measured donor exists.
-    fn compose_quarantine_fallback(
-        &self,
-        db: &MeasurementDb,
-        bank: &ModelBank,
-        group: (usize, usize),
-        exclude: &BTreeSet<(usize, usize)>,
-    ) -> Result<PtModel, PipelineError> {
-        compose_fallback(db, bank, group, exclude, PAPER_TC_SCALE)
-    }
 }
 
 /// The §3.5 fallback composition used when a group is quarantined: its
 /// replacement P-T model is composed from a *measured* donor group of
 /// another kind at the same multiplicity, exactly like
-/// `compose_unfittable` — but the donor must itself be trustworthy:
+/// `compose_unfittable` (with the paper's communication scale) — but
+/// the donor must itself be trustworthy:
 ///
 /// * not in `exclude` (the currently quarantined set), and
 /// * not composed (`bank.composed_groups`): a model composed *from* the
@@ -148,12 +72,11 @@ pub trait ModelBackend: Send + Sync {
 /// # Errors
 /// [`PipelineError::NoDonor`] when no such donor (or the N-T scale
 /// curves the Ta fit needs) exists.
-pub fn compose_fallback(
+pub(crate) fn compose_fallback(
     db: &MeasurementDb,
     bank: &ModelBank,
     group: (usize, usize),
     exclude: &BTreeSet<(usize, usize)>,
-    tc_scale: f64,
 ) -> Result<PtModel, PipelineError> {
     let (kind, m) = group;
     let composed: BTreeSet<(usize, usize)> = bank.composed_groups.iter().copied().collect();
@@ -195,30 +118,20 @@ pub fn compose_fallback(
         target_nt,
         donor_nt,
         &all_ns(db),
-        tc_scale,
+        PAPER_TC_SCALE,
     ))
 }
 
 /// The paper's §3 pipeline: ordinary least squares on the polynomial
-/// forms, with the §3.5 communication scale `tc_scale`.
-#[derive(Clone, Copy, Debug)]
-pub struct PolyLsqBackend {
-    /// §3.5 composition communication scale (the paper's 0.85).
-    pub tc_scale: f64,
-}
+/// forms, with the paper's §3.5 communication scale
+/// ([`PAPER_TC_SCALE`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PolyLsqBackend;
 
 impl PolyLsqBackend {
     /// The backend with the paper's composition constants.
     pub fn paper() -> Self {
-        PolyLsqBackend {
-            tc_scale: PAPER_TC_SCALE,
-        }
-    }
-}
-
-impl Default for PolyLsqBackend {
-    fn default() -> Self {
-        Self::paper()
+        PolyLsqBackend
     }
 }
 
@@ -228,7 +141,7 @@ impl ModelBackend for PolyLsqBackend {
     }
 
     fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank(db, self.tc_scale, Weighting::Uniform)
+        fit_bank(db)
     }
 
     fn refit_groups(
@@ -237,107 +150,7 @@ impl ModelBackend for PolyLsqBackend {
         previous: &ModelBank,
         dirty: &BTreeSet<(usize, usize)>,
     ) -> Result<ModelBank, PipelineError> {
-        refit_bank(db, previous, dirty, self.tc_scale, Weighting::Uniform)
-    }
-}
-
-/// The same polynomial forms fit under relative-error weighting.
-#[derive(Clone, Copy, Debug)]
-pub struct RobustPolyBackend {
-    /// §3.5 composition communication scale (the paper's 0.85).
-    pub tc_scale: f64,
-}
-
-impl RobustPolyBackend {
-    /// The backend with the paper's composition constants.
-    pub fn paper() -> Self {
-        RobustPolyBackend {
-            tc_scale: PAPER_TC_SCALE,
-        }
-    }
-}
-
-impl Default for RobustPolyBackend {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl ModelBackend for RobustPolyBackend {
-    fn name(&self) -> &'static str {
-        "robust_poly"
-    }
-
-    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank(db, self.tc_scale, Weighting::Relative)
-    }
-
-    fn refit_groups(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        refit_bank(db, previous, dirty, self.tc_scale, Weighting::Relative)
-    }
-}
-
-/// The polynomial forms fit under per-regime binned weighting: the Tc
-/// solve keeps both §3.4 communication regimes but gives each equal
-/// total weight (see [`Weighting::Binned`]). Motivated by streaming
-/// ingestion, where early in a campaign the multi-node regime may hold
-/// only a handful of samples that ordinary LSQ would drown.
-#[derive(Clone, Copy, Debug)]
-pub struct BinnedPolyBackend {
-    /// §3.5 composition communication scale (the paper's 0.85).
-    pub tc_scale: f64,
-}
-
-impl BinnedPolyBackend {
-    /// The backend with the paper's composition constants.
-    pub fn paper() -> Self {
-        BinnedPolyBackend {
-            tc_scale: PAPER_TC_SCALE,
-        }
-    }
-}
-
-impl Default for BinnedPolyBackend {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-impl ModelBackend for BinnedPolyBackend {
-    fn name(&self) -> &'static str {
-        "binned_poly"
-    }
-
-    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank(db, self.tc_scale, Weighting::Binned)
-    }
-
-    fn refit_groups(
-        &self,
-        db: &MeasurementDb,
-        previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
-        refit_bank(db, previous, dirty, self.tc_scale, Weighting::Binned)
-    }
-}
-
-/// Fits one key's N-T model under the weighting. A key's samples all
-/// share one communication regime (same `pes`), so the binned weighting
-/// degenerates to uniform here.
-fn fit_nt(samples: &[Sample], weighting: Weighting) -> Result<NtModel, LsqError> {
-    match weighting {
-        Weighting::Uniform | Weighting::Binned => NtModel::fit(samples),
-        Weighting::Relative => {
-            let wa: Vec<f64> = samples.iter().map(|s| weighting.weight(s.ta)).collect();
-            let wc: Vec<f64> = samples.iter().map(|s| weighting.weight(s.tc)).collect();
-            NtModel::fit_weighted(samples, &wa, &wc)
-        }
+        refit_bank(db, previous, dirty)
     }
 }
 
@@ -348,7 +161,6 @@ fn fit_pt_group(
     db: &MeasurementDb,
     nt: &BTreeMap<SampleKey, NtModel>,
     keys: &[SampleKey],
-    weighting: Weighting,
 ) -> Result<Option<PtModel>, PipelineError> {
     let mut distinct_pes: Vec<usize> = keys.iter().map(|k| k.pes).collect();
     distinct_pes.sort_unstable();
@@ -403,51 +215,10 @@ fn fit_pt_group(
         ps.dedup();
         ps.len()
     };
-    let model = match weighting {
-        Weighting::Uniform => {
-            if distinct_tc_p >= 2 {
-                PtModel::fit_split(reference, &obs, &obs_tc)?
-            } else {
-                PtModel::fit(reference, &obs)?
-            }
-        }
-        Weighting::Relative => {
-            let tc_obs: &[PtObservation] = if distinct_tc_p >= 2 { &obs_tc } else { &obs };
-            let wa: Vec<f64> = obs.iter().map(|o| weighting.weight(o.ta)).collect();
-            let wc: Vec<f64> = tc_obs.iter().map(|o| weighting.weight(o.tc)).collect();
-            PtModel::fit_split_weighted(reference, &obs, tc_obs, &wa, &wc)?
-        }
-        Weighting::Binned => {
-            // Instead of *discarding* the single-node regime like the
-            // uniform §3.4 hard cut, keep every sample but weight each
-            // regime's rows by 1/|regime| — both regimes then carry
-            // equal total weight in the Tc solve, so the sparse
-            // multi-node samples still pin the P-slope.
-            let flags: Vec<bool> = keys
-                .iter()
-                .flat_map(|k| db.samples(k).iter().map(|s| s.multi_node))
-                .collect();
-            debug_assert_eq!(flags.len(), obs.len(), "one regime flag per obs");
-            let multi = flags.iter().filter(|&&f| f).count();
-            let single = flags.len() - multi;
-            if multi == 0 || single == 0 {
-                // One regime present: binning degenerates to uniform.
-                PtModel::fit(reference, &obs)?
-            } else {
-                let wa: Vec<f64> = vec![1.0; obs.len()];
-                let wc: Vec<f64> = flags
-                    .iter()
-                    .map(|&f| {
-                        if f {
-                            1.0 / multi as f64
-                        } else {
-                            1.0 / single as f64
-                        }
-                    })
-                    .collect();
-                PtModel::fit_split_weighted(reference, &obs, &obs, &wa, &wc)?
-            }
-        }
+    let model = if distinct_tc_p >= 2 {
+        PtModel::fit_split(reference, &obs, &obs_tc)?
+    } else {
+        PtModel::fit(reference, &obs)?
     };
     Ok(Some(model))
 }
@@ -477,7 +248,6 @@ fn compose_unfittable(
     pt: &mut BTreeMap<(usize, usize), PtModel>,
     unfittable: &[(usize, usize)],
     construction_ns: &[usize],
-    tc_scale: f64,
 ) -> Result<ComposedLists, PipelineError> {
     let mut composed_groups = Vec::new();
     let mut composed_kinds = Vec::new();
@@ -513,7 +283,13 @@ fn compose_unfittable(
             (Some(t), Some(d)) => (t, d),
             _ => return Err(PipelineError::NoDonor { kind, m }),
         };
-        let composed = compose_fitted(&donor_pt, target_nt, donor_nt, construction_ns, tc_scale);
+        let composed = compose_fitted(
+            &donor_pt,
+            target_nt,
+            donor_nt,
+            construction_ns,
+            PAPER_TC_SCALE,
+        );
         pt.insert((kind, m), composed);
         composed_groups.push((kind, m));
         if !composed_kinds.contains(&kind) {
@@ -523,24 +299,20 @@ fn compose_unfittable(
     Ok((composed_groups, composed_kinds))
 }
 
-/// The full batch fit both backends share; see `ModelBank::fit` for the
-/// model-selection rules.
-pub(crate) fn fit_bank(
-    db: &MeasurementDb,
-    tc_scale: f64,
-    weighting: Weighting,
-) -> Result<ModelBank, PipelineError> {
+/// The full batch fit; see `ModelBank::fit` for the model-selection
+/// rules.
+pub(crate) fn fit_bank(db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
     let mut nt = BTreeMap::new();
     for key in db.keys() {
         let samples = db.samples(key);
         if samples.len() >= 4 {
-            nt.insert(*key, fit_nt(samples, weighting)?);
+            nt.insert(*key, NtModel::fit(samples)?);
         }
     }
     let mut pt = BTreeMap::new();
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
     for (&group, keys) in &db.groups() {
-        match fit_pt_group(db, &nt, keys, weighting)? {
+        match fit_pt_group(db, &nt, keys)? {
             Some(model) => {
                 pt.insert(group, model);
             }
@@ -548,7 +320,7 @@ pub(crate) fn fit_bank(
         }
     }
     let (composed_groups, composed_kinds) =
-        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db), tc_scale)?;
+        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db))?;
     Ok(ModelBank {
         nt,
         pt,
@@ -566,8 +338,6 @@ fn refit_bank(
     db: &MeasurementDb,
     previous: &ModelBank,
     dirty: &BTreeSet<(usize, usize)>,
-    tc_scale: f64,
-    weighting: Weighting,
 ) -> Result<ModelBank, PipelineError> {
     let groups = db.groups();
     // N-T: keep clean groups' models (their samples are unchanged by the
@@ -585,7 +355,7 @@ fn refit_bank(
         for key in keys {
             let samples = db.samples(key);
             if samples.len() >= 4 {
-                nt.insert(*key, fit_nt(samples, weighting)?);
+                nt.insert(*key, NtModel::fit(samples)?);
             }
         }
     }
@@ -598,7 +368,7 @@ fn refit_bank(
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
     for (&group, keys) in &groups {
         if dirty.contains(&group) {
-            match fit_pt_group(db, &nt, keys, weighting)? {
+            match fit_pt_group(db, &nt, keys)? {
                 Some(model) => {
                     pt.insert(group, model);
                 }
@@ -611,7 +381,7 @@ fn refit_bank(
         }
     }
     let (composed_groups, composed_kinds) =
-        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db), tc_scale)?;
+        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db))?;
     Ok(ModelBank {
         nt,
         pt,
@@ -623,6 +393,7 @@ fn refit_bank(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measurement::Sample;
 
     /// Two kinds: kind 0 is a single fast PE (every group unfittable →
     /// composed), kind 1 spans three PE counts (measured P-T models).
@@ -686,7 +457,7 @@ mod tests {
     fn poly_backend_matches_legacy_fit() {
         let db = synth_db();
         let via_backend = PolyLsqBackend::paper().fit(&db).unwrap();
-        let via_legacy = ModelBank::fit(&db, PAPER_TC_SCALE).unwrap();
+        let via_legacy = ModelBank::fit(&db).unwrap();
         assert_banks_bit_equal(&via_backend, &via_legacy);
     }
 
@@ -719,33 +490,29 @@ mod tests {
 
     #[test]
     fn refit_of_composed_groups_donor_recomposes_it() {
-        for backend in [
-            &PolyLsqBackend::paper() as &dyn ModelBackend,
-            &RobustPolyBackend::paper(),
-        ] {
-            let mut db = synth_db();
-            let old_bank = backend.fit(&db).unwrap();
-            assert_eq!(old_bank.composed_groups, vec![(0, 1), (0, 2)]);
-            // Dirty the donor group (1, 1): the composed (0, 1) model
-            // must move with it even though (0, 1) itself is clean.
-            let key = SampleKey {
-                kind: 1,
-                pes: 4,
-                m: 1,
-            };
-            let mut s = db.samples(&key)[2];
-            s.tc *= 1.25;
-            db.upsert(key, s);
-            let dirty: BTreeSet<(usize, usize)> = [(1, 1)].into_iter().collect();
-            let incremental = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
-            let full = backend.fit(&db).unwrap();
-            assert_banks_bit_equal(&incremental, &full);
-            assert_ne!(
-                incremental.pt[&(0, 1)].kc[0].to_bits(),
-                old_bank.pt[&(0, 1)].kc[0].to_bits(),
-                "composed model must track its donor"
-            );
-        }
+        let backend = PolyLsqBackend::paper();
+        let mut db = synth_db();
+        let old_bank = backend.fit(&db).unwrap();
+        assert_eq!(old_bank.composed_groups, vec![(0, 1), (0, 2)]);
+        // Dirty the donor group (1, 1): the composed (0, 1) model must
+        // move with it even though (0, 1) itself is clean.
+        let key = SampleKey {
+            kind: 1,
+            pes: 4,
+            m: 1,
+        };
+        let mut s = db.samples(&key)[2];
+        s.tc *= 1.25;
+        db.upsert(key, s);
+        let dirty: BTreeSet<(usize, usize)> = [(1, 1)].into_iter().collect();
+        let incremental = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let full = backend.fit(&db).unwrap();
+        assert_banks_bit_equal(&incremental, &full);
+        assert_ne!(
+            incremental.pt[&(0, 1)].kc[0].to_bits(),
+            old_bank.pt[&(0, 1)].kc[0].to_bits(),
+            "composed model must track its donor"
+        );
     }
 
     #[test]
@@ -770,103 +537,5 @@ mod tests {
             pes: 1,
             m: 3,
         }));
-    }
-
-    #[test]
-    fn binned_backend_differs_finite_and_refits_bit_identically() {
-        let db = synth_db();
-        let backend = BinnedPolyBackend::paper();
-        let poly = PolyLsqBackend::paper().fit(&db).unwrap();
-        let binned = backend.fit(&db).unwrap();
-        assert_eq!(poly.pt.len(), binned.pt.len());
-        // Equal-regime-weight Tc fits must move some coefficient off
-        // the hard-cut uniform fit.
-        let differs = poly.pt.iter().any(|(g, m)| {
-            let b = &binned.pt[g];
-            (0..3).any(|i| m.kc[i].to_bits() != b.kc[i].to_bits())
-        });
-        assert!(differs, "binned weighting must change some coefficient");
-        for (g, m) in &binned.pt {
-            assert!(
-                m.ka.iter().chain(m.kc.iter()).all(|c| c.is_finite()),
-                "non-finite binned coefficients for {g:?}"
-            );
-        }
-        // Ta is uniform under binning: bit-identical to the paper fit.
-        for (g, m) in &poly.pt {
-            let b = &binned.pt[g];
-            for i in 0..2 {
-                assert_eq!(m.ka[i].to_bits(), b.ka[i].to_bits(), "{g:?} ka[{i}]");
-            }
-        }
-        // The refit contract holds for the binned weighting too.
-        let mut db2 = db.clone();
-        let key = SampleKey {
-            kind: 1,
-            pes: 2,
-            m: 1,
-        };
-        let mut s = db2.samples(&key)[1];
-        s.tc *= 1.3;
-        db2.upsert(key, s);
-        let dirty: BTreeSet<(usize, usize)> = [(1, 1)].into_iter().collect();
-        let incremental = backend.refit_groups(&db2, &binned, &dirty).unwrap();
-        let full = backend.fit(&db2).unwrap();
-        assert_banks_bit_equal(&incremental, &full);
-        let cfg = Configuration::p1m1_p2m2(1, 1, 4, 2);
-        let t = backend.predict(&binned, &cfg, 1600).unwrap();
-        assert!(t.is_finite() && t > 0.0);
-    }
-
-    /// With only one communication regime in a group, the binned fit
-    /// degenerates to the plain uniform fit over all observations.
-    #[test]
-    fn binned_single_regime_degenerates_to_uniform() {
-        let sizes = [400usize, 800, 1600, 2400, 3200];
-        let mut db = MeasurementDb::new();
-        for &pes in &[1usize, 2, 4] {
-            for &n in &sizes {
-                let mut s = synth_sample(1, pes, 1, n);
-                s.multi_node = false; // all single-node
-                db.record(SampleKey { kind: 1, pes, m: 1 }, s);
-            }
-        }
-        for &n in &sizes {
-            db.record(
-                SampleKey {
-                    kind: 0,
-                    pes: 1,
-                    m: 1,
-                },
-                synth_sample(0, 1, 1, n),
-            );
-        }
-        let binned = BinnedPolyBackend::paper().fit(&db).unwrap();
-        let uniform = PolyLsqBackend::paper().fit(&db).unwrap();
-        assert_banks_bit_equal(&binned, &uniform);
-    }
-
-    #[test]
-    fn robust_backend_differs_but_stays_finite_and_predicts() {
-        let db = synth_db();
-        let poly = PolyLsqBackend::paper().fit(&db).unwrap();
-        let robust = RobustPolyBackend::paper().fit(&db).unwrap();
-        assert_eq!(poly.pt.len(), robust.pt.len());
-        let differs = poly.pt.iter().any(|(g, m)| {
-            let r = &robust.pt[g];
-            (0..3).any(|i| m.kc[i].to_bits() != r.kc[i].to_bits())
-        });
-        assert!(differs, "relative weighting must change some coefficient");
-        for (g, m) in &robust.pt {
-            assert!(
-                m.ka.iter().chain(m.kc.iter()).all(|c| c.is_finite()),
-                "non-finite robust coefficients for {g:?}"
-            );
-        }
-        // The provided predict() hook serves estimates from either bank.
-        let cfg = Configuration::p1m1_p2m2(1, 1, 4, 2);
-        let backend = RobustPolyBackend::paper();
-        let t = backend.predict(&robust, &cfg, 1600).unwrap();
-        assert!(t.is_finite() && t > 0.0);
     }
 }

@@ -48,7 +48,7 @@ use etm_cluster::{ClusterSpec, Configuration};
 use etm_support::sync::Mutex;
 
 use crate::adjust::AdjustmentRule;
-use crate::backend::ModelBackend;
+use crate::backend::{compose_fallback, ModelBackend};
 use crate::measurement::{same_bits, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
@@ -479,8 +479,7 @@ impl Engine {
             }
         };
         let base = refit_bank.as_ref().unwrap_or(&state.pristine);
-        let (serving, composed_fallback) =
-            fallback_bank(self.backend.as_ref(), &state.db, base, &quarantined);
+        let (serving, composed_fallback) = fallback_bank(&state.db, base, &quarantined);
         let estimator = match assemble_estimator(serving, self.policy.as_ref()) {
             Ok(e) => e,
             Err(e) => {
@@ -538,8 +537,7 @@ impl Engine {
     pub fn refit_full(&self) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.lock();
         let bank = self.backend.fit(&state.db)?;
-        let (serving, composed_fallback) =
-            fallback_bank(self.backend.as_ref(), &state.db, &bank, &state.quarantined);
+        let (serving, composed_fallback) = fallback_bank(&state.db, &bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         state.pristine = bank;
         state.pending_dirty.clear();
@@ -572,7 +570,6 @@ impl Engine {
 /// quarantined group with no healthy donor keeps its stale pristine
 /// model and is left for [`EngineHealth::is_untrusted`] to flag.
 fn fallback_bank(
-    backend: &dyn ModelBackend,
     db: &MeasurementDb,
     pristine: &ModelBank,
     quarantined: &BTreeSet<(usize, usize)>,
@@ -586,8 +583,7 @@ fn fallback_bank(
         if !pristine.pt.contains_key(&group) {
             continue;
         }
-        let Ok(model) = backend.compose_quarantine_fallback(db, pristine, group, quarantined)
-        else {
+        let Ok(model) = compose_fallback(db, pristine, group, quarantined) else {
             continue;
         };
         serving.pt.insert(group, model);
@@ -621,7 +617,7 @@ fn assemble_estimator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{PolyLsqBackend, RobustPolyBackend};
+    use crate::backend::PolyLsqBackend;
 
     fn synth_sample(kind: usize, pes: usize, m: usize, n: usize) -> Sample {
         let x = n as f64;
@@ -780,16 +776,6 @@ mod tests {
             .expect("estimable");
         let e1 = snap.estimate_raw(&cfg, 2400).expect("estimable");
         assert_eq!(e0.to_bits(), e1.to_bits());
-    }
-
-    #[test]
-    fn robust_backend_engine_serves_too() {
-        let e = Engine::new(Box::new(RobustPolyBackend::paper()), synth_db(), None)
-            .expect("synth db fits");
-        assert_eq!(e.backend_name(), "robust_poly");
-        let cfg = Configuration::p1m1_p2m2(1, 1, 4, 1);
-        let t = e.snapshot().estimate(&cfg, 1600).expect("estimable");
-        assert!(t.is_finite() && t > 0.0);
     }
 
     /// A database where *both* kinds carry real multi-PE measurements,

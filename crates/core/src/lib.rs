@@ -23,10 +23,9 @@
 //!   NL, NS) and the 62-configuration evaluation grid.
 //! * [`pipeline`] — end-to-end: run the simulated measurements, fit every
 //!   model, build the [`Estimator`], pick the best configuration.
-//! * [`backend`] — the pluggable fitting seam: [`ModelBackend`] with the
-//!   paper's pipeline as [`PolyLsqBackend`], a relative-error
-//!   [`RobustPolyBackend`], and a per-regime [`BinnedPolyBackend`]
-//!   weighting the §3.4 communication regimes equally.
+//! * [`backend`] — the fitting seam: [`ModelBackend`], implemented by
+//!   the paper's pipeline as [`PolyLsqBackend`] (tests substitute fakes
+//!   through the trait).
 //! * [`engine`] — the serving layer: immutable [`EngineSnapshot`]s behind
 //!   `Arc`s, atomically swapped on refit, with incremental ingestion
 //!   that refits only groups whose sample bits changed
@@ -74,7 +73,7 @@ pub mod stream;
 pub mod validate;
 
 pub use adjust::AdjustmentRule;
-pub use backend::{BinnedPolyBackend, ModelBackend, PolyLsqBackend, RobustPolyBackend};
+pub use backend::{ModelBackend, PolyLsqBackend};
 pub use engine::{Engine, EngineSnapshot};
 pub use loopback::{
     config_key, BreakerPolicy, BreakerState, CircuitBreaker, ConfigKey, ExecutedStep,

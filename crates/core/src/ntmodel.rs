@@ -49,60 +49,6 @@ impl NtModel {
         })
     }
 
-    /// Weighted least-squares variant of [`NtModel::fit`]: sample `i`'s
-    /// design row and target are scaled by `weights_a[i]` (computation
-    /// polynomial) and `weights_c[i]` (communication polynomial) before
-    /// the ordinary solve, so each fit minimizes `Σ wᵢ²·(tᵢ − ŷᵢ)²`.
-    /// Backends use this to weight residuals relative to the measured
-    /// time instead of absolutely; the two halves take separate weight
-    /// vectors because `Ta` and `Tc` magnitudes differ by orders.
-    ///
-    /// # Panics
-    /// Panics if either weight slice's length differs from `samples`'.
-    ///
-    /// # Errors
-    /// Same contract as [`NtModel::fit`].
-    pub fn fit_weighted(
-        samples: &[Sample],
-        weights_a: &[f64],
-        weights_c: &[f64],
-    ) -> Result<NtModel, LsqError> {
-        assert_eq!(weights_a.len(), samples.len(), "one Ta weight per sample");
-        assert_eq!(weights_c.len(), samples.len(), "one Tc weight per sample");
-        let rows_a: Vec<[f64; 4]> = samples
-            .iter()
-            .zip(weights_a)
-            .map(|(s, &w)| {
-                let n = s.n as f64;
-                [w * n * n * n, w * n * n, w * n, w]
-            })
-            .collect();
-        let ya: Vec<f64> = samples
-            .iter()
-            .zip(weights_a)
-            .map(|(s, &w)| w * s.ta)
-            .collect();
-        let fa = multifit_linear(&DesignMatrix::from_rows(&rows_a), &ya)?;
-        let rows_c: Vec<[f64; 3]> = samples
-            .iter()
-            .zip(weights_c)
-            .map(|(s, &w)| {
-                let n = s.n as f64;
-                [w * n * n, w * n, w]
-            })
-            .collect();
-        let yc: Vec<f64> = samples
-            .iter()
-            .zip(weights_c)
-            .map(|(s, &w)| w * s.tc)
-            .collect();
-        let fc = multifit_linear(&DesignMatrix::from_rows(&rows_c), &yc)?;
-        Ok(NtModel {
-            ka: [fa.coeffs[0], fa.coeffs[1], fa.coeffs[2], fa.coeffs[3]],
-            kc: [fc.coeffs[0], fc.coeffs[1], fc.coeffs[2]],
-        })
-    }
-
     /// Predicted computation time `Ta(N)`.
     pub fn ta(&self, n: usize) -> f64 {
         let n = n as f64;
@@ -200,38 +146,6 @@ mod tests {
             assert!((m.tc(s.n) - s.tc).abs() < 1e-6 * s.tc);
         }
         assert!((m.total(1600) - (m.ta(1600) + m.tc(1600))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unit_weights_reproduce_unweighted_fit_exactly() {
-        let samples: Vec<Sample> = [400, 800, 1600, 3200, 6400]
-            .iter()
-            .map(|&n| synth(n))
-            .collect();
-        let ones = vec![1.0; samples.len()];
-        let plain = NtModel::fit(&samples).unwrap();
-        let weighted = NtModel::fit_weighted(&samples, &ones, &ones).unwrap();
-        for i in 0..4 {
-            assert_eq!(plain.ka[i].to_bits(), weighted.ka[i].to_bits());
-        }
-        for i in 0..3 {
-            assert_eq!(plain.kc[i].to_bits(), weighted.kc[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn relative_weights_still_recover_noise_free_polynomials() {
-        let samples: Vec<Sample> = [400, 800, 1600, 3200, 6400]
-            .iter()
-            .map(|&n| synth(n))
-            .collect();
-        let wa: Vec<f64> = samples.iter().map(|s| 1.0 / s.ta).collect();
-        let wc: Vec<f64> = samples.iter().map(|s| 1.0 / s.tc).collect();
-        let m = NtModel::fit_weighted(&samples, &wa, &wc).unwrap();
-        for s in &samples {
-            assert!((m.ta(s.n) - s.ta).abs() < 1e-6 * s.ta);
-            assert!((m.tc(s.n) - s.tc).abs() < 1e-6 * s.tc);
-        }
     }
 
     #[test]

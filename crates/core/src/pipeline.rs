@@ -185,22 +185,24 @@ impl ModelBank {
     /// * An N-T model is fit for each key with ≥ 4 problem sizes.
     /// * A P-T model is fit for each `(kind, m)` whose keys span ≥ 2
     ///   distinct PE counts (with ≥ 3 observations); the reference N-T
-    ///   model is the smallest-P key of the group.
+    ///   model is the largest-P key of the group (the smallest, often
+    ///   P = 1, has no inter-PE communication to serve as the Tc basis).
     /// * Kinds with no measured P-T model at some `m` are composed from
     ///   a donor kind's model at the same `m` (computation scale fitted
     ///   from the two single-PE N-T models; communication scale
-    ///   `tc_scale`, the paper's 0.85).
+    ///   [`PAPER_TC_SCALE`](crate::compose::PAPER_TC_SCALE), the
+    ///   paper's 0.85).
     ///
     /// # Errors
     /// [`PipelineError::Fit`] if a well-posed fit fails numerically;
     /// [`PipelineError::NoDonor`] if composition is impossible.
-    pub fn fit(db: &MeasurementDb, tc_scale: f64) -> Result<ModelBank, PipelineError> {
-        PolyLsqBackend { tc_scale }.fit(db)
+    pub fn fit(db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
+        PolyLsqBackend.fit(db)
     }
 }
 
 /// Estimates `config` at problem size `n` straight from a bank's models
-/// — the §3.4 binning rule, shared by every backend and estimator.
+/// — the §3.4 binning rule every estimator serves.
 ///
 /// A single-PE configuration (`P = Mᵢ`) uses its N-T model — there is no
 /// inter-PE communication and the P-T form would be "illogical and

@@ -93,60 +93,6 @@ impl PtModel {
         })
     }
 
-    /// Weighted least-squares variant of [`PtModel::fit_split`]:
-    /// observation `i`'s design row and target are scaled by
-    /// `weights_a[i]` / `weights_c[i]` before the ordinary solve.
-    /// Backends use this to weight residuals relative to the measured
-    /// time instead of absolutely.
-    ///
-    /// # Panics
-    /// Panics if a weight slice's length differs from its observations'.
-    ///
-    /// # Errors
-    /// Same contract as [`PtModel::fit`], applied per half.
-    pub fn fit_split_weighted(
-        reference: NtModel,
-        obs_ta: &[PtObservation],
-        obs_tc: &[PtObservation],
-        weights_a: &[f64],
-        weights_c: &[f64],
-    ) -> Result<PtModel, LsqError> {
-        assert_eq!(weights_a.len(), obs_ta.len(), "one Ta weight per obs");
-        assert_eq!(weights_c.len(), obs_tc.len(), "one Tc weight per obs");
-        let rows_a: Vec<[f64; 2]> = obs_ta
-            .iter()
-            .zip(weights_a)
-            .map(|(o, &w)| [w * reference.ta(o.n) / o.p as f64, w])
-            .collect();
-        let ya: Vec<f64> = obs_ta
-            .iter()
-            .zip(weights_a)
-            .map(|(o, &w)| w * o.ta)
-            .collect();
-        let fa = multifit_linear(&DesignMatrix::from_rows(&rows_a), &ya)?;
-
-        let rows_c: Vec<[f64; 3]> = obs_tc
-            .iter()
-            .zip(weights_c)
-            .map(|(o, &w)| {
-                let c = reference.tc(o.n);
-                [w * o.p as f64 * c, w * c / o.p as f64, w]
-            })
-            .collect();
-        let yc: Vec<f64> = obs_tc
-            .iter()
-            .zip(weights_c)
-            .map(|(o, &w)| w * o.tc)
-            .collect();
-        let fc = multifit_linear(&DesignMatrix::from_rows(&rows_c), &yc)?;
-
-        Ok(PtModel {
-            ka: [fa.coeffs[0], fa.coeffs[1]],
-            kc: [fc.coeffs[0], fc.coeffs[1], fc.coeffs[2]],
-            reference,
-        })
-    }
-
     /// Predicted computation time at `(N, P)`.
     pub fn ta(&self, n: usize, p: usize) -> f64 {
         assert!(p > 0);
@@ -266,39 +212,6 @@ mod tests {
             let rel_c = (m.tc(n, p) - truth.tc).abs() / truth.tc;
             assert!(rel_a < 0.02, "Ta at N={n},P={p}: rel {rel_a}");
             assert!(rel_c < 0.05, "Tc at N={n},P={p}: rel {rel_c}");
-        }
-    }
-
-    #[test]
-    fn unit_weights_reproduce_fit_split_exactly() {
-        let obs: Vec<PtObservation> = [1usize, 2, 4, 8]
-            .iter()
-            .flat_map(|&p| [800, 1600, 3200, 6400].iter().map(move |&n| world(n, p)))
-            .collect();
-        let ones = vec![1.0; obs.len()];
-        let plain = PtModel::fit_split(reference(), &obs, &obs).unwrap();
-        let weighted = PtModel::fit_split_weighted(reference(), &obs, &obs, &ones, &ones).unwrap();
-        for i in 0..2 {
-            assert_eq!(plain.ka[i].to_bits(), weighted.ka[i].to_bits());
-        }
-        for i in 0..3 {
-            assert_eq!(plain.kc[i].to_bits(), weighted.kc[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn relative_weights_still_recover_structured_world() {
-        let obs: Vec<PtObservation> = [1usize, 2, 4, 8]
-            .iter()
-            .flat_map(|&p| [800, 1600, 3200, 6400].iter().map(move |&n| world(n, p)))
-            .collect();
-        let wa: Vec<f64> = obs.iter().map(|o| 1.0 / o.ta).collect();
-        let wc: Vec<f64> = obs.iter().map(|o| 1.0 / o.tc).collect();
-        let m = PtModel::fit_split_weighted(reference(), &obs, &obs, &wa, &wc).unwrap();
-        for (n, p) in [(1600, 3), (3200, 6), (6400, 10)] {
-            let truth = world(n, p);
-            assert!((m.ta(n, p) - truth.ta).abs() / truth.ta < 0.02);
-            assert!((m.tc(n, p) - truth.tc).abs() / truth.tc < 0.05);
         }
     }
 

@@ -90,7 +90,7 @@ mod tests {
                 );
             }
         }
-        ModelBank::fit(&db, 0.85).expect("fit")
+        ModelBank::fit(&db).expect("fit")
     }
 
     #[test]

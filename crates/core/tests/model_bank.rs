@@ -61,7 +61,7 @@ fn synthetic_db() -> MeasurementDb {
 
 #[test]
 fn bank_fits_every_family() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     // N-T models: 4 (kind 0) + 16 (kind 1) configurations.
     assert_eq!(bank.nt.len(), 20);
     // P-T models: kind 1 measured at 4 multiplicities; kind 0 composed.
@@ -74,7 +74,7 @@ fn bank_fits_every_family() {
 
 #[test]
 fn measured_pt_model_predicts_ground_truth() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let pt = &bank.pt[&(1, 1)];
     // Interpolation (P=6) and extrapolation (P=12) against ground truth.
     for (n, p) in [(3200usize, 6usize), (6400, 12), (9600, 10)] {
@@ -88,7 +88,7 @@ fn measured_pt_model_predicts_ground_truth() {
 
 #[test]
 fn estimator_binning_selects_nt_for_single_pe() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let est = Estimator::unadjusted(bank);
     // Single-PE kind 1 with m=2 at a training size: must match the
     // recorded sample almost exactly (N-T interpolation).
@@ -105,7 +105,7 @@ fn estimator_binning_selects_nt_for_single_pe() {
 
 #[test]
 fn estimator_takes_slowest_kind() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let est = Estimator::unadjusted(bank);
     let hetero = Configuration::p1m1_p2m2(1, 1, 8, 1);
     let n = 3200;
@@ -119,7 +119,7 @@ fn estimator_takes_slowest_kind() {
 
 #[test]
 fn missing_multiplicity_reports_error() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let est = Estimator::unadjusted(bank);
     let cfg = Configuration::p1m1_p2m2(1, 6, 8, 1); // m=6 never measured
     assert!(matches!(
@@ -130,7 +130,7 @@ fn missing_multiplicity_reports_error() {
 
 #[test]
 fn adjustment_gates_on_multiplicity_and_multi_pe() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let mut est = Estimator::unadjusted(bank);
     est.adjustment = AdjustmentRule {
         min_m1: 3,
@@ -159,7 +159,7 @@ fn adjustment_gates_on_multiplicity_and_multi_pe() {
 
 #[test]
 fn bank_json_roundtrip_preserves_predictions() {
-    let bank = ModelBank::fit(&synthetic_db(), 0.85).expect("fit");
+    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
     let est = Estimator::unadjusted(bank);
     let json = etm_support::json::to_string(&est);
     let back: Estimator = etm_support::json::from_str(&json).expect("deserialize");

@@ -42,7 +42,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["models"], models),
     (&["baselines"], baselines),
     (&["stream"], stream),
-    (&["ab"], ab),
     (&["chaos"], chaos),
     (&["serve"], serve),
     (&["pareto"], pareto),
@@ -53,7 +52,7 @@ const EXPERIMENTS: &[Experiment] = &[
 /// to [`EXPERIMENTS`] so it cannot drift.
 const USAGE: &str = "table1 plans fig1 fig2 fig3 table3 table6 fig6_7 table4 \
      fig8_11 table7 fig12_15 table9 timings ablations models baselines \
-     stream ab chaos serve pareto loop all";
+     stream chaos serve pareto loop all";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
@@ -649,67 +648,6 @@ fn pareto() {
         );
         std::process::exit(1);
     }
-}
-
-fn ab() {
-    use etm_core::stream::StreamConfig;
-    use etm_repro::stream::ab_compare;
-    println!("\n== Backend A/B: poly_lsq vs binned_poly over one streamed Basic campaign ==");
-    let spec = paper_cluster(CommLibProfile::mpich122());
-    let cfg = StreamConfig {
-        batch_size: 32,
-        shuffle_seed: Some(2004),
-        duplicate_every: 7,
-        defer_every: 0,
-        channel_cap: 4,
-    };
-    let report = ab_compare(&MeasurementPlan::basic(), cfg, 6400);
-    let mut t = TextTable::new(vec![
-        "config",
-        "A est [s]",
-        "B est [s]",
-        "measured [s]",
-        "divergence",
-    ]);
-    let mut csv = Vec::new();
-    for r in &report.rows {
-        t.row(vec![
-            r.config.label(&spec),
-            format!("{:.1}", r.estimate_a),
-            format!("{:.1}", r.estimate_b),
-            format!("{:.1}", r.measured),
-            format!("{:+.4}", r.divergence()),
-        ]);
-        csv.push(format!(
-            "{},{},{:.4},{:.4},{:.4},{:.5}",
-            r.config.label(&spec),
-            r.m1,
-            r.estimate_a,
-            r.estimate_b,
-            r.measured,
-            r.divergence()
-        ));
-    }
-    print!("{}", t.render());
-    let (err_a, err_b) = report.mean_abs_rel_errors();
-    println!(
-        "A={} (gen {}), B={} (gen {}); divergence mean {:.4} max {:.4}",
-        report.backend_a,
-        report.generations.0,
-        report.backend_b,
-        report.generations.1,
-        report.mean_abs_divergence(),
-        report.max_abs_divergence()
-    );
-    println!(
-        "mean |rel error| vs measurement: A {:.4}, B {:.4}; campaign cost {:.0} simulated s (Table 3/6)",
-        err_a, err_b, report.campaign_cost
-    );
-    write_csv(
-        "ab_divergence",
-        "config,m1,estimate_a,estimate_b,measured,divergence",
-        &csv,
-    );
 }
 
 fn baselines() {

@@ -6,7 +6,7 @@
 
 use etm_core::plan::MeasurementPlan;
 use etm_core::stream::StreamConfig;
-use etm_repro::stream::{ab_compare, stream_experiment};
+use etm_repro::stream::stream_experiment;
 
 #[test]
 fn streamed_basic_campaign_matches_one_shot_fit_and_offline_optimum() {
@@ -76,49 +76,5 @@ fn batch_shape_does_not_change_the_final_model_or_recommendation() {
     assert_eq!(
         coarse.offline.config, fine.offline.config,
         "offline optimum is a property of the campaign, not the stream"
-    );
-}
-
-#[test]
-fn ab_harness_pins_snapshots_and_reports_finite_divergence() {
-    // NL campaign: smaller (120 trials), still two §3.4 regimes.
-    let plan = MeasurementPlan::nl();
-    let cfg = StreamConfig {
-        batch_size: 16,
-        shuffle_seed: Some(5),
-        duplicate_every: 4,
-        defer_every: 0,
-        channel_cap: 2,
-    };
-    let report = ab_compare(&plan, cfg, 1600);
-    assert_eq!(report.backend_a, "poly_lsq");
-    assert_eq!(report.backend_b, "binned_poly");
-    assert_eq!(
-        report.shape_mismatches, 0,
-        "same campaign: no bank-shape divergence rows expected"
-    );
-    assert!(
-        !report.rows.is_empty(),
-        "the evaluation grid must be estimable under both backends"
-    );
-    for r in &report.rows {
-        assert!(r.estimate_a.is_finite() && r.estimate_a > 0.0);
-        assert!(r.estimate_b.is_finite() && r.estimate_b > 0.0);
-        assert!(r.measured.is_finite() && r.measured > 0.0);
-        assert!(r.divergence().is_finite());
-    }
-    // The regimes are weighted differently, so the backends must not be
-    // identical — but they fit the same data, so they must stay close.
-    assert!(report.max_abs_divergence() > 0.0, "backends must differ");
-    assert!(
-        report.mean_abs_divergence() < 0.5,
-        "same campaign, same family of models: divergence {:.3} too large",
-        report.mean_abs_divergence()
-    );
-    let (err_a, err_b) = report.mean_abs_rel_errors();
-    assert!(err_a.is_finite() && err_b.is_finite());
-    assert!(
-        report.campaign_cost > 0.0,
-        "Table-3/6 cost must be accounted"
     );
 }

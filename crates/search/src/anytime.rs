@@ -727,7 +727,8 @@ mod tests {
     use super::*;
     use crate::engine::best_config;
     use etm_cluster::commlib::CommLibProfile;
-    use etm_cluster::spec::paper_cluster;
+    use etm_cluster::spec::{athlon_1333, paper_cluster, pentium2_400};
+    use etm_cluster::{ClusterSpec, NetworkSpec, NodeSpec};
     use etm_core::backend::PolyLsqBackend;
     use etm_core::engine::Engine;
     use etm_core::{MeasurementDb, Sample, SampleKey};
@@ -1042,5 +1043,93 @@ mod tests {
             report.certificate_hits > 0,
             "no certified range-min shortcuts on a monotone-friendly model"
         );
+    }
+
+    /// A three-kind campaign: kind speeds 1.5 / 1.0 / 0.8, every kind
+    /// measured at PE counts {1, 2, 4} and `m ∈ {1, 2}`, with
+    /// communication cheap enough that the optimum mixes all three
+    /// kinds at the larger sizes.
+    fn synth_db_three_kinds() -> MeasurementDb {
+        let mut db = MeasurementDb::new();
+        for (kind, speed) in [1.5, 1.0, 0.8].into_iter().enumerate() {
+            for pes in [1usize, 2, 4] {
+                for m in 1..=2usize {
+                    for n in [400usize, 800, 1600, 2400, 3200] {
+                        let x = n as f64;
+                        let p = (pes * m) as f64;
+                        let ta = (2e-9 * x * x * x / p + 1e-5 * x) / speed + 0.05;
+                        let tc = 1e-9 * x * x * (0.3 * p + 0.7 / p) + 0.01;
+                        db.record(
+                            SampleKey { kind, pes, m },
+                            Sample {
+                                n,
+                                ta,
+                                tc,
+                                wall: ta + tc,
+                                multi_node: pes > 1,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+        db
+    }
+
+    /// 2 dual-CPU nodes of kind 0, 8 single-CPU nodes of kind 1 and 16
+    /// dual-CPU nodes of kind 2: 4 + 8 + 32 CPUs.
+    fn three_kind_cluster() -> ClusterSpec {
+        let mut nodes = Vec::new();
+        for (kind, count, cpus) in [(0usize, 2usize, 2usize), (1, 8, 1), (2, 16, 2)] {
+            for i in 0..count {
+                nodes.push(NodeSpec {
+                    name: format!("k{kind}-{i}"),
+                    kind: KindId(kind),
+                    cpus,
+                    memory_bytes: 1024.0 * 1024.0 * 1024.0,
+                });
+            }
+        }
+        ClusterSpec::new(
+            vec![athlon_1333(), athlon_1333(), pentium2_400()],
+            nodes,
+            NetworkSpec::fast_ethernet(),
+            CommLibProfile::mpich122(),
+        )
+    }
+
+    #[test]
+    fn three_kind_exhausted_run_matches_the_exhaustive_oracle() {
+        let e = Engine::new(
+            Box::new(PolyLsqBackend::paper()),
+            synth_db_three_kinds(),
+            None,
+        )
+        .expect("three-kind synth db fits");
+        let snapshot = e.snapshot();
+        let space = ConfigSpace::new(&three_kind_cluster(), vec![2, 2, 2]);
+        assert_eq!(space.len(), 9944);
+        for n in [400usize, 1600, 3200, 9999] {
+            let brute = best_config(&snapshot, &space, n).expect("estimable");
+            let report = anytime_search(&snapshot, &space, n, &AnytimeOptions::default());
+            let best = report.best.expect("estimable");
+            assert_eq!(best.config, brute.config, "n={n}");
+            assert_eq!(best.time.to_bits(), brute.time.to_bits(), "n={n}");
+            assert!(report.exhausted, "n={n}");
+            assert!(
+                report.evaluated < report.candidates,
+                "n={n}: pruning must discard candidates (evaluated {} of {})",
+                report.evaluated,
+                report.candidates
+            );
+            if n >= 1600 {
+                let used = best.config.uses.iter().filter(|u| u.pes > 0).count();
+                assert_eq!(
+                    used, 3,
+                    "n={n}: optimum {:?} must mix all kinds",
+                    best.config
+                );
+            }
+        }
     }
 }

@@ -82,7 +82,6 @@ pub fn best_config(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy;
     use etm_cluster::commlib::CommLibProfile;
     use etm_cluster::spec::paper_cluster;
     use etm_core::backend::PolyLsqBackend;
@@ -156,17 +155,6 @@ mod tests {
             assert_eq!(served.time.to_bits(), manual.time.to_bits(), "n={n}");
             assert_eq!(served.evaluations, manual.evaluations, "n={n}");
         }
-    }
-
-    #[test]
-    fn heuristics_run_on_the_same_snapshot_objective() {
-        let e = engine();
-        let snapshot = e.snapshot();
-        let space = ConfigSpace::new(&paper_cluster(CommLibProfile::mpich122()), vec![2, 2]);
-        let ex = best_config(&snapshot, &space, 2400).expect("estimable");
-        let gr = greedy(&space, snapshot_objective(&snapshot, 2400)).expect("estimable");
-        assert!(gr.time >= ex.time - 1e-12, "greedy cannot beat exhaustive");
-        assert!(gr.evaluations < ex.evaluations);
     }
 
     #[test]

@@ -3,25 +3,21 @@
 //! §4 of the paper evaluates *every* candidate configuration with the
 //! estimation model and picks the minimum — feasible for 62 candidates,
 //! but §5 notes that "for larger clusters, it is essential to find a way
-//! to reduce the search space. Approximation algorithms (i.e.,
-//! heuristics) are also worth considering." This crate provides both:
+//! to reduce the search space." This crate provides:
 //!
 //! * [`ConfigSpace`] — enumerate all `(Pᵢ, Mᵢ)` combinations of a
 //!   cluster;
 //! * [`exhaustive`] — evaluate everything, keep the best (the paper's
-//!   method);
-//! * [`greedy`] — grow the configuration one PE at a time, keeping each
-//!   addition only if the estimate improves;
-//! * [`local_search`] — hill-climb over ±1 neighbours in each `Pᵢ`/`Mᵢ`
-//!   coordinate from a seed configuration;
-//! * [`annealing`] — simulated annealing over the same neighbourhood,
-//!   able to escape the local optima that trap the greedy climb;
+//!   method, and the brute-force oracle every other search is checked
+//!   against);
 //! * [`anytime_search`] — exact branch-and-bound with certified
 //!   monotone pruning, an anytime incumbent stream, warm starts, and
 //!   an optional time × energy Pareto front (the [`anytime`] module).
+//!   It shrinks the evaluated space without approximating: an
+//!   exhausted run returns the exhaustive argmin bit for bit.
 //!
-//! All optimizers are generic over the objective `f(config) → time`, so
-//! they work with the model estimator, the simulator itself, or any
+//! [`exhaustive`] is generic over the objective `f(config) → time`, so
+//! it works with the model estimator, the simulator itself, or any
 //! other cost function. The [`engine`] module supplies the canonical
 //! objective: a lock-free query closure over an estimator-engine
 //! snapshot ([`snapshot_objective`]), plus the paper's exhaustive §4
@@ -172,242 +168,6 @@ pub fn exhaustive<E>(
     })
 }
 
-/// Greedy construction: start from the best single-PE configuration,
-/// then repeatedly try to add one PE of some kind (at each multiplicity)
-/// or bump a kind's multiplicity; keep the best improving move; stop when
-/// nothing improves.
-///
-/// Evaluates `O(kinds · max_m · steps)` candidates instead of the full
-/// product space.
-pub fn greedy<E>(
-    space: &ConfigSpace,
-    mut objective: impl FnMut(&Configuration) -> Result<f64, E>,
-) -> Option<SearchResult> {
-    let kinds = space.available.len();
-    let mut evals = 0;
-    // Seed: best single-PE config.
-    let mut singles = Vec::new();
-    for k in 0..kinds {
-        if space.available[k] == 0 {
-            continue;
-        }
-        for m in 1..=space.max_m[k] {
-            let mut uses = vec![
-                KindUse {
-                    kind: KindId(0),
-                    pes: 0,
-                    procs_per_pe: 0,
-                };
-                0
-            ];
-            uses.clear();
-            for kk in 0..kinds {
-                uses.push(KindUse {
-                    kind: KindId(kk),
-                    pes: usize::from(kk == k),
-                    procs_per_pe: if kk == k { m } else { 0 },
-                });
-            }
-            singles.push(Configuration { uses });
-        }
-    }
-    let mut best = {
-        let mut b: Option<SearchResult> = None;
-        for cfg in &singles {
-            evals += 1;
-            if let Ok(t) = objective(cfg) {
-                if b.as_ref().is_none_or(|x| t < x.time) {
-                    b = Some(SearchResult {
-                        config: cfg.clone(),
-                        time: t,
-                        evaluations: 0,
-                    });
-                }
-            }
-        }
-        b?
-    };
-    // Improvement loop.
-    loop {
-        let mut improved = false;
-        let neighbours = neighbours_of(&best.config, space);
-        for cfg in neighbours {
-            evals += 1;
-            if let Ok(t) = objective(&cfg) {
-                if t < best.time {
-                    best = SearchResult {
-                        config: cfg,
-                        time: t,
-                        evaluations: 0,
-                    };
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best.evaluations = evals;
-    Some(best)
-}
-
-/// All configurations within ±1 of `cfg` in one `Pᵢ` or `Mᵢ` coordinate.
-fn neighbours_of(cfg: &Configuration, space: &ConfigSpace) -> Vec<Configuration> {
-    let mut out = Vec::new();
-    for (i, u) in cfg.uses.iter().enumerate() {
-        let k = u.kind.0;
-        // pes ± 1.
-        if u.pes < space.available[k] {
-            let mut c = cfg.clone();
-            c.uses[i].pes = u.pes + 1;
-            if c.uses[i].procs_per_pe == 0 {
-                c.uses[i].procs_per_pe = 1;
-            }
-            out.push(c);
-        }
-        if u.pes > 0 {
-            let mut c = cfg.clone();
-            c.uses[i].pes = u.pes - 1;
-            if c.uses[i].pes == 0 {
-                c.uses[i].procs_per_pe = 0;
-            }
-            if c.total_processes() > 0 {
-                out.push(c);
-            }
-        }
-        // m ± 1 (only for used kinds).
-        if u.pes > 0 {
-            if u.procs_per_pe < space.max_m[k] {
-                let mut c = cfg.clone();
-                c.uses[i].procs_per_pe = u.procs_per_pe + 1;
-                out.push(c);
-            }
-            if u.procs_per_pe > 1 {
-                let mut c = cfg.clone();
-                c.uses[i].procs_per_pe = u.procs_per_pe - 1;
-                out.push(c);
-            }
-        }
-    }
-    out
-}
-
-/// Hill-climbing from an explicit seed configuration.
-pub fn local_search<E>(
-    space: &ConfigSpace,
-    seed: Configuration,
-    mut objective: impl FnMut(&Configuration) -> Result<f64, E>,
-) -> Option<SearchResult> {
-    let mut evals = 1;
-    let mut best = SearchResult {
-        time: objective(&seed).ok()?,
-        config: seed,
-        evaluations: 0,
-    };
-    loop {
-        let mut improved = false;
-        for cfg in neighbours_of(&best.config, space) {
-            evals += 1;
-            if let Ok(t) = objective(&cfg) {
-                if t < best.time {
-                    best = SearchResult {
-                        config: cfg,
-                        time: t,
-                        evaluations: 0,
-                    };
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    best.evaluations = evals;
-    Some(best)
-}
-
-/// Tuning knobs for [`annealing`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AnnealParams {
-    /// Monte-Carlo steps.
-    pub steps: usize,
-    /// Initial temperature as a fraction of the seed objective value.
-    pub initial_temp_frac: f64,
-    /// Geometric cooling factor per step (0 < alpha < 1).
-    pub cooling: f64,
-    /// RNG seed (annealing is deterministic given the seed).
-    pub rng_seed: u64,
-}
-
-impl Default for AnnealParams {
-    fn default() -> Self {
-        AnnealParams {
-            steps: 2000,
-            initial_temp_frac: 0.3,
-            cooling: 0.997,
-            rng_seed: 42,
-        }
-    }
-}
-
-/// Simulated annealing from a seed configuration: random ±1 moves in the
-/// `Pᵢ`/`Mᵢ` coordinates, accepting uphill moves with Boltzmann
-/// probability under a geometrically cooled temperature. Deterministic
-/// for a fixed [`AnnealParams::rng_seed`].
-///
-/// Returns the best configuration *visited* (not merely the final one),
-/// or `None` if the seed itself fails to evaluate.
-pub fn annealing<E>(
-    space: &ConfigSpace,
-    seed: Configuration,
-    params: AnnealParams,
-    mut objective: impl FnMut(&Configuration) -> Result<f64, E>,
-) -> Option<SearchResult> {
-    use etm_support::rng::Rng64;
-
-    let mut rng = Rng64::seed_from_u64(params.rng_seed);
-    let mut evals = 1;
-    let seed_cost = objective(&seed).ok()?;
-    let mut current = seed.clone();
-    let mut current_cost = seed_cost;
-    let mut best = SearchResult {
-        config: seed,
-        time: seed_cost,
-        evaluations: 0,
-    };
-    let mut temp = (seed_cost * params.initial_temp_frac).max(f64::MIN_POSITIVE);
-    for _ in 0..params.steps {
-        let neighbours = neighbours_of(&current, space);
-        if neighbours.is_empty() {
-            break;
-        }
-        let candidate = neighbours[rng.range_usize(neighbours.len())].clone();
-        evals += 1;
-        if let Ok(cost) = objective(&candidate) {
-            let accept = cost <= current_cost || {
-                let delta = cost - current_cost;
-                rng.next_f64() < (-delta / temp).exp()
-            };
-            if accept {
-                current = candidate;
-                current_cost = cost;
-                if cost < best.time {
-                    best = SearchResult {
-                        config: current.clone(),
-                        time: cost,
-                        evaluations: 0,
-                    };
-                }
-            }
-        }
-        temp *= params.cooling;
-    }
-    best.evaluations = evals;
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,54 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_near_optimal_and_cheaper() {
-        // Greedy is a heuristic: it may stop in a local optimum (that is
-        // the trade-off §5 anticipates), but it must stay close to the
-        // global optimum and spend far fewer evaluations.
-        let s = space();
-        let all = s.enumerate();
-        let ex = exhaustive(&all, objective).unwrap();
-        let gr = greedy(&s, objective).unwrap();
-        assert!(
-            gr.time <= 2.0 * ex.time + 1e-9,
-            "greedy {} vs exhaustive {}",
-            gr.time,
-            ex.time
-        );
-        assert!(
-            gr.evaluations < ex.evaluations / 2,
-            "greedy must evaluate far fewer candidates ({} vs {})",
-            gr.evaluations,
-            ex.evaluations
-        );
-    }
-
-    #[test]
-    fn greedy_exact_on_unimodal_objective() {
-        // When the objective is unimodal in each coordinate (pure process
-        // count preference), hill climbing reaches the global optimum.
-        let uni = |cfg: &Configuration| -> Result<f64, Infallible> {
-            let p = cfg.total_processes() as f64;
-            Ok((p - 6.0).abs())
-        };
-        let s = space();
-        let all = s.enumerate();
-        let ex = exhaustive(&all, uni).unwrap();
-        let gr = greedy(&s, uni).unwrap();
-        assert_eq!(gr.time, ex.time);
-        assert_eq!(gr.time, 0.0);
-    }
-
-    #[test]
-    fn local_search_improves_its_seed() {
-        let s = space();
-        let seed = Configuration::p1m1_p2m2(1, 1, 1, 1);
-        let seed_cost = objective(&seed).unwrap();
-        let res = local_search(&s, seed, objective).unwrap();
-        assert!(res.time <= seed_cost);
-    }
-
-    #[test]
     fn exhaustive_skips_failing_candidates() {
         let s = space();
         let all = s.enumerate();
@@ -531,47 +243,6 @@ mod tests {
         let all = s.enumerate();
         let r: Option<SearchResult> = exhaustive(&all, |_| Err::<f64, ()>(()));
         assert!(r.is_none());
-    }
-
-    #[test]
-    fn annealing_escapes_greedy_local_optimum() {
-        // On the rugged objective where greedy stalls, annealing (best
-        // visited) must do at least as well as greedy and approach the
-        // global optimum.
-        let s = space();
-        let all = s.enumerate();
-        let ex = exhaustive(&all, objective).unwrap();
-        let gr = greedy(&s, objective).unwrap();
-        let seed = Configuration::p1m1_p2m2(1, 1, 1, 1);
-        let an = annealing(&s, seed, AnnealParams::default(), objective).unwrap();
-        assert!(
-            an.time <= gr.time + 1e-12,
-            "annealing {} vs greedy {}",
-            an.time,
-            gr.time
-        );
-        assert!(
-            an.time <= 1.5 * ex.time + 1e-9,
-            "annealing {} vs optimal {}",
-            an.time,
-            ex.time
-        );
-    }
-
-    #[test]
-    fn annealing_is_deterministic_per_seed() {
-        let s = space();
-        let seed = Configuration::p1m1_p2m2(1, 2, 2, 1);
-        let p = AnnealParams {
-            steps: 500,
-            ..AnnealParams::default()
-        };
-        let a = annealing(&s, seed.clone(), p, objective).unwrap();
-        let b = annealing(&s, seed.clone(), p, objective).unwrap();
-        assert_eq!(a.config, b.config);
-        assert_eq!(a.time, b.time);
-        let p2 = AnnealParams { rng_seed: 7, ..p };
-        let _c = annealing(&s, seed, p2, objective).unwrap(); // different walk, still valid
     }
 
     /// Tie-breaking audit: with a plateau objective where many
@@ -595,35 +266,5 @@ mod tests {
         assert_eq!(&best.config, first_tied);
         assert_eq!(best.time, 1.0);
         assert_eq!(best.evaluations, all.len());
-    }
-
-    /// Greedy on an all-tied plateau: strict `<` accepts no "improving"
-    /// move, so the climb keeps its seed (the first enumerated best
-    /// single-PE config) and terminates instead of wandering the
-    /// plateau.
-    #[test]
-    fn greedy_holds_its_seed_on_an_exact_tie_plateau() {
-        let s = space();
-        let flat = |_: &Configuration| -> Result<f64, Infallible> { Ok(7.5) };
-        let gr = greedy(&s, flat).unwrap();
-        // The seed scan keeps the first single-PE candidate (kind 0,
-        // m = 1); one neighbourhood sweep finds no strict improvement.
-        assert_eq!(gr.time, 7.5);
-        assert_eq!(gr.config.total_pes(), 1);
-        assert_eq!(gr.config.uses[0].pes, 1);
-        assert_eq!(gr.config.uses[0].procs_per_pe, 1);
-        let neighbourhood = neighbours_of(&gr.config, &s).len();
-        // Seed evaluations (all single-PE candidates) plus exactly one
-        // full plateau sweep: termination, not a plateau walk.
-        assert_eq!(gr.evaluations, 12 + neighbourhood);
-    }
-
-    #[test]
-    fn annealing_handles_failing_seed() {
-        let s = space();
-        let seed = Configuration::p1m1_p2m2(1, 1, 0, 0);
-        let r: Option<SearchResult> =
-            annealing(&s, seed, AnnealParams::default(), |_| Err::<f64, ()>(()));
-        assert!(r.is_none());
     }
 }

@@ -2,20 +2,19 @@
 //!
 //! Builds a measurement database by running the simulated Basic
 //! campaign (Table 2) on the paper's two-kind cluster, fits a full
-//! model bank with **every serving fitting backend** (the paper's
-//! `poly_lsq` and the relative-error `robust_poly`), and runs every
-//! check registered in [`etm_core::validate`] over each bank. The Basic
+//! model bank with the paper's `poly_lsq` backend, and runs every
+//! check registered in [`etm_core::validate`] over the bank. The Basic
 //! plan is the only one whose construction sizes span the audit's whole
 //! [400, 6400] sweep — the reduced NL/NS plans fit on a sub-range, and
 //! a cubic extrapolated outside its fitting range legitimately goes
 //! negative. Violations fail the gate; warnings are printed but pass.
 //!
 //! The campaign + fit is the slowest part of the gate, so both the
-//! measurement database and the fitted banks are cached under
+//! measurement database and the fitted bank are cached under
 //! `target/etm-cache/` via [`etm_core::cache`], keyed on
 //! [`etm_core::pipeline::campaign_fingerprint`] (a stable FNV-1a content
 //! hash of the cluster spec, the plan, and NB) plus the backend name for
-//! banks. A warm cache skips the campaign entirely; a miss — or a cache
+//! the bank. A warm cache skips the campaign entirely; a miss — or a cache
 //! file that fails to parse — falls back to a fresh campaign, fanned out
 //! over [`etm_core::pipeline::campaign_threads`] workers, and
 //! repopulates the cache. Delete `target/etm-cache/` (or bump
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::CommLibProfile;
-use etm_core::backend::{ModelBackend, PolyLsqBackend, RobustPolyBackend};
+use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::cache::{bank_cache_name, cached_construction, load_json, store_json};
 use etm_core::engine::{Engine, QuarantinePolicy};
 use etm_core::pipeline::{campaign_fingerprint_hex, ModelBank};
@@ -46,82 +45,65 @@ use etm_core::{MeasurementDb, Sample, SampleKey};
 /// HPL block size the audit campaign uses (the repro's NB).
 const NB: usize = 64;
 
-/// Runs the pass. Returns one message per violated invariant, across
-/// the banks of every backend.
+/// Runs the pass. Returns one message per violated invariant.
 pub fn run(root: &Path) -> Result<Vec<String>, String> {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let plan = MeasurementPlan::basic();
     let hex = campaign_fingerprint_hex(&spec, &plan, NB);
     let cache_dir = root.join("target").join("etm-cache");
-    // The experimental `binned_poly` backend is deliberately absent:
-    // its equal-regime Tc weighting trades the monotone-in-P invariant
-    // at composed-model extrapolations (hypothetical Athlon×P configs
-    // the campaign never measures), which this gate would fail. It is
-    // validated by its unit tests and compared against `poly_lsq` by
-    // the snapshot-pinned A/B harness in `etm-repro` instead.
-    let backends: [Box<dyn ModelBackend>; 2] = [
-        Box::new(PolyLsqBackend::paper()),
-        Box::new(RobustPolyBackend::paper()),
-    ];
+    let backend = PolyLsqBackend::paper();
+    let name = backend.name();
 
     let mut violations = Vec::new();
-    // The campaign database is shared by every backend; run it at most
-    // once (and usually zero times — it caches too).
-    let mut db: Option<MeasurementDb> = None;
-    for backend in &backends {
-        let bank_path = cache_dir.join(bank_cache_name(&hex, backend.name()));
-        let (bank, provenance) = match load_json::<ModelBank>(&bank_path) {
-            Some(bank) => (bank, format!("cache hit ({})", bank_path.display())),
-            None => {
-                let t0 = Instant::now();
-                let db =
-                    db.get_or_insert_with(|| cached_construction(&spec, &plan, NB, &cache_dir));
-                let bank = backend
-                    .fit(db)
-                    .map_err(|e| format!("{} bank fit failed: {e}", backend.name()))?;
-                if !store_json(&bank_path, &bank) {
-                    println!(
-                        "    warn: could not persist audit cache {}",
-                        bank_path.display()
-                    );
-                }
-                (
-                    bank,
-                    format!(
-                        "cache miss; campaign + fit took {:.2} s -> {}",
-                        t0.elapsed().as_secs_f64(),
-                        bank_path.display()
-                    ),
-                )
+    let bank_path = cache_dir.join(bank_cache_name(&hex, name));
+    let (bank, provenance) = match load_json::<ModelBank>(&bank_path) {
+        Some(bank) => (bank, format!("cache hit ({})", bank_path.display())),
+        None => {
+            let t0 = Instant::now();
+            let db = cached_construction(&spec, &plan, NB, &cache_dir);
+            let bank = backend
+                .fit(&db)
+                .map_err(|e| format!("{name} bank fit failed: {e}"))?;
+            if !store_json(&bank_path, &bank) {
+                println!(
+                    "    warn: could not persist audit cache {}",
+                    bank_path.display()
+                );
             }
-        };
-        println!("    [{}] {provenance}", backend.name());
-        println!(
-            "    [{}] bank: {} N-T model(s), {} P-T model(s), {} composed kind(s)",
-            backend.name(),
-            bank.nt.len(),
-            bank.pt.len(),
-            bank.composed_kinds.len()
-        );
+            (
+                bank,
+                format!(
+                    "cache miss; campaign + fit took {:.2} s -> {}",
+                    t0.elapsed().as_secs_f64(),
+                    bank_path.display()
+                ),
+            )
+        }
+    };
+    println!("    [{name}] {provenance}");
+    println!(
+        "    [{name}] bank: {} N-T model(s), {} P-T model(s), {} composed kind(s)",
+        bank.nt.len(),
+        bank.pt.len(),
+        bank.composed_kinds.len()
+    );
 
-        for check in validate::registry() {
-            let findings = check.run(&bank);
-            println!(
-                "    [{}] {:<28} {:<48} {}",
-                backend.name(),
-                check.name,
-                check.what,
-                if findings.is_empty() {
-                    "ok".to_string()
-                } else {
-                    format!("{} finding(s)", findings.len())
-                }
-            );
-            for f in &findings {
-                match f.severity {
-                    Severity::Warning => println!("      warn: {}", f.message),
-                    Severity::Violation => violations.push(format!("[{}] {f}", backend.name())),
-                }
+    for check in validate::registry() {
+        let findings = check.run(&bank);
+        println!(
+            "    [{name}] {:<28} {:<48} {}",
+            check.name,
+            check.what,
+            if findings.is_empty() {
+                "ok".to_string()
+            } else {
+                format!("{} finding(s)", findings.len())
+            }
+        );
+        for f in &findings {
+            match f.severity {
+                Severity::Warning => println!("      warn: {}", f.message),
+                Severity::Violation => violations.push(format!("[{name}] {f}")),
             }
         }
     }

@@ -57,7 +57,7 @@ fn main() {
             }
         }
     }
-    let est = Estimator::unadjusted(ModelBank::fit(&db, 0.85).expect("fit"));
+    let est = Estimator::unadjusted(ModelBank::fit(&db).expect("fit"));
     println!(
         "fitted {} N-T and {} P-T models from {} stencil trials",
         est.bank.nt.len(),

@@ -13,9 +13,14 @@
 #                           fixed-seed chaos smoke (`repro chaos`,
 #                           which exits non-zero on any
 #                           degradation-ladder invariant breach and
-#                           writes results/chaos_report.csv), and a
-#                           bench smoke run that writes the substrates
-#                           + streaming + analyze + serving +
+#                           writes results/chaos_report.csv), the
+#                           closed-loop replay (`repro loop`, which
+#                           writes results/loop_regret.csv), a
+#                           determinism gate that fails if either of
+#                           those two CSVs differs from its committed
+#                           copy, and a bench smoke run that
+#                           writes the substrates + streaming +
+#                           analyze + serving +
 #                           optimizer + loopback + model_speed
 #                           baselines, gates each against the
 #                           per-commit store in results/bench/ via
@@ -173,6 +178,9 @@ stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "audit"      cargo xtask check audit
 stage "chaos"      cargo run -q --release -p etm-repro --bin repro -- chaos
 stage "loop"       cargo run -q --release -p etm-repro --bin repro -- loop
+# Both replays are fixed-seed and deterministic: any byte of drift from
+# the committed artifacts is a behaviour change, not noise.
+stage "artifacts"  git diff --exit-code -- results/chaos_report.csv results/loop_regret.csv
 stage "bench"      bench_smoke
 
 echo

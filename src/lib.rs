@@ -15,7 +15,7 @@
 //! * [`lsq`] — linear least-squares fitting (GSL `multifit_linear` analogue).
 //! * [`core`] — the paper's contribution: N-T / P-T models, binning,
 //!   composition, adjustment, estimation pipeline.
-//! * [`search`] — configuration-space optimizers (exhaustive + heuristics).
+//! * [`search`] — configuration-space optimizers (exhaustive + exact anytime search).
 //! * [`stencil`] — a second application (2-D Jacobi) proving the pipeline
 //!   is application-agnostic (the paper's §5 future work).
 //!

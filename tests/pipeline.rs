@@ -164,8 +164,8 @@ fn model_bank_fit_is_deterministic() {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let plan = mini_plan(&[400, 800, 1200, 1600]);
     let db = run_construction(&spec, &plan, NB);
-    let a = ModelBank::fit(&db, 0.85).expect("fit");
-    let b = ModelBank::fit(&db, 0.85).expect("fit");
+    let a = ModelBank::fit(&db).expect("fit");
+    let b = ModelBank::fit(&db).expect("fit");
     let cfg = Configuration::p1m1_p2m2(1, 2, 8, 1);
     let ea = Estimator::unadjusted(a).estimate(&cfg, 3200).unwrap();
     let eb = Estimator::unadjusted(b).estimate(&cfg, 3200).unwrap();

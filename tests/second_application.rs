@@ -49,7 +49,7 @@ fn stencil_db(spec: &hetero_etm::cluster::ClusterSpec, ns: &[usize]) -> Measurem
 fn pipeline_fits_and_predicts_a_different_application() {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let db = stencil_db(&spec, &[256, 512, 768, 1024]);
-    let bank = ModelBank::fit(&db, 0.85).expect("fit on stencil data");
+    let bank = ModelBank::fit(&db).expect("fit on stencil data");
     let est = Estimator::unadjusted(bank);
 
     // The fitted Ta is ~quadratic-in-N per iteration with iters ∝ N:
@@ -78,7 +78,7 @@ fn stencil_models_know_communication_is_latency_bound() {
     // models must reproduce the measured optimum's neighbourhood.
     let spec = paper_cluster(CommLibProfile::mpich122());
     let db = stencil_db(&spec, &[256, 512, 768, 1024]);
-    let est = Estimator::unadjusted(ModelBank::fit(&db, 0.85).expect("fit"));
+    let est = Estimator::unadjusted(ModelBank::fit(&db).expect("fit"));
     let n = 512;
     let best_est = (1..=8usize)
         .min_by(|&a, &b| {
