@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! # comments and blank lines are ignored
-//! C004 crates/core/src/stream.rs  source thread is joined via SourceHandle::join
+//! C004 crates/foo/src/worker.rs  worker thread is joined via Worker::join
 //! ```
 //!
 //! i.e. `<RULE_ID> <path> <justification…>` — the justification is

@@ -1,11 +1,8 @@
 //! Serving-layer throughput: one pinned snapshot of the fitted Basic
 //! campaign queried over the paper's §4 evaluation grid (62
 //! configurations × the plan's evaluation sizes = 310 requests per
-//! sweep):
-//!
-//! * `scalar_sweep` — the `ModelBank` walk, one request at a time (the
-//!   per-call baseline);
-//! * `batched_sweep` — one `estimate_batch` call for the whole grid.
+//! sweep) through the `ModelBank` walk, one request at a time
+//! (`scalar_sweep`).
 
 use etm_bench::Runner;
 use etm_cluster::Configuration;
@@ -33,10 +30,6 @@ fn main() {
             }
         }
         worst
-    });
-
-    r.bench("serving/batched_sweep", || {
-        snapshot.estimate_batch(&requests)
     });
 
     r.finish();

@@ -1,15 +1,13 @@
 //! Throughput of the streaming ingestion path: replaying a campaign as
-//! batches, driving `Engine::ingest_batch` end to end through the mpmc
-//! channel, and the per-batch consumer step in isolation — both a batch
-//! that changes its group and a re-delivered one that changes nothing.
-
-use std::time::Duration;
+//! batches, draining them end to end through `consume`, and the
+//! per-batch consumer step in isolation — both a batch that changes its
+//! group and a re-delivered one that changes nothing.
 
 use etm_bench::{black_box, Runner};
 use etm_core::backend::PolyLsqBackend;
 use etm_core::engine::Engine;
 use etm_core::measurement::{MeasurementDb, Sample, SampleKey};
-use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, TrialSource};
+use etm_core::stream::{consume, replay, trials_of_db, StreamConfig};
 
 /// A synthetic Basic-shaped campaign (54 configurations × 9 sizes).
 fn synthetic_db() -> MeasurementDb {
@@ -52,7 +50,7 @@ fn replay_speed(r: &mut Runner) {
         shuffle_seed: Some(7),
         duplicate_every: 5,
         defer_every: 6,
-        channel_cap: 0,
+        ..StreamConfig::default()
     };
     r.bench("stream/replay_486_trials", || {
         black_box(replay(&trials, &cfg))
@@ -99,9 +97,8 @@ fn ingest_redelivered_speed(r: &mut Runner) {
     });
 }
 
-/// The full pipe: source thread, bounded channel, consumer loop,
-/// snapshot per effective batch — a whole campaign re-streamed into a
-/// warm engine per iteration.
+/// The full drain: replay, consumer loop, snapshot per effective batch
+/// — a whole campaign re-streamed into a warm engine per iteration.
 fn end_to_end_speed(r: &mut Runner) {
     let db = synthetic_db();
     let trials = trials_of_db(&db);
@@ -109,12 +106,10 @@ fn end_to_end_speed(r: &mut Runner) {
     let cfg = StreamConfig {
         batch_size: 32,
         shuffle_seed: Some(42),
-        duplicate_every: 0,
-        defer_every: 0,
-        channel_cap: 4,
+        ..StreamConfig::default()
     };
     let mut round = 0u64;
-    r.bench("stream/campaign_through_channel", || {
+    r.bench("stream/campaign_consume", || {
         // Nudge every trial so each round's batches all change their
         // samples' bits (a realistic rolling re-measurement).
         round += 1;
@@ -126,16 +121,8 @@ fn end_to_end_speed(r: &mut Runner) {
                 (*k, s)
             })
             .collect();
-        let source = TrialSource::spawn(nudged, cfg);
-        let report = consume(
-            &engine,
-            source.receiver(),
-            Duration::from_secs(30),
-            |_, _| {},
-        )
-        .expect("stream fits");
-        source.join();
-        black_box(report)
+        let batches = replay(&nudged, &cfg);
+        black_box(consume(&engine, &batches, |_| {}).expect("stream fits"))
     });
 }
 

@@ -5,32 +5,21 @@
 //! A [`FaultPlan`] is a seeded, pure-literal description of the faults
 //! to inject into a replayed campaign ([`crate::stream::replay`]):
 //! corrupted samples (NaN / infinite / gross-outlier times), dropped
-//! and truncated batches, duplicate floods, and a source thread that
-//! stalls or dies at a chosen batch. [`FaultPlan::apply`] is a pure
-//! function — batches in, faulted batches plus a [`FaultLog`] out — so
-//! every chaos run is reproducible bit-for-bit, and the log records
-//! exactly which `(kind, m)` groups received corrupted samples: the
-//! oracle the chaos suite compares quarantine state against.
-//!
-//! [`FaultySource`] is the transport half: a [`BatchSource`] that
-//! emits a batch list but honors the plan's stall/kill marks, wedging
-//! (sender open, nothing sent) or dying (channel disconnect) at the
-//! marked sequence. Its [`BatchSource::stop`] always reaps the thread,
-//! wedged or not, so a supervisor can declare it stalled and respawn
-//! without leaking.
+//! and truncated batches, and duplicate floods. [`FaultPlan::apply`] is
+//! a pure function — batches in, faulted batches plus a [`FaultLog`]
+//! out — so every chaos run is reproducible bit-for-bit, and the log
+//! records exactly which `(kind, m)` groups received corrupted samples:
+//! the oracle the chaos suite compares quarantine state against. The
+//! faulted batches are then drained in-process by
+//! [`crate::stream::consume`]; there is no transport to fail.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
-use etm_support::channel::{self, Receiver};
 use etm_support::rng::Rng64;
 use etm_support::{json_enum, json_struct};
 
 use crate::measurement::{Sample, SampleKey};
-use crate::stream::{BatchSource, TrialBatch};
+use crate::stream::TrialBatch;
 
 /// How a corrupted sample's poisoned field is rewritten.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,12 +58,6 @@ pub struct FaultPlan {
     /// Re-deliver every k-th surviving batch immediately (duplicate
     /// flood). 0 off.
     pub flood_every: usize,
-    /// Wedge the source — sender open, nothing sent — just before
-    /// emitting this (post-fault) batch sequence.
-    pub stall_at: Option<u64>,
-    /// Kill the source — channel disconnect — just before emitting this
-    /// (post-fault) batch sequence.
-    pub kill_at: Option<u64>,
     /// When true, every trial lost to corruption, drops, or truncation
     /// is re-delivered *clean* in tail batches: the fault is
     /// recoverable and the stream still carries the whole campaign.
@@ -90,8 +73,6 @@ json_struct!(FaultPlan {
     drop_every,
     truncate_every,
     flood_every,
-    stall_at,
-    kill_at,
     redeliver,
 });
 
@@ -107,8 +88,6 @@ impl Default for FaultPlan {
             drop_every: 0,
             truncate_every: 0,
             flood_every: 0,
-            stall_at: None,
-            kill_at: None,
             redeliver: true,
         }
     }
@@ -154,10 +133,8 @@ impl FaultPlan {
     /// deterministic: same plan, same batches, bit-identical output.
     ///
     /// The output batches are renumbered contiguously from 0 with a
-    /// recomputed simulated clock (only finite trial walls advance it),
-    /// so [`FaultPlan::stall_at`] / [`FaultPlan::kill_at`] refer to
-    /// *post-fault* sequence numbers and a supervisor's
-    /// `expected_batches` is simply the output length. When
+    /// recomputed simulated clock (only finite trial walls advance it).
+    /// When
     /// [`FaultPlan::redeliver`] is set, trials lost to corruption,
     /// drops, or truncation are appended as clean tail batches, making
     /// the fault recoverable.
@@ -232,71 +209,6 @@ impl FaultPlan {
             })
             .collect();
         (faulted, log)
-    }
-}
-
-/// A [`BatchSource`] that emits a prepared batch list but honors
-/// stall/kill marks: at `stall_at` it wedges (sender open, nothing
-/// sent) until stopped; at `kill_at` it exits, disconnecting the
-/// channel. Always reapable: [`BatchSource::stop`] raises an abort flag
-/// the wedged thread polls.
-pub struct FaultySource {
-    rx: Receiver<TrialBatch>,
-    handle: thread::JoinHandle<()>,
-    abort: Arc<AtomicBool>,
-}
-
-impl FaultySource {
-    /// Spawns the source over `batches`. `channel_cap` 0 means
-    /// unbounded; `stall_at` / `kill_at` trigger just before the batch
-    /// with that sequence number would be sent.
-    pub fn spawn(
-        batches: Vec<TrialBatch>,
-        channel_cap: usize,
-        stall_at: Option<u64>,
-        kill_at: Option<u64>,
-    ) -> Self {
-        let (tx, rx) = if channel_cap > 0 {
-            channel::bounded(channel_cap)
-        } else {
-            channel::unbounded()
-        };
-        let abort = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&abort);
-        let handle = thread::spawn(move || {
-            for batch in batches {
-                if kill_at == Some(batch.seq) {
-                    return; // dies: the channel disconnects
-                }
-                if stall_at == Some(batch.seq) {
-                    // Wedged mid-stream: hold the sender open so the
-                    // consumer sees silence, not a hangup, until the
-                    // supervisor stops us.
-                    while !flag.load(Ordering::SeqCst) {
-                        thread::park_timeout(Duration::from_millis(5));
-                    }
-                    return;
-                }
-                if tx.send(batch).is_err() {
-                    return; // every receiver hung up
-                }
-            }
-        });
-        FaultySource { rx, handle, abort }
-    }
-}
-
-impl BatchSource for FaultySource {
-    fn receiver(&self) -> &Receiver<TrialBatch> {
-        &self.rx
-    }
-
-    fn stop(self: Box<Self>) {
-        self.abort.store(true, Ordering::SeqCst);
-        drop(self.rx);
-        if let Err(e) = self.handle.join() {
-            std::panic::resume_unwind(e);
-        }
     }
 }
 
@@ -452,29 +364,5 @@ mod tests {
                 assert!(s.is_finite(), "outliers stay finite");
             }
         }
-    }
-
-    #[test]
-    fn faulty_source_kills_and_stalls_on_cue() {
-        let bs = batches();
-        // Kill: the channel disconnects after the pre-kill batches.
-        let kill_at = 2u64;
-        let source = FaultySource::spawn(bs.clone(), 0, None, Some(kill_at));
-        let mut got = 0u64;
-        while let Ok(batch) = source.rx.recv() {
-            assert_eq!(batch.seq, got);
-            got += 1;
-        }
-        assert_eq!(got, kill_at);
-        Box::new(source).stop();
-        // Stall: nothing arrives, but the sender stays connected — and
-        // stop() still reaps the wedged thread.
-        let source = FaultySource::spawn(bs, 0, Some(0), None);
-        let err = source
-            .rx
-            .recv_timeout(Duration::from_millis(30))
-            .expect_err("stalled source sends nothing");
-        assert_eq!(err, etm_support::channel::RecvTimeoutError::Timeout);
-        Box::new(source).stop();
     }
 }

@@ -30,16 +30,15 @@
 //!   `Arc`s, atomically swapped on refit, with incremental ingestion
 //!   that refits only groups whose sample bits changed
 //!   ([`Engine::ingest`]).
-//! * [`stream`] — streaming ingestion: a [`stream::TrialSource`] replays
-//!   a campaign as timestamped [`stream::TrialBatch`]es over an mpmc
-//!   channel (shuffled, duplicated, out-of-order on demand) and one
-//!   drain loop ([`stream::consume`]) drives [`Engine::ingest_batch`],
-//!   publishing one snapshot per effective batch — with stall
-//!   detection, bounded fit retries, and a restarting supervisor
-//!   ([`stream::consume_supervised`]) over the same loop.
+//! * [`stream`] — streaming ingestion: [`stream::replay`] renders a
+//!   campaign as timestamped [`stream::TrialBatch`]es (shuffled,
+//!   duplicated, out-of-order on demand) and one in-process drain loop
+//!   ([`stream::consume`]) feeds a slice of them through
+//!   [`Engine::ingest_batch`], publishing one snapshot per effective
+//!   batch.
 //! * [`faults`] — deterministic fault injection for the streaming
 //!   layer: a seeded [`faults::FaultPlan`] corrupts, drops, truncates,
-//!   floods, stalls, or kills a replayed stream, and the engine's
+//!   or floods a replayed stream, and the engine's
 //!   quarantine ladder ([`engine::QuarantinePolicy`],
 //!   [`engine::EngineHealth`]) degrades to §3.5 composed fallbacks
 //!   instead of crashing.

@@ -57,13 +57,6 @@ pub enum PipelineError {
         /// Problem size of the offending sample.
         n: usize,
     },
-    /// A streaming source went quiet past the consumer's stall timeout
-    /// while its channel was still open — a hung measurement harness,
-    /// not a completed one.
-    SourceStalled {
-        /// How long the consumer waited before giving up, milliseconds.
-        waited_ms: u64,
-    },
     /// A configuration depends on a quarantined `(kind, m)` group whose
     /// serving model has no §3.5 composed fallback — a health-aware
     /// consumer refuses to estimate with it (see
@@ -73,16 +66,6 @@ pub enum PipelineError {
         kind: usize,
         /// Multiplicity Mᵢ of the untrusted group.
         m: usize,
-    },
-    /// A supervised streaming source died (or stalled) repeatedly and
-    /// the restart budget ran out before the stream completed.
-    SourceFailed {
-        /// Restarts attempted before giving up.
-        restarts: usize,
-        /// Next batch sequence number the stream still owed.
-        next_seq: u64,
-        /// Batches the stream was expected to deliver in total.
-        expected: u64,
     },
 }
 
@@ -107,20 +90,12 @@ impl fmt::Display for PipelineError {
                 "non-finite sample for kind {} pes {} m {} at N={n}",
                 key.kind, key.pes, key.m
             ),
-            PipelineError::SourceStalled { waited_ms } => {
-                write!(f, "measurement source stalled for {waited_ms} ms")
-            }
             PipelineError::ModelUntrusted { kind, m } => {
-                write!(f, "model for kind {kind} at M={m} is quarantined without a fallback")
+                write!(
+                    f,
+                    "model for kind {kind} at M={m} is quarantined without a fallback"
+                )
             }
-            PipelineError::SourceFailed {
-                restarts,
-                next_seq,
-                expected,
-            } => write!(
-                f,
-                "measurement source failed after {restarts} restart(s) at batch {next_seq} of {expected}"
-            ),
         }
     }
 }

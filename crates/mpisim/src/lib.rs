@@ -4,8 +4,9 @@
 //! analogues the reproduction needs:
 //!
 //! * [`ThreadComm`] — every rank is an OS thread, messages carry real
-//!   `Vec<f64>` payloads over in-tree channels. The *numeric* HPL in
-//!   `etm-hpl` runs on this backend and is validated by residual checks.
+//!   `Vec<f64>` payloads over `std::sync::mpsc` channels. The *numeric*
+//!   HPL in `etm-hpl` runs on this backend and is validated by residual
+//!   checks.
 //! * [`SimComm`] — every rank is an `async` process inside an `etm-sim`
 //!   [`Simulation`](etm_sim::Simulation), polled as a future on the
 //!   thread running the simulation; messages carry only a byte

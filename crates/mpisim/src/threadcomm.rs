@@ -1,6 +1,10 @@
 //! Thread-backed communicator with real payloads.
+//!
+//! Every ordered pair of ranks has its own `std::sync::mpsc` channel: a
+//! single-consumer FIFO, which is exactly MPI's per-pair ordering
+//! guarantee, and each receiving end lives in one rank's endpoint.
 
-use etm_support::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::Comm;
 
@@ -82,7 +86,7 @@ pub fn build_thread_comms(size: usize) -> Vec<ThreadComm> {
     }
     for from in 0..size {
         for to in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders[from][to] = Some(tx);
             receivers[to][from] = Some(rx);
         }

@@ -419,8 +419,7 @@ fn stream() {
         batch_size: 32,
         shuffle_seed: Some(2004),
         duplicate_every: 7,
-        defer_every: 0,
-        channel_cap: 4,
+        ..StreamConfig::default()
     };
     let run = stream_experiment(&MeasurementPlan::basic(), cfg, 0.02, 6400);
     let mut t = TextTable::new(vec![
@@ -480,8 +479,6 @@ fn chaos() {
     let mut t = TextTable::new(vec![
         "scenario",
         "batches",
-        "restarts",
-        "stalls",
         "rejected",
         "quarantined",
         "fallback",
@@ -495,8 +492,6 @@ fn chaos() {
         t.row(vec![
             r.scenario.to_string(),
             r.batches.to_string(),
-            r.restarts.to_string(),
-            r.stalls.to_string(),
             r.rejected.to_string(),
             format_groups(&r.quarantined),
             format_groups(&r.fallback),
@@ -506,12 +501,10 @@ fn chaos() {
             if r.ok { "yes" } else { "FAIL" }.to_string(),
         ]);
         csv.push(format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{}",
             r.scenario,
             r.recoverable,
             r.batches,
-            r.restarts,
-            r.stalls,
             r.published,
             r.rejected,
             r.corrupted,
@@ -533,7 +526,7 @@ fn chaos() {
     );
     write_csv(
         "chaos_report",
-        "scenario,recoverable,batches,restarts,stalls,published,rejected,corrupted,quarantined,fallback,converged,decisions,untrusted_recommendations,ok",
+        "scenario,recoverable,batches,published,rejected,corrupted,quarantined,fallback,converged,decisions,untrusted_recommendations,ok",
         &csv,
     );
     if failed > 0 {
@@ -544,39 +537,24 @@ fn chaos() {
 
 fn serve() {
     use etm_repro::serve::serve_experiment;
-    println!("\n== Serving layer: snapshot predictions/sec + bit-identity gate ==");
+    println!("\n== Serving layer: snapshot predictions/sec ==");
     let report = serve_experiment(&MeasurementPlan::basic(), 0.2);
     println!(
-        "{} configs x {} sizes = {} requests/sweep ({} estimable); bitwise mismatches: {}",
-        report.configs, report.sizes, report.requests, report.estimable, report.mismatches
+        "{} configs x {} sizes = {} requests/sweep ({} estimable)",
+        report.configs, report.sizes, report.requests, report.estimable
     );
-    let mut t = TextTable::new(vec!["mode", "readers", "predictions/s", "vs scalar"]);
-    let mut csv = Vec::new();
-    let push =
-        |t: &mut TextTable, csv: &mut Vec<String>, mode: &str, readers: usize, per_sec: f64| {
-            t.row(vec![
-                mode.to_string(),
-                readers.to_string(),
-                format!("{per_sec:.0}"),
-                format!("{:.2}x", per_sec / report.scalar_per_sec),
-            ]);
-            csv.push(format!("{mode},{readers},{per_sec:.1}"));
-        };
-    push(&mut t, &mut csv, "scalar", 1, report.scalar_per_sec);
-    push(&mut t, &mut csv, "batched", 1, report.batched_per_sec);
+    let mut t = TextTable::new(vec!["mode", "readers", "predictions/s"]);
+    t.row(vec![
+        "scalar".to_string(),
+        "1".to_string(),
+        format!("{:.0}", report.scalar_per_sec),
+    ]);
     print!("{}", t.render());
-    println!(
-        "batched/scalar speedup: {:.2}x (single-threaded)",
-        report.speedup()
+    write_csv(
+        "serve_throughput",
+        "mode,readers,predictions_per_sec",
+        &[format!("scalar,1,{:.1}", report.scalar_per_sec)],
     );
-    write_csv("serve_throughput", "mode,readers,predictions_per_sec", &csv);
-    if !report.bit_identical() {
-        eprintln!(
-            "serving paths diverged from the scalar model walk on {} request(s)",
-            report.mismatches
-        );
-        std::process::exit(1);
-    }
 }
 
 fn pareto() {

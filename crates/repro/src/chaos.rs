@@ -3,13 +3,11 @@
 //!
 //! Each scenario replays a campaign as batches, applies a pure
 //! [`FaultPlan`] (corruption, drops, truncation, duplicate floods), and
-//! streams the faulted batches through a supervised consumer
-//! ([`consume_supervised`]) over a [`FaultySource`] that may stall or
-//! die on cue. A health-aware [`OnlineOptimizer`] observes every
-//! published snapshot. The invariants, per scenario:
+//! drains the faulted batches in-process through [`consume`]. A
+//! health-aware [`OnlineOptimizer`] observes every published snapshot.
+//! The invariants, per scenario:
 //!
-//! * **No panic, no deadlock** — every run completes (stalls bounded by
-//!   the timeout, dead sources respawned by the supervisor).
+//! * **No panic** — every run completes.
 //! * **Recoverable faults converge**: when every lost trial is
 //!   re-delivered clean ([`FaultPlan::redeliver`]) — or nothing was
 //!   lost at all — the final bank is bit-identical to the one-shot fit
@@ -23,25 +21,18 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::{Engine, EngineSnapshot};
-use etm_core::faults::{CorruptKind, FaultPlan, FaultySource};
+use etm_core::faults::{CorruptKind, FaultLog, FaultPlan};
 use etm_core::pipeline::groups_of;
 use etm_core::plan::{MeasurementPlan, PlanKind};
-use etm_core::stream::{
-    consume_supervised, replay, trials_of_db, BatchSource, StreamConfig, TrialBatch,
-};
+use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, TrialBatch};
 use etm_core::MeasurementDb;
 use etm_search::OnlineOptimizer;
 
 use crate::experiments::campaign_db;
 use crate::stream::{banks_bit_equal, evaluation_space};
-
-/// How long the supervised consumer waits on a silent source before
-/// declaring it stalled — short, so the stall scenarios finish quickly.
-const STALL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// One chaos scenario's outcome against the ladder invariants.
 #[derive(Clone, Debug)]
@@ -53,12 +44,8 @@ pub struct ChaosRow {
     /// Whether the injected faults are recoverable (lost trials
     /// re-delivered clean, or nothing lost at all).
     pub recoverable: bool,
-    /// Batches the supervised consumer received, across incarnations.
+    /// Batches the consumer ingested.
     pub batches: usize,
-    /// Source respawns the supervisor performed.
-    pub restarts: usize,
-    /// Incarnations declared stalled.
-    pub stalls: usize,
     /// Snapshots published.
     pub published: usize,
     /// Samples the quarantine policy rejected.
@@ -137,20 +124,6 @@ pub fn chaos_scenarios() -> Vec<(&'static str, FaultPlan)> {
             },
         ),
         (
-            "kill-restart",
-            FaultPlan {
-                kill_at: Some(4),
-                ..FaultPlan::default()
-            },
-        ),
-        (
-            "stall-restart",
-            FaultPlan {
-                stall_at: Some(3),
-                ..FaultPlan::default()
-            },
-        ),
-        (
             "poison-group",
             FaultPlan {
                 seed: 17,
@@ -167,7 +140,6 @@ pub fn chaos_scenarios() -> Vec<(&'static str, FaultPlan)> {
                 corrupt_every: 9,
                 drop_every: 6,
                 flood_every: 4,
-                kill_at: Some(6),
                 ..FaultPlan::default()
             },
         ),
@@ -192,55 +164,21 @@ pub fn run_chaos_scenario(
     n: usize,
 ) -> ChaosRow {
     let db = campaign_db(plan);
-    let trials = trials_of_db(&db);
     let reference = PolyLsqBackend::paper().fit(&db).expect("one-shot fit");
-    let mut seed_db = MeasurementDb::new();
-    for (k, s) in &trials {
-        let mut stale = *s;
-        stale.ta *= 1.1;
-        seed_db.upsert(*k, stale);
-    }
-    let engine =
-        Engine::new(Box::new(PolyLsqBackend::paper()), seed_db, None).expect("stale campaign fits");
-    let (faulted, log) = fault.apply(&replay(&trials, &cfg));
-    let expected = faulted.len() as u64;
+    let (engine, faulted, log) = stale_engine_and_faulted_batches(&db, fault, cfg);
 
     let mut optimizer =
         OnlineOptimizer::new(evaluation_space(), n, 0.05).expect("valid optimizer inputs");
     let mut untrusted_recommendations = 0usize;
-    let mut incarnation = 0usize;
-    let sup = consume_supervised(
-        &engine,
-        STALL_TIMEOUT,
-        expected,
-        3,
-        |next_seq| {
-            incarnation += 1;
-            let tail: Vec<TrialBatch> = faulted
-                .iter()
-                .filter(|b| b.seq >= next_seq)
-                .cloned()
-                .collect();
-            // Stall/kill marks fire on the first incarnation only: the
-            // respawned source models a repaired harness.
-            let (stall, kill) = if incarnation == 1 {
-                (fault.stall_at, fault.kill_at)
-            } else {
-                (None, None)
-            };
-            Box::new(FaultySource::spawn(tail, cfg.channel_cap, stall, kill))
-                as Box<dyn BatchSource>
-        },
-        |_, snap| {
-            if let Some(d) = optimizer.observe(snap) {
-                let health = snap.health();
-                if groups_of(&d.recommended).any(|g| health.is_untrusted(g)) {
-                    untrusted_recommendations += 1;
-                }
+    let report = consume(&engine, &faulted, |snap| {
+        if let Some(d) = optimizer.observe(snap) {
+            let health = snap.health();
+            if groups_of(&d.recommended).any(|g| health.is_untrusted(g)) {
+                untrusted_recommendations += 1;
             }
-        },
-    )
-    .expect("the supervisor absorbs every injected transport fault");
+        }
+    })
+    .expect("the final flush fits: every group is fittable from the stale seed");
 
     let snap = engine.snapshot();
     let health = snap.health().clone();
@@ -266,10 +204,8 @@ pub fn run_chaos_scenario(
         plan: plan.kind,
         scenario,
         recoverable,
-        batches: sup.report.batches,
-        restarts: sup.restarts,
-        stalls: sup.stalls,
-        published: sup.report.published,
+        batches: report.batches,
+        published: report.published,
         rejected: health.rejected_samples,
         corrupted: log.corrupted,
         dropped_batches: log.dropped_batches,
@@ -284,24 +220,15 @@ pub fn run_chaos_scenario(
     }
 }
 
-/// Streams one fault scenario under the same supervision shape as
-/// [`run_chaos_scenario`] (stale seed, faults on the first source
-/// incarnation only, 100 ms stall timeout, 3 restarts) and captures
-/// every published snapshot, in publication order.
-///
-/// The trace lets callers check an [`OnlineOptimizer`]'s decisions
-/// against an independent search over the identical snapshot sequence.
-///
-/// # Panics
-/// Panics when the supervisor's restart budget is exhausted — which
-/// does not happen for the fixed scenario sweep.
-pub fn chaos_snapshot_trace(
-    plan: &MeasurementPlan,
+/// An engine seeded with a stale calibration of `db` (every `Ta`
+/// inflated 10%), plus the campaign's replay under `cfg` with `fault`
+/// applied.
+fn stale_engine_and_faulted_batches(
+    db: &MeasurementDb,
     fault: &FaultPlan,
     cfg: StreamConfig,
-) -> Vec<Arc<EngineSnapshot>> {
-    let db = campaign_db(plan);
-    let trials = trials_of_db(&db);
+) -> (Engine, Vec<TrialBatch>, FaultLog) {
+    let trials = trials_of_db(db);
     let mut seed_db = MeasurementDb::new();
     for (k, s) in &trials {
         let mut stale = *s;
@@ -310,33 +237,30 @@ pub fn chaos_snapshot_trace(
     }
     let engine =
         Engine::new(Box::new(PolyLsqBackend::paper()), seed_db, None).expect("stale campaign fits");
-    let (faulted, _log) = fault.apply(&replay(&trials, &cfg));
-    let expected = faulted.len() as u64;
-    let mut incarnation = 0usize;
+    let (faulted, log) = fault.apply(&replay(&trials, &cfg));
+    (engine, faulted, log)
+}
+
+/// Streams one fault scenario in the same shape as
+/// [`run_chaos_scenario`] (stale seed, faulted batches drained by
+/// [`consume`]) and captures every published snapshot, in publication
+/// order.
+///
+/// The trace lets callers check an [`OnlineOptimizer`]'s decisions
+/// against an independent search over the identical snapshot sequence.
+///
+/// # Panics
+/// Panics when the final flush cannot fit — which does not happen for
+/// the fixed scenario sweep.
+pub fn chaos_snapshot_trace(
+    plan: &MeasurementPlan,
+    fault: &FaultPlan,
+    cfg: StreamConfig,
+) -> Vec<Arc<EngineSnapshot>> {
+    let (engine, faulted, _log) = stale_engine_and_faulted_batches(&campaign_db(plan), fault, cfg);
     let mut trace: Vec<Arc<EngineSnapshot>> = Vec::new();
-    consume_supervised(
-        &engine,
-        STALL_TIMEOUT,
-        expected,
-        3,
-        |next_seq| {
-            incarnation += 1;
-            let tail: Vec<TrialBatch> = faulted
-                .iter()
-                .filter(|b| b.seq >= next_seq)
-                .cloned()
-                .collect();
-            let (stall, kill) = if incarnation == 1 {
-                (fault.stall_at, fault.kill_at)
-            } else {
-                (None, None)
-            };
-            Box::new(FaultySource::spawn(tail, cfg.channel_cap, stall, kill))
-                as Box<dyn BatchSource>
-        },
-        |_, snap| trace.push(Arc::clone(snap)),
-    )
-    .expect("the supervisor absorbs every injected transport fault");
+    consume(&engine, &faulted, |snap| trace.push(Arc::clone(snap)))
+        .expect("the final flush fits: every group is fittable from the stale seed");
     trace
 }
 
@@ -345,9 +269,7 @@ pub fn chaos_suite(plan: &MeasurementPlan, n: usize) -> Vec<ChaosRow> {
     let cfg = StreamConfig {
         batch_size: 16,
         shuffle_seed: Some(42),
-        duplicate_every: 0,
-        defer_every: 0,
-        channel_cap: 4,
+        ..StreamConfig::default()
     };
     chaos_scenarios()
         .into_iter()

@@ -12,15 +12,13 @@
 //! adjustment is fit from reference measurements that are themselves
 //! campaign data still arriving mid-stream.
 
-use std::time::Duration;
-
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::{CommLibProfile, Configuration};
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::Engine;
 use etm_core::pipeline::ModelBank;
 use etm_core::plan::{MeasurementPlan, PlanKind};
-use etm_core::stream::{consume, trials_of_db, StreamConfig, StreamReport, TrialSource};
+use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, StreamReport};
 use etm_core::MeasurementDb;
 use etm_search::{best_config, ConfigSpace, OnlineDecision, OnlineOptimizer, SearchResult};
 
@@ -62,11 +60,12 @@ pub fn evaluation_space() -> ConfigSpace {
 }
 
 /// Streams `trials` through a fresh engine on the paper's backend:
-/// bootstraps on the first batches until the backend can fit at all (a
-/// campaign starts unfittable — one PE count, too few sizes), then
-/// drives `Engine::ingest_batch` via [`consume`], invoking
-/// `on_snapshot` with every published snapshot. Returns the engine with
-/// the stream fully applied and flushed.
+/// replays them under `cfg`, bootstraps on the shortest prefix of
+/// batches the backend can fit at all (a campaign starts unfittable —
+/// one PE count, too few sizes), then drives `Engine::ingest_batch` over
+/// the rest via [`consume`], invoking `on_snapshot` with the bootstrap
+/// snapshot and every published one. Returns the engine with the stream
+/// fully applied and flushed.
 ///
 /// # Panics
 /// Panics if the campaign never becomes fittable or contains non-finite
@@ -79,31 +78,23 @@ pub fn stream_through<F>(
 where
     F: FnMut(&std::sync::Arc<etm_core::EngineSnapshot>),
 {
-    let source = TrialSource::spawn(trials, cfg);
-    let rx = source.receiver();
+    let batches = replay(&trials, &cfg);
     let mut pending = MeasurementDb::new();
-    let mut engine: Option<Engine> = None;
-    let mut bootstrap_batches = 0usize;
-    while engine.is_none() {
-        let Ok(batch) = rx.recv() else {
-            break;
-        };
-        bootstrap_batches += 1;
+    let mut bootstrap = None;
+    for (i, batch) in batches.iter().enumerate() {
         for (k, s) in &batch.trials {
             pending.upsert(*k, *s);
         }
         if let Ok(e) = Engine::new(Box::new(PolyLsqBackend::paper()), pending.clone(), None) {
-            engine = Some(e);
+            bootstrap = Some((e, i + 1));
+            break;
         }
     }
-    let engine = engine.expect("campaign must bootstrap an engine");
+    let (engine, bootstrap_batches) = bootstrap.expect("campaign must bootstrap an engine");
     on_snapshot(&engine.snapshot());
-    let mut report = consume(&engine, rx, Duration::from_secs(30), |_, snap| {
-        on_snapshot(snap)
-    })
-    .expect("completed campaign data is finite");
+    let mut report = consume(&engine, &batches[bootstrap_batches..], on_snapshot)
+        .expect("completed campaign data is finite");
     report.batches += bootstrap_batches;
-    source.join();
     (engine, report)
 }
 

@@ -21,14 +21,11 @@ fn chaos_suite_holds_the_ladder_invariants() {
         assert!(r.decisions > 0, "the optimizer must keep deciding: {r:?}");
     }
     // The sweep must actually exercise every rung: clean convergence,
-    // recovered corruption, transport restarts, and a typed degraded
-    // end state.
+    // recovered corruption, and a typed degraded end state.
     assert!(rows.iter().any(|r| r.scenario == "clean" && r.converged));
     assert!(rows
         .iter()
         .any(|r| r.corrupted > 0 && r.recoverable && r.converged));
-    assert!(rows.iter().any(|r| r.restarts > 0));
-    assert!(rows.iter().any(|r| r.stalls > 0));
     let degraded: Vec<_> = rows.iter().filter(|r| !r.recoverable).collect();
     assert!(!degraded.is_empty());
     for r in degraded {
@@ -51,9 +48,7 @@ fn optimizer_matches_exhaustive_health_aware_search_through_chaos() {
     let cfg = StreamConfig {
         batch_size: 16,
         shuffle_seed: Some(42),
-        duplicate_every: 0,
-        defer_every: 0,
-        channel_cap: 4,
+        ..StreamConfig::default()
     };
     let fault = FaultPlan {
         seed: 17,

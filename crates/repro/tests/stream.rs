@@ -12,13 +12,13 @@ use etm_repro::stream::stream_experiment;
 fn streamed_basic_campaign_matches_one_shot_fit_and_offline_optimum() {
     let plan = MeasurementPlan::basic();
     // Adversarial delivery: shuffled, every 5th trial re-delivered,
-    // every 6th delivered late, small batches under backpressure.
+    // every 6th delivered late, in small batches.
     let cfg = StreamConfig {
         batch_size: 24,
         shuffle_seed: Some(77),
         duplicate_every: 5,
         defer_every: 6,
-        channel_cap: 3,
+        ..StreamConfig::default()
     };
     let run = stream_experiment(&plan, cfg, 0.0, 6400);
     assert!(
@@ -51,10 +51,7 @@ fn batch_shape_does_not_change_the_final_model_or_recommendation() {
         &plan,
         StreamConfig {
             batch_size: 486, // the whole campaign in one batch
-            shuffle_seed: None,
-            duplicate_every: 0,
-            defer_every: 0,
-            channel_cap: 0,
+            ..StreamConfig::default()
         },
         0.0,
         6400,
@@ -65,8 +62,7 @@ fn batch_shape_does_not_change_the_final_model_or_recommendation() {
             batch_size: 16,
             shuffle_seed: Some(2026),
             duplicate_every: 3,
-            defer_every: 0,
-            channel_cap: 2,
+            ..StreamConfig::default()
         },
         0.0,
         6400,

@@ -3,10 +3,10 @@
 //! Everything here exists so the rest of the workspace can build with an
 //! empty cargo registry and no network: a seedable PRNG ([`rng`]), a
 //! minimal JSON value/parser/writer with derive-free conversion traits
-//! ([`json`]), mpsc-style channels ([`channel`]), a poison-free
-//! [`sync::Mutex`], a scoped thread pool with an order-preserving
-//! [`pool::par_map`], stable FNV-1a content hashing ([`hash`]) and a
-//! deterministic property-test harness ([`prop`]).
+//! ([`json`]), a poison-free [`sync::Mutex`], scoped data-parallel
+//! helpers with an order-preserving [`pool::par_map`], stable FNV-1a
+//! content hashing ([`hash`]) and a deterministic property-test harness
+//! ([`prop`]).
 //!
 //! The `cargo xtask check` hermeticity lint enforces that no crate in the
 //! workspace reintroduces a registry dependency; this crate is what they
@@ -15,7 +15,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod hash;
 pub mod json;
 pub mod pool;

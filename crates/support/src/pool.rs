@@ -1,12 +1,10 @@
 //! Scoped data-parallelism over `std::thread` — the rayon subset the
-//! linear-algebra kernels need, plus a small job-queue [`ThreadPool`].
+//! linear-algebra kernels and the measurement campaign need.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::channel::{unbounded, Sender};
 use crate::sync::Mutex;
 
 /// The number of worker threads parallel helpers use: the machine's
@@ -50,21 +48,19 @@ where
         }
         return;
     }
-    let (tx, rx) = unbounded();
-    for pair in data.chunks_mut(chunk_len).enumerate() {
-        // The receiver outlives this loop, so the send cannot fail.
-        let _ = tx.send(pair);
-    }
-    drop(tx);
+    // Whichever worker is free takes the next chunk off the shared
+    // iterator.
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
     let first_panic = PanicSlot::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                while let Ok((i, chunk)) = rx.recv() {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
-                        keep_first_panic(&first_panic, payload);
-                        return;
-                    }
+            s.spawn(|| loop {
+                let Some((i, chunk)) = chunks.lock().next() else {
+                    return;
+                };
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
+                    keep_first_panic(&first_panic, payload);
+                    return;
                 }
             });
         }
@@ -76,16 +72,18 @@ where
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning
 /// the results **in item order** regardless of how the workers were
-/// scheduled. Jobs are distributed through the in-tree mpmc channel
-/// (whichever worker is free pulls the next item) and results flow back
-/// tagged with their index, so the output is deterministic: for a pure
-/// `f`, `par_map(items, t, f)` is bit-identical for every `t`.
+/// scheduled. Whichever worker is free claims the next item index from
+/// a shared counter and keeps its results, tagged with their index, in
+/// its own vector; the vectors are merged in item order once every
+/// worker has joined, so the output is deterministic: for a pure `f`,
+/// `par_map(items, t, f)` is bit-identical for every `t`.
 ///
 /// `f` receives the item index and the item. With `threads == 1` (or a
 /// single item) the map runs inline on the caller's thread.
 ///
 /// # Panics
-/// Panics if `threads == 0`, and re-raises panics from `f`.
+/// Panics if `threads == 0`, and re-raises the first panic from `f`
+/// with its own payload.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -97,137 +95,50 @@ where
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let (job_tx, job_rx) = unbounded();
-    for pair in items.iter().enumerate() {
-        // The receivers live for the whole scope below, so the send
-        // cannot fail.
-        let _ = job_tx.send(pair);
-    }
-    drop(job_tx);
-    let (res_tx, res_rx) = unbounded();
+    let next = AtomicUsize::new(0);
     let first_panic = PanicSlot::new(None);
-    std::thread::scope(|s| {
-        let f = &f;
-        let job_rx = &job_rx;
-        let first_panic = &first_panic;
-        for _ in 0..threads {
-            let res_tx = res_tx.clone();
-            s.spawn(move || {
-                while let Ok((i, item)) = job_rx.recv() {
-                    match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                        Ok(r) => {
-                            let _ = res_tx.send((i, r));
-                        }
-                        Err(payload) => {
-                            keep_first_panic(first_panic, payload);
-                            return;
+    let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
+                            Ok(r) => done.push((i, r)),
+                            Err(payload) => {
+                                keep_first_panic(&first_panic, payload);
+                                return done;
+                            }
                         }
                     }
-                }
-            });
-        }
-        drop(res_tx); // the workers' clones keep the channel open
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
     if let Some(payload) = first_panic.into_inner() {
         resume_unwind(payload);
     }
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    while let Some((i, r)) = res_rx.try_recv() {
+    for (i, r) in per_worker.into_iter().flatten() {
         slots[i] = Some(r);
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every job sent exactly one result"))
+        .map(|s| s.expect("every item was mapped exactly once"))
         .collect()
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed-size pool of worker threads draining a job queue.
-///
-/// Jobs run in submission order (picked up by whichever worker is
-/// free). [`ThreadPool::join`] waits for every submitted job and
-/// re-raises the first panic any job produced.
-pub struct ThreadPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    first_panic: Arc<PanicSlot>,
-}
-
-impl ThreadPool {
-    /// Spawns `threads` workers.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0` or the OS refuses to spawn a thread.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker");
-        let (tx, rx) = unbounded::<Job>();
-        let rx = Arc::new(rx);
-        let first_panic = Arc::new(PanicSlot::new(None));
-        let workers = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let first_panic = Arc::clone(&first_panic);
-                std::thread::Builder::new()
-                    .name(format!("etm-pool-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                                keep_first_panic(&first_panic, payload);
-                            }
-                        }
-                    })
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        ThreadPool {
-            tx: Some(tx),
-            workers,
-            first_panic,
-        }
-    }
-
-    /// Submits a job. Never blocks.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        if let Some(tx) = &self.tx {
-            // Workers only exit once the sender is dropped, so the queue
-            // is always open while `tx` exists.
-            let _ = tx.send(Box::new(job));
-        }
-    }
-
-    /// Waits for all submitted jobs to finish and shuts the pool down.
-    ///
-    /// # Panics
-    /// Re-raises the first panic raised by any job.
-    pub fn join(mut self) {
-        self.shutdown();
-        let payload = self.first_panic.lock().take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-
-    fn shutdown(&mut self) {
-        drop(self.tx.take()); // closes the queue; workers drain and exit
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        // Complete outstanding work even without an explicit join();
-        // panics are swallowed here (Drop must not unwind).
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_chunks_matches_serial_at_any_width() {
@@ -300,33 +211,5 @@ mod tests {
             }
             v
         });
-    }
-
-    #[test]
-    fn pool_completes_all_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let pool = ThreadPool::new(4);
-        for _ in 0..100 {
-            let counter = Arc::clone(&counter);
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.join();
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "job 13 failed")]
-    fn pool_join_propagates_job_panic() {
-        let pool = ThreadPool::new(2);
-        for i in 0..20 {
-            pool.execute(move || {
-                if i == 13 {
-                    panic!("job 13 failed");
-                }
-            });
-        }
-        pool.join();
     }
 }

@@ -1,12 +1,7 @@
 //! Integration tests for the etm-support substrate: PRNG determinism
-//! across runs, JSON round-trips through the macro-generated impls, and
-//! thread-pool completion/panic semantics.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+//! across runs and JSON round-trips through the macro-generated impls.
 
 use etm_support::json::{self, FromJson, Json, ToJson};
-use etm_support::pool::ThreadPool;
 use etm_support::rng::Rng64;
 use etm_support::{json_enum, json_struct};
 
@@ -98,38 +93,6 @@ fn json_tree_survives_reparse() {
 fn missing_field_is_reported_by_name() {
     let err = json::from_str::<Report>("{\"title\": \"x\"}").unwrap_err();
     assert!(err.message.contains("kind"), "{err}");
-}
-
-#[test]
-fn pool_completes_every_job_before_join_returns() {
-    let done = Arc::new(AtomicUsize::new(0));
-    let pool = ThreadPool::new(3);
-    for _ in 0..500 {
-        let done = Arc::clone(&done);
-        pool.execute(move || {
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    pool.join();
-    assert_eq!(done.load(Ordering::SeqCst), 500);
-}
-
-#[test]
-fn pool_propagates_panics_but_still_runs_other_jobs() {
-    let done = Arc::new(AtomicUsize::new(0));
-    let pool = ThreadPool::new(2);
-    for i in 0..50 {
-        let done = Arc::clone(&done);
-        pool.execute(move || {
-            if i == 25 {
-                panic!("deliberate failure");
-            }
-            done.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.join()));
-    assert!(result.is_err(), "join must re-raise the job panic");
-    assert_eq!(done.load(Ordering::SeqCst), 49, "other jobs still ran");
 }
 
 /// `FromJson` consumers see numbers written by `ToJson` bit-exactly.

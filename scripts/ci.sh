@@ -15,9 +15,11 @@
 #                           degradation-ladder invariant breach and
 #                           writes results/chaos_report.csv), the
 #                           closed-loop replay (`repro loop`, which
-#                           writes results/loop_regret.csv), a
-#                           determinism gate that fails if either of
-#                           those two CSVs differs from its committed
+#                           writes results/loop_regret.csv), the
+#                           streamed Basic campaign (`repro stream`,
+#                           which writes results/stream_decisions.csv),
+#                           a determinism gate that fails if any of
+#                           those three CSVs differs from its committed
 #                           copy, and a bench smoke run that
 #                           writes the substrates + streaming +
 #                           analyze + serving +
@@ -178,9 +180,11 @@ stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "audit"      cargo xtask check audit
 stage "chaos"      cargo run -q --release -p etm-repro --bin repro -- chaos
 stage "loop"       cargo run -q --release -p etm-repro --bin repro -- loop
-# Both replays are fixed-seed and deterministic: any byte of drift from
-# the committed artifacts is a behaviour change, not noise.
-stage "artifacts"  git diff --exit-code -- results/chaos_report.csv results/loop_regret.csv
+stage "stream"     cargo run -q --release -p etm-repro --bin repro -- stream
+# All three replays are fixed-seed and deterministic: any byte of drift
+# from the committed artifacts is a behaviour change, not noise.
+stage "artifacts"  git diff --exit-code -- results/chaos_report.csv results/loop_regret.csv \
+                     results/stream_decisions.csv
 stage "bench"      bench_smoke
 
 echo
