@@ -197,7 +197,6 @@ impl WeightedDist {
             "weights must be positive"
         );
         let p = weights.len();
-        let total: f64 = weights.iter().sum();
         let min_w = weights.iter().cloned().fold(f64::INFINITY, f64::min);
         // Slots per cycle: the slowest rank gets exactly one; everyone
         // else gets a rounded multiple (>= 1) of its speed ratio.
@@ -205,7 +204,6 @@ impl WeightedDist {
             .iter()
             .map(|&w| ((w / min_w).round() as usize).max(1))
             .collect();
-        let _ = total;
         let cycle: Vec<usize> = (0..p)
             .flat_map(|r| std::iter::repeat_n(r, slots[r]))
             .collect();

@@ -15,22 +15,19 @@
 //! * the `U12` strip is broadcast down process *columns* before the
 //!   trailing dgemm.
 //!
-//! Compute charges reuse the calibrated [`PerfModel`]; communication goes
+//! Compute charges reuse the calibrated
+//! [`PerfModel`](etm_cluster::PerfModel); communication goes
 //! through the same DES fabric as the 1-D simulation, with row/column
-//! collectives running on [`SubComm`](etm_mpisim::SubComm) views.
+//! collectives running on [`SubComm`] views.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
+use etm_cluster::{ClusterSpec, Configuration, Placement};
 use etm_mpisim::coll::{gather, ring_bcast};
-use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg, SubComm};
-use etm_sim::Simulation;
+use etm_mpisim::{Comm, SimComm, SimMsg, SubComm};
 
 use crate::dist::{BlockCyclic, TrailingCols};
 use crate::params::HplParams;
-use crate::phases::{gflops, PhaseTimes};
-use crate::simulate::SimulatedRun;
+use crate::phases::PhaseTimes;
+use crate::simulate::{simulate_ranks, ExecutionPerturbation, RankCost, SimulatedRun};
 
 /// Shape of the process grid (`rows × cols = P`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,33 +69,12 @@ impl GridShape {
     }
 }
 
-struct GridRank<'a> {
-    pm: &'a PerfModel<'a>,
-    kind: KindId,
-    m: usize,
-    oc: f64,
-    nb: usize,
-}
-
-impl GridRank<'_> {
-    fn gemm(&self, flops: f64) -> f64 {
-        self.pm
-            .gemm_time(self.kind, flops, self.m, self.oc, self.nb)
-    }
-    fn panel(&self, flops: f64) -> f64 {
-        self.pm.panel_time(self.kind, flops, self.m, self.oc)
-    }
-    fn memop(&self, bytes: f64) -> f64 {
-        self.pm.memop_time(self.kind, bytes, self.oc)
-    }
-}
-
 /// One rank's timed execution on an `R × C` grid.
 async fn run_rank_grid(
     comm: &SimComm,
     params: &HplParams,
     grid: GridShape,
-    cost: &GridRank<'_>,
+    cost: &RankCost,
 ) -> PhaseTimes {
     let me = comm.rank();
     let (r_me, c_me) = (me / grid.cols, me % grid.cols);
@@ -162,7 +138,7 @@ async fn run_rank_grid(
         let root = owner_col; // row-subcomm index == column index
         let payload = (c_me == owner_col).then(|| SimMsg::of(panel_bytes));
         let _ = ring_bcast(&row_comm, root, payload).await;
-        let stall = cost.pm.sync_stall(cost.kind, cost.m);
+        let stall = cost.sync_stall();
         if stall > 0.0 {
             comm.idle(stall).await;
         }
@@ -239,7 +215,7 @@ pub fn simulate_hpl_grid(
     params: &HplParams,
     grid: GridShape,
 ) -> SimulatedRun {
-    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
+    let placement = Placement::new(spec, config).expect("invalid configuration");
     assert_eq!(
         grid.len(),
         placement.len(),
@@ -249,52 +225,16 @@ pub fn simulate_hpl_grid(
         grid.len(),
         placement.len()
     );
-    let mut sim = Simulation::new();
-    let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results = Rc::new(RefCell::new(vec![None; placement.len()]));
-    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
-
-    for slot in &placement.slots {
-        let seed = fabric.seed(slot.rank);
-        let results = Rc::clone(&results);
-        let spec = Rc::clone(&shared_spec);
-        let params = *params;
-        let kind = slot.kind;
-        let m = placement.procs_on_cpu(slot);
-        let node = slot.node;
-        let rank = slot.rank;
-        let placement_cl = Rc::clone(&placement);
-        sim.spawn(format!("hpl2d-rank{rank}"), move |ctx| async move {
-            let comm = seed.bind(ctx);
-            let pm = PerfModel::new(&spec, params.n, placement_cl.len());
-            let oc = pm.node_overcommit(&placement_cl, node, params.nb);
-            let cost = GridRank {
-                pm: &pm,
-                kind,
-                m,
-                oc,
-                nb: params.nb,
-            };
-            let ph = run_rank_grid(&comm, &params, grid, &cost).await;
-            results.borrow_mut()[rank] = Some(ph);
-        });
-    }
-
-    let wall_seconds = sim.run().expect("2-D HPL simulation deadlocked");
-    let phases: Vec<PhaseTimes> = results
-        .borrow()
-        .iter()
-        .map(|p| p.expect("every rank reports"))
-        .collect();
-    SimulatedRun {
-        params: *params,
-        config: config.clone(),
-        kinds: placement.slots.iter().map(|s| s.kind).collect(),
-        nodes_used: placement.used_nodes().len(),
-        phases,
-        wall_seconds,
-        gflops: gflops(params.n, wall_seconds),
-    }
+    let run_params = *params;
+    simulate_ranks(
+        spec,
+        config,
+        &placement,
+        params,
+        "hpl2d-rank",
+        &ExecutionPerturbation::default(),
+        |comm, cost| async move { run_rank_grid(&comm, &run_params, grid, &cost).await },
+    )
 }
 
 #[cfg(test)]

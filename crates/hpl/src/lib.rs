@@ -30,6 +30,15 @@
 //!   `-DHPL_DETAILED_TIMING` does. This is the paper's *measurement
 //!   apparatus*, producing the `(N, P, Mᵢ) → (Ta, Tc)` samples the
 //!   estimation models are fit to.
+//!
+//! Two extensions change only what each timed rank does: [`weighted`]
+//! deals the columns in proportion to PE speed (the related work's
+//! rewritten HPL), and [`grid2d`] runs on an `R × C` process grid. All
+//! of them are one program over a [`ColumnAssignment`] or grid shape:
+//! every numeric run goes through
+//! [`run_thread_ranks`](etm_mpisim::run_thread_ranks) and every timed
+//! run through [`run_sim_ranks`](etm_mpisim::run_sim_ranks), which
+//! spawn the ranks; this crate supplies only the rank bodies.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

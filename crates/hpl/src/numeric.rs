@@ -17,7 +17,7 @@ use etm_linalg::lu::dgetf2;
 use etm_linalg::verify::{residual, Residual};
 use etm_linalg::Matrix;
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{block_on, build_thread_comms, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadComm, ThreadMsg};
 
 use crate::dist::BlockCyclic;
 use crate::params::{BcastAlgo, HplParams};
@@ -261,23 +261,14 @@ fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
 /// Panics if `p == 0` or if a rank thread panics.
 pub fn run_numeric(params: &HplParams, p: usize) -> NumericResult {
     assert!(p > 0);
-    let comms = build_thread_comms(p);
     let t0 = Instant::now();
-    let handles: Vec<_> = comms
-        .into_iter()
-        .map(|c| {
-            let params = *params;
-            std::thread::spawn(move || run_rank(c, params))
-        })
-        .collect();
-    let mut x = Vec::new();
-    let mut phases = Vec::with_capacity(p);
-    for h in handles {
-        let (xi, ph) = h.join().expect("rank thread panicked");
-        x = xi;
-        phases.push(ph);
-    }
+    // Every rank ends holding the broadcast solution; keep the last.
+    let (mut xs, phases): (Vec<Vec<f64>>, Vec<PhaseTimes>) =
+        run_thread_ranks(p, |c| run_rank(c, *params))
+            .into_iter()
+            .unzip();
     let wall_seconds = t0.elapsed().as_secs_f64();
+    let x = xs.pop().expect("at least one rank");
     let a = hpl_matrix(params.n, params.seed);
     let b = hpl_rhs(params.n, params.seed);
     let res = residual(&a, &x, &b);

@@ -6,7 +6,7 @@
 //! resource; co-resident ranks (multiprocessing, `Mᵢ > 1`) therefore slow
 //! each other down exactly as time-sliced processes do, with the
 //! additional `1 + σ(m−1)` scheduling overhead from the
-//! [`PerfModel`](etm_cluster::PerfModel). Panel broadcasts travel the ring
+//! [`PerfModel`]. Panel broadcasts travel the ring
 //! (or binomial tree) through NIC and intra-node paths, so communication
 //! time emerges from contention rather than being a closed-form guess.
 //!
@@ -15,12 +15,12 @@
 //! broadcast counts toward `bcast` — precisely how the paper's Fig. 4
 //! items are measured.
 
-use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg};
+use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg};
 use etm_sim::Simulation;
 
 use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
@@ -89,26 +89,38 @@ fn pfact_flops(rows: usize, w: usize) -> f64 {
     f
 }
 
-pub(crate) struct RankCost<'a> {
-    pub(crate) pm: &'a PerfModel<'a>,
-    pub(crate) kind: KindId,
+/// What one timed rank's work costs: the calibrated [`PerfModel`] of
+/// the run, priced for the rank's kind, CPU sharing and node memory
+/// pressure. Every rank holds one `Rc` of the same cluster spec.
+pub(crate) struct RankCost {
+    spec: Rc<ClusterSpec>,
+    n: usize,
+    p: usize,
+    kind: KindId,
     /// Processes co-resident on this rank's CPU.
-    pub(crate) m: usize,
+    m: usize,
     /// Memory overcommit of this rank's node.
-    pub(crate) oc: f64,
-    pub(crate) nb: usize,
+    oc: f64,
+    nb: usize,
 }
 
-impl RankCost<'_> {
-    fn gemm(&self, flops: f64) -> f64 {
-        self.pm
+impl RankCost {
+    fn pm(&self) -> PerfModel<'_> {
+        PerfModel::new(&self.spec, self.n, self.p)
+    }
+    pub(crate) fn gemm(&self, flops: f64) -> f64 {
+        self.pm()
             .gemm_time(self.kind, flops, self.m, self.oc, self.nb)
     }
-    fn panel(&self, flops: f64) -> f64 {
-        self.pm.panel_time(self.kind, flops, self.m, self.oc)
+    pub(crate) fn panel(&self, flops: f64) -> f64 {
+        self.pm().panel_time(self.kind, flops, self.m, self.oc)
     }
-    fn memop(&self, bytes: f64) -> f64 {
-        self.pm.memop_time(self.kind, bytes, self.oc)
+    pub(crate) fn memop(&self, bytes: f64) -> f64 {
+        self.pm().memop_time(self.kind, bytes, self.oc)
+    }
+    /// The scheduler stall after blocking at a synchronization point.
+    pub(crate) fn sync_stall(&self) -> f64 {
+        self.pm().sync_stall(self.kind, self.m)
     }
 }
 
@@ -120,11 +132,11 @@ async fn bcast_sim(comm: &SimComm, algo: BcastAlgo, root: usize, msg: Option<Sim
 }
 
 /// One rank's timed execution.
-pub(crate) async fn run_rank_sim(
+async fn run_rank_sim(
     comm: &SimComm,
     params: &HplParams,
     dist: &impl ColumnAssignment,
-    cost: &RankCost<'_>,
+    cost: &RankCost,
 ) -> PhaseTimes {
     let me = comm.rank();
     let n = params.n;
@@ -156,7 +168,7 @@ pub(crate) async fn run_rank_sim(
         let t_b = comm.now();
         let payload = (me == owner).then(|| SimMsg::of(bytes));
         let _ = bcast_sim(comm, params.bcast, owner, payload).await;
-        let stall = cost.pm.sync_stall(cost.kind, cost.m);
+        let stall = cost.sync_stall();
         if stall > 0.0 {
             comm.idle(stall).await;
         }
@@ -263,6 +275,95 @@ impl ExecutionPerturbation {
     pub fn is_clean(&self) -> bool {
         self.net_slowdown == 1.0 && self.cpu_slowdown.iter().all(|&(_, s)| s == 1.0)
     }
+
+    /// Derates `fabric` before any rank runs. Every factor other than
+    /// `1.0` is checked, including one for a kind with no rank here.
+    fn apply(&self, sim: &mut Simulation, fabric: &SimFabric, placement: &Placement) {
+        for &(kind, slowdown) in &self.cpu_slowdown {
+            if slowdown != 1.0 {
+                fabric.derate_kind_cpus(sim, placement, kind, slowdown);
+            }
+        }
+        if self.net_slowdown != 1.0 {
+            fabric.derate_nics(sim, self.net_slowdown);
+        }
+    }
+}
+
+/// Runs one timed HPL program on every rank of `placement` through the
+/// fabric launcher and collects the run: the harness under the 1-D,
+/// weighted and 2-D entry points. `rank` receives each rank's
+/// communicator and cost model and returns its phase times.
+pub(crate) fn simulate_ranks<F, Fut>(
+    spec: &ClusterSpec,
+    config: &Configuration,
+    placement: &Placement,
+    params: &HplParams,
+    name: &str,
+    perturb: &ExecutionPerturbation,
+    mut rank: F,
+) -> SimulatedRun
+where
+    F: FnMut(SimComm, RankCost) -> Fut,
+    Fut: Future<Output = PhaseTimes> + 'static,
+{
+    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
+    let pm = PerfModel::new(spec, params.n, placement.len());
+    let (phases, wall_seconds) = run_sim_ranks(
+        spec,
+        placement,
+        name,
+        |sim, fabric| perturb.apply(sim, fabric, placement),
+        |comm, slot| {
+            let cost = RankCost {
+                spec: Rc::clone(&shared_spec),
+                n: params.n,
+                p: placement.len(),
+                kind: slot.kind,
+                m: placement.procs_on_cpu(slot),
+                oc: pm.node_overcommit(placement, slot.node, params.nb),
+                nb: params.nb,
+            };
+            rank(comm, cost)
+        },
+    );
+    SimulatedRun {
+        params: *params,
+        config: config.clone(),
+        kinds: placement.slots.iter().map(|s| s.kind).collect(),
+        nodes_used: placement.used_nodes().len(),
+        phases,
+        wall_seconds,
+        gflops: gflops(params.n, wall_seconds),
+    }
+}
+
+/// The 1 × P timed HPL over any column assignment: the driver behind
+/// [`simulate_hpl_perturbed`] and
+/// [`simulate_hpl_weighted`](crate::simulate_hpl_weighted).
+pub(crate) fn simulate_1d<D: ColumnAssignment + 'static>(
+    spec: &ClusterSpec,
+    config: &Configuration,
+    placement: &Placement,
+    params: &HplParams,
+    name: &str,
+    dist: D,
+    perturb: &ExecutionPerturbation,
+) -> SimulatedRun {
+    let dist = Rc::new(dist); // one copy for every rank
+    let run_params = *params;
+    simulate_ranks(
+        spec,
+        config,
+        placement,
+        params,
+        name,
+        perturb,
+        |comm, cost| {
+            let dist = Rc::clone(&dist);
+            async move { run_rank_sim(&comm, &run_params, &*dist, &cost).await }
+        },
+    )
 }
 
 /// Simulates one HPL run of `params` under `config` on `spec`.
@@ -293,65 +394,9 @@ pub fn simulate_hpl_perturbed(
     params: &HplParams,
     perturb: &ExecutionPerturbation,
 ) -> SimulatedRun {
-    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
-    let p = placement.len();
-    debug_assert!(BlockCyclic::new(params.n, params.nb, p).num_blocks() > 0);
-
-    let mut sim = Simulation::new();
-    let fabric = SimFabric::build(&mut sim, spec, &placement);
-    for &(kind, slowdown) in &perturb.cpu_slowdown {
-        if slowdown != 1.0 {
-            fabric.derate_kind_cpus(&mut sim, &placement, kind, slowdown);
-        }
-    }
-    if perturb.net_slowdown != 1.0 {
-        fabric.derate_nics(&mut sim, perturb.net_slowdown);
-    }
-    let results = Rc::new(RefCell::new(vec![None; p]));
-    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
-
-    for slot in &placement.slots {
-        let seed = fabric.seed(slot.rank);
-        let results = Rc::clone(&results);
-        let spec = Rc::clone(&shared_spec);
-        let params = *params;
-        let kind = slot.kind;
-        let m = placement.procs_on_cpu(slot);
-        let node = slot.node;
-        let rank = slot.rank;
-        let placement_cl = Rc::clone(&placement);
-        sim.spawn(format!("hpl-rank{rank}"), move |ctx| async move {
-            let comm = seed.bind(ctx);
-            let pm = PerfModel::new(&spec, params.n, placement_cl.len());
-            let oc = pm.node_overcommit(&placement_cl, node, params.nb);
-            let cost = RankCost {
-                pm: &pm,
-                kind,
-                m,
-                oc,
-                nb: params.nb,
-            };
-            let dist = BlockCyclic::new(params.n, params.nb, placement_cl.len());
-            let ph = run_rank_sim(&comm, &params, &dist, &cost).await;
-            results.borrow_mut()[rank] = Some(ph);
-        });
-    }
-
-    let wall_seconds = sim.run().expect("HPL simulation deadlocked");
-    let phases: Vec<PhaseTimes> = results
-        .borrow()
-        .iter()
-        .map(|p| p.expect("every rank reports"))
-        .collect();
-    SimulatedRun {
-        params: *params,
-        config: config.clone(),
-        kinds: placement.slots.iter().map(|s| s.kind).collect(),
-        nodes_used: placement.used_nodes().len(),
-        phases,
-        wall_seconds,
-        gflops: gflops(params.n, wall_seconds),
-    }
+    let placement = Placement::new(spec, config).expect("invalid configuration");
+    let dist = BlockCyclic::new(params.n, params.nb, placement.len());
+    simulate_1d(spec, config, &placement, params, "hpl-rank", dist, perturb)
 }
 
 #[cfg(test)]
@@ -380,6 +425,19 @@ mod tests {
         for (a, b) in base.phases.iter().zip(&run.phases) {
             assert_eq!(a.total().to_bits(), b.total().to_bits());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite positive")]
+    fn slowdown_factor_is_checked_for_a_kind_without_ranks() {
+        // A P-II-only run: no rank is an Athlon, but the factor is
+        // still refused instead of running as if clean.
+        let bad = ExecutionPerturbation {
+            cpu_slowdown: vec![(KindId(0), -1.0)],
+            net_slowdown: 1.0,
+        };
+        let cfg = Configuration::p1m1_p2m2(0, 0, 2, 1);
+        let _ = simulate_hpl_perturbed(&spec(), &cfg, &HplParams::order(400), &bad);
     }
 
     #[test]

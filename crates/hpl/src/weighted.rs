@@ -10,17 +10,11 @@
 //! one process per PE and column blocks dealt in proportion to each PE's
 //! peak speed.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use etm_cluster::{ClusterSpec, Configuration, PerfModel, Placement};
-use etm_mpisim::SimFabric;
-use etm_sim::Simulation;
+use etm_cluster::{ClusterSpec, Configuration, Placement};
 
 use crate::dist::WeightedDist;
 use crate::params::HplParams;
-use crate::phases::gflops;
-use crate::simulate::{run_rank_sim, RankCost, SimulatedRun};
+use crate::simulate::{simulate_1d, ExecutionPerturbation, SimulatedRun};
 
 /// Simulates HPL with a speed-weighted column distribution — the
 /// "rewrite the application" approach of the paper's related work.
@@ -43,61 +37,22 @@ pub fn simulate_hpl_weighted(
             u.kind.0
         );
     }
-    let placement = Rc::new(Placement::new(spec, config).expect("invalid configuration"));
+    let placement = Placement::new(spec, config).expect("invalid configuration");
     let weights: Vec<f64> = placement
         .slots
         .iter()
         .map(|s| spec.kind(s.kind).peak_flops)
         .collect();
     let dist = WeightedDist::new(params.n, params.nb, &weights);
-
-    let mut sim = Simulation::new();
-    let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results = Rc::new(RefCell::new(vec![None; placement.len()]));
-    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
-    let dist = Rc::new(dist);
-
-    for slot in &placement.slots {
-        let seed = fabric.seed(slot.rank);
-        let results = Rc::clone(&results);
-        let spec = Rc::clone(&shared_spec);
-        let params = *params;
-        let kind = slot.kind;
-        let node = slot.node;
-        let rank = slot.rank;
-        let placement_cl = Rc::clone(&placement);
-        let dist = Rc::clone(&dist);
-        sim.spawn(format!("hplw-rank{rank}"), move |ctx| async move {
-            let comm = seed.bind(ctx);
-            let pm = PerfModel::new(&spec, params.n, placement_cl.len());
-            let oc = pm.node_overcommit(&placement_cl, node, params.nb);
-            let cost = RankCost {
-                pm: &pm,
-                kind,
-                m: 1,
-                oc,
-                nb: params.nb,
-            };
-            let ph = run_rank_sim(&comm, &params, &*dist, &cost).await;
-            results.borrow_mut()[rank] = Some(ph);
-        });
-    }
-
-    let wall_seconds = sim.run().expect("weighted HPL simulation deadlocked");
-    let phases: Vec<crate::PhaseTimes> = results
-        .borrow()
-        .iter()
-        .map(|p| p.expect("every rank reports"))
-        .collect();
-    SimulatedRun {
-        params: *params,
-        config: config.clone(),
-        kinds: placement.slots.iter().map(|s| s.kind).collect(),
-        nodes_used: placement.used_nodes().len(),
-        phases,
-        wall_seconds,
-        gflops: gflops(params.n, wall_seconds),
-    }
+    simulate_1d(
+        spec,
+        config,
+        &placement,
+        params,
+        "hplw-rank",
+        dist,
+        &ExecutionPerturbation::default(),
+    )
 }
 
 #[cfg(test)]

@@ -123,31 +123,13 @@ pub async fn gather<C: Comm>(comm: &C, root: usize, msg: C::Msg) -> Option<Vec<C
 mod tests {
     use super::*;
     use crate::block_on;
-    use crate::threadcomm::{build_thread_comms, ThreadMsg};
-    use std::thread;
-
-    fn run_all<F>(p: usize, f: F)
-    where
-        F: Fn(crate::ThreadComm) + Send + Sync + Clone + 'static,
-    {
-        let comms = build_thread_comms(p);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                let f = f.clone();
-                thread::spawn(move || f(c))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
+    use crate::threadcomm::{run_thread_ranks, ThreadMsg};
 
     #[test]
     fn ring_bcast_delivers_to_all() {
         for p in [1usize, 2, 3, 7] {
             for root in 0..p {
-                run_all(p, move |c| {
+                run_thread_ranks(p, |c| {
                     let payload = if c.rank() == root {
                         Some(ThreadMsg::floats(vec![root as f64, 42.0]))
                     } else {
@@ -164,7 +146,7 @@ mod tests {
     fn binomial_bcast_delivers_to_all() {
         for p in [1usize, 2, 4, 5, 8] {
             for root in [0, p / 2, p - 1] {
-                run_all(p, move |c| {
+                run_thread_ranks(p, |c| {
                     let payload = if c.rank() == root {
                         Some(ThreadMsg::floats(vec![13.0]))
                     } else {
@@ -179,7 +161,7 @@ mod tests {
 
     #[test]
     fn barrier_completes() {
-        run_all(6, |c| {
+        run_thread_ranks(6, |c| {
             for _ in 0..5 {
                 block_on(barrier(&c));
             }
@@ -188,7 +170,7 @@ mod tests {
 
     #[test]
     fn gather_collects_by_rank() {
-        run_all(5, |c| {
+        run_thread_ranks(5, |c| {
             let mine = ThreadMsg::floats(vec![c.rank() as f64]);
             match block_on(gather(&c, 2, mine)) {
                 Some(all) => {

@@ -24,6 +24,13 @@
 //! them with [`block_on`], because its futures block inside their first
 //! poll and never return `Pending`.
 //!
+//! Each backend has one SPMD launcher (the same program on every rank):
+//! [`run_thread_ranks`] runs a body on `p` thread ranks, and
+//! [`run_sim_ranks`] builds the simulated fabric for a placement, lets
+//! the caller derate it, and spawns one simulated process per slot.
+//! Every numeric and timed run in `etm-hpl` and `etm-stencil` is a rank
+//! body handed to one of them.
+//!
 //! [`netpipe`] is the NetPIPE analogue: a ping-pong throughput sweep over
 //! the simulated fabric, regenerating Fig. 2.
 
@@ -40,9 +47,9 @@ mod simcomm;
 mod subcomm;
 mod threadcomm;
 
-pub use simcomm::{SimComm, SimCommSeed, SimFabric, SimMsg};
+pub use simcomm::{run_sim_ranks, SimComm, SimCommSeed, SimFabric, SimMsg};
 pub use subcomm::SubComm;
-pub use threadcomm::{build_thread_comms, ThreadComm, ThreadMsg};
+pub use threadcomm::{build_thread_comms, run_thread_ranks, ThreadComm, ThreadMsg};
 
 /// Message-passing endpoint: what the generic collectives require.
 ///

@@ -1,9 +1,11 @@
 //! Discrete-event-backed communicator: messages carry byte counts and
 //! sending charges virtual time against the shared CPU/NIC resources.
 
+use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
-use etm_cluster::{ClusterSpec, CommLibProfile, NetworkSpec, Placement};
+use etm_cluster::{ClusterSpec, CommLibProfile, KindId, NetworkSpec, Placement, ProcSlot};
 use etm_sim::{Ctx, MailboxId, ResourceId, Simulation};
 
 use crate::Comm;
@@ -101,14 +103,19 @@ impl SimFabric {
     /// by several ranks are derated once.
     ///
     /// # Panics
-    /// Panics if `slowdown` is not a finite positive factor.
+    /// Panics if `slowdown` is not a finite positive factor, even when
+    /// no rank runs on `kind`.
     pub fn derate_kind_cpus(
         &self,
         sim: &mut Simulation,
         placement: &Placement,
-        kind: etm_cluster::KindId,
+        kind: KindId,
         slowdown: f64,
     ) {
+        assert!(
+            slowdown.is_finite() && slowdown > 0.0,
+            "slowdown must be a finite positive factor, got {slowdown}"
+        );
         let mut done: Vec<ResourceId> = Vec::new();
         for (rank, slot) in placement.slots.iter().enumerate() {
             if slot.kind != kind {
@@ -142,6 +149,61 @@ impl SimFabric {
             shared: Rc::clone(&self.shared),
         }
     }
+}
+
+/// Runs one SPMD program on the simulated fabric: the one launcher
+/// every timed run goes through.
+///
+/// Builds a fresh [`Simulation`] and the [`SimFabric`] for
+/// `placement`, hands both to `derate` before any rank starts, then
+/// spawns one process per `placement.slots` entry, in slot order and
+/// named `{name}{rank}`. `body` receives the rank's bound [`SimComm`]
+/// and its slot, and returns the future the process runs. Spawn order
+/// fixes process ids, which break ties between simultaneous events, so
+/// it is part of every virtual time this returns.
+///
+/// Returns each rank's result in rank order and the makespan (virtual
+/// seconds until the last rank finished).
+///
+/// # Panics
+/// Panics if the simulation deadlocks (a bug in the body's
+/// communication schedule), or if a rank body panics.
+pub fn run_sim_ranks<T, F, Fut>(
+    spec: &ClusterSpec,
+    placement: &Placement,
+    name: &str,
+    derate: impl FnOnce(&mut Simulation, &SimFabric),
+    mut body: F,
+) -> (Vec<T>, f64)
+where
+    T: 'static,
+    F: FnMut(SimComm, &ProcSlot) -> Fut,
+    Fut: Future<Output = T> + 'static,
+{
+    let mut sim = Simulation::new();
+    let fabric = SimFabric::build(&mut sim, spec, placement);
+    derate(&mut sim, &fabric);
+    let results: Rc<RefCell<Vec<Option<T>>>> =
+        Rc::new(RefCell::new(placement.slots.iter().map(|_| None).collect()));
+    for slot in &placement.slots {
+        let rank = slot.rank;
+        let seed = fabric.seed(rank);
+        let results = Rc::clone(&results);
+        sim.spawn(format!("{name}{rank}"), |ctx| {
+            let run = body(seed.bind(ctx), slot);
+            async move {
+                let out = run.await;
+                results.borrow_mut()[rank] = Some(out);
+            }
+        });
+    }
+    let makespan = sim.run().unwrap_or_else(|e| panic!("{e}"));
+    let outs = results
+        .borrow_mut()
+        .iter_mut()
+        .map(|r| r.take().expect("every rank reports"))
+        .collect();
+    (outs, makespan)
 }
 
 /// Per-rank half-built communicator; bind it to the process's [`Ctx`]

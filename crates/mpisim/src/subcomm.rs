@@ -75,65 +75,46 @@ mod tests {
     use super::*;
     use crate::block_on;
     use crate::coll::{barrier, gather, ring_bcast};
-    use crate::threadcomm::{build_thread_comms, ThreadMsg};
-    use std::thread;
+    use crate::threadcomm::{build_thread_comms, run_thread_ranks, ThreadMsg};
 
     #[test]
     fn subcomm_reranks_densely() {
         // 6 ranks split into rows {0,1,2} and {3,4,5}.
-        let comms = build_thread_comms(6);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let row: Vec<usize> = if c.rank() < 3 {
-                        vec![0, 1, 2]
-                    } else {
-                        vec![3, 4, 5]
-                    };
-                    let sub = SubComm::new(&c, row.clone());
-                    assert_eq!(sub.size(), 3);
-                    assert_eq!(sub.rank(), c.rank() % 3);
-                    assert_eq!(sub.to_parent(sub.rank()), c.rank());
-                    // Row-local broadcast from sub-rank 0.
-                    let payload = (sub.rank() == 0).then(|| ThreadMsg::floats(vec![row[0] as f64]));
-                    let got = block_on(ring_bcast(&sub, 0, payload));
-                    assert_eq!(got.data, vec![row[0] as f64]);
-                    block_on(barrier(&sub));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        run_thread_ranks(6, |c| {
+            let row: Vec<usize> = if c.rank() < 3 {
+                vec![0, 1, 2]
+            } else {
+                vec![3, 4, 5]
+            };
+            let sub = SubComm::new(&c, row.clone());
+            assert_eq!(sub.size(), 3);
+            assert_eq!(sub.rank(), c.rank() % 3);
+            assert_eq!(sub.to_parent(sub.rank()), c.rank());
+            // Row-local broadcast from sub-rank 0.
+            let payload = (sub.rank() == 0).then(|| ThreadMsg::floats(vec![row[0] as f64]));
+            let got = block_on(ring_bcast(&sub, 0, payload));
+            assert_eq!(got.data, vec![row[0] as f64]);
+            block_on(barrier(&sub));
+        });
     }
 
     #[test]
     fn column_gather_through_subcomm() {
         // 4 ranks as a 2x2 grid; gather along columns {0,2} and {1,3}.
-        let comms = build_thread_comms(4);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let col: Vec<usize> = if c.rank() % 2 == 0 {
-                        vec![0, 2]
-                    } else {
-                        vec![1, 3]
-                    };
-                    let sub = SubComm::new(&c, col);
-                    let mine = ThreadMsg::floats(vec![c.rank() as f64]);
-                    if let Some(all) = block_on(gather(&sub, 0, mine)) {
-                        assert_eq!(sub.rank(), 0);
-                        assert_eq!(all.len(), 2);
-                        assert_eq!(all[1].data[0], (c.rank() + 2) as f64);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        run_thread_ranks(4, |c| {
+            let col: Vec<usize> = if c.rank() % 2 == 0 {
+                vec![0, 2]
+            } else {
+                vec![1, 3]
+            };
+            let sub = SubComm::new(&c, col);
+            let mine = ThreadMsg::floats(vec![c.rank() as f64]);
+            if let Some(all) = block_on(gather(&sub, 0, mine)) {
+                assert_eq!(sub.rank(), 0);
+                assert_eq!(all.len(), 2);
+                assert_eq!(all[1].data[0], (c.rank() + 2) as f64);
+            }
+        });
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! single-consumer FIFO, which is exactly MPI's per-pair ordering
 //! guarantee, and each receiving end lives in one rank's endpoint.
 
+use std::panic::resume_unwind;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread;
 
 use crate::Comm;
 
@@ -111,6 +113,29 @@ pub fn build_thread_comms(size: usize) -> Vec<ThreadComm> {
     comms
 }
 
+/// Runs `body` on `p` thread ranks of a fresh fabric (the SPMD
+/// launcher of the thread backend) and returns each rank's result in
+/// rank order.
+///
+/// # Panics
+/// Panics if `p == 0`. If any rank panics, every rank is joined and the
+/// panic of the lowest-numbered panicking rank is re-raised with its
+/// original payload.
+pub fn run_thread_ranks<T: Send>(p: usize, body: impl Fn(ThreadComm) -> T + Sync) -> Vec<T> {
+    let comms = build_thread_comms(p);
+    let body = &body;
+    thread::scope(|s| {
+        let ranks: Vec<_> = comms
+            .into_iter()
+            .map(|comm| s.spawn(move || body(comm)))
+            .collect();
+        ranks
+            .into_iter()
+            .map(|rank| rank.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +199,40 @@ mod tests {
         let c0 = comms.pop().unwrap();
         block_on(c0.send(1, 1, ThreadMsg::default()));
         let _ = block_on(c1.recv(0, 2));
+    }
+
+    #[test]
+    fn launcher_returns_results_in_rank_order() {
+        // Every rank sends its rank to rank 0 and rank 0 sums them, so
+        // the ranks really talk; results must line up with ranks even
+        // though the threads finish in any order.
+        let out = run_thread_ranks(5, |c| {
+            block_on(c.send(0, 1, ThreadMsg::floats(vec![c.rank() as f64])));
+            let total = if c.rank() == 0 {
+                (0..c.size())
+                    .map(|r| block_on(c.recv(r, 1)).data[0])
+                    .sum::<f64>()
+            } else {
+                0.0
+            };
+            (c.rank(), total)
+        });
+        assert_eq!(out.len(), 5);
+        for (r, (rank, _)) in out.iter().enumerate() {
+            assert_eq!(*rank, r);
+        }
+        assert_eq!(out[0].1, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 failed")]
+    fn launcher_reraises_a_rank_panic() {
+        let _ = run_thread_ranks(4, |c| {
+            if c.rank() == 2 {
+                panic!("rank 2 failed");
+            }
+            c.rank()
+        });
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use std::future::Future;
 
 use etm_cluster::spec::paper_cluster;
-use etm_cluster::{CommLibProfile, Configuration, Placement};
+use etm_cluster::{CommLibProfile, Configuration, KindId, Placement};
 use etm_mpisim::coll::{barrier, binomial_bcast, gather, ring_bcast};
-use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg};
+use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg};
 use etm_sim::Simulation;
 
 /// Runs `body` as every rank of the given configuration and returns the
@@ -18,13 +18,69 @@ where
 {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let placement = Placement::new(&spec, &cfg).unwrap();
+    run_sim_ranks(&spec, &placement, "rank", |_, _| {}, |comm, _| body(comm)).1
+}
+
+#[test]
+fn launcher_returns_results_in_rank_order_and_the_makespan() {
+    // Rank r computes r + 1 seconds on its own CPU, so ranks finish in
+    // rank order and the last rank's finish time is the makespan.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 1, 4, 1)).unwrap();
+    let (out, makespan) = run_sim_ranks(
+        &spec,
+        &placement,
+        "rank",
+        |_, _| {},
+        |comm, slot| {
+            let kind = slot.kind;
+            async move {
+                comm.compute((comm.rank() + 1) as f64).await;
+                (comm.rank(), kind, comm.now())
+            }
+        },
+    );
+    assert_eq!(out.len(), 5);
+    for (r, (rank, kind, finish)) in out.iter().enumerate() {
+        assert_eq!(*rank, r);
+        assert_eq!(*kind, placement.slots[r].kind);
+        assert_eq!(*finish, (r + 1) as f64);
+    }
+    assert_eq!(makespan.to_bits(), out[4].2.to_bits());
+}
+
+#[test]
+fn launcher_derates_the_fabric_before_any_rank_runs() {
+    // Every rank computes one second at t = 0; P-II CPUs derated 3x in
+    // the hook must serve that whole second 3x slower.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 1, 2, 1)).unwrap();
+    let (out, makespan) = run_sim_ranks(
+        &spec,
+        &placement,
+        "rank",
+        |sim, fabric| fabric.derate_kind_cpus(sim, &placement, KindId(1), 3.0),
+        |comm, _| async move {
+            comm.compute(1.0).await;
+            comm.now()
+        },
+    );
+    for (slot, finish) in placement.slots.iter().zip(&out) {
+        let want = if slot.kind == KindId(1) { 3.0 } else { 1.0 };
+        assert_eq!(*finish, want, "rank {}", slot.rank);
+    }
+    assert_eq!(makespan, 3.0);
+}
+
+#[test]
+#[should_panic(expected = "finite positive")]
+fn derating_an_absent_kind_still_checks_the_factor() {
+    // No Athlon rank runs here, but a negative factor is still refused.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(0, 0, 2, 1)).unwrap();
     let mut sim = Simulation::new();
     let fabric = SimFabric::build(&mut sim, &spec, &placement);
-    for rank in 0..placement.len() {
-        let seed = fabric.seed(rank);
-        sim.spawn(format!("rank{rank}"), |ctx| body(seed.bind(ctx)));
-    }
-    sim.run().expect("ranks deadlocked")
+    fabric.derate_kind_cpus(&mut sim, &placement, KindId(0), -1.0);
 }
 
 #[test]
@@ -143,31 +199,21 @@ fn intra_node_send_contends_with_compute() {
     // shares the CPU, so it takes about twice as long as when idle.
     let spec = paper_cluster(CommLibProfile::mpich122());
     let cfg = Configuration::p1m1_p2m2(1, 3, 0, 0);
-    let placement = Placement::new(&spec, &cfg).unwrap();
     let bytes = 4e6;
     let copy_alone = bytes / spec.comm_lib.intra_throughput(bytes);
 
+    // Rank 0 sends, rank 1 receives, rank 2 is the optional load.
     let run = |with_load: bool| {
-        let mut sim = Simulation::new();
-        let fabric = SimFabric::build(&mut sim, &spec, &placement);
-        let s0 = fabric.seed(0);
-        sim.spawn("sender", move |ctx| async move {
-            let comm = s0.bind(ctx);
-            comm.send(1, 9, SimMsg::of(bytes)).await;
-        });
-        let s1 = fabric.seed(1);
-        sim.spawn("receiver", move |ctx| async move {
-            let comm = s1.bind(ctx);
-            let _ = comm.recv(0, 9).await;
-        });
-        let s2 = fabric.seed(2);
-        sim.spawn("load", move |ctx| async move {
-            let comm = s2.bind(ctx);
-            if with_load {
-                comm.compute(10.0 * copy_alone).await;
+        run_ranks(cfg.clone(), move |comm| async move {
+            match comm.rank() {
+                0 => comm.send(1, 9, SimMsg::of(bytes)).await,
+                1 => {
+                    let _ = comm.recv(0, 9).await;
+                }
+                _ if with_load => comm.compute(10.0 * copy_alone).await,
+                _ => {}
             }
-        });
-        sim.run().unwrap()
+        })
     };
     let idle = run(false);
     let loaded = run(true);

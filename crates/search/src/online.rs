@@ -21,15 +21,14 @@
 //!
 //! Every observation evaluates each candidate once through that
 //! objective (one [`EngineSnapshot::estimate`] walk per candidate); the
-//! search, the hysteresis re-estimate of the held configuration and the
-//! energy front all read those same times.
+//! search and the hysteresis re-estimate of the held configuration both
+//! read those same times.
 
 use std::sync::Arc;
 
-use etm_cluster::{Configuration, EnergyModel};
+use etm_cluster::Configuration;
 use etm_core::engine::EngineSnapshot;
 
-use crate::anytime::{pareto_front_of, ParetoPoint};
 use crate::{exhaustive, health_aware_objective, ConfigSpace, SearchResult};
 
 /// One entry of the decision log: what the §4 search found at a
@@ -52,11 +51,6 @@ pub struct OnlineDecision {
     /// model — the snapshot was degraded and the estimate carries the
     /// optimizer's fallback penalty.
     pub degraded: bool,
-    /// The time × energy Pareto front over this generation's evaluated
-    /// candidates (health-aware times, so the front's fastest point is
-    /// exactly [`OnlineDecision::best`]). Empty unless the optimizer
-    /// was built [`OnlineOptimizer::with_energy`].
-    pub front: Vec<ParetoPoint>,
 }
 
 /// Why an [`OnlineOptimizer`] could not be constructed: a typed refusal
@@ -100,9 +94,6 @@ pub struct OnlineOptimizer {
     held: Option<Configuration>,
     log: Vec<OnlineDecision>,
     last_seen: Option<u64>,
-    /// When set, every decision carries the time × energy Pareto front
-    /// over the evaluated candidates.
-    energy: Option<EnergyModel>,
 }
 
 impl OnlineOptimizer {
@@ -133,22 +124,7 @@ impl OnlineOptimizer {
             held: None,
             log: Vec::new(),
             last_seen: None,
-            energy: None,
         })
-    }
-
-    /// Attaches an energy model: every decision then carries the time ×
-    /// energy Pareto front over the generation's evaluated candidates
-    /// (see [`OnlineDecision::front`]). The recommendation rule is
-    /// unchanged — the optimizer still selects the front's time-argmin
-    /// under the existing hysteresis — so attaching a model never
-    /// alters the decision log, only enriches it.
-    ///
-    /// The model must cover every kind of the optimizer's space.
-    #[must_use]
-    pub fn with_energy(mut self, model: EnergyModel) -> Self {
-        self.energy = Some(model);
-        self
     }
 
     /// Sets the multiplicative discount applied to estimates served by a
@@ -201,26 +177,6 @@ impl OnlineOptimizer {
             .and_then(|held| configs.iter().position(|c| c == held))
             .and_then(|i| times[i])
             .filter(|t| t.is_finite());
-        // With an energy model attached, price the same health-aware
-        // candidate set in joules and extract the Pareto front: one
-        // raw-parts walk per estimable candidate.
-        let front = match &self.energy {
-            Some(em) => {
-                let estimator = snapshot.estimator();
-                let mut pts: Vec<(Configuration, f64, f64)> = Vec::new();
-                for (cfg, t) in configs.iter().zip(&times) {
-                    let Some(t) = *t else { continue };
-                    if let Ok(parts) = estimator.estimate_raw_parts(cfg, self.n) {
-                        let e = em.joules(cfg, parts.ta, parts.tc);
-                        if t.is_finite() && e.is_finite() {
-                            pts.push((cfg.clone(), t, e));
-                        }
-                    }
-                }
-                pareto_front_of(&pts)
-            }
-            None => Vec::new(),
-        };
         let switched = match held_time {
             None => true,
             Some(current) => best.time < current * (1.0 - self.hysteresis),
@@ -241,7 +197,6 @@ impl OnlineOptimizer {
             recommended_time,
             switched,
             degraded,
-            front,
         });
         self.log.last()
     }
@@ -458,48 +413,6 @@ mod tests {
             "republished generation must be a no-op"
         );
         assert_eq!(opt.log().len(), 1, "no duplicate decision-log entries");
-    }
-
-    #[test]
-    fn with_energy_attaches_the_pareto_front_without_changing_decisions() {
-        use crate::anytime::{anytime_search, AnytimeOptions};
-        use etm_cluster::EnergyModel;
-
-        let e = engine();
-        let snap = e.snapshot();
-        let em = EnergyModel::from_spec(&paper_cluster(CommLibProfile::mpich122()));
-        let mut plain = OnlineOptimizer::new(space(), 1600, 0.02).expect("valid optimizer inputs");
-        let mut priced = OnlineOptimizer::new(space(), 1600, 0.02)
-            .expect("valid optimizer inputs")
-            .with_energy(em.clone());
-        let d0 = plain.observe(&snap).expect("estimable").clone();
-        let d1 = priced.observe(&snap).expect("estimable").clone();
-        // Same decision either way; the model only enriches the entry.
-        assert_eq!(d0.recommended, d1.recommended);
-        assert_eq!(d0.recommended_time.to_bits(), d1.recommended_time.to_bits());
-        assert_eq!(d0.switched, d1.switched);
-        assert!(d0.front.is_empty());
-        assert!(!d1.front.is_empty());
-        // The recommendation is the front's time-argmin (healthy
-        // snapshot: health-aware times equal the plain estimates, so
-        // the front matches the anytime searcher's bit for bit).
-        assert_eq!(d1.front[0].config, d1.recommended);
-        assert_eq!(d1.front[0].time.to_bits(), d1.recommended_time.to_bits());
-        let reference = anytime_search(
-            &snap,
-            &space(),
-            1600,
-            &AnytimeOptions {
-                energy: Some(em),
-                ..AnytimeOptions::default()
-            },
-        );
-        assert_eq!(d1.front.len(), reference.front.len());
-        for (a, b) in d1.front.iter().zip(&reference.front) {
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.time.to_bits(), b.time.to_bits());
-            assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-        }
     }
 
     /// Like [`synth_db`] but with multi-PE measurements for *both*
@@ -725,59 +638,5 @@ mod tests {
             .contains("positive"));
         // Valid inputs still construct.
         assert!(OnlineOptimizer::new(space(), 1600, 0.0).is_ok());
-    }
-
-    /// Satellite coverage: `with_fallback_penalty` × `with_energy` on a
-    /// *degraded* snapshot. The penalty must apply identically to the
-    /// Pareto-front points and to the scalar objective.
-    #[test]
-    fn penalty_and_energy_compose_on_a_degraded_snapshot() {
-        let e = Engine::new(
-            Box::new(PolyLsqBackend::paper()),
-            synth_db_two_measured(),
-            None,
-        )
-        .expect("synth db fits");
-        let snap = quarantine_group(&e, 1, 1);
-        assert!(snap.health().is_fallback((1, 1)), "degraded snapshot");
-        let em = EnergyModel::from_spec(&paper_cluster(CommLibProfile::mpich122()));
-        let penalty = 1.4;
-        let mut opt = OnlineOptimizer::new(space(), 1600, 0.02)
-            .expect("valid optimizer inputs")
-            .with_fallback_penalty(penalty)
-            .with_energy(em.clone());
-        let a = opt.observe(&snap).expect("estimable").clone();
-        // Every front point's time carries exactly the scalar
-        // objective's penalty semantics, and its energy prices the
-        // point's raw parts.
-        assert!(!a.front.is_empty());
-        let objective = health_aware_objective(&snap, 1600, penalty);
-        for pa in &a.front {
-            let parts = snap
-                .estimator()
-                .estimate_raw_parts(&pa.config, 1600)
-                .expect("front points are estimable");
-            assert_eq!(
-                pa.energy.to_bits(),
-                em.joules(&pa.config, parts.ta, parts.tc).to_bits()
-            );
-            let t = objective(&pa.config).expect("front points are estimable");
-            assert_eq!(
-                pa.time.to_bits(),
-                t.to_bits(),
-                "front time of {:?} must equal the penalized scalar objective",
-                pa.config
-            );
-            let plain = snap.estimate(&pa.config, 1600).expect("estimable");
-            let on_fallback = groups_of(&pa.config).any(|g| snap.health().is_fallback(g));
-            if on_fallback {
-                assert_eq!(pa.time.to_bits(), (plain * penalty).to_bits());
-            } else {
-                assert_eq!(pa.time.to_bits(), plain.to_bits());
-            }
-        }
-        // The front's time-argmin is the recommendation.
-        assert_eq!(a.front[0].config, a.recommended);
-        assert_eq!(a.front[0].time.to_bits(), a.recommended_time.to_bits());
     }
 }

@@ -7,7 +7,8 @@
 //! decomposition and halo exchange — the canonical *memory- and
 //! latency-bound* counterpoint to HPL's compute-bound LU.
 //!
-//! Like `etm-hpl` it comes in two flavours:
+//! Like `etm-hpl` it comes in two flavours, each a rank body handed to
+//! an `etm-mpisim` launcher:
 //!
 //! * [`numeric`] — real arithmetic over the thread-backed message
 //!   passing, validated against a serial reference sweep;

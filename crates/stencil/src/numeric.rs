@@ -1,7 +1,7 @@
 //! Numeric 2-D Jacobi: real arithmetic, distributed by row strips over
 //! the thread-backed communicator, validated against a serial sweep.
 
-use etm_mpisim::{block_on, build_thread_comms, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadComm, ThreadMsg};
 
 /// Result of a numeric stencil run.
 #[derive(Debug, Clone)]
@@ -131,17 +131,10 @@ fn run_rank(comm: ThreadComm, n: usize, iters: usize) -> Option<Vec<f64>> {
 /// Panics if `p == 0`, `p > n`, or a rank thread panics.
 pub fn run_numeric_stencil(n: usize, iters: usize, p: usize) -> NumericStencil {
     assert!(p > 0 && p <= n, "need 0 < p <= n");
-    let comms = build_thread_comms(p);
-    let handles: Vec<_> = comms
+    let grid = run_thread_ranks(p, |c| run_rank(c, n, iters))
         .into_iter()
-        .map(|c| std::thread::spawn(move || run_rank(c, n, iters)))
-        .collect();
-    let mut grid = None;
-    for h in handles {
-        if let Some(g) = h.join().expect("rank panicked") {
-            grid = Some(g);
-        }
-    }
+        .next()
+        .flatten();
     NumericStencil {
         grid: grid.expect("rank 0 gathers"),
         n,

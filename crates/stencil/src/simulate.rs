@@ -3,13 +3,9 @@
 //! same `(Ta, Tc)` sample shape as the HPL simulation so the estimation
 //! pipeline runs unchanged on a second application.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{gather, ring_bcast};
-use etm_mpisim::{Comm, SimFabric, SimMsg};
-use etm_sim::Simulation;
+use etm_mpisim::{run_sim_ranks, Comm, SimMsg};
 
 use crate::numeric::strip;
 
@@ -104,78 +100,63 @@ pub fn simulate_stencil(
     params: &StencilParams,
 ) -> StencilRun {
     let placement = Placement::new(spec, config).expect("invalid configuration");
-    let p = placement.len();
-    let mut sim = Simulation::new();
-    let fabric = SimFabric::build(&mut sim, spec, &placement);
-    let results = Rc::new(RefCell::new(vec![None; p]));
-
-    for slot in &placement.slots {
-        let seed = fabric.seed(slot.rank);
-        let results = Rc::clone(&results);
-        let spec = spec.clone();
-        let params = *params;
-        let kind = slot.kind;
-        let m = placement.procs_on_cpu(slot);
-        let node = slot.node;
-        let rank = slot.rank;
-        let placement_cl = placement.clone();
-        sim.spawn(format!("stencil-rank{rank}"), move |ctx| async move {
-            let comm = seed.bind(ctx);
-            let pm = PerfModel::new(&spec, params.n, placement_cl.len());
-            let oc = pm.node_overcommit(&placement_cl, node, 1);
-            let me = comm.rank();
-            let np = comm.size();
+    let params = *params;
+    let pm = PerfModel::new(spec, params.n, placement.len());
+    let (phases, wall_seconds) = run_sim_ranks(
+        spec,
+        &placement,
+        "stencil-rank",
+        |_, _| {},
+        |comm, slot| {
+            // A rank's per-iteration charges are fixed by its kind, CPU
+            // sharing and strip, so price them once here.
+            let (kind, m) = (slot.kind, placement.procs_on_cpu(slot));
+            let oc = pm.node_overcommit(&placement, slot.node, 1);
+            let stall = pm.sync_stall(kind, m);
+            let (me, np) = (comm.rank(), comm.size());
             let (start, end) = strip(params.n, np, me);
-            let my_rows = end - start;
             // 5-point sweep: ~5 reads + 1 write per cell, memory-bound.
-            let sweep_bytes = 6.0 * 8.0 * (my_rows * params.n) as f64;
+            let sweep_bytes = 6.0 * 8.0 * ((end - start) * params.n) as f64;
+            let sweep = pm.memop_time(kind, sweep_bytes, oc) * pm.mp_factor(kind, m);
             let halo_bytes = 8.0 * params.n as f64;
-            let mut ph = StencilTimes::default();
-            for _ in 0..params.iters {
-                // Halo exchange (send both, then receive both).
-                let t0 = comm.now();
-                if me > 0 {
-                    comm.send(me - 1, HALO_UP, SimMsg::of(halo_bytes)).await;
+            async move {
+                let mut ph = StencilTimes::default();
+                for _ in 0..params.iters {
+                    // Halo exchange (send both, then receive both).
+                    let t0 = comm.now();
+                    if me > 0 {
+                        comm.send(me - 1, HALO_UP, SimMsg::of(halo_bytes)).await;
+                    }
+                    if me < np - 1 {
+                        comm.send(me + 1, HALO_DOWN, SimMsg::of(halo_bytes)).await;
+                    }
+                    if me > 0 {
+                        let _ = comm.recv(me - 1, HALO_DOWN).await;
+                    }
+                    if me < np - 1 {
+                        let _ = comm.recv(me + 1, HALO_UP).await;
+                    }
+                    if stall > 0.0 {
+                        comm.idle(stall).await;
+                    }
+                    ph.halo += comm.now() - t0;
+                    // Sweep.
+                    let t1 = comm.now();
+                    comm.compute(sweep).await;
+                    ph.compute += comm.now() - t1;
+                    // Convergence all-reduce (gather 8 B to 0, broadcast back).
+                    let t2 = comm.now();
+                    let _ = gather(&comm, 0, SimMsg::of(8.0)).await;
+                    let payload = (me == 0).then(|| SimMsg::of(8.0));
+                    let _ = ring_bcast(&comm, 0, payload).await;
+                    ph.reduce += comm.now() - t2;
                 }
-                if me < np - 1 {
-                    comm.send(me + 1, HALO_DOWN, SimMsg::of(halo_bytes)).await;
-                }
-                if me > 0 {
-                    let _ = comm.recv(me - 1, HALO_DOWN).await;
-                }
-                if me < np - 1 {
-                    let _ = comm.recv(me + 1, HALO_UP).await;
-                }
-                let stall = pm.sync_stall(kind, m);
-                if stall > 0.0 {
-                    comm.idle(stall).await;
-                }
-                ph.halo += comm.now() - t0;
-                // Sweep.
-                let t1 = comm.now();
-                let mp = pm.mp_factor(kind, m);
-                comm.compute(pm.memop_time(kind, sweep_bytes, oc) * mp)
-                    .await;
-                ph.compute += comm.now() - t1;
-                // Convergence all-reduce (gather 8 B to 0, broadcast back).
-                let t2 = comm.now();
-                let _ = gather(&comm, 0, SimMsg::of(8.0)).await;
-                let payload = (me == 0).then(|| SimMsg::of(8.0));
-                let _ = ring_bcast(&comm, 0, payload).await;
-                ph.reduce += comm.now() - t2;
+                ph
             }
-            results.borrow_mut()[rank] = Some(ph);
-        });
-    }
-
-    let wall_seconds = sim.run().expect("stencil simulation deadlocked");
-    let phases: Vec<StencilTimes> = results
-        .borrow()
-        .iter()
-        .map(|p| p.expect("every rank reports"))
-        .collect();
+        },
+    );
     StencilRun {
-        params: *params,
+        params,
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
         nodes_used: placement.used_nodes().len(),
         phases,

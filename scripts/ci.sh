@@ -10,6 +10,10 @@
 #                           report to results/analyze_report.json),
 #                           plus clippy, the model-validity audit
 #                           (warm-cached under target/etm-cache/), the
+#                           simulator-driven experiments (`repro fig1
+#                           fig2 fig3 ablations baselines`, one
+#                           invocation each, which rewrite eleven
+#                           CSVs through the rank launchers), the
 #                           fixed-seed chaos smoke (`repro chaos`,
 #                           which exits non-zero on any
 #                           degradation-ladder invariant breach and
@@ -19,8 +23,8 @@
 #                           streamed Basic campaign (`repro stream`,
 #                           which writes results/stream_decisions.csv),
 #                           a determinism gate that fails if any of
-#                           those three CSVs differs from its committed
-#                           copy, and a bench smoke run that
+#                           those fourteen CSVs differs from its
+#                           committed copy, and a bench smoke run that
 #                           writes the substrates + streaming +
 #                           analyze + serving +
 #                           optimizer + loopback + model_speed
@@ -152,6 +156,15 @@ bench_smoke() {
   cargo xtask bench-trend
 }
 
+sim_experiments() {
+  # The experiments the simulated and threaded rank launchers drive.
+  # `repro` reads only its first argument, so run one per invocation.
+  local e
+  for e in fig1 fig2 fig3 ablations baselines; do
+    cargo run -q --release -p etm-repro --bin repro -- "$e"
+  done
+}
+
 analyze_gate() {
   # The static concurrency + policy analyzer. Both tiers gate on it;
   # the full tier also archives the machine-readable report.
@@ -178,13 +191,20 @@ fi
 # --- full tier ------------------------------------------------------
 stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "audit"      cargo xtask check audit
+stage "sim"        sim_experiments
 stage "chaos"      cargo run -q --release -p etm-repro --bin repro -- chaos
 stage "loop"       cargo run -q --release -p etm-repro --bin repro -- loop
 stage "stream"     cargo run -q --release -p etm-repro --bin repro -- stream
-# All three replays are fixed-seed and deterministic: any byte of drift
+# Every run above is fixed-seed and deterministic: any byte of drift
 # from the committed artifacts is a behaviour change, not noise.
 stage "artifacts"  git diff --exit-code -- results/chaos_report.csv results/loop_regret.csv \
-                     results/stream_decisions.csv
+                     results/stream_decisions.csv \
+                     results/fig1a_mpich121.csv results/fig1b_mpich122.csv \
+                     results/fig2a_mpich121.csv results/fig2b_mpich122.csv \
+                     results/fig3a_loadimbalance.csv results/fig3b_multiprocess.csv \
+                     results/ablation_block_size.csv results/ablation_bcast.csv \
+                     results/ablation_network.csv results/ablation_grid_shape.csv \
+                     results/baselines_comparison.csv
 stage "bench"      bench_smoke
 
 echo
