@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! # comments and blank lines are ignored
-//! C004 crates/foo/src/worker.rs  worker thread is joined via Worker::join
+//! P004 crates/demo/src/export.rs  the export format stores f32 by spec
 //! ```
 //!
 //! i.e. `<RULE_ID> <path> <justification…>` — the justification is
@@ -19,7 +19,7 @@ use std::path::Path;
 /// One parsed `analyze.allow` entry.
 #[derive(Debug, Clone)]
 pub struct Entry {
-    /// Rule ID the entry suppresses (`C004`).
+    /// Rule ID the entry suppresses (`P004`).
     pub rule: String,
     /// Workspace-relative file path.
     pub path: String,
@@ -144,13 +144,13 @@ mod tests {
         let b = Baseline::parse(
             "# header comment\n\
              \n\
-             C004 crates/core/src/stream.rs joined elsewhere by design\n\
+             P003 crates/core/src/stream.rs placeholder kept by design\n\
              P001 crates/demo/src/a.rs legacy unwraps\n",
         )
         .expect("parses");
         assert_eq!(b.len(), 2);
-        assert!(b.suppress("C004", "crates/core/src/stream.rs"));
-        assert!(!b.suppress("C004", "crates/core/src/engine.rs"));
+        assert!(b.suppress("P003", "crates/core/src/stream.rs"));
+        assert!(!b.suppress("P003", "crates/core/src/engine.rs"));
         assert!(b.is_listed("P001", "crates/demo/src/a.rs"));
         // P001 never *suppressed*, only listed — it is stale.
         let stale = b.stale();
@@ -160,9 +160,9 @@ mod tests {
 
     #[test]
     fn justification_is_mandatory() {
-        assert!(Baseline::parse("C001 crates/a/src/x.rs\n").is_err());
-        assert!(Baseline::parse("C001\n").is_err());
-        assert!(Baseline::parse("C001 crates/a/src/x.rs   \n").is_err());
+        assert!(Baseline::parse("P002 crates/a/src/x.rs\n").is_err());
+        assert!(Baseline::parse("P002\n").is_err());
+        assert!(Baseline::parse("P002 crates/a/src/x.rs   \n").is_err());
     }
 
     #[test]

@@ -1,30 +1,12 @@
-//! Diagnostics: stable rule IDs, severities, `file:line:col` spans, and
-//! human + JSON rendering. The JSON writer is hand-rolled (this crate
+//! Diagnostics: stable rule IDs, `file:line:col` spans, and human +
+//! JSON rendering. The JSON writer is hand-rolled (this crate
 //! depends on nothing, not even `etm-support`).
 
 use std::fmt;
 
-/// How bad a finding is. Both levels gate the build; severity only
-/// ranks the output (errors print first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Invariant violations: deadlock classes, frozen-state mutation,
-    /// shipped placeholders.
-    Error,
-    /// Discipline violations that are survivable but rot: unsupervised
-    /// spawns, policy style rules.
-    Warning,
-}
-
-impl Severity {
-    /// Lower-case label for output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
+/// The severity label every finding carries in the human and JSON
+/// output: every rule is an error, and each finding gates the build.
+const SEVERITY: &str = "error";
 
 /// How `analyze.allow` entries apply to a rule's diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +24,10 @@ pub enum BaselineMode {
 /// entries and suppression docs reference it).
 #[derive(Debug)]
 pub struct Rule {
-    /// Stable ID (`C001`…, `P001`…). Never renumber.
+    /// Stable ID (`P001`…). Never renumber.
     pub id: &'static str,
-    /// Short kebab-case name (`lock-order`).
+    /// Short kebab-case name (`unwrap-ban`).
     pub name: &'static str,
-    /// Gate severity.
-    pub severity: Severity,
     /// One-line summary for `--help`-style listings and the JSON report.
     pub brief: &'static str,
     /// How baseline entries interact with this rule.
@@ -74,14 +54,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} {} [{}] {}:{}:{}: {}",
-            self.rule.severity.label(),
-            self.rule.id,
-            self.rule.name,
-            self.file,
-            self.line,
-            self.col,
-            self.message
+            "{SEVERITY} {} [{}] {}:{}:{}: {}",
+            self.rule.id, self.rule.name, self.file, self.line, self.col, self.message
         )
     }
 }
@@ -90,7 +64,7 @@ impl fmt::Display for Diagnostic {
 /// suppressed, and baseline hygiene failures.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Unsuppressed findings, sorted severity-first then by location.
+    /// Unsuppressed findings, sorted by location.
     pub diagnostics: Vec<Diagnostic>,
     /// Findings matched (and silenced) by an `analyze.allow` entry.
     pub suppressed: Vec<Diagnostic>,
@@ -108,11 +82,10 @@ impl Report {
         self.diagnostics.is_empty() && self.stale.is_empty()
     }
 
-    /// Sorts diagnostics severity-first, then file/line/col/rule, and
-    /// drops exact duplicates (a pass can reach one site along several
-    /// analysis paths).
+    /// Sorts diagnostics by file/line/col/rule and drops exact
+    /// duplicates.
     pub fn sort(&mut self) {
-        let key = |d: &Diagnostic| (d.rule.severity, d.file.clone(), d.line, d.col, d.rule.id);
+        let key = |d: &Diagnostic| (d.file.clone(), d.line, d.col, d.rule.id);
         self.diagnostics.sort_by_key(key);
         self.suppressed.sort_by_key(key);
         let same = |a: &mut Diagnostic, b: &mut Diagnostic| {
@@ -160,7 +133,7 @@ impl Report {
                         w.obj(|w| {
                             w.field("id", |w| w.str(r.id));
                             w.field("name", |w| w.str(r.name));
-                            w.field("severity", |w| w.str(r.severity.label()));
+                            w.field("severity", |w| w.str(SEVERITY));
                             w.field("brief", |w| w.str(r.brief));
                         });
                         true
@@ -188,7 +161,7 @@ fn diags_json(w: &mut JsonWriter, diags: &[Diagnostic]) {
         w.obj(|w| {
             w.field("rule", |w| w.str(d.rule.id));
             w.field("name", |w| w.str(d.rule.name));
-            w.field("severity", |w| w.str(d.rule.severity.label()));
+            w.field("severity", |w| w.str(SEVERITY));
             w.field("file", |w| w.str(&d.file));
             w.field("line", |w| w.num(f64::from(d.line)));
             w.field("col", |w| w.num(f64::from(d.col)));
@@ -309,7 +282,6 @@ mod tests {
     static DEMO: Rule = Rule {
         id: "T001",
         name: "demo",
-        severity: Severity::Error,
         brief: "demo rule",
         baseline: BaselineMode::PerFile,
     };
@@ -352,24 +324,18 @@ mod tests {
     }
 
     #[test]
-    fn report_sorts_errors_first() {
-        static WARN: Rule = Rule {
-            id: "T002",
-            name: "warn-demo",
-            severity: Severity::Warning,
-            brief: "demo warning",
-            baseline: BaselineMode::PerFile,
-        };
+    fn report_sorts_by_location_and_drops_duplicates() {
         let mut report = Report::default();
-        report.diagnostics.push(Diagnostic {
-            rule: &WARN,
-            file: "a.rs".into(),
-            line: 1,
-            col: 1,
-            message: "warn".into(),
-        });
+        report.diagnostics.push(diag("z.rs", 9));
+        report.diagnostics.push(diag("a.rs", 4));
+        report.diagnostics.push(diag("a.rs", 2));
         report.diagnostics.push(diag("z.rs", 9));
         report.sort();
-        assert_eq!(report.diagnostics[0].rule.id, "T001");
+        let at: Vec<(&str, u32)> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.file.as_str(), d.line))
+            .collect();
+        assert_eq!(at, vec![("a.rs", 2), ("a.rs", 4), ("z.rs", 9)]);
     }
 }

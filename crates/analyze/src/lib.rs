@@ -1,31 +1,26 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-//! Zero-dependency static concurrency analyzer for the workspace.
+//! Zero-dependency static policy analyzer for the workspace.
 //!
-//! The pipeline: a lossless Rust [`lexer`], a structural item
-//! [`scan`]ner (fn bodies, impl contexts, precise `#[cfg(test)]`
-//! regions), and a set of [`passes`] that walk the indexed
-//! [`workspace`] emitting ranked [`diag::Diagnostic`]s. A checked-in
-//! suppression [`baseline`] (`analyze.allow`) silences deliberate
-//! findings — entries need a justification, and stale entries fail the
-//! gate so the list can only shrink.
+//! The pipeline: a lossless Rust [`lexer`], a structural [`scan`]ner
+//! (matched delimiters and precise `#[cfg(test)]` regions), and a set
+//! of [`passes`] that walk the indexed [`workspace`] emitting sorted
+//! [`diag::Diagnostic`]s. A checked-in suppression [`baseline`]
+//! (`analyze.allow`) silences deliberate findings — entries need a
+//! justification, and stale entries fail the gate so the list can only
+//! shrink.
 //!
 //! Rule catalog (stable IDs — see `DESIGN.md` §12):
 //!
-//! | ID   | name                  | severity | checks                          |
-//! |------|-----------------------|----------|---------------------------------|
-//! | C001 | lock-order            | error    | cycle-free lock acquisition     |
-//! | C002 | held-across-blocking  | error    | no guard across send/recv/join  |
-//! | C003 | snapshot-discipline   | error    | Arc<EngineSnapshot> stays frozen|
-//! | C004 | panic-boundary        | warning  | supervised spawns, calm consumers|
-//! | P001 | unwrap-ban            | error    | no .unwrap() outside tests      |
-//! | P002 | bin-expect-ban        | error    | no .expect( in src/bin roots    |
-//! | P003 | no-placeholders       | error    | no todo!/unimplemented!         |
-//! | P004 | no-f32-narrowing      | error    | no `as f32` in numerics crates  |
-//! | P005 | crate-headers         | error    | required crate-root lint headers|
+//! | ID   | name                  | checks                          |
+//! |------|-----------------------|---------------------------------|
+//! | P001 | unwrap-ban            | no .unwrap() outside tests      |
+//! | P002 | bin-expect-ban        | no .expect( in src/bin roots    |
+//! | P003 | no-placeholders       | no todo!/unimplemented!         |
+//! | P004 | no-f32-narrowing      | no `as f32` in numerics crates  |
+//! | P005 | crate-headers         | required crate-root lint headers|
 //!
-//! Everything gates: warnings rank lower in output but still fail
-//! `cargo xtask analyze`.
+//! Every finding fails `cargo xtask analyze`.
 
 pub mod baseline;
 pub mod diag;
@@ -37,24 +32,13 @@ pub mod workspace;
 use std::path::Path;
 
 pub use baseline::Baseline;
-pub use diag::{Diagnostic, Report, Rule, Severity};
+pub use diag::{Diagnostic, Report, Rule};
 pub use workspace::Workspace;
 
 use passes::{Context, Pass};
 
-/// The four concurrency passes (C001–C004).
-pub fn concurrency_passes() -> Vec<Box<dyn Pass>> {
-    vec![
-        Box::new(passes::lock_order::LockOrderPass),
-        Box::new(passes::blocking::BlockingPass),
-        Box::new(passes::snapshot::SnapshotPass),
-        Box::new(passes::panic_boundary::PanicBoundaryPass),
-    ]
-}
-
-/// The five policy passes (P001–P005), re-hosted from the old line
-/// lint.
-pub fn policy_passes() -> Vec<Box<dyn Pass>> {
+/// Every pass, in rule-ID order.
+pub fn all_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(passes::policy::UnwrapBanPass),
         Box::new(passes::policy::BinExpectPass),
@@ -64,20 +48,9 @@ pub fn policy_passes() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// Every pass, concurrency first.
-pub fn all_passes() -> Vec<Box<dyn Pass>> {
-    let mut v = concurrency_passes();
-    v.extend(policy_passes());
-    v
-}
-
 /// The full rule catalog in ID order.
 pub fn rules() -> Vec<&'static Rule> {
     vec![
-        &passes::lock_order::LOCK_ORDER,
-        &passes::blocking::HELD_ACROSS_BLOCKING,
-        &passes::snapshot::SNAPSHOT_DISCIPLINE,
-        &passes::panic_boundary::PANIC_BOUNDARY,
         &passes::policy::UNWRAP_BAN,
         &passes::policy::BIN_EXPECT_BAN,
         &passes::policy::NO_PLACEHOLDERS,

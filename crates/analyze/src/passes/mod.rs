@@ -4,12 +4,7 @@
 //! rules with [`BaselineMode::InPass`] consult the baseline themselves
 //! (the unwrap rule's allowance-plus-justification contract).
 
-pub mod blocking;
-pub mod guards;
-pub mod lock_order;
-pub mod panic_boundary;
 pub mod policy;
-pub mod snapshot;
 
 use crate::baseline::Baseline;
 use crate::diag::{BaselineMode, Diagnostic, Rule};

@@ -17,7 +17,7 @@
 //!   `#![deny(unsafe_code)]`; every `lib.rs` additionally
 //!   `#![warn(missing_docs)]`.
 
-use crate::diag::{BaselineMode, Rule, Severity};
+use crate::diag::{BaselineMode, Rule};
 use crate::lexer::TokenKind;
 use crate::scan::FileIndex;
 use crate::workspace::Workspace;
@@ -28,7 +28,6 @@ use super::{Context, Pass};
 pub static UNWRAP_BAN: Rule = Rule {
     id: "P001",
     name: "unwrap-ban",
-    severity: Severity::Error,
     brief: "no .unwrap() outside tests; allow-listed files still need // unwrap-ok: comments",
     baseline: BaselineMode::InPass,
 };
@@ -37,7 +36,6 @@ pub static UNWRAP_BAN: Rule = Rule {
 pub static BIN_EXPECT_BAN: Rule = Rule {
     id: "P002",
     name: "bin-expect-ban",
-    severity: Severity::Error,
     brief: "no .expect( in binary roots — report the error and exit nonzero",
     baseline: BaselineMode::PerFile,
 };
@@ -46,7 +44,6 @@ pub static BIN_EXPECT_BAN: Rule = Rule {
 pub static NO_PLACEHOLDERS: Rule = Rule {
     id: "P003",
     name: "no-placeholders",
-    severity: Severity::Error,
     brief: "todo!/unimplemented! never ship, tests included",
     baseline: BaselineMode::PerFile,
 };
@@ -55,7 +52,6 @@ pub static NO_PLACEHOLDERS: Rule = Rule {
 pub static NO_F32_NARROWING: Rule = Rule {
     id: "P004",
     name: "no-f32-narrowing",
-    severity: Severity::Error,
     brief: "no `as f32` in the numerics crates — keep f64 end to end",
     baseline: BaselineMode::PerFile,
 };
@@ -64,7 +60,6 @@ pub static NO_F32_NARROWING: Rule = Rule {
 pub static CRATE_HEADERS: Rule = Rule {
     id: "P005",
     name: "crate-headers",
-    severity: Severity::Error,
     brief: "crate roots carry #![deny(unsafe_code)]; lib.rs also #![warn(missing_docs)]",
     baseline: BaselineMode::PerFile,
 };

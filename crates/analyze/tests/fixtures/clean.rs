@@ -5,63 +5,15 @@
 //!
 //! For example `.unwrap()` in this doc comment is not code.
 
-struct Pipeline {
-    state: Mutex<u32>,
-    queue: Mutex<Vec<u32>>,
-}
-
-impl Pipeline {
-    // Consistent order everywhere: state, then queue. No cycle.
-    fn forward(&self) {
-        let st = self.state.lock();
-        let q = self.queue.lock();
-        drop(q);
-        drop(st);
-    }
-
-    fn forward_again(&self) {
-        let st = self.state.lock();
-        let q = self.queue.lock();
-        drop(q);
-        drop(st);
-    }
-
-    // Guard released before blocking.
-    fn drain(&self, rx: &Receiver<u32>) {
-        let v = {
-            let mut q = self.queue.lock();
-            q.pop()
-        };
-        let next = rx.recv();
-        consume(v, next);
-    }
-}
-
 // The string below is data, not a call — and the marker inside it must
 // not justify anything.
 fn describe() -> &'static str {
     "call .unwrap() and add // unwrap-ok: to silence (says the README)"
 }
 
-// Scoped spawns are supervised by the scope itself.
-fn fan_out(xs: &[u32]) {
-    scope(|s| {
-        s.spawn(|| work(xs));
-    });
-}
-
-// Supervised thread: joined in the same fn.
-fn run_once() {
-    let h = thread::spawn(tick);
-    h.join();
-}
-
-// Path joins are not thread joins.
-fn locate(dir: &Path, name: &str) -> PathBuf {
-    let held = STATE.lock();
-    let p = dir.join(name);
-    drop(held);
-    p
+// `unwrap_or` and friends are not `.unwrap()`.
+fn fallback(v: Option<u32>) -> u32 {
+    v.unwrap_or(0)
 }
 
 #[cfg(test)]

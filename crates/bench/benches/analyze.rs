@@ -29,7 +29,7 @@ fn lex_speed(r: &mut Runner, ws: &Workspace) {
     });
 }
 
-/// All nine passes over a pre-indexed workspace: the pure analysis
+/// All five policy passes over a pre-indexed workspace: the pure analysis
 /// cost, with IO, lexing, and item scanning already paid.
 fn passes_speed(r: &mut Runner, ws: &Workspace) {
     let baseline = Baseline::load(repo_root()).expect("analyze.allow parses");

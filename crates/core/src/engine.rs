@@ -1,23 +1,20 @@
 //! The estimator engine: immutable model snapshots over a streaming
 //! measurement database, with incremental group-level refits.
 //!
-//! The paper's workflow is batch-shaped — campaign, fit, estimate — but
-//! the ROADMAP's north star is a serving system answering many
-//! concurrent estimation queries while measurements stream in. The
-//! [`Engine`] provides exactly that seam:
+//! The paper's workflow is one sequential loop — campaign, fit,
+//! estimate — and the [`Engine`] keeps that shape while measurements
+//! stream in. One thread owns the engine and drives every write; the
+//! snapshots it publishes can be read from anywhere:
 //!
 //! * **Snapshot reads.** [`Engine::snapshot`] hands out an
 //!   `Arc<EngineSnapshot>` — an immutable, fully fitted estimator.
-//!   Every estimate served from a snapshot touches no lock at all; the
-//!   only synchronized step is cloning the `Arc` out of the publication
-//!   slot, a pointer copy under a momentary mutex (the workspace's
-//!   `#![deny(unsafe_code)]` rules out a homemade atomic-pointer swap;
-//!   readers holding a snapshot are entirely unaffected by it).
-//! * **Atomic swap.** A refit builds the *next* snapshot off to the
-//!   side and publishes it by swapping the slot's `Arc`. Readers never
-//!   observe a half-fitted bank: they hold either the old snapshot or
-//!   the new one, both complete, and an old snapshot stays valid (and
-//!   bit-stable) for as long as anyone holds it.
+//!   Snapshots are `Send + Sync`, so a holder may share one across
+//!   worker threads, and every estimate served from one is a pure read.
+//! * **Generation swap.** A refit builds the *next* snapshot off to the
+//!   side and publishes it by replacing the engine's current `Arc`.
+//!   Nobody observes a half-fitted bank: a holder keeps either the old
+//!   snapshot or the new one, both complete, and an old snapshot stays
+//!   valid (and bit-stable) for as long as anyone holds it.
 //! * **Incremental ingestion.** [`Engine::ingest`] upserts samples into
 //!   the database, which reports each slot whose bits changed; a
 //!   `(kind, m)` group is dirty when one of its keys ends the batch
@@ -38,14 +35,16 @@
 //!   the online optimizer can discount or refuse degraded estimates. A
 //!   clean sample for a quarantined group re-admits it automatically.
 //!
-//! Writers (`ingest`, `refit_full`) serialize on the engine's state
-//! lock; the read path never takes it.
+//! The engine keeps all of its mutable state, the published snapshot
+//! included, in one `RefCell`, and takes no lock. It is therefore
+//! `Send` but not `Sync`: handing one engine to two threads is a
+//! compile error.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use etm_cluster::{ClusterSpec, Configuration};
-use etm_support::sync::Mutex;
 
 use crate::adjust::AdjustmentRule;
 use crate::backend::{compose_fallback, ModelBackend};
@@ -151,8 +150,8 @@ impl EngineHealth {
 /// One immutable, fully fitted generation of the engine's models.
 ///
 /// Snapshots are plain data behind an `Arc`: queries on them are pure
-/// reads with no synchronization whatsoever, and a snapshot taken before
-/// a refit keeps answering bit-identically after the swap.
+/// reads, and a snapshot taken before a refit keeps answering
+/// bit-identically after the swap.
 #[derive(Debug)]
 pub struct EngineSnapshot {
     estimator: Estimator,
@@ -234,15 +233,18 @@ impl EngineSnapshot {
     }
 }
 
-/// Writer-side state: the measurement database and the pristine bank
-/// fit from it, plus the quarantine ledger.
+/// The engine's mutable state: the measurement database, the pristine
+/// bank fit from it, the quarantine ledger and the published snapshot.
 ///
 /// The database sits behind an `Arc` so [`Engine::db`] can hand out the
 /// current version with an O(1) pointer clone instead of deep-copying
-/// every sample under the writer lock; writers mutate through
-/// `Arc::make_mut`, which copies-on-write only while a reader still
-/// holds an older version.
+/// every sample; writers mutate through `Arc::make_mut`, which
+/// copies-on-write only while someone still holds an older version.
 struct EngineState {
+    /// The published generation; [`Engine::snapshot`] clones it.
+    /// Writers read it here, since `snapshot()` would borrow the cell
+    /// they already hold.
+    current: Arc<EngineSnapshot>,
     db: Arc<MeasurementDb>,
     /// Groups a *failed* refit left dirty: their samples are upserted
     /// but the published bank predates them. Merged into the next
@@ -269,14 +271,19 @@ struct EngineState {
 }
 
 /// The estimator engine; see the module docs for the architecture.
+///
+/// One thread owns an engine: it is `Send` but not `Sync`, so sharing
+/// it between threads does not compile.
+///
+/// ```compile_fail
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<etm_core::engine::Engine>();
+/// ```
 pub struct Engine {
     backend: Box<dyn ModelBackend>,
     policy: Option<AdjustmentPolicy>,
     quarantine: QuarantinePolicy,
-    state: Mutex<EngineState>,
-    /// The publication slot. Locked only long enough to clone or replace
-    /// the `Arc` — never across a fit, and never on the estimate path.
-    current: Mutex<Arc<EngineSnapshot>>,
+    state: RefCell<EngineState>,
 }
 
 impl Engine {
@@ -332,7 +339,8 @@ impl Engine {
             backend,
             policy,
             quarantine: QuarantinePolicy::default(),
-            state: Mutex::new(EngineState {
+            state: RefCell::new(EngineState {
+                current: snapshot,
                 db: Arc::new(db),
                 pending_dirty: BTreeSet::new(),
                 pristine,
@@ -341,7 +349,6 @@ impl Engine {
                 last_healthy_gen: 0,
                 rejected: 0,
             }),
-            current: Mutex::new(snapshot),
         })
     }
 
@@ -363,8 +370,8 @@ impl Engine {
     /// [`EngineSnapshot::health`] this reads live writer state, so tests
     /// can observe accounting that has not forced a publication yet.
     pub fn quarantined(&self) -> Vec<(usize, usize)> {
-        let state = self.state.lock();
-        state
+        self.state
+            .borrow()
             .bad
             .iter()
             .filter(|(_, seen)| seen.len() > self.quarantine.budget)
@@ -372,10 +379,9 @@ impl Engine {
             .collect()
     }
 
-    /// The current snapshot. A pointer clone under a momentary lock;
-    /// all queries on the returned snapshot are lock-free.
+    /// The current snapshot: a pointer clone of the published `Arc`.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.current.lock().clone()
+        Arc::clone(&self.state.borrow().current)
     }
 
     /// Name of the engine's fitting backend.
@@ -384,11 +390,11 @@ impl Engine {
     }
 
     /// The measurement database as of the last write. An O(1) `Arc`
-    /// clone under a momentary lock — no sample is copied, and the
-    /// returned version stays immutable while later ingests proceed
-    /// (writers copy-on-write past any held reference).
+    /// clone — no sample is copied, and the returned version stays
+    /// immutable while later ingests proceed (writers copy-on-write past
+    /// any held reference).
     pub fn db(&self) -> Arc<MeasurementDb> {
-        Arc::clone(&self.state.lock().db)
+        Arc::clone(&self.state.borrow().db)
     }
 
     /// Ingests measurements and refits incrementally: admitted samples
@@ -423,7 +429,7 @@ impl Engine {
         &self,
         samples: &[(SampleKey, Sample)],
     ) -> Result<Arc<EngineSnapshot>, PipelineError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         // Pre-ingest samples of every key an upsert changed, saved at
         // the key's first change.
         let mut before: BTreeMap<SampleKey, Vec<Sample>> = BTreeMap::new();
@@ -458,9 +464,8 @@ impl Engine {
             .map(|(&group, _)| group)
             .collect();
         if dirty.is_empty() && quarantined == state.quarantined {
-            return Ok(self.snapshot());
+            return Ok(Arc::clone(&state.current));
         }
-        let previous = self.snapshot();
         // Build everything that can fail before committing any of it, so
         // a failed publication leaves pristine untouched and the
         // pending-dirty retry contract holds.
@@ -492,7 +497,7 @@ impl Engine {
             state.pristine = bank;
             state.pending_dirty.clear();
         }
-        let generation = previous.generation + 1;
+        let generation = state.current.generation + 1;
         if quarantined.is_empty() {
             state.last_healthy_gen = generation;
         }
@@ -510,7 +515,7 @@ impl Engine {
             refit: dirty.into_iter().collect(),
             health,
         });
-        *self.current.lock() = Arc::clone(&snapshot);
+        state.current = Arc::clone(&snapshot);
         Ok(snapshot)
     }
 
@@ -535,13 +540,13 @@ impl Engine {
     /// # Errors
     /// Any fitting failure.
     pub fn refit_full(&self) -> Result<Arc<EngineSnapshot>, PipelineError> {
-        let mut state = self.state.lock();
+        let mut state = self.state.borrow_mut();
         let bank = self.backend.fit(&state.db)?;
         let (serving, composed_fallback) = fallback_bank(&state.db, &bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         state.pristine = bank;
         state.pending_dirty.clear();
-        let generation = self.snapshot().generation + 1;
+        let generation = state.current.generation + 1;
         if state.quarantined.is_empty() {
             state.last_healthy_gen = generation;
         }
@@ -558,7 +563,7 @@ impl Engine {
             refit: Vec::new(),
             health,
         });
-        *self.current.lock() = Arc::clone(&snapshot);
+        state.current = Arc::clone(&snapshot);
         Ok(snapshot)
     }
 }
@@ -1086,58 +1091,38 @@ mod tests {
         }
     }
 
-    /// The concurrency contract: readers holding snapshots keep getting
-    /// bit-identical answers while a writer swaps generations under
-    /// them, and every observed generation is a complete bank.
+    /// The ownership contract: a held snapshot keeps answering with its
+    /// own bits while the owning thread publishes later generations, the
+    /// generations only grow, and the final bank equals a full fit.
     #[test]
-    fn readers_survive_concurrent_refit_swaps() {
-        let e = std::sync::Arc::new(engine());
+    fn held_snapshot_keeps_its_bits_across_later_ingests() {
+        let e = engine();
         let cfg = Configuration::p1m1_p2m2(1, 1, 4, 2);
         let n = 1600usize;
-        let rounds = 40usize;
-        std::thread::scope(|scope| {
-            // Writer: keep perturbing one group, swapping snapshots.
-            let we = Arc::clone(&e);
-            scope.spawn(move || {
-                let key = SampleKey {
-                    kind: 1,
-                    pes: 2,
-                    m: 1,
-                };
-                for i in 0..rounds {
-                    let mut s = synth_sample(1, 2, 1, 800);
-                    s.ta *= 1.0 + 0.01 * (i + 1) as f64;
-                    we.ingest(&[(key, s)]).expect("refit ok");
-                }
-            });
-            // Readers: pin a snapshot, re-query it, and check stability
-            // against the swap storm; also check generations only grow.
-            for _ in 0..4 {
-                let re = Arc::clone(&e);
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    let mut last_gen = 0u64;
-                    for _ in 0..rounds {
-                        let pinned = re.snapshot();
-                        let first = pinned.estimate_raw(&cfg, n).expect("estimable");
-                        // A held snapshot must answer bit-identically no
-                        // matter what the writer publishes meanwhile.
-                        for _ in 0..50 {
-                            let again = pinned.estimate_raw(&cfg, n).expect("estimable");
-                            assert_eq!(first.to_bits(), again.to_bits());
-                        }
-                        let generation = pinned.generation();
-                        assert!(generation >= last_gen, "generations must not rewind");
-                        last_gen = generation;
-                    }
-                });
-            }
-        });
-        // After the storm: the final snapshot equals a full fit of the
-        // final database — no torn or stale group slipped through.
+        let rounds = 40u64;
+        let key = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        let held = e.snapshot();
+        let held_bits = held.estimate_raw(&cfg, n).expect("estimable").to_bits();
+        let mut last_gen = held.generation();
+        for i in 0..rounds {
+            let mut s = synth_sample(1, 2, 1, 800);
+            s.ta *= 1.0 + 0.01 * (i + 1) as f64;
+            let snap = e.ingest(&[(key, s)]).expect("refit ok");
+            assert!(snap.generation() > last_gen, "generations must grow");
+            last_gen = snap.generation();
+            let again = held.estimate_raw(&cfg, n).expect("estimable");
+            assert_eq!(held_bits, again.to_bits(), "held snapshot moved");
+        }
+        assert_eq!(held.generation(), 0);
+        // The final snapshot equals a full fit of the final database —
+        // no stale group slipped through.
         let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
         let snap = e.snapshot();
-        assert_eq!(snap.generation(), rounds as u64);
+        assert_eq!(snap.generation(), rounds);
         for (g, m) in &full.pt {
             let got = &snap.bank().pt[g];
             for i in 0..2 {

@@ -1,11 +1,11 @@
-//! Bit-identity and concurrency contracts of snapshot serving.
+//! Bit-identity and sharing contracts of snapshot serving.
 //!
 //! Every `EngineSnapshot::estimate_batch` answer — value and error
 //! alike — is bit-identical to the scalar `EngineSnapshot::estimate`
 //! path on the same snapshot, across healthy, quarantined-with-fallback,
-//! and untrusted snapshots, and a snapshot pinned by concurrent readers
-//! keeps answering bit-identically while the engine publishes later
-//! generations underneath.
+//! and untrusted snapshots, and a snapshot pinned by reader threads
+//! keeps answering bit-identically while the engine's owning thread
+//! publishes later generations.
 
 use std::sync::Arc;
 
@@ -286,25 +286,23 @@ fn pinned_snapshot_survives_refits_and_concurrent_readers() {
                 }
             });
         }
-        // Meanwhile the engine publishes later generations: perturbed
-        // samples force refits while readers hold the pinned snapshot.
-        let writer_engine = &engine;
-        scope.spawn(move || {
-            for round in 0..10usize {
-                let mut s = synth_sample(1, 2, 1, 1600);
-                s.ta *= 1.0 + 0.01 * (round + 1) as f64;
-                writer_engine
-                    .ingest(&[(
-                        SampleKey {
-                            kind: 1,
-                            pes: 2,
-                            m: 1,
-                        },
-                        s,
-                    )])
-                    .expect("clean ingest");
-            }
-        });
+        // Meanwhile the thread that owns the engine publishes later
+        // generations: perturbed samples force refits while readers hold
+        // the pinned snapshot.
+        for round in 0..10usize {
+            let mut s = synth_sample(1, 2, 1, 1600);
+            s.ta *= 1.0 + 0.01 * (round + 1) as f64;
+            engine
+                .ingest(&[(
+                    SampleKey {
+                        kind: 1,
+                        pes: 2,
+                        m: 1,
+                    },
+                    s,
+                )])
+                .expect("clean ingest");
+        }
     });
 
     // The engine moved on; the pinned snapshot stayed at generation 0

@@ -1,9 +1,10 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
-//! Usage: `repro <experiment>` where experiment is one of the names in
-//! [`USAGE`] (the `usage_matches_dispatch_table` test keeps that list
-//! in sync with the dispatch table, and the unknown-subcommand error
-//! prints it in full).
+//! Usage: `repro [experiment...]` where each experiment is one of the
+//! names in [`USAGE`] (the `usage_matches_dispatch_table` test keeps
+//! that list in sync with the dispatch table, and the unknown-name
+//! error prints it in full). The named experiments run in argument
+//! order; no argument means `all`.
 //!
 //! Text renderings go to stdout; CSV artifacts go to `results/`.
 
@@ -43,7 +44,6 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["baselines"], baselines),
     (&["stream"], stream),
     (&["chaos"], chaos),
-    (&["serve"], serve),
     (&["pareto"], pareto),
     (&["loop"], loop_replay),
 ];
@@ -52,22 +52,46 @@ const EXPERIMENTS: &[Experiment] = &[
 /// to [`EXPERIMENTS`] so it cannot drift.
 const USAGE: &str = "table1 plans fig1 fig2 fig3 table3 table6 fig6_7 table4 \
      fig8_11 table7 fig12_15 table9 timings ablations models baselines \
-     stream chaos serve pareto loop all";
+     stream chaos pareto loop all";
+
+/// The runners `names` select, in argument order: each alias names its
+/// runner and `all` names every runner in table order. An empty list
+/// means `all`.
+///
+/// # Errors
+/// The first name that matches no experiment.
+fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS.iter().collect());
+    }
+    let mut runs = Vec::new();
+    for name in names {
+        if name == "all" {
+            runs.extend(EXPERIMENTS);
+            continue;
+        }
+        let run = EXPERIMENTS
+            .iter()
+            .find(|(aliases, _)| aliases.contains(&name.as_str()))
+            .ok_or_else(|| name.clone())?;
+        runs.push(run);
+    }
+    Ok(runs)
+}
 
 fn main() {
-    let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = which == "all";
-    let mut matched = all;
-    for (aliases, run) in EXPERIMENTS {
-        if all || aliases.contains(&which.as_str()) {
-            run();
-            matched = true;
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    match select(&names) {
+        Ok(runs) => {
+            for (_, run) in runs {
+                run();
+            }
         }
-    }
-    if !matched {
-        eprintln!("unknown experiment: {which}");
-        eprintln!("available: {USAGE}");
-        std::process::exit(2);
+        Err(unknown) => {
+            eprintln!("unknown experiment: {unknown}");
+            eprintln!("available: {USAGE}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -535,28 +559,6 @@ fn chaos() {
     }
 }
 
-fn serve() {
-    use etm_repro::serve::serve_experiment;
-    println!("\n== Serving layer: snapshot predictions/sec ==");
-    let report = serve_experiment(&MeasurementPlan::basic(), 0.2);
-    println!(
-        "{} configs x {} sizes = {} requests/sweep ({} estimable)",
-        report.configs, report.sizes, report.requests, report.estimable
-    );
-    let mut t = TextTable::new(vec!["mode", "readers", "predictions/s"]);
-    t.row(vec![
-        "scalar".to_string(),
-        "1".to_string(),
-        format!("{:.0}", report.scalar_per_sec),
-    ]);
-    print!("{}", t.render());
-    write_csv(
-        "serve_throughput",
-        "mode,readers,predictions_per_sec",
-        &[format!("scalar,1,{:.1}", report.scalar_per_sec)],
-    );
-}
-
 fn pareto() {
     use etm_repro::pareto::pareto_experiment;
     println!("\n== Anytime optimizer: pruned argmin audit + time x energy Pareto fronts ==");
@@ -722,7 +724,7 @@ fn loop_replay() {
 
 #[cfg(test)]
 mod usage_tests {
-    use super::{EXPERIMENTS, USAGE};
+    use super::{select, EXPERIMENTS, USAGE};
 
     /// Every name the dispatch table accepts, plus `all`.
     fn known_experiments() -> Vec<&'static str> {
@@ -741,6 +743,36 @@ mod usage_tests {
             usage,
             known_experiments(),
             "USAGE and the EXPERIMENTS dispatch table have drifted"
+        );
+    }
+
+    /// The first alias of each selected runner.
+    fn selected(names: &[&str]) -> Result<Vec<&'static str>, String> {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        select(&names).map(|runs| runs.iter().map(|(aliases, _)| aliases[0]).collect())
+    }
+
+    #[test]
+    fn select_runs_every_named_experiment_in_argument_order() {
+        assert_eq!(selected(&["fig2", "fig1"]), Ok(vec!["fig2", "fig1"]));
+        assert_eq!(
+            selected(&["table7", "table1"]),
+            Ok(vec!["fig8_11", "table1"])
+        );
+        let every: Vec<&str> = EXPERIMENTS.iter().map(|(aliases, _)| aliases[0]).collect();
+        assert_eq!(selected(&[]), Ok(every.clone()));
+        assert_eq!(selected(&["all"]), Ok(every));
+    }
+
+    #[test]
+    fn select_rejects_an_unknown_name_anywhere() {
+        assert_eq!(
+            selected(&["table1", "bogus-name"]),
+            Err("bogus-name".into())
+        );
+        assert_eq!(
+            selected(&["bogus-name", "table1"]),
+            Err("bogus-name".into())
         );
     }
 

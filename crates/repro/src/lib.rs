@@ -8,10 +8,7 @@
 //! online measurement streams with §4 re-optimization and A/B-compares
 //! fitting backends on pinned snapshots. [`chaos`] injects seeded
 //! faults into those streams and scores the degradation ladder's
-//! invariants. [`serve`] audits the batched serving path for
-//! bit-identity with the model walk and measures predictions/sec of
-//! both.
-//! [`pareto`] audits the anytime pruned optimizer against the
+//! invariants. [`pareto`] audits the anytime pruned optimizer against the
 //! exhaustive §4 sweep and emits the time×energy Pareto front.
 //! [`loopback`] closes the predict → execute → learn loop: it executes
 //! each recommendation on the discrete-event substrate under seeded
@@ -26,7 +23,6 @@ pub mod correlate;
 pub mod experiments;
 pub mod loopback;
 pub mod pareto;
-pub mod serve;
 pub mod stream;
 pub mod table;
 

@@ -1,11 +1,11 @@
 //! Scoped data-parallelism over `std::thread` — the rayon subset the
-//! linear-algebra kernels and the measurement campaign need.
+//! linear-algebra kernels and the measurement campaign need. Neither
+//! helper takes a lock: chunks are dealt to workers up front, items are
+//! claimed through one atomic counter, and a worker's panic is re-raised
+//! by joining the workers in order.
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::sync::Mutex;
 
 /// The number of worker threads parallel helpers use: the machine's
 /// available parallelism, or 1 when that cannot be determined.
@@ -13,27 +13,18 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A worker's panic payload, kept until the scope has joined.
-type PanicSlot = Mutex<Option<Box<dyn Any + Send>>>;
-
-/// Records `payload` unless an earlier panic already claimed the slot.
-fn keep_first_panic(slot: &PanicSlot, payload: Box<dyn Any + Send>) {
-    let mut slot = slot.lock();
-    if slot.is_none() {
-        *slot = Some(payload);
-    }
-}
-
 /// Applies `f` to consecutive `chunk_len`-sized chunks of `data` (last
 /// chunk may be shorter), fanning the chunks out over `threads` scoped
-/// worker threads. `f` receives the chunk index and the chunk.
-/// Equivalent to `data.chunks_mut(chunk_len).enumerate().for_each(...)`
-/// but parallel. With `threads == 1` (or a single chunk) the chunks run
-/// inline on the caller's thread.
+/// worker threads: chunk `i` goes to worker `i % threads`. `f` receives
+/// the chunk index and the chunk. Equivalent to
+/// `data.chunks_mut(chunk_len).enumerate().for_each(...)` but parallel.
+/// With `threads == 1` (or a single chunk) the chunks run inline on the
+/// caller's thread.
 ///
 /// # Panics
-/// Panics if `chunk_len == 0` or `threads == 0`, and re-raises the first
-/// panic from `f` with its own payload.
+/// Panics if `chunk_len == 0` or `threads == 0`. If `f` panics, every
+/// worker is joined and the panic of the lowest-numbered panicking
+/// worker is re-raised with its own payload.
 pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
 where
     T: Send,
@@ -48,26 +39,26 @@ where
         }
         return;
     }
-    // Whichever worker is free takes the next chunk off the shared
-    // iterator.
-    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    let first_panic = PanicSlot::new(None);
+    let mut dealt: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+        dealt[i % threads].push((i, chunk));
+    }
+    let f = &f;
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let Some((i, chunk)) = chunks.lock().next() else {
-                    return;
-                };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
-                    keep_first_panic(&first_panic, payload);
-                    return;
-                }
-            });
+        let workers: Vec<_> = dealt
+            .into_iter()
+            .map(|chunks| {
+                s.spawn(move || {
+                    for (i, chunk) in chunks {
+                        f(i, chunk);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap_or_else(|payload| resume_unwind(payload));
         }
     });
-    if let Some(payload) = first_panic.into_inner() {
-        resume_unwind(payload);
-    }
 }
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning
@@ -82,8 +73,9 @@ where
 /// single item) the map runs inline on the caller's thread.
 ///
 /// # Panics
-/// Panics if `threads == 0`, and re-raises the first panic from `f`
-/// with its own payload.
+/// Panics if `threads == 0`. If `f` panics, every worker is joined and
+/// the panic of the lowest-numbered panicking worker is re-raised with
+/// its own payload.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -96,7 +88,6 @@ where
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let next = AtomicUsize::new(0);
-    let first_panic = PanicSlot::new(None);
     let per_worker: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
@@ -107,13 +98,7 @@ where
                         let Some(item) = items.get(i) else {
                             return done;
                         };
-                        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                            Ok(r) => done.push((i, r)),
-                            Err(payload) => {
-                                keep_first_panic(&first_panic, payload);
-                                return done;
-                            }
-                        }
+                        done.push((i, f(i, item)));
                     }
                 })
             })
@@ -123,9 +108,6 @@ where
             .map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     });
-    if let Some(payload) = first_panic.into_inner() {
-        resume_unwind(payload);
-    }
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
     for (i, r) in per_worker.into_iter().flatten() {
         slots[i] = Some(r);

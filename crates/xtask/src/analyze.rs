@@ -1,27 +1,31 @@
 //! Bridge to the `etm-analyze` static analyzer.
 //!
-//! Two entry points:
+//! Two entry points over the same P001–P005 policy passes:
 //!
-//! * [`run_lint`] — the `check lint` pass: only the P-series policy
-//!   rules (the re-hosted successors of the old line-regex lint).
-//! * [`run_full`] — the `cargo xtask analyze` gate: every pass (C001–
-//!   C004 concurrency + P001–P005 policy) with human output, optional
-//!   JSON report, and the `analyze.allow` baseline contract (stale
-//!   entries fail).
+//! * [`run_lint`] — the `check lint` pass: one message per violation.
+//! * [`run_full`] — the `cargo xtask analyze` gate: human output,
+//!   optional JSON report, and the `analyze.allow` baseline contract
+//!   (stale entries fail).
 
 use std::path::Path;
 
-use etm_analyze::{analyze_root, policy_passes, run_passes, Baseline, Report, Workspace};
+use etm_analyze::analyze_root;
 
-/// The `check lint` pass: policy rules only, one message per violation.
+/// The `check lint` pass: one message per violation or stale
+/// `analyze.allow` entry.
 ///
 /// # Errors
 /// Unreadable sources or a malformed `analyze.allow`.
 pub fn run_lint(root: &Path) -> Result<Vec<String>, String> {
-    let ws = Workspace::load(root)?;
-    let baseline = Baseline::load(root)?;
-    let report = run_passes(&ws, &baseline, &policy_passes());
-    Ok(report_messages(&report, /*policy_only=*/ true))
+    let report = analyze_root(root)?;
+    let mut out: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+    out.extend(
+        report
+            .stale
+            .iter()
+            .map(|s| format!("stale analyze.allow: {s}")),
+    );
+    Ok(out)
 }
 
 /// The full analyzer gate. Prints the human report, optionally writes
@@ -43,21 +47,4 @@ pub fn run_full(root: &Path, json: Option<&Path>) -> Result<bool, String> {
         println!("json report -> {}", path.display());
     }
     Ok(report.is_clean())
-}
-
-/// Flattens a report into `check`-style violation strings. With
-/// `policy_only`, stale-baseline complaints about C-rules are kept out
-/// of the lint pass (the full gate owns them).
-fn report_messages(report: &Report, policy_only: bool) -> Vec<String> {
-    let mut out: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
-    for s in &report.stale {
-        // The lint pass runs only P-rules, so baseline entries for the
-        // concurrency rules are legitimately unused here; the full
-        // `analyze` gate owns their staleness.
-        if policy_only && !s.contains("`P") {
-            continue;
-        }
-        out.push(format!("stale analyze.allow: {s}"));
-    }
-    out
 }

@@ -35,12 +35,10 @@
 //! history (`results/bench/index.log`) as one markdown table of medians
 //! per commit and suite, written to `results/bench/TREND.md`.
 //!
-//! A fourth, `cargo xtask analyze [--json PATH]`, runs the full
-//! `etm-analyze` static concurrency analyzer (lock-order,
-//! held-across-blocking, snapshot-discipline, panic-boundary, plus the
-//! policy rules) over the workspace and fails on any finding not
-//! covered by a justified `analyze.allow` entry — or on any stale
-//! entry.
+//! A fourth, `cargo xtask analyze [--json PATH]`, runs the
+//! `etm-analyze` policy analyzer (P001–P005) over the workspace and
+//! fails on any finding not covered by a justified `analyze.allow`
+//! entry — or on any stale entry.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -119,7 +117,7 @@ fn run_analyze(rest: &[String]) -> ExitCode {
             return usage();
         }
     }
-    println!("==> analyze (static concurrency + policy passes)");
+    println!("==> analyze (static policy passes)");
     match analyze::run_full(&workspace_root(), json.as_deref()) {
         Ok(true) => {
             println!("xtask analyze: clean");

@@ -2,36 +2,39 @@
 # Tiered CI gate, runnable offline with an empty cargo registry cache.
 #
 #   scripts/ci.sh --quick   fail-fast inner loop: fmt + source lints +
-#                           hermeticity + the static concurrency
-#                           analyzer (`cargo xtask analyze`), then the
-#                           tier-1 build + tests.
+#                           hermeticity + the static policy analyzer
+#                           (`cargo xtask analyze`, P001-P005), then
+#                           the tier-1 build + tests.
 #   scripts/ci.sh           everything in --quick (the analyze stage
 #                           additionally writes its machine-readable
 #                           report to results/analyze_report.json),
 #                           plus clippy, the model-validity audit
 #                           (warm-cached under target/etm-cache/), the
 #                           simulator-driven experiments (`repro fig1
-#                           fig2 fig3 ablations baselines`, one
-#                           invocation each, which rewrite eleven
-#                           CSVs through the rank launchers), the
-#                           fixed-seed chaos smoke (`repro chaos`,
-#                           which exits non-zero on any
-#                           degradation-ladder invariant breach and
-#                           writes results/chaos_report.csv), the
+#                           fig2 fig3 ablations baselines`, which
+#                           rewrite eleven CSVs through the rank
+#                           launchers), the paper's own tables
+#                           (`repro table3 table6 table4 table7 table9
+#                           pareto`, which rewrite twelve CSVs: the
+#                           campaign costs, the best-configuration
+#                           tables, the five correlation figures and
+#                           the Pareto fronts), the fixed-seed chaos
+#                           smoke (`repro chaos`, which exits non-zero
+#                           on any degradation-ladder invariant breach
+#                           and writes results/chaos_report.csv), the
 #                           closed-loop replay (`repro loop`, which
 #                           writes results/loop_regret.csv), the
 #                           streamed Basic campaign (`repro stream`,
 #                           which writes results/stream_decisions.csv),
 #                           a determinism gate that fails if any of
-#                           those fourteen CSVs differs from its
+#                           those twenty-six CSVs differs from its
 #                           committed copy, and a bench smoke run that
 #                           writes the substrates + streaming +
-#                           analyze + serving +
-#                           optimizer + loopback + model_speed
-#                           baselines, gates each against the
-#                           per-commit store in results/bench/ via
+#                           analyze + optimizer + loopback +
+#                           model_speed baselines, gates each against
+#                           the per-commit store in results/bench/ via
 #                           `cargo xtask bench-diff --latest` (the
-#                           `serving`, workspace-sized `analyze`,
+#                           workspace-sized `analyze`,
 #                           microsecond-scale `optimizer`, and
 #                           simulator-driven `loopback` suites get a
 #                           wider 40% gate via repeated
@@ -120,20 +123,18 @@ trap summary EXIT
 bench_smoke() {
   # Time the suites fast enough for every CI run (substrate
   # microbenches, streaming-ingestion throughput, the static
-  # analyzer itself, the estimate sweeps of
-  # the serving suite, the pruned optimizer, the closed-loop round
+  # analyzer itself, the pruned optimizer, the closed-loop round
   # trip, and the paper's model-construction and incremental-refit
   # speeds) and gate each against the per-commit baseline store:
   # `bench-diff --latest` compares to the newest entry under
   # results/bench/ and then records this run for the current commit.
-  # The `serving` suite kept the gate it was given for its
-  # since-deleted reader-thread rows, the `analyze` suite times the
-  # analyzer over the live workspace — a corpus that legitimately
-  # grows a few percent every PR — and the `optimizer` suite's
-  # pruned searches finish in single-digit microseconds where a few
-  # nanoseconds of scheduler noise is a whole percentage point, and
-  # the `loopback` round-trip runs a whole discrete-event simulation
-  # per iteration, so all four get a wider per-suite gate. The
+  # The `analyze` suite times the analyzer over the live workspace —
+  # a corpus that legitimately changes size every PR — the
+  # `optimizer` suite's pruned searches finish in single-digit
+  # microseconds where a few nanoseconds of scheduler noise is a
+  # whole percentage point, and the `loopback` round-trip runs a
+  # whole discrete-event simulation per iteration, so all three get a
+  # wider per-suite gate. The
   # `model_speed` gate is the measured spread of its medians over three
   # back-to-back runs on a shared 2-vCPU host: up to 87%
   # (`lsq_kernels/nt_fit_9x4`, `model_construction_speed/basic_54_configs`
@@ -146,27 +147,18 @@ bench_smoke() {
   local out_dir="$PWD/target/etm-bench"
   mkdir -p "$out_dir"
   local suite
-  for suite in substrates streaming analyze serving optimizer loopback model_speed; do
+  for suite in substrates streaming analyze optimizer loopback model_speed; do
     ETM_BENCH_OUT="$out_dir" ETM_BENCH_SAMPLES=5 \
       cargo bench -q -p etm-bench --bench "$suite"
     cargo xtask bench-diff --latest "$out_dir/BENCH_$suite.json" \
-      --threshold serving=40 --threshold analyze=40 \
+      --threshold analyze=40 \
       --threshold optimizer=40 --threshold loopback=40 --threshold model_speed=90
   done
   cargo xtask bench-trend
 }
 
-sim_experiments() {
-  # The experiments the simulated and threaded rank launchers drive.
-  # `repro` reads only its first argument, so run one per invocation.
-  local e
-  for e in fig1 fig2 fig3 ablations baselines; do
-    cargo run -q --release -p etm-repro --bin repro -- "$e"
-  done
-}
-
 analyze_gate() {
-  # The static concurrency + policy analyzer. Both tiers gate on it;
+  # The static policy analyzer (P001-P005). Both tiers gate on it;
   # the full tier also archives the machine-readable report.
   if [ "$QUICK" = 1 ]; then
     cargo xtask analyze
@@ -191,20 +183,17 @@ fi
 # --- full tier ------------------------------------------------------
 stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "audit"      cargo xtask check audit
-stage "sim"        sim_experiments
+stage "sim"        cargo run -q --release -p etm-repro --bin repro -- \
+                     fig1 fig2 fig3 ablations baselines
+stage "paper"      cargo run -q --release -p etm-repro --bin repro -- \
+                     table3 table6 table4 table7 table9 pareto
 stage "chaos"      cargo run -q --release -p etm-repro --bin repro -- chaos
 stage "loop"       cargo run -q --release -p etm-repro --bin repro -- loop
 stage "stream"     cargo run -q --release -p etm-repro --bin repro -- stream
-# Every run above is fixed-seed and deterministic: any byte of drift
-# from the committed artifacts is a behaviour change, not noise.
-stage "artifacts"  git diff --exit-code -- results/chaos_report.csv results/loop_regret.csv \
-                     results/stream_decisions.csv \
-                     results/fig1a_mpich121.csv results/fig1b_mpich122.csv \
-                     results/fig2a_mpich121.csv results/fig2b_mpich122.csv \
-                     results/fig3a_loadimbalance.csv results/fig3b_multiprocess.csv \
-                     results/ablation_block_size.csv results/ablation_bcast.csv \
-                     results/ablation_network.csv results/ablation_grid_shape.csv \
-                     results/baselines_comparison.csv
+# Every run above is fixed-seed and deterministic, and together they
+# rewrite all twenty-six committed CSVs under results/: any byte of
+# drift from the committed artifacts is a behaviour change, not noise.
+stage "artifacts"  git diff --exit-code -- 'results/*.csv'
 stage "bench"      bench_smoke
 
 echo
