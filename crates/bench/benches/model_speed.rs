@@ -14,7 +14,7 @@ use etm_core::ntmodel::NtModel;
 use etm_core::pipeline::{Estimator, ModelBank};
 use etm_core::plan::evaluation_configs;
 use etm_core::ptmodel::{PtModel, PtObservation};
-use etm_lsq::{fit_poly, multifit_linear, DesignMatrix, LinearTransform};
+use etm_lsq::lstsq;
 
 /// A synthetic but realistically-shaped measurement database with the
 /// paper's full Basic grid (54 configurations × 9 sizes).
@@ -123,14 +123,24 @@ fn engine_refit_speed(r: &mut Runner) {
 }
 
 fn lsq_kernels(r: &mut Runner) {
-    // The N-T fit: 9 observations, 4 coefficients.
-    let ns: Vec<f64> = [
-        400.0, 600.0, 800.0, 1200.0, 1600.0, 2400.0, 3200.0, 4800.0, 6400.0,
-    ]
-    .to_vec();
-    let ys: Vec<f64> = ns.iter().map(|n| 1e-9 * n * n * n + 0.3).collect();
+    // The N-T fit: 9 observations, 4 + 3 coefficients.
+    let samples: Vec<Sample> = [400usize, 600, 800, 1200, 1600, 2400, 3200, 4800, 6400]
+        .iter()
+        .map(|&n| {
+            let x = n as f64;
+            let ta = 1e-9 * x * x * x + 0.3;
+            let tc = 1e-8 * x * x + 0.05;
+            Sample {
+                n,
+                ta,
+                tc,
+                wall: ta + tc,
+                multi_node: true,
+            }
+        })
+        .collect();
     r.bench("lsq_kernels/nt_fit_9x4", || {
-        black_box(fit_poly(&ns, &ys, 3).expect("fit"))
+        black_box(NtModel::fit(&samples).expect("fit"))
     });
     // The P-T fit: 36 observations, 3 coefficients.
     let rows: Vec<[f64; 3]> = (0..36)
@@ -144,15 +154,16 @@ fn lsq_kernels(r: &mut Runner) {
         .iter()
         .map(|r| 0.2 * r[0] + 0.4 * r[1] + 0.05)
         .collect();
-    let design = DesignMatrix::from_rows(&rows);
     r.bench("lsq_kernels/pt_fit_36x3", || {
-        black_box(multifit_linear(&design, &yc).expect("fit"))
+        black_box(lstsq(&mut rows.clone(), &mut yc.clone()).expect("fit"))
     });
-    // The adjustment fit.
+    // The §4.1 adjustment fit: 4 reference points against a constant
+    // M₁ = 1 baseline.
     let est = [150.0, 210.0, 270.0, 330.0];
+    let base = [100.0; 4];
     let meas = [107.0, 104.0, 105.0, 127.0];
     r.bench("lsq_kernels/adjustment_fit_4pts", || {
-        black_box(LinearTransform::fit(&est, &meas).expect("fit"))
+        black_box(AdjustmentRule::fit(3, &est, &base, &meas).expect("fit"))
     });
 }
 

@@ -24,7 +24,7 @@
 //! the second term to `T₁` keeps the correction proportional to the
 //! problem's own time scale at every N.
 
-use etm_lsq::{multifit_linear, DesignMatrix, LsqError};
+use etm_lsq::{lstsq, LsqError};
 use etm_support::json_struct;
 
 /// The conditional linear correction of §4.1.
@@ -74,16 +74,16 @@ impl AdjustmentRule {
                 got: measurements.len().min(baselines.len()),
             });
         }
-        let rows: Vec<[f64; 2]> = estimates
+        let mut rows: Vec<[f64; 2]> = estimates
             .iter()
             .zip(baselines)
             .map(|(&e, &b)| [e, b])
             .collect();
-        let fit = multifit_linear(&DesignMatrix::from_rows(&rows), measurements)?;
+        let [scale, base_coeff] = lstsq(&mut rows, &mut measurements.to_vec())?;
         Ok(AdjustmentRule {
             min_m1,
-            scale: fit.coeffs[0],
-            base_coeff: fit.coeffs[1],
+            scale,
+            base_coeff,
         })
     }
 

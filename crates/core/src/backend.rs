@@ -224,14 +224,18 @@ fn fit_pt_group(
 }
 
 /// All problem sizes seen anywhere in the database, ascending — the
-/// §3.5 Ta-scale fitting grid.
+/// §3.5 Ta-scale fitting grid. Each size is merged into the short
+/// distinct list as it is read: a Basic campaign has 486 samples over
+/// 9 sizes, and this runs on every refit.
 fn all_ns(db: &MeasurementDb) -> Vec<usize> {
-    let mut ns: Vec<usize> = db
-        .keys()
-        .flat_map(|k| db.samples(k).iter().map(|s| s.n))
-        .collect();
-    ns.sort_unstable();
-    ns.dedup();
+    let mut ns: Vec<usize> = Vec::new();
+    for key in db.keys() {
+        for s in db.samples(key) {
+            if let Err(at) = ns.binary_search(&s.n) {
+                ns.insert(at, s.n);
+            }
+        }
+    }
     ns
 }
 

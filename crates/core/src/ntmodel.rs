@@ -2,7 +2,7 @@
 //! for computation and communication time, plus the §3.4 memory-regime
 //! piecewise extension.
 
-use etm_lsq::{multifit_linear, DesignMatrix, LsqError};
+use etm_lsq::{lstsq, LsqError};
 use etm_support::json_struct;
 
 use crate::measurement::Sample;
@@ -32,21 +32,25 @@ impl NtModel {
     /// paper's "at least four different N" requirement (Ta has four
     /// coefficients).
     pub fn fit(samples: &[Sample]) -> Result<NtModel, LsqError> {
-        let ns: Vec<f64> = samples.iter().map(|s| s.n as f64).collect();
-        let tas: Vec<f64> = samples.iter().map(|s| s.ta).collect();
-        let tcs: Vec<f64> = samples.iter().map(|s| s.tc).collect();
-        let xa = DesignMatrix::from_rows(
-            &ns.iter()
-                .map(|&n| [n * n * n, n * n, n, 1.0])
-                .collect::<Vec<_>>(),
-        );
-        let fa = multifit_linear(&xa, &tas)?;
-        let xc = DesignMatrix::from_rows(&ns.iter().map(|&n| [n * n, n, 1.0]).collect::<Vec<_>>());
-        let fc = multifit_linear(&xc, &tcs)?;
-        Ok(NtModel {
-            ka: [fa.coeffs[0], fa.coeffs[1], fa.coeffs[2], fa.coeffs[3]],
-            kc: [fc.coeffs[0], fc.coeffs[1], fc.coeffs[2]],
-        })
+        let mut rows_a: Vec<[f64; 4]> = samples
+            .iter()
+            .map(|s| {
+                let n = s.n as f64;
+                [n * n * n, n * n, n, 1.0]
+            })
+            .collect();
+        let mut ya: Vec<f64> = samples.iter().map(|s| s.ta).collect();
+        let ka = lstsq(&mut rows_a, &mut ya)?;
+        let mut rows_c: Vec<[f64; 3]> = samples
+            .iter()
+            .map(|s| {
+                let n = s.n as f64;
+                [n * n, n, 1.0]
+            })
+            .collect();
+        let mut yc: Vec<f64> = samples.iter().map(|s| s.tc).collect();
+        let kc = lstsq(&mut rows_c, &mut yc)?;
+        Ok(NtModel { ka, kc })
     }
 
     /// Predicted computation time `Ta(N)`.

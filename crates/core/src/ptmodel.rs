@@ -14,7 +14,7 @@
 //! `k7`–`k10` by the fit). The forms mirror the algorithm: `update`
 //! scales as `1/P`, `bcast` as `(P−1) ≈ P`, `laswp` as `1/P`.
 
-use etm_lsq::{multifit_linear, DesignMatrix, LsqError};
+use etm_lsq::{lstsq, LsqError};
 use etm_support::json_struct;
 
 use crate::ntmodel::NtModel;
@@ -69,28 +69,24 @@ impl PtModel {
         obs_ta: &[PtObservation],
         obs_tc: &[PtObservation],
     ) -> Result<PtModel, LsqError> {
-        let rows_a: Vec<[f64; 2]> = obs_ta
+        let mut rows_a: Vec<[f64; 2]> = obs_ta
             .iter()
             .map(|o| [reference.ta(o.n) / o.p as f64, 1.0])
             .collect();
-        let ya: Vec<f64> = obs_ta.iter().map(|o| o.ta).collect();
-        let fa = multifit_linear(&DesignMatrix::from_rows(&rows_a), &ya)?;
+        let mut ya: Vec<f64> = obs_ta.iter().map(|o| o.ta).collect();
+        let ka = lstsq(&mut rows_a, &mut ya)?;
 
-        let rows_c: Vec<[f64; 3]> = obs_tc
+        let mut rows_c: Vec<[f64; 3]> = obs_tc
             .iter()
             .map(|o| {
                 let c = reference.tc(o.n);
                 [o.p as f64 * c, c / o.p as f64, 1.0]
             })
             .collect();
-        let yc: Vec<f64> = obs_tc.iter().map(|o| o.tc).collect();
-        let fc = multifit_linear(&DesignMatrix::from_rows(&rows_c), &yc)?;
+        let mut yc: Vec<f64> = obs_tc.iter().map(|o| o.tc).collect();
+        let kc = lstsq(&mut rows_c, &mut yc)?;
 
-        Ok(PtModel {
-            ka: [fa.coeffs[0], fa.coeffs[1]],
-            kc: [fc.coeffs[0], fc.coeffs[1], fc.coeffs[2]],
-            reference,
-        })
+        Ok(PtModel { ka, kc, reference })
     }
 
     /// Predicted computation time at `(N, P)`.

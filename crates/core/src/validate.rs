@@ -23,7 +23,7 @@
 
 use std::fmt;
 
-use etm_lsq::{condition_estimate, DesignMatrix};
+use etm_lsq::condition_estimate;
 
 use crate::engine::EngineHealth;
 use crate::pipeline::ModelBank;
@@ -360,14 +360,14 @@ fn basis_condition(bank: &ModelBank) -> Vec<Finding> {
     let mut out = Vec::new();
     // The N-T cubic basis over the audit sizes — shared by every N-T fit,
     // so one finding covers them all.
-    let nt_rows: Vec<[f64; 4]> = AUDIT_SIZES
+    let mut nt_rows: Vec<[f64; 4]> = AUDIT_SIZES
         .iter()
         .map(|&n| {
             let x = n as f64;
             [x * x * x, x * x, x, 1.0]
         })
         .collect();
-    match condition_estimate(DesignMatrix::from_rows(&nt_rows)) {
+    match condition_estimate(&mut nt_rows) {
         Ok(c) if c > CONDITION_WARN => out.push(warning(
             CHECK,
             format!("N-T cubic basis condition estimate {c:.3e} exceeds {CONDITION_WARN:.0e}"),
@@ -378,7 +378,7 @@ fn basis_condition(bank: &ModelBank) -> Vec<Finding> {
     // The P-T communication basis [P·TcRef, TcRef/P, 1] per model: this
     // one depends on the reference model's magnitudes, so check each.
     for ((kind, m), pt) in &bank.pt {
-        let rows: Vec<[f64; 3]> = AUDIT_PS
+        let mut rows: Vec<[f64; 3]> = AUDIT_PS
             .iter()
             .flat_map(|&p| {
                 AUDIT_SIZES.iter().map(move |&n| {
@@ -387,7 +387,7 @@ fn basis_condition(bank: &ModelBank) -> Vec<Finding> {
                 })
             })
             .collect();
-        match condition_estimate(DesignMatrix::from_rows(&rows)) {
+        match condition_estimate(&mut rows) {
             Ok(c) if c > CONDITION_WARN => out.push(warning(
                 CHECK,
                 format!(

@@ -2,39 +2,38 @@
 //!
 //! The paper extracts every model coefficient (`k0`–`k11`) with GSL's
 //! `gsl_multifit_linear()`. This crate is the from-scratch Rust analogue:
-//! a dense [`DesignMatrix`], Householder-QR factorization, the
-//! [`multifit_linear`] driver with goodness-of-fit statistics, polynomial
-//! convenience fits, and the 1-D [`LinearTransform`] used by the paper's
-//! §4.1 estimation adjustment.
+//! one in-place Householder-QR kernel, [`lstsq`], over fixed-width rows
+//! (one row per observation, one column per regressor), plus the
+//! [`condition_estimate`] the model-validity audit reads from the same
+//! factorization. Two small helpers sit beside it: [`fit_poly`] /
+//! [`eval_poly`] on the power basis, and the goodness-of-fit statistics
+//! [`mean`], [`r_squared`] and [`rmse`], which the kernel never computes
+//! itself.
 //!
 //! ## Example: recovering `Tc(N) = k4·N² + k5·N + k6`
 //!
 //! ```
-//! use etm_lsq::{DesignMatrix, multifit_linear};
+//! use etm_lsq::lstsq;
 //!
 //! let ns = [400.0, 800.0, 1200.0, 1600.0f64];
 //! // Ground truth: k4 = 2e-7, k5 = 3e-4, k6 = 0.05.
-//! let ys: Vec<f64> = ns.iter().map(|n| 2e-7 * n * n + 3e-4 * n + 0.05).collect();
-//! let x = DesignMatrix::from_rows(&ns.map(|n| vec![n * n, n, 1.0]));
-//! let fit = multifit_linear(&x, &ys).unwrap();
-//! assert!((fit.coeffs[0] - 2e-7).abs() < 1e-12);
-//! assert!((fit.coeffs[1] - 3e-4).abs() < 1e-9);
-//! assert!((fit.coeffs[2] - 0.05).abs() < 1e-6);
+//! let mut ys: Vec<f64> = ns.iter().map(|n| 2e-7 * n * n + 3e-4 * n + 0.05).collect();
+//! let mut rows: Vec<[f64; 3]> = ns.iter().map(|&n| [n * n, n, 1.0]).collect();
+//! let k = lstsq(&mut rows, &mut ys).unwrap();
+//! assert!((k[0] - 2e-7).abs() < 1e-12);
+//! assert!((k[1] - 3e-4).abs() < 1e-9);
+//! assert!((k[2] - 0.05).abs() < 1e-6);
 //! ```
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod design;
 mod multifit;
 mod poly;
 mod qr;
 mod stats;
-mod transform;
 
-pub use design::DesignMatrix;
-pub use multifit::{multifit_linear, multifit_linear_ridge, LinearFit, LsqError};
-pub use poly::{eval_poly, fit_poly, PolyFit};
-pub use qr::{condition_estimate, QrFactors};
+pub use multifit::{lstsq, LsqError};
+pub use poly::{eval_poly, fit_poly};
+pub use qr::condition_estimate;
 pub use stats::{mean, r_squared, rmse};
-pub use transform::LinearTransform;

@@ -1,10 +1,9 @@
-//! The `gsl_multifit_linear` analogue: least-squares driver + statistics.
+//! The least-squares driver — the `gsl_multifit_linear` analogue — and
+//! its error type.
 
 use std::fmt;
 
-use crate::design::DesignMatrix;
-use crate::qr::QrFactors;
-use crate::stats;
+use crate::qr::{apply_qt, factor};
 
 /// Errors from least-squares fitting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,120 +48,74 @@ impl fmt::Display for LsqError {
 
 impl std::error::Error for LsqError {}
 
-/// The result of a linear least-squares fit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinearFit {
-    /// Fitted coefficients, one per design-matrix column.
-    pub coeffs: Vec<f64>,
-    /// Residual sum of squares `‖Xc − y‖²`.
-    pub residual_ss: f64,
-    /// Coefficient of determination R² (1 = perfect fit).
-    pub r_squared: f64,
-    /// Root-mean-square error of the residuals.
-    pub rmse: f64,
-    /// Degrees of freedom (`rows − cols`).
-    pub dof: usize,
-}
-
-impl LinearFit {
-    /// Evaluates the fitted model on a regressor row.
-    pub fn predict(&self, regressors: &[f64]) -> f64 {
-        assert_eq!(regressors.len(), self.coeffs.len());
-        regressors
-            .iter()
-            .zip(&self.coeffs)
-            .map(|(x, c)| x * c)
-            .sum()
-    }
-}
-
-fn finish(x: &DesignMatrix, y: &[f64], coeffs: Vec<f64>) -> LinearFit {
-    let predicted = x.mul_vec(&coeffs);
-    let residual_ss: f64 = predicted
-        .iter()
-        .zip(y)
-        .map(|(p, o)| (p - o) * (p - o))
-        .sum();
-    LinearFit {
-        r_squared: stats::r_squared(y, &predicted),
-        rmse: stats::rmse(y, &predicted),
-        dof: x.rows().saturating_sub(x.cols()),
-        coeffs,
-        residual_ss,
-    }
-}
-
-/// Fits `y ≈ X·c` by ordinary least squares (Householder QR).
+/// Fits `y ≈ X·c` by ordinary least squares, one observation per row of
+/// `rows` and one regressor per column — the analogue of GSL's
+/// `gsl_multifit_linear(X, y, c, …)` minus the covariance and χ².
 ///
-/// Direct analogue of GSL's `gsl_multifit_linear(X, y, c, cov, chisq, w)`,
-/// minus the covariance matrix (not used by the paper's pipeline).
+/// Both arguments are scratch: `rows` is overwritten with the QR factors
+/// and `y` with `Qᵀy`.
 ///
 /// # Errors
-/// See [`LsqError`].
-pub fn multifit_linear(x: &DesignMatrix, y: &[f64]) -> Result<LinearFit, LsqError> {
-    if y.len() != x.rows() {
+/// In this order: [`LsqError::DimensionMismatch`] when `y` and `rows`
+/// differ in length; [`LsqError::Underdetermined`] with fewer rows than
+/// columns; [`LsqError::RankDeficient`] when a diagonal entry of `R` is
+/// numerically zero (collinear regressors), reporting the last such
+/// column.
+pub fn lstsq<const C: usize>(rows: &mut [[f64; C]], y: &mut [f64]) -> Result<[f64; C], LsqError> {
+    let m = rows.len();
+    if y.len() != m {
         return Err(LsqError::DimensionMismatch {
-            expected: x.rows(),
+            expected: m,
             got: y.len(),
         });
     }
-    let qr = QrFactors::factor(x.clone())?;
-    let coeffs = qr.solve(y)?;
-    Ok(finish(x, y, coeffs))
-}
-
-/// Ridge-regularized variant: minimizes `‖Xc − y‖² + λ‖c‖²`.
-///
-/// Used as a fallback when a measurement plan produces a (near-)collinear
-/// design matrix — e.g. a P-T fit where all trials share one `P`.
-///
-/// # Errors
-/// See [`LsqError`]; with `lambda > 0` the augmented system is always full
-/// rank, so only dimension errors remain possible.
-pub fn multifit_linear_ridge(
-    x: &DesignMatrix,
-    y: &[f64],
-    lambda: f64,
-) -> Result<LinearFit, LsqError> {
-    if y.len() != x.rows() {
-        return Err(LsqError::DimensionMismatch {
-            expected: x.rows(),
-            got: y.len(),
-        });
+    if m < C {
+        return Err(LsqError::Underdetermined { rows: m, cols: C });
     }
-    assert!(lambda >= 0.0, "ridge parameter must be non-negative");
-    let (m, n) = (x.rows(), x.cols());
-    // Augment: [X; sqrt(λ) I] c = [y; 0].
-    let mut aug = DesignMatrix::zeros(m + n, n);
-    for r in 0..m {
-        for c in 0..n {
-            aug.set(r, c, x.get(r, c));
+    let tau = factor(rows);
+    apply_qt(rows, &tau, y);
+    // Relative rank tolerance in the spirit of LAPACK: based on the
+    // largest diagonal magnitude.
+    let rmax = (0..C).map(|j| rows[j][j].abs()).fold(0.0_f64, f64::max);
+    let tol = rmax * (m.max(C) as f64) * f64::EPSILON;
+    let mut c = [0.0; C];
+    for j in (0..C).rev() {
+        let rjj = rows[j][j];
+        if rjj.abs() <= tol {
+            return Err(LsqError::RankDeficient { column: j });
         }
+        let mut s = y[j];
+        for k in (j + 1)..C {
+            s -= rows[j][k] * c[k];
+        }
+        c[j] = s / rjj;
     }
-    let sq = lambda.sqrt();
-    for j in 0..n {
-        aug.set(m + j, j, sq);
-    }
-    let mut y_aug = y.to_vec();
-    y_aug.resize(m + n, 0.0);
-    let qr = QrFactors::factor(aug)?;
-    let coeffs = qr.solve(&y_aug)?;
-    Ok(finish(x, y, coeffs))
+    Ok(c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::r_squared;
+
+    /// `row · c` for every row.
+    fn predict<const C: usize>(rows: &[[f64; C]], c: &[f64; C]) -> Vec<f64> {
+        rows.iter()
+            .map(|r| r.iter().zip(c).map(|(x, k)| x * k).sum())
+            .collect()
+    }
 
     #[test]
     fn perfect_fit_has_unit_r_squared() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let rows: Vec<[f64; 2]> = xs.iter().map(|&x| [x, 1.0]).collect();
         let y: Vec<f64> = xs.iter().map(|&x| 2.0 * x - 1.0).collect();
-        let fit = multifit_linear(&DesignMatrix::from_rows(&rows), &y).unwrap();
-        assert!(fit.r_squared > 1.0 - 1e-12);
-        assert!(fit.residual_ss < 1e-20);
-        assert_eq!(fit.dof, 2);
+        let c = lstsq(&mut rows.clone(), &mut y.clone()).unwrap();
+        let pred = predict(&rows, &c);
+        let residual_ss: f64 = y.iter().zip(&pred).map(|(a, b)| (a - b) * (a - b)).sum();
+        assert!(r_squared(&y, &pred) > 1.0 - 1e-12);
+        assert!(residual_ss < 1e-20);
+        assert_eq!(y.len() - c.len(), 2);
     }
 
     #[test]
@@ -175,56 +128,21 @@ mod tests {
             .enumerate()
             .map(|(i, &x)| 5.0 * x + 2.0 + 0.01 * ((i * 2654435761) % 100) as f64 / 100.0)
             .collect();
-        let fit = multifit_linear(&DesignMatrix::from_rows(&rows), &y).unwrap();
-        assert!((fit.coeffs[0] - 5.0).abs() < 1e-3);
-        assert!((fit.coeffs[1] - 2.0).abs() < 2e-2);
-        assert!(fit.r_squared > 0.999);
-    }
-
-    #[test]
-    fn predict_applies_coefficients() {
-        let fit = LinearFit {
-            coeffs: vec![2.0, 1.0],
-            residual_ss: 0.0,
-            r_squared: 1.0,
-            rmse: 0.0,
-            dof: 0,
-        };
-        assert_eq!(fit.predict(&[3.0, 1.0]), 7.0);
+        let c = lstsq(&mut rows.clone(), &mut y.clone()).unwrap();
+        assert!((c[0] - 5.0).abs() < 1e-3);
+        assert!((c[1] - 2.0).abs() < 2e-2);
+        assert!(r_squared(&y, &predict(&rows, &c)) > 0.999);
     }
 
     #[test]
     fn dimension_mismatch_detected() {
-        let x = DesignMatrix::from_rows(&[[1.0], [2.0]]);
         assert!(matches!(
-            multifit_linear(&x, &[1.0]),
+            lstsq(&mut [[1.0], [2.0]], &mut [1.0]),
             Err(LsqError::DimensionMismatch {
                 expected: 2,
                 got: 1
             })
         ));
-    }
-
-    #[test]
-    fn ridge_handles_collinear_columns() {
-        let x = DesignMatrix::from_rows(&[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]);
-        let y = [1.0, 2.0, 3.0];
-        assert!(multifit_linear(&x, &y).is_err());
-        let fit = multifit_linear_ridge(&x, &y, 1e-8).unwrap();
-        // Any solution along the collinear direction reproduces y.
-        let pred: f64 = fit.predict(&[1.0, 2.0]);
-        assert!((pred - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ridge_with_zero_lambda_matches_ols_on_full_rank() {
-        let x = DesignMatrix::from_rows(&[[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]);
-        let y = [2.0, 3.0, 5.0];
-        let a = multifit_linear(&x, &y).unwrap();
-        let b = multifit_linear_ridge(&x, &y, 0.0).unwrap();
-        for (ca, cb) in a.coeffs.iter().zip(&b.coeffs) {
-            assert!((ca - cb).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -1,67 +1,44 @@
-//! Polynomial least-squares convenience layer.
+//! Polynomial least squares on the power basis.
 //!
 //! The N-T model's `Ta(N)` and `Tc(N)` are plain polynomials in `N`; this
-//! module wraps [`multifit_linear`](crate::multifit_linear) with a
-//! power-basis design matrix.
+//! module evaluates such polynomials and fits them through
+//! [`lstsq`](crate::lstsq) on the `[x^(C−1), …, x, 1]` basis.
 
-use crate::design::DesignMatrix;
-use crate::multifit::{multifit_linear, LinearFit, LsqError};
-
-/// A fitted polynomial `c[0]·x^d + c[1]·x^(d−1) + … + c[d]`
-/// (descending powers, matching how the paper writes `k0·N³ + … + k3`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolyFit {
-    /// Coefficients in descending powers of `x`.
-    pub coeffs: Vec<f64>,
-    /// Underlying least-squares fit (statistics, dof).
-    pub fit: LinearFit,
-}
-
-impl PolyFit {
-    /// Evaluates the polynomial at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        eval_poly(&self.coeffs, x)
-    }
-
-    /// Polynomial degree.
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
-    }
-}
+use crate::{lstsq, LsqError};
 
 /// Evaluates a polynomial with coefficients in descending powers (Horner).
 pub fn eval_poly(coeffs: &[f64], x: f64) -> f64 {
     coeffs.iter().fold(0.0, |acc, &c| acc * x + c)
 }
 
-/// Fits a degree-`degree` polynomial to `(xs, ys)` by least squares.
+/// Fits a polynomial with `C` coefficients (degree `C − 1`) to
+/// `(xs, ys)` by least squares, returning the coefficients in descending
+/// powers of `x` (matching how the paper writes `k0·N³ + … + k3`).
 ///
 /// # Errors
-/// [`LsqError::Underdetermined`] when fewer than `degree + 1` samples are
-/// supplied — e.g. trying to build an N-T `Ta` model (4 coefficients) from
-/// only 3 problem sizes, which the paper explicitly calls out.
-pub fn fit_poly(xs: &[f64], ys: &[f64], degree: usize) -> Result<PolyFit, LsqError> {
-    if xs.len() != ys.len() {
-        return Err(LsqError::DimensionMismatch {
-            expected: xs.len(),
-            got: ys.len(),
-        });
-    }
-    let rows: Vec<Vec<f64>> = xs
+/// As [`lstsq`]: [`LsqError::DimensionMismatch`] when the slices differ
+/// in length; [`LsqError::Underdetermined`] with fewer than `C` samples —
+/// e.g. a `Ta` model (four coefficients) from only three problem sizes,
+/// which the paper explicitly calls out; [`LsqError::RankDeficient`]
+/// when too few of the `xs` are distinct.
+pub fn fit_poly<const C: usize>(xs: &[f64], ys: &[f64]) -> Result<[f64; C], LsqError> {
+    let mut rows: Vec<[f64; C]> = xs
         .iter()
-        .map(|&x| (0..=degree).rev().map(|p| x.powi(p as i32)).collect())
+        .map(|&x| {
+            let mut row = [1.0; C];
+            for j in (0..C.saturating_sub(1)).rev() {
+                row[j] = row[j + 1] * x;
+            }
+            row
+        })
         .collect();
-    let design = DesignMatrix::from_rows(&rows);
-    let fit = multifit_linear(&design, ys)?;
-    Ok(PolyFit {
-        coeffs: fit.coeffs.clone(),
-        fit,
-    })
+    lstsq(&mut rows, &mut ys.to_vec())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::r_squared;
 
     #[test]
     fn horner_matches_direct() {
@@ -75,20 +52,22 @@ mod tests {
         let truth = [1e-9, -2e-5, 3e-2, 1.0];
         let xs = [400.0, 800.0, 1200.0, 1600.0];
         let ys: Vec<f64> = xs.iter().map(|&x| eval_poly(&truth, x)).collect();
-        let fit = fit_poly(&xs, &ys, 3).unwrap();
-        for (got, want) in fit.coeffs.iter().zip(&truth) {
+        let c = fit_poly::<4>(&xs, &ys).unwrap();
+        for (got, want) in c.iter().zip(&truth) {
             assert!(
                 (got - want).abs() < 1e-9 * want.abs().max(1.0),
                 "got {got}, want {want}"
             );
         }
-        assert_eq!(fit.degree(), 3);
+        for (&x, &y) in xs.iter().zip(&ys) {
+            assert!((eval_poly(&c, x) - y).abs() < 1e-9 * y.abs().max(1.0));
+        }
     }
 
     #[test]
     fn too_few_points_is_underdetermined() {
         assert!(matches!(
-            fit_poly(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], 3),
+            fit_poly::<4>(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]),
             Err(LsqError::Underdetermined { .. })
         ));
     }
@@ -96,7 +75,7 @@ mod tests {
     #[test]
     fn mismatched_lengths_rejected() {
         assert!(matches!(
-            fit_poly(&[1.0, 2.0], &[1.0], 1),
+            fit_poly::<2>(&[1.0, 2.0], &[1.0]),
             Err(LsqError::DimensionMismatch { .. })
         ));
     }
@@ -109,8 +88,9 @@ mod tests {
             .enumerate()
             .map(|(i, &x)| x * x + if i % 2 == 0 { 0.01 } else { -0.01 })
             .collect();
-        let fit = fit_poly(&xs, &ys, 2).unwrap();
-        assert!((fit.coeffs[0] - 1.0).abs() < 1e-3);
-        assert!(fit.fit.r_squared > 0.999999);
+        let c = fit_poly::<3>(&xs, &ys).unwrap();
+        assert!((c[0] - 1.0).abs() < 1e-3);
+        let pred: Vec<f64> = xs.iter().map(|&x| eval_poly(&c, x)).collect();
+        assert!(r_squared(&ys, &pred) > 0.999999);
     }
 }

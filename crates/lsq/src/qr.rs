@@ -1,178 +1,117 @@
-//! Householder QR factorization for tall matrices.
+//! In-place Householder QR factorization.
 //!
-//! The least-squares solve `min ‖Xc − y‖₂` is computed the numerically
-//! stable way: factor `X = QR` with Householder reflections, apply `Qᵀ` to
-//! `y`, and back-substitute against the upper-triangular `R`. This mirrors
-//! what GSL does inside `gsl_multifit_linear` (which uses an SVD; for the
-//! well-conditioned polynomial bases of this study QR is equivalent and
-//! faster).
+//! [`lstsq`](crate::lstsq) computes `min ‖Xc − y‖₂` the numerically
+//! stable way: factor `X = QR` with Householder reflections, apply `Qᵀ`
+//! to `y`, and back-substitute against the upper-triangular `R`. The
+//! reflectors overwrite the lower trapezoid of the caller's rows and `R`
+//! the upper triangle, exactly like LAPACK's `dgeqrf`; τ lives on the
+//! stack, so a factorization allocates nothing.
 
-use crate::design::DesignMatrix;
-use crate::multifit::LsqError;
+use crate::LsqError;
 
-/// The compact Householder QR factorization of a design matrix.
+/// Factors `rows` (`m × C`, `m ≥ C`) in place and returns the
+/// Householder scalar τ of each column.
+pub(crate) fn factor<const C: usize>(rows: &mut [[f64; C]]) -> [f64; C] {
+    let mut tau = [0.0; C];
+    for k in 0..C {
+        // Build the Householder reflector annihilating column k below
+        // the diagonal.
+        let mut norm2 = 0.0;
+        for r in &rows[k..] {
+            norm2 += r[k] * r[k];
+        }
+        let norm = norm2.sqrt();
+        if norm == 0.0 {
+            continue;
+        }
+        let (head, tail) = rows[k..].split_first_mut().expect("k < m");
+        let akk = head[k];
+        let alpha = if akk >= 0.0 { -norm } else { norm };
+        let v0 = akk - alpha;
+        // Normalize so the reflector's first component is 1.
+        for r in tail.iter_mut() {
+            r[k] /= v0;
+        }
+        tau[k] = -v0 / alpha;
+        head[k] = alpha;
+        // Apply the reflector to the remaining columns:
+        // A := (I − τ v vᵀ) A.
+        for j in (k + 1)..C {
+            let mut dot = head[j];
+            for r in tail.iter() {
+                dot += r[k] * r[j];
+            }
+            let scale = tau[k] * dot;
+            head[j] -= scale;
+            for r in tail.iter_mut() {
+                r[j] -= scale * r[k];
+            }
+        }
+    }
+    tau
+}
+
+/// Applies the factored `Qᵀ` to `y` in place.
+pub(crate) fn apply_qt<const C: usize>(rows: &[[f64; C]], tau: &[f64; C], y: &mut [f64]) {
+    for k in 0..C {
+        if tau[k] == 0.0 {
+            continue;
+        }
+        let mut dot = y[k];
+        for (r, &yi) in rows[k + 1..].iter().zip(&y[k + 1..]) {
+            dot += r[k] * yi;
+        }
+        let scale = tau[k] * dot;
+        y[k] -= scale;
+        for (r, yi) in rows[k + 1..].iter().zip(&mut y[k + 1..]) {
+            *yi -= scale * r[k];
+        }
+    }
+}
+
+/// Cheap condition-number estimate of a design matrix, used by the
+/// model-validity audit to warn about ill-conditioned fitting bases
+/// before coefficients go bad: the ratio `max|r_jj| / min|r_jj|` over
+/// the diagonal of the same `R` [`lstsq`](crate::lstsq) factors (`rows` is
+/// overwritten with it).
 ///
-/// Stores the reflectors in the lower trapezoid of the factored matrix and
-/// `R` in the upper triangle, exactly like LAPACK's `dgeqrf`.
-pub struct QrFactors {
-    a: DesignMatrix,
-    /// Householder scalar τ per column.
-    tau: Vec<f64>,
-}
-
-impl QrFactors {
-    /// Factors `x` (consumed). Requires `rows ≥ cols`.
-    ///
-    /// # Errors
-    /// [`LsqError::Underdetermined`] when there are fewer observations
-    /// than regressors.
-    pub fn factor(mut x: DesignMatrix) -> Result<Self, LsqError> {
-        let (m, n) = (x.rows(), x.cols());
-        if m < n {
-            return Err(LsqError::Underdetermined { rows: m, cols: n });
-        }
-        let mut tau = vec![0.0; n];
-        for (k, tk) in tau.iter_mut().enumerate() {
-            // Build the Householder reflector annihilating column k below
-            // the diagonal.
-            let mut norm2 = 0.0;
-            for i in k..m {
-                let v = x.get(i, k);
-                norm2 += v * v;
-            }
-            let norm = norm2.sqrt();
-            if norm == 0.0 {
-                *tk = 0.0;
-                continue;
-            }
-            let akk = x.get(k, k);
-            let alpha = if akk >= 0.0 { -norm } else { norm };
-            let v0 = akk - alpha;
-            // Normalize so the reflector's first component is 1.
-            for i in (k + 1)..m {
-                let v = x.get(i, k) / v0;
-                x.set(i, k, v);
-            }
-            *tk = -v0 / alpha;
-            x.set(k, k, alpha);
-            // Apply the reflector to the remaining columns:
-            // A := (I − τ v vᵀ) A.
-            for j in (k + 1)..n {
-                let mut dot = x.get(k, j);
-                for i in (k + 1)..m {
-                    dot += x.get(i, k) * x.get(i, j);
-                }
-                let scale = *tk * dot;
-                let new_kj = x.get(k, j) - scale;
-                x.set(k, j, new_kj);
-                for i in (k + 1)..m {
-                    let v = x.get(i, j) - scale * x.get(i, k);
-                    x.set(i, j, v);
-                }
-            }
-        }
-        Ok(QrFactors { a: x, tau })
-    }
-
-    /// Applies `Qᵀ` to `y` in place.
-    fn apply_qt(&self, y: &mut [f64]) {
-        let (m, n) = (self.a.rows(), self.a.cols());
-        assert_eq!(y.len(), m);
-        for k in 0..n {
-            if self.tau[k] == 0.0 {
-                continue;
-            }
-            let mut dot = y[k];
-            for (i, &yi) in y.iter().enumerate().skip(k + 1) {
-                dot += self.a.get(i, k) * yi;
-            }
-            let scale = self.tau[k] * dot;
-            y[k] -= scale;
-            for (i, yi) in y.iter_mut().enumerate().skip(k + 1) {
-                *yi -= scale * self.a.get(i, k);
-            }
-        }
-    }
-
-    /// Solves the least-squares problem for observation vector `y`,
-    /// returning the coefficient vector of length `cols`.
-    ///
-    /// # Errors
-    /// [`LsqError::RankDeficient`] if a diagonal entry of `R` is
-    /// numerically zero (collinear regressors).
-    pub fn solve(&self, y: &[f64]) -> Result<Vec<f64>, LsqError> {
-        let (m, n) = (self.a.rows(), self.a.cols());
-        assert_eq!(y.len(), m, "observation length mismatch");
-        let mut qty = y.to_vec();
-        self.apply_qt(&mut qty);
-        // Relative rank tolerance in the spirit of LAPACK: based on the
-        // largest diagonal magnitude.
-        let rmax = (0..n)
-            .map(|j| self.a.get(j, j).abs())
-            .fold(0.0_f64, f64::max);
-        let tol = rmax * (m.max(n) as f64) * f64::EPSILON;
-        let mut c = vec![0.0; n];
-        for j in (0..n).rev() {
-            let rjj = self.a.get(j, j);
-            if rjj.abs() <= tol {
-                return Err(LsqError::RankDeficient { column: j });
-            }
-            let mut s = qty[j];
-            for (k, &ck) in c.iter().enumerate().skip(j + 1) {
-                s -= self.a.get(j, k) * ck;
-            }
-            c[j] = s / rjj;
-        }
-        Ok(c)
-    }
-
-    /// Cheap condition-number estimate of the factored design matrix:
-    /// the ratio `max|r_jj| / min|r_jj|` over the diagonal of `R`.
-    ///
-    /// This lower-bounds the true 2-norm condition number, which is all
-    /// an audit needs: a large ratio already certifies a badly
-    /// conditioned basis. Returns `f64::INFINITY` for a numerically
-    /// singular `R`.
-    pub fn r_condition(&self) -> f64 {
-        let n = self.a.cols();
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0_f64;
-        for j in 0..n {
-            let d = self.a.get(j, j).abs();
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
-}
-
-/// Condition-number estimate of a design matrix (see
-/// [`QrFactors::r_condition`]), used by the model-validity audit to warn
-/// about ill-conditioned fitting bases before coefficients go bad.
+/// This lower-bounds the true 2-norm condition number, which is all an
+/// audit needs: a large ratio already certifies a badly conditioned
+/// basis. Returns `f64::INFINITY` for a numerically singular `R`.
 ///
 /// # Errors
 /// [`LsqError::Underdetermined`] when there are fewer rows than columns.
-pub fn condition_estimate(x: DesignMatrix) -> Result<f64, LsqError> {
-    Ok(QrFactors::factor(x)?.r_condition())
+pub fn condition_estimate<const C: usize>(rows: &mut [[f64; C]]) -> Result<f64, LsqError> {
+    if rows.len() < C {
+        return Err(LsqError::Underdetermined {
+            rows: rows.len(),
+            cols: C,
+        });
+    }
+    factor(rows);
+    let mut lo = f64::INFINITY;
+    let mut hi = 0.0_f64;
+    for (j, r) in rows.iter().enumerate().take(C) {
+        let d = r[j].abs();
+        lo = lo.min(d);
+        hi = hi.max(d);
+    }
+    Ok(if lo == 0.0 { f64::INFINITY } else { hi / lo })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lstsq;
 
-    fn solve(x: DesignMatrix, y: &[f64]) -> Vec<f64> {
-        QrFactors::factor(x).unwrap().solve(y).unwrap()
+    fn solve<const C: usize>(mut rows: Vec<[f64; C]>, y: &[f64]) -> [f64; C] {
+        lstsq(&mut rows, &mut y.to_vec()).unwrap()
     }
 
     #[test]
     fn exact_square_system() {
         // [2 1; 1 3] c = [4; 7] -> c = [1, 2].
-        let x = DesignMatrix::from_rows(&[[2.0, 1.0], [1.0, 3.0]]);
-        let c = solve(x, &[4.0, 7.0]);
+        let c = solve(vec![[2.0, 1.0], [1.0, 3.0]], &[4.0, 7.0]);
         assert!((c[0] - 1.0).abs() < 1e-12);
         assert!((c[1] - 2.0).abs() < 1e-12);
     }
@@ -183,7 +122,7 @@ mod tests {
         let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
         let rows: Vec<[f64; 2]> = xs.iter().map(|&x| [x, 1.0]).collect();
         let y: Vec<f64> = xs.iter().map(|&x| 3.0 * x + 1.0).collect();
-        let c = solve(DesignMatrix::from_rows(&rows), &y);
+        let c = solve(rows, &y);
         assert!((c[0] - 3.0).abs() < 1e-12);
         assert!((c[1] - 1.0).abs() < 1e-12);
     }
@@ -191,16 +130,14 @@ mod tests {
     #[test]
     fn least_squares_minimizes_residual() {
         // Inconsistent system: best fit of a constant to [0, 1] is 0.5.
-        let x = DesignMatrix::from_rows(&[[1.0], [1.0]]);
-        let c = solve(x, &[0.0, 1.0]);
+        let c = solve(vec![[1.0], [1.0]], &[0.0, 1.0]);
         assert!((c[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn underdetermined_rejected() {
-        let x = DesignMatrix::from_rows(&[[1.0, 2.0]]);
         assert!(matches!(
-            QrFactors::factor(x),
+            lstsq(&mut [[1.0, 2.0]], &mut [1.0]),
             Err(LsqError::Underdetermined { rows: 1, cols: 2 })
         ));
     }
@@ -208,20 +145,20 @@ mod tests {
     #[test]
     fn rank_deficient_detected() {
         // Second column is 2x the first.
-        let x = DesignMatrix::from_rows(&[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]);
-        let qr = QrFactors::factor(x).unwrap();
         assert!(matches!(
-            qr.solve(&[1.0, 2.0, 3.0]),
+            lstsq(
+                &mut [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]],
+                &mut [1.0, 2.0, 3.0]
+            ),
             Err(LsqError::RankDeficient { .. })
         ));
     }
 
     #[test]
     fn condition_estimate_flags_near_collinear_basis() {
-        let well = DesignMatrix::from_rows(&[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]);
-        let ill = DesignMatrix::from_rows(&[[1.0, 1.0], [1.0, 1.0 + 1e-12], [1.0, 1.0 - 1e-12]]);
-        let cw = condition_estimate(well).unwrap();
-        let ci = condition_estimate(ill).unwrap();
+        let cw = condition_estimate(&mut [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).unwrap();
+        let ci =
+            condition_estimate(&mut [[1.0, 1.0], [1.0, 1.0 + 1e-12], [1.0, 1.0 - 1e-12]]).unwrap();
         assert!(cw < 10.0, "well-conditioned basis reported {cw}");
         assert!(ci > 1e10, "near-collinear basis reported {ci}");
     }
@@ -236,7 +173,7 @@ mod tests {
             .iter()
             .map(|r| r.iter().zip(&truth).map(|(a, b)| a * b).sum())
             .collect();
-        let c = solve(DesignMatrix::from_rows(&rows), &y);
+        let c = solve(rows, &y);
         for (got, want) in c.iter().zip(&truth) {
             assert!(
                 (got - want).abs() <= 1e-6 * want.abs().max(1e-12),

@@ -1,8 +1,9 @@
-//! Property tests for the least-squares machinery, driven by the
+//! Property tests for the least-squares kernel, driven by the
 //! deterministic in-tree harness ([`etm_support::prop`]). Every run uses
-//! the same frozen seeds, so failures reproduce exactly.
+//! the same frozen seeds, so failures reproduce exactly. Residuals and
+//! predictions are computed here from the returned coefficients.
 
-use etm_lsq::{eval_poly, fit_poly, multifit_linear, DesignMatrix, LinearTransform};
+use etm_lsq::{eval_poly, lstsq};
 use etm_support::prop::{check, gen};
 use etm_support::rng::Rng64;
 
@@ -18,9 +19,19 @@ fn separated_xs(rng: &mut Rng64, min_len: usize, max_len: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Fitting noise-free polynomial samples recovers predictions exactly
-/// (coefficients may trade off only when ill-conditioned; predictions
-/// must match regardless).
+/// Solves on copies, leaving the caller's rows and observations intact.
+fn fit<const C: usize>(rows: &[[f64; C]], ys: &[f64]) -> [f64; C] {
+    lstsq(&mut rows.to_vec(), &mut ys.to_vec()).expect("well-posed fit")
+}
+
+/// `row · c`.
+fn predict<const C: usize>(row: &[f64; C], c: &[f64; C]) -> f64 {
+    row.iter().zip(c).map(|(x, k)| x * k).sum()
+}
+
+/// Fitting noise-free quadratic samples on the `[x², x, 1]` basis
+/// reproduces them (coefficients may trade off only when
+/// ill-conditioned; predictions must match regardless).
 #[test]
 fn polyfit_interpolates_noise_free_samples() {
     check(64, 0x4c53_5131, |rng| {
@@ -30,17 +41,17 @@ fn polyfit_interpolates_noise_free_samples() {
             rng.range_f64(-2.0, 2.0),
             rng.range_f64(-2.0, 2.0),
         ];
-        let ys: Vec<f64> = xs.iter().map(|&x| eval_poly(&truth, x)).collect();
-        let fit = fit_poly(&xs, &ys, 2).expect("well-posed fit");
-        for (&x, &y) in xs.iter().zip(&ys) {
+        let rows: Vec<[f64; 3]> = xs.iter().map(|&x| [x * x, x, 1.0]).collect();
+        let ys: Vec<f64> = rows.iter().map(|r| predict(r, &truth)).collect();
+        let c = fit(&rows, &ys);
+        for ((r, &y), &x) in rows.iter().zip(&ys).zip(&xs) {
             let scale = y.abs().max(1.0);
+            let got = predict(r, &c);
             assert!(
-                (fit.eval(x) - y).abs() < 1e-7 * scale,
-                "at x={x}: fit={} truth={y}",
-                fit.eval(x)
+                (got - y).abs() < 1e-7 * scale,
+                "at x={x}: fit={got} truth={y}"
             );
         }
-        assert!(fit.fit.r_squared > 1.0 - 1e-6);
     });
 }
 
@@ -53,12 +64,15 @@ fn residuals_orthogonal_to_design_columns() {
         let n = xs.len();
         let ys = gen::vec_f64(rng, n, n, -100.0, 100.0);
         let rows: Vec<[f64; 3]> = xs.iter().map(|&x| [x * x, x, 1.0]).collect();
-        let design = DesignMatrix::from_rows(&rows);
-        let fit = multifit_linear(&design, &ys).expect("well-posed fit");
-        let pred = design.mul_vec(&fit.coeffs);
+        let c = fit(&rows, &ys);
+        let residuals: Vec<f64> = rows
+            .iter()
+            .zip(&ys)
+            .map(|(r, y)| y - predict(r, &c))
+            .collect();
         for col in 0..3 {
-            let dot: f64 = (0..n).map(|r| (ys[r] - pred[r]) * design.get(r, col)).sum();
-            let scale: f64 = (0..n).map(|r| design.get(r, col).abs()).sum::<f64>()
+            let dot: f64 = residuals.iter().zip(&rows).map(|(e, r)| e * r[col]).sum();
+            let scale: f64 = rows.iter().map(|r| r[col].abs()).sum::<f64>()
                 * ys.iter().map(|y| y.abs()).fold(1.0, f64::max);
             assert!(
                 dot.abs() <= 1e-8 * scale.max(1.0),
@@ -79,31 +93,36 @@ fn ols_is_a_minimum() {
         let delta = rng.range_f64(-0.5, 0.5);
         let which = rng.range_usize(2);
         let rows: Vec<[f64; 2]> = xs.iter().map(|&x| [x, 1.0]).collect();
-        let design = DesignMatrix::from_rows(&rows);
-        let fit = multifit_linear(&design, &ys).expect("well-posed fit");
-        let mut perturbed = fit.coeffs.clone();
+        let c = fit(&rows, &ys);
+        let rss = |c: &[f64; 2]| -> f64 {
+            rows.iter()
+                .zip(&ys)
+                .map(|(r, y)| (predict(r, c) - y) * (predict(r, c) - y))
+                .sum()
+        };
+        let mut perturbed = c;
         perturbed[which] += delta;
-        let pred = design.mul_vec(&perturbed);
-        let ss: f64 = pred.iter().zip(&ys).map(|(p, y)| (p - y) * (p - y)).sum();
+        let (optimal, ss) = (rss(&c), rss(&perturbed));
         assert!(
-            ss + 1e-9 >= fit.residual_ss,
-            "perturbed SS {ss} < optimal {}",
-            fit.residual_ss
+            ss + 1e-9 >= optimal,
+            "perturbed SS {ss} < optimal {optimal}"
         );
     });
 }
 
-/// LinearTransform::fit then apply reproduces exact affine data.
+/// A two-column `[x, 1]` fit (the affine shape of the §4.1 adjustment)
+/// recovers exact affine data.
 #[test]
 fn linear_transform_recovers_affine_maps() {
     check(64, 0x4c53_5134, |rng| {
         let xs = separated_xs(rng, 2, 6);
         let a = rng.range_f64(-5.0, 5.0);
         let b = rng.range_f64(-5.0, 5.0);
+        let rows: Vec<[f64; 2]> = xs.iter().map(|&x| [x, 1.0]).collect();
         let ys: Vec<f64> = xs.iter().map(|&x| a * x + b).collect();
-        let t = LinearTransform::fit(&xs, &ys).expect("well-posed fit");
-        assert!((t.scale - a).abs() < 1e-8, "scale {} vs {a}", t.scale);
-        assert!((t.offset - b).abs() < 1e-7, "offset {} vs {b}", t.offset);
+        let [scale, offset] = fit(&rows, &ys);
+        assert!((scale - a).abs() < 1e-8, "scale {scale} vs {a}");
+        assert!((offset - b).abs() < 1e-7, "offset {offset} vs {b}");
     });
 }
 

@@ -87,7 +87,8 @@ impl std::error::Error for OptimizerError {}
 /// Re-runs the §4 exhaustive selection per snapshot, switching its
 /// standing recommendation only past a relative-improvement threshold.
 pub struct OnlineOptimizer {
-    space: ConfigSpace,
+    /// The candidate space, enumerated once.
+    configs: Vec<Configuration>,
     n: usize,
     hysteresis: f64,
     fallback_penalty: f64,
@@ -117,7 +118,7 @@ impl OnlineOptimizer {
             return Err(OptimizerError::ZeroProblemSize);
         }
         Ok(OnlineOptimizer {
-            space,
+            configs: space.enumerate(),
             n,
             hysteresis,
             fallback_penalty: 1.25,
@@ -159,12 +160,12 @@ impl OnlineOptimizer {
         // model: hysteresis compares like with like, and a held config
         // the new model cannot estimate (its group vanished) forces a
         // switch.
-        let configs = self.space.enumerate();
+        let configs = &self.configs;
         let objective = health_aware_objective(snapshot, self.n, self.fallback_penalty);
         // `exhaustive` evaluates every candidate once, in order; keep
         // each time so nothing below walks a candidate again.
         let mut times: Vec<Option<f64>> = Vec::with_capacity(configs.len());
-        let best = exhaustive(&configs, |cfg| {
+        let best = exhaustive(configs, |cfg| {
             let t = objective(cfg);
             times.push(t.as_ref().ok().copied());
             t

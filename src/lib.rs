@@ -12,7 +12,7 @@
 //! * [`mpisim`] — MPI-like message passing (thread and simulated backends).
 //! * [`linalg`] — dense linear algebra substrate (BLAS/LAPACK subset).
 //! * [`hpl`] — High-Performance-Linpack analogue with detailed phase timing.
-//! * [`lsq`] — linear least-squares fitting (GSL `multifit_linear` analogue).
+//! * [`lsq`] — linear least-squares fitting (GSL `gsl_multifit_linear` analogue).
 //! * [`core`] — the paper's contribution: N-T / P-T models, binning,
 //!   composition, adjustment, estimation pipeline.
 //! * [`search`] — configuration-space optimizers (exhaustive + exact anytime search).
