@@ -100,6 +100,11 @@ fn des_event_throughput(r: &mut Runner) {
     r.bench("des_event_throughput/hpl_trial_p2x8m6_n1600", || {
         black_box(simulate_hpl(&spec, &config, &params).wall_seconds)
     });
+    // The closed loop's repeated trial: one Athlon, one process, N = 1600.
+    let single = Configuration::p1m1_p2m2(1, 1, 0, 0);
+    r.bench("des_event_throughput/hpl_trial_p1m1_n1600", || {
+        black_box(simulate_hpl(&spec, &single, &params).wall_seconds)
+    });
 }
 
 fn main() {

@@ -32,5 +32,5 @@ pub mod spec;
 pub use commlib::CommLibProfile;
 pub use config::{ConfigError, Configuration, KindUse, Placement, ProcSlot};
 pub use energy::EnergyModel;
-pub use perf::PerfModel;
+pub use perf::{PerfModel, RankPrices};
 pub use spec::{ClusterSpec, KindId, NetworkSpec, NodeSpec, PeKind, PePower};

@@ -92,6 +92,27 @@ impl<'a> PerfModel<'a> {
         1.0 + k.mp_overhead * (m.saturating_sub(1)) as f64
     }
 
+    /// The prices of one rank's work, computed once: a process of `kind`
+    /// sharing its CPU with `m_on_cpu − 1` others, on a node at memory
+    /// overcommit `overcommit`, factoring blocks of width `block`.
+    pub fn rank_prices(
+        &self,
+        kind: KindId,
+        m_on_cpu: usize,
+        overcommit: f64,
+        block: usize,
+    ) -> RankPrices {
+        let k = self.spec.kind(kind);
+        RankPrices {
+            gemm_rate: k.peak_flops * self.dgemm_eff(kind, block),
+            panel_rate: k.peak_flops * k.panel_eff,
+            mem_bw: k.mem_bw,
+            mp_factor: self.mp_factor(kind, m_on_cpu),
+            swap_factor: self.swap_factor(overcommit),
+            stall: k.sched_quantum * m_on_cpu.saturating_sub(1) as f64,
+        }
+    }
+
     /// Uncontended seconds for `flops` of BLAS-3 work (the `update`
     /// phase's dtrsm+dgemm) on one process.
     pub fn gemm_time(
@@ -102,24 +123,21 @@ impl<'a> PerfModel<'a> {
         overcommit: f64,
         block: usize,
     ) -> f64 {
-        let k = self.spec.kind(kind);
-        let rate = k.peak_flops * self.dgemm_eff(kind, block);
-        flops / rate * self.mp_factor(kind, m_on_cpu) * self.swap_factor(overcommit)
+        self.rank_prices(kind, m_on_cpu, overcommit, block)
+            .gemm(flops)
     }
 
     /// Uncontended seconds for `flops` of panel-factorization work
     /// (BLAS-2 bound `dgetf2`, the paper's `pfact`).
     pub fn panel_time(&self, kind: KindId, flops: f64, m_on_cpu: usize, overcommit: f64) -> f64 {
-        let k = self.spec.kind(kind);
-        let rate = k.peak_flops * k.panel_eff;
-        flops / rate * self.mp_factor(kind, m_on_cpu) * self.swap_factor(overcommit)
+        // The block width only sets the gemm rate, which a panel never reads.
+        self.rank_prices(kind, m_on_cpu, overcommit, 0).panel(flops)
     }
 
     /// Uncontended seconds to stream `bytes` through memory (the `laswp`
     /// row interchanges — reads + writes already folded into `mem_bw`).
     pub fn memop_time(&self, kind: KindId, bytes: f64, overcommit: f64) -> f64 {
-        let k = self.spec.kind(kind);
-        bytes / k.mem_bw * self.swap_factor(overcommit)
+        self.rank_prices(kind, 1, overcommit, 0).memop(bytes)
     }
 
     /// Whether two placed processes share a node (intra-node comm path).
@@ -134,8 +152,48 @@ impl<'a> PerfModel<'a> {
     /// synchronizations per unit of work) while remaining cheap at large
     /// N — the crossovers of the paper's Fig. 3(b).
     pub fn sync_stall(&self, kind: KindId, m_on_cpu: usize) -> f64 {
-        let k = self.spec.kind(kind);
-        k.sched_quantum * m_on_cpu.saturating_sub(1) as f64
+        self.rank_prices(kind, m_on_cpu, 0.0, 0).sync_stall()
+    }
+}
+
+/// One rank's cost operands from [`PerfModel::rank_prices`]: every
+/// uncontended time the rank is charged is one of its four prices.
+#[derive(Clone, Copy, Debug)]
+pub struct RankPrices {
+    /// BLAS-3 flop/s at the run's working set.
+    gemm_rate: f64,
+    /// BLAS-2 (panel) flop/s.
+    panel_rate: f64,
+    /// Memory streaming bytes/s.
+    mem_bw: f64,
+    /// Multiprocessing overhead multiplier.
+    mp_factor: f64,
+    /// Memory-pressure multiplier.
+    swap_factor: f64,
+    /// Scheduler stall after blocking at a synchronization point.
+    stall: f64,
+}
+
+impl RankPrices {
+    /// Seconds for `flops` of BLAS-3 work (see [`PerfModel::gemm_time`]).
+    pub fn gemm(&self, flops: f64) -> f64 {
+        flops / self.gemm_rate * self.mp_factor * self.swap_factor
+    }
+
+    /// Seconds for `flops` of panel work (see [`PerfModel::panel_time`]).
+    pub fn panel(&self, flops: f64) -> f64 {
+        flops / self.panel_rate * self.mp_factor * self.swap_factor
+    }
+
+    /// Seconds to stream `bytes` (see [`PerfModel::memop_time`]).
+    pub fn memop(&self, bytes: f64) -> f64 {
+        bytes / self.mem_bw * self.swap_factor
+    }
+
+    /// Scheduler stall at a synchronization point (see
+    /// [`PerfModel::sync_stall`]).
+    pub fn sync_stall(&self) -> f64 {
+        self.stall
     }
 }
 
@@ -245,6 +303,42 @@ mod tests {
         let g = pm.gemm_time(KindId(1), 1e8, 1, 0.5, NB);
         let p = pm.panel_time(KindId(1), 1e8, 1, 0.5);
         assert!(p > g, "BLAS-2 panel ({p}) must cost more than BLAS-3 ({g})");
+    }
+
+    #[test]
+    fn rank_prices_match_the_per_call_formulas_bit_for_bit() {
+        let s = spec();
+        let same =
+            |a: f64, b: f64, what: &str| assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+        for n in [400, 1600, 6400, 10_000] {
+            for p in [1, 6] {
+                let pm = PerfModel::new(&s, n, p);
+                for kind in [KindId(0), KindId(1)] {
+                    let k = s.kind(kind);
+                    for m in 1..=6 {
+                        for oc in [0.0, 0.4, 1.0, 1.07, 1.9] {
+                            let prices = pm.rank_prices(kind, m, oc, NB);
+                            let (mp, swap) = (pm.mp_factor(kind, m), pm.swap_factor(oc));
+                            for work in [0.0, 16.0 * 64.0, 3.3e6, 2.7e9] {
+                                let gemm =
+                                    work / (k.peak_flops * pm.dgemm_eff(kind, NB)) * mp * swap;
+                                let panel = work / (k.peak_flops * k.panel_eff) * mp * swap;
+                                let memop = work / k.mem_bw * swap;
+                                same(prices.gemm(work), gemm, "gemm");
+                                same(prices.panel(work), panel, "panel");
+                                same(prices.memop(work), memop, "memop");
+                                same(pm.gemm_time(kind, work, m, oc, NB), gemm, "gemm_time");
+                                same(pm.panel_time(kind, work, m, oc), panel, "panel_time");
+                                same(pm.memop_time(kind, work, oc), memop, "memop_time");
+                            }
+                            let stall = k.sched_quantum * m.saturating_sub(1) as f64;
+                            same(prices.sync_stall(), stall, "stall");
+                            same(pm.sync_stall(kind, m), stall, "sync_stall");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,14 +20,14 @@
 //! through the same DES fabric as the 1-D simulation, with row/column
 //! collectives running on [`SubComm`] views.
 
-use etm_cluster::{ClusterSpec, Configuration, Placement};
+use etm_cluster::{ClusterSpec, Configuration, Placement, RankPrices};
 use etm_mpisim::coll::{gather, ring_bcast};
 use etm_mpisim::{Comm, SimComm, SimMsg, SubComm};
 
 use crate::dist::{BlockCyclic, TrailingCols};
 use crate::params::HplParams;
 use crate::phases::PhaseTimes;
-use crate::simulate::{simulate_ranks, ExecutionPerturbation, RankCost, SimulatedRun};
+use crate::simulate::{simulate_ranks, ExecutionPerturbation, SimulatedRun};
 
 /// Shape of the process grid (`rows × cols = P`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +74,7 @@ async fn run_rank_grid(
     comm: &SimComm,
     params: &HplParams,
     grid: GridShape,
-    cost: &RankCost,
+    cost: &RankPrices,
 ) -> PhaseTimes {
     let me = comm.rank();
     let (r_me, c_me) = (me / grid.cols, me % grid.cols);

@@ -18,7 +18,7 @@
 use std::future::Future;
 use std::rc::Rc;
 
-use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
+use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement, RankPrices};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
 use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg};
 use etm_sim::Simulation;
@@ -77,51 +77,25 @@ impl SimulatedRun {
     }
 }
 
-/// `dgetf2` flop count on a `rows × w` panel (search + scal + rank-1
-/// updates per column).
+/// `dgetf2` flop count on a `rows × w` panel (`rows ≥ w`): per column
+/// `j`, a pivot search over `rows − j` entries (1 cmp ≈ 1 flop), a scal
+/// of the `rows − j − 1` below it, and a rank-1 update of those rows by
+/// the `w − j − 1` columns to its right.
+///
+/// The sum is an exact integer, computed in closed form in `u64` and cast
+/// once. Every term and partial sum of the column-by-column `f64` sum is
+/// an integer far below 2⁵³ (≈ 8·10⁸ for a 12 000 × 256 panel), so that
+/// sum is exact too and equals this count bit for bit.
 fn pfact_flops(rows: usize, w: usize) -> f64 {
-    let mut f = 0.0;
-    for j in 0..w {
-        let below = (rows - j).saturating_sub(1) as f64;
-        // pivot search (1 cmp ≈ 1 flop) + scal + rank-1 update.
-        f += (rows - j) as f64 + below + 2.0 * below * ((w - j).saturating_sub(1)) as f64;
+    debug_assert!(rows >= w, "a {rows}-row panel cannot be {w} columns wide");
+    if w == 0 {
+        return 0.0;
     }
-    f
-}
-
-/// What one timed rank's work costs: the calibrated [`PerfModel`] of
-/// the run, priced for the rank's kind, CPU sharing and node memory
-/// pressure. Every rank holds one `Rc` of the same cluster spec.
-pub(crate) struct RankCost {
-    spec: Rc<ClusterSpec>,
-    n: usize,
-    p: usize,
-    kind: KindId,
-    /// Processes co-resident on this rank's CPU.
-    m: usize,
-    /// Memory overcommit of this rank's node.
-    oc: f64,
-    nb: usize,
-}
-
-impl RankCost {
-    fn pm(&self) -> PerfModel<'_> {
-        PerfModel::new(&self.spec, self.n, self.p)
-    }
-    pub(crate) fn gemm(&self, flops: f64) -> f64 {
-        self.pm()
-            .gemm_time(self.kind, flops, self.m, self.oc, self.nb)
-    }
-    pub(crate) fn panel(&self, flops: f64) -> f64 {
-        self.pm().panel_time(self.kind, flops, self.m, self.oc)
-    }
-    pub(crate) fn memop(&self, bytes: f64) -> f64 {
-        self.pm().memop_time(self.kind, bytes, self.oc)
-    }
-    /// The scheduler stall after blocking at a synchronization point.
-    pub(crate) fn sync_stall(&self) -> f64 {
-        self.pm().sync_stall(self.kind, self.m)
-    }
+    let (rows, w) = (rows as u64, w as u64);
+    // Σ_j (2(rows − j) − 1), then Σ_t 2t(rows − w + t) with t = w − 1 − j.
+    let search_scal = 2 * w * rows - w * w;
+    let update = (rows - w) * w * (w - 1) + w * (w - 1) * (2 * w - 1) / 3;
+    (search_scal + update) as f64
 }
 
 async fn bcast_sim(comm: &SimComm, algo: BcastAlgo, root: usize, msg: Option<SimMsg>) -> SimMsg {
@@ -136,7 +110,7 @@ async fn run_rank_sim(
     comm: &SimComm,
     params: &HplParams,
     dist: &impl ColumnAssignment,
-    cost: &RankCost,
+    cost: &RankPrices,
 ) -> PhaseTimes {
     let me = comm.rank();
     let n = params.n;
@@ -304,10 +278,9 @@ pub(crate) fn simulate_ranks<F, Fut>(
     mut rank: F,
 ) -> SimulatedRun
 where
-    F: FnMut(SimComm, RankCost) -> Fut,
+    F: FnMut(SimComm, RankPrices) -> Fut,
     Fut: Future<Output = PhaseTimes> + 'static,
 {
-    let shared_spec = Rc::new(spec.clone()); // one copy for every rank
     let pm = PerfModel::new(spec, params.n, placement.len());
     let (phases, wall_seconds) = run_sim_ranks(
         spec,
@@ -315,16 +288,9 @@ where
         name,
         |sim, fabric| perturb.apply(sim, fabric, placement),
         |comm, slot| {
-            let cost = RankCost {
-                spec: Rc::clone(&shared_spec),
-                n: params.n,
-                p: placement.len(),
-                kind: slot.kind,
-                m: placement.procs_on_cpu(slot),
-                oc: pm.node_overcommit(placement, slot.node, params.nb),
-                nb: params.nb,
-            };
-            rank(comm, cost)
+            let oc = pm.node_overcommit(placement, slot.node, params.nb);
+            let m = placement.procs_on_cpu(slot);
+            rank(comm, pm.rank_prices(slot.kind, m, oc, params.nb))
         },
     );
     SimulatedRun {
@@ -407,6 +373,36 @@ mod tests {
 
     fn spec() -> ClusterSpec {
         paper_cluster(CommLibProfile::mpich122())
+    }
+
+    /// The column-by-column `f64` sum the closed form replaced.
+    fn pfact_flops_loop(rows: usize, w: usize) -> f64 {
+        let mut f = 0.0;
+        for j in 0..w {
+            let below = (rows - j).saturating_sub(1) as f64;
+            f += (rows - j) as f64 + below + 2.0 * below * ((w - j).saturating_sub(1)) as f64;
+        }
+        f
+    }
+
+    #[test]
+    fn closed_form_panel_flops_match_the_loop_bit_for_bit() {
+        let check = |rows: usize, w: usize| {
+            let (closed, summed) = (pfact_flops(rows, w), pfact_flops_loop(rows, w));
+            assert_eq!(
+                closed.to_bits(),
+                summed.to_bits(),
+                "{rows} × {w}: {closed} vs {summed}"
+            );
+        };
+        for w in 0..=512 {
+            for rows in w..w + 400 {
+                check(rows, w);
+            }
+        }
+        for (rows, w) in [(12_000, 64), (20_000, 256), (10_000, 512)] {
+            check(rows, w);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! One module per table/figure of the paper; the `repro` binary drives
 //! them (`repro all` regenerates everything into `results/`). Each
 //! experiment is a library function returning structured rows so the
-//! Criterion benches in `etm-bench` can measure the same code paths.
+//! std-harness benches in `etm-bench` can measure the same code paths.
 //! [`stream`] goes beyond the paper: it replays the same campaigns as
 //! online measurement streams with §4 re-optimization and A/B-compares
 //! fitting backends on pinned snapshots. [`chaos`] injects seeded

@@ -6,14 +6,17 @@
 //! Every simulated process is a future polled on the thread that calls
 //! [`Simulation::run`]; there is one runnable process at a time and no
 //! OS thread per process. A blocking primitive on [`Ctx`] stores its
-//! `Request` in a slot shared with the kernel and returns `Pending`
-//! once; the kernel then services the request. `Send`, and a `Recv`
-//! that finds a message waiting, re-poll the same process immediately;
-//! everything else parks it until an event wakes it. Events at equal
-//! virtual time are ordered by an insertion sequence number, so a whole
-//! simulation is a deterministic function of its inputs — re-running a
-//! measurement campaign always reproduces the same virtual timings,
-//! which the estimation-model experiments rely on.
+//! plain-data `Request` in a slot shared with the kernel and returns
+//! `Pending` once; the kernel then services the request. A `send` leaves
+//! its boxed payload in a separate outbox slot, which the kernel empties
+//! when it services the `Send`; a resumed receiver finds its message in
+//! a delivery slot, written only when a message is waiting for it.
+//! `Send`, and a `Recv` that finds a message waiting, re-poll the same
+//! process immediately; everything else parks it until an event wakes
+//! it. Events at equal virtual time are ordered by an insertion sequence
+//! number, so a whole simulation is a deterministic function of its
+//! inputs — re-running a measurement campaign always reproduces the same
+//! virtual timings, which the estimation-model experiments rely on.
 //!
 //! ## Event queue
 //!
@@ -41,14 +44,16 @@ use crate::time::SimTime;
 pub struct Pid(pub(crate) usize);
 
 /// What a process asks the kernel to do when it yields.
+#[derive(Clone, Copy)]
 enum Request {
     /// Sleep for a delay, then wake.
     Hold(f64),
     /// Join a processor-sharing resource with `work` work-units and wake
     /// on completion.
     Compute { res: ResourceId, work: f64 },
-    /// Post a message to a mailbox; the sender stays runnable.
-    Send { mb: MailboxId, msg: Payload },
+    /// Post the message in [`Shared::outbox`] to a mailbox; the sender
+    /// stays runnable.
+    Send { mb: MailboxId },
     /// Block until a message is available in the mailbox.
     Recv { mb: MailboxId },
 }
@@ -257,13 +262,24 @@ impl fmt::Display for DeadlockError {
 impl std::error::Error for DeadlockError {}
 
 /// State shared between the kernel and every [`Ctx`]: the virtual clock
-/// and the hand-off slots of the one process being polled.
+/// and the hand-off slots of the one process being polled. Both payload
+/// slots are empty whenever the kernel has serviced a request.
 struct Shared {
     clock: Cell<SimTime>,
     /// The request the polled process yielded with.
     request: Cell<Option<Request>>,
+    /// The message a yielding `send` posts.
+    outbox: Cell<Option<Payload>>,
     /// The message a resumed `recv` picks up.
     delivery: Cell<Option<Payload>>,
+}
+
+/// Whether a payload slot holds nothing (leaves the slot as it was).
+fn is_empty(slot: &Cell<Option<Payload>>) -> bool {
+    let held = slot.take();
+    let empty = held.is_none();
+    slot.set(held);
+    empty
 }
 
 struct ProcessRecord {
@@ -345,8 +361,8 @@ impl Ctx {
     /// Posts a message to `mb` without blocking (delivery is instantaneous
     /// in virtual time; model transport cost with [`Ctx::transfer`]).
     pub async fn send<T: Any>(&self, mb: MailboxId, msg: T) {
-        let msg = Box::new(msg);
-        self.yield_with(Request::Send { mb, msg }).await;
+        self.shared.outbox.set(Some(Box::new(msg)));
+        self.yield_with(Request::Send { mb }).await;
     }
 
     /// Receives the next message from `mb`, blocking in virtual time until
@@ -403,6 +419,7 @@ impl Simulation {
             shared: Rc::new(Shared {
                 clock: Cell::new(SimTime::ZERO),
                 request: Cell::new(None),
+                outbox: Cell::new(None),
                 delivery: Cell::new(None),
             }),
             queue: EventQueue::default(),
@@ -515,7 +532,9 @@ impl Simulation {
             let Some(future) = proc.future.as_mut() else {
                 return;
             };
-            self.shared.delivery.set(proc.delivery.take());
+            if let Some(payload) = proc.delivery.take() {
+                self.shared.delivery.set(Some(payload));
+            }
             if future.as_mut().poll(&mut cx).is_ready() {
                 proc.future = None;
                 return;
@@ -526,20 +545,25 @@ impl Simulation {
                     proc.name
                 );
             };
-            match req {
+            let parked = match req {
                 Request::Hold(dt) => {
                     let at = self.now() + dt;
                     self.push_event(at, EvKind::WakeProcess(pid));
-                    return;
+                    true
                 }
                 Request::Compute { res, work } => {
                     let now = self.now();
                     self.resources[res.0].advance_to(now);
                     self.resources[res.0].add_job(pid, work);
                     self.reschedule_resource(res);
-                    return;
+                    true
                 }
-                Request::Send { mb, msg } => {
+                Request::Send { mb } => {
+                    let msg = self
+                        .shared
+                        .outbox
+                        .take()
+                        .expect("send yielded without a payload");
                     if let Some((waiter, payload)) = self.mailboxes[mb.0].post(msg) {
                         // Deliver at the current instant; the waiter runs
                         // after the sender yields for real.
@@ -547,12 +571,23 @@ impl Simulation {
                         let now = self.now();
                         self.push_event(now, EvKind::WakeProcess(waiter));
                     }
-                    // The sender continues immediately.
+                    false // the sender continues immediately
                 }
                 Request::Recv { mb } => match self.mailboxes[mb.0].take_or_wait(pid) {
-                    Some(payload) => self.processes[pid.0].delivery = Some(payload),
-                    None => return, // parked in the mailbox
+                    Some(payload) => {
+                        self.processes[pid.0].delivery = Some(payload);
+                        false
+                    }
+                    None => true, // parked in the mailbox
                 },
+            };
+            debug_assert!(
+                is_empty(&self.shared.outbox) && is_empty(&self.shared.delivery),
+                "a payload outlived the request of process {}",
+                self.processes[pid.0].name
+            );
+            if parked {
+                return;
             }
         }
     }

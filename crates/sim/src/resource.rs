@@ -60,7 +60,6 @@ impl SharedResource {
         }
     }
 
-    #[allow(dead_code)] // diagnostic accessor, used by future tracing
     pub(crate) fn name(&self) -> &str {
         &self.name
     }

@@ -131,6 +131,45 @@ fn send_before_recv_is_buffered() {
 }
 
 #[test]
+fn every_receiver_gets_its_own_payload_through_the_hand_off_slots() {
+    // One process sends two payload types back to back, another sends
+    // and then holds; receivers are parked before some sends and arrive
+    // after others. Debug builds also check that no payload is left in a
+    // kernel hand-off slot after any serviced request.
+    let mut sim = Simulation::new();
+    let (words, names, late) = (sim.add_mailbox(), sim.add_mailbox(), sim.add_mailbox());
+    sim.spawn("mixed-sender", move |ctx| async move {
+        ctx.send(words, 7u32).await;
+        ctx.send(names, String::from("panel")).await;
+        ctx.hold(1.0).await;
+        ctx.send(words, 9u32).await;
+        ctx.send(names, String::from("update")).await;
+    });
+    sim.spawn("send-then-hold", move |ctx| async move {
+        ctx.send(late, vec![1.5f64, 2.5]).await;
+        ctx.hold(3.0).await;
+    });
+    sim.spawn("word-receiver", move |ctx| async move {
+        let a: u32 = ctx.recv(words).await;
+        let b: u32 = ctx.recv(words).await;
+        assert_eq!((a, b), (7, 9));
+        assert!((ctx.now() - 1.0).abs() < 1e-12);
+    });
+    sim.spawn("name-receiver", move |ctx| async move {
+        ctx.hold(2.0).await;
+        let a: String = ctx.recv(names).await;
+        let b: String = ctx.recv(names).await;
+        assert_eq!((a.as_str(), b.as_str()), ("panel", "update"));
+    });
+    sim.spawn("late-receiver", move |ctx| async move {
+        let v: Vec<f64> = ctx.recv(late).await;
+        assert_eq!(v, [1.5, 2.5]);
+        assert_eq!(ctx.now(), 0.0);
+    });
+    assert!((sim.run().unwrap() - 3.0).abs() < 1e-12);
+}
+
+#[test]
 fn ping_pong_alternates() {
     let mut sim = Simulation::new();
     let to_b = sim.add_mailbox();
