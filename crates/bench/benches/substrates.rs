@@ -61,20 +61,20 @@ fn des_event_throughput(r: &mut Runner) {
         let to_a = sim.add_mailbox();
         sim.spawn("a", move |ctx| async move {
             for i in 0..rounds {
-                ctx.send(to_b, i).await;
+                ctx.send(to_b, i);
                 let _: u32 = ctx.recv(to_a).await;
             }
         });
         sim.spawn("b", move |ctx| async move {
             for _ in 0..rounds {
                 let v: u32 = ctx.recv(to_b).await;
-                ctx.send(to_a, v).await;
+                ctx.send(to_a, v);
             }
         });
         black_box(sim.run().expect("no deadlock"))
     });
     r.bench("des_event_throughput/processor_sharing_16x", || {
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         for _ in 0..16 {
             sim.spawn("w", move |ctx| async move {
@@ -99,6 +99,19 @@ fn des_event_throughput(r: &mut Runner) {
     let params = HplParams::order(1600).with_nb(64);
     r.bench("des_event_throughput/hpl_trial_p2x8m6_n1600", || {
         black_box(simulate_hpl(&spec, &config, &params).wall_seconds)
+    });
+    // The campaign's most expensive trial: 8 Pentium-II PEs with 5
+    // processes each (40 ranks) at N = 6400.
+    let heaviest = Configuration {
+        uses: vec![KindUse {
+            kind: KindId(1),
+            pes: 8,
+            procs_per_pe: 5,
+        }],
+    };
+    let large = HplParams::order(6400).with_nb(64);
+    r.bench("des_event_throughput/hpl_trial_p2x8m5_n6400", || {
+        black_box(simulate_hpl(&spec, &heaviest, &large).wall_seconds)
     });
     // The closed loop's repeated trial: one Athlon, one process, N = 1600.
     let single = Configuration::p1m1_p2m2(1, 1, 0, 0);

@@ -20,8 +20,7 @@ use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement, RankPrices};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg};
-use etm_sim::Simulation;
+use etm_mpisim::{run_sim_ranks, Comm, FabricSim, SimComm, SimFabric, SimMsg};
 
 use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
 use crate::params::{BcastAlgo, HplParams};
@@ -252,7 +251,7 @@ impl ExecutionPerturbation {
 
     /// Derates `fabric` before any rank runs. Every factor other than
     /// `1.0` is checked, including one for a kind with no rank here.
-    fn apply(&self, sim: &mut Simulation, fabric: &SimFabric, placement: &Placement) {
+    fn apply(&self, sim: &mut FabricSim, fabric: &SimFabric, placement: &Placement) {
         for &(kind, slowdown) in &self.cpu_slowdown {
             if slowdown != 1.0 {
                 fabric.derate_kind_cpus(sim, placement, kind, slowdown);

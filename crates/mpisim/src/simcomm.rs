@@ -24,6 +24,10 @@ impl SimMsg {
     }
 }
 
+/// The simulation a [`SimFabric`] runs on: every mailbox carries a
+/// message's tag and its [`SimMsg`].
+pub type FabricSim = Simulation<(u32, SimMsg)>;
+
 struct FabricShared {
     node_of_rank: Vec<usize>,
     /// Per-rank CPU resource (speed 1.0: one second of CPU work per
@@ -53,7 +57,7 @@ impl SimFabric {
     /// sharing a CPU share its processor-sharing resource, which is how
     /// multiprocessing contention arises. One NIC resource is created per
     /// used node.
-    pub fn build(sim: &mut Simulation, spec: &ClusterSpec, placement: &Placement) -> SimFabric {
+    pub fn build(sim: &mut FabricSim, spec: &ClusterSpec, placement: &Placement) -> SimFabric {
         let size = placement.len();
         let mut nic_of_node: Vec<Option<ResourceId>> = vec![None; spec.nodes.len()];
         for &node in &placement.used_nodes() {
@@ -107,7 +111,7 @@ impl SimFabric {
     /// no rank runs on `kind`.
     pub fn derate_kind_cpus(
         &self,
-        sim: &mut Simulation,
+        sim: &mut FabricSim,
         placement: &Placement,
         kind: KindId,
         slowdown: f64,
@@ -135,7 +139,7 @@ impl SimFabric {
     ///
     /// # Panics
     /// Panics if `slowdown` is not a finite positive factor.
-    pub fn derate_nics(&self, sim: &mut Simulation, slowdown: f64) {
+    pub fn derate_nics(&self, sim: &mut FabricSim, slowdown: f64) {
         for res in self.shared.nic_of_node.iter().flatten() {
             sim.derate_resource(*res, slowdown);
         }
@@ -172,7 +176,7 @@ pub fn run_sim_ranks<T, F, Fut>(
     spec: &ClusterSpec,
     placement: &Placement,
     name: &str,
-    derate: impl FnOnce(&mut Simulation, &SimFabric),
+    derate: impl FnOnce(&mut FabricSim, &SimFabric),
     mut body: F,
 ) -> (Vec<T>, f64)
 where
@@ -215,7 +219,7 @@ pub struct SimCommSeed {
 
 impl SimCommSeed {
     /// Binds the seed to the executing process's context.
-    pub fn bind(self, ctx: Ctx) -> SimComm {
+    pub fn bind(self, ctx: Ctx<(u32, SimMsg)>) -> SimComm {
         SimComm {
             ctx,
             rank: self.rank,
@@ -226,7 +230,7 @@ impl SimCommSeed {
 
 /// A rank's endpoint on the simulated fabric.
 pub struct SimComm {
-    ctx: Ctx,
+    ctx: Ctx<(u32, SimMsg)>,
     rank: usize,
     shared: Rc<FabricShared>,
 }
@@ -245,13 +249,13 @@ impl SimComm {
 
     /// Performs `seconds` of uncontended-equivalent CPU work (elongated
     /// by processor sharing if co-resident ranks compute simultaneously).
-    pub async fn compute(&self, seconds: f64) {
-        self.ctx.compute(self.cpu(), seconds).await;
+    pub fn compute(&self, seconds: f64) -> impl Future<Output = ()> + '_ {
+        self.ctx.compute(self.cpu(), seconds)
     }
 
     /// Advances virtual time without consuming any resource.
-    pub async fn idle(&self, seconds: f64) {
-        self.ctx.hold(seconds).await;
+    pub fn idle(&self, seconds: f64) -> impl Future<Output = ()> + '_ {
+        self.ctx.hold(seconds)
     }
 
     /// Whether `other` is on the same node (intra-node path).
@@ -305,7 +309,7 @@ impl Comm for SimComm {
                 }
             }
         }
-        self.ctx.send(self.mailbox(self.rank, to), (tag, msg)).await;
+        self.ctx.send(self.mailbox(self.rank, to), (tag, msg));
     }
 
     /// Receives and pays the receiver-side cost: an inter-node message
@@ -313,7 +317,7 @@ impl Comm for SimComm {
     /// receiver occupies its own NIC for the message size (store-and-
     /// forward; concurrent inbound transfers to one node contend).
     async fn recv(&self, from: usize, tag: u32) -> SimMsg {
-        let (got_tag, msg): (u32, SimMsg) = self.ctx.recv(self.mailbox(from, self.rank)).await;
+        let (got_tag, msg) = self.ctx.recv(self.mailbox(from, self.rank)).await;
         assert_eq!(
             got_tag, tag,
             "rank {}: expected tag {tag} from {from}, got {got_tag}",

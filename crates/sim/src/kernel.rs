@@ -7,13 +7,20 @@
 //! [`Simulation::run`]; there is one runnable process at a time and no
 //! OS thread per process. A blocking primitive on [`Ctx`] stores its
 //! plain-data `Request` in a slot shared with the kernel and returns
-//! `Pending` once; the kernel then services the request. A `send` leaves
-//! its boxed payload in a separate outbox slot, which the kernel empties
-//! when it services the `Send`; a resumed receiver finds its message in
-//! a delivery slot, written only when a message is waiting for it.
-//! `Send`, and a `Recv` that finds a message waiting, re-poll the same
-//! process immediately; everything else parks it until an event wakes
-//! it. Events at equal virtual time are ordered by an insertion sequence
+//! `Pending` once; the kernel then services the request, and the next
+//! poll of the primitive is ready. Message passing completes in place
+//! and never yields by itself: a `send` posts into the mailbox, which
+//! lives in the state shared with the kernel, and a `recv` that finds a
+//! message waiting takes it. A `send` that meets a parked receiver
+//! records the pair `(receiver, message)` in a `woken` list; a `recv`
+//! yields only on an empty mailbox and parks there. After every poll,
+//! whether the process finished or yielded, the kernel first schedules
+//! the wakes in the `woken` list, in post order, keeping each message
+//! with its receiver, and only then services the yielded request, so a
+//! receiver woken before its sender's next primitive holds the lower
+//! sequence number. A resumed receiver finds its message in a delivery
+//! slot, written just before the poll that resumes it.
+//! Events at equal virtual time are ordered by an insertion sequence
 //! number, so a whole simulation is a deterministic function of its
 //! inputs — re-running a measurement campaign always reproduces the same
 //! virtual timings, which the estimation-model experiments rely on.
@@ -27,15 +34,14 @@
 //! idle resource has no entry, so the queue never holds a stale event
 //! and every dispatched event is live.
 
-use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::future::{poll_fn, Future};
+use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::mailbox::{Mailbox, MailboxId, Payload};
+use crate::mailbox::{Mailbox, MailboxId};
 use crate::resource::{ResourceId, SharedResource};
 use crate::time::SimTime;
 
@@ -51,10 +57,7 @@ enum Request {
     /// Join a processor-sharing resource with `work` work-units and wake
     /// on completion.
     Compute { res: ResourceId, work: f64 },
-    /// Post the message in [`Shared::outbox`] to a mailbox; the sender
-    /// stays runnable.
-    Send { mb: MailboxId },
-    /// Block until a message is available in the mailbox.
+    /// Park on an empty mailbox until a `send` delivers to it.
     Recv { mb: MailboxId },
 }
 
@@ -219,8 +222,9 @@ impl EventQueue {
                 break;
             }
             let right = left + 1;
-            let child = if right < len && self.heap[right].key < self.heap[left].key {
-                right
+            // The smaller child by index arithmetic, not a branch.
+            let child = if right < len {
+                left + usize::from(self.heap[right].key < self.heap[left].key)
             } else {
                 left
             };
@@ -261,48 +265,109 @@ impl fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
-/// State shared between the kernel and every [`Ctx`]: the virtual clock
-/// and the hand-off slots of the one process being polled. Both payload
-/// slots are empty whenever the kernel has serviced a request.
-struct Shared {
+/// State shared between the kernel and every [`Ctx`]: the virtual
+/// clock, the hand-off slots of the one process being polled, and the
+/// mail. The delivery slot is empty whenever the kernel has serviced a
+/// request.
+struct Shared<M> {
     clock: Cell<SimTime>,
     /// The request the polled process yielded with.
     request: Cell<Option<Request>>,
-    /// The message a yielding `send` posts.
-    outbox: Cell<Option<Payload>>,
     /// The message a resumed `recv` picks up.
-    delivery: Cell<Option<Payload>>,
+    delivery: Cell<Option<M>>,
+    mail: RefCell<Mail<M>>,
 }
 
-/// Whether a payload slot holds nothing (leaves the slot as it was).
-fn is_empty(slot: &Cell<Option<Payload>>) -> bool {
+/// Everything message passing touches, posted to and taken from in
+/// place by the process being polled.
+struct Mail<M> {
+    boxes: Vec<Mailbox<M>>,
+    /// Parked receivers a `send` has delivered to since the kernel last
+    /// scheduled wakes, each with its message, in post order.
+    woken: Vec<(Pid, M)>,
+}
+
+struct ProcessRecord<M> {
+    name: String,
+    /// The process body; `None` once it has returned.
+    future: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    /// The message posted to this parked receiver, handed over when its
+    /// wake event fires.
+    delivery: Option<M>,
+}
+
+/// Whether the delivery slot holds nothing (leaves the slot as it was).
+fn is_empty<M>(slot: &Cell<Option<M>>) -> bool {
     let held = slot.take();
     let empty = held.is_none();
     slot.set(held);
     empty
 }
 
-struct ProcessRecord {
-    name: String,
-    /// The process body; `None` once it has returned.
-    future: Option<Pin<Box<dyn Future<Output = ()>>>>,
-    /// A message taken from a mailbox for this parked receiver, handed
-    /// over when its wake event fires.
-    delivery: Option<Payload>,
-}
-
 /// Handle given to each process body for interacting with the simulation.
 ///
-/// The primitives that take virtual time are `async`: awaiting one
+/// The primitives that take virtual time return futures: awaiting one
 /// suspends the calling process and resumes it when the corresponding
 /// event fires. A process may only await these primitives (and futures
 /// built from them); any other pending future is a programming error.
-pub struct Ctx {
+/// `M` is the one message type of the simulation's mailboxes.
+pub struct Ctx<M> {
     pid: Pid,
-    shared: Rc<Shared>,
+    shared: Rc<Shared<M>>,
 }
 
-impl Ctx {
+/// The future of a primitive that yields once: its first poll hands
+/// the request to the kernel, its second is ready.
+struct Yield<'a, M> {
+    shared: &'a Shared<M>,
+    request: Option<Request>,
+}
+
+impl<M> Future for Yield<'_, M> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        match self.request.take() {
+            Some(req) => {
+                self.shared.request.set(Some(req));
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
+        }
+    }
+}
+
+/// The future of [`Ctx::recv`]: its first poll takes a waiting message
+/// or, on an empty mailbox, yields `Recv`; the poll after the wake
+/// takes the message from the delivery slot.
+struct Recv<'a, M> {
+    shared: &'a Shared<M>,
+    mb: MailboxId,
+    parked: bool,
+}
+
+impl<M> Future for Recv<'_, M> {
+    type Output = M;
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<M> {
+        let shared = self.shared;
+        if self.parked {
+            let msg = shared.delivery.take();
+            return Poll::Ready(msg.expect("recv resumed without a delivery"));
+        }
+        let waiting = shared.mail.borrow_mut().boxes[self.mb.0].take();
+        match waiting {
+            Some(msg) => Poll::Ready(msg),
+            None => {
+                shared.request.set(Some(Request::Recv { mb: self.mb }));
+                self.parked = true;
+                Poll::Pending
+            }
+        }
+    }
+}
+
+impl<M> Ctx<M> {
     /// The process's own id.
     pub fn pid(&self) -> Pid {
         self.pid
@@ -313,29 +378,23 @@ impl Ctx {
         self.shared.clock.get().secs()
     }
 
-    /// Hands `req` to the kernel and suspends until it resumes us.
-    async fn yield_with(&self, req: Request) {
-        let mut req = Some(req);
-        poll_fn(|_| match req.take() {
-            Some(r) => {
-                self.shared.request.set(Some(r));
-                Poll::Pending
-            }
-            None => Poll::Ready(()),
-        })
-        .await
+    fn yield_with(&self, request: Request) -> Yield<'_, M> {
+        Yield {
+            shared: &self.shared,
+            request: Some(request),
+        }
     }
 
     /// Suspends the process for `dt` virtual seconds.
     ///
     /// # Panics
     /// Panics if `dt` is negative or NaN.
-    pub async fn hold(&self, dt: f64) {
+    pub fn hold(&self, dt: f64) -> impl Future<Output = ()> + '_ {
         assert!(
             dt >= 0.0 && !dt.is_nan(),
             "hold duration must be >= 0, got {dt}"
         );
-        self.yield_with(Request::Hold(dt)).await;
+        self.yield_with(Request::Hold(dt))
     }
 
     /// Performs `work` work-units on a processor-sharing resource and
@@ -343,8 +402,8 @@ impl Ctx {
     /// resource of speed `s`, each progresses at `s/n` — the elapsed
     /// virtual time therefore depends on contention, exactly like a
     /// time-sliced CPU or a shared network link.
-    pub async fn compute(&self, res: ResourceId, work: f64) {
-        self.yield_with(Request::Compute { res, work }).await;
+    pub fn compute(&self, res: ResourceId, work: f64) -> impl Future<Output = ()> + '_ {
+        self.yield_with(Request::Compute { res, work })
     }
 
     /// Transfers `bytes` over a shared link: a fixed `latency` hold
@@ -358,74 +417,82 @@ impl Ctx {
         self.compute(link, bytes).await;
     }
 
-    /// Posts a message to `mb` without blocking (delivery is instantaneous
-    /// in virtual time; model transport cost with [`Ctx::transfer`]).
-    pub async fn send<T: Any>(&self, mb: MailboxId, msg: T) {
-        self.shared.outbox.set(Some(Box::new(msg)));
-        self.yield_with(Request::Send { mb }).await;
+    /// Posts a message to `mb` in place; the sender does not yield.
+    /// Delivery is instantaneous in virtual time (model transport cost
+    /// with [`Ctx::transfer`]). A receiver parked on `mb` is woken at the
+    /// current instant, after the sender yields or finishes.
+    ///
+    /// Every mailbox of a simulation carries its one message type `M`,
+    /// so a message of another type does not compile:
+    ///
+    /// ```compile_fail
+    /// use etm_sim::Simulation;
+    ///
+    /// let mut sim = Simulation::<u32>::new();
+    /// let mb = sim.add_mailbox();
+    /// sim.spawn("sender", move |ctx| async move {
+    ///     ctx.send(mb, String::from("panel"));
+    /// });
+    /// ```
+    pub fn send(&self, mb: MailboxId, msg: M) {
+        let mut mail = self.shared.mail.borrow_mut();
+        if let Some(woken) = mail.boxes[mb.0].post(msg) {
+            mail.woken.push(woken);
+        }
     }
 
-    /// Receives the next message from `mb`, blocking in virtual time until
-    /// one is available.
-    ///
-    /// # Panics
-    /// Panics if the message at the head of the mailbox is not a `T`;
-    /// mixing payload types in one mailbox is a programming error.
-    pub async fn recv<T: Any>(&self, mb: MailboxId) -> T {
-        self.yield_with(Request::Recv { mb }).await;
-        let payload = self
-            .shared
-            .delivery
-            .take()
-            .expect("recv resumed without a delivery");
-        match payload.downcast::<T>() {
-            Ok(boxed) => *boxed,
-            Err(_) => panic!(
-                "mailbox type mismatch: expected {}",
-                std::any::type_name::<T>()
-            ),
+    /// Receives the next message from `mb`: takes a waiting message in
+    /// place, or parks in virtual time until one is posted.
+    pub fn recv(&self, mb: MailboxId) -> impl Future<Output = M> + '_ {
+        Recv {
+            shared: &self.shared,
+            mb,
+            parked: false,
         }
     }
 }
 
 /// A discrete-event simulation: processes, resources, mailboxes and the
 /// virtual clock. Build one, spawn processes, call [`Simulation::run`].
+/// `M` is the message type every mailbox carries; a simulation that
+/// passes no messages can use `()`.
 ///
 /// A `Simulation` is single-shot: `run` consumes the event horizon and the
 /// value cannot be reused for a second run.
-pub struct Simulation {
-    shared: Rc<Shared>,
+pub struct Simulation<M> {
+    shared: Rc<Shared<M>>,
     queue: EventQueue,
     seq: u64,
     resources: Vec<SharedResource>,
-    mailboxes: Vec<Mailbox>,
-    processes: Vec<ProcessRecord>,
+    processes: Vec<ProcessRecord<M>>,
     /// Reused buffer for the processes a resource completion wakes.
     completed: Vec<Pid>,
     events_dispatched: u64,
     ran: bool,
 }
 
-impl Default for Simulation {
+impl<M> Default for Simulation<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Simulation {
+impl<M> Simulation<M> {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
         Simulation {
             shared: Rc::new(Shared {
                 clock: Cell::new(SimTime::ZERO),
                 request: Cell::new(None),
-                outbox: Cell::new(None),
                 delivery: Cell::new(None),
+                mail: RefCell::new(Mail {
+                    boxes: Vec::new(),
+                    woken: Vec::new(),
+                }),
             }),
             queue: EventQueue::default(),
             seq: 0,
             resources: Vec::new(),
-            mailboxes: Vec::new(),
             processes: Vec::new(),
             completed: Vec::new(),
             events_dispatched: 0,
@@ -465,9 +532,9 @@ impl Simulation {
 
     /// Registers a mailbox for message passing between processes.
     pub fn add_mailbox(&mut self) -> MailboxId {
-        let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mailbox::default());
-        id
+        let boxes = &mut self.shared.mail.borrow_mut().boxes;
+        boxes.push(Mailbox::default());
+        MailboxId(boxes.len() - 1)
     }
 
     /// Spawns a simulated process, starting at virtual time 0. `body`
@@ -478,7 +545,7 @@ impl Simulation {
     /// Panics if called after [`Simulation::run`].
     pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, body: F) -> Pid
     where
-        F: FnOnce(Ctx) -> Fut,
+        F: FnOnce(Ctx<M>) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
         assert!(!self.ran, "cannot spawn after the simulation has run");
@@ -523,72 +590,56 @@ impl Simulation {
         }
     }
 
-    /// Polls `pid` and services its requests until it blocks or
-    /// finishes. A panic in the process body unwinds out of here.
+    /// Polls `pid` once, schedules the wakes of the receivers it
+    /// delivered to, then services the request it yielded with, if any.
+    /// A panic in the process body unwinds out of here.
     fn resume(&mut self, pid: Pid) {
-        let mut cx = Context::from_waker(Waker::noop());
-        loop {
-            let proc = &mut self.processes[pid.0];
-            let Some(future) = proc.future.as_mut() else {
-                return;
-            };
-            if let Some(payload) = proc.delivery.take() {
-                self.shared.delivery.set(Some(payload));
-            }
-            if future.as_mut().poll(&mut cx).is_ready() {
-                proc.future = None;
-                return;
-            }
-            let Some(req) = self.shared.request.take() else {
-                panic!(
-                    "process {} is pending on a future that is not a simulation primitive",
-                    proc.name
-                );
-            };
-            let parked = match req {
-                Request::Hold(dt) => {
-                    let at = self.now() + dt;
-                    self.push_event(at, EvKind::WakeProcess(pid));
-                    true
-                }
-                Request::Compute { res, work } => {
-                    let now = self.now();
-                    self.resources[res.0].advance_to(now);
-                    self.resources[res.0].add_job(pid, work);
-                    self.reschedule_resource(res);
-                    true
-                }
-                Request::Send { mb } => {
-                    let msg = self
-                        .shared
-                        .outbox
-                        .take()
-                        .expect("send yielded without a payload");
-                    if let Some((waiter, payload)) = self.mailboxes[mb.0].post(msg) {
-                        // Deliver at the current instant; the waiter runs
-                        // after the sender yields for real.
-                        self.processes[waiter.0].delivery = Some(payload);
-                        let now = self.now();
-                        self.push_event(now, EvKind::WakeProcess(waiter));
-                    }
-                    false // the sender continues immediately
-                }
-                Request::Recv { mb } => match self.mailboxes[mb.0].take_or_wait(pid) {
-                    Some(payload) => {
-                        self.processes[pid.0].delivery = Some(payload);
-                        false
-                    }
-                    None => true, // parked in the mailbox
-                },
-            };
-            debug_assert!(
-                is_empty(&self.shared.outbox) && is_empty(&self.shared.delivery),
-                "a payload outlived the request of process {}",
+        let proc = &mut self.processes[pid.0];
+        let Some(future) = proc.future.as_mut() else {
+            return;
+        };
+        if let Some(msg) = proc.delivery.take() {
+            self.shared.delivery.set(Some(msg));
+        }
+        let finished = future
+            .as_mut()
+            .poll(&mut Context::from_waker(Waker::noop()))
+            .is_ready();
+        if finished {
+            proc.future = None;
+        }
+        debug_assert!(
+            is_empty(&self.shared.delivery),
+            "process {} left its delivery untaken",
+            proc.name
+        );
+        let request = self.shared.request.take();
+        let now = self.now();
+        for (waiter, msg) in self.shared.mail.borrow_mut().woken.drain(..) {
+            self.processes[waiter.0].delivery = Some(msg);
+            // Inlined `push_event`: the loop keeps `self.shared` borrowed.
+            self.queue
+                .schedule(EvKind::WakeProcess(waiter), now, self.seq);
+            self.seq += 1;
+        }
+        if finished {
+            debug_assert!(request.is_none(), "a finished process yielded a request");
+            return;
+        }
+        let Some(request) = request else {
+            panic!(
+                "process {} is pending on a future that is not a simulation primitive",
                 self.processes[pid.0].name
             );
-            if parked {
-                return;
+        };
+        match request {
+            Request::Hold(dt) => self.push_event(now + dt, EvKind::WakeProcess(pid)),
+            Request::Compute { res, work } => {
+                self.resources[res.0].advance_to(now);
+                self.resources[res.0].add_job(pid, work);
+                self.reschedule_resource(res);
             }
+            Request::Recv { mb } => self.shared.mail.borrow_mut().boxes[mb.0].park(pid),
         }
     }
 
@@ -641,7 +692,7 @@ impl Simulation {
     }
 }
 
-impl Simulation {
+impl<M> Simulation<M> {
     /// Post-run statistics: final time, event count, per-resource usage.
     ///
     /// Meaningful after [`Simulation::run`]; resources are advanced to

@@ -17,7 +17,7 @@
 //! Executions are fully deterministic (identical event interleavings for
 //! identical inputs) while simulation logic stays straight-line code.
 //!
-//! Primitives (each one is `async`):
+//! Primitives:
 //!
 //! * [`Ctx::hold`] — advance this process's local time by a delay.
 //! * [`Ctx::compute`] — occupy a processor-sharing CPU for a given amount
@@ -26,22 +26,37 @@
 //!   studies.
 //! * [`Ctx::transfer`] — move bytes across a processor-sharing link
 //!   (latency + shared bandwidth), modelling NIC/switch contention.
-//! * [`Ctx::send`] / [`Ctx::recv`] — typed mailbox rendezvous used by the
-//!   message-passing layer in `etm-mpisim`.
+//! * [`Ctx::send`] / [`Ctx::recv`] — mailbox message passing, used by
+//!   the message-passing layer in `etm-mpisim`. A simulation carries one
+//!   message type `M` ([`Simulation<M>`]), moved unboxed. `send` is a
+//!   plain call that posts in place and never yields; `recv` takes a
+//!   waiting message in place and yields only on an empty mailbox. A
+//!   receiver a `send` delivers to is woken at the same instant, ahead of
+//!   whatever the sender does next.
+//!
+//! `hold`, `compute` and a parking `recv` return one flat future that
+//! yields to the kernel exactly once.
 //!
 //! ## Example
 //!
 //! ```
 //! use etm_sim::Simulation;
 //!
-//! let mut sim = Simulation::new();
+//! let mut sim = Simulation::<u32>::new();
 //! let cpu = sim.add_shared_resource("cpu", 1.0);
+//! let done = sim.add_mailbox();
 //! for i in 0..2 {
 //!     sim.spawn(format!("worker{i}"), move |ctx| async move {
 //!         // Two jobs of 1.0s of work share one CPU: both finish at t=2.
 //!         ctx.compute(cpu, 1.0).await;
+//!         ctx.send(done, i);
 //!     });
 //! }
+//! sim.spawn("collector", move |ctx| async move {
+//!     let first = ctx.recv(done).await;
+//!     let second = ctx.recv(done).await;
+//!     assert_eq!((first, second), (0, 1));
+//! });
 //! let end = sim.run().expect("no deadlock");
 //! assert!((end - 2.0).abs() < 1e-9);
 //! ```

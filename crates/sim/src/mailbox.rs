@@ -1,12 +1,14 @@
 //! Mailboxes: the kernel-level message-passing primitive.
 //!
-//! A mailbox is an unbounded FIFO of type-erased messages plus a FIFO of
-//! processes blocked in `recv`. Delivery itself is instantaneous in virtual
-//! time — transport *cost* (latency, bandwidth, contention) is modelled
-//! separately by the sender occupying link resources before posting, which
-//! is how `etm-mpisim` layers MPI semantics on top.
+//! A mailbox is an unbounded FIFO of messages of the simulation's one
+//! message type `M`, moved in and out unboxed, plus a FIFO of processes
+//! parked in `recv`. Posting and taking happen in place, inside the
+//! polled process; only a receive on an empty mailbox parks. Delivery
+//! itself is instantaneous in virtual time — transport *cost* (latency,
+//! bandwidth, contention) is modelled separately by the sender occupying
+//! link resources before posting, which is how `etm-mpisim` layers MPI
+//! semantics on top.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use crate::kernel::Pid;
@@ -15,19 +17,24 @@ use crate::kernel::Pid;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MailboxId(pub(crate) usize);
 
-/// Type-erased message payload.
-pub(crate) type Payload = Box<dyn Any>;
-
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    queue: VecDeque<Payload>,
+pub(crate) struct Mailbox<M> {
+    queue: VecDeque<M>,
     waiters: VecDeque<Pid>,
 }
 
-impl Mailbox {
-    /// Posts a message. If a receiver is blocked, returns it paired with
+impl<M> Default for Mailbox<M> {
+    fn default() -> Self {
+        Mailbox {
+            queue: VecDeque::new(),
+            waiters: VecDeque::new(),
+        }
+    }
+}
+
+impl<M> Mailbox<M> {
+    /// Posts a message. If a receiver is parked, returns it paired with
     /// the message so the kernel can wake it; otherwise queues the message.
-    pub(crate) fn post(&mut self, msg: Payload) -> Option<(Pid, Payload)> {
+    pub(crate) fn post(&mut self, msg: M) -> Option<(Pid, M)> {
         if let Some(pid) = self.waiters.pop_front() {
             debug_assert!(
                 self.queue.is_empty(),
@@ -40,16 +47,19 @@ impl Mailbox {
         }
     }
 
-    /// Attempts an immediate receive for `pid`; on failure the process is
-    /// parked in FIFO order.
-    pub(crate) fn take_or_wait(&mut self, pid: Pid) -> Option<Payload> {
-        match self.queue.pop_front() {
-            Some(msg) => Some(msg),
-            None => {
-                self.waiters.push_back(pid);
-                None
-            }
-        }
+    /// Takes the oldest waiting message, if any.
+    pub(crate) fn take(&mut self) -> Option<M> {
+        self.queue.pop_front()
+    }
+
+    /// Parks `pid` behind any earlier waiters. Only a receive that found
+    /// the mailbox empty parks.
+    pub(crate) fn park(&mut self, pid: Pid) {
+        debug_assert!(
+            self.queue.is_empty(),
+            "{pid:?} parked on a mailbox with a waiting message"
+        );
+        self.waiters.push_back(pid);
     }
 
     #[cfg_attr(not(test), allow(dead_code))]
@@ -65,39 +75,46 @@ mod tests {
     #[test]
     fn post_then_take_is_fifo() {
         let mut mb = Mailbox::default();
-        assert!(mb.post(Box::new(1u32)).is_none());
-        assert!(mb.post(Box::new(2u32)).is_none());
-        let a = mb.take_or_wait(Pid(0)).unwrap();
-        let b = mb.take_or_wait(Pid(0)).unwrap();
-        assert_eq!(*a.downcast::<u32>().unwrap(), 1);
-        assert_eq!(*b.downcast::<u32>().unwrap(), 2);
+        assert!(mb.post(1u32).is_none());
+        assert!(mb.post(2u32).is_none());
+        assert_eq!(mb.take(), Some(1));
+        assert_eq!(mb.take(), Some(2));
+        assert_eq!(mb.take(), None);
     }
 
     #[test]
     fn waiter_is_woken_by_post() {
         let mut mb = Mailbox::default();
-        assert!(mb.take_or_wait(Pid(7)).is_none());
-        let (pid, msg) = mb.post(Box::new(42u32)).unwrap();
-        assert_eq!(pid, Pid(7));
-        assert_eq!(*msg.downcast::<u32>().unwrap(), 42);
+        assert_eq!(mb.take(), None);
+        mb.park(Pid(7));
+        assert_eq!(mb.post(42u32), Some((Pid(7), 42)));
+        assert_eq!(mb.queued(), 0, "a delivered message is not queued");
     }
 
     #[test]
     fn waiters_are_fifo() {
         let mut mb = Mailbox::default();
-        assert!(mb.take_or_wait(Pid(1)).is_none());
-        assert!(mb.take_or_wait(Pid(2)).is_none());
-        let (first, _) = mb.post(Box::new(0u8)).unwrap();
-        let (second, _) = mb.post(Box::new(0u8)).unwrap();
-        assert_eq!(first, Pid(1));
-        assert_eq!(second, Pid(2));
+        mb.park(Pid(1));
+        mb.park(Pid(2));
+        assert_eq!(mb.post(0u8), Some((Pid(1), 0)));
+        assert_eq!(mb.post(0u8), Some((Pid(2), 0)));
+        assert_eq!(mb.post(0u8), None);
     }
 
     #[test]
     fn queued_counts_messages() {
         let mut mb = Mailbox::default();
         assert_eq!(mb.queued(), 0);
-        mb.post(Box::new(()));
+        mb.post(());
         assert_eq!(mb.queued(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "waiting message")]
+    fn parking_beside_a_waiting_message_is_caught() {
+        let mut mb = Mailbox::default();
+        mb.post(5u32);
+        mb.park(Pid(0));
     }
 }

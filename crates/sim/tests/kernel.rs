@@ -2,19 +2,22 @@
 //! processor sharing, message passing, determinism and deadlock detection.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use etm_sim::Simulation;
 
 #[test]
 fn empty_simulation_finishes_at_zero() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     assert_eq!(sim.run().unwrap(), 0.0);
 }
 
 #[test]
 fn hold_advances_time() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let seen = Rc::new(RefCell::new(Vec::new()));
     let seen2 = Rc::clone(&seen);
     sim.spawn("p", move |ctx| async move {
@@ -32,7 +35,7 @@ fn hold_advances_time() {
 
 #[test]
 fn parallel_holds_overlap() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     for _ in 0..10 {
         sim.spawn("p", |ctx| async move { ctx.hold(3.0).await });
     }
@@ -41,7 +44,7 @@ fn parallel_holds_overlap() {
 
 #[test]
 fn compute_on_uncontended_cpu_takes_work_over_speed() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 2.0);
     sim.spawn("p", move |ctx| async move {
         ctx.compute(cpu, 6.0).await;
@@ -52,7 +55,7 @@ fn compute_on_uncontended_cpu_takes_work_over_speed() {
 
 #[test]
 fn processor_sharing_two_jobs_double_duration() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     for _ in 0..2 {
         sim.spawn("p", move |ctx| async move { ctx.compute(cpu, 1.0).await });
@@ -65,7 +68,7 @@ fn processor_sharing_staggered_arrivals() {
     // Job A (2 units) starts at t=0; job B (3 units) at t=1.
     // A: 1 unit alone, then shares: finishes at t=3.
     // B: has consumed 1 unit by t=3, 2 remain alone: finishes at t=5.
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     let a_done = Rc::new(Cell::new(0.0));
     let a_done2 = Rc::clone(&a_done);
@@ -85,7 +88,7 @@ fn processor_sharing_staggered_arrivals() {
 
 #[test]
 fn transfer_includes_latency_and_bandwidth() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     // 100 bytes/s link, 0.5 s latency: 50 bytes take 0.5 + 0.5 = 1.0 s.
     let link = sim.add_shared_resource("link", 100.0);
     sim.spawn("s", move |ctx| async move {
@@ -101,7 +104,7 @@ fn send_recv_rendezvous() {
     let mb = sim.add_mailbox();
     sim.spawn("sender", move |ctx| async move {
         ctx.hold(2.0).await;
-        ctx.send(mb, 42u64).await;
+        ctx.send(mb, 42u64);
     });
     sim.spawn("receiver", move |ctx| async move {
         let v: u64 = ctx.recv(mb).await;
@@ -117,8 +120,8 @@ fn send_before_recv_is_buffered() {
     let mut sim = Simulation::new();
     let mb = sim.add_mailbox();
     sim.spawn("sender", move |ctx| async move {
-        ctx.send(mb, 1u32).await;
-        ctx.send(mb, 2u32).await;
+        ctx.send(mb, 1u32);
+        ctx.send(mb, 2u32);
     });
     sim.spawn("receiver", move |ctx| async move {
         ctx.hold(5.0).await;
@@ -132,38 +135,48 @@ fn send_before_recv_is_buffered() {
 
 #[test]
 fn every_receiver_gets_its_own_payload_through_the_hand_off_slots() {
-    // One process sends two payload types back to back, another sends
-    // and then holds; receivers are parked before some sends and arrive
-    // after others. Debug builds also check that no payload is left in a
-    // kernel hand-off slot after any serviced request.
+    // A simulation carries one message type; mixed payloads are its
+    // variants. One process sends two variants back to back, another
+    // sends and then holds; receivers are parked before some sends and
+    // arrive after others. Debug builds also check that every resumed
+    // receiver takes the message delivered to it.
+    #[derive(Debug, PartialEq)]
+    enum Payload {
+        Word(u32),
+        Name(String),
+        Samples(Vec<f64>),
+    }
+    use Payload::{Name, Samples, Word};
     let mut sim = Simulation::new();
     let (words, names, late) = (sim.add_mailbox(), sim.add_mailbox(), sim.add_mailbox());
     sim.spawn("mixed-sender", move |ctx| async move {
-        ctx.send(words, 7u32).await;
-        ctx.send(names, String::from("panel")).await;
+        ctx.send(words, Word(7));
+        ctx.send(names, Name(String::from("panel")));
         ctx.hold(1.0).await;
-        ctx.send(words, 9u32).await;
-        ctx.send(names, String::from("update")).await;
+        ctx.send(words, Word(9));
+        ctx.send(names, Name(String::from("update")));
     });
     sim.spawn("send-then-hold", move |ctx| async move {
-        ctx.send(late, vec![1.5f64, 2.5]).await;
+        ctx.send(late, Samples(vec![1.5, 2.5]));
         ctx.hold(3.0).await;
     });
     sim.spawn("word-receiver", move |ctx| async move {
-        let a: u32 = ctx.recv(words).await;
-        let b: u32 = ctx.recv(words).await;
-        assert_eq!((a, b), (7, 9));
+        let a = ctx.recv(words).await;
+        let b = ctx.recv(words).await;
+        assert_eq!((a, b), (Word(7), Word(9)));
         assert!((ctx.now() - 1.0).abs() < 1e-12);
     });
     sim.spawn("name-receiver", move |ctx| async move {
         ctx.hold(2.0).await;
-        let a: String = ctx.recv(names).await;
-        let b: String = ctx.recv(names).await;
-        assert_eq!((a.as_str(), b.as_str()), ("panel", "update"));
+        let a = ctx.recv(names).await;
+        let b = ctx.recv(names).await;
+        assert_eq!(
+            (a, b),
+            (Name(String::from("panel")), Name(String::from("update")))
+        );
     });
     sim.spawn("late-receiver", move |ctx| async move {
-        let v: Vec<f64> = ctx.recv(late).await;
-        assert_eq!(v, [1.5, 2.5]);
+        assert_eq!(ctx.recv(late).await, Samples(vec![1.5, 2.5]));
         assert_eq!(ctx.now(), 0.0);
     });
     assert!((sim.run().unwrap() - 3.0).abs() < 1e-12);
@@ -176,7 +189,7 @@ fn ping_pong_alternates() {
     let to_a = sim.add_mailbox();
     sim.spawn("a", move |ctx| async move {
         for i in 0..100u32 {
-            ctx.send(to_b, i).await;
+            ctx.send(to_b, i);
             let echo: u32 = ctx.recv(to_a).await;
             assert_eq!(echo, i);
         }
@@ -184,7 +197,7 @@ fn ping_pong_alternates() {
     sim.spawn("b", move |ctx| async move {
         for _ in 0..100 {
             let v: u32 = ctx.recv(to_b).await;
-            ctx.send(to_a, v).await;
+            ctx.send(to_a, v);
         }
     });
     sim.run().unwrap();
@@ -203,7 +216,7 @@ fn deadlock_is_reported_with_process_names() {
     });
     sim.spawn("finishes", move |ctx| async move {
         ctx.compute(cpu, 1.0).await;
-        ctx.send(fed, 1u32).await;
+        ctx.send(fed, 1u32);
     });
     sim.spawn("waits-after-work", move |ctx| async move {
         let _: u32 = ctx.recv(fed).await;
@@ -236,13 +249,13 @@ fn determinism_same_inputs_same_timings() {
                 ctx.hold(0.01 * i as f64).await;
                 ctx.compute(cpu, 0.3 + 0.05 * i as f64).await;
                 ctx.transfer(link, 1e5, 1e-4).await;
-                ctx.send(mb, i).await;
+                ctx.send(mb, i);
             });
         }
         sim.spawn("collector", move |ctx| async move {
             let mut sum = 0usize;
             for _ in 0..8 {
-                sum += ctx.recv::<usize>(mb).await;
+                sum += ctx.recv(mb).await;
             }
             assert_eq!(sum, 28);
         });
@@ -260,7 +273,7 @@ fn determinism_same_inputs_same_timings() {
 #[test]
 fn many_processes_share_one_cpu_fairly() {
     let n = 16;
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     let finished = Rc::new(Cell::new(0));
     for _ in 0..n {
@@ -277,7 +290,7 @@ fn many_processes_share_one_cpu_fairly() {
 
 #[test]
 fn zero_work_compute_completes_at_current_time() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     sim.spawn("p", move |ctx| async move {
         ctx.hold(1.0).await;
@@ -290,7 +303,7 @@ fn zero_work_compute_completes_at_current_time() {
 #[test]
 #[should_panic(expected = "inside process")]
 fn process_panics_propagate_to_run() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     sim.spawn("bad", |ctx| async move {
         ctx.hold(1.0).await;
         panic!("inside process");
@@ -332,7 +345,7 @@ fn send_then_recv_at_one_instant_takes_no_time_and_no_switch() {
     let seen = Rc::clone(&other_ran);
     sim.spawn("self-send", move |ctx| async move {
         ctx.hold(1.0).await;
-        ctx.send(mb, 7u32).await;
+        ctx.send(mb, 7u32);
         let v: u32 = ctx.recv(mb).await;
         assert_eq!(v, 7);
         assert_eq!(ctx.now(), 1.0);
@@ -347,9 +360,149 @@ fn send_then_recv_at_one_instant_takes_no_time_and_no_switch() {
     assert!(other_ran.get());
 }
 
+/// A process body that counts how often the kernel polls it.
+struct CountPolls<F> {
+    polls: Rc<Cell<u32>>,
+    body: Pin<Box<F>>,
+}
+
+impl<F: Future<Output = ()>> Future for CountPolls<F> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        self.polls.set(self.polls.get() + 1);
+        self.body.as_mut().poll(cx)
+    }
+}
+
+fn counted<F: Future<Output = ()>>(polls: &Rc<Cell<u32>>, body: F) -> CountPolls<F> {
+    CountPolls {
+        polls: Rc::clone(polls),
+        body: Box::pin(body),
+    }
+}
+
+#[test]
+fn a_woken_receiver_runs_before_its_senders_next_primitive_at_the_same_instant() {
+    // The sender wakes a parked receiver and then yields a zero-time
+    // primitive at the same instant. The receiver's wake is scheduled
+    // first, so it holds the lower sequence number and runs first.
+    for zero_work_compute in [false, true] {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new();
+        let cpu = sim.add_shared_resource("cpu", 1.0);
+        let mb = sim.add_mailbox();
+        let seen = Rc::clone(&log);
+        sim.spawn("receiver", move |ctx| async move {
+            let v: u32 = ctx.recv(mb).await;
+            seen.borrow_mut().push(("receiver", v, ctx.now()));
+        });
+        let seen = Rc::clone(&log);
+        sim.spawn("sender", move |ctx| async move {
+            ctx.hold(1.0).await;
+            ctx.send(mb, 5);
+            if zero_work_compute {
+                ctx.compute(cpu, 0.0).await;
+            } else {
+                ctx.hold(0.0).await;
+            }
+            seen.borrow_mut().push(("sender", 0, ctx.now()));
+        });
+        assert_eq!(sim.run().unwrap(), 1.0);
+        assert_eq!(
+            *log.borrow(),
+            [("receiver", 5, 1.0), ("sender", 0, 1.0)],
+            "zero-work compute: {zero_work_compute}"
+        );
+    }
+}
+
+#[test]
+fn send_and_a_recv_of_a_waiting_message_do_not_yield() {
+    // The message is posted at t = 0, long before the receive at t = 1.
+    // Neither the send nor that receive yields: each process is polled
+    // once per primitive that takes time, plus its start, and no other
+    // process runs between the receive and the statement after it.
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let (sender_polls, receiver_polls) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let mut sim = Simulation::new();
+    let mb = sim.add_mailbox();
+    sim.spawn("sender", |ctx| {
+        counted(&sender_polls, async move {
+            ctx.send(mb, 1u32);
+            ctx.send(mb, 2u32);
+        })
+    });
+    let seen = Rc::clone(&log);
+    sim.spawn("receiver", |ctx| {
+        counted(&receiver_polls, async move {
+            ctx.hold(1.0).await;
+            let a = ctx.recv(mb).await;
+            seen.borrow_mut().push("receiver took one");
+            let b = ctx.recv(mb).await;
+            seen.borrow_mut().push("receiver took two");
+            assert_eq!((a, b), (1, 2));
+        })
+    });
+    let seen = Rc::clone(&log);
+    sim.spawn("other", move |ctx| async move {
+        ctx.hold(1.0).await;
+        seen.borrow_mut().push("other");
+    });
+    assert_eq!(sim.run().unwrap(), 1.0);
+    assert_eq!(
+        *log.borrow(),
+        ["receiver took one", "receiver took two", "other"]
+    );
+    assert_eq!(sender_polls.get(), 1, "sends complete in place");
+    assert_eq!(receiver_polls.get(), 2, "its start and its hold's wake");
+}
+
+#[test]
+fn a_ring_of_parked_receivers_dispatches_one_event_per_hand_off() {
+    // Four processes in a ring; each parks on its own mailbox, then
+    // forwards what it receives to the next. Rank 0 holds one second
+    // before each lap, so every other rank is parked when its message
+    // arrives. Hand count for three laps:
+    //   t=0      four start wakes                        4 events
+    //   per lap  rank 0's hold                           1
+    //            four hand-offs, each waking a parked
+    //            receiver at the instant of its send      4
+    // 4 + 3 * (1 + 4) = 19.
+    const RANKS: usize = 4;
+    const LAPS: u32 = 3;
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let mbs: Vec<_> = (0..RANKS).map(|_| sim.add_mailbox()).collect();
+    for rank in 0..RANKS {
+        let (own, next) = (mbs[rank], mbs[(rank + 1) % RANKS]);
+        let seen = Rc::clone(&log);
+        sim.spawn(format!("r{rank}"), move |ctx| async move {
+            for lap in 0..LAPS {
+                if rank == 0 {
+                    ctx.hold(1.0).await;
+                    ctx.send(next, lap);
+                }
+                let v = ctx.recv(own).await;
+                assert_eq!(v, lap);
+                seen.borrow_mut().push((rank, ctx.now()));
+                if rank != 0 {
+                    ctx.send(next, v);
+                }
+            }
+        });
+    }
+    assert_eq!(sim.run().unwrap(), f64::from(LAPS));
+    let want: Vec<(usize, f64)> = (1..=LAPS)
+        .flat_map(|lap| [1, 2, 3, 0].map(|rank| (rank, f64::from(lap))))
+        .collect();
+    assert_eq!(*log.borrow(), want);
+    assert_eq!(sim.stats().events, 19);
+}
+
 #[test]
 fn two_cpus_independent() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu0 = sim.add_shared_resource("cpu0", 1.0);
     let cpu1 = sim.add_shared_resource("cpu1", 1.0);
     sim.spawn("a", move |ctx| async move {
@@ -365,7 +518,7 @@ fn two_cpus_independent() {
 
 #[test]
 fn stats_track_utilization_and_events() {
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 1.0);
     sim.spawn("worker", move |ctx| async move {
         ctx.compute(cpu, 1.0).await;
@@ -391,7 +544,7 @@ fn derated_resource_serves_slower_end_to_end() {
     // Identical work on a clean and a 2x-derated CPU: the derated run
     // takes exactly twice the virtual time.
     let wall_of = |slowdown: Option<f64>| {
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         if let Some(s) = slowdown {
             sim.derate_resource(cpu, s);
@@ -410,7 +563,7 @@ fn derate_is_deterministic_under_contention() {
     // Two co-scheduled jobs on a derated CPU: processor sharing still
     // applies, on top of the slowdown, bit-identically across runs.
     let run_once = || {
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         sim.derate_resource(cpu, 1.5);
         for i in 0..2 {
@@ -439,7 +592,7 @@ fn late_arrivals_and_a_derate_dispatch_only_live_events() {
     //   t=6    b completes                                   1
     // Each arrival rewrites the CPU's one queue entry, so neither the
     // t=2 nor the t=3 completion it replaced is ever dispatched.
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 2.0);
     sim.derate_resource(cpu, 2.0);
     let done = Rc::new(RefCell::new(Vec::new()));
@@ -469,7 +622,7 @@ fn late_arrivals_and_a_derate_dispatch_only_live_events() {
 #[test]
 fn equal_time_events_run_in_insertion_order_including_negative_zero_holds() {
     let log = Rc::new(RefCell::new(Vec::new()));
-    let mut sim = Simulation::new();
+    let mut sim = Simulation::<()>::new();
     for (name, dt) in [("p0", 0.0), ("p1", -0.0), ("p2", 0.0), ("p3", -0.0)] {
         let log = Rc::clone(&log);
         sim.spawn(name, move |ctx| async move {

@@ -29,7 +29,7 @@ fn private_cpus_end_time_is_max_schedule() {
                 schedule(rng, steps, 0.5)
             })
             .collect();
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let mut expected: f64 = 0.0;
         for (i, sched) in schedules.iter().enumerate() {
             let cpu = sim.add_shared_resource(format!("cpu{i}"), 1.0);
@@ -60,7 +60,7 @@ fn shared_cpu_makespan_equals_total_work() {
         let works: Vec<f64> = (0..rng.range_inclusive(1, 7))
             .map(|_| rng.range_f64(0.01, 1.0))
             .collect();
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         let total: f64 = works.iter().sum();
         for (i, w) in works.iter().enumerate() {
@@ -85,7 +85,7 @@ fn shared_cpu_smaller_jobs_finish_first() {
         let works: Vec<f64> = (0..rng.range_inclusive(2, 5))
             .map(|_| rng.range_f64(0.01, 1.0))
             .collect();
-        let mut sim = Simulation::new();
+        let mut sim = Simulation::<()>::new();
         let cpu = sim.add_shared_resource("cpu", 1.0);
         let finish = Rc::new(RefCell::new(Vec::new()));
         for (i, w) in works.iter().enumerate() {
@@ -122,7 +122,7 @@ fn mailbox_order_preserved() {
         let mb = sim.add_mailbox();
         sim.spawn("sender", move |ctx| async move {
             for i in 0..count {
-                ctx.send(mb, i).await;
+                ctx.send(mb, i);
             }
         });
         sim.spawn("receiver", move |ctx| async move {
@@ -150,7 +150,7 @@ fn arbitrary_workloads_are_deterministic() {
                 sim.spawn(format!("p{i}"), move |ctx| async move {
                     ctx.hold(h).await;
                     ctx.compute(cpu, w).await;
-                    ctx.send(mb, i).await;
+                    ctx.send(mb, i);
                 });
             }
             sim.spawn("collector", move |ctx| async move {
