@@ -11,19 +11,46 @@
 //! result against a seed capture. Tests substitute fakes through the
 //! trait to inject fit failures.
 //!
-//! The group-wise machinery below is what makes
-//! [`ModelBackend::refit_groups`] possible: a refit of only the dirty
-//! `(kind, m)` groups — reusing every clean group's fitted models and
-//! re-running the (cheap) §3.5 composition pass — produces a bank
-//! bit-identical to a full [`ModelBackend::fit`] over the same database.
+//! There is one fit path, [`ModelBackend::refit_groups`] over a set of
+//! dirty keys, and a full [`ModelBackend::fit`] is that refit with every
+//! key dirty against the empty bank. A refit does only what the dirty
+//! keys require:
+//!
+//! * the N-T model of each dirty key, and no other: an N-T model is a
+//!   pure function of its key's samples, so every clean key's model is
+//!   carried over bit for bit;
+//! * one factored least-squares design (`NtDesign`) per distinct list
+//!   of sizes among the dirty keys, shared by every key measured at
+//!   those sizes — the whole Basic campaign is one 9-size design;
+//! * the measured P-T model of each `(kind, m)` group holding a dirty
+//!   key, gathered in one pass over the group's samples;
+//! * the (cheap) §3.5 composition pass, always, over the database's kept
+//!   size list (`MeasurementDb::sizes`).
+//!
+//! The result is bit-identical to a full fit over the same database, and
+//! the [`FitWork`] returned with it counts what was done.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::compose::{compose_fitted, PAPER_TC_SCALE};
 use crate::measurement::{MeasurementDb, SampleKey};
-use crate::ntmodel::NtModel;
+use crate::ntmodel::{NtDesign, NtModel};
 use crate::pipeline::{ModelBank, PipelineError};
 use crate::ptmodel::{PtModel, PtObservation};
+
+/// The fitting work one fit or refit did, counted as it went: what a
+/// publication cost, independent of the host.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FitWork {
+    /// N-T models fit: one per dirty key with at least 4 sizes.
+    pub nt_fits: usize,
+    /// QR factorizations of N-T designs: two (`Ta` and `Tc`) per
+    /// distinct size list among the keys fit.
+    pub nt_factorizations: usize,
+    /// Measured P-T models fit: one per fittable group holding a dirty
+    /// key.
+    pub pt_fits: usize,
+}
 
 /// A fitting strategy turning a [`MeasurementDb`] into a [`ModelBank`].
 ///
@@ -35,19 +62,13 @@ pub trait ModelBackend: Send + Sync {
     /// Stable identifier, used for cache keys and reporting.
     fn name(&self) -> &'static str;
 
-    /// Fits every model the database supports (the batch path).
-    ///
-    /// # Errors
-    /// [`PipelineError::Fit`] if a well-posed fit fails numerically;
-    /// [`PipelineError::NoDonor`] if §3.5 composition is impossible.
-    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError>;
-
-    /// Refits only the `(kind, m)` groups in `dirty`, reusing
-    /// `previous`'s models for every clean group and re-running the
-    /// §3.5 composition pass (composed models depend on their donors, so
-    /// they are always rebuilt). `dirty` must contain every group whose
-    /// measurements changed since `previous` was fit; given that, the
-    /// result is bit-identical to `self.fit(db)`.
+    /// Refits from `db` the N-T model of every key in `dirty` and the
+    /// measured P-T model of every `(kind, m)` group holding one,
+    /// carrying every other model over from `previous`, and re-runs the
+    /// §3.5 composition pass (composed models depend on their donors,
+    /// so they are always rebuilt). `dirty` must contain every key whose
+    /// samples changed since `previous` was fit; given that, the bank is
+    /// bit-identical to `self.fit(db)`. Also returns the work done.
     ///
     /// # Errors
     /// Same contract as [`ModelBackend::fit`].
@@ -55,8 +76,31 @@ pub trait ModelBackend: Send + Sync {
         &self,
         db: &MeasurementDb,
         previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError>;
+        dirty: &BTreeSet<SampleKey>,
+    ) -> Result<(ModelBank, FitWork), PipelineError>;
+
+    /// Fits every model the database supports: a `refit_groups` of
+    /// every key over the empty bank.
+    ///
+    /// # Errors
+    /// [`PipelineError::Fit`] if a well-posed fit fails numerically;
+    /// [`PipelineError::NoDonor`] if §3.5 composition is impossible.
+    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
+        full_refit(self, db).map(|(bank, _)| bank)
+    }
+}
+
+/// The full fit through the one refit path: every key of `db` is dirty
+/// against the empty bank (the fit of an empty database).
+///
+/// # Errors
+/// See [`ModelBackend::fit`].
+pub(crate) fn full_refit<B: ModelBackend + ?Sized>(
+    backend: &B,
+    db: &MeasurementDb,
+) -> Result<(ModelBank, FitWork), PipelineError> {
+    let every: BTreeSet<SampleKey> = db.keys().copied().collect();
+    backend.refit_groups(db, &ModelBank::default(), &every)
 }
 
 /// The §3.5 fallback composition used when a group is quarantined: its
@@ -117,7 +161,7 @@ pub(crate) fn compose_fallback(
         &donor_pt,
         target_nt,
         donor_nt,
-        &all_ns(db),
+        db.sizes(),
         PAPER_TC_SCALE,
     ))
 }
@@ -140,16 +184,12 @@ impl ModelBackend for PolyLsqBackend {
         "poly_lsq"
     }
 
-    fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        fit_bank(db)
-    }
-
     fn refit_groups(
         &self,
         db: &MeasurementDb,
         previous: &ModelBank,
-        dirty: &BTreeSet<(usize, usize)>,
-    ) -> Result<ModelBank, PipelineError> {
+        dirty: &BTreeSet<SampleKey>,
+    ) -> Result<(ModelBank, FitWork), PipelineError> {
         refit_bank(db, previous, dirty)
     }
 }
@@ -179,36 +219,29 @@ fn fit_pt_group(
         Some(r) => *r,
         None => return Ok(None),
     };
-    let obs: Vec<PtObservation> = keys
-        .iter()
-        .flat_map(|k| {
-            db.samples(k).iter().map(move |s| PtObservation {
-                n: s.n,
-                p: k.total_p(),
-                ta: s.ta,
-                tc: s.tc,
-            })
-        })
-        .collect();
     // §3.4 binning by communication regime: the Tc model is fit only on
     // samples with real inter-node communication — the single-node
     // trials (P = 1, or both processes on one dual node) sit in a
     // different regime whose near-zero Tc would distort the P-slope of
-    // the fit.
-    let obs_tc: Vec<PtObservation> = keys
-        .iter()
-        .flat_map(|k| {
-            db.samples(k)
-                .iter()
-                .filter(|s| s.multi_node)
-                .map(move |s| PtObservation {
-                    n: s.n,
-                    p: k.total_p(),
-                    ta: s.ta,
-                    tc: s.tc,
-                })
-        })
-        .collect();
+    // the fit. One pass gathers both lists, in key then N order.
+    let total: usize = keys.iter().map(|k| db.samples(k).len()).sum();
+    let mut obs: Vec<PtObservation> = Vec::with_capacity(total);
+    let mut obs_tc: Vec<PtObservation> = Vec::with_capacity(total);
+    for k in keys {
+        let p = k.total_p();
+        for s in db.samples(k) {
+            let o = PtObservation {
+                n: s.n,
+                p,
+                ta: s.ta,
+                tc: s.tc,
+            };
+            obs.push(o);
+            if s.multi_node {
+                obs_tc.push(o);
+            }
+        }
+    }
     let distinct_tc_p = {
         let mut ps: Vec<usize> = obs_tc.iter().map(|o| o.p).collect();
         ps.sort_unstable();
@@ -221,22 +254,6 @@ fn fit_pt_group(
         PtModel::fit(reference, &obs)?
     };
     Ok(Some(model))
-}
-
-/// All problem sizes seen anywhere in the database, ascending — the
-/// §3.5 Ta-scale fitting grid. Each size is merged into the short
-/// distinct list as it is read: a Basic campaign has 486 samples over
-/// 9 sizes, and this runs on every refit.
-fn all_ns(db: &MeasurementDb) -> Vec<usize> {
-    let mut ns: Vec<usize> = Vec::new();
-    for key in db.keys() {
-        for s in db.samples(key) {
-            if let Err(at) = ns.binary_search(&s.n) {
-                ns.insert(at, s.n);
-            }
-        }
-    }
-    ns
 }
 
 /// Composition output: the composed `(kind, m)` groups, then the kinds
@@ -303,78 +320,53 @@ fn compose_unfittable(
     Ok((composed_groups, composed_kinds))
 }
 
-/// The full batch fit; see `ModelBank::fit` for the model-selection
-/// rules.
-pub(crate) fn fit_bank(db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-    let mut nt = BTreeMap::new();
-    for key in db.keys() {
-        let samples = db.samples(key);
-        if samples.len() >= 4 {
-            nt.insert(*key, NtModel::fit(samples)?);
-        }
-    }
-    let mut pt = BTreeMap::new();
-    let mut unfittable: Vec<(usize, usize)> = Vec::new();
-    for (&group, keys) in &db.groups() {
-        match fit_pt_group(db, &nt, keys)? {
-            Some(model) => {
-                pt.insert(group, model);
-            }
-            None => unfittable.push(group),
-        }
-    }
-    let (composed_groups, composed_kinds) =
-        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db))?;
-    Ok(ModelBank {
-        nt,
-        pt,
-        composed_kinds,
-        composed_groups,
-    })
-}
-
-/// The incremental path: refit the dirty groups' N-T and measured P-T
-/// models from `db`, carry every clean group's models over from
-/// `previous`, and re-run the composition pass from scratch (composed
-/// models depend on donors and N-T scale curves in *other* groups, so
-/// reuse would be unsound).
+/// The one fit path: refit the N-T models of the dirty keys and the
+/// measured P-T models of their groups from `db`, carry every other
+/// model over from `previous`, and re-run the composition pass from
+/// scratch (composed models depend on donors and N-T scale curves in
+/// *other* groups, so reuse would be unsound). `NtModel::fit` is a pure
+/// function of a key's samples, so a carried N-T model is bitwise what
+/// its refit would give. Dirty keys measured at the same sizes share one
+/// `NtDesign`; see `ModelBank::fit` for the model-selection rules.
 fn refit_bank(
     db: &MeasurementDb,
     previous: &ModelBank,
-    dirty: &BTreeSet<(usize, usize)>,
-) -> Result<ModelBank, PipelineError> {
-    let groups = db.groups();
-    // N-T: keep clean groups' models (their samples are unchanged by the
-    // dirty contract), refit dirty groups' keys from the database.
-    let mut nt: BTreeMap<SampleKey, NtModel> = previous
-        .nt
-        .iter()
-        .filter(|(k, _)| !dirty.contains(&(k.kind, k.m)))
-        .map(|(k, v)| (*k, *v))
-        .collect();
-    for group in dirty {
-        let Some(keys) = groups.get(group) else {
+    dirty: &BTreeSet<SampleKey>,
+) -> Result<(ModelBank, FitWork), PipelineError> {
+    let mut work = FitWork::default();
+    let mut nt = previous.nt.clone();
+    let mut designs: Vec<NtDesign> = Vec::new();
+    for key in dirty {
+        let samples = db.samples(key);
+        if samples.len() < 4 {
+            nt.remove(key);
             continue;
-        };
-        for key in keys {
-            let samples = db.samples(key);
-            if samples.len() >= 4 {
-                nt.insert(*key, NtModel::fit(samples)?);
-            }
         }
+        let at = match designs.iter().position(|d| d.matches(samples)) {
+            Some(at) => at,
+            None => {
+                designs.push(NtDesign::new(samples)?);
+                designs.len() - 1
+            }
+        };
+        nt.insert(*key, designs[at].fit(samples)?);
+        work.nt_fits += 1;
     }
-    // Measured P-T models: carry clean ones over, refit dirty ones. A
-    // clean group that was *composed* before stays on the composition
-    // path — its donors may have moved.
+    work.nt_factorizations = 2 * designs.len();
+    // Measured P-T models: refit every group holding a dirty key, carry
+    // the others over. A clean group that was *composed* before stays on
+    // the composition path — its donors may have moved.
+    let dirty_groups: BTreeSet<(usize, usize)> = dirty.iter().map(|k| (k.kind, k.m)).collect();
     let composed_prev: BTreeSet<(usize, usize)> =
         previous.composed_groups.iter().copied().collect();
     let mut pt = BTreeMap::new();
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
-    for (&group, keys) in &groups {
-        if dirty.contains(&group) {
+    for (&group, keys) in db.groups() {
+        if dirty_groups.contains(&group) {
             match fit_pt_group(db, &nt, keys)? {
                 Some(model) => {
                     pt.insert(group, model);
+                    work.pt_fits += 1;
                 }
                 None => unfittable.push(group),
             }
@@ -385,17 +377,18 @@ fn refit_bank(
         }
     }
     let (composed_groups, composed_kinds) =
-        compose_unfittable(&nt, &mut pt, &unfittable, &all_ns(db))?;
-    Ok(ModelBank {
+        compose_unfittable(&nt, &mut pt, &unfittable, db.sizes())?;
+    let bank = ModelBank {
         nt,
         pt,
         composed_kinds,
         composed_groups,
-    })
+    };
+    Ok((bank, work))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::measurement::Sample;
 
@@ -432,7 +425,9 @@ mod tests {
         }
     }
 
-    fn assert_banks_bit_equal(a: &ModelBank, b: &ModelBank) {
+    /// Asserts two banks hold the same models, bit for bit, and the same
+    /// composed lists.
+    pub(crate) fn assert_banks_bit_equal(a: &ModelBank, b: &ModelBank) {
         assert_eq!(a.nt.len(), b.nt.len());
         for (key, ma) in &a.nt {
             let mb = b.nt.get(key).expect("key in both banks");
@@ -480,10 +475,20 @@ mod tests {
         s.ta *= 1.1;
         db.upsert(key, s);
         db.upsert(key, synth_sample(1, 2, 1, 4000));
-        let dirty: BTreeSet<(usize, usize)> = [(1, 1)].into_iter().collect();
-        let incremental = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
+        let (incremental, work) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
+        // One key's N-T model on its own design, and its group's P-T
+        // model: nothing else was refit.
+        assert_eq!(
+            work,
+            FitWork {
+                nt_fits: 1,
+                nt_factorizations: 2,
+                pt_fits: 1,
+            }
+        );
         // The untouched measured group (1, 2) was carried over, not
         // refit: still bitwise equal to the old bank's model.
         assert_eq!(
@@ -508,8 +513,8 @@ mod tests {
         let mut s = db.samples(&key)[2];
         s.tc *= 1.25;
         db.upsert(key, s);
-        let dirty: BTreeSet<(usize, usize)> = [(1, 1)].into_iter().collect();
-        let incremental = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
+        let (incremental, _) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
         assert_ne!(
@@ -531,8 +536,20 @@ mod tests {
                 db.upsert(SampleKey { kind: 1, pes, m: 3 }, synth_sample(1, pes, 3, n));
             }
         }
-        let dirty: BTreeSet<(usize, usize)> = [(1, 3)].into_iter().collect();
-        let incremental = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let dirty: BTreeSet<SampleKey> = [1usize, 2, 4]
+            .into_iter()
+            .map(|pes| SampleKey { kind: 1, pes, m: 3 })
+            .collect();
+        let (incremental, work) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        // Three keys at the same five sizes: one shared design.
+        assert_eq!(
+            work,
+            FitWork {
+                nt_fits: 3,
+                nt_factorizations: 2,
+                pt_fits: 1,
+            }
+        );
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
         assert!(incremental.pt.contains_key(&(1, 3)));

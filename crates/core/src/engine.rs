@@ -16,13 +16,14 @@
 //!   snapshot or the new one, both complete, and an old snapshot stays
 //!   valid (and bit-stable) for as long as anyone holds it.
 //! * **Incremental ingestion.** [`Engine::ingest`] upserts samples into
-//!   the database, which reports each slot whose bits changed; a
-//!   `(kind, m)` group is dirty when one of its keys ends the batch
-//!   holding different bits than before it. Only the dirty groups are
-//!   refit ([`ModelBackend::refit_groups`]) — plus the composed models
-//!   and the §4.1 adjustment, which depend on other groups and are
-//!   always rebuilt. A no-op ingest (every key's bits unchanged, even
-//!   if a batch changed a slot and then restored it) swaps nothing.
+//!   the database, which reports each slot whose bits changed; a key is
+//!   dirty when it ends the batch holding different bits than before
+//!   it. Only the dirty keys' N-T models and their `(kind, m)` groups'
+//!   measured P-T models are refit ([`ModelBackend::refit_groups`]) —
+//!   plus the composed models and the §4.1 adjustment, which depend on
+//!   other groups and are always rebuilt. A no-op ingest (every key's
+//!   bits unchanged, even if a batch changed a slot and then restored
+//!   it) swaps nothing.
 //! * **Quarantine & graceful degradation.** Inadmissible samples (NaN /
 //!   infinite / negative / implausibly huge times) never reach the
 //!   database; a [`QuarantinePolicy`] counts *distinct* bad observations
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use etm_cluster::{ClusterSpec, Configuration};
 
 use crate::adjust::AdjustmentRule;
-use crate::backend::{compose_fallback, ModelBackend};
+use crate::backend::{compose_fallback, full_refit, FitWork, ModelBackend};
 use crate::measurement::{same_bits, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
@@ -158,6 +159,7 @@ pub struct EngineSnapshot {
     generation: u64,
     backend: &'static str,
     refit: Vec<(usize, usize)>,
+    work: FitWork,
     health: EngineHealth,
 }
 
@@ -192,10 +194,17 @@ impl EngineSnapshot {
         self.backend
     }
 
-    /// The dirty `(kind, m)` groups this generation refit incrementally;
-    /// empty for a full fit.
+    /// The `(kind, m)` groups holding a key this generation refit
+    /// incrementally; empty for a full fit.
     pub fn refit_groups(&self) -> &[(usize, usize)] {
         &self.refit
+    }
+
+    /// The fitting work behind this generation: the whole bank's for a
+    /// full fit, the dirty keys' and groups' for an incremental refit,
+    /// none for a publication that only moved the quarantine set.
+    pub fn fit_work(&self) -> FitWork {
+        self.work
     }
 
     /// The snapshot's health metadata: quarantined groups, composed
@@ -246,11 +255,11 @@ struct EngineState {
     /// they already hold.
     current: Arc<EngineSnapshot>,
     db: Arc<MeasurementDb>,
-    /// Groups a *failed* refit left dirty: their samples are upserted
-    /// but the published bank predates them. Merged into the next
-    /// ingest's dirty set so the retry refits everything outstanding,
-    /// not just the groups that ingest touches.
-    pending_dirty: BTreeSet<(usize, usize)>,
+    /// Keys a *failed* refit left dirty: their samples are upserted but
+    /// the published bank predates them. Merged into the next ingest's
+    /// dirty set so the retry refits everything outstanding, not just
+    /// the keys that ingest touches.
+    pending_dirty: BTreeSet<SampleKey>,
     /// The last bank fit purely from admitted measurements — the refit
     /// base. Serving banks are derived from it by substituting composed
     /// fallbacks for quarantined groups; keeping the pristine bank
@@ -297,8 +306,8 @@ impl Engine {
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
     ) -> Result<Self, PipelineError> {
-        let bank = backend.fit(&db)?;
-        Self::with_bank(backend, db, policy, bank)
+        let fitted = full_refit(&*backend, &db)?;
+        Self::with_bank(backend, db, policy, fitted)
     }
 
     /// Builds an engine from a completed measurement campaign: fits the
@@ -315,16 +324,16 @@ impl Engine {
         db: MeasurementDb,
         backend: Box<dyn ModelBackend>,
     ) -> Result<Self, PipelineError> {
-        let bank = backend.fit(&db)?;
-        let policy = paper_adjustment_policy(spec, &bank, plan, nb);
-        Self::with_bank(backend, db, Some(policy), bank)
+        let fitted = full_refit(&*backend, &db)?;
+        let policy = paper_adjustment_policy(spec, &fitted.0, plan, nb);
+        Self::with_bank(backend, db, Some(policy), fitted)
     }
 
     fn with_bank(
         backend: Box<dyn ModelBackend>,
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
-        bank: ModelBank,
+        (bank, work): (ModelBank, FitWork),
     ) -> Result<Self, PipelineError> {
         let pristine = bank.clone();
         let estimator = assemble_estimator(bank, policy.as_ref())?;
@@ -333,6 +342,7 @@ impl Engine {
             generation: 0,
             backend: backend.name(),
             refit: Vec::new(),
+            work,
             health: EngineHealth::default(),
         });
         Ok(Engine {
@@ -398,13 +408,13 @@ impl Engine {
     }
 
     /// Ingests measurements and refits incrementally: admitted samples
-    /// are upserted into the database, and only the `(kind, m)` groups
-    /// with a key whose samples differ bitwise from before the call are
-    /// refit (plus composed models and the adjustment rule, which span
-    /// groups). Publishes and returns the new snapshot; if no key's
-    /// bits changed (or `samples` is empty) *and* the quarantine set
-    /// did not move, nothing is refit and the current snapshot is
-    /// returned.
+    /// are upserted into the database, and only the keys whose samples
+    /// differ bitwise from before the call are refit, with their
+    /// `(kind, m)` groups' P-T models (plus composed models and the
+    /// adjustment rule, which span groups). Publishes and returns the
+    /// new snapshot; if no key's bits changed (or `samples` is empty)
+    /// *and* the quarantine set did not move, nothing is refit and the
+    /// current snapshot is returned.
     ///
     /// Samples the [`QuarantinePolicy`] rejects (non-finite, negative,
     /// or implausibly huge times) are never upserted — they count
@@ -415,7 +425,7 @@ impl Engine {
     /// degradation (and recovery) promptly; see [`EngineSnapshot::health`].
     ///
     /// On a fitting error the database keeps the new samples but no
-    /// snapshot is published; the failed groups are remembered and
+    /// snapshot is published; the failed keys are remembered and
     /// merged into the next ingest's dirty set, so a later ingest —
     /// even an otherwise no-op one — retries the refit of everything
     /// still dirty. (`ingest(&[])` is therefore a *flush*: it refits
@@ -451,10 +461,10 @@ impl Engine {
                 }
             }
         }
-        let mut dirty: BTreeSet<(usize, usize)> = state.pending_dirty.clone();
+        let mut dirty: BTreeSet<SampleKey> = state.pending_dirty.clone();
         for (key, saved) in &before {
             if !same_bits(state.db.samples(key), saved) {
-                dirty.insert((key.kind, key.m));
+                dirty.insert(*key);
             }
         }
         let quarantined: BTreeSet<(usize, usize)> = state
@@ -483,7 +493,9 @@ impl Engine {
                 }
             }
         };
-        let base = refit_bank.as_ref().unwrap_or(&state.pristine);
+        let base = refit_bank
+            .as_ref()
+            .map_or(&state.pristine, |(bank, _)| bank);
         let (serving, composed_fallback) = fallback_bank(&state.db, base, &quarantined);
         let estimator = match assemble_estimator(serving, self.policy.as_ref()) {
             Ok(e) => e,
@@ -492,11 +504,15 @@ impl Engine {
                 return Err(e);
             }
         };
-        // Commit: the pristine bank now covers every dirty group.
-        if let Some(bank) = refit_bank {
-            state.pristine = bank;
-            state.pending_dirty.clear();
-        }
+        // Commit: the pristine bank now covers every dirty key.
+        let work = match refit_bank {
+            Some((bank, work)) => {
+                state.pristine = bank;
+                state.pending_dirty.clear();
+                work
+            }
+            None => FitWork::default(),
+        };
         let generation = state.current.generation + 1;
         if quarantined.is_empty() {
             state.last_healthy_gen = generation;
@@ -512,7 +528,13 @@ impl Engine {
             estimator,
             generation,
             backend: self.backend.name(),
-            refit: dirty.into_iter().collect(),
+            refit: dirty
+                .iter()
+                .map(|k| (k.kind, k.m))
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect(),
+            work,
             health,
         });
         state.current = Arc::clone(&snapshot);
@@ -541,7 +563,7 @@ impl Engine {
     /// Any fitting failure.
     pub fn refit_full(&self) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.borrow_mut();
-        let bank = self.backend.fit(&state.db)?;
+        let (bank, work) = full_refit(&*self.backend, &state.db)?;
         let (serving, composed_fallback) = fallback_bank(&state.db, &bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         state.pristine = bank;
@@ -561,6 +583,7 @@ impl Engine {
             generation,
             backend: self.backend.name(),
             refit: Vec::new(),
+            work,
             health,
         });
         state.current = Arc::clone(&snapshot);
@@ -622,6 +645,7 @@ fn assemble_estimator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::assert_banks_bit_equal;
     use crate::backend::PolyLsqBackend;
 
     fn synth_sample(kind: usize, pes: usize, m: usize, n: usize) -> Sample {
@@ -1016,17 +1040,12 @@ mod tests {
             "flaky_poly"
         }
 
-        fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-            self.check()?;
-            self.inner.fit(db)
-        }
-
         fn refit_groups(
             &self,
             db: &MeasurementDb,
             previous: &ModelBank,
-            dirty: &BTreeSet<(usize, usize)>,
-        ) -> Result<ModelBank, PipelineError> {
+            dirty: &BTreeSet<SampleKey>,
+        ) -> Result<(ModelBank, FitWork), PipelineError> {
             self.check()?;
             self.inner.refit_groups(db, previous, dirty)
         }
@@ -1089,6 +1108,157 @@ mod tests {
                 assert_eq!(m.kc[i].to_bits(), got.kc[i].to_bits(), "{g:?} kc[{i}]");
             }
         }
+    }
+
+    /// Pending dirt is kept per key: a failed refit that changed key A,
+    /// then a successful ingest that changes only key B of another
+    /// group, refits A's N-T model as well as B's, and the bank equals a
+    /// full fit bit for bit.
+    #[test]
+    fn failed_refit_keeps_its_dirty_keys_for_the_next_ingest() {
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flaky = Box::new(FlakyBackend {
+            inner: PolyLsqBackend::paper(),
+            fail: Arc::clone(&fail),
+        });
+        let e = Engine::new(flaky, synth_db(), None).expect("synth db fits");
+        let key_a = SampleKey {
+            kind: 1,
+            pes: 4,
+            m: 1,
+        };
+        let mut s_a = synth_sample(1, 4, 1, 2400);
+        s_a.tc *= 1.3;
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        e.ingest(&[(key_a, s_a)]).expect_err("backend is down");
+        fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        let key_b = SampleKey {
+            kind: 0,
+            pes: 1,
+            m: 2,
+        };
+        let mut s_b = synth_sample(0, 1, 2, 400);
+        s_b.ta *= 0.9;
+        let snap = e.ingest(&[(key_b, s_b)]).expect("backend recovered");
+        assert_eq!(snap.refit_groups(), &[(0, 2), (1, 1)]);
+        // Kind 0 is single-PE (composed, no P-T fit); group (1, 1) is
+        // measured.
+        assert_eq!(
+            snap.fit_work(),
+            FitWork {
+                nt_fits: 2,
+                nt_factorizations: 2,
+                pt_fits: 1,
+            }
+        );
+        let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+        assert_banks_bit_equal(snap.bank(), &full);
+        // A flush afterwards has nothing left to refit.
+        let flushed = e.ingest(&[]).expect("nothing pending");
+        assert!(Arc::ptr_eq(&snap, &flushed));
+    }
+
+    /// One kind measured on `pes_list` PEs at `m = 1` over `sizes`: a
+    /// single group of `pes_list.len()` keys sharing one size list.
+    fn one_group_db(pes_list: &[usize], sizes: &[usize]) -> MeasurementDb {
+        let mut db = MeasurementDb::new();
+        for &pes in pes_list {
+            for &n in sizes {
+                db.record(SampleKey { kind: 1, pes, m: 1 }, synth_sample(1, pes, 1, n));
+            }
+        }
+        db
+    }
+
+    /// In an 8-key group, a change the same batch reverts refits
+    /// nothing: alone it publishes nothing, and beside a real change to
+    /// another key only that key's N-T model is refit.
+    #[test]
+    fn reverted_key_of_a_large_group_refits_nothing() {
+        let sizes = [400usize, 800, 1600, 2400, 3200];
+        let e = Engine::new(
+            Box::new(PolyLsqBackend::paper()),
+            one_group_db(&[1, 2, 3, 4, 5, 6, 7, 8], &sizes),
+            None,
+        )
+        .expect("one group fits");
+        assert_eq!(
+            e.snapshot().fit_work(),
+            FitWork {
+                nt_fits: 8,
+                nt_factorizations: 2,
+                pt_fits: 1,
+            }
+        );
+        let key = |pes| SampleKey { kind: 1, pes, m: 1 };
+        let original = synth_sample(1, 3, 1, 1600);
+        let mut changed = original;
+        changed.ta *= 1.2;
+        let before = e.snapshot();
+        let after = e
+            .ingest(&[(key(3), changed), (key(3), original)])
+            .expect("nothing to refit");
+        assert!(
+            Arc::ptr_eq(&before, &after),
+            "reverted change must not swap"
+        );
+        let mut other = synth_sample(1, 6, 1, 800);
+        other.tc *= 1.1;
+        let snap = e
+            .ingest(&[(key(3), changed), (key(6), other), (key(3), original)])
+            .expect("refit ok");
+        assert_eq!(snap.refit_groups(), &[(1, 1)]);
+        assert_eq!(
+            snap.fit_work(),
+            FitWork {
+                nt_fits: 1,
+                nt_factorizations: 2,
+                pt_fits: 1,
+            }
+        );
+        assert_eq!(
+            snap.bank().nt[&key(3)],
+            before.bank().nt[&key(3)],
+            "the reverted key's model is carried over"
+        );
+        let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+        assert_banks_bit_equal(snap.bank(), &full);
+    }
+
+    /// A key that gains a size the rest of the campaign lacks gets a
+    /// design of its own; keys still on the shared grid share another.
+    #[test]
+    fn key_with_an_extra_size_gets_its_own_design() {
+        let sizes = [400usize, 600, 800, 1200, 1600, 2400, 3200, 4800, 6400];
+        let e = Engine::new(
+            Box::new(PolyLsqBackend::paper()),
+            one_group_db(&[1, 2, 4], &sizes),
+            None,
+        )
+        .expect("one group fits");
+        let key = |pes| SampleKey { kind: 1, pes, m: 1 };
+        let mut moved = synth_sample(1, 1, 1, 800);
+        moved.ta *= 1.05;
+        let mut moved_too = synth_sample(1, 4, 1, 3200);
+        moved_too.tc *= 0.95;
+        let snap = e
+            .ingest(&[
+                (key(1), moved),
+                (key(2), synth_sample(1, 2, 1, 9600)),
+                (key(4), moved_too),
+            ])
+            .expect("refit ok");
+        assert_eq!(e.db().samples(&key(2)).len(), 10);
+        assert_eq!(
+            snap.fit_work(),
+            FitWork {
+                nt_fits: 3,
+                nt_factorizations: 4,
+                pt_fits: 1,
+            }
+        );
+        let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+        assert_banks_bit_equal(snap.bank(), &full);
     }
 
     /// The ownership contract: a held snapshot keeps answering with its

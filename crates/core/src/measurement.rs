@@ -116,10 +116,16 @@ impl FromJson for Sample {
 /// All measurements of one campaign.
 ///
 /// Serialized as a list of `(key, samples)` pairs (JSON objects cannot
-/// key on structs).
+/// key on structs). The distinct problem sizes and the `(kind, m)`
+/// groups are kept beside the samples, updated as samples arrive, and
+/// not serialized.
 #[derive(Clone, Debug, Default)]
 pub struct MeasurementDb {
     samples: BTreeMap<SampleKey, Vec<Sample>>,
+    /// Every problem size held by any sample, ascending and distinct.
+    sizes: Vec<usize>,
+    /// Every key by `(kind, m)` group, ascending by `pes` within one.
+    groups: BTreeMap<(usize, usize), Vec<SampleKey>>,
 }
 
 impl ToJson for MeasurementDb {
@@ -130,9 +136,15 @@ impl ToJson for MeasurementDb {
 
 impl FromJson for MeasurementDb {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(MeasurementDb {
-            samples: v.field("entries")?,
-        })
+        let samples: BTreeMap<SampleKey, Vec<Sample>> = v.field("entries")?;
+        let mut db = MeasurementDb::new();
+        for (key, list) in &samples {
+            for (i, s) in list.iter().enumerate() {
+                db.index(*key, s.n, i == 0);
+            }
+        }
+        db.samples = samples;
+        Ok(db)
     }
 }
 
@@ -152,6 +164,8 @@ impl MeasurementDb {
         );
         entry.push(sample);
         entry.sort_by_key(|s| s.n);
+        let first = entry.len() == 1;
+        self.index(key, sample.n, first);
     }
 
     /// Records a trial, replacing any existing sample of the same key
@@ -170,19 +184,37 @@ impl MeasurementDb {
             None => {
                 entry.push(sample);
                 entry.sort_by_key(|s| s.n);
+                let first = entry.len() == 1;
+                self.index(key, sample.n, first);
                 true
             }
         }
     }
 
+    /// Keeps the size list and the group index current after `key`
+    /// gained a sample at size `n` (`first`: its first sample).
+    fn index(&mut self, key: SampleKey, n: usize, first: bool) {
+        if let Err(at) = self.sizes.binary_search(&n) {
+            self.sizes.insert(at, n);
+        }
+        if first {
+            let keys = self.groups.entry((key.kind, key.m)).or_default();
+            if let Err(at) = keys.binary_search(&key) {
+                keys.insert(at, key);
+            }
+        }
+    }
+
+    /// Every problem size measured anywhere in the database, ascending
+    /// and distinct — the §3.5 Ta-scale fitting grid.
+    pub(crate) fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
     /// Keys grouped by `(kind, m)` — the paper's P-T fitting groups,
     /// ascending. Within a group, keys ascend by `pes`.
-    pub fn groups(&self) -> BTreeMap<(usize, usize), Vec<SampleKey>> {
-        let mut groups: BTreeMap<(usize, usize), Vec<SampleKey>> = BTreeMap::new();
-        for key in self.samples.keys() {
-            groups.entry((key.kind, key.m)).or_default().push(*key);
-        }
-        groups
+    pub fn groups(&self) -> &BTreeMap<(usize, usize), Vec<SampleKey>> {
+        &self.groups
     }
 
     /// Samples for a configuration (ascending N), empty if none.
@@ -197,11 +229,7 @@ impl MeasurementDb {
 
     /// Keys of a kind with the given multiplicity, ascending by `pes`.
     pub fn keys_of(&self, kind: KindId, m: usize) -> Vec<SampleKey> {
-        self.samples
-            .keys()
-            .filter(|k| k.kind == kind.0 && k.m == m)
-            .copied()
-            .collect()
+        self.groups.get(&(kind.0, m)).cloned().unwrap_or_default()
     }
 
     /// Total measurement wall time per kind and N — the paper's Table 3 /
@@ -353,6 +381,43 @@ mod tests {
             db.samples(&key(1, 1)),
             &[zero, sample(800, 1.5)]
         ));
+    }
+
+    /// The kept size list and group index are always what a rescan of
+    /// every sample gives.
+    #[test]
+    fn kept_sizes_and_groups_track_every_write() {
+        let assert_rescans = |db: &MeasurementDb| {
+            let mut ns: Vec<usize> = db
+                .keys()
+                .flat_map(|k| db.samples(k).iter().map(|s| s.n))
+                .collect();
+            ns.sort_unstable();
+            ns.dedup();
+            assert_eq!(db.sizes(), ns);
+            let mut groups: BTreeMap<(usize, usize), Vec<SampleKey>> = BTreeMap::new();
+            for k in db.keys() {
+                groups.entry((k.kind, k.m)).or_default().push(*k);
+            }
+            assert_eq!(db.groups(), &groups);
+        };
+        let mut db = MeasurementDb::new();
+        assert_rescans(&db);
+        db.record(key(1, 1), sample(800, 2.0));
+        db.record(key(2, 1), sample(400, 1.0));
+        db.record(key(2, 1), sample(800, 1.0));
+        assert_rescans(&db);
+        assert_eq!(db.sizes(), [400, 800]);
+        assert!(db.upsert(key(1, 2), sample(1600, 3.0)), "insert");
+        assert!(db.upsert(key(1, 1), sample(600, 3.0)), "insert");
+        assert!(db.upsert(SampleKey::new(KindId(0), 1, 2), sample(800, 1.0)));
+        assert!(db.upsert(key(1, 1), sample(800, 9.0)), "replace");
+        assert_rescans(&db);
+        assert_eq!(db.sizes(), [400, 600, 800, 1600]);
+        let json = etm_support::json::to_string(&db);
+        let back: MeasurementDb = etm_support::json::from_str(&json).unwrap();
+        assert_rescans(&back);
+        assert_eq!(back.sizes(), db.sizes());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! for computation and communication time, plus the §3.4 memory-regime
 //! piecewise extension.
 
-use etm_lsq::{lstsq, LsqError};
+use etm_lsq::{FactoredDesign, LsqError};
 use etm_support::json_struct;
 
 use crate::measurement::Sample;
@@ -25,32 +25,15 @@ pub struct NtModel {
 json_struct!(NtModel { ka, kc });
 
 impl NtModel {
-    /// Fits both polynomials from measured samples.
+    /// Fits both polynomials from measured samples: one `NtDesign`
+    /// over their sizes, solved once.
     ///
     /// # Errors
     /// [`LsqError::Underdetermined`] with fewer than 4 samples — the
     /// paper's "at least four different N" requirement (Ta has four
     /// coefficients).
     pub fn fit(samples: &[Sample]) -> Result<NtModel, LsqError> {
-        let mut rows_a: Vec<[f64; 4]> = samples
-            .iter()
-            .map(|s| {
-                let n = s.n as f64;
-                [n * n * n, n * n, n, 1.0]
-            })
-            .collect();
-        let mut ya: Vec<f64> = samples.iter().map(|s| s.ta).collect();
-        let ka = lstsq(&mut rows_a, &mut ya)?;
-        let mut rows_c: Vec<[f64; 3]> = samples
-            .iter()
-            .map(|s| {
-                let n = s.n as f64;
-                [n * n, n, 1.0]
-            })
-            .collect();
-        let mut yc: Vec<f64> = samples.iter().map(|s| s.tc).collect();
-        let kc = lstsq(&mut rows_c, &mut yc)?;
-        Ok(NtModel { ka, kc })
+        NtDesign::new(samples)?.fit(samples)
     }
 
     /// Predicted computation time `Ta(N)`.
@@ -68,6 +51,74 @@ impl NtModel {
     /// Predicted total `T(N) = Ta + Tc`.
     pub fn total(&self, n: usize) -> f64 {
         self.ta(n) + self.tc(n)
+    }
+}
+
+/// The two §3.2 least-squares designs of one list of problem sizes —
+/// `[N³, N², N, 1]` for `Ta` and `[N², N, 1]` for `Tc` — each factored
+/// once. Every key measured at exactly these sizes fits its N-T model
+/// against them: in the Basic campaign all 54 configurations share the
+/// same 9 sizes, so one design serves every fit.
+///
+/// A fit reads only the factors and the key's own times, so it is
+/// bitwise what [`NtModel::fit`] gives on that key's samples alone.
+#[derive(Debug)]
+pub(crate) struct NtDesign {
+    ns: Vec<usize>,
+    ta: FactoredDesign<Vec<[f64; 4]>, 4>,
+    tc: FactoredDesign<Vec<[f64; 3]>, 3>,
+}
+
+impl NtDesign {
+    /// Factors the designs over the sizes of `samples`, in order.
+    ///
+    /// # Errors
+    /// [`LsqError::Underdetermined`] with fewer than 4 samples.
+    pub(crate) fn new(samples: &[Sample]) -> Result<NtDesign, LsqError> {
+        let ns: Vec<usize> = samples.iter().map(|s| s.n).collect();
+        let ta = FactoredDesign::factor(
+            ns.iter()
+                .map(|&n| {
+                    let n = n as f64;
+                    [n * n * n, n * n, n, 1.0]
+                })
+                .collect(),
+        )?;
+        let tc = FactoredDesign::factor(
+            ns.iter()
+                .map(|&n| {
+                    let n = n as f64;
+                    [n * n, n, 1.0]
+                })
+                .collect(),
+        )?;
+        Ok(NtDesign { ns, ta, tc })
+    }
+
+    /// Whether `samples` were measured at exactly this design's sizes,
+    /// in order.
+    pub(crate) fn matches(&self, samples: &[Sample]) -> bool {
+        self.ns.len() == samples.len() && self.ns.iter().zip(samples).all(|(&n, s)| n == s.n)
+    }
+
+    /// Fits one key's N-T model from its samples, which must match
+    /// ([`NtDesign::matches`]) the design.
+    ///
+    /// # Errors
+    /// [`LsqError::RankDeficient`] on a numerically singular design,
+    /// `Ta`'s before `Tc`'s; [`LsqError::DimensionMismatch`] when
+    /// `samples` has another length than the design.
+    pub(crate) fn fit(&self, samples: &[Sample]) -> Result<NtModel, LsqError> {
+        debug_assert!(
+            samples.len() != self.ns.len() || self.matches(samples),
+            "samples at other sizes than the design"
+        );
+        let mut y: Vec<f64> = samples.iter().map(|s| s.ta).collect();
+        let ka = self.ta.solve(&mut y)?;
+        y.clear();
+        y.extend(samples.iter().map(|s| s.tc));
+        let kc = self.tc.solve(&mut y)?;
+        Ok(NtModel { ka, kc })
     }
 }
 

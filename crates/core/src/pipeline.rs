@@ -111,8 +111,9 @@ impl From<LsqError> for PipelineError {
 /// All fitted models of one campaign.
 ///
 /// Serialized as lists of `(key, model)` pairs (JSON objects cannot key
-/// on structs or tuples).
-#[derive(Clone, Debug)]
+/// on structs or tuples). The default bank is empty: the fit of an
+/// empty database.
+#[derive(Clone, Debug, Default)]
 pub struct ModelBank {
     /// N-T models per homogeneous configuration.
     pub nt: BTreeMap<SampleKey, NtModel>,

@@ -203,7 +203,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
-    use crate::backend::{ModelBackend, PolyLsqBackend};
+    use crate::backend::tests::assert_banks_bit_equal;
+    use crate::backend::{FitWork, ModelBackend, PolyLsqBackend};
     use crate::pipeline::ModelBank;
 
     fn synth_sample(kind: usize, pes: usize, m: usize, n: usize) -> Sample {
@@ -234,31 +235,6 @@ mod tests {
             }
         }
         db
-    }
-
-    fn assert_banks_bit_equal(a: &crate::pipeline::ModelBank, b: &crate::pipeline::ModelBank) {
-        assert_eq!(a.nt.len(), b.nt.len());
-        for (key, ma) in &a.nt {
-            let mb = b.nt.get(key).expect("key in both banks");
-            for i in 0..4 {
-                assert_eq!(ma.ka[i].to_bits(), mb.ka[i].to_bits(), "{key:?} ka[{i}]");
-            }
-            for i in 0..3 {
-                assert_eq!(ma.kc[i].to_bits(), mb.kc[i].to_bits(), "{key:?} kc[{i}]");
-            }
-        }
-        assert_eq!(a.pt.len(), b.pt.len());
-        for (key, ma) in &a.pt {
-            let mb = b.pt.get(key).expect("group in both banks");
-            for i in 0..2 {
-                assert_eq!(ma.ka[i].to_bits(), mb.ka[i].to_bits(), "{key:?} ka[{i}]");
-            }
-            for i in 0..3 {
-                assert_eq!(ma.kc[i].to_bits(), mb.kc[i].to_bits(), "{key:?} kc[{i}]");
-            }
-        }
-        assert_eq!(a.composed_kinds, b.composed_kinds);
-        assert_eq!(a.composed_groups, b.composed_groups);
     }
 
     /// A stale copy of the synth campaign (every ta off by 10 %), so
@@ -479,19 +455,25 @@ mod tests {
         assert_eq!(engine.snapshot().health().rejected_samples, 1);
     }
 
-    /// The paper backend, except that its first `failures` refits fail.
+    /// The paper backend, except that its next `failures` refits fail;
+    /// the test arms the shared count once the engine has its initial
+    /// fit.
     struct FailingRefits {
         inner: PolyLsqBackend,
-        failures: AtomicUsize,
+        failures: Arc<AtomicUsize>,
     }
 
-    impl FailingRefits {
-        fn new(failures: usize) -> Self {
-            FailingRefits {
-                inner: PolyLsqBackend::paper(),
-                failures: AtomicUsize::new(failures),
-            }
-        }
+    /// An engine over `db` whose backend fails the next `failures`
+    /// refits after the initial fit.
+    fn failing_engine(db: MeasurementDb, failures: usize) -> Engine {
+        let armed = Arc::new(AtomicUsize::new(0));
+        let backend = FailingRefits {
+            inner: PolyLsqBackend::paper(),
+            failures: Arc::clone(&armed),
+        };
+        let engine = Engine::new(Box::new(backend), db, None).expect("stale campaign fits");
+        armed.store(failures, Ordering::SeqCst);
+        engine
     }
 
     impl ModelBackend for FailingRefits {
@@ -499,16 +481,12 @@ mod tests {
             "failing_refits"
         }
 
-        fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-            self.inner.fit(db)
-        }
-
         fn refit_groups(
             &self,
             db: &MeasurementDb,
             previous: &ModelBank,
-            dirty: &BTreeSet<(usize, usize)>,
-        ) -> Result<ModelBank, PipelineError> {
+            dirty: &BTreeSet<SampleKey>,
+        ) -> Result<(ModelBank, FitWork), PipelineError> {
             let fail = self
                 .failures
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
@@ -537,12 +515,7 @@ mod tests {
             },
         );
         for failures in 0..=3 {
-            let engine = Engine::new(
-                Box::new(FailingRefits::new(failures)),
-                stale_db(&trials),
-                None,
-            )
-            .expect("stale campaign fits");
+            let engine = failing_engine(stale_db(&trials), failures);
             let mut observed = 0usize;
             let report = consume(&engine, &batches, |_| observed += 1).expect("stream drains");
             // Every batch changes bits against the stale seed, so each
@@ -563,8 +536,7 @@ mod tests {
     fn flush_publication_reaches_the_observer_over_an_empty_stream() {
         let db = synth_db();
         let trials = trials_of_db(&db);
-        let engine = Engine::new(Box::new(FailingRefits::new(1)), stale_db(&trials), None)
-            .expect("stale campaign fits");
+        let engine = failing_engine(stale_db(&trials), 1);
         engine
             .ingest(&trials)
             .expect_err("the first refit fails and leaves its groups dirty");

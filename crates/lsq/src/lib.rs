@@ -2,10 +2,12 @@
 //!
 //! The paper extracts every model coefficient (`k0`–`k11`) with GSL's
 //! `gsl_multifit_linear()`. This crate is the from-scratch Rust analogue:
-//! one in-place Householder-QR kernel, [`lstsq`], over fixed-width rows
-//! (one row per observation, one column per regressor), plus the
-//! [`condition_estimate`] the model-validity audit reads from the same
-//! factorization. Two small helpers sit beside it: [`fit_poly`] /
+//! one in-place Householder-QR kernel over fixed-width rows (one row per
+//! observation, one column per regressor). [`FactoredDesign`] factors a
+//! design once and solves it against any number of observation vectors;
+//! [`lstsq`] is that factorization with a single solve, and
+//! [`condition_estimate`] is what the model-validity audit reads from the
+//! same factorization. Two small helpers sit beside them: [`fit_poly`] /
 //! [`eval_poly`] on the power basis, and the goodness-of-fit statistics
 //! [`mean`], [`r_squared`] and [`rmse`], which the kernel never computes
 //! itself.
@@ -33,7 +35,7 @@ mod poly;
 mod qr;
 mod stats;
 
-pub use multifit::{lstsq, LsqError};
+pub use multifit::{lstsq, FactoredDesign, LsqError};
 pub use poly::{eval_poly, fit_poly};
 pub use qr::condition_estimate;
 pub use stats::{mean, r_squared, rmse};

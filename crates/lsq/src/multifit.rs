@@ -1,6 +1,7 @@
 //! The least-squares driver — the `gsl_multifit_linear` analogue — and
 //! its error type.
 
+use std::borrow::BorrowMut;
 use std::fmt;
 
 use crate::qr::{apply_qt, factor};
@@ -53,7 +54,8 @@ impl std::error::Error for LsqError {}
 /// `gsl_multifit_linear(X, y, c, …)` minus the covariance and χ².
 ///
 /// Both arguments are scratch: `rows` is overwritten with the QR factors
-/// and `y` with `Qᵀy`.
+/// and `y` with `Qᵀy`. This is [`FactoredDesign::factor`] followed by one
+/// [`FactoredDesign::solve`].
 ///
 /// # Errors
 /// In this order: [`LsqError::DimensionMismatch`] when `y` and `rows`
@@ -62,35 +64,84 @@ impl std::error::Error for LsqError {}
 /// numerically zero (collinear regressors), reporting the last such
 /// column.
 pub fn lstsq<const C: usize>(rows: &mut [[f64; C]], y: &mut [f64]) -> Result<[f64; C], LsqError> {
-    let m = rows.len();
-    if y.len() != m {
+    if y.len() != rows.len() {
         return Err(LsqError::DimensionMismatch {
-            expected: m,
+            expected: rows.len(),
             got: y.len(),
         });
     }
-    if m < C {
-        return Err(LsqError::Underdetermined { rows: m, cols: C });
-    }
-    let tau = factor(rows);
-    apply_qt(rows, &tau, y);
-    // Relative rank tolerance in the spirit of LAPACK: based on the
-    // largest diagonal magnitude.
-    let rmax = (0..C).map(|j| rows[j][j].abs()).fold(0.0_f64, f64::max);
-    let tol = rmax * (m.max(C) as f64) * f64::EPSILON;
-    let mut c = [0.0; C];
-    for j in (0..C).rev() {
-        let rjj = rows[j][j];
-        if rjj.abs() <= tol {
-            return Err(LsqError::RankDeficient { column: j });
+    FactoredDesign::factor(rows)?.solve(y)
+}
+
+/// A design matrix factored once, to be solved against any number of
+/// observation vectors: fits that share their regressors (every N-T
+/// model measured at the same problem sizes) pay for one Householder
+/// factorization between them.
+///
+/// `R` is the row storage the factors overwrite — `&mut [[f64; C]]` to
+/// factor the caller's rows in place, `Vec<[f64; C]>` to own them. A
+/// solve reads the factors and nothing else, so every solve returns
+/// bit for bit what [`lstsq`] returns on a fresh copy of the rows.
+#[derive(Clone, Debug)]
+pub struct FactoredDesign<R, const C: usize> {
+    rows: R,
+    tau: [f64; C],
+    /// Rank tolerance: a diagonal entry of `R` at or below it counts as
+    /// numerically zero.
+    tol: f64,
+}
+
+impl<R: BorrowMut<[[f64; C]]>, const C: usize> FactoredDesign<R, C> {
+    /// Factors `rows` (one observation per row) in place and sets the
+    /// rank tolerance from the resulting `R`.
+    ///
+    /// # Errors
+    /// [`LsqError::Underdetermined`] with fewer rows than columns. A
+    /// rank-deficient design factors; each solve reports it.
+    pub fn factor(mut rows: R) -> Result<Self, LsqError> {
+        let m = rows.borrow().len();
+        if m < C {
+            return Err(LsqError::Underdetermined { rows: m, cols: C });
         }
-        let mut s = y[j];
-        for k in (j + 1)..C {
-            s -= rows[j][k] * c[k];
-        }
-        c[j] = s / rjj;
+        let tau = factor(rows.borrow_mut());
+        let r = rows.borrow();
+        // Relative rank tolerance in the spirit of LAPACK: based on the
+        // largest diagonal magnitude.
+        let rmax = (0..C).map(|j| r[j][j].abs()).fold(0.0_f64, f64::max);
+        let tol = rmax * (m.max(C) as f64) * f64::EPSILON;
+        Ok(FactoredDesign { rows, tau, tol })
     }
-    Ok(c)
+
+    /// Solves the factored design against `y` (scratch: overwritten with
+    /// `Qᵀy`).
+    ///
+    /// # Errors
+    /// In this order: [`LsqError::DimensionMismatch`] when `y` does not
+    /// have one entry per row; [`LsqError::RankDeficient`] at the last
+    /// numerically zero diagonal entry of `R`.
+    pub fn solve(&self, y: &mut [f64]) -> Result<[f64; C], LsqError> {
+        let rows = self.rows.borrow();
+        if y.len() != rows.len() {
+            return Err(LsqError::DimensionMismatch {
+                expected: rows.len(),
+                got: y.len(),
+            });
+        }
+        apply_qt(rows, &self.tau, y);
+        let mut c = [0.0; C];
+        for j in (0..C).rev() {
+            let rjj = rows[j][j];
+            if rjj.abs() <= self.tol {
+                return Err(LsqError::RankDeficient { column: j });
+            }
+            let mut s = y[j];
+            for k in (j + 1)..C {
+                s -= rows[j][k] * c[k];
+            }
+            c[j] = s / rjj;
+        }
+        Ok(c)
+    }
 }
 
 #[cfg(test)]

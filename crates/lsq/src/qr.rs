@@ -1,6 +1,7 @@
 //! In-place Householder QR factorization.
 //!
-//! [`lstsq`](crate::lstsq) computes `min ‖Xc − y‖₂` the numerically
+//! [`FactoredDesign`](crate::FactoredDesign) (and through it
+//! [`lstsq`](crate::lstsq)) computes `min ‖Xc − y‖₂` the numerically
 //! stable way: factor `X = QR` with Householder reflections, apply `Qᵀ`
 //! to `y`, and back-substitute against the upper-triangular `R`. The
 //! reflectors overwrite the lower trapezoid of the caller's rows and `R`

@@ -2,9 +2,11 @@
 //! QR over a row-major matrix, kept here verbatim in its arithmetic as
 //! the oracle for [`etm_lsq::lstsq`]. Over seeded 2-, 3- and 4-column
 //! systems the kernel must return bit-identical coefficients, or the
-//! same [`LsqError`] with the same column.
+//! same [`LsqError`] with the same column. A [`FactoredDesign`] factored
+//! once and solved against several observation vectors must in turn
+//! match [`lstsq`] on a fresh copy of each case.
 
-use etm_lsq::{lstsq, LsqError};
+use etm_lsq::{lstsq, FactoredDesign, LsqError};
 use etm_support::prop::check;
 use etm_support::rng::Rng64;
 
@@ -152,6 +154,37 @@ fn assert_matches<const C: usize>(rows: &[[f64; C]], y: &[f64]) {
     }
 }
 
+/// Asserts that one design, factored once and solved against every
+/// vector of `ys` in turn, gives bit for bit the coefficients and errors
+/// of [`lstsq`] on a fresh copy of each `(rows, y)` case.
+fn assert_factored_matches<const C: usize>(rows: &[[f64; C]], ys: &[Vec<f64>]) {
+    let design = FactoredDesign::factor(rows.to_vec());
+    for y in ys {
+        let want = lstsq(&mut rows.to_vec(), &mut y.clone());
+        let got = match &design {
+            Ok(d) => d.solve(&mut y.clone()),
+            Err(e) if y.len() == rows.len() => Err(e.clone()),
+            // `lstsq` checks the length before it factors; a design that
+            // does not factor never sees `y`.
+            Err(_) => {
+                assert!(
+                    matches!(want, Err(LsqError::DimensionMismatch { .. })),
+                    "{want:?} for {rows:?}"
+                );
+                continue;
+            }
+        };
+        match (&want, &got) {
+            (Ok(w), Ok(g)) => {
+                let w: Vec<u64> = w.iter().map(|c| c.to_bits()).collect();
+                let g: Vec<u64> = g.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(g, w, "coefficients differ for {rows:?}, y = {y:?}");
+            }
+            _ => assert_eq!(got, want, "outcomes differ for {rows:?}, y = {y:?}"),
+        }
+    }
+}
+
 /// The shapes a case may take; each variant stresses one failure mode.
 #[derive(Clone, Copy)]
 enum Shape {
@@ -242,4 +275,70 @@ fn kernel_matches_the_reference_on_the_edge_systems() {
     let rows: Vec<[f64; 4]> = ns.iter().map(|&n| [n * n * n, n * n, n, 1.0]).collect();
     let y: Vec<f64> = ns.iter().map(|n| 1e-9 * n * n * n + 0.3).collect();
     assert_matches(&rows, &y);
+}
+
+/// Several observation vectors for one design: the case's own `y` and
+/// three fresh ones of the design's length.
+fn with_more_ys(rows_len: usize, y: Vec<f64>, rng: &mut Rng64) -> Vec<Vec<f64>> {
+    let mut ys = vec![y];
+    for _ in 0..3 {
+        ys.push(
+            (0..rows_len)
+                .map(|_| rng.range_f64(-100.0, 100.0))
+                .collect(),
+        );
+    }
+    ys
+}
+
+#[test]
+fn one_factorization_solves_like_lstsq_on_every_right_hand_side() {
+    check(256, 0x4644_5347, |rng| {
+        let (rows, y) = random_system::<2>(rng);
+        assert_factored_matches(&rows, &with_more_ys(rows.len(), y, rng));
+        let (rows, y) = random_system::<3>(rng);
+        assert_factored_matches(&rows, &with_more_ys(rows.len(), y, rng));
+        let (rows, y) = random_system::<4>(rng);
+        assert_factored_matches(&rows, &with_more_ys(rows.len(), y, rng));
+    });
+}
+
+#[test]
+fn one_factorization_matches_lstsq_on_the_edge_systems() {
+    let three = vec![vec![1.0, 2.0, 3.0], vec![-4.0, 0.5, 9.0]];
+    // Rank-deficient designs: the same `RankDeficient` column.
+    let zero_column = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]];
+    assert_factored_matches(&zero_column, &three);
+    assert_eq!(
+        FactoredDesign::factor(zero_column.to_vec()).and_then(|d| d.solve(&mut [1.0, 2.0, 3.0])),
+        Err(LsqError::RankDeficient { column: 1 })
+    );
+    assert_factored_matches(&[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], &three);
+    // Underdetermined: the design does not factor.
+    assert_factored_matches(&[[1.0, 2.0, 3.0]], &[vec![1.0], vec![]]);
+    assert!(matches!(
+        FactoredDesign::factor(vec![[1.0, 2.0, 3.0]]),
+        Err(LsqError::Underdetermined { rows: 1, cols: 3 })
+    ));
+    // A length mismatch, on either side of a good solve.
+    let line = [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]];
+    assert_factored_matches(
+        &line,
+        &[
+            vec![1.0, 2.0],
+            vec![1.0, 2.0, 4.0],
+            vec![1.0, 2.0, 3.0, 4.0],
+        ],
+    );
+    // The paper's N-T cubic basis over the Basic sizes, one design for
+    // several kinds' curves.
+    let ns = [
+        400.0, 600.0, 800.0, 1200.0, 1600.0, 2400.0, 3200.0, 4800.0, 6400.0f64,
+    ];
+    let rows: Vec<[f64; 4]> = ns.iter().map(|&n| [n * n * n, n * n, n, 1.0]).collect();
+    let ys: Vec<Vec<f64>> = [1e-9, 3e-10, 7e-11]
+        .iter()
+        .map(|k| ns.iter().map(|n| k * n * n * n + 0.3).collect())
+        .collect();
+    assert_factored_matches(&rows, &ys);
 }
