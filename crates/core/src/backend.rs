@@ -59,7 +59,7 @@ pub struct FitWork {
 /// the same backend fit yields exactly what a full `fit` of the updated
 /// database would.
 pub trait ModelBackend: Send + Sync {
-    /// Stable identifier, used for cache keys and reporting.
+    /// Stable identifier, used in reports.
     fn name(&self) -> &'static str;
 
     /// Refits from `db` the N-T model of every key in `dirty` and the

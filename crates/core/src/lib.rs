@@ -57,7 +57,6 @@
 
 pub mod adjust;
 pub mod backend;
-pub mod cache;
 pub mod compose;
 pub mod engine;
 pub mod faults;

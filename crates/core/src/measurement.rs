@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use etm_cluster::KindId;
-use etm_support::json::{FromJson, Json, JsonError, ToJson};
+use etm_support::json::{Json, ToJson};
 use etm_support::json_struct;
 
 /// Identifies a measured configuration of a *homogeneous* trial: `pes`
@@ -99,20 +99,6 @@ impl ToJson for Sample {
     }
 }
 
-impl FromJson for Sample {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Sample {
-            n: v.field("n")?,
-            ta: v.field("ta")?,
-            tc: v.field("tc")?,
-            wall: v.field("wall")?,
-            // Databases written before the §3.4 binning work lack this
-            // flag; default to single-node, matching serde(default).
-            multi_node: v.field_or_default("multi_node")?,
-        })
-    }
-}
-
 /// All measurements of one campaign.
 ///
 /// Serialized as a list of `(key, samples)` pairs (JSON objects cannot
@@ -131,20 +117,6 @@ pub struct MeasurementDb {
 impl ToJson for MeasurementDb {
     fn to_json(&self) -> Json {
         Json::Obj(vec![("entries".to_string(), self.samples.to_json())])
-    }
-}
-
-impl FromJson for MeasurementDb {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let samples: BTreeMap<SampleKey, Vec<Sample>> = v.field("entries")?;
-        let mut db = MeasurementDb::new();
-        for (key, list) in &samples {
-            for (i, s) in list.iter().enumerate() {
-                db.index(*key, s.n, i == 0);
-            }
-        }
-        db.samples = samples;
-        Ok(db)
     }
 }
 
@@ -414,27 +386,5 @@ mod tests {
         assert!(db.upsert(key(1, 1), sample(800, 9.0)), "replace");
         assert_rescans(&db);
         assert_eq!(db.sizes(), [400, 600, 800, 1600]);
-        let json = etm_support::json::to_string(&db);
-        let back: MeasurementDb = etm_support::json::from_str(&json).unwrap();
-        assert_rescans(&back);
-        assert_eq!(back.sizes(), db.sizes());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut db = MeasurementDb::new();
-        db.record(key(3, 2), sample(1600, 7.5));
-        let json = etm_support::json::to_string(&db);
-        let back: MeasurementDb = etm_support::json::from_str(&json).unwrap();
-        assert_eq!(back.samples(&key(3, 2))[0].wall, 7.5);
-    }
-
-    /// Pre-binning databases have no `multi_node` key; reading them must
-    /// default the flag to false instead of erroring.
-    #[test]
-    fn missing_multi_node_defaults_false() {
-        let text = "{\"n\": 400, \"ta\": 1.0, \"tc\": 0.5, \"wall\": 1.6}";
-        let s: Sample = etm_support::json::from_str(text).unwrap();
-        assert!(!s.multi_node);
     }
 }

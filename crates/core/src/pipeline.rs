@@ -8,8 +8,7 @@ use std::fmt;
 use etm_cluster::{ClusterSpec, Configuration, KindId};
 use etm_hpl::{simulate_hpl, HplParams, SimulatedRun};
 use etm_lsq::LsqError;
-use etm_support::hash::Fnv1a;
-use etm_support::json::{to_canonical_string, FromJson, Json, JsonError, ToJson};
+use etm_support::json::{FromJson, Json, JsonError, ToJson};
 use etm_support::json_struct;
 use etm_support::pool;
 
@@ -18,7 +17,7 @@ use crate::backend::{ModelBackend, PolyLsqBackend};
 use crate::engine::Engine;
 use crate::measurement::{MeasurementDb, Sample, SampleKey};
 use crate::ntmodel::NtModel;
-use crate::plan::MeasurementPlan;
+use crate::plan::{ConstructionPoint, MeasurementPlan};
 use crate::ptmodel::PtModel;
 
 /// Errors from model fitting or estimation.
@@ -371,25 +370,14 @@ impl Estimator {
     }
 }
 
-/// Worker threads the measurement-campaign engine fans trials out over:
-/// the `ETM_CAMPAIGN_THREADS` environment variable when set to a
-/// positive integer, otherwise the machine's available parallelism.
-pub fn campaign_threads() -> usize {
-    std::env::var("ETM_CAMPAIGN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(pool::num_threads)
-}
-
 /// Runs every construction trial of `plan` on the simulated cluster and
 /// records the per-kind `Ta`/`Tc` of each.
 ///
 /// Trials are independent simulated HPL runs, so they are fanned out
-/// over [`campaign_threads`] workers; see
+/// over [`pool::num_threads`] workers; see
 /// [`run_construction_threads`] for the determinism guarantee.
 pub fn run_construction(spec: &ClusterSpec, plan: &MeasurementPlan, nb: usize) -> MeasurementDb {
-    run_construction_threads(spec, plan, nb, campaign_threads())
+    run_construction_threads(spec, plan, nb, pool::num_threads())
 }
 
 /// [`run_construction`] with an explicit worker count.
@@ -405,14 +393,7 @@ pub fn run_construction_threads(
     threads: usize,
 ) -> MeasurementDb {
     let samples = pool::par_map(&plan.construction, threads, |_, point| {
-        let cfg = Configuration {
-            uses: vec![etm_cluster::KindUse {
-                kind: point.key.kind_id(),
-                pes: point.key.pes,
-                procs_per_pe: point.key.m,
-            }],
-        };
-        let run = simulate_hpl(spec, &cfg, &HplParams::order(point.n).with_nb(nb));
+        let run = simulate_construction_point(spec, point, nb);
         sample_from_run(&run, point.key.kind_id(), point.n)
     });
     let mut db = MeasurementDb::new();
@@ -422,40 +403,21 @@ pub fn run_construction_threads(
     db
 }
 
-/// Format version folded into every [`campaign_fingerprint`]. Bump it
-/// whenever the simulator's cost models or the fitting pipeline change
-/// what a cached [`ModelBank`] means, so stale cache entries miss
-/// instead of resurrecting banks fit by older code.
-///
-/// Version history: 1 = original bank schema; 2 = backend-engine
-/// refactor (banks carry `composed_groups`, caches are keyed per
-/// backend).
-pub const CAMPAIGN_CACHE_VERSION: u32 = 2;
-
-/// Stable content fingerprint of a measurement campaign: 64-bit FNV-1a
-/// over the canonical JSON of the cluster spec, the plan, and the block
-/// size (plus [`CAMPAIGN_CACHE_VERSION`]).
-///
-/// Canonical JSON sorts object keys recursively, so the fingerprint
-/// depends only on field *values* — two specs that serialize their
-/// fields in different orders (e.g. a hand-edited spec file) fingerprint
-/// identically, while any mutation of any field changes the hash.
-pub fn campaign_fingerprint(spec: &ClusterSpec, plan: &MeasurementPlan, nb: usize) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(&CAMPAIGN_CACHE_VERSION.to_le_bytes());
-    h.update(to_canonical_string(spec).as_bytes());
-    // NUL separators keep field boundaries unambiguous in the preimage.
-    h.update(&[0]);
-    h.update(to_canonical_string(plan).as_bytes());
-    h.update(&[0]);
-    h.update(&(nb as u64).to_le_bytes());
-    h.finish()
-}
-
-/// [`campaign_fingerprint`] rendered as the fixed-width hex string used
-/// for cache file names (`target/etm-cache/<hex>.json`).
-pub fn campaign_fingerprint_hex(spec: &ClusterSpec, plan: &MeasurementPlan, nb: usize) -> String {
-    format!("{:016x}", campaign_fingerprint(spec, plan, nb))
+/// Simulates one construction trial: HPL of order `point.n` on the
+/// homogeneous configuration `point.key` names.
+pub fn simulate_construction_point(
+    spec: &ClusterSpec,
+    point: &ConstructionPoint,
+    nb: usize,
+) -> SimulatedRun {
+    let cfg = Configuration {
+        uses: vec![etm_cluster::KindUse {
+            kind: point.key.kind_id(),
+            pes: point.key.pes,
+            procs_per_pe: point.key.m,
+        }],
+    };
+    simulate_hpl(spec, &cfg, &HplParams::order(point.n).with_nb(nb))
 }
 
 /// Extracts the model-facing sample from a simulated run.
@@ -529,7 +491,7 @@ impl AdjustmentPolicy {
         } else {
             // The reference measurements are independent simulated runs —
             // fan them out like the construction campaign.
-            let walls = pool::par_map(&available, campaign_threads(), |_, &m1| {
+            let walls = pool::par_map(&available, pool::num_threads(), |_, &m1| {
                 let cfg = Configuration::p1m1_p2m2(1, m1, ref_p2, 1);
                 simulate_hpl(spec, &cfg, &HplParams::order(ref_n).with_nb(nb)).wall_seconds
             });

@@ -43,7 +43,7 @@ pub struct EvalPoint {
 }
 
 /// A full measurement campaign.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MeasurementPlan {
     /// Which campaign this is.
     pub kind: PlanKind,

@@ -1,15 +1,12 @@
-//! Integration tests of the parallel measurement campaign and its
-//! content-hashed fingerprint: the campaign must be bit-identical at
-//! every worker count, and the fingerprint must be invariant under JSON
-//! field order but sensitive to every input that changes the campaign.
+//! Integration tests of the parallel measurement campaign: it must be
+//! bit-identical at every worker count, and the simulator work behind
+//! each of the paper's campaigns is pinned.
 
 use etm_cluster::spec::paper_cluster;
-use etm_cluster::CommLibProfile;
-use etm_core::pipeline::{
-    campaign_fingerprint, campaign_fingerprint_hex, run_construction_threads,
-};
+use etm_cluster::{ClusterSpec, CommLibProfile};
+use etm_core::pipeline::{run_construction_threads, simulate_construction_point};
 use etm_core::plan::MeasurementPlan;
-use etm_support::json::{self, Json};
+use etm_support::json;
 use etm_support::pool;
 
 const NB: usize = 64;
@@ -38,63 +35,34 @@ fn campaign_is_bit_identical_at_any_worker_count() {
     }
 }
 
-#[test]
-fn fingerprint_survives_json_field_reordering() {
-    let spec = paper_cluster(CommLibProfile::mpich122());
-    let plan = small_plan();
-    let want = campaign_fingerprint(&spec, &plan, NB);
-
-    // Round-trip the spec through JSON with every object's keys
-    // reversed — a differently-ordered but semantically identical
-    // document, as another tool might emit it.
-    let mut doc = json::parse(&json::to_string(&spec)).expect("spec JSON parses");
-    reverse_keys(&mut doc);
-    let reordered: etm_cluster::ClusterSpec =
-        json::from_str(&json::to_string(&doc)).expect("reordered spec JSON deserializes");
-    assert_eq!(reordered, spec);
-    assert_eq!(campaign_fingerprint(&reordered, &plan, NB), want);
+/// Kernel events and process polls summed over every construction
+/// trial of `plan`.
+fn simulator_work(spec: &ClusterSpec, plan: &MeasurementPlan) -> (u64, u64) {
+    let runs = pool::par_map(&plan.construction, pool::num_threads(), |_, point| {
+        let run = simulate_construction_point(spec, point, NB);
+        (run.events, run.polls)
+    });
+    runs.iter()
+        .fold((0, 0), |(e, p), (de, dp)| (e + de, p + dp))
 }
 
-fn reverse_keys(v: &mut Json) {
-    match v {
-        Json::Obj(pairs) => {
-            pairs.reverse();
-            for (_, inner) in pairs {
-                reverse_keys(inner);
-            }
-        }
-        Json::Arr(items) => {
-            for inner in items {
-                reverse_keys(inner);
-            }
-        }
-        _ => {}
+/// Count gate on the simulator. Events are exact: a different count
+/// means the simulated behaviour changed. Polls are an upper bound, to
+/// be lowered by the change that earns it.
+#[test]
+fn campaign_simulator_work_is_pinned() {
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    for (plan, events, max_polls) in [
+        (MeasurementPlan::basic(), 1_808_005, 1_814_161),
+        (MeasurementPlan::nl(), 585_741, 590_911),
+        (MeasurementPlan::ns(), 137_502, 138_418),
+    ] {
+        let (got_events, got_polls) = simulator_work(&spec, &plan);
+        assert_eq!(got_events, events, "{:?} campaign events", plan.kind);
+        assert!(
+            got_polls <= max_polls,
+            "{:?} campaign polled {got_polls} times, bound {max_polls}",
+            plan.kind
+        );
     }
-}
-
-#[test]
-fn fingerprint_misses_on_any_input_mutation() {
-    let spec = paper_cluster(CommLibProfile::mpich122());
-    let plan = small_plan();
-    let base = campaign_fingerprint(&spec, &plan, NB);
-
-    let mut slower = spec.clone();
-    slower.kinds[0].peak_flops *= 0.5;
-    assert_ne!(campaign_fingerprint(&slower, &plan, NB), base);
-
-    let mut fewer_nodes = spec.clone();
-    fewer_nodes.nodes.pop();
-    assert_ne!(campaign_fingerprint(&fewer_nodes, &plan, NB), base);
-
-    let mut shifted = plan.clone();
-    shifted.construction[0].n += 1;
-    assert_ne!(campaign_fingerprint(&spec, &shifted, NB), base);
-
-    assert_ne!(campaign_fingerprint(&spec, &plan, NB + 1), base);
-
-    // And the hex form used for cache file names tracks the raw hash.
-    assert_eq!(
-        campaign_fingerprint_hex(&spec, &plan, NB),
-        format!("{base:016x}")
-    );
 }

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement, RankPrices};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, FabricSim, SimComm, SimFabric, SimMsg};
+use etm_mpisim::{run_sim_ranks, Comm, FabricSim, SimComm, SimFabric, SimMsg, SimRanks};
 
 use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
 use crate::params::{BcastAlgo, HplParams};
@@ -43,6 +43,10 @@ pub struct SimulatedRun {
     pub wall_seconds: f64,
     /// HPL-reported Gflop/s.
     pub gflops: f64,
+    /// Events the simulation kernel dispatched.
+    pub events: u64,
+    /// Process polls the simulation kernel made.
+    pub polls: u64,
 }
 
 impl SimulatedRun {
@@ -281,7 +285,12 @@ where
     Fut: Future<Output = PhaseTimes> + 'static,
 {
     let pm = PerfModel::new(spec, params.n, placement.len());
-    let (phases, wall_seconds) = run_sim_ranks(
+    let SimRanks {
+        outs: phases,
+        makespan: wall_seconds,
+        events,
+        polls,
+    } = run_sim_ranks(
         spec,
         placement,
         name,
@@ -300,6 +309,8 @@ where
         phases,
         wall_seconds,
         gflops: gflops(params.n, wall_seconds),
+        events,
+        polls,
     }
 }
 

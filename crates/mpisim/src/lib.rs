@@ -47,7 +47,7 @@ mod simcomm;
 mod subcomm;
 mod threadcomm;
 
-pub use simcomm::{run_sim_ranks, FabricSim, SimComm, SimCommSeed, SimFabric, SimMsg};
+pub use simcomm::{run_sim_ranks, FabricSim, SimComm, SimCommSeed, SimFabric, SimMsg, SimRanks};
 pub use subcomm::SubComm;
 pub use threadcomm::{build_thread_comms, run_thread_ranks, ThreadComm, ThreadMsg};
 

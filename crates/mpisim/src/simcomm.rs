@@ -166,8 +166,8 @@ impl SimFabric {
 /// fixes process ids, which break ties between simultaneous events, so
 /// it is part of every virtual time this returns.
 ///
-/// Returns each rank's result in rank order and the makespan (virtual
-/// seconds until the last rank finished).
+/// Returns each rank's result in rank order, the makespan, and the
+/// kernel's event and poll counts.
 ///
 /// # Panics
 /// Panics if the simulation deadlocks (a bug in the body's
@@ -178,7 +178,7 @@ pub fn run_sim_ranks<T, F, Fut>(
     name: &str,
     derate: impl FnOnce(&mut FabricSim, &SimFabric),
     mut body: F,
-) -> (Vec<T>, f64)
+) -> SimRanks<T>
 where
     T: 'static,
     F: FnMut(SimComm, &ProcSlot) -> Fut,
@@ -207,7 +207,25 @@ where
         .iter_mut()
         .map(|r| r.take().expect("every rank reports"))
         .collect();
-    (outs, makespan)
+    SimRanks {
+        outs,
+        makespan,
+        events: sim.events(),
+        polls: sim.polls(),
+    }
+}
+
+/// What one [`run_sim_ranks`] launch returns.
+#[derive(Clone, Debug)]
+pub struct SimRanks<T> {
+    /// Each rank's result, in rank order.
+    pub outs: Vec<T>,
+    /// Virtual seconds until the last rank finished.
+    pub makespan: f64,
+    /// Events the kernel dispatched.
+    pub events: u64,
+    /// Process polls the kernel made.
+    pub polls: u64,
 }
 
 /// Per-rank half-built communicator; bind it to the process's [`Ctx`]

@@ -6,7 +6,7 @@ use std::future::Future;
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::{CommLibProfile, Configuration, KindId, Placement};
 use etm_mpisim::coll::{barrier, binomial_bcast, gather, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg};
+use etm_mpisim::{run_sim_ranks, Comm, SimComm, SimFabric, SimMsg, SimRanks};
 use etm_sim::Simulation;
 
 /// Runs `body` as every rank of the given configuration and returns the
@@ -18,7 +18,7 @@ where
 {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let placement = Placement::new(&spec, &cfg).unwrap();
-    run_sim_ranks(&spec, &placement, "rank", |_, _| {}, |comm, _| body(comm)).1
+    run_sim_ranks(&spec, &placement, "rank", |_, _| {}, |comm, _| body(comm)).makespan
 }
 
 #[test]
@@ -27,7 +27,11 @@ fn launcher_returns_results_in_rank_order_and_the_makespan() {
     // rank order and the last rank's finish time is the makespan.
     let spec = paper_cluster(CommLibProfile::mpich122());
     let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 1, 4, 1)).unwrap();
-    let (out, makespan) = run_sim_ranks(
+    let SimRanks {
+        outs: out,
+        makespan,
+        ..
+    } = run_sim_ranks(
         &spec,
         &placement,
         "rank",
@@ -55,7 +59,11 @@ fn launcher_derates_the_fabric_before_any_rank_runs() {
     // the hook must serve that whole second 3x slower.
     let spec = paper_cluster(CommLibProfile::mpich122());
     let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 1, 2, 1)).unwrap();
-    let (out, makespan) = run_sim_ranks(
+    let SimRanks {
+        outs: out,
+        makespan,
+        ..
+    } = run_sim_ranks(
         &spec,
         &placement,
         "rank",

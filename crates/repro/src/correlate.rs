@@ -2,7 +2,6 @@
 
 use etm_cluster::{ClusterSpec, Configuration, KindId};
 use etm_core::engine::EngineSnapshot;
-use etm_core::pipeline::campaign_threads;
 use etm_core::plan::evaluation_configs;
 use etm_hpl::{simulate_hpl, HplParams};
 use etm_support::pool;
@@ -25,7 +24,7 @@ pub struct CorrelationPoint {
 /// Runs the full 62-configuration correlation at one problem size:
 /// estimate each configuration (raw and adjusted) and measure it. The
 /// measurement half (a simulated HPL run per configuration) dominates,
-/// so the grid fans out over the campaign worker pool; results come
+/// so the grid fans out over the worker pool; results come
 /// back in grid order regardless of worker count. Estimates are served
 /// from an engine snapshot, so the workers share it lock-free.
 pub fn correlation_at(
@@ -35,7 +34,7 @@ pub fn correlation_at(
     nb: usize,
 ) -> Vec<CorrelationPoint> {
     let configs = evaluation_configs();
-    pool::par_map(&configs, campaign_threads(), |_, config| {
+    pool::par_map(&configs, pool::num_threads(), |_, config| {
         let estimate_raw = snapshot.estimate_raw(config, n).ok()?;
         let estimate_adjusted = snapshot.estimate(config, n).ok()?;
         let measured = simulate_hpl(spec, config, &HplParams::order(n).with_nb(nb)).wall_seconds;

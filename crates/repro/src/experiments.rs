@@ -2,12 +2,13 @@
 //! rows; the `repro` binary renders them as text + CSV, and `etm-bench`
 //! measures them.
 
+use std::sync::{Mutex, PoisonError};
+
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::{ClusterSpec, CommLibProfile, Configuration, KindId};
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
-use etm_core::cache::{cached_construction, CACHE_DIR};
 use etm_core::engine::Engine;
-use etm_core::pipeline::{campaign_threads, Estimator};
+use etm_core::pipeline::{run_construction, Estimator};
 use etm_core::plan::{MeasurementPlan, PlanKind};
 use etm_core::MeasurementDb;
 use etm_hpl::{simulate_hpl, HplParams};
@@ -30,7 +31,7 @@ pub fn fig1_multiprocessing(profile: CommLibProfile) -> Vec<(usize, usize, f64)>
                 .map(move |n| (m, n))
         })
         .collect();
-    pool::par_map(&cells, campaign_threads(), |_, &(m, n)| {
+    pool::par_map(&cells, pool::num_threads(), |_, &(m, n)| {
         let cfg = Configuration::p1m1_p2m2(1, m, 0, 0);
         let run = simulate_hpl(&spec, &cfg, &HplParams::order(n).with_nb(NB));
         (m, n, run.gflops)
@@ -60,7 +61,7 @@ fn gflops_series(
 ) -> GflopsSeries {
     GflopsSeries {
         label: label.to_string(),
-        points: pool::par_map(ns, campaign_threads(), |_, &n| {
+        points: pool::par_map(ns, pool::num_threads(), |_, &n| {
             let run = simulate_hpl(spec, &cfg, &HplParams::order(n).with_nb(NB));
             (n, run.gflops)
         }),
@@ -126,13 +127,24 @@ pub struct CampaignCost {
     pub total: f64,
 }
 
-/// Runs (or replays) a plan's construction campaign on the paper
-/// cluster. Basic, NL and NS all route through the same
-/// campaign-fingerprint-keyed cache under `target/etm-cache/`, so the
-/// expensive simulated measurements run once per campaign schema.
+/// A plan's construction campaign on the paper cluster, measured once
+/// per process: the first call for a plan runs the simulated trials,
+/// and later calls for an equal plan get a copy of that database. The
+/// memo lives only in memory, so every process measures the campaigns
+/// it reports with the simulator it was built from.
 pub fn campaign_db(plan: &MeasurementPlan) -> MeasurementDb {
+    static MEMO: Mutex<Vec<(MeasurementPlan, MeasurementDb)>> = Mutex::new(Vec::new());
+    // Held across the campaign, so concurrent callers of one plan wait
+    // for its first measurement instead of repeating it. A campaign
+    // that panics pushes nothing, so a poisoned memo is still valid.
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, db)) = memo.iter().find(|(p, _)| p == plan) {
+        return db.clone();
+    }
     let spec = paper_cluster(CommLibProfile::mpich122());
-    cached_construction(&spec, plan, NB, std::path::Path::new(CACHE_DIR))
+    let db = run_construction(&spec, plan, NB);
+    memo.push((plan.clone(), db.clone()));
+    db
 }
 
 /// Runs a plan's construction campaign and accounts its cost.
@@ -158,7 +170,7 @@ pub fn campaign_cost(plan: &MeasurementPlan) -> (MeasurementDb, CampaignCost) {
 }
 
 /// Builds the serving engine for a campaign on the paper cluster:
-/// cached construction measurements, the paper's polynomial-LSQ
+/// the campaign's construction measurements, the paper's polynomial-LSQ
 /// backend, and the §4.1 adjustment measured at the paper's reference
 /// configuration.
 pub fn engine_for(plan: &MeasurementPlan) -> Engine {

@@ -468,6 +468,7 @@ pub struct Simulation<M> {
     /// Reused buffer for the processes a resource completion wakes.
     completed: Vec<Pid>,
     events_dispatched: u64,
+    polls: u64,
     ran: bool,
 }
 
@@ -496,6 +497,7 @@ impl<M> Simulation<M> {
             processes: Vec::new(),
             completed: Vec::new(),
             events_dispatched: 0,
+            polls: 0,
             ran: false,
         }
     }
@@ -601,6 +603,7 @@ impl<M> Simulation<M> {
         if let Some(msg) = proc.delivery.take() {
             self.shared.delivery.set(Some(msg));
         }
+        self.polls += 1;
         let finished = future
             .as_mut()
             .poll(&mut Context::from_waker(Waker::noop()))
@@ -693,6 +696,17 @@ impl<M> Simulation<M> {
 }
 
 impl<M> Simulation<M> {
+    /// Events the kernel has dispatched so far.
+    pub fn events(&self) -> u64 {
+        self.events_dispatched
+    }
+
+    /// Process polls the kernel has made so far: one per resumption of
+    /// a live process.
+    pub fn polls(&self) -> u64 {
+        self.polls
+    }
+
     /// Post-run statistics: final time, event count, per-resource usage.
     ///
     /// Meaningful after [`Simulation::run`]; resources are advanced to
@@ -707,6 +721,7 @@ impl<M> Simulation<M> {
         crate::stats::SimStats {
             end_seconds: now.secs(),
             events: self.events_dispatched,
+            polls: self.polls,
             resources,
         }
     }

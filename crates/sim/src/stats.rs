@@ -38,6 +38,8 @@ pub struct SimStats {
     pub end_seconds: f64,
     /// Total events dispatched by the kernel.
     pub events: u64,
+    /// Total process polls made by the kernel.
+    pub polls: u64,
     /// Per-resource usage, keyed by resource name.
     pub resources: BTreeMap<String, ResourceStats>,
 }
@@ -79,6 +81,7 @@ mod tests {
         let mut s = SimStats {
             end_seconds: 10.0,
             events: 5,
+            polls: 7,
             resources: BTreeMap::new(),
         };
         assert!(s.bottleneck().is_none());

@@ -468,7 +468,8 @@ fn a_ring_of_parked_receivers_dispatches_one_event_per_hand_off() {
     //   per lap  rank 0's hold                           1
     //            four hand-offs, each waking a parked
     //            receiver at the instant of its send      4
-    // 4 + 3 * (1 + 4) = 19.
+    // 4 + 3 * (1 + 4) = 19. Each event resumes one live process, so
+    // the kernel polls 19 times too.
     const RANKS: usize = 4;
     const LAPS: u32 = 3;
     let log = Rc::new(RefCell::new(Vec::new()));
@@ -498,6 +499,7 @@ fn a_ring_of_parked_receivers_dispatches_one_event_per_hand_off() {
         .collect();
     assert_eq!(*log.borrow(), want);
     assert_eq!(sim.stats().events, 19);
+    assert_eq!(sim.polls(), 19);
 }
 
 #[test]

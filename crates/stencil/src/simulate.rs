@@ -5,7 +5,7 @@
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{gather, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, SimMsg};
+use etm_mpisim::{run_sim_ranks, Comm, SimMsg, SimRanks};
 
 use crate::numeric::strip;
 
@@ -102,7 +102,11 @@ pub fn simulate_stencil(
     let placement = Placement::new(spec, config).expect("invalid configuration");
     let params = *params;
     let pm = PerfModel::new(spec, params.n, placement.len());
-    let (phases, wall_seconds) = run_sim_ranks(
+    let SimRanks {
+        outs: phases,
+        makespan: wall_seconds,
+        ..
+    } = run_sim_ranks(
         spec,
         &placement,
         "stencil-rank",

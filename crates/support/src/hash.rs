@@ -1,10 +1,10 @@
 //! Stable, dependency-free content hashing: 64-bit FNV-1a.
 //!
 //! `std::hash::DefaultHasher` makes no stability promise across Rust
-//! releases, so anything persisted to disk (the audit's campaign cache
-//! keys) hashes with this instead. FNV-1a is tiny, well-specified, and
-//! plenty for cache addressing — these are content fingerprints, not
-//! cryptographic digests.
+//! releases, so a digest committed to a test (the golden digests of
+//! simulated virtual times in `etm-hpl`) hashes with this instead.
+//! FNV-1a is tiny, well-specified, and plenty for that — these are
+//! content fingerprints, not cryptographic digests.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

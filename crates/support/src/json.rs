@@ -135,32 +135,6 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     out
 }
 
-/// Serializes a value in *canonical* form: compact, with every object's
-/// keys sorted recursively. Two values whose JSON trees differ only in
-/// object-key order canonicalize to the same string, which makes this
-/// the right preimage for content hashing (the audit's campaign
-/// fingerprints).
-pub fn to_canonical_string<T: ToJson + ?Sized>(value: &T) -> String {
-    let mut v = value.to_json();
-    canonicalize(&mut v);
-    let mut out = String::new();
-    write_value(&v, &mut out, None, 0);
-    out
-}
-
-/// Sorts object keys recursively (stable, so duplicate keys — which the
-/// conversion traits never produce — keep their relative order).
-fn canonicalize(v: &mut Json) {
-    match v {
-        Json::Arr(items) => items.iter_mut().for_each(canonicalize),
-        Json::Obj(pairs) => {
-            pairs.sort_by(|(a, _), (b, _)| a.cmp(b));
-            pairs.iter_mut().for_each(|(_, item)| canonicalize(item));
-        }
-        _ => {}
-    }
-}
-
 /// Parses a string into a typed value.
 ///
 /// # Errors
@@ -835,28 +809,6 @@ mod tests {
         let text = to_string(&m);
         let back: BTreeMap<usize, Option<f64>> = from_str(&text).unwrap();
         assert_eq!(back, m);
-    }
-
-    #[test]
-    fn canonical_form_ignores_key_order() {
-        let a =
-            parse("{\"x\": 1, \"y\": {\"b\": 2, \"a\": [true, {\"q\": 1, \"p\": 2}]}}").unwrap();
-        let b =
-            parse("{\"y\": {\"a\": [true, {\"p\": 2, \"q\": 1}], \"b\": 2}, \"x\": 1}").unwrap();
-        assert_ne!(a, b, "trees differ in key order");
-        assert_eq!(to_canonical_string(&a), to_canonical_string(&b));
-        // Canonical output is itself valid JSON with the same content.
-        assert_eq!(
-            parse(&to_canonical_string(&a)).unwrap(),
-            parse(&to_canonical_string(&b)).unwrap()
-        );
-    }
-
-    #[test]
-    fn canonical_form_distinguishes_values() {
-        let a = parse("{\"x\": 1}").unwrap();
-        let b = parse("{\"x\": 2}").unwrap();
-        assert_ne!(to_canonical_string(&a), to_canonical_string(&b));
     }
 
     #[test]

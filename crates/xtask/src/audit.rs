@@ -9,16 +9,9 @@
 //! a cubic extrapolated outside its fitting range legitimately goes
 //! negative. Violations fail the gate; warnings are printed but pass.
 //!
-//! The campaign + fit is the slowest part of the gate, so both the
-//! measurement database and the fitted bank are cached under
-//! `target/etm-cache/` via [`etm_core::cache`], keyed on
-//! [`etm_core::pipeline::campaign_fingerprint`] (a stable FNV-1a content
-//! hash of the cluster spec, the plan, and NB) plus the backend name for
-//! the bank. A warm cache skips the campaign entirely; a miss — or a cache
-//! file that fails to parse — falls back to a fresh campaign, fanned out
-//! over [`etm_core::pipeline::campaign_threads`] workers, and
-//! repopulates the cache. Delete `target/etm-cache/` (or bump
-//! `CAMPAIGN_CACHE_VERSION`) to force a refit.
+//! Every run measures the campaign afresh ([`run_construction`], fanned
+//! out over the machine's cores) and fits the bank from it, so the gate
+//! always judges what the current simulator and fitter compute.
 //!
 //! A final **degraded-health** stage drives a live [`Engine`] into
 //! quarantine on a synthetic fully-measured two-kind database and runs
@@ -35,9 +28,8 @@ use std::time::Instant;
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::CommLibProfile;
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
-use etm_core::cache::{bank_cache_name, cached_construction, load_json, store_json};
 use etm_core::engine::{Engine, QuarantinePolicy};
-use etm_core::pipeline::{campaign_fingerprint_hex, ModelBank};
+use etm_core::pipeline::run_construction;
 use etm_core::plan::MeasurementPlan;
 use etm_core::validate::{self, Severity};
 use etm_core::{MeasurementDb, Sample, SampleKey};
@@ -46,41 +38,22 @@ use etm_core::{MeasurementDb, Sample, SampleKey};
 const NB: usize = 64;
 
 /// Runs the pass. Returns one message per violated invariant.
-pub fn run(root: &Path) -> Result<Vec<String>, String> {
+pub fn run(_root: &Path) -> Result<Vec<String>, String> {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let plan = MeasurementPlan::basic();
-    let hex = campaign_fingerprint_hex(&spec, &plan, NB);
-    let cache_dir = root.join("target").join("etm-cache");
     let backend = PolyLsqBackend::paper();
     let name = backend.name();
 
     let mut violations = Vec::new();
-    let bank_path = cache_dir.join(bank_cache_name(&hex, name));
-    let (bank, provenance) = match load_json::<ModelBank>(&bank_path) {
-        Some(bank) => (bank, format!("cache hit ({})", bank_path.display())),
-        None => {
-            let t0 = Instant::now();
-            let db = cached_construction(&spec, &plan, NB, &cache_dir);
-            let bank = backend
-                .fit(&db)
-                .map_err(|e| format!("{name} bank fit failed: {e}"))?;
-            if !store_json(&bank_path, &bank) {
-                println!(
-                    "    warn: could not persist audit cache {}",
-                    bank_path.display()
-                );
-            }
-            (
-                bank,
-                format!(
-                    "cache miss; campaign + fit took {:.2} s -> {}",
-                    t0.elapsed().as_secs_f64(),
-                    bank_path.display()
-                ),
-            )
-        }
-    };
-    println!("    [{name}] {provenance}");
+    let t0 = Instant::now();
+    let db = run_construction(&spec, &plan, NB);
+    let bank = backend
+        .fit(&db)
+        .map_err(|e| format!("{name} bank fit failed: {e}"))?;
+    println!(
+        "    [{name}] campaign + fit took {:.2} s",
+        t0.elapsed().as_secs_f64()
+    );
     println!(
         "    [{name}] bank: {} N-T model(s), {} P-T model(s), {} composed kind(s)",
         bank.nt.len(),

@@ -9,7 +9,7 @@
 #                           additionally writes its machine-readable
 #                           report to results/analyze_report.json),
 #                           plus clippy, the model-validity audit
-#                           (warm-cached under target/etm-cache/), the
+#                           (on a freshly measured Basic campaign), the
 #                           simulator-driven experiments (`repro fig1
 #                           fig2 fig3 ablations baselines`, which
 #                           rewrite eleven CSVs through the rank
