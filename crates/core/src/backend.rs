@@ -23,12 +23,26 @@
 //!   of sizes among the dirty keys, shared by every key measured at
 //!   those sizes — the whole Basic campaign is one 9-size design;
 //! * the measured P-T model of each `(kind, m)` group holding a dirty
-//!   key, gathered in one pass over the group's samples;
+//!   key, gathered in one pass over the group's samples into buffers
+//!   the [`PtMemo`] keeps, and solved on the group's factored designs
+//!   from its previous fit wherever their inputs match (below);
 //! * the (cheap) §3.5 composition pass, always, over the database's kept
 //!   size list (`MeasurementDb::sizes`).
 //!
 //! The result is bit-identical to a full fit over the same database, and
 //! the [`FitWork`] returned with it counts what was done.
+//!
+//! A P-T design is reused only on exact inputs. Each half of a group's
+//! P-T fit (`Ta`, `Tc`) solves a design whose rows are a function of the
+//! reference N-T coefficients that half reads and of the `(N, P)` row
+//! layout. The memo keeps each group's factored halves with those
+//! inputs; a fit solves on a stored half only when both equal, bit for
+//! bit, what it gathered, and otherwise factors afresh and replaces it.
+//! A reused design is thus exactly the one a fresh fit would build, and
+//! nothing ever has to invalidate the memo: a half whose inputs moved
+//! simply misses. Streamed samples mostly move times, not sizes or the
+//! reference model: in the seeded replay `tests/refit_work.rs` pins,
+//! 170 P-T fits factor 48 of their 340 halves.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -36,7 +50,7 @@ use crate::compose::{compose_fitted, PAPER_TC_SCALE};
 use crate::measurement::{MeasurementDb, SampleKey};
 use crate::ntmodel::{NtDesign, NtModel};
 use crate::pipeline::{ModelBank, PipelineError};
-use crate::ptmodel::{PtModel, PtObservation};
+use crate::ptmodel::{PtDesigns, PtInputs, PtModel};
 
 /// The fitting work one fit or refit did, counted as it went: what a
 /// publication cost, independent of the host.
@@ -50,6 +64,23 @@ pub struct FitWork {
     /// Measured P-T models fit: one per fittable group holding a dirty
     /// key.
     pub pt_fits: usize,
+    /// QR factorizations of P-T designs: up to two (`Ta` and `Tc`) per
+    /// P-T fit, one for each half whose design the [`PtMemo`] could not
+    /// reuse. `2 · pt_fits − pt_factorizations` is what the memo saved.
+    pub pt_factorizations: usize,
+}
+
+/// The factored P-T designs of every `(kind, m)` group, carried from one
+/// refit to the next, and the buffers a P-T fit gathers into.
+///
+/// A stored design is reused only when the reference coefficients its
+/// rows read and its `(N, P)` layout equal the new fit's bit for bit;
+/// see the module docs. An empty memo (`PtMemo::default()`) makes every
+/// P-T fit factor afresh, and any memo gives the same bank.
+#[derive(Debug, Default)]
+pub struct PtMemo {
+    groups: BTreeMap<(usize, usize), PtDesigns>,
+    inputs: PtInputs,
 }
 
 /// A fitting strategy turning a [`MeasurementDb`] into a [`ModelBank`].
@@ -70,6 +101,11 @@ pub trait ModelBackend: Send + Sync {
     /// samples changed since `previous` was fit; given that, the bank is
     /// bit-identical to `self.fit(db)`. Also returns the work done.
     ///
+    /// `memo` carries factored P-T designs between calls; a backend
+    /// reuses a stored design only when its inputs match exactly, so
+    /// the bank never depends on what the memo holds, and a call that
+    /// fails leaves it valid.
+    ///
     /// # Errors
     /// Same contract as [`ModelBackend::fit`].
     fn refit_groups(
@@ -77,30 +113,33 @@ pub trait ModelBackend: Send + Sync {
         db: &MeasurementDb,
         previous: &ModelBank,
         dirty: &BTreeSet<SampleKey>,
+        memo: &mut PtMemo,
     ) -> Result<(ModelBank, FitWork), PipelineError>;
 
     /// Fits every model the database supports: a `refit_groups` of
-    /// every key over the empty bank.
+    /// every key over the empty bank, with an empty memo.
     ///
     /// # Errors
     /// [`PipelineError::Fit`] if a well-posed fit fails numerically;
     /// [`PipelineError::NoDonor`] if §3.5 composition is impossible.
     fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        full_refit(self, db).map(|(bank, _)| bank)
+        full_refit(self, db, &mut PtMemo::default()).map(|(bank, _)| bank)
     }
 }
 
 /// The full fit through the one refit path: every key of `db` is dirty
-/// against the empty bank (the fit of an empty database).
+/// against the empty bank (the fit of an empty database). `memo` ends
+/// up holding every measured group's designs.
 ///
 /// # Errors
 /// See [`ModelBackend::fit`].
 pub(crate) fn full_refit<B: ModelBackend + ?Sized>(
     backend: &B,
     db: &MeasurementDb,
+    memo: &mut PtMemo,
 ) -> Result<(ModelBank, FitWork), PipelineError> {
     let every: BTreeSet<SampleKey> = db.keys().copied().collect();
-    backend.refit_groups(db, &ModelBank::default(), &every)
+    backend.refit_groups(db, &ModelBank::default(), &every, memo)
 }
 
 /// The §3.5 fallback composition used when a group is quarantined: its
@@ -189,33 +228,33 @@ impl ModelBackend for PolyLsqBackend {
         db: &MeasurementDb,
         previous: &ModelBank,
         dirty: &BTreeSet<SampleKey>,
+        memo: &mut PtMemo,
     ) -> Result<(ModelBank, FitWork), PipelineError> {
-        refit_bank(db, previous, dirty)
+        refit_bank(db, previous, dirty, memo)
     }
 }
 
-/// Fits one `(kind, m)` group's measured P-T model. `Ok(None)` means the
-/// group is unfittable (too few distinct PE counts, or no reference N-T
-/// model) and must go through §3.5 composition.
+/// Fits one `(kind, m)` group's measured P-T model on the group's
+/// designs in `memo`, gathering into the memo's buffers. Returns the
+/// model and the number of designs factored; `Ok(None)` means the group
+/// is unfittable (too few distinct PE counts, or no reference N-T model)
+/// and must go through §3.5 composition.
 fn fit_pt_group(
     db: &MeasurementDb,
     nt: &BTreeMap<SampleKey, NtModel>,
+    group: (usize, usize),
     keys: &[SampleKey],
-) -> Result<Option<PtModel>, PipelineError> {
-    let mut distinct_pes: Vec<usize> = keys.iter().map(|k| k.pes).collect();
-    distinct_pes.sort_unstable();
-    distinct_pes.dedup();
-    if distinct_pes.len() < 2 {
+    memo: &mut PtMemo,
+) -> Result<Option<(PtModel, usize)>, PipelineError> {
+    // The keys of one group differ only in `pes`: one distinct P each.
+    if keys.len() < 2 {
         return Ok(None);
     }
-    // Reference N-T model: the *largest* measured P of the group. The
-    // smallest (often P = 1) has no inter-PE communication at all, so its
-    // Tc curve is a degenerate basis for the P-T communication model.
-    let reference_key = keys
-        .iter()
-        .max_by_key(|k| k.total_p())
-        .expect("group is non-empty");
-    let reference = match nt.get(reference_key) {
+    // Reference N-T model: the *largest* measured P of the group, its
+    // last key. The smallest (often P = 1) has no inter-PE
+    // communication at all, so its Tc curve is a degenerate basis for
+    // the P-T communication model.
+    let reference = match nt.get(&keys[keys.len() - 1]) {
         Some(r) => *r,
         None => return Ok(None),
     };
@@ -223,37 +262,29 @@ fn fit_pt_group(
     // samples with real inter-node communication — the single-node
     // trials (P = 1, or both processes on one dual node) sit in a
     // different regime whose near-zero Tc would distort the P-slope of
-    // the fit. One pass gathers both lists, in key then N order.
-    let total: usize = keys.iter().map(|k| db.samples(k).len()).sum();
-    let mut obs: Vec<PtObservation> = Vec::with_capacity(total);
-    let mut obs_tc: Vec<PtObservation> = Vec::with_capacity(total);
+    // the fit. That regime holds one P per key with a multi-node
+    // sample; with fewer than two, Tc is fit on every sample, like Ta.
+    // One pass gathers both halves, in key then N order.
+    let multi_node_keys = keys
+        .iter()
+        .filter(|k| db.samples(k).iter().any(|s| s.multi_node))
+        .count();
+    let binned = multi_node_keys >= 2;
+    let inputs = &mut memo.inputs;
+    inputs.clear();
     for k in keys {
         let p = k.total_p();
         for s in db.samples(k) {
-            let o = PtObservation {
-                n: s.n,
-                p,
-                ta: s.ta,
-                tc: s.tc,
-            };
-            obs.push(o);
-            if s.multi_node {
-                obs_tc.push(o);
+            inputs.ta_layout.push((s.n, p));
+            inputs.ta.push(s.ta);
+            if s.multi_node || !binned {
+                inputs.tc_layout.push((s.n, p));
+                inputs.tc.push(s.tc);
             }
         }
     }
-    let distinct_tc_p = {
-        let mut ps: Vec<usize> = obs_tc.iter().map(|o| o.p).collect();
-        ps.sort_unstable();
-        ps.dedup();
-        ps.len()
-    };
-    let model = if distinct_tc_p >= 2 {
-        PtModel::fit_split(reference, &obs, &obs_tc)?
-    } else {
-        PtModel::fit(reference, &obs)?
-    };
-    Ok(Some(model))
+    let designs = memo.groups.entry(group).or_default();
+    Ok(Some(designs.fit(reference, inputs)?))
 }
 
 /// Composition output: the composed `(kind, m)` groups, then the kinds
@@ -327,11 +358,13 @@ fn compose_unfittable(
 /// *other* groups, so reuse would be unsound). `NtModel::fit` is a pure
 /// function of a key's samples, so a carried N-T model is bitwise what
 /// its refit would give. Dirty keys measured at the same sizes share one
-/// `NtDesign`; see `ModelBank::fit` for the model-selection rules.
+/// `NtDesign`, and each refit group solves on its designs in `memo`;
+/// see `ModelBank::fit` for the model-selection rules.
 fn refit_bank(
     db: &MeasurementDb,
     previous: &ModelBank,
     dirty: &BTreeSet<SampleKey>,
+    memo: &mut PtMemo,
 ) -> Result<(ModelBank, FitWork), PipelineError> {
     let mut work = FitWork::default();
     let mut nt = previous.nt.clone();
@@ -363,10 +396,11 @@ fn refit_bank(
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
     for (&group, keys) in db.groups() {
         if dirty_groups.contains(&group) {
-            match fit_pt_group(db, &nt, keys)? {
-                Some(model) => {
+            match fit_pt_group(db, &nt, group, keys, memo)? {
+                Some((model, factored)) => {
                     pt.insert(group, model);
                     work.pt_fits += 1;
+                    work.pt_factorizations += factored;
                 }
                 None => unfittable.push(group),
             }
@@ -464,7 +498,8 @@ pub(crate) mod tests {
     fn refit_of_measured_group_matches_full_fit_bit_for_bit() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let old_bank = backend.fit(&db).unwrap();
+        let mut memo = PtMemo::default();
+        let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         // Perturb one sample and add a brand-new size to the group.
         let key = SampleKey {
             kind: 1,
@@ -476,17 +511,20 @@ pub(crate) mod tests {
         db.upsert(key, s);
         db.upsert(key, synth_sample(1, 2, 1, 4000));
         let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
-        let (incremental, work) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let (incremental, work) = backend
+            .refit_groups(&db, &old_bank, &dirty, &mut memo)
+            .unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
         // One key's N-T model on its own design, and its group's P-T
-        // model: nothing else was refit.
+        // model, whose layout gained a size: nothing else was refit.
         assert_eq!(
             work,
             FitWork {
                 nt_fits: 1,
                 nt_factorizations: 2,
                 pt_fits: 1,
+                pt_factorizations: 2,
             }
         );
         // The untouched measured group (1, 2) was carried over, not
@@ -501,7 +539,8 @@ pub(crate) mod tests {
     fn refit_of_composed_groups_donor_recomposes_it() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let old_bank = backend.fit(&db).unwrap();
+        let mut memo = PtMemo::default();
+        let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         assert_eq!(old_bank.composed_groups, vec![(0, 1), (0, 2)]);
         // Dirty the donor group (1, 1): the composed (0, 1) model must
         // move with it even though (0, 1) itself is clean.
@@ -514,7 +553,9 @@ pub(crate) mod tests {
         s.tc *= 1.25;
         db.upsert(key, s);
         let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
-        let (incremental, _) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
+        let (incremental, _) = backend
+            .refit_groups(&db, &old_bank, &dirty, &mut memo)
+            .unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
         assert_ne!(
@@ -528,7 +569,8 @@ pub(crate) mod tests {
     fn new_group_appears_through_refit() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let old_bank = backend.fit(&db).unwrap();
+        let mut memo = PtMemo::default();
+        let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         // A whole new multiplicity group for kind 1, spanning three PE
         // counts so it gets a measured P-T model of its own.
         for pes in [1usize, 2, 4] {
@@ -540,14 +582,18 @@ pub(crate) mod tests {
             .into_iter()
             .map(|pes| SampleKey { kind: 1, pes, m: 3 })
             .collect();
-        let (incremental, work) = backend.refit_groups(&db, &old_bank, &dirty).unwrap();
-        // Three keys at the same five sizes: one shared design.
+        let (incremental, work) = backend
+            .refit_groups(&db, &old_bank, &dirty, &mut memo)
+            .unwrap();
+        // Three keys at the same five sizes: one shared design; the new
+        // group's P-T designs are factored for the first time.
         assert_eq!(
             work,
             FitWork {
                 nt_fits: 3,
                 nt_factorizations: 2,
                 pt_fits: 1,
+                pt_factorizations: 2,
             }
         );
         let full = backend.fit(&db).unwrap();
@@ -558,5 +604,158 @@ pub(crate) mod tests {
             pes: 1,
             m: 3,
         }));
+    }
+
+    /// Upserts `key`'s sample at `n` with `ta`/`tc` scaled.
+    fn scale(db: &mut MeasurementDb, key: SampleKey, n: usize, ta: f64, tc: f64) {
+        let mut s = *db
+            .samples(&key)
+            .iter()
+            .find(|s| s.n == n)
+            .expect("measured");
+        s.ta *= ta;
+        s.tc *= tc;
+        db.upsert(key, s);
+    }
+
+    /// Refits `dirty` over `bank` on `memo`, requires the bank a fresh
+    /// full fit gives, bit for bit, and returns it with the P-T designs
+    /// the refit factored.
+    fn refit_checked(
+        db: &MeasurementDb,
+        bank: &ModelBank,
+        dirty: &[SampleKey],
+        memo: &mut PtMemo,
+    ) -> (ModelBank, usize) {
+        let dirty: BTreeSet<SampleKey> = dirty.iter().copied().collect();
+        let (refit, work) = PolyLsqBackend::paper()
+            .refit_groups(db, bank, &dirty, memo)
+            .unwrap();
+        assert_banks_bit_equal(&refit, &PolyLsqBackend::paper().fit(db).unwrap());
+        (refit, work.pt_factorizations)
+    }
+
+    /// The reference key of a group goes dirty: the half whose
+    /// reference coefficients moved is re-factored, the other reused.
+    #[test]
+    fn memo_refactors_exactly_the_halves_whose_reference_moved() {
+        let mut db = synth_db();
+        let mut memo = PtMemo::default();
+        let (bank, work) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
+        // Groups (1, 1) and (1, 2), two halves each.
+        assert_eq!((work.pt_fits, work.pt_factorizations), (2, 4));
+        let reference = SampleKey {
+            kind: 1,
+            pes: 4,
+            m: 1,
+        };
+        let other = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        // Another key's times move: both designs are reused.
+        scale(&mut db, other, 800, 1.1, 0.9);
+        let (bank, factored) = refit_checked(&db, &bank, &[other], &mut memo);
+        assert_eq!(factored, 0);
+        // The reference's Ta moves: `ka` moves, `kc` keeps its bits, so
+        // only Ta is re-factored.
+        scale(&mut db, reference, 1600, 1.1, 1.0);
+        let (next, factored) = refit_checked(&db, &bank, &[reference], &mut memo);
+        assert_eq!(next.nt[&reference].kc, bank.nt[&reference].kc);
+        assert_ne!(next.nt[&reference].ka, bank.nt[&reference].ka);
+        assert_eq!(factored, 1);
+        // The reference's Tc moves: only Tc is re-factored.
+        scale(&mut db, reference, 2400, 1.0, 1.2);
+        let (bank, factored) = refit_checked(&db, &next, &[reference], &mut memo);
+        assert_eq!(bank.nt[&reference].ka, next.nt[&reference].ka);
+        assert_eq!(factored, 1);
+        // Both move: both halves.
+        scale(&mut db, reference, 400, 0.9, 1.1);
+        let (_, factored) = refit_checked(&db, &bank, &[reference], &mut memo);
+        assert_eq!(factored, 2);
+    }
+
+    /// A key of the group gains a size, or a new key joins the group:
+    /// the layout moved, so both halves are re-factored.
+    #[test]
+    fn memo_refactors_both_halves_when_the_layout_moves() {
+        let mut db = synth_db();
+        let mut memo = PtMemo::default();
+        let (bank, _) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
+        let other = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        db.upsert(other, synth_sample(1, 2, 1, 4000));
+        let (bank, factored) = refit_checked(&db, &bank, &[other], &mut memo);
+        assert_eq!(factored, 2);
+        let joined = SampleKey {
+            kind: 1,
+            pes: 3,
+            m: 1,
+        };
+        for n in [400usize, 800, 1600, 2400, 3200] {
+            db.upsert(joined, synth_sample(1, 3, 1, n));
+        }
+        let (_, factored) = refit_checked(&db, &bank, &[joined], &mut memo);
+        assert_eq!(factored, 2);
+    }
+
+    /// A group whose Tc regime holds a single P fits Tc on every sample
+    /// (the `PtModel::fit` branch). Reuse there gives the fresh fit's
+    /// coefficients, and a rank-deficient Tc design stays stored and
+    /// gives the fresh fit's error again; a failed refit leaves a memo
+    /// that later refits can still trust.
+    #[test]
+    fn memo_in_the_single_p_tc_regime_matches_fresh_fits_and_errors() {
+        let sizes = [400usize, 800, 1600, 2400, 3200];
+        let key = |pes| SampleKey { kind: 1, pes, m: 1 };
+        let mut db = MeasurementDb::new();
+        for pes in [1usize, 2] {
+            for n in sizes {
+                db.record(key(pes), synth_sample(1, pes, 1, n));
+            }
+        }
+        let mut memo = PtMemo::default();
+        let (bank, work) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
+        assert_eq!((work.pt_fits, work.pt_factorizations), (1, 2));
+        scale(&mut db, key(1), 800, 1.1, 1.0);
+        let (bank, factored) = refit_checked(&db, &bank, &[key(1)], &mut memo);
+        assert_eq!(factored, 0);
+
+        // A reference with no communication at all: `kc` is zero, so
+        // the Tc rows `[P·0, 0/P, 1]` are collinear.
+        let measured = db.samples(&key(2)).to_vec();
+        for s in &measured {
+            db.upsert(key(2), Sample { tc: 0.0, ..*s });
+        }
+        let fresh = PolyLsqBackend::paper().fit(&db).unwrap_err();
+        assert!(matches!(
+            fresh,
+            PipelineError::Fit(etm_lsq::LsqError::RankDeficient { .. })
+        ));
+        let dirty: BTreeSet<SampleKey> = [key(2)].into_iter().collect();
+        let first = PolyLsqBackend::paper()
+            .refit_groups(&db, &bank, &dirty, &mut memo)
+            .unwrap_err();
+        assert_eq!(first, fresh);
+        let kc = NtModel::fit(db.samples(&key(2))).unwrap().kc;
+        assert_eq!(kc, [0.0; 3]);
+        assert_eq!(memo.groups[&(1, 1)].tc_coeffs(), Some(kc.map(f64::to_bits)));
+        // Solved again on the stored design: the same error.
+        scale(&mut db, key(1), 1600, 0.9, 1.0);
+        let dirty: BTreeSet<SampleKey> = [key(1), key(2)].into_iter().collect();
+        let again = PolyLsqBackend::paper()
+            .refit_groups(&db, &bank, &dirty, &mut memo)
+            .unwrap_err();
+        assert_eq!(again, fresh);
+        // Restored, the group fits again as a fresh fit does.
+        for s in measured {
+            db.upsert(key(2), s);
+        }
+        let (_, factored) = refit_checked(&db, &bank, &[key(1), key(2)], &mut memo);
+        assert_eq!(factored, 1);
     }
 }

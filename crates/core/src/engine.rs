@@ -48,7 +48,7 @@ use std::sync::Arc;
 use etm_cluster::{ClusterSpec, Configuration};
 
 use crate::adjust::AdjustmentRule;
-use crate::backend::{compose_fallback, full_refit, FitWork, ModelBackend};
+use crate::backend::{compose_fallback, full_refit, FitWork, ModelBackend, PtMemo};
 use crate::measurement::{same_bits, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
@@ -243,7 +243,8 @@ impl EngineSnapshot {
 }
 
 /// The engine's mutable state: the measurement database, the pristine
-/// bank fit from it, the quarantine ledger and the published snapshot.
+/// bank fit from it with the P-T designs behind it, the quarantine
+/// ledger and the published snapshot.
 ///
 /// The database sits behind an `Arc` so [`Engine::db`] can hand out the
 /// current version with an O(1) pointer clone instead of deep-copying
@@ -261,11 +262,17 @@ struct EngineState {
     /// the keys that ingest touches.
     pending_dirty: BTreeSet<SampleKey>,
     /// The last bank fit purely from admitted measurements — the refit
-    /// base. Serving banks are derived from it by substituting composed
-    /// fallbacks for quarantined groups; keeping the pristine bank
-    /// separate guarantees a fallback model is never laundered back in
-    /// as a measured one on the next incremental refit.
-    pristine: ModelBank,
+    /// base — when the published snapshot serves another: `None` while
+    /// nothing is quarantined, as the snapshot then serves the pristine
+    /// bank itself ([`EngineState::pristine`]). Degraded serving banks
+    /// substitute composed fallbacks for quarantined groups; keeping
+    /// the pristine bank separate guarantees a fallback model is never
+    /// laundered back in as a measured one on the next incremental
+    /// refit.
+    pristine: Option<ModelBank>,
+    /// The factored P-T designs behind the pristine bank, reused by the
+    /// next refit wherever their inputs match exactly.
+    pt_memo: PtMemo,
     /// Distinct bad observations per group, keyed `(sample key, N)` so
     /// duplicate delivery of one bad sample cannot double-count. A clean
     /// observation for a group clears its entry (re-admission).
@@ -277,6 +284,16 @@ struct EngineState {
     last_healthy_gen: u64,
     /// Running count of samples the quarantine policy rejected.
     rejected: usize,
+}
+
+impl EngineState {
+    /// The pristine bank: the kept copy, or the published snapshot's
+    /// own bank when nothing is quarantined.
+    fn pristine(&self) -> &ModelBank {
+        self.pristine
+            .as_ref()
+            .unwrap_or(&self.current.estimator.bank)
+    }
 }
 
 /// The estimator engine; see the module docs for the architecture.
@@ -306,8 +323,9 @@ impl Engine {
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
     ) -> Result<Self, PipelineError> {
-        let fitted = full_refit(&*backend, &db)?;
-        Self::with_bank(backend, db, policy, fitted)
+        let mut pt_memo = PtMemo::default();
+        let fitted = full_refit(&*backend, &db, &mut pt_memo)?;
+        Self::with_bank(backend, db, policy, fitted, pt_memo)
     }
 
     /// Builds an engine from a completed measurement campaign: fits the
@@ -324,9 +342,10 @@ impl Engine {
         db: MeasurementDb,
         backend: Box<dyn ModelBackend>,
     ) -> Result<Self, PipelineError> {
-        let fitted = full_refit(&*backend, &db)?;
+        let mut pt_memo = PtMemo::default();
+        let fitted = full_refit(&*backend, &db, &mut pt_memo)?;
         let policy = paper_adjustment_policy(spec, &fitted.0, plan, nb);
-        Self::with_bank(backend, db, Some(policy), fitted)
+        Self::with_bank(backend, db, Some(policy), fitted, pt_memo)
     }
 
     fn with_bank(
@@ -334,8 +353,8 @@ impl Engine {
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
         (bank, work): (ModelBank, FitWork),
+        pt_memo: PtMemo,
     ) -> Result<Self, PipelineError> {
-        let pristine = bank.clone();
         let estimator = assemble_estimator(bank, policy.as_ref())?;
         let snapshot = Arc::new(EngineSnapshot {
             estimator,
@@ -353,7 +372,8 @@ impl Engine {
                 current: snapshot,
                 db: Arc::new(db),
                 pending_dirty: BTreeSet::new(),
-                pristine,
+                pristine: None,
+                pt_memo,
                 bad: BTreeMap::new(),
                 quarantined: BTreeSet::new(),
                 last_healthy_gen: 0,
@@ -440,6 +460,7 @@ impl Engine {
         samples: &[(SampleKey, Sample)],
     ) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.borrow_mut();
+        let state = &mut *state;
         // Pre-ingest samples of every key an upsert changed, saved at
         // the key's first change.
         let mut before: BTreeMap<SampleKey, Vec<Sample>> = BTreeMap::new();
@@ -454,12 +475,17 @@ impl Engine {
             }
             // A clean observation re-admits the group in delivery order.
             state.bad.remove(&group);
-            let prior = (!before.contains_key(key)).then(|| state.db.samples(key).to_vec());
-            if Arc::make_mut(&mut state.db).upsert(*key, *sample) {
-                if let Some(prior) = prior {
-                    before.insert(*key, prior);
-                }
+            let held = state.db.samples(key);
+            // A sample the slot already holds changes nothing: no copy,
+            // no write (which would copy a database a reader holds).
+            if held.iter().any(|s| s.same_bits(sample)) {
+                continue;
             }
+            if !before.contains_key(key) {
+                before.insert(*key, held.to_vec());
+            }
+            let changed = Arc::make_mut(&mut state.db).upsert(*key, *sample);
+            debug_assert!(changed, "an upsert of new bits changes its slot");
         }
         let mut dirty: BTreeSet<SampleKey> = state.pending_dirty.clone();
         for (key, saved) in &before {
@@ -478,25 +504,27 @@ impl Engine {
         }
         // Build everything that can fail before committing any of it, so
         // a failed publication leaves pristine untouched and the
-        // pending-dirty retry contract holds.
-        let refit_bank = if dirty.is_empty() {
-            None
+        // pending-dirty retry contract holds. (A refit may update the P-T
+        // memo before failing; the memo stays valid whatever it holds.)
+        let (pristine, work) = if dirty.is_empty() {
+            (state.pristine().clone(), FitWork::default())
         } else {
+            let base = state
+                .pristine
+                .as_ref()
+                .unwrap_or(&state.current.estimator.bank);
             match self
                 .backend
-                .refit_groups(&state.db, &state.pristine, &dirty)
+                .refit_groups(&state.db, base, &dirty, &mut state.pt_memo)
             {
-                Ok(bank) => Some(bank),
+                Ok(fitted) => fitted,
                 Err(e) => {
                     state.pending_dirty = dirty;
                     return Err(e);
                 }
             }
         };
-        let base = refit_bank
-            .as_ref()
-            .map_or(&state.pristine, |(bank, _)| bank);
-        let (serving, composed_fallback) = fallback_bank(&state.db, base, &quarantined);
+        let (serving, kept, composed_fallback) = serving_bank(&state.db, pristine, &quarantined);
         let estimator = match assemble_estimator(serving, self.policy.as_ref()) {
             Ok(e) => e,
             Err(e) => {
@@ -505,14 +533,8 @@ impl Engine {
             }
         };
         // Commit: the pristine bank now covers every dirty key.
-        let work = match refit_bank {
-            Some((bank, work)) => {
-                state.pristine = bank;
-                state.pending_dirty.clear();
-                work
-            }
-            None => FitWork::default(),
-        };
+        state.pristine = kept;
+        state.pending_dirty.clear();
         let generation = state.current.generation + 1;
         if quarantined.is_empty() {
             state.last_healthy_gen = generation;
@@ -563,10 +585,11 @@ impl Engine {
     /// Any fitting failure.
     pub fn refit_full(&self) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.borrow_mut();
-        let (bank, work) = full_refit(&*self.backend, &state.db)?;
-        let (serving, composed_fallback) = fallback_bank(&state.db, &bank, &state.quarantined);
+        let state = &mut *state;
+        let (bank, work) = full_refit(&*self.backend, &state.db, &mut state.pt_memo)?;
+        let (serving, kept, composed_fallback) = serving_bank(&state.db, bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
-        state.pristine = bank;
+        state.pristine = kept;
         state.pending_dirty.clear();
         let generation = state.current.generation + 1;
         if state.quarantined.is_empty() {
@@ -591,19 +614,21 @@ impl Engine {
     }
 }
 
-/// Builds the bank a (possibly degraded) snapshot serves: `pristine`
-/// with each quarantined group's P-T model replaced by a §3.5 composed
-/// fallback from a healthy donor kind, where one exists. Returns the
-/// serving bank and the groups that actually received a fallback; a
-/// quarantined group with no healthy donor keeps its stale pristine
-/// model and is left for [`EngineHealth::is_untrusted`] to flag.
-fn fallback_bank(
+/// Splits a pristine bank into the bank a (possibly degraded) snapshot
+/// serves and the pristine copy the engine must keep beside it. With
+/// nothing quarantined the snapshot serves `pristine` itself and no copy
+/// is kept. Otherwise each quarantined group's P-T model is replaced by
+/// a §3.5 composed fallback from a healthy donor kind, where one exists,
+/// and the third item lists the groups that received one; a quarantined
+/// group with no healthy donor keeps its stale pristine model and is
+/// left for [`EngineHealth::is_untrusted`] to flag.
+fn serving_bank(
     db: &MeasurementDb,
-    pristine: &ModelBank,
+    pristine: ModelBank,
     quarantined: &BTreeSet<(usize, usize)>,
-) -> (ModelBank, Vec<(usize, usize)>) {
+) -> (ModelBank, Option<ModelBank>, Vec<(usize, usize)>) {
     if quarantined.is_empty() {
-        return (pristine.clone(), Vec::new());
+        return (pristine, None, Vec::new());
     }
     let mut serving = pristine.clone();
     let mut composed_fallback = Vec::new();
@@ -611,7 +636,7 @@ fn fallback_bank(
         if !pristine.pt.contains_key(&group) {
             continue;
         }
-        let Ok(model) = compose_fallback(db, pristine, group, quarantined) else {
+        let Ok(model) = compose_fallback(db, &pristine, group, quarantined) else {
             continue;
         };
         serving.pt.insert(group, model);
@@ -621,7 +646,7 @@ fn fallback_bank(
         }
         composed_fallback.push(group);
     }
-    (serving, composed_fallback)
+    (serving, Some(pristine), composed_fallback)
 }
 
 /// Assembles the estimator for a freshly fitted bank: refit the §4.1
@@ -1045,9 +1070,10 @@ mod tests {
             db: &MeasurementDb,
             previous: &ModelBank,
             dirty: &BTreeSet<SampleKey>,
+            memo: &mut PtMemo,
         ) -> Result<(ModelBank, FitWork), PipelineError> {
             self.check()?;
-            self.inner.refit_groups(db, previous, dirty)
+            self.inner.refit_groups(db, previous, dirty, memo)
         }
     }
 
@@ -1149,6 +1175,7 @@ mod tests {
                 nt_fits: 2,
                 nt_factorizations: 2,
                 pt_fits: 1,
+                pt_factorizations: 1,
             }
         );
         let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
@@ -1156,6 +1183,80 @@ mod tests {
         // A flush afterwards has nothing left to refit.
         let flushed = e.ingest(&[]).expect("nothing pending");
         assert!(Arc::ptr_eq(&snap, &flushed));
+    }
+
+    /// A backend that runs the real refit, memo updates included, and
+    /// then fails on demand, discarding the bank it fit.
+    struct FailsAfterFit {
+        inner: PolyLsqBackend,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl ModelBackend for FailsAfterFit {
+        fn name(&self) -> &'static str {
+            "fails_after_fit"
+        }
+
+        fn refit_groups(
+            &self,
+            db: &MeasurementDb,
+            previous: &ModelBank,
+            dirty: &BTreeSet<SampleKey>,
+            memo: &mut PtMemo,
+        ) -> Result<(ModelBank, FitWork), PipelineError> {
+            let fitted = self.inner.refit_groups(db, previous, dirty, memo)?;
+            if self.fail.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(PipelineError::NoDonor { kind: 99, m: 99 });
+            }
+            Ok(fitted)
+        }
+    }
+
+    /// A refit that fails after fitting leaves the P-T memo holding the
+    /// designs of a bank that was never published. The retry reuses
+    /// them, as their inputs still match, and converges on a full fit
+    /// bit for bit.
+    #[test]
+    fn refit_failing_after_its_fit_leaves_a_memo_the_retry_can_reuse() {
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let backend = Box::new(FailsAfterFit {
+            inner: PolyLsqBackend::paper(),
+            fail: Arc::clone(&fail),
+        });
+        let e = Engine::new(backend, synth_db(), None).expect("synth db fits");
+        // The reference key of group (1, 1): its `kc` moves, so the
+        // failed refit factors a new Tc design.
+        let reference = SampleKey {
+            kind: 1,
+            pes: 4,
+            m: 1,
+        };
+        let mut moved = synth_sample(1, 4, 1, 2400);
+        moved.tc *= 1.3;
+        fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        e.ingest(&[(reference, moved)])
+            .expect_err("the refit is discarded");
+        fail.store(false, std::sync::atomic::Ordering::SeqCst);
+        let other = SampleKey {
+            kind: 1,
+            pes: 2,
+            m: 1,
+        };
+        let mut s = synth_sample(1, 2, 1, 800);
+        s.ta *= 1.1;
+        let snap = e.ingest(&[(other, s)]).expect("the retry refits");
+        assert_eq!(snap.refit_groups(), &[(1, 1)]);
+        assert_eq!(
+            snap.fit_work(),
+            FitWork {
+                nt_fits: 2,
+                nt_factorizations: 2,
+                pt_fits: 1,
+                pt_factorizations: 0,
+            }
+        );
+        let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+        assert_banks_bit_equal(snap.bank(), &full);
     }
 
     /// One kind measured on `pes_list` PEs at `m = 1` over `sizes`: a
@@ -1188,6 +1289,7 @@ mod tests {
                 nt_fits: 8,
                 nt_factorizations: 2,
                 pt_fits: 1,
+                pt_factorizations: 2,
             }
         );
         let key = |pes| SampleKey { kind: 1, pes, m: 1 };
@@ -1214,6 +1316,7 @@ mod tests {
                 nt_fits: 1,
                 nt_factorizations: 2,
                 pt_fits: 1,
+                pt_factorizations: 0,
             }
         );
         assert_eq!(
@@ -1255,6 +1358,7 @@ mod tests {
                 nt_fits: 3,
                 nt_factorizations: 4,
                 pt_fits: 1,
+                pt_factorizations: 2,
             }
         );
         let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");

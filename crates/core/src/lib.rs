@@ -71,7 +71,7 @@ pub mod stream;
 pub mod validate;
 
 pub use adjust::AdjustmentRule;
-pub use backend::{FitWork, ModelBackend, PolyLsqBackend};
+pub use backend::{FitWork, ModelBackend, PolyLsqBackend, PtMemo};
 pub use engine::{Engine, EngineSnapshot};
 pub use loopback::{
     config_key, BreakerPolicy, BreakerState, CircuitBreaker, ConfigKey, ExecutedStep,

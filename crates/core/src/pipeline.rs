@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use etm_cluster::{ClusterSpec, Configuration, KindId};
+use etm_cluster::{ClusterSpec, Configuration, KindId, KindUse};
 use etm_hpl::{simulate_hpl, HplParams, SimulatedRun};
 use etm_lsq::LsqError;
 use etm_support::json::{FromJson, Json, JsonError, ToJson};
@@ -311,19 +311,51 @@ impl Estimator {
     /// single-PE run has no inter-PE communication and its N-T estimate
     /// is already accurate.
     ///
+    /// Its baseline is the raw estimate of the same configuration with
+    /// the fast kind dialled back to one process per PE: the fast kind
+    /// reads its `(kind, 1)` P-T model, every other kind its own model,
+    /// all at the baseline's total process count. One walk over the
+    /// uses folds both estimates; a baseline the bank cannot resolve
+    /// falls back to the raw estimate.
+    ///
     /// # Errors
     /// See [`Estimator::estimate_raw`].
     pub fn estimate(&self, config: &Configuration, n: usize) -> Result<f64, PipelineError> {
-        let raw = self.estimate_raw(config, n)?;
-        if config.is_single_pe() {
-            return Ok(raw);
-        }
         let m1 = config.procs_per_pe(KindId(self.fast_kind));
-        if m1 < self.adjustment.min_m1 {
-            return Ok(raw);
+        if config.is_single_pe() || m1 < self.adjustment.min_m1 {
+            return self.estimate_raw(config, n);
         }
-        let baseline = self.baseline_estimate(config, n).unwrap_or(raw);
-        Ok(self.adjustment.apply(m1, raw, baseline))
+        let p_total = config.total_processes();
+        if p_total == 0 {
+            return Err(PipelineError::EmptyConfiguration);
+        }
+        let is_fast = |u: &KindUse| u.kind.0 == self.fast_kind;
+        let p_base: usize = config
+            .uses
+            .iter()
+            .map(|u| u.pes * if is_fast(u) { 1 } else { u.procs_per_pe })
+            .sum();
+        let mut raw: f64 = 0.0;
+        // `None` once the baseline is unresolvable.
+        let mut baseline = (p_base > 0).then_some(0.0_f64);
+        for u in config.uses.iter().filter(|u| u.pes > 0) {
+            let (kind, m) = (u.kind.0, u.procs_per_pe);
+            let pt = self
+                .bank
+                .pt
+                .get(&(kind, m))
+                .ok_or(PipelineError::MissingPt { kind, m })?;
+            raw = raw.max(pt.ta(n, p_total) + pt.tc(n, p_total));
+            if let Some(worst) = baseline {
+                let base_pt = if is_fast(u) {
+                    self.bank.pt.get(&(kind, 1))
+                } else {
+                    Some(pt)
+                };
+                baseline = base_pt.map(|b| worst.max(b.ta(n, p_base) + b.tc(n, p_base)));
+            }
+        }
+        Ok(self.adjustment.apply(m1, raw, baseline.unwrap_or(raw)))
     }
 
     /// The §3 component split of the raw estimate: the makespan (worst)
@@ -355,18 +387,6 @@ impl Estimator {
             }
         })?;
         Ok(worst)
-    }
-
-    /// Raw estimate of the same configuration with the fast kind dialled
-    /// back to one process per PE — the scale anchor of the adjustment.
-    fn baseline_estimate(&self, config: &Configuration, n: usize) -> Option<f64> {
-        let mut base_cfg = config.clone();
-        for u in &mut base_cfg.uses {
-            if u.kind.0 == self.fast_kind && u.pes > 0 {
-                u.procs_per_pe = 1;
-            }
-        }
-        self.estimate_raw(&base_cfg, n).ok()
     }
 }
 

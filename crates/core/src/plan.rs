@@ -6,7 +6,6 @@
 //! measured to ground-truth the estimates).
 
 use etm_cluster::{Configuration, KindId};
-use etm_support::{json_enum, json_struct};
 
 use crate::measurement::SampleKey;
 
@@ -56,17 +55,6 @@ pub struct MeasurementPlan {
     /// Problem sizes used for evaluation (ascending).
     pub evaluation_ns: Vec<usize>,
 }
-
-json_enum!(PlanKind { Basic, NL, NS });
-json_struct!(ConstructionPoint { key, n });
-json_struct!(EvalPoint { config, n });
-json_struct!(MeasurementPlan {
-    kind,
-    construction,
-    construction_ns,
-    evaluation,
-    evaluation_ns,
-});
 
 /// The paper's fast kind (Athlon) is kind 0, slow kind (P-II) kind 1.
 const FAST: KindId = KindId(0);

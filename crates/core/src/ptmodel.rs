@@ -14,7 +14,7 @@
 //! `k7`–`k10` by the fit). The forms mirror the algorithm: `update`
 //! scales as `1/P`, `bcast` as `(P−1) ≈ P`, `laswp` as `1/P`.
 
-use etm_lsq::{lstsq, LsqError};
+use etm_lsq::{FactoredDesign, LsqError};
 use etm_support::json_struct;
 
 use crate::ntmodel::NtModel;
@@ -69,24 +69,16 @@ impl PtModel {
         obs_ta: &[PtObservation],
         obs_tc: &[PtObservation],
     ) -> Result<PtModel, LsqError> {
-        let mut rows_a: Vec<[f64; 2]> = obs_ta
-            .iter()
-            .map(|o| [reference.ta(o.n) / o.p as f64, 1.0])
-            .collect();
-        let mut ya: Vec<f64> = obs_ta.iter().map(|o| o.ta).collect();
-        let ka = lstsq(&mut rows_a, &mut ya)?;
-
-        let mut rows_c: Vec<[f64; 3]> = obs_tc
-            .iter()
-            .map(|o| {
-                let c = reference.tc(o.n);
-                [o.p as f64 * c, c / o.p as f64, 1.0]
-            })
-            .collect();
-        let mut yc: Vec<f64> = obs_tc.iter().map(|o| o.tc).collect();
-        let kc = lstsq(&mut rows_c, &mut yc)?;
-
-        Ok(PtModel { ka, kc, reference })
+        let layout = |obs: &[PtObservation]| obs.iter().map(|o| (o.n, o.p)).collect();
+        let mut inputs = PtInputs {
+            ta_layout: layout(obs_ta),
+            ta: obs_ta.iter().map(|o| o.ta).collect(),
+            tc_layout: layout(obs_tc),
+            tc: obs_tc.iter().map(|o| o.tc).collect(),
+        };
+        PtDesigns::default()
+            .fit(reference, &mut inputs)
+            .map(|(model, _)| model)
     }
 
     /// Predicted computation time at `(N, P)`.
@@ -152,6 +144,125 @@ impl PtModel {
             reference: self.reference,
         }
     }
+}
+
+/// The inputs of one P-T fit, gathered into buffers that outlive it:
+/// each half's `(N, P)` row layout, in gather order, and its measured
+/// times.
+#[derive(Debug, Default)]
+pub(crate) struct PtInputs {
+    pub(crate) ta_layout: Vec<(usize, usize)>,
+    pub(crate) ta: Vec<f64>,
+    pub(crate) tc_layout: Vec<(usize, usize)>,
+    pub(crate) tc: Vec<f64>,
+}
+
+impl PtInputs {
+    /// Empties every buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ta_layout.clear();
+        self.ta.clear();
+        self.tc_layout.clear();
+        self.tc.clear();
+    }
+}
+
+/// One half of a P-T fit, factored, with the inputs its rows were built
+/// from: the bits of the `K` reference coefficients the rows read and
+/// the `(N, P)` layout of the rows.
+#[derive(Debug)]
+struct FactoredHalf<const K: usize, const C: usize> {
+    coeffs: [u64; K],
+    layout: Vec<(usize, usize)>,
+    design: FactoredDesign<Vec<[f64; C]>, C>,
+}
+
+/// One group's factored P-T designs, `Ta`'s (rows `[TaRef(N)/P, 1]`,
+/// read from the reference's `ka`) and `Tc`'s (rows
+/// `[P·TcRef(N), TcRef(N)/P, 1]`, read from its `kc`), kept from one fit
+/// to the next.
+///
+/// A fit reuses a half only when the coefficient bits and the layout it
+/// was built from equal the new ones, so the rows would come out
+/// bitwise the same; anything else is re-factored and replaces it.
+/// Every fit therefore returns bit for bit what a fresh design would,
+/// and no change needs to invalidate anything.
+#[derive(Debug, Default)]
+pub(crate) struct PtDesigns {
+    ta: Option<FactoredHalf<4, 2>>,
+    tc: Option<FactoredHalf<3, 3>>,
+}
+
+impl PtDesigns {
+    /// Fits the P-T model of `inputs` against `reference`, `Ta` before
+    /// `Tc`. Returns the model and how many designs were factored (0–2).
+    /// `inputs` is scratch: the solves overwrite the times, and a
+    /// re-factored half swaps its old layout buffer in.
+    ///
+    /// # Errors
+    /// [`LsqError::Underdetermined`] when a half has fewer rows than
+    /// coefficients; [`LsqError::RankDeficient`] on a collinear design.
+    /// A half factored before a failing solve stays stored: it is still
+    /// the design of its inputs.
+    pub(crate) fn fit(
+        &mut self,
+        reference: NtModel,
+        inputs: &mut PtInputs,
+    ) -> Result<(PtModel, usize), LsqError> {
+        let (ka, ta_factored) = solve_half(
+            &mut self.ta,
+            reference.ka.map(f64::to_bits),
+            &mut inputs.ta_layout,
+            &mut inputs.ta,
+            |n, p| [reference.ta(n) / p as f64, 1.0],
+        )?;
+        let (kc, tc_factored) = solve_half(
+            &mut self.tc,
+            reference.kc.map(f64::to_bits),
+            &mut inputs.tc_layout,
+            &mut inputs.tc,
+            |n, p| {
+                let c = reference.tc(n);
+                [p as f64 * c, c / p as f64, 1.0]
+            },
+        )?;
+        let factored = usize::from(ta_factored) + usize::from(tc_factored);
+        Ok((PtModel { ka, kc, reference }, factored))
+    }
+
+    /// The reference `kc` bits the stored `Tc` design was built from.
+    #[cfg(test)]
+    pub(crate) fn tc_coeffs(&self) -> Option<[u64; 3]> {
+        self.tc.as_ref().map(|half| half.coeffs)
+    }
+}
+
+/// Solves one half against `y`: on the stored design when `coeffs` and
+/// `layout` equal its inputs, otherwise on rows built by `row` at each
+/// `(N, P)` of `layout`, factored and stored in place of the old half
+/// (whose layout buffer `layout` takes over). Also returns whether it
+/// factored.
+fn solve_half<const K: usize, const C: usize>(
+    half: &mut Option<FactoredHalf<K, C>>,
+    coeffs: [u64; K],
+    layout: &mut Vec<(usize, usize)>,
+    y: &mut [f64],
+    row: impl Fn(usize, usize) -> [f64; C],
+) -> Result<([f64; C], bool), LsqError> {
+    if let Some(stored) = half {
+        if stored.coeffs == coeffs && stored.layout == *layout {
+            return Ok((stored.design.solve(y)?, false));
+        }
+    }
+    let design = FactoredDesign::factor(layout.iter().map(|&(n, p)| row(n, p)).collect())?;
+    let mut kept = half.take().map(|old| old.layout).unwrap_or_default();
+    std::mem::swap(layout, &mut kept);
+    let stored = half.insert(FactoredHalf {
+        coeffs,
+        layout: kept,
+        design,
+    });
+    Ok((stored.design.solve(y)?, true))
 }
 
 #[cfg(test)]

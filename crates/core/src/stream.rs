@@ -204,7 +204,7 @@ mod tests {
 
     use super::*;
     use crate::backend::tests::assert_banks_bit_equal;
-    use crate::backend::{FitWork, ModelBackend, PolyLsqBackend};
+    use crate::backend::{FitWork, ModelBackend, PolyLsqBackend, PtMemo};
     use crate::pipeline::ModelBank;
 
     fn synth_sample(kind: usize, pes: usize, m: usize, n: usize) -> Sample {
@@ -486,6 +486,7 @@ mod tests {
             db: &MeasurementDb,
             previous: &ModelBank,
             dirty: &BTreeSet<SampleKey>,
+            memo: &mut PtMemo,
         ) -> Result<(ModelBank, FitWork), PipelineError> {
             let fail = self
                 .failures
@@ -494,7 +495,7 @@ mod tests {
             if fail {
                 return Err(PipelineError::NoDonor { kind: 99, m: 99 });
             }
-            self.inner.refit_groups(db, previous, dirty)
+            self.inner.refit_groups(db, previous, dirty, memo)
         }
     }
 

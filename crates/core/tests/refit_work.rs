@@ -1,7 +1,7 @@
 //! Count gate for refit work: exact N-T fits, N-T design
-//! factorizations and P-T fits, read from each published snapshot, for
-//! the initial fit of the paper's Basic campaign and for one seeded
-//! replay of it into a stale engine. The counts are host-independent:
+//! factorizations, P-T fits and P-T design factorizations, read from
+//! each published snapshot, for the initial fit of the paper's Basic
+//! campaign and for one seeded replay of it into a stale engine. The counts are host-independent:
 //! a change means the engine does more (or less) fitting work.
 
 use etm_cluster::spec::paper_cluster;
@@ -41,13 +41,15 @@ fn basic_campaign_fit_and_replay_do_pinned_work() {
     assert_eq!(db.len(), 486);
     let engine =
         Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("Basic fits");
-    // 54 keys on one shared 9-size design; 6 measured P-T groups.
+    // 54 keys on one shared 9-size design; 6 measured P-T groups, each
+    // factoring its Ta and Tc designs once.
     assert_eq!(
         engine.snapshot().fit_work(),
         FitWork {
             nt_fits: 54,
             nt_factorizations: 2,
             pt_fits: 6,
+            pt_factorizations: 12,
         }
     );
 
@@ -70,6 +72,7 @@ fn basic_campaign_fit_and_replay_do_pinned_work() {
         total.nt_fits += w.nt_fits;
         total.nt_factorizations += w.nt_factorizations;
         total.pt_fits += w.pt_fits;
+        total.pt_factorizations += w.pt_factorizations;
         groups_refit += snap.refit_groups().len();
     })
     .expect("the stream drains");
@@ -83,13 +86,17 @@ fn basic_campaign_fit_and_replay_do_pinned_work() {
     );
     assert_eq!(groups_refit, 218);
     // Only changed keys are refit, and each publication's keys share one
-    // design: 31 designs in all.
+    // design: 31 designs in all. Of the 340 P-T design halves, only 48
+    // are factored: the stale seed moved `Ta` times only, so every `Tc`
+    // design (reference `kc`, layout) is reused, and a group's `Ta`
+    // design is rebuilt only when its reference key's `ka` moved.
     assert_eq!(
         total,
         FitWork {
             nt_fits: 434,
             nt_factorizations: 62,
             pt_fits: 170,
+            pt_factorizations: 48,
         }
     );
     let reference = PolyLsqBackend::paper().fit(&db).expect("Basic fits");

@@ -8,7 +8,7 @@
 //! re-pinned by copying the `got` value from the failure message.
 
 use etm_cluster::spec::paper_cluster;
-use etm_cluster::{ClusterSpec, CommLibProfile, Configuration, KindId};
+use etm_cluster::{ClusterSpec, CommLibProfile, Configuration, KindId, KindUse};
 use etm_hpl::{
     simulate_hpl, simulate_hpl_grid, simulate_hpl_perturbed, simulate_hpl_weighted, BcastAlgo,
     ExecutionPerturbation, GridShape, HplParams, PhaseTimes, SimulatedRun,
@@ -151,4 +151,39 @@ fn netpipe_sweeps() {
         }
     }
     assert_digest("netpipe", &h, 0x3ddb_ebc5_02f1_8053);
+}
+
+/// Count gate on the three `des_event_throughput/hpl_trial_*` bench
+/// shapes, built as the bench builds them. Events are exact: a
+/// different count means the simulated behaviour changed. Polls are an
+/// upper bound, to be lowered by the change that earns it.
+#[test]
+fn bench_trial_simulator_work_is_pinned() {
+    let s = spec();
+    let slow = |pes, procs_per_pe| Configuration {
+        uses: vec![KindUse {
+            kind: KindId(1),
+            pes,
+            procs_per_pe,
+        }],
+    };
+    for (name, cfg, n, events, max_polls) in [
+        ("p2x8m6_n1600", slow(8, 6), 1600, 6_928, 6_928),
+        ("p2x8m5_n6400", slow(8, 5), 6400, 27_323, 27_323),
+        (
+            "p1m1_n1600",
+            Configuration::p1m1_p2m2(1, 1, 0, 0),
+            1600,
+            149,
+            149,
+        ),
+    ] {
+        let run = simulate_hpl(&s, &cfg, &HplParams::order(n).with_nb(64));
+        assert_eq!(run.events, events, "hpl_trial_{name} events");
+        assert!(
+            run.polls <= max_polls,
+            "hpl_trial_{name} polled {} times, bound {max_polls}",
+            run.polls
+        );
+    }
 }
