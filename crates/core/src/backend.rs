@@ -161,46 +161,45 @@ pub(crate) fn compose_fallback(
     group: (usize, usize),
     exclude: &BTreeSet<(usize, usize)>,
 ) -> Result<PtModel, PipelineError> {
-    let (kind, m) = group;
     let composed: BTreeSet<(usize, usize)> = bank.composed_groups.iter().copied().collect();
-    let donor = bank
-        .pt
+    compose_from_donor(&bank.nt, &bank.pt, group, db.sizes(), |donor| {
+        !exclude.contains(&donor) && !composed.contains(&donor)
+    })
+}
+
+/// §3.5 composition of `group`'s P-T model from a donor: the first group
+/// in `pt` of another kind at the same multiplicity that `admit` accepts.
+/// The Ta scale comes from the single-PE N-T curves of both kinds at
+/// this `m`, falling back to their `m = 1` curves.
+///
+/// # Errors
+/// [`PipelineError::NoDonor`] when no donor or no scale curve exists.
+fn compose_from_donor(
+    nt: &BTreeMap<SampleKey, NtModel>,
+    pt: &BTreeMap<(usize, usize), PtModel>,
+    group: (usize, usize),
+    construction_ns: &[usize],
+    admit: impl Fn((usize, usize)) -> bool,
+) -> Result<PtModel, PipelineError> {
+    let (kind, m) = group;
+    let no_donor = || PipelineError::NoDonor { kind, m };
+    let (donor_kind, donor_pt) = pt
         .iter()
-        .find(|(&(dk, dm), _)| {
-            dk != kind && dm == m && !exclude.contains(&(dk, dm)) && !composed.contains(&(dk, dm))
-        })
-        .map(|(&(dk, _), model)| (dk, *model));
-    let (donor_kind, donor_pt) = match donor {
-        Some(d) => d,
-        None => return Err(PipelineError::NoDonor { kind, m }),
+        .find(|(&(dk, dm), _)| dk != kind && dm == m && admit((dk, dm)))
+        .map(|(&(dk, _), model)| (dk, model))
+        .ok_or_else(no_donor)?;
+    let single_pe = |kind: usize| {
+        nt.get(&SampleKey { kind, pes: 1, m })
+            .or_else(|| nt.get(&SampleKey { kind, pes: 1, m: 1 }))
     };
-    let target_nt = bank
-        .nt
-        .get(&SampleKey { kind, pes: 1, m })
-        .or_else(|| bank.nt.get(&SampleKey { kind, pes: 1, m: 1 }));
-    let donor_nt = bank
-        .nt
-        .get(&SampleKey {
-            kind: donor_kind,
-            pes: 1,
-            m,
-        })
-        .or_else(|| {
-            bank.nt.get(&SampleKey {
-                kind: donor_kind,
-                pes: 1,
-                m: 1,
-            })
-        });
-    let (target_nt, donor_nt) = match (target_nt, donor_nt) {
-        (Some(t), Some(d)) => (t, d),
-        _ => return Err(PipelineError::NoDonor { kind, m }),
+    let (Some(target_nt), Some(donor_nt)) = (single_pe(kind), single_pe(donor_kind)) else {
+        return Err(no_donor());
     };
     Ok(compose_fitted(
-        &donor_pt,
+        donor_pt,
         target_nt,
         donor_nt,
-        db.sizes(),
+        construction_ns,
         PAPER_TC_SCALE,
     ))
 }
@@ -304,44 +303,8 @@ fn compose_unfittable(
     let mut composed_groups = Vec::new();
     let mut composed_kinds = Vec::new();
     for &(kind, m) in unfittable {
-        // Donor: any other kind with a P-T model at this m.
-        let donor = pt
-            .iter()
-            .find(|(&(dk, dm), _)| dk != kind && dm == m)
-            .map(|(&(dk, _), model)| (dk, *model));
-        let (donor_kind, donor_pt) = match donor {
-            Some(d) => d,
-            None => return Err(PipelineError::NoDonor { kind, m }),
-        };
-        // Single-PE N-T models of both kinds at this m drive the Ta
-        // scale; fall back to m=1 curves if needed.
-        let target_nt = nt
-            .get(&SampleKey { kind, pes: 1, m })
-            .or_else(|| nt.get(&SampleKey { kind, pes: 1, m: 1 }));
-        let donor_nt = nt
-            .get(&SampleKey {
-                kind: donor_kind,
-                pes: 1,
-                m,
-            })
-            .or_else(|| {
-                nt.get(&SampleKey {
-                    kind: donor_kind,
-                    pes: 1,
-                    m: 1,
-                })
-            });
-        let (target_nt, donor_nt) = match (target_nt, donor_nt) {
-            (Some(t), Some(d)) => (t, d),
-            _ => return Err(PipelineError::NoDonor { kind, m }),
-        };
-        let composed = compose_fitted(
-            &donor_pt,
-            target_nt,
-            donor_nt,
-            construction_ns,
-            PAPER_TC_SCALE,
-        );
+        // A group composed earlier in this pass can donate.
+        let composed = compose_from_donor(nt, pt, (kind, m), construction_ns, |_| true)?;
         pt.insert((kind, m), composed);
         composed_groups.push((kind, m));
         if !composed_kinds.contains(&kind) {

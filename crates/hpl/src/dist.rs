@@ -3,8 +3,8 @@
 //! *weighted* assignment (§2: Kalinov & Lastovetsky, Beaumont et al.
 //! rewrite the application so each PE's share matches its speed).
 
-/// How column blocks map to processes — what the timed simulation needs
-/// to know about a distribution.
+/// How column blocks map to processes — what the rank body needs to
+/// know about a distribution.
 pub trait ColumnAssignment {
     /// Matrix order N.
     fn n(&self) -> usize;
@@ -24,6 +24,10 @@ pub trait ColumnAssignment {
     }
     /// Owner rank of block `b`.
     fn owner(&self, b: usize) -> usize;
+    /// Total columns owned by `rank`.
+    fn cols_of(&self, rank: usize) -> usize {
+        self.trailing_cols_of(rank, 0)
+    }
     /// Columns owned by `rank` among blocks `b ≥ from_block`.
     fn trailing_cols_of(&self, rank: usize, from_block: usize) -> usize {
         (from_block..self.num_blocks())
@@ -49,7 +53,7 @@ impl TrailingCols {
     pub(crate) fn new(dist: &impl ColumnAssignment, rank: usize) -> Self {
         TrailingCols {
             rank,
-            left: dist.trailing_cols_of(rank, 0),
+            left: dist.cols_of(rank),
         }
     }
 
@@ -85,73 +89,6 @@ impl BlockCyclic {
         assert!(n > 0 && nb > 0 && p > 0, "n, nb, p must be positive");
         BlockCyclic { n, nb, p }
     }
-
-    /// Number of column blocks `⌈n / nb⌉`.
-    pub fn num_blocks(&self) -> usize {
-        self.n.div_ceil(self.nb)
-    }
-
-    /// Owner rank of block `b`.
-    pub fn owner(&self, b: usize) -> usize {
-        b % self.p
-    }
-
-    /// Global first column of block `b`.
-    pub fn block_start(&self, b: usize) -> usize {
-        b * self.nb
-    }
-
-    /// Width of block `b` (the last block may be partial).
-    pub fn block_width(&self, b: usize) -> usize {
-        debug_assert!(b < self.num_blocks());
-        self.nb.min(self.n - b * self.nb)
-    }
-
-    /// Blocks owned by `rank`, in ascending order.
-    pub fn blocks_of(&self, rank: usize) -> Vec<usize> {
-        (0..self.num_blocks())
-            .filter(|b| self.owner(*b) == rank)
-            .collect()
-    }
-
-    /// Total columns owned by `rank`.
-    pub fn cols_of(&self, rank: usize) -> usize {
-        self.blocks_of(rank)
-            .iter()
-            .map(|&b| self.block_width(b))
-            .sum()
-    }
-
-    /// Columns owned by `rank` among blocks `b ≥ from_block` (the
-    /// trailing submatrix after `from_block` panels are done).
-    pub fn trailing_cols_of(&self, rank: usize, from_block: usize) -> usize {
-        (from_block..self.num_blocks())
-            .filter(|&b| self.owner(b) == rank)
-            .map(|b| self.block_width(b))
-            .sum()
-    }
-
-    /// Maps a global column to `(owner, local column index)`.
-    pub fn global_to_local(&self, col: usize) -> (usize, usize) {
-        assert!(col < self.n);
-        let b = col / self.nb;
-        let owner = self.owner(b);
-        // Count the columns this rank owns before `col`.
-        let mut local = 0;
-        for ob in self.blocks_of(owner) {
-            if ob == b {
-                local += col - self.block_start(b);
-                break;
-            }
-            local += self.block_width(ob);
-        }
-        (owner, local)
-    }
-
-    /// Local column index of the first column of block `b` on its owner.
-    pub fn block_local_start(&self, b: usize) -> usize {
-        self.global_to_local(self.block_start(b)).1
-    }
 }
 
 impl ColumnAssignment for BlockCyclic {
@@ -162,7 +99,7 @@ impl ColumnAssignment for BlockCyclic {
         self.nb
     }
     fn owner(&self, b: usize) -> usize {
-        BlockCyclic::owner(self, b)
+        b % self.p
     }
 }
 
@@ -211,19 +148,6 @@ impl WeightedDist {
         let owners: Vec<usize> = cycle.iter().cycle().take(num_blocks).copied().collect();
         WeightedDist { n, nb, owners }
     }
-
-    /// Total columns owned by `rank`.
-    pub fn cols_of(&self, rank: usize) -> usize {
-        (0..self.owners.len())
-            .filter(|&b| self.owners[b] == rank)
-            .map(|b| ColumnAssignment::block_width(self, b))
-            .sum()
-    }
-
-    /// Number of blocks owned by `rank`.
-    pub fn blocks_of(&self, rank: usize) -> usize {
-        self.owners.iter().filter(|&&o| o == rank).count()
-    }
 }
 
 impl ColumnAssignment for WeightedDist {
@@ -258,7 +182,8 @@ mod tests {
         assert_eq!(d.owner(1), 1);
         assert_eq!(d.owner(2), 2);
         assert_eq!(d.owner(3), 0);
-        assert_eq!(d.blocks_of(0), vec![0, 3, 6, 9]);
+        let owned: Vec<usize> = (0..d.num_blocks()).filter(|&b| d.owner(b) == 0).collect();
+        assert_eq!(owned, vec![0, 3, 6, 9]);
     }
 
     #[test]
@@ -267,26 +192,6 @@ mod tests {
             let d = BlockCyclic::new(n, nb, p);
             let total: usize = (0..p).map(|r| d.cols_of(r)).sum();
             assert_eq!(total, n, "n={n} nb={nb} p={p}");
-        }
-    }
-
-    #[test]
-    fn global_to_local_roundtrip() {
-        let d = BlockCyclic::new(50, 8, 3);
-        // Walk each rank's local columns in order; they must enumerate
-        // exactly the rank's global columns ascending.
-        for rank in 0..3 {
-            let mut expect_local = 0;
-            for b in d.blocks_of(rank) {
-                for c in 0..d.block_width(b) {
-                    let gcol = d.block_start(b) + c;
-                    let (o, l) = d.global_to_local(gcol);
-                    assert_eq!(o, rank);
-                    assert_eq!(l, expect_local);
-                    expect_local += 1;
-                }
-            }
-            assert_eq!(expect_local, d.cols_of(rank));
         }
     }
 
@@ -302,31 +207,6 @@ mod tests {
                 prev = cur;
             }
             assert_eq!(d.trailing_cols_of(rank, d.num_blocks()), 0);
-        }
-    }
-
-    #[test]
-    fn block_local_start_consistent() {
-        let d = BlockCyclic::new(40, 4, 2);
-        for b in 0..d.num_blocks() {
-            let owner = d.owner(b);
-            let ls = d.block_local_start(b);
-            let (o, l) = d.global_to_local(d.block_start(b));
-            assert_eq!((o, l), (owner, ls));
-        }
-    }
-
-    #[test]
-    fn trait_matches_inherent_for_block_cyclic() {
-        let d = BlockCyclic::new(100, 8, 3);
-        let t: &dyn ColumnAssignment = &d;
-        assert_eq!(t.num_blocks(), d.num_blocks());
-        for b in 0..d.num_blocks() {
-            assert_eq!(t.owner(b), d.owner(b));
-            assert_eq!(t.block_width(b), d.block_width(b));
-        }
-        for r in 0..3 {
-            assert_eq!(t.trailing_cols_of(r, 4), d.trailing_cols_of(r, 4));
         }
     }
 

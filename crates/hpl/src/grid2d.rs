@@ -24,7 +24,7 @@ use etm_cluster::{ClusterSpec, Configuration, Placement, RankPrices};
 use etm_mpisim::coll::{gather, ring_bcast};
 use etm_mpisim::{Comm, SimComm, SimMsg, SubComm};
 
-use crate::dist::{BlockCyclic, TrailingCols};
+use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
 use crate::params::HplParams;
 use crate::phases::PhaseTimes;
 use crate::simulate::{simulate_ranks, ExecutionPerturbation, SimulatedRun};

@@ -15,30 +15,30 @@
 //!       └ bcast            (panel broadcast, comm)
 //! ```
 //!
-//! This crate provides both halves of the reproduction:
+//! Both halves of the reproduction run one rank program,
+//! [`rank::hpl_rank`], generic over the communicator and over the work
+//! each phase does:
 //!
 //! * [`numeric`] — a *real* distributed LU over
 //!   [`ThreadComm`](etm_mpisim::ThreadComm): every rank owns its
 //!   block-cyclic columns, panels are genuinely factored, broadcast and
 //!   applied, and the solution is verified with HPL's scaled residual.
-//!   This proves the algorithm whose time we model is the genuine article.
-//! * [`simulate`] — the same control flow executed against the
-//!   discrete-event fabric ([`SimComm`](etm_mpisim::SimComm)): arithmetic
-//!   is replaced by calibrated virtual-time charges
-//!   ([`PerfModel`](etm_cluster::PerfModel)), messages carry byte counts,
-//!   and each rank accumulates per-phase times exactly as
-//!   `-DHPL_DETAILED_TIMING` does. This is the paper's *measurement
-//!   apparatus*, producing the `(N, P, Mᵢ) → (Ta, Tc)` samples the
-//!   estimation models are fit to.
+//! * [`simulate`] — the same body against the discrete-event fabric
+//!   ([`SimComm`](etm_mpisim::SimComm)): arithmetic is replaced by
+//!   calibrated virtual-time charges ([`PerfModel`](etm_cluster::PerfModel)),
+//!   messages carry byte counts, and each rank accumulates per-phase
+//!   times exactly as `-DHPL_DETAILED_TIMING` does. This is the paper's
+//!   *measurement apparatus*, producing the `(N, P, Mᵢ) → (Ta, Tc)`
+//!   samples the estimation models are fit to.
 //!
-//! Two extensions change only what each timed rank does: [`weighted`]
-//! deals the columns in proportion to PE speed (the related work's
-//! rewritten HPL), and [`grid2d`] runs on an `R × C` process grid. All
-//! of them are one program over a [`ColumnAssignment`] or grid shape:
-//! every numeric run goes through
-//! [`run_thread_ranks`](etm_mpisim::run_thread_ranks) and every timed
-//! run through [`run_sim_ranks`](etm_mpisim::run_sim_ranks), which
-//! spawn the ranks; this crate supplies only the rank bodies.
+//! `tests/send_sequence.rs` checks that the two send the same
+//! `(peer, tag, bytes)` sequence from every rank. Two extensions change
+//! only what each timed rank does: [`weighted`] deals the columns in
+//! proportion to PE speed (the related work's rewritten HPL), and
+//! [`grid2d`] runs its own rank body on an `R × C` process grid. Every
+//! numeric run goes through [`run_thread_ranks`](etm_mpisim::run_thread_ranks)
+//! and every timed run through [`run_sim_ranks`](etm_mpisim::run_sim_ranks),
+//! which spawn the ranks; this crate supplies only the rank bodies.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +48,7 @@ pub mod grid2d;
 pub mod numeric;
 pub mod params;
 pub mod phases;
+pub mod rank;
 pub mod simulate;
 pub mod weighted;
 

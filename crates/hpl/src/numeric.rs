@@ -1,27 +1,29 @@
 //! The *numeric* HPL: a real distributed-memory LU solve over the thread
 //! backend, with every rank owning its 1-D block-cyclic columns.
 //!
-//! This is functionally the algorithm HPL executes on a 1 × P grid:
-//! right-looking panels, partial pivoting local to the panel owner,
-//! ring/binomial panel broadcast, row interchanges, dtrsm + dgemm trailing
-//! update, and a pipelined backward substitution. The solution is checked
-//! with HPL's scaled residual, proving that the control flow whose timing
-//! the simulation charges is a correct LU solver.
+//! [`NumericWork`] is the arithmetic of [`hpl_rank`]'s phases: `dgetf2`
+//! on the panel, row interchanges, `dtrsv`/`dgemv` on the replicated
+//! right-hand side, `dtrsm` + `dgemm` on the trailing columns and the
+//! pipelined backward substitution. The timed HPL runs the same body
+//! with calibrated charges in place of the arithmetic, so the scaled
+//! residual checked here is the residual of the control flow the
+//! simulation times; `crates/hpl/tests/send_sequence.rs` checks that
+//! both backends send the same messages.
 
 use std::time::Instant;
 
-use etm_linalg::blas2::{dgemv, Diagonal, Triangle};
+use etm_linalg::blas2::{dgemv, dtrsv, Diagonal, Triangle};
 use etm_linalg::blas3::{dgemm, dtrsm_left};
 use etm_linalg::gen::{hpl_element, hpl_matrix, hpl_rhs};
 use etm_linalg::lu::dgetf2;
 use etm_linalg::verify::{residual, Residual};
 use etm_linalg::Matrix;
-use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadMsg};
 
-use crate::dist::BlockCyclic;
-use crate::params::{BcastAlgo, HplParams};
+use crate::dist::{BlockCyclic, ColumnAssignment};
+use crate::params::HplParams;
 use crate::phases::PhaseTimes;
+use crate::rank::{hpl_rank, Block, RankWork};
 
 /// Result of a numeric run.
 #[derive(Debug, Clone)]
@@ -37,221 +39,135 @@ pub struct NumericResult {
     pub wall_seconds: f64,
 }
 
-/// Per-rank state for the distributed solve.
-struct Rank {
-    dist: BlockCyclic,
-    /// Local columns (n rows × cols_of(me)), ascending global order.
-    local: Matrix,
-    /// Global column index of each local column.
+/// One rank's data for the numeric solve: its columns of the HPL test
+/// matrix and the replicated right-hand side.
+pub struct NumericWork {
+    /// Global column index of each local column, ascending.
     gcols: Vec<usize>,
-    /// Replicated right-hand side, forward-solved in place.
+    /// Local columns (N rows × `gcols.len()`).
+    local: Matrix,
+    /// Replicated right-hand side, forward-solved in place; then the
+    /// backward-substitution token, the partially solved vector.
     y: Vec<f64>,
-    phases: PhaseTimes,
+    /// The current panel: factored on its owner, then as broadcast.
+    panel: Matrix,
+    /// Panel-relative pivot rows of the panel just factored.
+    pivots: Vec<usize>,
+    clock: Instant,
 }
 
-impl Rank {
-    fn new(me: usize, params: &HplParams, p: usize) -> Self {
-        let _ = me;
-        let dist = BlockCyclic::new(params.n, params.nb, p);
-        let gcols: Vec<usize> = dist
-            .blocks_of(me)
-            .into_iter()
-            .flat_map(|b| {
-                (dist.block_start(b)..dist.block_start(b) + dist.block_width(b)).collect::<Vec<_>>()
-            })
+impl NumericWork {
+    /// Rank `me`'s share of `params`' system under `dist`.
+    pub fn new(me: usize, params: &HplParams, dist: &impl ColumnAssignment) -> Self {
+        let gcols: Vec<usize> = (0..dist.num_blocks())
+            .filter(|&b| dist.owner(b) == me)
+            .flat_map(|b| dist.block_start(b)..dist.block_start(b) + dist.block_width(b))
             .collect();
-        let n = params.n;
-        let seed = params.seed;
-        let mut local = Matrix::zeros(n, gcols.len());
-        for (lj, &gj) in gcols.iter().enumerate() {
-            for i in 0..n {
-                local[(i, lj)] = hpl_element(seed, i, gj);
-            }
-        }
-        Rank {
-            dist,
-            local,
+        let local = Matrix::from_fn(params.n, gcols.len(), |i, lj| {
+            hpl_element(params.seed, i, gcols[lj])
+        });
+        NumericWork {
             gcols,
-            y: hpl_rhs(n, seed),
-            phases: PhaseTimes::default(),
+            local,
+            y: hpl_rhs(params.n, params.seed),
+            panel: Matrix::zeros(0, 0),
+            pivots: Vec::new(),
+            clock: Instant::now(),
         }
     }
 
-    /// Index of the first local column with global index ≥ `gcol`.
-    fn first_local_at_or_after(&self, gcol: usize) -> usize {
+    /// Local index of global column `gcol`.
+    fn local_col(&self, gcol: usize) -> usize {
         self.gcols.partition_point(|&g| g < gcol)
     }
 }
 
-fn bcast_panel(
-    comm: &ThreadComm,
-    algo: BcastAlgo,
-    root: usize,
-    msg: Option<ThreadMsg>,
-) -> ThreadMsg {
-    match algo {
-        BcastAlgo::Ring => block_on(ring_bcast(comm, root, msg)),
-        BcastAlgo::Binomial => block_on(binomial_bcast(comm, root, msg)),
+impl RankWork for NumericWork {
+    type Msg = ThreadMsg;
+
+    fn now(&self) -> f64 {
+        self.clock.elapsed().as_secs_f64()
     }
-}
 
-/// Executes one rank of the distributed solve; returns the full solution
-/// (replicated at the end) and this rank's phase times.
-fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
-    let p = comm.size();
-    let me = comm.rank();
-    let mut st = Rank::new(me, &params, p);
-    let n = params.n;
-    let nc = st.dist.num_blocks();
+    async fn pfact(&mut self, b: &Block) {
+        let lstart = self.local_col(b.start);
+        let mut panel = self.local.submatrix(b.start, lstart, b.rows, b.w);
+        dgetf2(&mut panel, &mut self.pivots).expect("HPL test matrices are non-singular");
+        self.local.set_submatrix(b.start, lstart, &panel);
+        self.panel = panel;
+    }
 
-    for k in 0..nc {
-        let owner = st.dist.owner(k);
-        let start = st.dist.block_start(k);
-        let w = st.dist.block_width(k);
-        let rows = n - start;
+    async fn mxswp(&mut self, b: &Block) -> ThreadMsg {
+        ThreadMsg {
+            data: self.panel.as_slice().to_vec(),
+            ints: self.pivots.iter().map(|&r| b.start + r).collect(),
+        }
+    }
 
-        // --- rfact (pfact + mxswp) on the owner, then bcast to all.
-        let payload = if me == owner {
-            let t0 = Instant::now();
-            let lstart = st.first_local_at_or_after(start);
-            debug_assert_eq!(st.gcols[lstart], start);
-            let mut panel = st.local.submatrix(start, lstart, rows, w);
-            let mut ppiv = Vec::new();
-            dgetf2(&mut panel, &mut ppiv).expect("HPL test matrices are non-singular");
-            st.local.set_submatrix(start, lstart, &panel);
-            st.phases.pfact += t0.elapsed().as_secs_f64();
-            // mxswp: record the pivot rows (global indices).
-            let t1 = Instant::now();
-            let gpiv: Vec<usize> = ppiv.iter().map(|&r| start + r).collect();
-            st.phases.mxswp += t1.elapsed().as_secs_f64();
-            Some(ThreadMsg {
-                data: panel.as_slice().to_vec(),
-                ints: gpiv,
-            })
-        } else {
-            None
-        };
-        let t_b = Instant::now();
-        let msg = bcast_panel(&comm, params.bcast, owner, payload);
-        st.phases.bcast += t_b.elapsed().as_secs_f64();
-        let panel = Matrix::from_col_major(rows, w, msg.data);
-        let gpiv = msg.ints;
+    async fn sync_stall(&mut self) {}
 
-        // --- laswp: apply this panel's pivots to my trailing columns and
-        // the replicated rhs.
-        let t_l = Instant::now();
-        let tstart = st.first_local_at_or_after(start + w);
-        let tcols = st.gcols.len() - tstart;
-        for (j, &piv) in gpiv.iter().enumerate() {
-            let r = start + j;
+    async fn laswp(&mut self, b: &Block, panel: ThreadMsg) {
+        let end = self.gcols.len();
+        let tstart = end - b.tcols;
+        for (j, &piv) in panel.ints.iter().enumerate() {
+            let r = b.start + j;
             if piv != r {
-                st.local.swap_rows_in_cols(r, piv, tstart, st.gcols.len());
-                st.y.swap(r, piv);
+                self.local.swap_rows_in_cols(r, piv, tstart, end);
+                self.y.swap(r, piv);
             }
         }
-        st.phases.laswp += t_l.elapsed().as_secs_f64();
+        self.panel = Matrix::from_col_major(b.rows, b.w, panel.data);
+    }
 
-        // --- forward solve on the replicated rhs (redundant on all
-        // ranks): y1 := L11⁻¹ y1; y2 -= L21 · y1.
-        let t_f = Instant::now();
-        {
-            let l11 = panel.submatrix(0, 0, w, w);
-            let (y1, y2) = {
-                let (a, rest) = st.y[start..].split_at_mut(w);
-                (a, rest)
-            };
-            etm_linalg::blas2::dtrsv(Triangle::Lower, Diagonal::Unit, &l11, y1);
-            if rows > w {
-                let l21 = panel.submatrix(w, 0, rows - w, w);
-                dgemv(-1.0, &l21, y1, 1.0, y2);
-            }
-        }
-        st.phases.uptrsv += t_f.elapsed().as_secs_f64();
-
-        // --- update: U12 := L11⁻¹ A12; A22 -= L21 · U12 on my trailing
-        // columns.
-        if tcols > 0 {
-            let t_u = Instant::now();
-            let l11 = panel.submatrix(0, 0, w, w);
-            let mut a12 = st.local.submatrix(start, tstart, w, tcols);
-            dtrsm_left(Triangle::Lower, Diagonal::Unit, 1.0, &l11, &mut a12);
-            st.local.set_submatrix(start, tstart, &a12);
-            if rows > w {
-                let l21 = panel.submatrix(w, 0, rows - w, w);
-                let mut a22 = st.local.submatrix(start + w, tstart, rows - w, tcols);
-                dgemm(-1.0, &l21, &a12, 1.0, &mut a22);
-                st.local.set_submatrix(start + w, tstart, &a22);
-            }
-            st.phases.update += t_u.elapsed().as_secs_f64();
+    /// `y1 := L11⁻¹ y1; y2 -= L21 · y1`.
+    async fn forward(&mut self, b: &Block) {
+        let l11 = self.panel.submatrix(0, 0, b.w, b.w);
+        let (y1, y2) = self.y[b.start..].split_at_mut(b.w);
+        dtrsv(Triangle::Lower, Diagonal::Unit, &l11, y1);
+        if b.rows > b.w {
+            let l21 = self.panel.submatrix(b.w, 0, b.rows - b.w, b.w);
+            dgemv(-1.0, &l21, y1, 1.0, y2);
         }
     }
 
-    // --- uptrsv: pipelined backward substitution. The token carries the
-    // partially solved vector; each block owner solves its diagonal block
-    // and eliminates its columns from the rows above.
-    let t_s = Instant::now();
-    const UPTRSV_TAG: u32 = 0x0770;
-    let mut token: Option<Vec<f64>> = None;
-    for k in (0..nc).rev() {
-        let owner = st.dist.owner(k);
-        if me != owner {
-            continue;
+    /// `U12 := L11⁻¹ A12; A22 -= L21 · U12` on the trailing columns.
+    async fn update(&mut self, b: &Block) {
+        let (tstart, w) = (self.gcols.len() - b.tcols, b.w);
+        let l11 = self.panel.submatrix(0, 0, w, w);
+        let mut a12 = self.local.submatrix(b.start, tstart, w, b.tcols);
+        dtrsm_left(Triangle::Lower, Diagonal::Unit, 1.0, &l11, &mut a12);
+        self.local.set_submatrix(b.start, tstart, &a12);
+        if b.rows > w {
+            let l21 = self.panel.submatrix(w, 0, b.rows - w, w);
+            let mut a22 = self
+                .local
+                .submatrix(b.start + w, tstart, b.rows - w, b.tcols);
+            dgemm(-1.0, &l21, &a12, 1.0, &mut a22);
+            self.local.set_submatrix(b.start + w, tstart, &a22);
         }
-        let mut z = match token.take() {
-            Some(z) => z,
-            None => {
-                if k == nc - 1 {
-                    st.y.clone()
-                } else {
-                    let from = st.dist.owner(k + 1);
-                    if from == me {
-                        unreachable!("token stays local between owned blocks");
-                    }
-                    block_on(comm.recv(from, UPTRSV_TAG)).data
-                }
-            }
-        };
-        let start = st.dist.block_start(k);
-        let w = st.dist.block_width(k);
-        let lstart = st.first_local_at_or_after(start);
-        // Solve U_kk · x_k = z_k.
-        let ukk = st.local.submatrix(start, lstart, w, w);
-        etm_linalg::blas2::dtrsv(
-            Triangle::Upper,
-            Diagonal::NonUnit,
-            &ukk,
-            &mut z[start..start + w],
-        );
-        // Eliminate: z[0..start] -= U(0..start, block k) · x_k.
+    }
+
+    fn take_token(&mut self, token: Option<ThreadMsg>) {
+        if let Some(z) = token {
+            self.y = z.data;
+        }
+    }
+
+    /// Solves `U_kk · x_k = z_k`, then `z[..start] -= U(..start, k) · x_k`.
+    async fn backsolve(&mut self, start: usize, w: usize) {
+        let lstart = self.local_col(start);
+        let (above, xk) = self.y.split_at_mut(start);
+        let ukk = self.local.submatrix(start, lstart, w, w);
+        dtrsv(Triangle::Upper, Diagonal::NonUnit, &ukk, &mut xk[..w]);
         if start > 0 {
-            let u_above = st.local.submatrix(0, lstart, start, w);
-            let xk = z[start..start + w].to_vec();
-            let (above, rest) = z.split_at_mut(start);
-            let _ = rest;
-            dgemv(-1.0, &u_above, &xk, 1.0, above);
-        }
-        if k > 0 {
-            let next = st.dist.owner(k - 1);
-            if next == me {
-                token = Some(z);
-            } else {
-                block_on(comm.send(next, UPTRSV_TAG, ThreadMsg::floats(z)));
-            }
-        } else {
-            token = Some(z);
+            let u_above = self.local.submatrix(0, lstart, start, w);
+            dgemv(-1.0, &u_above, &xk[..w], 1.0, above);
         }
     }
-    // Owner of block 0 now holds the full solution; broadcast it.
-    let root = st.dist.owner(0);
-    let payload = if me == root {
-        Some(ThreadMsg::floats(token.expect("block-0 owner holds x")))
-    } else {
-        None
-    };
-    let x = block_on(ring_bcast(&comm, root, payload)).data;
-    st.phases.uptrsv += t_s.elapsed().as_secs_f64();
 
-    (x, st.phases)
+    fn pass_token(&mut self) -> ThreadMsg {
+        ThreadMsg::floats(std::mem::take(&mut self.y))
+    }
 }
 
 /// Runs the numeric distributed HPL on `p` ranks (threads) and verifies
@@ -262,13 +178,16 @@ fn run_rank(comm: ThreadComm, params: HplParams) -> (Vec<f64>, PhaseTimes) {
 pub fn run_numeric(params: &HplParams, p: usize) -> NumericResult {
     assert!(p > 0);
     let t0 = Instant::now();
+    let dist = BlockCyclic::new(params.n, params.nb, p);
     // Every rank ends holding the broadcast solution; keep the last.
-    let (mut xs, phases): (Vec<Vec<f64>>, Vec<PhaseTimes>) =
-        run_thread_ranks(p, |c| run_rank(c, *params))
-            .into_iter()
-            .unzip();
+    let (phases, mut xs): (Vec<PhaseTimes>, Vec<ThreadMsg>) = run_thread_ranks(p, |comm| {
+        let mut work = NumericWork::new(comm.rank(), params, &dist);
+        block_on(hpl_rank(&comm, &dist, params.bcast, &mut work))
+    })
+    .into_iter()
+    .unzip();
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let x = xs.pop().expect("at least one rank");
+    let x = xs.pop().expect("at least one rank").data;
     let a = hpl_matrix(params.n, params.seed);
     let b = hpl_rhs(params.n, params.seed);
     let res = residual(&a, &x, &b);
@@ -283,6 +202,7 @@ pub fn run_numeric(params: &HplParams, p: usize) -> NumericResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::BcastAlgo;
     use etm_linalg::solve::dgesv;
 
     #[test]

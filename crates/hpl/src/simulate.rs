@@ -1,6 +1,8 @@
-//! The *timed* HPL: the same distributed control flow as [`crate::numeric`],
-//! executed against the discrete-event fabric with calibrated virtual-time
-//! charges instead of arithmetic.
+//! The *timed* HPL: [`TimedWork`] runs the numeric HPL's rank body,
+//! [`hpl_rank`], against the discrete-event fabric with calibrated
+//! virtual-time charges instead of arithmetic;
+//! `crates/hpl/tests/send_sequence.rs` checks that it sends the numeric
+//! run's messages, byte for byte.
 //!
 //! Each rank is a simulation process on its CPU's processor-sharing
 //! resource; co-resident ranks (multiprocessing, `Mᵢ > 1`) therefore slow
@@ -10,7 +12,7 @@
 //! (or binomial tree) through NIC and intra-node paths, so communication
 //! time emerges from contention rather than being a closed-form guess.
 //!
-//! Phase accounting mirrors `-DHPL_DETAILED_TIMING`: each rank measures
+//! Phase accounting mirrors `-DHPL_DETAILED_TIMING`: the body measures
 //! elapsed *virtual* time around every phase, so waiting inside a
 //! broadcast counts toward `bcast` — precisely how the paper's Fig. 4
 //! items are measured.
@@ -19,12 +21,12 @@ use std::future::Future;
 use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement, RankPrices};
-use etm_mpisim::coll::{binomial_bcast, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, FabricSim, SimComm, SimFabric, SimMsg, SimRanks};
+use etm_mpisim::{run_sim_ranks, FabricSim, SimComm, SimFabric, SimMsg, SimRanks};
 
-use crate::dist::{BlockCyclic, ColumnAssignment, TrailingCols};
-use crate::params::{BcastAlgo, HplParams};
+use crate::dist::{BlockCyclic, ColumnAssignment};
+use crate::params::HplParams;
 use crate::phases::{gflops, PhaseTimes};
+use crate::rank::{hpl_rank, Block, RankWork};
 
 /// Outcome of one simulated HPL run.
 #[derive(Debug, Clone)]
@@ -101,124 +103,88 @@ fn pfact_flops(rows: usize, w: usize) -> f64 {
     (search_scal + update) as f64
 }
 
-async fn bcast_sim(comm: &SimComm, algo: BcastAlgo, root: usize, msg: Option<SimMsg>) -> SimMsg {
-    match algo {
-        BcastAlgo::Ring => ring_bcast(comm, root, msg).await,
-        BcastAlgo::Binomial => binomial_bcast(comm, root, msg).await,
+/// One rank's charges for the timed run of [`hpl_rank`]: each phase
+/// computes (or waits) for the virtual time its [`RankPrices`] put on
+/// the work the numeric run does, and each message carries the byte
+/// count of the numeric one.
+pub struct TimedWork<'a> {
+    comm: &'a SimComm,
+    cost: RankPrices,
+    /// Bytes of the backward-substitution token and the solution: N
+    /// doubles.
+    token_bytes: f64,
+}
+
+impl<'a> TimedWork<'a> {
+    /// The charges of the rank behind `comm` for an order-`n` run.
+    pub fn new(comm: &'a SimComm, cost: RankPrices, n: usize) -> Self {
+        TimedWork {
+            comm,
+            cost,
+            token_bytes: 8.0 * n as f64,
+        }
     }
 }
 
-/// One rank's timed execution.
-async fn run_rank_sim(
-    comm: &SimComm,
-    params: &HplParams,
-    dist: &impl ColumnAssignment,
-    cost: &RankPrices,
-) -> PhaseTimes {
-    let me = comm.rank();
-    let n = params.n;
-    let nc = dist.num_blocks();
-    let mut ph = PhaseTimes::default();
-    let mut trailing = TrailingCols::new(dist, me);
+impl RankWork for TimedWork<'_> {
+    type Msg = SimMsg;
 
-    for k in 0..nc {
-        let owner = dist.owner(k);
-        let start = dist.block_start(k);
-        let w = dist.block_width(k);
-        let rows = n - start;
-        let tcols = trailing.pass(dist, k);
+    fn now(&self) -> f64 {
+        self.comm.now()
+    }
 
-        // --- rfact on the owner.
-        if me == owner {
-            let t0 = comm.now();
-            comm.compute(cost.panel(pfact_flops(rows, w))).await;
-            ph.pfact += comm.now() - t0;
-            let t1 = comm.now();
-            comm.compute(cost.memop(16.0 * w as f64)).await;
-            ph.mxswp += comm.now() - t1;
-        }
+    // The unconditional charges return the fabric's future itself: an
+    // `async` wrapper around it measurably slowed the closed-loop trials.
+    fn pfact(&mut self, b: &Block) -> impl Future<Output = ()> {
+        self.comm.compute(self.cost.panel(pfact_flops(b.rows, b.w)))
+    }
 
-        // --- panel broadcast (factored panel + pivot indices), followed
-        // by the scheduler stall a time-sliced process pays to get the
-        // CPU back after blocking at the synchronization point.
-        let bytes = 8.0 * (rows * w) as f64 + 8.0 * w as f64;
-        let t_b = comm.now();
-        let payload = (me == owner).then(|| SimMsg::of(bytes));
-        let _ = bcast_sim(comm, params.bcast, owner, payload).await;
-        let stall = cost.sync_stall();
+    /// Charges the pivot bookkeeping; the panel message is the factored
+    /// panel plus one index per pivot.
+    async fn mxswp(&mut self, b: &Block) -> SimMsg {
+        self.comm.compute(self.cost.memop(16.0 * b.w as f64)).await;
+        SimMsg::of(8.0 * (b.rows * b.w) as f64 + 8.0 * b.w as f64)
+    }
+
+    /// The scheduler stall a time-sliced process pays to get the CPU
+    /// back after blocking at the synchronization point.
+    async fn sync_stall(&mut self) {
+        let stall = self.cost.sync_stall();
         if stall > 0.0 {
-            comm.idle(stall).await;
-        }
-        ph.bcast += comm.now() - t_b;
-
-        // --- laswp on my trailing columns (plus the replicated rhs).
-        if tcols > 0 {
-            let t_l = comm.now();
-            let touched = 2.0 * (w * tcols) as f64 * 8.0;
-            comm.compute(cost.memop(touched)).await;
-            ph.laswp += comm.now() - t_l;
-        }
-
-        // --- redundant forward solve on the replicated rhs.
-        {
-            let t_f = comm.now();
-            let flops = (w * w) as f64 + 2.0 * ((rows - w) * w) as f64;
-            comm.compute(cost.panel(flops)).await;
-            ph.uptrsv += comm.now() - t_f;
-        }
-
-        // --- trailing update: dtrsm + dgemm on my columns.
-        if tcols > 0 {
-            let t_u = comm.now();
-            let trsm = (w * w * tcols) as f64;
-            let gemm = 2.0 * ((rows - w) * w * tcols) as f64;
-            comm.compute(cost.gemm(trsm + gemm)).await;
-            ph.update += comm.now() - t_u;
+            self.comm.idle(stall).await;
         }
     }
 
-    // --- backward substitution: token-passing chain over block owners.
-    const UPTRSV_TAG: u32 = 0x0770;
-    let t_s = comm.now();
-    let token_bytes = 8.0 * n as f64;
-    let mut holding = false;
-    for k in (0..nc).rev() {
-        let owner = dist.owner(k);
-        if me != owner {
-            continue;
+    /// Row interchanges on the trailing columns (plus the rhs).
+    async fn laswp(&mut self, b: &Block, _panel: SimMsg) {
+        if b.tcols > 0 {
+            let touched = 2.0 * (b.w * b.tcols) as f64 * 8.0;
+            self.comm.compute(self.cost.memop(touched)).await;
         }
-        if !holding {
-            if k == nc - 1 {
-                // Initial token is my own replicated rhs: no transfer.
-            } else {
-                let from = dist.owner(k + 1);
-                let _ = comm.recv(from, UPTRSV_TAG).await;
-            }
-            holding = true;
-        }
-        let start = dist.block_start(k);
-        let w = dist.block_width(k);
-        // trsv on the diagonal block + elimination above.
+    }
+
+    fn forward(&mut self, b: &Block) -> impl Future<Output = ()> {
+        let flops = (b.w * b.w) as f64 + 2.0 * ((b.rows - b.w) * b.w) as f64;
+        self.comm.compute(self.cost.panel(flops))
+    }
+
+    fn update(&mut self, b: &Block) -> impl Future<Output = ()> {
+        let trsm = (b.w * b.w * b.tcols) as f64;
+        let gemm = 2.0 * ((b.rows - b.w) * b.w * b.tcols) as f64;
+        self.comm.compute(self.cost.gemm(trsm + gemm))
+    }
+
+    fn take_token(&mut self, _token: Option<SimMsg>) {}
+
+    /// trsv on the diagonal block + elimination above.
+    fn backsolve(&mut self, start: usize, w: usize) -> impl Future<Output = ()> {
         let flops = (w * w) as f64 + 2.0 * (start * w) as f64;
-        comm.compute(cost.panel(flops)).await;
-        if k > 0 {
-            let next = dist.owner(k - 1);
-            if next != me {
-                comm.send(next, UPTRSV_TAG, SimMsg::of(token_bytes)).await;
-                holding = false;
-            }
-        }
+        self.comm.compute(self.cost.panel(flops))
     }
-    ph.uptrsv += comm.now() - t_s;
 
-    // --- final solution broadcast from the owner of block 0.
-    let t_x = comm.now();
-    let root = dist.owner(0);
-    let payload = (me == root).then(|| SimMsg::of(token_bytes));
-    let _ = ring_bcast(comm, root, payload).await;
-    ph.bcast += comm.now() - t_x;
-
-    ph
+    fn pass_token(&mut self) -> SimMsg {
+        SimMsg::of(self.token_bytes)
+    }
 }
 
 /// Execution-side perturbation of one simulated run: stragglers and
@@ -337,7 +303,10 @@ pub(crate) fn simulate_1d<D: ColumnAssignment + 'static>(
         perturb,
         |comm, cost| {
             let dist = Rc::clone(&dist);
-            async move { run_rank_sim(&comm, &run_params, &*dist, &cost).await }
+            async move {
+                let mut work = TimedWork::new(&comm, cost, run_params.n);
+                hpl_rank(&comm, &*dist, run_params.bcast, &mut work).await.0
+            }
         },
     )
 }

@@ -7,10 +7,7 @@
 //! design once and solves it against any number of observation vectors;
 //! [`lstsq`] is that factorization with a single solve, and
 //! [`condition_estimate`] is what the model-validity audit reads from the
-//! same factorization. Two small helpers sit beside them: [`fit_poly`] /
-//! [`eval_poly`] on the power basis, and the goodness-of-fit statistics
-//! [`mean`], [`r_squared`] and [`rmse`], which the kernel never computes
-//! itself.
+//! same factorization.
 //!
 //! ## Example: recovering `Tc(N) = k4·N² + k5·N + k6`
 //!
@@ -31,11 +28,7 @@
 #![warn(missing_docs)]
 
 mod multifit;
-mod poly;
 mod qr;
-mod stats;
 
 pub use multifit::{lstsq, FactoredDesign, LsqError};
-pub use poly::{eval_poly, fit_poly};
 pub use qr::condition_estimate;
-pub use stats::{mean, r_squared, rmse};

@@ -147,13 +147,19 @@ impl<R: BorrowMut<[[f64; C]]>, const C: usize> FactoredDesign<R, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::r_squared;
-
     /// `row · c` for every row.
     fn predict<const C: usize>(rows: &[[f64; C]], c: &[f64; C]) -> Vec<f64> {
         rows.iter()
             .map(|r| r.iter().zip(c).map(|(x, k)| x * k).sum())
             .collect()
+    }
+
+    /// Coefficient of determination `1 − SS_res / SS_tot`.
+    fn r_squared(y: &[f64], pred: &[f64]) -> f64 {
+        let mean = y.iter().sum::<f64>() / y.len() as f64;
+        let ss_tot: f64 = y.iter().map(|v| (v - mean) * (v - mean)).sum();
+        let ss_res: f64 = y.iter().zip(pred).map(|(v, p)| (v - p) * (v - p)).sum();
+        1.0 - ss_res / ss_tot
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the same frozen seeds, so failures reproduce exactly. Residuals and
 //! predictions are computed here from the returned coefficients.
 
-use etm_lsq::{eval_poly, lstsq};
+use etm_lsq::lstsq;
 use etm_support::prop::{check, gen};
 use etm_support::rng::Rng64;
 
@@ -123,22 +123,5 @@ fn linear_transform_recovers_affine_maps() {
         let [scale, offset] = fit(&rows, &ys);
         assert!((scale - a).abs() < 1e-8, "scale {scale} vs {a}");
         assert!((offset - b).abs() < 1e-7, "offset {offset} vs {b}");
-    });
-}
-
-/// eval_poly agrees with naive power evaluation.
-#[test]
-fn horner_equals_naive() {
-    check(64, 0x4c53_5135, |rng| {
-        let coeffs = gen::vec_f64(rng, 1, 5, -3.0, 3.0);
-        let x = rng.range_f64(-4.0, 4.0);
-        let d = coeffs.len() - 1;
-        let naive: f64 = coeffs
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c * x.powi((d - i) as i32))
-            .sum();
-        let h = eval_poly(&coeffs, x);
-        assert!((h - naive).abs() < 1e-9 * naive.abs().max(1.0));
     });
 }

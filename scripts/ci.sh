@@ -4,11 +4,12 @@
 #   scripts/ci.sh --quick   fail-fast inner loop: fmt + source lints +
 #                           hermeticity + the static policy analyzer
 #                           (`cargo xtask analyze`, P001-P005), then
-#                           the tier-1 build + tests.
+#                           the tier-1 build, clippy over every target
+#                           with warnings denied, and the tier-1 tests.
 #   scripts/ci.sh           everything in --quick (the analyze stage
 #                           additionally writes its machine-readable
 #                           report to results/analyze_report.json),
-#                           plus clippy, the model-validity audit
+#                           plus the model-validity audit
 #                           (on a freshly measured Basic campaign), the
 #                           simulator-driven experiments (`repro fig1
 #                           fig2 fig3 ablations baselines`, which
@@ -172,6 +173,7 @@ stage "fmt"        cargo fmt --all --check
 stage "lint"       cargo xtask check hermetic lint
 stage "analyze"    analyze_gate
 stage "build"      cargo build --release
+stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "test"       cargo test -q --workspace
 
 if [ "$QUICK" = 1 ]; then
@@ -181,7 +183,6 @@ if [ "$QUICK" = 1 ]; then
 fi
 
 # --- full tier ------------------------------------------------------
-stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "audit"      cargo xtask check audit
 stage "sim"        cargo run -q --release -p etm-repro --bin repro -- \
                      fig1 fig2 fig3 ablations baselines

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests of the substrates: numeric HPL over
-//! real message passing, the timed HPL over the discrete-event fabric,
-//! and the agreement between the two control flows.
+//! real message passing and the timed HPL over the discrete-event
+//! fabric. Both run one rank body; that they send the same messages is
+//! checked in `crates/hpl/tests/send_sequence.rs`.
 
 use hetero_etm::cluster::spec::paper_cluster;
 use hetero_etm::cluster::{CommLibProfile, Configuration, KindId};
