@@ -3,7 +3,11 @@
 //! campaign, at the plan's largest evaluation size:
 //!
 //! * `exhaustive_best_config` — the exhaustive sweep (the §4
-//!   baseline every pruned run is audited against);
+//!   baseline every pruned run is audited against), enumeration
+//!   included;
+//! * `sweep_62` — the same sweep over configurations enumerated once,
+//!   outside the timed closure: the 62 estimates and their argmin
+//!   alone, the same-run baseline the anytime rows are read against;
 //! * `anytime_cold` — branch-and-bound to exhaustion, no warm start
 //!   (bit-identical argmin, strictly fewer estimates);
 //! * `anytime_warm` — the same search seeded with its own optimum,
@@ -22,7 +26,9 @@ use etm_cluster::Configuration;
 use etm_core::plan::MeasurementPlan;
 use etm_repro::experiments::engine_for;
 use etm_repro::stream::evaluation_space;
-use etm_search::{anytime_search, best_config, pareto_front_of, AnytimeOptions};
+use etm_search::{
+    anytime_search, best_config, exhaustive, pareto_front_of, snapshot_objective, AnytimeOptions,
+};
 
 fn main() {
     let mut r = Runner::new("optimizer");
@@ -39,6 +45,11 @@ fn main() {
 
     r.bench("optimizer/exhaustive_best_config", || {
         best_config(&snapshot, &space, n)
+    });
+
+    let configs = space.enumerate();
+    r.bench("optimizer/sweep_62", || {
+        exhaustive(&configs, snapshot_objective(&snapshot, n))
     });
 
     r.bench("optimizer/anytime_cold", || {

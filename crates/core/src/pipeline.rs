@@ -18,7 +18,7 @@ use crate::engine::Engine;
 use crate::measurement::{MeasurementDb, Sample, SampleKey};
 use crate::ntmodel::NtModel;
 use crate::plan::{ConstructionPoint, MeasurementPlan};
-use crate::ptmodel::PtModel;
+use crate::ptmodel::{PtAt, PtModel};
 
 /// Errors from model fitting or estimation.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +225,8 @@ fn walk_terms(
                     kind: u.kind.0,
                     m: u.procs_per_pe,
                 })?;
-            visit(pt.ta(n, p_total), pt.tc(n, p_total));
+            let pt = pt.at(n);
+            visit(pt.ta(p_total), pt.tc(p_total));
         }
     }
     Ok(())
@@ -257,6 +258,89 @@ pub fn groups_of(config: &Configuration) -> impl Iterator<Item = (usize, usize)>
         .iter()
         .filter(|u| u.pes > 0 && u.procs_per_pe > 0)
         .map(|u| (u.kind.0, u.procs_per_pe))
+}
+
+/// The process counts the estimate fold reads off a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProcessCounts {
+    /// Total process count `P = Σ Pᵢ·Mᵢ`.
+    pub total: usize,
+    /// The §4.1 baseline's process count: `P` with the fast kind at one
+    /// process per PE.
+    pub baseline: usize,
+    /// The fast kind's multiplicity `M₁` (0 when it is unused).
+    pub m1: usize,
+    /// Whether a single PE participates (§3.4's `P = Mᵢ` bin).
+    pub single_pe: bool,
+}
+
+impl ProcessCounts {
+    /// The counts of `uses` with `fast_kind` as the fast kind, read as
+    /// [`Configuration`]'s own accessors read them.
+    pub fn of(uses: &[KindUse], fast_kind: usize) -> Self {
+        let (mut total, mut baseline, mut pes) = (0, 0, 0);
+        for u in uses {
+            total += u.pes * u.procs_per_pe;
+            baseline += u.pes
+                * if u.kind.0 == fast_kind {
+                    1
+                } else {
+                    u.procs_per_pe
+                };
+            pes += u.pes;
+        }
+        let m1 = uses
+            .iter()
+            .find(|u| u.kind.0 == fast_kind && u.pes > 0)
+            .map_or(0, |u| u.procs_per_pe);
+        ProcessCounts {
+            total,
+            baseline,
+            m1,
+            single_pe: pes == 1,
+        }
+    }
+}
+
+/// The model terms [`Estimator::estimate_terms`] folds, all at one
+/// problem size: the bank's models ([`Estimator::estimate`]) or any
+/// table built from the same [`PtModel::at`] forms.
+pub trait EstimateTerms {
+    /// One `(kind, m)` group's P-T model, ready to price process counts.
+    type Group: Copy;
+
+    /// `Ta + Tc` of the single-PE N-T model of `(kind, 1, m)`; `None`
+    /// without one.
+    fn single_pe(&self, kind: usize, m: usize) -> Option<f64>;
+
+    /// The P-T group `(kind, m)`; `None` without a model.
+    fn group(&self, kind: usize, m: usize) -> Option<Self::Group>;
+
+    /// `Ta + Tc` of `group` at `p` processes.
+    fn total(&self, group: Self::Group, p: usize) -> f64;
+}
+
+/// A bank's own models at size `n`.
+struct BankTerms<'a> {
+    bank: &'a ModelBank,
+    n: usize,
+}
+
+impl EstimateTerms for BankTerms<'_> {
+    type Group = PtAt;
+
+    fn single_pe(&self, kind: usize, m: usize) -> Option<f64> {
+        let nt = self.bank.nt.get(&SampleKey::new(KindId(kind), 1, m))?;
+        Some(nt.total(self.n))
+    }
+
+    fn group(&self, kind: usize, m: usize) -> Option<PtAt> {
+        Some(self.bank.pt.get(&(kind, m))?.at(self.n))
+    }
+
+    fn total(&self, group: PtAt, p: usize) -> f64 {
+        group.total(p)
+    }
 }
 
 /// The complete estimator: model bank + binning rule + adjustment.
@@ -318,44 +402,80 @@ impl Estimator {
     /// uses folds both estimates; a baseline the bank cannot resolve
     /// falls back to the raw estimate.
     ///
+    /// This is [`Estimator::estimate_terms`] over the bank's own models
+    /// at size `n`.
+    ///
     /// # Errors
     /// See [`Estimator::estimate_raw`].
     pub fn estimate(&self, config: &Configuration, n: usize) -> Result<f64, PipelineError> {
-        let m1 = config.procs_per_pe(KindId(self.fast_kind));
-        if config.is_single_pe() || m1 < self.adjustment.min_m1 {
-            return self.estimate_raw(config, n);
-        }
-        let p_total = config.total_processes();
-        if p_total == 0 {
+        let counts = ProcessCounts::of(&config.uses, self.fast_kind);
+        let terms = BankTerms {
+            bank: &self.bank,
+            n,
+        };
+        self.estimate_terms(&config.uses, counts, &terms)
+    }
+
+    /// The one §3.4/§4.1 estimate fold, over caller-supplied model
+    /// terms at one problem size: `uses` with `counts` taken from them
+    /// ([`ProcessCounts::of`] with this estimator's fast kind).
+    ///
+    /// A single-PE configuration folds its N-T totals; any other folds
+    /// the P-T totals of its `(kind, Mᵢ)` groups at `P`. The estimate is
+    /// the slowest kind's `Ta + Tc`. From `M₁ ≥ min_m1` on, the same
+    /// walk folds the baseline at `P_base` (the fast kind read from its
+    /// `(kind, 1)` group) and applies the adjustment; a baseline with a
+    /// missing group falls back to the raw estimate.
+    ///
+    /// # Errors
+    /// [`PipelineError::EmptyConfiguration`] when `P = 0`;
+    /// [`PipelineError::MissingNt`] / [`PipelineError::MissingPt`] for
+    /// the first used kind, in use order, whose term is missing.
+    pub fn estimate_terms<T: EstimateTerms>(
+        &self,
+        uses: &[KindUse],
+        counts: ProcessCounts,
+        terms: &T,
+    ) -> Result<f64, PipelineError> {
+        if counts.total == 0 {
             return Err(PipelineError::EmptyConfiguration);
         }
-        let is_fast = |u: &KindUse| u.kind.0 == self.fast_kind;
-        let p_base: usize = config
-            .uses
-            .iter()
-            .map(|u| u.pes * if is_fast(u) { 1 } else { u.procs_per_pe })
-            .sum();
+        let used = uses.iter().filter(|u| u.pes > 0);
+        if counts.single_pe {
+            let mut worst: f64 = 0.0;
+            for u in used {
+                let (kind, m) = (u.kind.0, u.procs_per_pe);
+                let t = terms
+                    .single_pe(kind, m)
+                    .ok_or(PipelineError::MissingNt(SampleKey::new(KindId(kind), 1, m)))?;
+                worst = worst.max(t);
+            }
+            return Ok(worst);
+        }
+        let adjusted = counts.m1 >= self.adjustment.min_m1;
         let mut raw: f64 = 0.0;
-        // `None` once the baseline is unresolvable.
-        let mut baseline = (p_base > 0).then_some(0.0_f64);
-        for u in config.uses.iter().filter(|u| u.pes > 0) {
+        // `None` when unadjusted or once the baseline is unresolvable.
+        let mut baseline = (adjusted && counts.baseline > 0).then_some(0.0_f64);
+        for u in used {
             let (kind, m) = (u.kind.0, u.procs_per_pe);
-            let pt = self
-                .bank
-                .pt
-                .get(&(kind, m))
+            let group = terms
+                .group(kind, m)
                 .ok_or(PipelineError::MissingPt { kind, m })?;
-            raw = raw.max(pt.ta(n, p_total) + pt.tc(n, p_total));
+            raw = raw.max(terms.total(group, counts.total));
             if let Some(worst) = baseline {
-                let base_pt = if is_fast(u) {
-                    self.bank.pt.get(&(kind, 1))
+                let base = if kind == self.fast_kind {
+                    terms.group(kind, 1)
                 } else {
-                    Some(pt)
+                    Some(group)
                 };
-                baseline = base_pt.map(|b| worst.max(b.ta(n, p_base) + b.tc(n, p_base)));
+                baseline = base.map(|b| worst.max(terms.total(b, counts.baseline)));
             }
         }
-        Ok(self.adjustment.apply(m1, raw, baseline.unwrap_or(raw)))
+        if !adjusted {
+            return Ok(raw);
+        }
+        let baseline = baseline.unwrap_or(raw);
+        Ok(self.adjustment.apply(counts.m1, raw, baseline))
     }
 
     /// The §3 component split of the raw estimate: the makespan (worst)

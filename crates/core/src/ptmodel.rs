@@ -81,53 +81,42 @@ impl PtModel {
             .map(|(model, _)| model)
     }
 
+    /// The model at one problem size `n`: both reference polynomials
+    /// evaluated once, ready to price any `P`.
+    #[inline]
+    pub fn at(&self, n: usize) -> PtAt {
+        let ta_ref = self.reference.ta(n);
+        let tc_ref = self.reference.tc(n);
+        PtAt {
+            ka: self.ka,
+            kc: self.kc,
+            ta_ref,
+            tc_ref,
+            ta_num: self.ka[0] * ta_ref,
+            tc_num: self.kc[1] * tc_ref,
+        }
+    }
+
     /// Predicted computation time at `(N, P)`.
     pub fn ta(&self, n: usize, p: usize) -> f64 {
-        assert!(p > 0);
-        self.ka[0] * self.reference.ta(n) / p as f64 + self.ka[1]
+        self.at(n).ta(p)
     }
 
     /// Predicted communication time at `(N, P)`.
     pub fn tc(&self, n: usize, p: usize) -> f64 {
-        assert!(p > 0);
-        let c = self.reference.tc(n);
-        self.kc[0] * p as f64 * c + self.kc[1] * c / p as f64 + self.kc[2]
+        self.at(n).tc(p)
     }
 
     /// Predicted total time at `(N, P)`.
     pub fn total(&self, n: usize, p: usize) -> f64 {
-        self.ta(n, p) + self.tc(n, p)
+        self.at(n).total(p)
     }
 
     /// The largest process count up to which [`PtModel::total`] is
-    /// certified non-increasing in `P` at size `n`, or `None` when the
-    /// coefficients cannot vouch for it.
-    ///
-    /// The total is `t(P) = A/P + B + C·P` with
-    /// `A = k7·TaRef(N) + k10·TcRef(N)`, `C = k9·TcRef(N)` and `B`
-    /// independent of `P`. When `k7, k9, k10 ≥ 0` and both reference
-    /// polynomials are finite and non-negative at `n`, `t` is
-    /// non-increasing on `P ∈ [1, √(A/C)]`; `Some(f64::INFINITY)` means
-    /// on every `P ≥ 1` (the `C = 0` case). The branch-and-bound
-    /// optimizer uses this to take a P-range's minimum at the range's
-    /// upper end without scanning.
+    /// certified non-increasing in `P` at size `n`; see
+    /// [`PtAt::monotone_p_limit`].
     pub fn monotone_p_limit(&self, n: usize) -> Option<f64> {
-        if !(self.ka[0] >= 0.0 && self.kc[0] >= 0.0 && self.kc[1] >= 0.0) {
-            return None;
-        }
-        let ref_ta = self.reference.ta(n);
-        let ref_tc = self.reference.tc(n);
-        // `>= 0.0` is false for NaN, so this also rejects NaN refs.
-        if !(ref_ta.is_finite() && ref_tc.is_finite() && ref_ta >= 0.0 && ref_tc >= 0.0) {
-            return None;
-        }
-        let a = self.ka[0] * ref_ta + self.kc[1] * ref_tc;
-        let c = self.kc[0] * ref_tc;
-        Some(if c == 0.0 {
-            f64::INFINITY
-        } else {
-            (a / c).sqrt()
-        })
+        self.at(n).monotone_p_limit()
     }
 
     /// Scales the model by constant factors (§3.5 model composition):
@@ -143,6 +132,78 @@ impl PtModel {
             ],
             reference: self.reference,
         }
+    }
+}
+
+/// A [`PtModel`] at one problem size `N` ([`PtModel::at`]): the
+/// reference polynomials evaluated once, so pricing a process count
+/// costs a handful of multiplies. Every method performs the same float
+/// operations, in the same order, as the model's own `(N, P)` methods,
+/// which are written through it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PtAt {
+    ka: [f64; 2],
+    kc: [f64; 3],
+    /// `TaRef(N)`.
+    ta_ref: f64,
+    /// `TcRef(N)`.
+    tc_ref: f64,
+    /// `k7 · TaRef(N)`.
+    ta_num: f64,
+    /// `k10 · TcRef(N)`.
+    tc_num: f64,
+}
+
+impl PtAt {
+    /// Predicted computation time `k7·TaRef(N)/P + k8`.
+    #[inline]
+    pub fn ta(&self, p: usize) -> f64 {
+        assert!(p > 0);
+        self.ta_num / p as f64 + self.ka[1]
+    }
+
+    /// Predicted communication time
+    /// `k9·P·TcRef(N) + k10·TcRef(N)/P + k11`.
+    #[inline]
+    pub fn tc(&self, p: usize) -> f64 {
+        assert!(p > 0);
+        self.kc[0] * p as f64 * self.tc_ref + self.tc_num / p as f64 + self.kc[2]
+    }
+
+    /// Predicted total time `Ta + Tc`.
+    #[inline]
+    pub fn total(&self, p: usize) -> f64 {
+        self.ta(p) + self.tc(p)
+    }
+
+    /// The largest process count up to which [`PtAt::total`] is
+    /// certified non-increasing in `P`, or `None` when the coefficients
+    /// cannot vouch for it.
+    ///
+    /// The total is `t(P) = A/P + B + C·P` with
+    /// `A = k7·TaRef(N) + k10·TcRef(N)`, `C = k9·TcRef(N)` and `B`
+    /// independent of `P`. When `k7, k9, k10 ≥ 0` and both reference
+    /// polynomials are finite and non-negative at `N`, `t` is
+    /// non-increasing on `P ∈ [1, √(A/C)]`; `Some(f64::INFINITY)` means
+    /// on every `P ≥ 1` (the `C = 0` case). The branch-and-bound
+    /// optimizer uses this to take a P-range's minimum at the range's
+    /// upper end without scanning.
+    pub fn monotone_p_limit(&self) -> Option<f64> {
+        if !(self.ka[0] >= 0.0 && self.kc[0] >= 0.0 && self.kc[1] >= 0.0) {
+            return None;
+        }
+        let (ref_ta, ref_tc) = (self.ta_ref, self.tc_ref);
+        // `>= 0.0` is false for NaN, so this also rejects NaN refs.
+        if !(ref_ta.is_finite() && ref_tc.is_finite() && ref_ta >= 0.0 && ref_tc >= 0.0) {
+            return None;
+        }
+        let a = self.ta_num + self.tc_num;
+        let c = self.kc[0] * ref_tc;
+        Some(if c == 0.0 {
+            f64::INFINITY
+        } else {
+            (a / c).sqrt()
+        })
     }
 }
 

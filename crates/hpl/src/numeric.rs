@@ -99,7 +99,9 @@ impl RankWork for NumericWork {
 
     async fn mxswp(&mut self, b: &Block) -> ThreadMsg {
         ThreadMsg {
-            data: self.panel.as_slice().to_vec(),
+            // `laswp` replaces the kept panel with the broadcast copy,
+            // so the buffer moves into the message.
+            data: std::mem::replace(&mut self.panel, Matrix::zeros(0, 0)).into_col_major(),
             ints: self.pivots.iter().map(|&r| b.start + r).collect(),
         }
     }

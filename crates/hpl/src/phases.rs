@@ -2,8 +2,6 @@
 //! output items (the paper's Fig. 4) plus the `bcast` instrumentation the
 //! authors added by hand.
 
-use std::ops::{Add, AddAssign};
-
 /// Accumulated wall/virtual time per HPL phase for one process, in
 /// seconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -60,26 +58,6 @@ impl PhaseTimes {
     }
 }
 
-impl Add for PhaseTimes {
-    type Output = PhaseTimes;
-    fn add(self, o: PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            pfact: self.pfact + o.pfact,
-            mxswp: self.mxswp + o.mxswp,
-            update: self.update + o.update,
-            laswp: self.laswp + o.laswp,
-            uptrsv: self.uptrsv + o.uptrsv,
-            bcast: self.bcast + o.bcast,
-        }
-    }
-}
-
-impl AddAssign for PhaseTimes {
-    fn add_assign(&mut self, o: PhaseTimes) {
-        *self = *self + o;
-    }
-}
-
 /// HPL's reported flop count for an `N × N` solve:
 /// `2N³/3 + 3N²/2` (factorization plus the two triangular solves).
 pub fn hpl_flops(n: usize) -> f64 {
@@ -115,15 +93,6 @@ mod tests {
         assert!((t.ta() - 11.2).abs() < 1e-12);
         assert!((t.tc() - 2.6).abs() < 1e-12);
         assert!((t.total() - (t.ta() + t.tc())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_accumulates_fieldwise() {
-        let t = sample() + sample();
-        assert_eq!(t.update, 20.0);
-        let mut u = sample();
-        u += sample();
-        assert_eq!(u, t);
     }
 
     #[test]

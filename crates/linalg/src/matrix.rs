@@ -40,6 +40,12 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
+    /// The column-major buffer, consumed: the inverse of
+    /// [`Matrix::from_col_major`].
+    pub fn into_col_major(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Builds a matrix from a generator `f(i, j)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

@@ -6,19 +6,27 @@
 //! branch-and-bound:
 //!
 //! * **Pruning** — partial configurations (a prefix of kinds fixed, the
-//!   rest free) are lower-bounded from the snapshot's P-T models,
-//!   tabulated once per search through
-//!   [`PtModel::ta`](etm_core::PtModel::ta) and
-//!   [`PtModel::tc`](etm_core::PtModel::tc) over the reachable
-//!   total-process range: every multi-PE completion's P-T term is
-//!   `≥ min` of its model's tabulated times over that range. Where
-//!   [`PtModel::monotone_p_limit`](etm_core::PtModel::monotone_p_limit)
+//!   rest free) are lower-bounded from the snapshot's P-T models, each
+//!   taken once per search to its per-size form
+//!   [`PtModel::at`](etm_core::PtModel::at) and tabulated into one flat
+//!   buffer over the reachable total-process range: every multi-PE
+//!   completion's P-T term is `≥ min` of its model's tabulated times
+//!   over that range. Where
+//!   [`PtAt::monotone_p_limit`](etm_core::PtAt::monotone_p_limit)
 //!   vouches that a model is non-increasing across the whole range, the
 //!   minimum is a single table probe
 //!   ([`AnytimeReport::certificate_hits`] counts these) instead of a
 //!   scan. Subtrees whose bound cannot beat the incumbent are discarded
 //!   wholesale; subtrees whose fixed prefix uses a group with no P-T
 //!   model are all-error and discarded unconditionally.
+//! * **Leaf prices** — a leaf that survives its bound is priced from the
+//!   same tables (and the single-PE N-T totals tabulated beside them)
+//!   through [`Estimator::estimate_terms`](etm_core::Estimator::estimate_terms),
+//!   the estimator's one §3.4/§4.1 fold, with the process counts the
+//!   bound already summed. The tables hold the walk's own terms, so a
+//!   price equals [`EngineSnapshot::estimate`] bit for bit; a
+//!   [`Configuration`] is built only for a new incumbent (and, with an
+//!   energy model, for the joule price).
 //! * **Anytime** — every improvement is appended to
 //!   [`AnytimeReport::incumbents`], so the best-so-far after any
 //!   evaluation budget is recoverable; at exhaustion the result is the
@@ -49,6 +57,7 @@
 
 use etm_cluster::{Configuration, EnergyModel, KindId, KindUse};
 use etm_core::engine::EngineSnapshot;
+use etm_core::{EstimateTerms, ProcessCounts, SampleKey};
 
 use crate::{ConfigSpace, SearchResult};
 
@@ -120,13 +129,168 @@ pub struct AnytimeReport {
     pub exhausted: bool,
 }
 
-/// Per-`(kind, m)` tabulated P-T times over the reachable process range.
-struct SlotTable {
-    /// `times[p - 1]` = the P-T model's total at `P = p`.
-    times: Vec<f64>,
+/// Where one `(kind, m)` group's P-T totals sit in [`Tables::times`]:
+/// the process counts `lo..=hi` a candidate using the group can reach,
+/// as its own `P` or as a baseline's.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// `times[start + p - lo]` = the group's total at `P = p`.
+    start: usize,
+    lo: usize,
+    hi: usize,
     /// Largest `P` up to which the model is certified non-increasing;
     /// `NEG_INFINITY` when the certificate cannot vouch.
     mono_limit: f64,
+}
+
+/// One `(kind, m)` entry of [`Tables`].
+#[derive(Clone, Copy)]
+struct Entry {
+    /// The P-T group, `None` without a model.
+    slot: Option<Slot>,
+    /// The N-T total of `(kind, 1, m)`, `None` without a model.
+    single: Option<f64>,
+}
+
+/// The snapshot's models at the search's size, tabulated once per
+/// search from [`PtModel::at`](etm_core::PtModel::at): every group's
+/// P-T totals over its reachable process range, and the single-PE N-T
+/// totals. Both the bounds and the leaf prices read them; the prices
+/// through [`Estimator::estimate_terms`], so the estimate rules live in
+/// the estimator alone.
+struct Tables {
+    /// Per kind, the index of its `m = 1` entry in `entries`.
+    first: Vec<usize>,
+    entries: Vec<Entry>,
+    /// Every group's totals, one group after another.
+    times: Vec<f64>,
+}
+
+impl Tables {
+    /// Tabulates `snapshot`'s models of every `(kind, m)` of `space` at
+    /// size `n`.
+    fn new(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize) -> Tables {
+        let bank = snapshot.bank();
+        let p_max = p_max(space);
+        let groups: usize = space.max_m.iter().sum();
+        let mut tables = Tables {
+            first: Vec::with_capacity(space.max_m.len()),
+            entries: Vec::with_capacity(groups),
+            times: Vec::with_capacity(groups * p_max),
+        };
+        for (kind, &max_m) in space.max_m.iter().enumerate() {
+            tables.first.push(tables.entries.len());
+            // The other kinds can add at most this many processes.
+            let others = p_max - space.available[kind] * max_m;
+            for m in 1..=max_m {
+                let nt = bank.nt.get(&SampleKey::new(KindId(kind), 1, m));
+                let slot = bank.pt.get(&(kind, m)).map(|pt| {
+                    let at = pt.at(n);
+                    let (lo, hi) = (m, space.available[kind] * m + others);
+                    let start = tables.times.len();
+                    tables.times.extend((lo..=hi).map(|p| at.total(p)));
+                    let mono_limit = at.monotone_p_limit().unwrap_or(f64::NEG_INFINITY);
+                    Slot {
+                        start,
+                        lo,
+                        hi,
+                        mono_limit,
+                    }
+                });
+                tables.entries.push(Entry {
+                    slot,
+                    single: nt.map(|nt| nt.total(n)),
+                });
+            }
+        }
+        tables
+    }
+
+    fn entry(&self, kind: usize, m: usize) -> Entry {
+        debug_assert!(m >= 1 && self.first[kind] + m <= self.entries.len());
+        self.entries[self.first[kind] + m - 1]
+    }
+
+    fn slot(&self, kind: usize, m: usize) -> Option<Slot> {
+        self.entry(kind, m).slot
+    }
+
+    /// The slot's totals over `P ∈ [lo, hi]`.
+    fn range(&self, slot: Slot, lo: usize, hi: usize) -> &[f64] {
+        debug_assert!(slot.lo <= lo && lo <= hi && hi <= slot.hi);
+        &self.times[slot.start + lo - slot.lo..=slot.start + hi - slot.lo]
+    }
+
+    /// Minimum of the slot's totals over `P ∈ [lo, hi]`. Answered by the
+    /// certificate as the total at `hi` when the whole range is
+    /// certified non-increasing, else by scanning; a `NaN` entry in the
+    /// scanned range yields `NEG_INFINITY` (that term is invisible to
+    /// the estimate's `max` fold, so it bounds nothing).
+    fn range_min(&self, slot: Slot, lo: usize, hi: usize, hits: &mut usize) -> f64 {
+        let times = self.range(slot, lo, hi);
+        if slot.mono_limit >= hi as f64 {
+            let v = times[times.len() - 1];
+            if !v.is_nan() {
+                *hits += 1;
+                return v;
+            }
+        }
+        let mut m = f64::INFINITY;
+        for &v in times {
+            if v.is_nan() {
+                return f64::NEG_INFINITY;
+            }
+            if v < m {
+                m = v;
+            }
+        }
+        m
+    }
+}
+
+impl EstimateTerms for Tables {
+    type Group = Slot;
+
+    fn single_pe(&self, kind: usize, m: usize) -> Option<f64> {
+        self.entry(kind, m).single
+    }
+
+    fn group(&self, kind: usize, m: usize) -> Option<Slot> {
+        self.slot(kind, m)
+    }
+
+    fn total(&self, slot: Slot, p: usize) -> f64 {
+        self.range(slot, p, p)[0]
+    }
+}
+
+/// The largest total process count of a candidate in `space`.
+fn p_max(space: &ConfigSpace) -> usize {
+    space
+        .available
+        .iter()
+        .zip(&space.max_m)
+        .map(|(&a, &m)| a * m)
+        .sum()
+}
+
+/// Whether every `(Ta, Tc)` split of `snapshot`'s P-T models of
+/// `space`, at size `n` and every `P` up to the space's largest, is
+/// finite and non-negative — the precondition of the floor-watts
+/// energy bound.
+fn parts_safe(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize) -> bool {
+    let p_max = p_max(space);
+    space.max_m.iter().enumerate().all(|(kind, &max_m)| {
+        (1..=max_m).all(|m| {
+            snapshot.bank().pt.get(&(kind, m)).is_none_or(|pt| {
+                let at = pt.at(n);
+                (1..=p_max).all(|p| {
+                    let (ta, tc) = (at.ta(p), at.tc(p));
+                    ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0
+                })
+            })
+        })
+    })
 }
 
 /// Subtree assessment from the fixed prefix.
@@ -139,10 +303,20 @@ enum Bound {
     Unbounded,
 }
 
+/// Running sums over a fixed prefix's uses.
+#[derive(Clone, Copy, Default)]
+struct Fixed {
+    /// PEs `Σ Pᵢ`.
+    pes: usize,
+    /// Processes `Σ Pᵢ·Mᵢ`.
+    procs: usize,
+    /// Baseline processes: the fast kind at `M₁ = 1`.
+    base: usize,
+}
+
 struct Best {
     n: usize,
     time: f64,
-    config: Configuration,
 }
 
 /// Shaves a relative margin off a lower bound before it is compared
@@ -152,39 +326,12 @@ fn shave(x: f64) -> f64 {
     x - x.abs() * 1e-9
 }
 
-/// Minimum of `tbl.times[lo..=hi]` (1-based process counts). Answered
-/// by the certificate as `times[hi]` when the whole range is certified
-/// non-increasing, else by scanning; a `NaN` entry in the scanned range
-/// yields `NEG_INFINITY` (that term is invisible to the estimate's
-/// `max` fold, so it bounds nothing).
-fn range_min(tbl: &SlotTable, lo: usize, hi: usize, hits: &mut usize) -> f64 {
-    debug_assert!(1 <= lo && lo <= hi && hi <= tbl.times.len());
-    if tbl.mono_limit >= hi as f64 {
-        let v = tbl.times[hi - 1];
-        if !v.is_nan() {
-            *hits += 1;
-            return v;
-        }
-    }
-    let mut m = f64::INFINITY;
-    for &v in &tbl.times[lo - 1..hi] {
-        if v.is_nan() {
-            return f64::NEG_INFINITY;
-        }
-        if v < m {
-            m = v;
-        }
-    }
-    m
-}
-
 struct Searcher<'a> {
     snapshot: &'a EngineSnapshot,
     space: &'a ConfigSpace,
     n: usize,
     kinds: usize,
-    /// `tables[kind][m - 1]`, `None` when the snapshot has no P-T model.
-    tables: Vec<Vec<Option<SlotTable>>>,
+    tables: Tables,
     /// `suffix[j]` = completions of a prefix fixing kinds `0..j`.
     suffix: Vec<usize>,
     /// Max processes kinds `j..` can add.
@@ -208,6 +355,7 @@ struct Searcher<'a> {
     cert_hits: usize,
     stopped: bool,
     best: Option<Best>,
+    /// Every improvement; the last entry is `best`'s configuration.
     incumbents: Vec<Incumbent>,
     /// Running non-dominated `(time, energy)` set for bi-criteria
     /// pruning (energy mode).
@@ -225,33 +373,6 @@ impl<'a> Searcher<'a> {
         opts: &'a AnytimeOptions,
     ) -> Self {
         let kinds = space.available.len();
-        let p_max: usize = space
-            .available
-            .iter()
-            .zip(&space.max_m)
-            .map(|(&a, &m)| a * m)
-            .sum();
-        let mut parts_safe = true;
-        let tables: Vec<Vec<Option<SlotTable>>> = (0..kinds)
-            .map(|kind| {
-                (1..=space.max_m[kind])
-                    .map(|m| {
-                        snapshot.bank().pt.get(&(kind, m)).map(|pt| {
-                            let mut times = Vec::with_capacity(p_max);
-                            for p in 1..=p_max {
-                                let (ta, tc) = (pt.ta(n, p), pt.tc(n, p));
-                                if !(ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0) {
-                                    parts_safe = false;
-                                }
-                                times.push(ta + tc);
-                            }
-                            let mono_limit = pt.monotone_p_limit(n).unwrap_or(f64::NEG_INFINITY);
-                            SlotTable { times, mono_limit }
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
         let mut suffix = vec![1usize; kinds + 1];
         let mut free_pm_max = vec![0usize; kinds + 1];
         let mut free_base_max = vec![0usize; kinds + 1];
@@ -272,7 +393,7 @@ impl<'a> Searcher<'a> {
             space,
             n,
             kinds,
-            tables,
+            tables: Tables::new(snapshot, space, n),
             suffix,
             free_pm_max,
             free_base_max,
@@ -281,7 +402,8 @@ impl<'a> Searcher<'a> {
             scale: adjustment.scale,
             base_coeff: adjustment.base_coeff,
             energy: opts.energy.as_ref(),
-            parts_safe,
+            // Read only by the energy bound.
+            parts_safe: opts.energy.is_some() && parts_safe(snapshot, space, n),
             budget: opts.max_evaluations,
             warm_n: None,
             warm_seen: false,
@@ -294,10 +416,6 @@ impl<'a> Searcher<'a> {
             archive: Vec::new(),
             points: Vec::new(),
         }
-    }
-
-    fn table(&self, kind: usize, m: usize) -> Option<&SlotTable> {
-        self.tables[kind][m - 1].as_ref()
     }
 
     /// Canonicalizes a warm-start configuration into the space's kind
@@ -339,8 +457,9 @@ impl<'a> Searcher<'a> {
         Some((uses, n_idx))
     }
 
-    /// Iterates kind `k`'s choices; `fixed` holds kinds `0..k`.
-    fn node(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, fixed_pes: usize) {
+    /// Iterates kind `k`'s choices; `fixed` holds kinds `0..k`, whose
+    /// sums are `sums`.
+    fn node(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, sums: Fixed) {
         let max_m = self.space.max_m[k];
         let avail = self.space.available[k];
         // Choice 0 is "unused"; then (pes, m) in enumeration order. The
@@ -360,11 +479,16 @@ impl<'a> Searcher<'a> {
                 pes,
                 procs_per_pe: m,
             });
-            let child_pes = fixed_pes + pes;
+            let base_m = if k == self.fast_kind { 1 } else { m };
+            let child = Fixed {
+                pes: sums.pes + pes,
+                procs: sums.procs + pes * m,
+                base: sums.base + pes * base_m,
+            };
             if k + 1 == self.kinds {
-                self.leaf(fixed, child_n, child_pes);
+                self.leaf(fixed, child_n, child);
             } else {
-                self.subtree(k, fixed, child_n, child_pes);
+                self.subtree(k, fixed, child_n, child);
             }
             fixed.pop();
         }
@@ -372,9 +496,9 @@ impl<'a> Searcher<'a> {
 
     /// Bounds the subtree under `fixed` (kinds `0..=k`), pruning it or
     /// recursing.
-    fn subtree(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, fixed_pes: usize) {
-        if fixed_pes >= 2 {
-            match self.bound(fixed, k) {
+    fn subtree(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, sums: Fixed) {
+        if sums.pes >= 2 {
+            match self.bound(fixed, k, sums) {
                 Bound::AllError => {
                     self.count_pruned(base_n, self.suffix[k + 1]);
                     return;
@@ -388,10 +512,10 @@ impl<'a> Searcher<'a> {
                 Bound::Unbounded => {}
             }
         }
-        self.node(k + 1, fixed, base_n, fixed_pes);
+        self.node(k + 1, fixed, base_n, sums);
     }
 
-    fn leaf(&mut self, fixed: &[KindUse], n_idx: usize, fixed_pes: usize) {
+    fn leaf(&mut self, fixed: &[KindUse], n_idx: usize, sums: Fixed) {
         if n_idx == 0 {
             return; // the all-unused non-candidate
         }
@@ -399,8 +523,8 @@ impl<'a> Searcher<'a> {
             self.warm_seen = true; // already evaluated up front
             return;
         }
-        if fixed_pes >= 2 {
-            match self.bound(fixed, self.kinds - 1) {
+        if sums.pes >= 2 {
+            match self.bound(fixed, self.kinds - 1, sums) {
                 Bound::AllError => {
                     self.pruned += 1;
                     return;
@@ -414,7 +538,22 @@ impl<'a> Searcher<'a> {
                 Bound::Unbounded => {}
             }
         }
-        self.evaluate(fixed, n_idx);
+        let counts = ProcessCounts {
+            total: sums.procs,
+            baseline: sums.base,
+            m1: self.fixed_m1(fixed),
+            single_pe: sums.pes == 1,
+        };
+        self.evaluate(fixed, n_idx, counts);
+    }
+
+    /// The fast kind's multiplicity in `fixed` (0 when unused or not
+    /// yet fixed).
+    fn fixed_m1(&self, fixed: &[KindUse]) -> usize {
+        match fixed.get(self.fast_kind) {
+            Some(u) if u.pes > 0 => u.procs_per_pe,
+            _ => 0,
+        }
     }
 
     fn count_pruned(&mut self, base_n: usize, count: usize) {
@@ -431,22 +570,21 @@ impl<'a> Searcher<'a> {
     }
 
     /// Lower-bounds every completion of `fixed` (kinds `0..=k`, all
-    /// multi-PE by the caller's `fixed_pes ≥ 2` gate).
-    fn bound(&mut self, fixed: &[KindUse], k: usize) -> Bound {
+    /// multi-PE by the caller's `sums.pes ≥ 2` gate).
+    fn bound(&mut self, fixed: &[KindUse], k: usize, sums: Fixed) -> Bound {
         let mut hits = 0usize;
         let free_pm = self.free_pm_max[k + 1];
-        let mut fixed_p = 0usize;
-        for u in fixed.iter().filter(|u| u.pes > 0) {
-            fixed_p += u.pes * u.procs_per_pe;
-        }
         // Raw §3.4 bound: each completion's P-T term for a fixed used
         // slot is one of the tabulated values in the reachable range.
         let mut raw_lb = f64::NEG_INFINITY;
         for u in fixed.iter().filter(|u| u.pes > 0) {
-            let Some(tbl) = self.table(u.kind.0, u.procs_per_pe) else {
+            let Some(slot) = self.tables.slot(u.kind.0, u.procs_per_pe) else {
                 return Bound::AllError;
             };
-            raw_lb = raw_lb.max(range_min(tbl, fixed_p, fixed_p + free_pm, &mut hits));
+            let lb = self
+                .tables
+                .range_min(slot, sums.procs, sums.procs + free_pm, &mut hits);
+            raw_lb = raw_lb.max(lb);
         }
         self.cert_hits += hits;
         if !raw_lb.is_finite() {
@@ -470,8 +608,7 @@ impl<'a> Searcher<'a> {
         // depending on where the fast kind's multiplicity can land.
         let (m1_lo, m1_hi) = if self.fast_kind < self.kinds {
             if self.fast_kind <= k {
-                let u = &fixed[self.fast_kind];
-                let m1 = if u.pes > 0 { u.procs_per_pe } else { 0 };
+                let m1 = self.fixed_m1(fixed);
                 (m1, m1)
             } else if self.space.available[self.fast_kind] > 0 {
                 (0, self.space.max_m[self.fast_kind])
@@ -486,7 +623,7 @@ impl<'a> Searcher<'a> {
             time_lb = time_lb.min(raw_lb);
         }
         if m1_hi >= self.min_m1 {
-            time_lb = time_lb.min(self.adjusted_lb(fixed, k, raw_lb));
+            time_lb = time_lb.min(self.adjusted_lb(fixed, k, sums, raw_lb));
         }
         Bound::Lb {
             time: time_lb,
@@ -497,7 +634,7 @@ impl<'a> Searcher<'a> {
     /// Lower bound on `scale·raw + base_coeff·baseline` over the
     /// subtree's adjusted completions; `NEG_INFINITY` when the folded
     /// coefficients cannot be bounded from below.
-    fn adjusted_lb(&mut self, fixed: &[KindUse], k: usize, raw_lb: f64) -> f64 {
+    fn adjusted_lb(&mut self, fixed: &[KindUse], k: usize, sums: Fixed, raw_lb: f64) -> f64 {
         if self.scale < 0.0 || self.base_coeff < 0.0 {
             return f64::NEG_INFINITY;
         }
@@ -505,16 +642,7 @@ impl<'a> Searcher<'a> {
             return self.scale * raw_lb;
         }
         let mut hits = 0usize;
-        let mut base_plo = 0usize;
-        for u in fixed.iter().filter(|u| u.pes > 0) {
-            let bm = if u.kind.0 == self.fast_kind {
-                1
-            } else {
-                u.procs_per_pe
-            };
-            base_plo += u.pes * bm;
-        }
-        let base_phi = base_plo + self.free_base_max[k + 1];
+        let base_phi = sums.base + self.free_base_max[k + 1];
         let mut base_lb = f64::NEG_INFINITY;
         let mut all_base_present = true;
         for u in fixed.iter().filter(|u| u.pes > 0) {
@@ -523,9 +651,10 @@ impl<'a> Searcher<'a> {
             } else {
                 u.procs_per_pe
             };
-            match self.table(u.kind.0, bm) {
-                Some(tbl) => {
-                    base_lb = base_lb.max(range_min(tbl, base_plo, base_phi, &mut hits));
+            match self.tables.slot(u.kind.0, bm) {
+                Some(slot) => {
+                    let lb = self.tables.range_min(slot, sums.base, base_phi, &mut hits);
+                    base_lb = base_lb.max(lb);
                 }
                 None => all_base_present = false,
             }
@@ -568,7 +697,10 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    fn evaluate(&mut self, fixed: &[KindUse], n_idx: usize) {
+    /// Prices the candidate `fixed` (with `counts` read off it) from the
+    /// tables. A configuration is built only for a new incumbent and,
+    /// in energy mode, for the joule price and the front.
+    fn evaluate(&mut self, fixed: &[KindUse], n_idx: usize, counts: ProcessCounts) {
         if self.stopped {
             return;
         }
@@ -579,18 +711,19 @@ impl<'a> Searcher<'a> {
             }
         }
         self.evaluated += 1;
-        let cfg = Configuration {
-            uses: fixed.to_vec(),
-        };
-        let Ok(t) = self.snapshot.estimate(&cfg, self.n) else {
+        let estimator = self.snapshot.estimator();
+        let Ok(t) = estimator.estimate_terms(fixed, counts, &self.tables) else {
             return;
         };
         if let Some(em) = self.energy {
-            // `estimate` succeeded, so the raw walk resolves too.
-            if let Ok(parts) = self.snapshot.estimator().estimate_raw_parts(&cfg, self.n) {
+            let cfg = Configuration {
+                uses: fixed.to_vec(),
+            };
+            // The estimate resolved, so the raw walk resolves too.
+            if let Ok(parts) = estimator.estimate_raw_parts(&cfg, self.n) {
                 let e = em.joules(&cfg, parts.ta, parts.tc);
                 if t.is_finite() && e.is_finite() {
-                    self.points.push((n_idx, t, e, cfg.clone()));
+                    self.points.push((n_idx, t, e, cfg));
                     self.archive_insert(t, e);
                 }
             }
@@ -600,13 +733,11 @@ impl<'a> Searcher<'a> {
             Some(b) => t < b.time || (t == b.time && n_idx < b.n),
         };
         if better {
-            self.best = Some(Best {
-                n: n_idx,
-                time: t,
-                config: cfg.clone(),
-            });
+            self.best = Some(Best { n: n_idx, time: t });
             self.incumbents.push(Incumbent {
-                config: cfg,
+                config: Configuration {
+                    uses: fixed.to_vec(),
+                },
                 time: t,
                 evaluations: self.evaluated,
             });
@@ -696,10 +827,11 @@ pub fn anytime_search(
     if let Some(w) = &opts.warm_start {
         if let Some((uses, n_idx)) = s.canonical_warm(w) {
             s.warm_n = Some(n_idx);
-            s.evaluate(&uses, n_idx);
+            let counts = ProcessCounts::of(&uses, s.fast_kind);
+            s.evaluate(&uses, n_idx, counts);
         }
     }
-    s.node(0, &mut Vec::with_capacity(s.kinds), 0, 0);
+    s.node(0, &mut Vec::with_capacity(s.kinds), 0, Fixed::default());
     let front = if s.energy.is_some() {
         s.extract_front()
     } else {
@@ -707,8 +839,8 @@ pub fn anytime_search(
     };
     let evaluated = s.evaluated;
     AnytimeReport {
-        best: s.best.take().map(|b| SearchResult {
-            config: b.config,
+        best: s.incumbents.last().map(|b| SearchResult {
+            config: b.config.clone(),
             time: b.time,
             evaluations: evaluated,
         }),
