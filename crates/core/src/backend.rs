@@ -44,10 +44,11 @@
 //! reference model: in the seeded replay `tests/refit_work.rs` pins,
 //! 170 P-T fits factor 48 of their 340 halves.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::compose::{compose_fitted, PAPER_TC_SCALE};
-use crate::measurement::{MeasurementDb, SampleKey};
+use crate::grid::KeyGrid;
+use crate::measurement::{groups_of_keys, MeasurementDb, SampleKey};
 use crate::ntmodel::{NtDesign, NtModel};
 use crate::pipeline::{ModelBank, PipelineError};
 use crate::ptmodel::{PtDesigns, PtInputs, PtModel};
@@ -79,7 +80,7 @@ pub struct FitWork {
 /// P-T fit factor afresh, and any memo gives the same bank.
 #[derive(Debug, Default)]
 pub struct PtMemo {
-    groups: BTreeMap<(usize, usize), PtDesigns>,
+    groups: KeyGrid<(usize, usize), PtDesigns>,
     inputs: PtInputs,
 }
 
@@ -161,9 +162,8 @@ pub(crate) fn compose_fallback(
     group: (usize, usize),
     exclude: &BTreeSet<(usize, usize)>,
 ) -> Result<PtModel, PipelineError> {
-    let composed: BTreeSet<(usize, usize)> = bank.composed_groups.iter().copied().collect();
     compose_from_donor(&bank.nt, &bank.pt, group, db.sizes(), |donor| {
-        !exclude.contains(&donor) && !composed.contains(&donor)
+        !exclude.contains(&donor) && !bank.composed_groups.contains(&donor)
     })
 }
 
@@ -175,8 +175,8 @@ pub(crate) fn compose_fallback(
 /// # Errors
 /// [`PipelineError::NoDonor`] when no donor or no scale curve exists.
 fn compose_from_donor(
-    nt: &BTreeMap<SampleKey, NtModel>,
-    pt: &BTreeMap<(usize, usize), PtModel>,
+    nt: &KeyGrid<SampleKey, NtModel>,
+    pt: &KeyGrid<(usize, usize), PtModel>,
     group: (usize, usize),
     construction_ns: &[usize],
     admit: impl Fn((usize, usize)) -> bool,
@@ -240,7 +240,7 @@ impl ModelBackend for PolyLsqBackend {
 /// and must go through §3.5 composition.
 fn fit_pt_group(
     db: &MeasurementDb,
-    nt: &BTreeMap<SampleKey, NtModel>,
+    nt: &KeyGrid<SampleKey, NtModel>,
     group: (usize, usize),
     keys: &[SampleKey],
     memo: &mut PtMemo,
@@ -282,7 +282,7 @@ fn fit_pt_group(
             }
         }
     }
-    let designs = memo.groups.entry(group).or_default();
+    let designs = memo.groups.get_or_insert_with(group, PtDesigns::default);
     Ok(Some(designs.fit(reference, inputs)?))
 }
 
@@ -295,8 +295,8 @@ type ComposedLists = (Vec<(usize, usize)>, Vec<usize>);
 /// multiplicity, inserting into `pt` as it goes — a group composed early
 /// can donate to a later one. Returns the composed group and kind lists.
 fn compose_unfittable(
-    nt: &BTreeMap<SampleKey, NtModel>,
-    pt: &mut BTreeMap<(usize, usize), PtModel>,
+    nt: &KeyGrid<SampleKey, NtModel>,
+    pt: &mut KeyGrid<(usize, usize), PtModel>,
     unfittable: &[(usize, usize)],
     construction_ns: &[usize],
 ) -> Result<ComposedLists, PipelineError> {
@@ -322,7 +322,9 @@ fn compose_unfittable(
 /// function of a key's samples, so a carried N-T model is bitwise what
 /// its refit would give. Dirty keys measured at the same sizes share one
 /// `NtDesign`, and each refit group solves on its designs in `memo`;
-/// see `ModelBank::fit` for the model-selection rules.
+/// see `ModelBank::fit` for the model-selection rules. The bank's grids
+/// and the memo's are sized to the database's boxes first, so no insert
+/// regrows them.
 fn refit_bank(
     db: &MeasurementDb,
     previous: &ModelBank,
@@ -331,6 +333,7 @@ fn refit_bank(
 ) -> Result<(ModelBank, FitWork), PipelineError> {
     let mut work = FitWork::default();
     let mut nt = previous.nt.clone();
+    nt.cover(db.key_extent());
     let mut designs: Vec<NtDesign> = Vec::new();
     for key in dirty {
         let samples = db.samples(key);
@@ -349,16 +352,17 @@ fn refit_bank(
         work.nt_fits += 1;
     }
     work.nt_factorizations = 2 * designs.len();
+    let dirty_groups = groups_of_keys(dirty);
     // Measured P-T models: refit every group holding a dirty key, carry
     // the others over. A clean group that was *composed* before stays on
     // the composition path — its donors may have moved.
-    let dirty_groups: BTreeSet<(usize, usize)> = dirty.iter().map(|k| (k.kind, k.m)).collect();
-    let composed_prev: BTreeSet<(usize, usize)> =
-        previous.composed_groups.iter().copied().collect();
-    let mut pt = BTreeMap::new();
+    let groups = db.groups();
+    memo.groups.cover(groups.extent());
+    let mut pt = KeyGrid::new();
+    pt.cover(groups.extent());
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
-    for (&group, keys) in db.groups() {
-        if dirty_groups.contains(&group) {
+    for (&group, keys) in groups {
+        if dirty_groups.binary_search(&group).is_ok() {
             match fit_pt_group(db, &nt, group, keys, memo)? {
                 Some((model, factored)) => {
                     pt.insert(group, model);
@@ -367,10 +371,13 @@ fn refit_bank(
                 }
                 None => unfittable.push(group),
             }
-        } else if composed_prev.contains(&group) || !previous.pt.contains_key(&group) {
-            unfittable.push(group);
+        } else if let (Some(model), false) = (
+            previous.pt.get(&group),
+            previous.composed_groups.contains(&group),
+        ) {
+            pt.insert(group, *model);
         } else {
-            pt.insert(group, previous.pt[&group]);
+            unfittable.push(group);
         }
     }
     let (composed_groups, composed_kinds) =

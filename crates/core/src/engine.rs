@@ -49,7 +49,7 @@ use etm_cluster::{ClusterSpec, Configuration};
 
 use crate::adjust::AdjustmentRule;
 use crate::backend::{compose_fallback, full_refit, FitWork, ModelBackend, PtMemo};
-use crate::measurement::{same_bits, MeasurementDb, Sample, SampleKey};
+use crate::measurement::{groups_of_keys, same_bits, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
 };
@@ -462,8 +462,8 @@ impl Engine {
         let mut state = self.state.borrow_mut();
         let state = &mut *state;
         // Pre-ingest samples of every key an upsert changed, saved at
-        // the key's first change.
-        let mut before: BTreeMap<SampleKey, Vec<Sample>> = BTreeMap::new();
+        // the key's first change: at most one entry per trial.
+        let mut before: Vec<(SampleKey, Vec<Sample>)> = Vec::new();
         for (key, sample) in samples {
             let group = (key.kind, key.m);
             if !self.quarantine.admits(sample) {
@@ -481,8 +481,8 @@ impl Engine {
             if held.iter().any(|s| s.same_bits(sample)) {
                 continue;
             }
-            if !before.contains_key(key) {
-                before.insert(*key, held.to_vec());
+            if !before.iter().any(|(k, _)| k == key) {
+                before.push((*key, held.to_vec()));
             }
             let changed = Arc::make_mut(&mut state.db).upsert(*key, *sample);
             debug_assert!(changed, "an upsert of new bits changes its slot");
@@ -550,12 +550,7 @@ impl Engine {
             estimator,
             generation,
             backend: self.backend.name(),
-            refit: dirty
-                .iter()
-                .map(|k| (k.kind, k.m))
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect(),
+            refit: groups_of_keys(&dirty),
             work,
             health,
         });

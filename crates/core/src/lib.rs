@@ -23,6 +23,8 @@
 //!   NL, NS) and the 62-configuration evaluation grid.
 //! * [`pipeline`] — end-to-end: run the simulated measurements, fit every
 //!   model, build the [`Estimator`], pick the best configuration.
+//! * [`grid`] — [`grid::KeyGrid`], the dense key-slot table behind the
+//!   measurement database, the model bank and the P-T design memo.
 //! * [`backend`] — the fitting seam: [`ModelBackend`], implemented by
 //!   the paper's pipeline as [`PolyLsqBackend`] (tests substitute fakes
 //!   through the trait).
@@ -60,6 +62,7 @@ pub mod backend;
 pub mod compose;
 pub mod engine;
 pub mod faults;
+pub mod grid;
 pub mod loopback;
 pub mod measurement;
 pub mod ntmodel;

@@ -8,6 +8,8 @@ use etm_cluster::KindId;
 use etm_support::json::{Json, ToJson};
 use etm_support::json_struct;
 
+use crate::grid::KeyGrid;
+
 /// Identifies a measured configuration of a *homogeneous* trial: `pes`
 /// PEs of `kind`, each running `m` processes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -85,6 +87,16 @@ pub fn same_bits(a: &[Sample], b: &[Sample]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
 }
 
+/// The `(kind, m)` groups of `keys`, ascending and distinct.
+pub(crate) fn groups_of_keys<'a>(
+    keys: impl IntoIterator<Item = &'a SampleKey>,
+) -> Vec<(usize, usize)> {
+    let mut groups: Vec<(usize, usize)> = keys.into_iter().map(|k| (k.kind, k.m)).collect();
+    groups.sort_unstable();
+    groups.dedup();
+    groups
+}
+
 json_struct!(SampleKey { kind, pes, m });
 
 impl ToJson for Sample {
@@ -104,14 +116,15 @@ impl ToJson for Sample {
 /// Serialized as a list of `(key, samples)` pairs (JSON objects cannot
 /// key on structs). The distinct problem sizes and the `(kind, m)`
 /// groups are kept beside the samples, updated as samples arrive, and
-/// not serialized.
+/// not serialized. Samples and groups live in [`KeyGrid`]s, so a lookup
+/// by key is an index computation.
 #[derive(Clone, Debug, Default)]
 pub struct MeasurementDb {
-    samples: BTreeMap<SampleKey, Vec<Sample>>,
+    samples: KeyGrid<SampleKey, Vec<Sample>>,
     /// Every problem size held by any sample, ascending and distinct.
     sizes: Vec<usize>,
     /// Every key by `(kind, m)` group, ascending by `pes` within one.
-    groups: BTreeMap<(usize, usize), Vec<SampleKey>>,
+    groups: KeyGrid<(usize, usize), Vec<SampleKey>>,
 }
 
 impl ToJson for MeasurementDb {
@@ -128,7 +141,7 @@ impl MeasurementDb {
 
     /// Records a trial.
     pub fn record(&mut self, key: SampleKey, sample: Sample) {
-        let entry = self.samples.entry(key).or_default();
+        let entry = self.samples.get_or_insert_with(key, Vec::new);
         debug_assert!(
             entry.iter().all(|s| s.n != sample.n),
             "duplicate measurement for {key:?} at N={}",
@@ -146,7 +159,7 @@ impl MeasurementDb {
     /// whether the stored slot changed: an insert, or a replacement
     /// that differs in any bit ([`Sample::same_bits`]).
     pub fn upsert(&mut self, key: SampleKey, sample: Sample) -> bool {
-        let entry = self.samples.entry(key).or_default();
+        let entry = self.samples.get_or_insert_with(key, Vec::new);
         match entry.iter_mut().find(|s| s.n == sample.n) {
             Some(slot) if slot.same_bits(&sample) => false,
             Some(slot) => {
@@ -170,7 +183,7 @@ impl MeasurementDb {
             self.sizes.insert(at, n);
         }
         if first {
-            let keys = self.groups.entry((key.kind, key.m)).or_default();
+            let keys = self.groups.get_or_insert_with((key.kind, key.m), Vec::new);
             if let Err(at) = keys.binary_search(&key) {
                 keys.insert(at, key);
             }
@@ -185,8 +198,14 @@ impl MeasurementDb {
 
     /// Keys grouped by `(kind, m)` — the paper's P-T fitting groups,
     /// ascending. Within a group, keys ascend by `pes`.
-    pub fn groups(&self) -> &BTreeMap<(usize, usize), Vec<SampleKey>> {
+    pub fn groups(&self) -> &KeyGrid<(usize, usize), Vec<SampleKey>> {
         &self.groups
+    }
+
+    /// The box of every measured key: an N-T bank over this database
+    /// fits in a grid of this extent.
+    pub(crate) fn key_extent(&self) -> [usize; 3] {
+        self.samples.extent()
     }
 
     /// Samples for a configuration (ascending N), empty if none.
@@ -371,7 +390,7 @@ mod tests {
             for k in db.keys() {
                 groups.entry((k.kind, k.m)).or_default().push(*k);
             }
-            assert_eq!(db.groups(), &groups);
+            assert!(db.groups().iter().eq(groups.iter()));
         };
         let mut db = MeasurementDb::new();
         assert_rescans(&db);

@@ -2,7 +2,6 @@
 //! campaign, fit every N-T and P-T model, compose models for kinds with
 //! too few PEs, fit the §4.1 adjustment, and estimate any configuration.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId, KindUse};
@@ -15,6 +14,7 @@ use etm_support::pool;
 use crate::adjust::AdjustmentRule;
 use crate::backend::{ModelBackend, PolyLsqBackend};
 use crate::engine::Engine;
+use crate::grid::KeyGrid;
 use crate::measurement::{MeasurementDb, Sample, SampleKey};
 use crate::ntmodel::NtModel;
 use crate::plan::{ConstructionPoint, MeasurementPlan};
@@ -109,15 +109,15 @@ impl From<LsqError> for PipelineError {
 
 /// All fitted models of one campaign.
 ///
-/// Serialized as lists of `(key, model)` pairs (JSON objects cannot key
-/// on structs or tuples). The default bank is empty: the fit of an
-/// empty database.
+/// Serialized as lists of `(key, model)` pairs in key order (JSON
+/// objects cannot key on structs or tuples). The default bank is empty:
+/// the fit of an empty database.
 #[derive(Clone, Debug, Default)]
 pub struct ModelBank {
     /// N-T models per homogeneous configuration.
-    pub nt: BTreeMap<SampleKey, NtModel>,
+    pub nt: KeyGrid<SampleKey, NtModel>,
     /// P-T models per `(kind, m)`, measured where possible.
-    pub pt: BTreeMap<(usize, usize), PtModel>,
+    pub pt: KeyGrid<(usize, usize), PtModel>,
     /// Kinds whose P-T models were composed (§3.5) rather than measured.
     pub composed_kinds: Vec<usize>,
     /// The `(kind, m)` groups whose P-T entry is composed rather than

@@ -487,9 +487,8 @@ fn monotone_in_p(bank: &ModelBank) -> Vec<Finding> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
+    use crate::grid::KeyGrid;
     use crate::measurement::SampleKey;
     use crate::ntmodel::NtModel;
     use crate::ptmodel::PtModel;
@@ -505,8 +504,8 @@ mod tests {
             reference: nt,
         };
         let mut bank = ModelBank {
-            nt: BTreeMap::new(),
-            pt: BTreeMap::new(),
+            nt: KeyGrid::new(),
+            pt: KeyGrid::new(),
             composed_kinds: vec![0],
             composed_groups: vec![(0, 1)],
         };

@@ -50,6 +50,11 @@ pub fn health_aware_objective(
 ) -> impl Fn(&Configuration) -> Result<f64, PipelineError> + '_ {
     move |config| {
         let health = snapshot.health();
+        // A healthy snapshot has no untrusted group and no fallback
+        // (`composed_fallback ⊆ quarantined`): skip both scans.
+        if health.is_healthy() {
+            return snapshot.estimate(config, n);
+        }
         if let Some((kind, m)) = health.first_untrusted(config) {
             return Err(PipelineError::ModelUntrusted { kind, m });
         }
@@ -154,6 +159,26 @@ mod tests {
             assert_eq!(served.config, manual.config, "n={n}");
             assert_eq!(served.time.to_bits(), manual.time.to_bits(), "n={n}");
             assert_eq!(served.evaluations, manual.evaluations, "n={n}");
+        }
+    }
+
+    /// On a healthy snapshot the health-aware objective is the plain
+    /// one, bit for bit and error for error, whatever the penalty.
+    #[test]
+    fn healthy_health_aware_objective_is_the_snapshot_objective() {
+        let e = engine();
+        let snapshot = e.snapshot();
+        assert!(snapshot.health().is_healthy());
+        let space = ConfigSpace::new(&paper_cluster(CommLibProfile::mpich122()), vec![2, 2]);
+        let plain = snapshot_objective(&snapshot, 1600);
+        let aware = health_aware_objective(&snapshot, 1600, 1.5);
+        let configs = space.enumerate();
+        assert!(!configs.is_empty());
+        for cfg in &configs {
+            match (aware(cfg), plain(cfg)) {
+                (Ok(a), Ok(p)) => assert_eq!(a.to_bits(), p.to_bits(), "{cfg:?}"),
+                (a, p) => assert_eq!(a, p, "{cfg:?}"),
+            }
         }
     }
 
