@@ -92,7 +92,7 @@ fn main() {
         .filter_map(|cfg| {
             let t = snapshot.estimate(&cfg, n).ok()?;
             let parts = snapshot.estimator().estimate_raw_parts(&cfg, n).ok()?;
-            let e = energy.joules(&cfg, parts.ta, parts.tc);
+            let e = energy.joules(&cfg.uses, parts.ta, parts.tc);
             (t.is_finite() && e.is_finite()).then_some((cfg, t, e))
         })
         .collect();

@@ -12,10 +12,11 @@
 //! ```
 //!
 //! The `(Ta, Tc)` pair is the makespan kind's split from the *raw* §3
-//! model (`Estimator::estimate_raw_parts` in `etm-core`): the
-//! §4.1 adjustment corrects the communication-bias of the *time*
-//! objective but does not re-attribute time between phases, so energy
-//! deliberately follows the un-adjusted component decomposition. All
+//! model, the makespan term of the estimate fold (`Estimate::parts` in
+//! `etm-core`): the §4.1 adjustment corrects the communication-bias of
+//! the *time* objective but does not re-attribute time between phases,
+//! so energy deliberately follows the un-adjusted component
+//! decomposition. All
 //! PEs are modeled as powered for the full makespan — idle-but-powered
 //! PEs bill at their communication draw, which is what makes small
 //! configurations energy-competitive and the time × energy Pareto front
@@ -28,7 +29,7 @@
 //! [`EnergyModel::floor_watts`] of the fixed kinds times a lower bound
 //! on the makespan.
 
-use crate::config::Configuration;
+use crate::config::{Configuration, KindUse};
 use crate::spec::{ClusterSpec, KindId, PePower};
 
 /// Per-kind power table turning a `(Ta, Tc)` estimate into joules.
@@ -65,14 +66,14 @@ impl EnergyModel {
         self.watts[kind.0]
     }
 
-    /// Energy in joules of running `config` with arithmetic time `ta`
-    /// and communication time `tc` (both in seconds).
+    /// Energy in joules of running `uses` with arithmetic time `ta` and
+    /// communication time `tc` (both in seconds).
     ///
     /// # Panics
-    /// Panics if the configuration names a kind the model does not cover.
-    pub fn joules(&self, config: &Configuration, ta: f64, tc: f64) -> f64 {
+    /// Panics if the uses name a kind the model does not cover.
+    pub fn joules(&self, uses: &[KindUse], ta: f64, tc: f64) -> f64 {
         let mut e = 0.0;
-        for u in &config.uses {
+        for u in uses {
             let p = self.watts[u.kind.0];
             e += u.pes as f64 * (p.busy_watts * ta + p.comm_watts * tc);
         }
@@ -124,14 +125,14 @@ mod tests {
         // 1 Athlon (72/30 W) + 2 P-IIs (24/12 W), Ta = 10 s, Tc = 4 s.
         let cfg = Configuration::p1m1_p2m2(1, 1, 2, 1);
         let expected = (72.0 * 10.0 + 30.0 * 4.0) + 2.0 * (24.0 * 10.0 + 12.0 * 4.0);
-        assert_eq!(m.joules(&cfg, 10.0, 4.0), expected);
+        assert_eq!(m.joules(&cfg.uses, 10.0, 4.0), expected);
     }
 
     #[test]
     fn unused_kinds_draw_nothing() {
         let m = model();
         let solo = Configuration::p1m1_p2m2(1, 2, 0, 0);
-        assert_eq!(m.joules(&solo, 3.0, 1.0), 72.0 * 3.0 + 30.0 * 1.0);
+        assert_eq!(m.joules(&solo.uses, 3.0, 1.0), 72.0 * 3.0 + 30.0 * 1.0);
     }
 
     #[test]
@@ -144,7 +145,7 @@ mod tests {
         for k in 0..=10 {
             let ta = total * k as f64 / 10.0;
             let tc = total - ta;
-            assert!(m.joules(&cfg, ta, tc) + 1e-9 >= m.floor_watts(&cfg) * total);
+            assert!(m.joules(&cfg.uses, ta, tc) + 1e-9 >= m.floor_watts(&cfg) * total);
         }
         assert_eq!(m.floor_watts(&cfg), 30.0 + 8.0 * 12.0);
     }

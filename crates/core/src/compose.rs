@@ -19,12 +19,6 @@ pub const PAPER_TA_SCALE: f64 = 0.27;
 /// The paper's hand-picked Athlon/Pentium-II communication scale.
 pub const PAPER_TC_SCALE: f64 = 0.85;
 
-/// Composes a target kind's P-T model from a measured source model with
-/// explicit scale factors (the paper's §3.5 procedure).
-pub fn compose_with_constants(source: &PtModel, ta_scale: f64, tc_scale: f64) -> PtModel {
-    source.scaled(ta_scale, tc_scale)
-}
-
 /// Least-squares scale between two kinds' single-PE `Ta` curves over a
 /// grid of problem sizes: minimizes `Σ (Ta_target(N) − s·Ta_source(N))²`,
 /// giving `s = Σ Ta_t·Ta_s / Σ Ta_s²`.
@@ -111,19 +105,6 @@ mod tests {
             (s - r_large).abs() < (s - r_small).abs(),
             "biased to large N"
         );
-    }
-
-    #[test]
-    fn compose_matches_scaled() {
-        let reference = nt_from_curve(|x| 1e-9 * x * x * x, |x| 1e-7 * x * x);
-        let pt = PtModel {
-            ka: [1.1, 0.2],
-            kc: [0.01, 0.5, 0.05],
-            reference,
-        };
-        let c = compose_with_constants(&pt, PAPER_TA_SCALE, PAPER_TC_SCALE);
-        assert!((c.ta(3200, 4) - 0.27 * pt.ta(3200, 4)).abs() < 1e-12);
-        assert!((c.tc(3200, 4) - 0.85 * pt.tc(3200, 4)).abs() < 1e-12);
     }
 
     #[test]

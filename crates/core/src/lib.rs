@@ -83,7 +83,8 @@ pub use loopback::{
 pub use measurement::{MeasurementDb, Sample, SampleKey};
 pub use ntmodel::{MemoryBinnedNt, NtModel};
 pub use pipeline::{
-    AdjustmentPolicy, EstimateTerms, Estimator, ModelBank, PipelineError, ProcessCounts, RawParts,
+    AdjustmentPolicy, Estimate, EstimateTerms, Estimator, ModelBank, PipelineError, ProcessCounts,
+    RawParts,
 };
 pub use plan::{EvalPoint, MeasurementPlan, PlanKind};
 pub use ptmodel::{PtAt, PtModel};

@@ -176,66 +176,10 @@ impl ModelBank {
     }
 }
 
-/// Estimates `config` at problem size `n` straight from a bank's models
-/// — the §3.4 binning rule every estimator serves.
-///
-/// A single-PE configuration (`P = Mᵢ`) uses its N-T model — there is no
-/// inter-PE communication and the P-T form would be "illogical and
-/// imprecise"; anything else uses the P-T models at the run's total
-/// process count. The estimate is the slowest kind's `Ta + Tc`.
-///
-/// # Errors
-/// [`PipelineError::MissingNt`] / [`PipelineError::MissingPt`] if the
-/// campaign never measured the needed configuration family;
-/// [`PipelineError::EmptyConfiguration`] if no PEs are used.
-pub fn raw_estimate(
-    bank: &ModelBank,
-    config: &Configuration,
-    n: usize,
-) -> Result<f64, PipelineError> {
-    let mut worst: f64 = 0.0;
-    walk_terms(bank, config, n, |ta, tc| worst = worst.max(ta + tc))?;
-    Ok(worst)
-}
-
-/// The §3.4 model walk: calls `visit(Ta, Tc)` for every used kind, in
-/// use order, from the N-T model (single-PE configurations) or the P-T
-/// model at the run's total process count.
-fn walk_terms(
-    bank: &ModelBank,
-    config: &Configuration,
-    n: usize,
-    mut visit: impl FnMut(f64, f64),
-) -> Result<(), PipelineError> {
-    let p_total = config.total_processes();
-    if p_total == 0 {
-        return Err(PipelineError::EmptyConfiguration);
-    }
-    let single = config.is_single_pe();
-    for u in config.uses.iter().filter(|u| u.pes > 0) {
-        if single {
-            let key = SampleKey::new(u.kind, 1, u.procs_per_pe);
-            let nt = bank.nt.get(&key).ok_or(PipelineError::MissingNt(key))?;
-            visit(nt.ta(n), nt.tc(n));
-        } else {
-            let pt = bank
-                .pt
-                .get(&(u.kind.0, u.procs_per_pe))
-                .ok_or(PipelineError::MissingPt {
-                    kind: u.kind.0,
-                    m: u.procs_per_pe,
-                })?;
-            let pt = pt.at(n);
-            visit(pt.ta(p_total), pt.tc(p_total));
-        }
-    }
-    Ok(())
-}
-
 /// The §3 component split of a raw estimate, as returned by
-/// [`Estimator::estimate_raw_parts`]: the makespan kind's arithmetic /
-/// communication decomposition.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// [`Estimator::estimate_raw_parts`] and [`Estimate::parts`]: the
+/// makespan kind's arithmetic / communication decomposition.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RawParts {
     /// `ta + tc` of the makespan kind (the raw §3.4 max-fold value).
     pub total: f64,
@@ -243,6 +187,45 @@ pub struct RawParts {
     pub ta: f64,
     /// Communication time `Tc` of the makespan kind, in seconds.
     pub tc: f64,
+}
+
+/// What [`Estimator::estimate_terms`] reports: the estimate, and which
+/// used kind is its raw makespan term.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Estimate {
+    /// The §3.4 estimate, §4.1-adjusted under the fold's rule.
+    pub time: f64,
+    /// Index into the folded uses of the raw makespan term: the first
+    /// use, in use order, whose `Ta + Tc` is the strict maximum; `None`
+    /// when no term exceeds zero.
+    makespan: Option<usize>,
+}
+
+impl Estimate {
+    /// The makespan term's `(Ta, Tc)`, read from the `terms` the fold
+    /// read with the same `uses` and `counts`; all zero without one.
+    pub fn parts<T: EstimateTerms>(
+        &self,
+        uses: &[KindUse],
+        counts: ProcessCounts,
+        terms: &T,
+    ) -> RawParts {
+        let Some(i) = self.makespan else {
+            return RawParts::default();
+        };
+        let (kind, m) = (uses[i].kind.0, uses[i].procs_per_pe);
+        let (ta, tc) = if counts.single_pe {
+            terms.single_pe(kind, m)
+        } else {
+            terms.group(kind, m).map(|g| terms.split(g, counts.total))
+        }
+        .expect("the fold resolved its makespan term");
+        RawParts {
+            total: ta + tc,
+            ta,
+            tc,
+        }
+    }
 }
 
 /// The `(kind, m)` measurement groups whose models back an estimate of
@@ -309,38 +292,104 @@ pub trait EstimateTerms {
     /// One `(kind, m)` group's P-T model, ready to price process counts.
     type Group: Copy;
 
-    /// `Ta + Tc` of the single-PE N-T model of `(kind, 1, m)`; `None`
+    /// `(Ta, Tc)` of the single-PE N-T model of `(kind, 1, m)`; `None`
     /// without one.
-    fn single_pe(&self, kind: usize, m: usize) -> Option<f64>;
+    fn single_pe(&self, kind: usize, m: usize) -> Option<(f64, f64)>;
 
     /// The P-T group `(kind, m)`; `None` without a model.
     fn group(&self, kind: usize, m: usize) -> Option<Self::Group>;
 
     /// `Ta + Tc` of `group` at `p` processes.
     fn total(&self, group: Self::Group, p: usize) -> f64;
+
+    /// `(Ta, Tc)` of `group` at `p`, summing to [`EstimateTerms::total`].
+    fn split(&self, group: Self::Group, p: usize) -> (f64, f64);
 }
 
-/// A bank's own models at size `n`.
-struct BankTerms<'a> {
-    bank: &'a ModelBank,
-    n: usize,
+/// A bank's own models (`.0`) at problem size `.1`.
+struct BankTerms<'a>(&'a ModelBank, usize);
+
+impl BankTerms<'_> {
+    /// `config`'s raw §3.4 estimate and the counts it read: the fold
+    /// under [`AdjustmentRule::identity`], whose `min_m1 = usize::MAX`
+    /// never adjusts.
+    fn raw(&self, config: &Configuration) -> Result<(Estimate, ProcessCounts), PipelineError> {
+        let counts = ProcessCounts::of(&config.uses, 0);
+        let raw = fold(&AdjustmentRule::identity(), 0, &config.uses, counts, self)?;
+        Ok((raw, counts))
+    }
 }
 
 impl EstimateTerms for BankTerms<'_> {
     type Group = PtAt;
 
-    fn single_pe(&self, kind: usize, m: usize) -> Option<f64> {
-        let nt = self.bank.nt.get(&SampleKey::new(KindId(kind), 1, m))?;
-        Some(nt.total(self.n))
+    fn single_pe(&self, kind: usize, m: usize) -> Option<(f64, f64)> {
+        let nt = self.0.nt.get(&SampleKey::new(KindId(kind), 1, m))?;
+        Some((nt.ta(self.1), nt.tc(self.1)))
     }
 
     fn group(&self, kind: usize, m: usize) -> Option<PtAt> {
-        Some(self.bank.pt.get(&(kind, m))?.at(self.n))
+        Some(self.0.pt.get(&(kind, m))?.at(self.1))
     }
 
     fn total(&self, group: PtAt, p: usize) -> f64 {
         group.total(p)
     }
+
+    fn split(&self, group: PtAt, p: usize) -> (f64, f64) {
+        (group.ta(p), group.tc(p))
+    }
+}
+
+/// [`Estimator::estimate_terms`] under `rule`, with `fast_kind` as the
+/// fast kind. Always inlined: out of line, it slows the serving path
+/// [`Estimator::estimate`] by about a tenth.
+#[inline(always)]
+fn fold<T: EstimateTerms>(
+    rule: &AdjustmentRule,
+    fast_kind: usize,
+    uses: &[KindUse],
+    counts: ProcessCounts,
+    terms: &T,
+) -> Result<Estimate, PipelineError> {
+    if counts.total == 0 {
+        return Err(PipelineError::EmptyConfiguration);
+    }
+    let adjusted = !counts.single_pe && counts.m1 >= rule.min_m1;
+    let (mut raw, mut makespan) = (0.0_f64, None);
+    // `None` when unadjusted or once the baseline is unresolvable.
+    let mut baseline = (adjusted && counts.baseline > 0).then_some(0.0_f64);
+    for (i, u) in uses.iter().enumerate().filter(|(_, u)| u.pes > 0) {
+        let (kind, m) = (u.kind.0, u.procs_per_pe);
+        let t = if counts.single_pe {
+            let (ta, tc) = terms
+                .single_pe(kind, m)
+                .ok_or(PipelineError::MissingNt(SampleKey::new(KindId(kind), 1, m)))?;
+            ta + tc
+        } else {
+            let group = terms
+                .group(kind, m)
+                .ok_or(PipelineError::MissingPt { kind, m })?;
+            if let Some(worst) = baseline {
+                let base = if kind == fast_kind {
+                    terms.group(kind, 1)
+                } else {
+                    Some(group)
+                };
+                baseline = base.map(|b| worst.max(terms.total(b, counts.baseline)));
+            }
+            terms.total(group, counts.total)
+        };
+        if t > raw {
+            (raw, makespan) = (t, Some(i));
+        }
+    }
+    let time = if adjusted {
+        rule.apply(counts.m1, raw, baseline.unwrap_or(raw))
+    } else {
+        raw
+    };
+    Ok(Estimate { time, makespan })
 }
 
 /// The complete estimator: model bank + binning rule + adjustment.
@@ -381,10 +430,11 @@ impl Estimator {
     /// `Ta + Tc`.
     ///
     /// # Errors
+    /// [`PipelineError::EmptyConfiguration`] if no PEs are used;
     /// [`PipelineError::MissingNt`] / [`PipelineError::MissingPt`] if the
     /// campaign never measured the needed configuration family.
     pub fn estimate_raw(&self, config: &Configuration, n: usize) -> Result<f64, PipelineError> {
-        raw_estimate(&self.bank, config, n)
+        Ok(BankTerms(&self.bank, n).raw(config)?.0.time)
     }
 
     /// Estimates with the adjustment applied (the paper's operating mode
@@ -395,25 +445,16 @@ impl Estimator {
     /// single-PE run has no inter-PE communication and its N-T estimate
     /// is already accurate.
     ///
-    /// Its baseline is the raw estimate of the same configuration with
-    /// the fast kind dialled back to one process per PE: the fast kind
-    /// reads its `(kind, 1)` P-T model, every other kind its own model,
-    /// all at the baseline's total process count. One walk over the
-    /// uses folds both estimates; a baseline the bank cannot resolve
-    /// falls back to the raw estimate.
-    ///
     /// This is [`Estimator::estimate_terms`] over the bank's own models
-    /// at size `n`.
+    /// at size `n`: its baseline is the raw estimate with the fast kind
+    /// dialled back to one process per PE.
     ///
     /// # Errors
     /// See [`Estimator::estimate_raw`].
     pub fn estimate(&self, config: &Configuration, n: usize) -> Result<f64, PipelineError> {
         let counts = ProcessCounts::of(&config.uses, self.fast_kind);
-        let terms = BankTerms {
-            bank: &self.bank,
-            n,
-        };
-        self.estimate_terms(&config.uses, counts, &terms)
+        let terms = BankTerms(&self.bank, n);
+        Ok(self.estimate_terms(&config.uses, counts, &terms)?.time)
     }
 
     /// The one §3.4/§4.1 estimate fold, over caller-supplied model
@@ -421,11 +462,12 @@ impl Estimator {
     /// ([`ProcessCounts::of`] with this estimator's fast kind).
     ///
     /// A single-PE configuration folds its N-T totals; any other folds
-    /// the P-T totals of its `(kind, Mᵢ)` groups at `P`. The estimate is
-    /// the slowest kind's `Ta + Tc`. From `M₁ ≥ min_m1` on, the same
-    /// walk folds the baseline at `P_base` (the fast kind read from its
-    /// `(kind, 1)` group) and applies the adjustment; a baseline with a
-    /// missing group falls back to the raw estimate.
+    /// the P-T totals of its `(kind, Mᵢ)` groups at `P`. The raw estimate
+    /// is the slowest kind's `Ta + Tc`, the makespan term ([`Estimate`]).
+    /// From `M₁ ≥ min_m1` on, the same walk folds the baseline at
+    /// `P_base` (the fast kind read from its `(kind, 1)` group) and
+    /// applies the adjustment; a baseline with a missing group falls
+    /// back to the raw estimate.
     ///
     /// # Errors
     /// [`PipelineError::EmptyConfiguration`] when `P = 0`;
@@ -436,46 +478,8 @@ impl Estimator {
         uses: &[KindUse],
         counts: ProcessCounts,
         terms: &T,
-    ) -> Result<f64, PipelineError> {
-        if counts.total == 0 {
-            return Err(PipelineError::EmptyConfiguration);
-        }
-        let used = uses.iter().filter(|u| u.pes > 0);
-        if counts.single_pe {
-            let mut worst: f64 = 0.0;
-            for u in used {
-                let (kind, m) = (u.kind.0, u.procs_per_pe);
-                let t = terms
-                    .single_pe(kind, m)
-                    .ok_or(PipelineError::MissingNt(SampleKey::new(KindId(kind), 1, m)))?;
-                worst = worst.max(t);
-            }
-            return Ok(worst);
-        }
-        let adjusted = counts.m1 >= self.adjustment.min_m1;
-        let mut raw: f64 = 0.0;
-        // `None` when unadjusted or once the baseline is unresolvable.
-        let mut baseline = (adjusted && counts.baseline > 0).then_some(0.0_f64);
-        for u in used {
-            let (kind, m) = (u.kind.0, u.procs_per_pe);
-            let group = terms
-                .group(kind, m)
-                .ok_or(PipelineError::MissingPt { kind, m })?;
-            raw = raw.max(terms.total(group, counts.total));
-            if let Some(worst) = baseline {
-                let base = if kind == self.fast_kind {
-                    terms.group(kind, 1)
-                } else {
-                    Some(group)
-                };
-                baseline = base.map(|b| worst.max(terms.total(b, counts.baseline)));
-            }
-        }
-        if !adjusted {
-            return Ok(raw);
-        }
-        let baseline = baseline.unwrap_or(raw);
-        Ok(self.adjustment.apply(counts.m1, raw, baseline))
+    ) -> Result<Estimate, PipelineError> {
+        fold(&self.adjustment, self.fast_kind, uses, counts, terms)
     }
 
     /// The §3 component split of the raw estimate: the makespan (worst)
@@ -495,18 +499,9 @@ impl Estimator {
         config: &Configuration,
         n: usize,
     ) -> Result<RawParts, PipelineError> {
-        let mut worst = RawParts {
-            total: 0.0,
-            ta: 0.0,
-            tc: 0.0,
-        };
-        walk_terms(&self.bank, config, n, |ta, tc| {
-            let total = ta + tc;
-            if total > worst.total {
-                worst = RawParts { total, ta, tc };
-            }
-        })?;
-        Ok(worst)
+        let terms = BankTerms(&self.bank, n);
+        let (raw, counts) = terms.raw(config)?;
+        Ok(raw.parts(&config.uses, counts, &terms))
     }
 }
 
@@ -656,8 +651,9 @@ impl AdjustmentPolicy {
     /// # Errors
     /// Propagates estimation and regression failures.
     pub fn fit_rule(&self, bank: &ModelBank) -> Result<AdjustmentRule, PipelineError> {
-        let baseline_cfg = Configuration::p1m1_p2m2(1, 1, self.ref_p2, 1);
-        let baseline = raw_estimate(bank, &baseline_cfg, self.ref_n)?;
+        let terms = BankTerms(bank, self.ref_n);
+        let raw = |cfg: &Configuration| terms.raw(cfg).map(|(raw, _)| raw.time);
+        let baseline = raw(&Configuration::p1m1_p2m2(1, 1, self.ref_p2, 1))?;
         let mut estimates = Vec::new();
         let mut baselines = Vec::new();
         let mut measurements = Vec::new();
@@ -667,8 +663,7 @@ impl AdjustmentPolicy {
                 // a shrunken group); skip the stale measurement.
                 continue;
             }
-            let cfg = Configuration::p1m1_p2m2(1, m1, self.ref_p2, 1);
-            estimates.push(raw_estimate(bank, &cfg, self.ref_n)?);
+            estimates.push(raw(&Configuration::p1m1_p2m2(1, m1, self.ref_p2, 1))?);
             baselines.push(baseline);
             measurements.push(wall);
         }

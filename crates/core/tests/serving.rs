@@ -12,10 +12,12 @@ use std::sync::Arc;
 use etm_cluster::{Configuration, KindId, KindUse};
 use etm_core::backend::PolyLsqBackend;
 use etm_core::engine::{Engine, QuarantinePolicy};
-use etm_core::pipeline::AdjustmentPolicy;
-use etm_core::{EngineSnapshot, MeasurementDb, Sample, SampleKey};
+use etm_core::pipeline::{AdjustmentPolicy, Estimator, ModelBank, RawParts};
+use etm_core::{EngineSnapshot, MeasurementDb, NtModel, PtModel, Sample, SampleKey};
 use etm_support::prop;
 use etm_support::rng::Rng64;
+
+mod walk;
 
 const NS: [usize; 6] = [400, 800, 1600, 2400, 3200, 6400];
 
@@ -320,30 +322,67 @@ fn pinned_snapshot_survives_refits_and_concurrent_readers() {
     }
 }
 
+/// Asserts that `estimate_raw` and `estimate_raw_parts` equal the bank
+/// walk at every `(config, n)`: totals and splits bit for bit, errors
+/// exactly.
+fn assert_raw_matches_walk(estimator: &Estimator, cases: &[(Configuration, usize)]) {
+    for (config, n) in cases {
+        let want = walk::raw_walk(&estimator.bank, config, *n);
+        let raw = estimator.estimate_raw(config, *n);
+        let parts = estimator.estimate_raw_parts(config, *n);
+        match (&want, raw, parts) {
+            (Ok(w), Ok(t), Ok(p)) => {
+                let bits = |p: &RawParts| [p.total, p.ta, p.tc].map(f64::to_bits);
+                assert_eq!(t.to_bits(), w.total.to_bits(), "{config:?} at {n}");
+                assert_eq!(bits(&p), bits(w), "{config:?} at {n}: split");
+            }
+            (Err(w), Err(a), Err(b)) => {
+                assert_eq!(&a, w, "{config:?} at {n}");
+                assert_eq!(&b, w, "{config:?} at {n}");
+            }
+            (w, a, b) => panic!("{config:?} at {n}: walk {w:?} vs raw {a:?}, parts {b:?}"),
+        }
+    }
+}
+
 /// `estimate_raw_parts` returns the makespan kind's `Ta`/`Tc` split with
-/// a total bit-identical to `estimate_raw`, and fails with exactly the
-/// same errors.
+/// a total bit-identical to `estimate_raw`. Both are the estimate fold
+/// under the identity rule, so the bank walk they replaced checks them
+/// on the fitted synthetic bank: single-PE and multi-PE, estimable or
+/// not.
 #[test]
 fn raw_parts_split_is_bit_identical_to_the_raw_estimate() {
     let engine =
         Engine::new(Box::new(PolyLsqBackend::paper()), synth_db(), None).expect("synth db fits");
-    let snapshot = engine.snapshot();
-    let estimator = snapshot.estimator();
-    for (config, n) in candidates() {
-        let raw = estimator.estimate_raw(&config, n);
-        let parts = estimator.estimate_raw_parts(&config, n);
-        match (raw, parts) {
-            (Ok(t), Ok(p)) => {
-                assert_eq!(t.to_bits(), p.total.to_bits(), "{config:?} at {n}");
-                assert_eq!(
-                    (p.ta + p.tc).to_bits(),
-                    p.total.to_bits(),
-                    "split must sum to the total"
-                );
-            }
-            (Err(a), Err(b)) => assert_eq!(a, b, "{config:?} at {n}"),
-            (a, b) => panic!("{config:?} at {n}: raw {a:?} vs parts {b:?}"),
-        }
+    assert_raw_matches_walk(engine.snapshot().estimator(), &candidates());
+}
+
+/// Two kinds whose P-T totals tie exactly at every `P` but split
+/// differently (`a + c` against `c + a`): the makespan term is the first
+/// use in use order, so the split follows the configuration's order.
+#[test]
+fn tied_makespan_terms_resolve_to_the_first_use() {
+    let (a, c) = (3.0, 0.25);
+    let model = |ta: f64, tc: f64| PtModel {
+        ka: [0.0, ta],
+        kc: [0.0, 0.0, tc],
+        reference: NtModel {
+            ka: [0.0; 4],
+            kc: [0.0; 3],
+        },
+    };
+    let mut bank = ModelBank::default();
+    bank.pt.insert((0, 1), model(a, c));
+    bank.pt.insert((1, 1), model(c, a));
+    let estimator = Estimator::unadjusted(bank);
+    let forward = Configuration::p1m1_p2m2(1, 1, 2, 1);
+    let mut reversed = forward.clone();
+    reversed.uses.reverse();
+    let cases = [(forward.clone(), 1600), (reversed.clone(), 1600)];
+    assert_raw_matches_walk(&estimator, &cases);
+    for (config, split) in [(forward, (a, c)), (reversed, (c, a))] {
+        let parts = estimator.estimate_raw_parts(&config, 1600).expect("tied");
+        assert_eq!((parts.ta, parts.tc), split, "{config:?}");
     }
 }
 

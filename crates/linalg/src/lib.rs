@@ -9,9 +9,8 @@
 //! * BLAS-2 ([`blas2`]): `dgemv`, `dger`, `dtrsv`;
 //! * BLAS-3 ([`blas3`]): `dgemm` (blocked, optionally Rayon-parallel) and
 //!   `dtrsm`;
-//! * LAPACK-style factorizations: LU ([`lu`]): `dgetf2`, blocked `dgetrf`,
-//!   and Cholesky ([`cholesky`]): `dpotf2`, blocked `dpotrf`, `dposv`;
-//!   `dlaswp`, and solvers ([`solve`]): `dgetrs`;
+//! * LAPACK-style LU ([`lu`]): `dgetf2`, blocked `dgetrf` and `dlaswp`,
+//!   and solvers ([`solve`]): `dgetrs`;
 //! * HPL-style verification ([`verify`]): the scaled residual
 //!   `‖Ax − b‖∞ / (ε · ‖A‖₁ · N)` accept test;
 //! * deterministic matrix generators ([`gen`]).
@@ -26,7 +25,6 @@
 pub mod blas1;
 pub mod blas2;
 pub mod blas3;
-pub mod cholesky;
 pub mod gen;
 pub mod lu;
 mod matrix;

@@ -188,6 +188,35 @@ mod tests {
         }
     }
 
+    /// The cold energy-priced search's `(evaluated, pruned)` on the
+    /// Basic snapshot, pinned per evaluation size.
+    #[test]
+    fn energy_pruning_counters_are_pinned_on_the_paper_grid() {
+        let plan = MeasurementPlan::basic();
+        let engine = engine_for(&plan);
+        let energy = EnergyModel::from_spec(&paper_cluster(CommLibProfile::mpich122()));
+        let opts = AnytimeOptions {
+            energy: Some(energy),
+            ..AnytimeOptions::default()
+        };
+        let counters: Vec<_> = plan
+            .evaluation_ns
+            .iter()
+            .map(|&n| {
+                let report = anytime_search(&engine.snapshot(), &evaluation_space(), n, &opts);
+                (n, report.evaluated, report.pruned)
+            })
+            .collect();
+        let pinned = [
+            (3200, 14, 48),
+            (4800, 18, 44),
+            (6400, 24, 38),
+            (8000, 28, 34),
+            (9600, 35, 27),
+        ];
+        assert_eq!(counters, pinned);
+    }
+
     #[test]
     fn pareto_experiment_passes_its_own_gate_on_the_paper_grid() {
         let plan = MeasurementPlan::basic();

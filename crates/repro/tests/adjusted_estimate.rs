@@ -3,7 +3,9 @@
 //! the two-walk formula it replaced — clone the configuration, dial the
 //! fast kind back to one process per PE, walk the bank again — as an
 //! oracle, and requires bit-identical results (and identical errors)
-//! over the paper's whole evaluation space on the Basic snapshot.
+//! over the paper's whole evaluation space on the Basic snapshot. Both
+//! walks are the bank walk of `crates/core/tests/walk`, so the oracle
+//! does not call the fold it checks.
 
 use etm_cluster::{Configuration, KindId};
 use etm_core::pipeline::{Estimator, PipelineError};
@@ -11,11 +13,14 @@ use etm_core::plan::MeasurementPlan;
 use etm_repro::experiments::estimator_for;
 use etm_repro::stream::evaluation_space;
 
+#[path = "../../core/tests/walk/mod.rs"]
+mod walk;
+
 /// The adjusted estimate as two walks: the raw estimate, then the raw
 /// estimate of the `M₁ = 1` configuration, falling back to the raw one
 /// when the bank cannot serve it.
 fn two_walk(est: &Estimator, config: &Configuration, n: usize) -> Result<f64, PipelineError> {
-    let raw = est.estimate_raw(config, n)?;
+    let raw = walk::raw_walk(&est.bank, config, n)?.total;
     if config.is_single_pe() {
         return Ok(raw);
     }
@@ -29,7 +34,7 @@ fn two_walk(est: &Estimator, config: &Configuration, n: usize) -> Result<f64, Pi
             u.procs_per_pe = 1;
         }
     }
-    let baseline = est.estimate_raw(&base, n).unwrap_or(raw);
+    let baseline = walk::raw_walk(&est.bank, &base, n).map_or(raw, |b| b.total);
     Ok(est.adjustment.apply(m1, raw, baseline))
 }
 
@@ -45,7 +50,9 @@ fn assert_matches_oracle(est: &Estimator, ns: &[usize]) -> (usize, usize) {
             match (&got, &want) {
                 (Ok(g), Ok(w)) => {
                     assert_eq!(g.to_bits(), w.to_bits(), "{config:?} at N={n}");
-                    let raw = est.estimate_raw(&config, n).expect("raw resolves");
+                    let raw = walk::raw_walk(&est.bank, &config, n)
+                        .expect("raw resolves")
+                        .total;
                     adjusted += usize::from(g.to_bits() != raw.to_bits());
                 }
                 _ => {

@@ -20,13 +20,13 @@
 //!   wholesale; subtrees whose fixed prefix uses a group with no P-T
 //!   model are all-error and discarded unconditionally.
 //! * **Leaf prices** — a leaf that survives its bound is priced from the
-//!   same tables (and the single-PE N-T totals tabulated beside them)
+//!   same tables (and the single-PE N-T splits tabulated beside them)
 //!   through [`Estimator::estimate_terms`](etm_core::Estimator::estimate_terms),
 //!   the estimator's one §3.4/§4.1 fold, with the process counts the
 //!   bound already summed. The tables hold the walk's own terms, so a
 //!   price equals [`EngineSnapshot::estimate`] bit for bit; a
 //!   [`Configuration`] is built only for a new incumbent (and, with an
-//!   energy model, for the joule price).
+//!   energy model, for a point of the front).
 //! * **Anytime** — every improvement is appended to
 //!   [`AnytimeReport::incumbents`], so the best-so-far after any
 //!   evaluation budget is recoverable; at exhaustion the result is the
@@ -39,7 +39,8 @@
 //! * **Pareto front** — with [`AnytimeOptions::energy`] set, every
 //!   estimable candidate is also priced in joules
 //!   ([`EnergyModel::joules`] over the makespan kind's raw `(Ta, Tc)`
-//!   split) and the report carries the exact non-dominated time ×
+//!   split, which the leaf's own fold names) and the report carries
+//!   the exact non-dominated time ×
 //!   energy front. Pruning then requires a front point that strictly
 //!   dominates the subtree's `(time, energy)` lower bounds — strict
 //!   dominance is transitive, so the surviving set provably contains
@@ -57,7 +58,7 @@
 
 use etm_cluster::{Configuration, EnergyModel, KindId, KindUse};
 use etm_core::engine::EngineSnapshot;
-use etm_core::{EstimateTerms, ProcessCounts, SampleKey};
+use etm_core::{EstimateTerms, ProcessCounts, PtAt, SampleKey};
 
 use crate::{ConfigSpace, SearchResult};
 
@@ -141,6 +142,8 @@ struct Slot {
     /// Largest `P` up to which the model is certified non-increasing;
     /// `NEG_INFINITY` when the certificate cannot vouch.
     mono_limit: f64,
+    /// The group's per-size model in [`Tables::ats`].
+    at: usize,
 }
 
 /// One `(kind, m)` entry of [`Tables`].
@@ -148,14 +151,14 @@ struct Slot {
 struct Entry {
     /// The P-T group, `None` without a model.
     slot: Option<Slot>,
-    /// The N-T total of `(kind, 1, m)`, `None` without a model.
-    single: Option<f64>,
+    /// The N-T `(Ta, Tc)` of `(kind, 1, m)`, `None` without a model.
+    single: Option<(f64, f64)>,
 }
 
 /// The snapshot's models at the search's size, tabulated once per
 /// search from [`PtModel::at`](etm_core::PtModel::at): every group's
 /// P-T totals over its reachable process range, and the single-PE N-T
-/// totals. Both the bounds and the leaf prices read them; the prices
+/// splits. Both the bounds and the leaf prices read them; the prices
 /// through [`Estimator::estimate_terms`], so the estimate rules live in
 /// the estimator alone.
 struct Tables {
@@ -164,19 +167,21 @@ struct Tables {
     entries: Vec<Entry>,
     /// Every group's totals, one group after another.
     times: Vec<f64>,
+    /// Every group's per-size model, for the makespan term's split.
+    ats: Vec<PtAt>,
 }
 
 impl Tables {
     /// Tabulates `snapshot`'s models of every `(kind, m)` of `space` at
-    /// size `n`.
-    fn new(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize) -> Tables {
+    /// size `n`; `p_max` is the largest total process count in `space`.
+    fn new(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize, p_max: usize) -> Tables {
         let bank = snapshot.bank();
-        let p_max = p_max(space);
         let groups: usize = space.max_m.iter().sum();
         let mut tables = Tables {
             first: Vec::with_capacity(space.max_m.len()),
             entries: Vec::with_capacity(groups),
             times: Vec::with_capacity(groups * p_max),
+            ats: Vec::with_capacity(groups),
         };
         for (kind, &max_m) in space.max_m.iter().enumerate() {
             tables.first.push(tables.entries.len());
@@ -190,16 +195,18 @@ impl Tables {
                     let start = tables.times.len();
                     tables.times.extend((lo..=hi).map(|p| at.total(p)));
                     let mono_limit = at.monotone_p_limit().unwrap_or(f64::NEG_INFINITY);
+                    tables.ats.push(at);
                     Slot {
                         start,
                         lo,
                         hi,
                         mono_limit,
+                        at: tables.ats.len() - 1,
                     }
                 });
                 tables.entries.push(Entry {
                     slot,
-                    single: nt.map(|nt| nt.total(n)),
+                    single: nt.map(|nt| (nt.ta(n), nt.tc(n))),
                 });
             }
         }
@@ -246,12 +253,24 @@ impl Tables {
         }
         m
     }
+
+    /// Whether every group's `(Ta, Tc)` split is finite and non-negative
+    /// over its reachable range, where each candidate's makespan term
+    /// lies — the precondition of the floor-watts energy bound.
+    fn parts_safe(&self) -> bool {
+        self.entries.iter().filter_map(|e| e.slot).all(|slot| {
+            (slot.lo..=slot.hi).all(|p| {
+                let (ta, tc) = self.split(slot, p);
+                ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0
+            })
+        })
+    }
 }
 
 impl EstimateTerms for Tables {
     type Group = Slot;
 
-    fn single_pe(&self, kind: usize, m: usize) -> Option<f64> {
+    fn single_pe(&self, kind: usize, m: usize) -> Option<(f64, f64)> {
         self.entry(kind, m).single
     }
 
@@ -262,35 +281,11 @@ impl EstimateTerms for Tables {
     fn total(&self, slot: Slot, p: usize) -> f64 {
         self.range(slot, p, p)[0]
     }
-}
 
-/// The largest total process count of a candidate in `space`.
-fn p_max(space: &ConfigSpace) -> usize {
-    space
-        .available
-        .iter()
-        .zip(&space.max_m)
-        .map(|(&a, &m)| a * m)
-        .sum()
-}
-
-/// Whether every `(Ta, Tc)` split of `snapshot`'s P-T models of
-/// `space`, at size `n` and every `P` up to the space's largest, is
-/// finite and non-negative — the precondition of the floor-watts
-/// energy bound.
-fn parts_safe(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize) -> bool {
-    let p_max = p_max(space);
-    space.max_m.iter().enumerate().all(|(kind, &max_m)| {
-        (1..=max_m).all(|m| {
-            snapshot.bank().pt.get(&(kind, m)).is_none_or(|pt| {
-                let at = pt.at(n);
-                (1..=p_max).all(|p| {
-                    let (ta, tc) = (at.ta(p), at.tc(p));
-                    ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0
-                })
-            })
-        })
-    })
+    fn split(&self, slot: Slot, p: usize) -> (f64, f64) {
+        let at = &self.ats[slot.at];
+        (at.ta(p), at.tc(p))
+    }
 }
 
 /// Subtree assessment from the fixed prefix.
@@ -329,7 +324,6 @@ fn shave(x: f64) -> f64 {
 struct Searcher<'a> {
     snapshot: &'a EngineSnapshot,
     space: &'a ConfigSpace,
-    n: usize,
     kinds: usize,
     tables: Tables,
     /// `suffix[j]` = completions of a prefix fixing kinds `0..j`.
@@ -388,12 +382,11 @@ impl<'a> Searcher<'a> {
                 };
         }
         let adjustment = snapshot.adjustment();
+        let tables = Tables::new(snapshot, space, n, free_pm_max[0]);
         Searcher {
             snapshot,
             space,
-            n,
             kinds,
-            tables: Tables::new(snapshot, space, n),
             suffix,
             free_pm_max,
             free_base_max,
@@ -403,7 +396,8 @@ impl<'a> Searcher<'a> {
             base_coeff: adjustment.base_coeff,
             energy: opts.energy.as_ref(),
             // Read only by the energy bound.
-            parts_safe: opts.energy.is_some() && parts_safe(snapshot, space, n),
+            parts_safe: opts.energy.is_some() && tables.parts_safe(),
+            tables,
             budget: opts.max_evaluations,
             warm_n: None,
             warm_seen: false,
@@ -699,7 +693,7 @@ impl<'a> Searcher<'a> {
 
     /// Prices the candidate `fixed` (with `counts` read off it) from the
     /// tables. A configuration is built only for a new incumbent and,
-    /// in energy mode, for the joule price and the front.
+    /// in energy mode, for a point of the front.
     fn evaluate(&mut self, fixed: &[KindUse], n_idx: usize, counts: ProcessCounts) {
         if self.stopped {
             return;
@@ -712,20 +706,19 @@ impl<'a> Searcher<'a> {
         }
         self.evaluated += 1;
         let estimator = self.snapshot.estimator();
-        let Ok(t) = estimator.estimate_terms(fixed, counts, &self.tables) else {
+        let Ok(est) = estimator.estimate_terms(fixed, counts, &self.tables) else {
             return;
         };
+        let t = est.time;
         if let Some(em) = self.energy {
-            let cfg = Configuration {
-                uses: fixed.to_vec(),
-            };
-            // The estimate resolved, so the raw walk resolves too.
-            if let Ok(parts) = estimator.estimate_raw_parts(&cfg, self.n) {
-                let e = em.joules(&cfg, parts.ta, parts.tc);
-                if t.is_finite() && e.is_finite() {
-                    self.points.push((n_idx, t, e, cfg));
-                    self.archive_insert(t, e);
-                }
+            let parts = est.parts(fixed, counts, &self.tables);
+            let e = em.joules(fixed, parts.ta, parts.tc);
+            if t.is_finite() && e.is_finite() {
+                let cfg = Configuration {
+                    uses: fixed.to_vec(),
+                };
+                self.points.push((n_idx, t, e, cfg));
+                self.archive_insert(t, e);
             }
         }
         let better = match &self.best {
@@ -1065,7 +1058,7 @@ mod tests {
                             .estimator()
                             .estimate_raw_parts(&cfg, n)
                             .expect("raw resolves");
-                        let en = em.joules(&cfg, parts.ta, parts.tc);
+                        let en = em.joules(&cfg.uses, parts.ta, parts.tc);
                         if t.is_finite() && en.is_finite() {
                             all.push((t, en, cfg));
                         }
