@@ -23,12 +23,12 @@ pub struct CommLibProfile {
     /// Peak intra-node throughput in bytes/s.
     pub intra_bw_max: f64,
     /// Message size at which half the peak throughput is reached.
-    pub intra_half_bytes: f64,
+    pub(crate) intra_half_bytes: f64,
     /// Per-message intra-node latency in seconds.
     pub intra_latency: f64,
     /// Optional throughput cliff: beyond this message size, throughput
     /// decays as `cliff / b` of its plateau value (buffer thrashing).
-    pub intra_cliff_bytes: Option<f64>,
+    pub(crate) intra_cliff_bytes: Option<f64>,
 }
 
 json_struct!(CommLibProfile {

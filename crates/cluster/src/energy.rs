@@ -4,8 +4,8 @@
 //! arithmetic component `Ta` and a communication component `Tc` (§3 of
 //! the paper). [`EnergyModel`] reuses exactly that split: during the
 //! `Ta` fraction of a run every participating PE draws its
-//! [`PePower::busy_watts`], during the `Tc` fraction it draws
-//! [`PePower::comm_watts`] (cores stalled on the NIC or on peers), so
+//! `PePower::busy_watts`, during the `Tc` fraction it draws
+//! `PePower::comm_watts` (cores stalled on the NIC or on peers), so
 //!
 //! ```text
 //! E(config, Ta, Tc) = Σ_kinds  Pᵢ · (busyᵢ·Ta + commᵢ·Tc)   [joules]
@@ -26,10 +26,10 @@
 //! lower bound for branch-and-bound pruning: since
 //! `busy·Ta + comm·Tc ≥ min(busy, comm)·(Ta + Tc)`, any completion of a
 //! partially fixed configuration costs at least
-//! [`EnergyModel::floor_watts`] of the fixed kinds times a lower bound
-//! on the makespan.
+//! `Σ Pᵢ ·` [`EnergyModel::kind_floor_watts`] over the fixed kinds times
+//! a lower bound on the makespan.
 
-use crate::config::{Configuration, KindUse};
+use crate::config::KindUse;
 use crate::spec::{ClusterSpec, KindId, PePower};
 
 /// Per-kind power table turning a `(Ta, Tc)` estimate into joules.
@@ -40,30 +40,11 @@ pub struct EnergyModel {
 }
 
 impl EnergyModel {
-    /// Builds the model from the per-kind [`PePower`] specs of a cluster.
+    /// Builds the model from the per-kind `PePower` specs of a cluster.
     pub fn from_spec(spec: &ClusterSpec) -> Self {
         EnergyModel {
             watts: spec.kinds.iter().map(|k| k.power).collect(),
         }
-    }
-
-    /// Builds the model from an explicit per-kind power table (tests,
-    /// synthetic clusters).
-    pub fn from_watts(watts: Vec<PePower>) -> Self {
-        EnergyModel { watts }
-    }
-
-    /// Number of PE kinds the model covers.
-    pub fn kinds(&self) -> usize {
-        self.watts.len()
-    }
-
-    /// Draw of one PE of `kind`.
-    ///
-    /// # Panics
-    /// Panics if the kind is out of range.
-    pub fn kind_power(&self, kind: KindId) -> PePower {
-        self.watts[kind.0]
     }
 
     /// Energy in joules of running `uses` with arithmetic time `ta` and
@@ -80,26 +61,10 @@ impl EnergyModel {
         e
     }
 
-    /// Guaranteed minimum draw of `config` in watts:
-    /// `Σ Pᵢ · min(busyᵢ, commᵢ)`. Multiplying by a makespan lower
-    /// bound yields an energy lower bound, because each PE draws at
-    /// least its smaller state power for the whole run.
-    ///
-    /// # Panics
-    /// Panics if the configuration names a kind the model does not cover.
-    pub fn floor_watts(&self, config: &Configuration) -> f64 {
-        config
-            .uses
-            .iter()
-            .map(|u| {
-                let p = self.watts[u.kind.0];
-                u.pes as f64 * p.busy_watts.min(p.comm_watts)
-            })
-            .sum()
-    }
-
-    /// `min(busy, comm)` of one PE of `kind` — the per-PE building block
-    /// of [`Self::floor_watts`] for partially fixed configurations.
+    /// `min(busy, comm)` of one PE of `kind`: the least it draws at any
+    /// moment of a run. `Σ Pᵢ · kind_floor_watts(kindᵢ)` over the kinds
+    /// of a (partially fixed) configuration, times a makespan lower
+    /// bound, is an energy lower bound.
     ///
     /// # Panics
     /// Panics if the kind is out of range.
@@ -113,6 +78,7 @@ impl EnergyModel {
 mod tests {
     use super::*;
     use crate::commlib::CommLibProfile;
+    use crate::config::Configuration;
     use crate::spec::paper_cluster;
 
     fn model() -> EnergyModel {
@@ -139,22 +105,26 @@ mod tests {
     fn floor_watts_lower_bounds_any_phase_split() {
         let m = model();
         let cfg = Configuration::p1m1_p2m2(1, 1, 8, 6);
+        // The search's energy floor of a configuration's kinds.
+        let floor: f64 = cfg
+            .uses
+            .iter()
+            .map(|u| u.pes as f64 * m.kind_floor_watts(u.kind))
+            .sum();
         let total = 7.5;
         // Whatever the Ta/Tc split of a 7.5 s run, energy is at least
-        // floor_watts × makespan.
+        // floor × makespan.
         for k in 0..=10 {
             let ta = total * k as f64 / 10.0;
             let tc = total - ta;
-            assert!(m.joules(&cfg.uses, ta, tc) + 1e-9 >= m.floor_watts(&cfg) * total);
+            assert!(m.joules(&cfg.uses, ta, tc) + 1e-9 >= floor * total);
         }
-        assert_eq!(m.floor_watts(&cfg), 30.0 + 8.0 * 12.0);
+        assert_eq!(floor, 30.0 + 8.0 * 12.0);
     }
 
     #[test]
     fn kind_accessors_match_spec() {
         let m = model();
-        assert_eq!(m.kinds(), 2);
-        assert_eq!(m.kind_power(KindId(0)).busy_watts, 72.0);
         assert_eq!(m.kind_floor_watts(KindId(1)), 12.0);
     }
 }

@@ -11,11 +11,12 @@
 //!   [`spec::paper_cluster`] reproducing Table 1;
 //! * [`commlib`] — communication-library profiles: the MPICH-1.2.1 /
 //!   1.2.2 intra-node throughput gap of Figs. 1–2;
-//! * [`config`] — cluster configurations `(Pᵢ, Mᵢ)` and process placement;
+//! * [`Configuration`], [`Placement`] — cluster configurations
+//!   `(Pᵢ, Mᵢ)` and process placement;
 //! * [`energy`] — per-kind power draws and the `Ta/Tc → joules` model
 //!   behind the bi-criteria (time × energy) optimizer objective;
-//! * [`perf`] — compute/communication cost functions: DGEMM efficiency
-//!   versus working set, multiprocessing overhead, memory-pressure (swap)
+//! * [`PerfModel`] — compute/communication cost functions: DGEMM
+//!   efficiency versus working set, multiprocessing overhead, memory-pressure (swap)
 //!   penalty, NIC/link parameters.
 //!
 //! All quantities are SI: seconds, bytes, flops.
@@ -24,13 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod commlib;
-pub mod config;
+mod config;
 pub mod energy;
-pub mod perf;
+mod perf;
 pub mod spec;
 
 pub use commlib::CommLibProfile;
 pub use config::{ConfigError, Configuration, KindUse, Placement, ProcSlot};
 pub use energy::EnergyModel;
 pub use perf::{PerfModel, RankPrices};
-pub use spec::{ClusterSpec, KindId, NetworkSpec, NodeSpec, PeKind, PePower};
+pub use spec::{ClusterSpec, KindId, NetworkSpec, NodeSpec};

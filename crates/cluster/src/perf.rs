@@ -40,20 +40,10 @@ impl<'a> PerfModel<'a> {
         PerfModel { spec, n, p }
     }
 
-    /// The cluster this model prices work for.
-    pub fn spec(&self) -> &ClusterSpec {
-        self.spec
-    }
-
-    /// Matrix order N.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Bytes of matrix state owned by one process: its share of the
     /// `N × N` f64 matrix under 1-D block-cyclic distribution, plus a
     /// panel receive buffer.
-    pub fn working_set_per_proc(&self, block: usize) -> f64 {
+    pub(crate) fn working_set_per_proc(&self, block: usize) -> f64 {
         let n = self.n as f64;
         8.0 * n * n / self.p as f64 + 8.0 * n * block as f64
     }
@@ -138,11 +128,6 @@ impl<'a> PerfModel<'a> {
     /// row interchanges — reads + writes already folded into `mem_bw`).
     pub fn memop_time(&self, kind: KindId, bytes: f64, overcommit: f64) -> f64 {
         self.rank_prices(kind, 1, overcommit, 0).memop(bytes)
-    }
-
-    /// Whether two placed processes share a node (intra-node comm path).
-    pub fn same_node(a_node: usize, b_node: usize) -> bool {
-        a_node == b_node
     }
 
     /// Scheduler stall at a synchronization point for a process sharing

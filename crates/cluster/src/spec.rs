@@ -33,7 +33,7 @@ pub struct PeKind {
     pub name: String,
     /// Core clock in GHz (informational; performance comes from the
     /// fields below).
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// Peak sustained DGEMM rate of one process with a large in-memory
     /// working set, in flop/s.
     pub peak_flops: f64,
@@ -43,26 +43,26 @@ pub struct PeKind {
     pub eff_min: f64,
     /// Working-set size (bytes) at which efficiency is halfway between
     /// `eff_min` and 1. Encodes the classic rising HPL Gflops-vs-N curve.
-    pub eff_halfway_bytes: f64,
+    pub(crate) eff_halfway_bytes: f64,
     /// Efficiency of the unblocked panel factorization (`dgetf2`) relative
     /// to DGEMM — BLAS-2 bound, so well below 1.
-    pub panel_eff: f64,
+    pub(crate) panel_eff: f64,
     /// Sustained memory copy bandwidth in bytes/s (drives `laswp`).
-    pub mem_bw: f64,
+    pub(crate) mem_bw: f64,
     /// Multiprocessing overhead coefficient σ: running `m` processes on
     /// this CPU inflates each process's compute time by `1 + σ·(m−1)`
     /// *in addition* to the fair-share slowdown (context switches, cache
     /// pollution).
-    pub mp_overhead: f64,
+    pub(crate) mp_overhead: f64,
     /// Effective OS scheduler timeslice in seconds (Linux 2.4 timeslices
     /// ranged 10-50 ms; 20 ms is the calibrated effective value). At every
     /// synchronization point a process sharing its CPU with `m − 1`
     /// others stalls about `(m − 1)` timeslices waiting to be scheduled —
     /// the dominant per-iteration cost of multiprocessing at small N.
-    pub sched_quantum: f64,
+    pub(crate) sched_quantum: f64,
     /// Electrical power draw of one PE of this kind, for the bi-criteria
     /// (time × energy) objective.
-    pub power: PePower,
+    pub(crate) power: PePower,
 }
 
 /// Power draw of a single PE in its two model states.
@@ -73,11 +73,11 @@ pub struct PeKind {
 /// turn a `(Ta, Tc)` estimate into joules — see
 /// [`crate::energy::EnergyModel`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PePower {
+pub(crate) struct PePower {
     /// Draw in watts while executing arithmetic (the `Ta` phase).
-    pub busy_watts: f64,
+    pub(crate) busy_watts: f64,
     /// Draw in watts while communicating or waiting (the `Tc` phase).
-    pub comm_watts: f64,
+    pub(crate) comm_watts: f64,
 }
 
 /// Calibrated AMD Athlon 1.33 GHz analogue (paper Node 1).
@@ -174,11 +174,11 @@ pub struct ClusterSpec {
     /// Communication-library profile (intra-node path).
     pub comm_lib: CommLibProfile,
     /// Fraction of node memory usable by HPL (the rest is OS/buffers).
-    pub usable_mem_frac: f64,
+    pub(crate) usable_mem_frac: f64,
     /// Softness of the swap cliff: compute slows by
     /// `1 + swap_beta·(overcommit − 1)` once the working set exceeds
     /// usable memory.
-    pub swap_beta: f64,
+    pub(crate) swap_beta: f64,
 }
 
 impl ClusterSpec {
@@ -206,11 +206,6 @@ impl ClusterSpec {
             .filter(|n| n.kind == kind)
             .map(|n| n.cpus)
             .sum()
-    }
-
-    /// Looks up a kind by name.
-    pub fn kind_by_name(&self, name: &str) -> Option<KindId> {
-        self.kinds.iter().position(|k| k.name == name).map(KindId)
     }
 
     /// The kind record for an id.
@@ -291,14 +286,6 @@ mod tests {
             c.kind(KindId(0)).peak_flops > 4.0 * c.kind(KindId(1)).peak_flops,
             "Athlon is ~5x a Pentium-II"
         );
-    }
-
-    #[test]
-    fn kind_lookup_by_name() {
-        let c = paper_cluster(CommLibProfile::mpich122());
-        assert_eq!(c.kind_by_name("Athlon"), Some(KindId(0)));
-        assert_eq!(c.kind_by_name("Pentium-II"), Some(KindId(1)));
-        assert_eq!(c.kind_by_name("G5"), None);
     }
 
     #[test]

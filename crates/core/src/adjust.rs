@@ -47,7 +47,7 @@ json_struct!(AdjustmentRule {
 
 impl AdjustmentRule {
     /// The no-op rule.
-    pub fn identity() -> Self {
+    pub(crate) fn identity() -> Self {
         AdjustmentRule {
             min_m1: usize::MAX,
             scale: 1.0,

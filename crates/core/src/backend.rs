@@ -206,7 +206,7 @@ fn compose_from_donor(
 
 /// The paper's §3 pipeline: ordinary least squares on the polynomial
 /// forms, with the paper's §3.5 communication scale
-/// ([`PAPER_TC_SCALE`]).
+/// (`PAPER_TC_SCALE`, 0.85).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PolyLsqBackend;
 

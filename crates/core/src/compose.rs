@@ -6,7 +6,7 @@
 //! *composed* from a measured kind's model by constant scale factors
 //! (the paper scales Pentium-II `Ta` by 0.27 and `Tc` by 0.85).
 //!
-//! Besides the paper's hand-picked constants, [`fit_ta_scale`] derives
+//! Besides the paper's hand-picked constants, `fit_ta_scale` derives
 //! the computation factor from data the campaign already has: the
 //! single-PE N-T models of both kinds (the ratio of their `Ta` curves in
 //! a least-squares sense).
@@ -17,7 +17,7 @@ use crate::ptmodel::PtModel;
 /// The paper's hand-picked Athlon/Pentium-II computation scale.
 pub const PAPER_TA_SCALE: f64 = 0.27;
 /// The paper's hand-picked Athlon/Pentium-II communication scale.
-pub const PAPER_TC_SCALE: f64 = 0.85;
+pub(crate) const PAPER_TC_SCALE: f64 = 0.85;
 
 /// Least-squares scale between two kinds' single-PE `Ta` curves over a
 /// grid of problem sizes: minimizes `Σ (Ta_target(N) − s·Ta_source(N))²`,
@@ -28,7 +28,11 @@ pub const PAPER_TC_SCALE: f64 = 0.85;
 ///
 /// # Panics
 /// Panics if `ns` is empty or the source curve is identically zero on it.
-pub fn fit_ta_scale(target_single_pe: &NtModel, source_single_pe: &NtModel, ns: &[usize]) -> f64 {
+pub(crate) fn fit_ta_scale(
+    target_single_pe: &NtModel,
+    source_single_pe: &NtModel,
+    ns: &[usize],
+) -> f64 {
     assert!(!ns.is_empty(), "need at least one problem size");
     let mut num = 0.0;
     let mut den = 0.0;
@@ -45,7 +49,7 @@ pub fn fit_ta_scale(target_single_pe: &NtModel, source_single_pe: &NtModel, ns: 
 /// Composes the target's P-T model with a fitted `Ta` scale and an
 /// explicit `Tc` scale (single-PE trials have no inter-PE communication,
 /// so `Tc` cannot be fitted the same way — the paper keeps a constant).
-pub fn compose_fitted(
+pub(crate) fn compose_fitted(
     source_pt: &PtModel,
     target_single_pe: &NtModel,
     source_single_pe: &NtModel,

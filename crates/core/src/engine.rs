@@ -87,7 +87,7 @@ impl Default for QuarantinePolicy {
 impl QuarantinePolicy {
     /// Whether `sample` may enter the database: all three measured times
     /// finite, non-negative, and within [`QuarantinePolicy::max_seconds`].
-    pub fn admits(&self, sample: &Sample) -> bool {
+    pub(crate) fn admits(&self, sample: &Sample) -> bool {
         sample.is_finite()
             && (0.0..=self.max_seconds).contains(&sample.ta)
             && (0.0..=self.max_seconds).contains(&sample.tc)
@@ -113,7 +113,7 @@ pub struct EngineHealth {
     /// Generation of the most recent snapshot with no quarantined group
     /// — the staleness reference: `generation - healthy_generation`
     /// published generations have been degraded.
-    pub healthy_generation: u64,
+    pub(crate) healthy_generation: u64,
     /// Total inadmissible samples rejected at ingest since construction.
     pub rejected_samples: usize,
 }
@@ -157,7 +157,6 @@ impl EngineHealth {
 pub struct EngineSnapshot {
     estimator: Estimator,
     generation: u64,
-    backend: &'static str,
     refit: Vec<(usize, usize)>,
     work: FitWork,
     health: EngineHealth,
@@ -187,11 +186,6 @@ impl EngineSnapshot {
     /// Monotone generation counter: 0 for the initial fit, +1 per swap.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Name of the backend that fit this snapshot.
-    pub fn backend(&self) -> &'static str {
-        self.backend
     }
 
     /// The `(kind, m)` groups holding a key this generation refit
@@ -359,7 +353,6 @@ impl Engine {
         let snapshot = Arc::new(EngineSnapshot {
             estimator,
             generation: 0,
-            backend: backend.name(),
             refit: Vec::new(),
             work,
             health: EngineHealth::default(),
@@ -390,11 +383,6 @@ impl Engine {
         self
     }
 
-    /// The engine's quarantine policy.
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.quarantine
-    }
-
     /// The groups whose bad-sample budget is currently exhausted — the
     /// quarantine set the *next* publication will carry. Unlike
     /// [`EngineSnapshot::health`] this reads live writer state, so tests
@@ -412,11 +400,6 @@ impl Engine {
     /// The current snapshot: a pointer clone of the published `Arc`.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
         Arc::clone(&self.state.borrow().current)
-    }
-
-    /// Name of the engine's fitting backend.
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// The measurement database as of the last write. An O(1) `Arc`
@@ -549,7 +532,6 @@ impl Engine {
         let snapshot = Arc::new(EngineSnapshot {
             estimator,
             generation,
-            backend: self.backend.name(),
             refit: groups_of_keys(&dirty),
             work,
             health,
@@ -599,7 +581,6 @@ impl Engine {
         let snapshot = Arc::new(EngineSnapshot {
             estimator,
             generation,
-            backend: self.backend.name(),
             refit: Vec::new(),
             work,
             health,
@@ -707,7 +688,6 @@ mod tests {
         let e = engine();
         let snap = e.snapshot();
         assert_eq!(snap.generation(), 0);
-        assert_eq!(snap.backend(), "poly_lsq");
         assert!(snap.refit_groups().is_empty());
         let cfg = Configuration::p1m1_p2m2(1, 1, 4, 2);
         assert!(snap.estimate_raw(&cfg, 1600).expect("estimable") > 0.0);

@@ -104,14 +104,14 @@ pub struct FaultLog {
     /// unrecoverable and heavy enough to exhaust the budget.
     pub corrupted_groups: BTreeSet<(usize, usize)>,
     /// Batches dropped whole.
-    pub dropped_batches: usize,
+    pub(crate) dropped_batches: usize,
     /// Trials cut off by batch truncation.
-    pub truncated_trials: usize,
+    pub(crate) truncated_trials: usize,
     /// Batches re-delivered by the duplicate flood.
-    pub flooded_batches: usize,
+    pub(crate) flooded_batches: usize,
     /// Clean trials re-delivered in the tail (when
     /// [`FaultPlan::redeliver`] is on).
-    pub redelivered: usize,
+    pub(crate) redelivered: usize,
 }
 
 fn corrupt_sample(mut s: Sample, kind: CorruptKind, factor: f64, rng: &mut Rng64) -> Sample {

@@ -15,8 +15,8 @@
 //!   visits keys in ascending order — exactly a `BTreeMap`'s order.
 //! * **Growth.** An insert outside the box rebuilds the grid once, into
 //!   the smallest box holding both the old box and the key.
-//!   [`KeyGrid::cover`] sizes a grid up front, so a fill never regrows.
-//! * **Bound.** A box may hold at most [`MAX_SLOTS`] slots. A key whose
+//!   `KeyGrid::cover` sizes a grid up front, so a fill never regrows.
+//! * **Bound.** A box may hold at most `MAX_SLOTS` (65,536) slots. A key whose
 //!   box would exceed it is a caller error: inserting it panics with the
 //!   key in the message, and reading one back from JSON is an error.
 
@@ -29,7 +29,7 @@ use crate::measurement::SampleKey;
 
 /// The most slots a [`KeyGrid`]'s box may span. The paper's campaigns
 /// need a few hundred at most.
-pub const MAX_SLOTS: usize = 1 << 16;
+pub(crate) const MAX_SLOTS: usize = 1 << 16;
 
 /// A key a [`KeyGrid`] can index: a point of a three-dimensional box.
 pub trait GridKey: Copy + Ord + fmt::Debug {
@@ -91,12 +91,12 @@ impl<K, V> Default for KeyGrid<K, V> {
 
 impl<K: GridKey, V> KeyGrid<K, V> {
     /// An empty grid with an empty box.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The box: one past the largest coordinate in each dimension.
-    pub fn extent(&self) -> [usize; 3] {
+    pub(crate) fn extent(&self) -> [usize; 3] {
         self.extent
     }
 
@@ -104,7 +104,7 @@ impl<K: GridKey, V> KeyGrid<K, V> {
     ///
     /// # Panics
     /// If the grown box would exceed [`MAX_SLOTS`].
-    pub fn cover(&mut self, extent: [usize; 3]) {
+    pub(crate) fn cover(&mut self, extent: [usize; 3]) {
         let mut want = self.extent;
         for (w, e) in want.iter_mut().zip(extent) {
             *w = (*w).max(e);
@@ -152,12 +152,6 @@ impl<K: GridKey, V> KeyGrid<K, V> {
         self.slots[at].as_ref().map(|(_, v)| v)
     }
 
-    /// The value of `key` for writing, if stored.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let at = self.slot(key)?;
-        self.slots[at].as_mut().map(|(_, v)| v)
-    }
-
     /// Whether `key` is stored.
     pub fn contains_key(&self, key: &K) -> bool {
         self.get(key).is_some()
@@ -167,7 +161,7 @@ impl<K: GridKey, V> KeyGrid<K, V> {
     ///
     /// # Panics
     /// If `key` lies outside the box and the grown box would exceed
-    /// [`MAX_SLOTS`].
+    /// `MAX_SLOTS`.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let at = self.slot_or_grow(&key);
         let old = self.slots[at].replace((key, value)).map(|(_, v)| v);
@@ -181,7 +175,7 @@ impl<K: GridKey, V> KeyGrid<K, V> {
     ///
     /// # Panics
     /// As [`KeyGrid::insert`].
-    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
         let at = self.slot_or_grow(&key);
         let slot = &mut self.slots[at];
         if slot.is_none() {
@@ -199,17 +193,17 @@ impl<K: GridKey, V> KeyGrid<K, V> {
     }
 
     /// Every stored `(key, value)`, ascending by key.
-    pub fn iter(&self) -> Iter<'_, K, V> {
+    pub(crate) fn iter(&self) -> Iter<'_, K, V> {
         Iter(self.slots.iter())
     }
 
     /// Every stored key, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> + '_ {
         self.iter().map(|(k, _)| k)
     }
 
     /// Every stored value, ascending by key.
-    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> + '_ {
         self.iter().map(|(_, v)| v)
     }
 
@@ -342,10 +336,6 @@ mod tests {
                 _ => {
                     assert_eq!(grid.get(&k), map.get(&k), "get {k:?}");
                     assert_eq!(grid.contains_key(&k), map.contains_key(&k));
-                    if let (Some(g), Some(m)) = (grid.get_mut(&k), map.get_mut(&k)) {
-                        *g += value;
-                        *m += value;
-                    }
                 }
             }
             assert_eq!(grid.len(), map.len(), "step {step}");

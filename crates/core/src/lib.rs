@@ -9,10 +9,9 @@
 //! * [`PtModel`] (§3.3) — per `(kind, Mᵢ)`, N-T models across several `P`
 //!   integrated into `Ta(N,P) = k7·TaRef(N)/P + k8` and
 //!   `Tc(N,P) = k9·P·TcRef(N) + k10·TcRef(N)/P + k11`.
-//! * **Binning** (§3.4) — [`Estimator`] selects the N-T model when the
-//!   configuration runs on a single PE (`P = Mᵢ`, no inter-PE
-//!   communication) and the P-T model otherwise; [`MemoryBinnedNt`]
-//!   implements the §3.4 memory-regime piecewise extension.
+//! * **Binning** (§3.4) — [`pipeline::Estimator`] selects the N-T model
+//!   when the configuration runs on a single PE (`P = Mᵢ`, no inter-PE
+//!   communication) and the P-T model otherwise.
 //! * **Model composition** (§3.5) — [`compose`] derives a PE kind's P-T
 //!   model by scaling another kind's (the paper scales Pentium-II models
 //!   by 0.27 / 0.85 to get Athlon models, having only one Athlon).
@@ -22,21 +21,21 @@
 //! * [`plan`] — the measurement campaigns of Tables 2, 5 and 8 (Basic,
 //!   NL, NS) and the 62-configuration evaluation grid.
 //! * [`pipeline`] — end-to-end: run the simulated measurements, fit every
-//!   model, build the [`Estimator`], pick the best configuration.
+//!   model, build the [`pipeline::Estimator`], pick the best configuration.
 //! * [`grid`] — [`grid::KeyGrid`], the dense key-slot table behind the
 //!   measurement database, the model bank and the P-T design memo.
-//! * [`backend`] — the fitting seam: [`ModelBackend`], implemented by
-//!   the paper's pipeline as [`PolyLsqBackend`] (tests substitute fakes
-//!   through the trait).
+//! * [`backend`] — the fitting seam: [`backend::ModelBackend`],
+//!   implemented by the paper's pipeline as [`backend::PolyLsqBackend`]
+//!   (tests substitute fakes through the trait).
 //! * [`engine`] — the serving layer: immutable [`EngineSnapshot`]s behind
 //!   `Arc`s, atomically swapped on refit, with incremental ingestion
 //!   that refits only groups whose sample bits changed
-//!   ([`Engine::ingest`]).
+//!   ([`engine::Engine::ingest`]).
 //! * [`stream`] — streaming ingestion: [`stream::replay`] renders a
 //!   campaign as timestamped [`stream::TrialBatch`]es (shuffled,
 //!   duplicated, out-of-order on demand) and one in-process drain loop
 //!   ([`stream::consume`]) feeds a slice of them through
-//!   [`Engine::ingest_batch`], publishing one snapshot per effective
+//!   [`engine::Engine::ingest_batch`], publishing one snapshot per effective
 //!   batch.
 //! * [`faults`] — deterministic fault injection for the streaming
 //!   layer: a seeded [`faults::FaultPlan`] corrupts, drops, truncates,
@@ -44,11 +43,11 @@
 //!   quarantine ladder ([`engine::QuarantinePolicy`],
 //!   [`engine::EngineHealth`]) degrades to §3.5 composed fallbacks
 //!   instead of crashing.
-//! * [`loopback`] — the execution side of the predict → execute →
-//!   learn loop: a seeded [`loopback::ExecutionFaultPlan`] crashes,
+//! * `loopback` — the execution side of the predict → execute →
+//!   learn loop: a seeded [`ExecutionFaultPlan`] crashes,
 //!   straggles, degrades, loses, or poisons closed-loop executions of
 //!   recommended configurations, and a per-configuration
-//!   [`loopback::CircuitBreaker`] holds failing or flapping
+//!   [`CircuitBreaker`] holds failing or flapping
 //!   configurations out of the decision stream.
 //! * [`validate`] — the model-validity audit: registered invariant
 //!   checks (finite coefficients, non-negative predictions, basis
@@ -63,7 +62,7 @@ pub mod compose;
 pub mod engine;
 pub mod faults;
 pub mod grid;
-pub mod loopback;
+mod loopback;
 pub mod measurement;
 pub mod ntmodel;
 pub mod pipeline;
@@ -73,18 +72,13 @@ pub mod report;
 pub mod stream;
 pub mod validate;
 
-pub use adjust::AdjustmentRule;
-pub use backend::{FitWork, ModelBackend, PolyLsqBackend, PtMemo};
-pub use engine::{Engine, EngineSnapshot};
+pub use engine::EngineSnapshot;
 pub use loopback::{
-    config_key, BreakerPolicy, BreakerState, CircuitBreaker, ConfigKey, ExecutedStep,
-    ExecutionError, ExecutionFaultLog, ExecutionFaultPlan, RetryPolicy, StepExecutor,
+    config_key, BreakerPolicy, CircuitBreaker, ConfigKey, ExecutedStep, ExecutionError,
+    ExecutionFaultLog, ExecutionFaultPlan, RetryPolicy, StepExecutor,
 };
 pub use measurement::{MeasurementDb, Sample, SampleKey};
-pub use ntmodel::{MemoryBinnedNt, NtModel};
-pub use pipeline::{
-    AdjustmentPolicy, Estimate, EstimateTerms, Estimator, ModelBank, PipelineError, ProcessCounts,
-    RawParts,
-};
-pub use plan::{EvalPoint, MeasurementPlan, PlanKind};
+pub use ntmodel::NtModel;
+pub use pipeline::{EstimateTerms, ProcessCounts};
+pub use plan::MeasurementPlan;
 pub use ptmodel::{PtAt, PtModel};

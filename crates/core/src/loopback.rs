@@ -164,9 +164,9 @@ pub struct ExecutionFaultLog {
     /// Crashed or lost attempts that were retried.
     pub retries: usize,
     /// Steps executed under a straggling kind.
-    pub straggled: usize,
+    pub(crate) straggled: usize,
     /// Steps executed inside a degradation window.
-    pub degraded: usize,
+    pub(crate) degraded: usize,
     /// Measurements lost after the run completed.
     pub lost: usize,
     /// Steps whose samples were NaN-poisoned before delivery.
@@ -175,7 +175,7 @@ pub struct ExecutionFaultLog {
     /// oracle for which breakers must open when failures cluster.
     pub failures_by_config: BTreeMap<ConfigKey, usize>,
     /// Steps that ended in a terminal [`ExecutionError`].
-    pub failed_steps: Vec<u64>,
+    pub(crate) failed_steps: Vec<u64>,
 }
 
 /// A typed execution outcome the loop must survive.
@@ -220,9 +220,9 @@ impl std::error::Error for ExecutionError {}
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first (0 = fail fast).
-    pub max_retries: usize,
+    pub(crate) max_retries: usize,
     /// Backoff before retry `k` (1-based) is `base_backoff · 2^(k−1)`.
-    pub base_backoff: f64,
+    pub(crate) base_backoff: f64,
 }
 
 impl Default for RetryPolicy {
@@ -237,7 +237,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Virtual backoff before the `k`-th retry (1-based), doubling per
     /// retry.
-    pub fn backoff_for(&self, retry: usize) -> f64 {
+    pub(crate) fn backoff_for(&self, retry: usize) -> f64 {
         debug_assert!(retry >= 1);
         self.base_backoff * 2f64.powi(retry as i32 - 1)
     }
@@ -442,7 +442,7 @@ impl Default for BreakerPolicy {
 
 /// Breaker state of one configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Trusted: executions flow.
     Closed,
     /// Held out: recommendations for this configuration are refused.
@@ -561,22 +561,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// Current state of `config`.
-    pub fn state(&self, config: &ConfigKey) -> BreakerState {
-        self.entries
-            .get(config)
-            .map_or(BreakerState::Closed, |e| e.state)
-    }
-
-    /// Configurations currently held out.
-    pub fn open_configs(&self) -> Vec<ConfigKey> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.state == BreakerState::Open)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
     /// Configurations whose breaker opened at least once — the set the
     /// loop harness compares against the fault log's failure oracle.
     pub fn tripped_configs(&self) -> Vec<ConfigKey> {
@@ -597,6 +581,24 @@ mod tests {
 
     fn spec() -> ClusterSpec {
         paper_cluster(CommLibProfile::mpich122())
+    }
+
+    impl CircuitBreaker {
+        /// Current state of `config`.
+        fn state(&self, config: &ConfigKey) -> BreakerState {
+            self.entries
+                .get(config)
+                .map_or(BreakerState::Closed, |e| e.state)
+        }
+
+        /// Configurations currently held out.
+        fn open_configs(&self) -> Vec<ConfigKey> {
+            self.entries
+                .iter()
+                .filter(|(_, e)| e.state == BreakerState::Open)
+                .map(|(k, _)| k.clone())
+                .collect()
+        }
     }
 
     fn cfg() -> Configuration {

@@ -65,14 +65,14 @@ impl Sample {
     /// rejected at ingest: a NaN `ta`/`tc`/`wall` defeats `Sample`'s
     /// `PartialEq`-based dedup (NaN never compares equal) and silently
     /// poisons the least-squares fit.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.ta.is_finite() && self.tc.is_finite() && self.wall.is_finite()
     }
 
     /// True when both samples hold the same bits in every field. Unlike
     /// `==`, this tells `0.0` from `-0.0` — the fit sees the bits, so
     /// change detection must too.
-    pub fn same_bits(&self, other: &Sample) -> bool {
+    pub(crate) fn same_bits(&self, other: &Sample) -> bool {
         self.n == other.n
             && self.ta.to_bits() == other.ta.to_bits()
             && self.tc.to_bits() == other.tc.to_bits()
@@ -83,7 +83,7 @@ impl Sample {
 
 /// True when two sample lists match element for element in
 /// [`Sample::same_bits`].
-pub fn same_bits(a: &[Sample], b: &[Sample]) -> bool {
+pub(crate) fn same_bits(a: &[Sample], b: &[Sample]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
 }
 
@@ -157,7 +157,7 @@ impl MeasurementDb {
     /// and problem size (streaming ingestion re-measures configurations;
     /// [`MeasurementDb::record`] asserts that never happens). Returns
     /// whether the stored slot changed: an insert, or a replacement
-    /// that differs in any bit ([`Sample::same_bits`]).
+    /// that differs in any bit (`Sample::same_bits`).
     pub fn upsert(&mut self, key: SampleKey, sample: Sample) -> bool {
         let entry = self.samples.get_or_insert_with(key, Vec::new);
         match entry.iter_mut().find(|s| s.n == sample.n) {
@@ -198,7 +198,7 @@ impl MeasurementDb {
 
     /// Keys grouped by `(kind, m)` — the paper's P-T fitting groups,
     /// ascending. Within a group, keys ascend by `pes`.
-    pub fn groups(&self) -> &KeyGrid<(usize, usize), Vec<SampleKey>> {
+    pub(crate) fn groups(&self) -> &KeyGrid<(usize, usize), Vec<SampleKey>> {
         &self.groups
     }
 
@@ -216,11 +216,6 @@ impl MeasurementDb {
     /// All keys with at least one sample.
     pub fn keys(&self) -> impl Iterator<Item = &SampleKey> {
         self.samples.keys()
-    }
-
-    /// Keys of a kind with the given multiplicity, ascending by `pes`.
-    pub fn keys_of(&self, kind: KindId, m: usize) -> Vec<SampleKey> {
-        self.groups.get(&(kind.0, m)).cloned().unwrap_or_default()
     }
 
     /// Total measurement wall time per kind and N — the paper's Table 3 /
@@ -292,17 +287,6 @@ mod tests {
     fn total_p_combines_pes_and_m() {
         assert_eq!(key(4, 3).total_p(), 12);
         assert_eq!(SampleKey::new(KindId(0), 1, 6).total_p(), 6);
-    }
-
-    #[test]
-    fn keys_of_filters_kind_and_m() {
-        let mut db = MeasurementDb::new();
-        db.record(key(1, 1), sample(400, 1.0));
-        db.record(key(2, 1), sample(400, 1.5));
-        db.record(key(2, 3), sample(400, 1.5));
-        db.record(SampleKey::new(KindId(0), 1, 1), sample(400, 0.5));
-        let ks = db.keys_of(KindId(1), 1);
-        assert_eq!(ks, vec![key(1, 1), key(2, 1)]);
     }
 
     #[test]

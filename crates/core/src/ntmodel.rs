@@ -122,56 +122,6 @@ impl NtDesign {
     }
 }
 
-/// §3.4's memory-regime binning: "the model of Tai and Tci is not
-/// necessarily continuous nor differentiable, but it could be a piecewise
-/// function" — the memory requirement is computable from `N` and `P`, so
-/// a different N-T model can be selected per regime.
-///
-/// Bins are `(upper_n_exclusive, model)` in ascending order; the last bin
-/// catches everything above.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MemoryBinnedNt {
-    /// `(threshold, model)`: the model applies while `N <` threshold.
-    pub bins: Vec<(usize, NtModel)>,
-    /// Model for `N ≥` the last threshold.
-    pub tail: NtModel,
-}
-
-json_struct!(MemoryBinnedNt { bins, tail });
-
-impl MemoryBinnedNt {
-    /// Creates a binned model.
-    ///
-    /// # Panics
-    /// Panics if thresholds are not strictly ascending.
-    pub fn new(bins: Vec<(usize, NtModel)>, tail: NtModel) -> Self {
-        for w in bins.windows(2) {
-            assert!(w[0].0 < w[1].0, "bin thresholds must ascend");
-        }
-        MemoryBinnedNt { bins, tail }
-    }
-
-    /// The model in effect at problem size `n`.
-    pub fn select(&self, n: usize) -> &NtModel {
-        for (limit, model) in &self.bins {
-            if n < *limit {
-                return model;
-            }
-        }
-        &self.tail
-    }
-
-    /// Piecewise `Ta(N)`.
-    pub fn ta(&self, n: usize) -> f64 {
-        self.select(n).ta(n)
-    }
-
-    /// Piecewise `Tc(N)`.
-    pub fn tc(&self, n: usize) -> f64 {
-        self.select(n).tc(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,31 +170,5 @@ mod tests {
         // Noise-free cubic data: extrapolation must stay exact.
         let s = synth(6400);
         assert!((m.ta(6400) - s.ta).abs() < 1e-4 * s.ta);
-    }
-
-    #[test]
-    fn binned_model_switches_at_thresholds() {
-        let lo = NtModel {
-            ka: [0.0, 0.0, 0.0, 1.0],
-            kc: [0.0, 0.0, 1.0],
-        };
-        let hi = NtModel {
-            ka: [0.0, 0.0, 0.0, 2.0],
-            kc: [0.0, 0.0, 2.0],
-        };
-        let binned = MemoryBinnedNt::new(vec![(5000, lo)], hi);
-        assert_eq!(binned.ta(4000), 1.0);
-        assert_eq!(binned.ta(5000), 2.0);
-        assert_eq!(binned.tc(9000), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascend")]
-    fn binned_thresholds_must_ascend() {
-        let m = NtModel {
-            ka: [0.0; 4],
-            kc: [0.0; 3],
-        };
-        let _ = MemoryBinnedNt::new(vec![(5000, m), (5000, m)], m);
     }
 }

@@ -165,7 +165,7 @@ impl ModelBank {
     /// * Kinds with no measured P-T model at some `m` are composed from
     ///   a donor kind's model at the same `m` (computation scale fitted
     ///   from the two single-PE N-T models; communication scale
-    ///   [`PAPER_TC_SCALE`](crate::compose::PAPER_TC_SCALE), the
+    ///   `compose::PAPER_TC_SCALE`, the
     ///   paper's 0.85).
     ///
     /// # Errors
@@ -611,7 +611,7 @@ impl AdjustmentPolicy {
     /// captures the policy. With fewer than two supported reference
     /// multiplicities nothing is measured — [`AdjustmentPolicy::fit_rule`]
     /// then yields the identity rule.
-    pub fn measure(
+    pub(crate) fn measure(
         spec: &ClusterSpec,
         bank: &ModelBank,
         fast_kind: usize,
@@ -650,7 +650,7 @@ impl AdjustmentPolicy {
     ///
     /// # Errors
     /// Propagates estimation and regression failures.
-    pub fn fit_rule(&self, bank: &ModelBank) -> Result<AdjustmentRule, PipelineError> {
+    pub(crate) fn fit_rule(&self, bank: &ModelBank) -> Result<AdjustmentRule, PipelineError> {
         let terms = BankTerms(bank, self.ref_n);
         let raw = |cfg: &Configuration| terms.raw(cfg).map(|(raw, _)| raw.time);
         let baseline = raw(&Configuration::p1m1_p2m2(1, 1, self.ref_p2, 1))?;
@@ -679,35 +679,10 @@ impl AdjustmentPolicy {
     }
 }
 
-/// Fits the §4.1 adjustment in one shot: measure the reference walls,
-/// then fit the rule (see [`AdjustmentPolicy`] for the two halves).
-///
-/// # Errors
-/// Propagates estimation and regression failures.
-pub fn fit_adjustment(
-    spec: &ClusterSpec,
-    estimator: &Estimator,
-    ref_n: usize,
-    ref_p2: usize,
-    min_m1: usize,
-    nb: usize,
-) -> Result<AdjustmentRule, PipelineError> {
-    let policy = AdjustmentPolicy::measure(
-        spec,
-        &estimator.bank,
-        estimator.fast_kind,
-        ref_n,
-        ref_p2,
-        min_m1,
-        nb,
-    );
-    policy.fit_rule(&estimator.bank)
-}
-
 /// The §4.1 policy [`build_estimator`] uses: reference walls at the
 /// plan's largest construction size with every slow-kind CPU, gated on
 /// the paper's `M1 ≥ 3`.
-pub fn paper_adjustment_policy(
+pub(crate) fn paper_adjustment_policy(
     spec: &ClusterSpec,
     bank: &ModelBank,
     plan: &MeasurementPlan,

@@ -36,9 +36,9 @@ pub struct ConstructionPoint {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EvalPoint {
     /// The candidate configuration.
-    pub config: Configuration,
+    pub(crate) config: Configuration,
     /// Matrix order.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 /// A full measurement campaign.
@@ -62,7 +62,7 @@ const SLOW: KindId = KindId(1);
 
 /// Maximum processes per fast PE: "since an Athlon is about 4 times
 /// faster than a Pentium-II, the range of M1 was set to 1..6".
-pub const M1_RANGE: std::ops::RangeInclusive<usize> = 1..=6;
+pub(crate) const M1_RANGE: std::ops::RangeInclusive<usize> = 1..=6;
 
 fn construction_points(ns: &[usize], slow_pes: &[usize]) -> Vec<ConstructionPoint> {
     let mut pts = Vec::new();

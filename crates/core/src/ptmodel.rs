@@ -64,7 +64,7 @@ impl PtModel {
     ///
     /// # Errors
     /// Same contract as [`PtModel::fit`], applied per half.
-    pub fn fit_split(
+    pub(crate) fn fit_split(
         reference: NtModel,
         obs_ta: &[PtObservation],
         obs_tc: &[PtObservation],
@@ -122,7 +122,7 @@ impl PtModel {
     /// Scales the model by constant factors (§3.5 model composition):
     /// the paper derives Athlon models from Pentium-II models with
     /// `Ta × 0.27`, `Tc × 0.85`.
-    pub fn scaled(&self, ta_scale: f64, tc_scale: f64) -> PtModel {
+    pub(crate) fn scaled(&self, ta_scale: f64, tc_scale: f64) -> PtModel {
         PtModel {
             ka: [self.ka[0] * ta_scale, self.ka[1] * ta_scale],
             kc: [

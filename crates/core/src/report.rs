@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use crate::pipeline::{Estimator, ModelBank};
 
 /// Renders the bank's coefficient tables as aligned text.
-pub fn render_bank(bank: &ModelBank) -> String {
+pub(crate) fn render_bank(bank: &ModelBank) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "N-T models ({}):", bank.nt.len());
     let _ = writeln!(

@@ -30,7 +30,7 @@ use crate::pipeline::ModelBank;
 
 /// The paper's construction grid (Table 2): the sizes every audit
 /// prediction sweep covers.
-pub const AUDIT_SIZES: [usize; 9] = [400, 600, 800, 1200, 1600, 2400, 3200, 4800, 6400];
+pub(crate) const AUDIT_SIZES: [usize; 9] = [400, 600, 800, 1200, 1600, 2400, 3200, 4800, 6400];
 
 /// Process counts the prediction sweep exercises per P-T model.
 const AUDIT_PS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -93,7 +93,7 @@ impl fmt::Display for Severity {
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Name of the check that produced this finding.
-    pub check: &'static str,
+    pub(crate) check: &'static str,
     /// Whether the finding fails the audit.
     pub severity: Severity,
     /// Human-readable description, including the offending key.
@@ -151,16 +151,6 @@ pub fn registry() -> Vec<Check> {
             run: monotone_in_p,
         },
     ]
-}
-
-/// Runs every registered check over `bank` and returns all findings.
-pub fn audit(bank: &ModelBank) -> Vec<Finding> {
-    registry().iter().flat_map(|c| c.run(bank)).collect()
-}
-
-/// True when no finding is a [`Severity::Violation`].
-pub fn passes(findings: &[Finding]) -> bool {
-    findings.iter().all(|f| f.severity != Severity::Violation)
 }
 
 /// Audits the health metadata of a *degraded* serving bank — what
@@ -488,10 +478,27 @@ fn monotone_in_p(bank: &ModelBank) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::KeyGrid;
+    use crate::grid::{GridKey, KeyGrid};
     use crate::measurement::SampleKey;
     use crate::ntmodel::NtModel;
     use crate::ptmodel::PtModel;
+
+    /// Runs every registered check over `bank` and returns all findings.
+    fn audit(bank: &ModelBank) -> Vec<Finding> {
+        registry().iter().flat_map(|c| c.run(bank)).collect()
+    }
+
+    /// True when no finding is a [`Severity::Violation`].
+    fn passes(findings: &[Finding]) -> bool {
+        findings.iter().all(|f| f.severity != Severity::Violation)
+    }
+
+    /// Applies `f` to the stored model at `key`.
+    fn edit<K: GridKey, V: Clone>(grid: &mut KeyGrid<K, V>, key: K, f: impl FnOnce(&mut V)) {
+        let mut model = grid.get(&key).expect("seeded model").clone();
+        f(&mut model);
+        grid.insert(key, model);
+    }
 
     fn healthy_bank() -> ModelBank {
         let nt = NtModel {
@@ -526,7 +533,7 @@ mod tests {
     fn nan_coefficient_is_a_violation() {
         let mut bank = healthy_bank();
         let key = *bank.nt.keys().next().expect("seeded key");
-        bank.nt.get_mut(&key).expect("seeded model").ka[0] = f64::NAN;
+        edit(&mut bank.nt, key, |m| m.ka[0] = f64::NAN);
         let findings = audit(&bank);
         assert!(!passes(&findings));
         assert!(findings.iter().any(|f| f.check == "finite_coefficients"));
@@ -538,7 +545,7 @@ mod tests {
         let key = *bank.nt.keys().next().expect("seeded key");
         // A large negative constant term drives small-N predictions
         // below zero.
-        bank.nt.get_mut(&key).expect("seeded model").ka[3] = -1e6;
+        edit(&mut bank.nt, key, |m| m.ka[3] = -1e6);
         let findings = audit(&bank);
         assert!(!passes(&findings));
         assert!(findings
@@ -571,9 +578,10 @@ mod tests {
         let mut bank = healthy_bank();
         // k7·TaRef/P with negative k7 plus a large constant makes the
         // prediction *grow* with P at every size.
-        let pt = bank.pt.get_mut(&(0, 1)).expect("seeded model");
-        pt.ka = [-2.0, 500.0];
-        pt.kc = [10.0, 0.0, 0.0];
+        edit(&mut bank.pt, (0, 1), |pt| {
+            pt.ka = [-2.0, 500.0];
+            pt.kc = [10.0, 0.0, 0.0];
+        });
         let findings = monotone_in_p(&bank);
         assert!(!passes(&findings));
         assert!(findings
@@ -677,7 +685,7 @@ mod tests {
         assert!(findings.iter().any(|f| f.message.contains("untagged")));
         // A non-finite fallback model must never be served.
         let mut poisoned = healthy_bank();
-        poisoned.pt.get_mut(&(0, 1)).expect("seeded model").ka[0] = f64::NAN;
+        edit(&mut poisoned.pt, (0, 1), |m| m.ka[0] = f64::NAN);
         let findings = audit_degraded(&poisoned, &health);
         assert!(!passes(&findings));
         assert!(findings.iter().any(|f| f.message.contains("non-finite")));

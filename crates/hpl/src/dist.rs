@@ -73,11 +73,11 @@ impl TrailingCols {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockCyclic {
     /// Matrix order N.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Column block width NB.
-    pub nb: usize,
+    pub(crate) nb: usize,
     /// Number of processes P.
-    pub p: usize,
+    pub(crate) p: usize,
 }
 
 impl BlockCyclic {
@@ -113,9 +113,9 @@ impl ColumnAssignment for BlockCyclic {
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedDist {
     /// Matrix order N.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Block width NB.
-    pub nb: usize,
+    pub(crate) nb: usize,
     /// Owner per block, ascending in block index.
     owners: Vec<usize>,
 }

@@ -44,28 +44,9 @@ impl GridShape {
         GridShape { rows: 1, cols: p }
     }
 
-    /// The most square `R × C = p` factorization with `R ≤ C`.
-    pub fn squarest(p: usize) -> Self {
-        let mut best = (1, p);
-        for r in 1..=p {
-            if p.is_multiple_of(r) && r <= p / r {
-                best = (r, p / r);
-            }
-        }
-        GridShape {
-            rows: best.0,
-            cols: best.1,
-        }
-    }
-
     /// Total processes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows * self.cols
-    }
-
-    /// Whether the grid is empty (never for validated shapes).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -228,7 +209,6 @@ pub fn simulate_hpl_grid(
     let run_params = *params;
     simulate_ranks(
         spec,
-        config,
         &placement,
         params,
         "hpl2d-rank",
@@ -248,14 +228,18 @@ mod tests {
         paper_cluster(CommLibProfile::mpich122())
     }
 
+    /// Phase totals of the slowest rank per field.
+    fn max_phases(run: &SimulatedRun) -> PhaseTimes {
+        run.phases
+            .iter()
+            .fold(PhaseTimes::default(), |acc, p| acc.max(p))
+    }
+
     #[test]
     fn grid_shapes() {
         assert_eq!(GridShape::one_by(8), GridShape { rows: 1, cols: 8 });
-        assert_eq!(GridShape::squarest(12), GridShape { rows: 3, cols: 4 });
-        assert_eq!(GridShape::squarest(9), GridShape { rows: 3, cols: 3 });
-        assert_eq!(GridShape::squarest(7), GridShape { rows: 1, cols: 7 });
-        assert_eq!(GridShape::squarest(12).len(), 12);
-        assert!(!GridShape::one_by(1).is_empty());
+        assert_eq!(GridShape::one_by(8).len(), 8);
+        assert_eq!(GridShape { rows: 3, cols: 4 }.len(), 12);
     }
 
     #[test]
@@ -280,14 +264,14 @@ mod tests {
         let params = HplParams::order(2400);
         let flat = simulate_hpl_grid(&s, &cfg, &params, GridShape::one_by(8));
         let square = simulate_hpl_grid(&s, &cfg, &params, GridShape { rows: 2, cols: 4 });
-        let bcast_flat = flat.max_phases().bcast;
-        let bcast_square = square.max_phases().bcast;
+        let bcast_flat = max_phases(&flat).bcast;
+        let bcast_square = max_phases(&square).bcast;
         assert!(
             bcast_square < bcast_flat,
             "2x4 bcast {bcast_square} should undercut 1x8 {bcast_flat}"
         );
         // And mxswp becomes real communication on the 2-row grid.
-        assert!(square.max_phases().mxswp > flat.max_phases().mxswp);
+        assert!(max_phases(&square).mxswp > max_phases(&flat).mxswp);
     }
 
     #[test]
@@ -326,7 +310,7 @@ mod tests {
             &HplParams::order(1600),
             GridShape { rows: 2, cols: 4 },
         );
-        let mx = run.max_phases();
+        let mx = max_phases(&run);
         assert!(mx.pfact > 0.0);
         assert!(mx.mxswp > 0.0, "2-D pivot search communicates");
         assert!(mx.bcast > 0.0);

@@ -33,9 +33,10 @@
 //!
 //! `tests/send_sequence.rs` checks that the two send the same
 //! `(peer, tag, bytes)` sequence from every rank. Two extensions change
-//! only what each timed rank does: [`weighted`] deals the columns in
-//! proportion to PE speed (the related work's rewritten HPL), and
-//! [`grid2d`] runs its own rank body on an `R × C` process grid. Every
+//! only what each timed rank does: [`simulate_hpl_weighted`] deals the
+//! columns in proportion to PE speed (the related work's rewritten HPL),
+//! and [`simulate_hpl_grid`] runs its own rank body on an `R × C` process
+//! grid. Every
 //! numeric run goes through [`run_thread_ranks`](etm_mpisim::run_thread_ranks)
 //! and every timed run through [`run_sim_ranks`](etm_mpisim::run_sim_ranks),
 //! which spawn the ranks; this crate supplies only the rank bodies.
@@ -43,14 +44,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dist;
-pub mod grid2d;
+mod dist;
+mod grid2d;
 pub mod numeric;
-pub mod params;
-pub mod phases;
+mod params;
+mod phases;
 pub mod rank;
 pub mod simulate;
-pub mod weighted;
+mod weighted;
 
 pub use dist::{BlockCyclic, ColumnAssignment, WeightedDist};
 pub use grid2d::{simulate_hpl_grid, GridShape};

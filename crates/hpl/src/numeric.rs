@@ -22,7 +22,6 @@ use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadMsg};
 
 use crate::dist::{BlockCyclic, ColumnAssignment};
 use crate::params::HplParams;
-use crate::phases::PhaseTimes;
 use crate::rank::{hpl_rank, Block, RankWork};
 
 /// Result of a numeric run.
@@ -30,13 +29,8 @@ use crate::rank::{hpl_rank, Block, RankWork};
 pub struct NumericResult {
     /// The computed solution of `A·x = b`.
     pub x: Vec<f64>,
-    /// Per-rank phase times (real wall clock, for curiosity — the *model*
-    /// uses the simulated timings).
-    pub phases: Vec<PhaseTimes>,
     /// HPL scaled-residual verification.
     pub residual: Residual,
-    /// Wall-clock seconds for the distributed solve.
-    pub wall_seconds: f64,
 }
 
 /// One rank's data for the numeric solve: its columns of the HPL test
@@ -179,26 +173,17 @@ impl RankWork for NumericWork {
 /// Panics if `p == 0` or if a rank thread panics.
 pub fn run_numeric(params: &HplParams, p: usize) -> NumericResult {
     assert!(p > 0);
-    let t0 = Instant::now();
     let dist = BlockCyclic::new(params.n, params.nb, p);
     // Every rank ends holding the broadcast solution; keep the last.
-    let (phases, mut xs): (Vec<PhaseTimes>, Vec<ThreadMsg>) = run_thread_ranks(p, |comm| {
+    let mut xs = run_thread_ranks(p, |comm| {
         let mut work = NumericWork::new(comm.rank(), params, &dist);
-        block_on(hpl_rank(&comm, &dist, params.bcast, &mut work))
-    })
-    .into_iter()
-    .unzip();
-    let wall_seconds = t0.elapsed().as_secs_f64();
+        block_on(hpl_rank(&comm, &dist, params.bcast, &mut work)).1
+    });
     let x = xs.pop().expect("at least one rank").data;
     let a = hpl_matrix(params.n, params.seed);
     let b = hpl_rhs(params.n, params.seed);
     let res = residual(&a, &x, &b);
-    NumericResult {
-        x,
-        phases,
-        residual: res,
-        wall_seconds,
-    }
+    NumericResult { x, residual: res }
 }
 
 #[cfg(test)]
@@ -272,9 +257,13 @@ mod tests {
     #[test]
     fn phases_accumulate_nonnegative_time() {
         let params = HplParams::order(64).with_nb(16).with_seed(1);
-        let r = run_numeric(&params, 2);
-        assert_eq!(r.phases.len(), 2);
-        for ph in &r.phases {
+        let dist = BlockCyclic::new(params.n, params.nb, 2);
+        let phases = run_thread_ranks(2, |comm| {
+            let mut work = NumericWork::new(comm.rank(), &params, &dist);
+            block_on(hpl_rank(&comm, &dist, params.bcast, &mut work)).0
+        });
+        assert_eq!(phases.len(), 2);
+        for ph in &phases {
             assert!(ph.ta() >= 0.0 && ph.tc() >= 0.0);
             assert!(ph.total() > 0.0, "some time must be accounted");
         }

@@ -19,7 +19,7 @@ pub struct HplParams {
     /// Panel broadcast algorithm.
     pub bcast: BcastAlgo,
     /// Seed for the test matrix / right-hand side.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl HplParams {

@@ -44,29 +44,17 @@ impl PhaseTimes {
     pub fn total(&self) -> f64 {
         self.ta() + self.tc()
     }
-
-    /// Element-wise maximum (the slowest process per phase).
-    pub fn max(&self, other: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            pfact: self.pfact.max(other.pfact),
-            mxswp: self.mxswp.max(other.mxswp),
-            update: self.update.max(other.update),
-            laswp: self.laswp.max(other.laswp),
-            uptrsv: self.uptrsv.max(other.uptrsv),
-            bcast: self.bcast.max(other.bcast),
-        }
-    }
 }
 
 /// HPL's reported flop count for an `N × N` solve:
 /// `2N³/3 + 3N²/2` (factorization plus the two triangular solves).
-pub fn hpl_flops(n: usize) -> f64 {
+pub(crate) fn hpl_flops(n: usize) -> f64 {
     let n = n as f64;
     2.0 * n * n * n / 3.0 + 1.5 * n * n
 }
 
 /// Gflop/s for a solve of order `n` finishing in `seconds`.
-pub fn gflops(n: usize, seconds: f64) -> f64 {
+pub(crate) fn gflops(n: usize, seconds: f64) -> f64 {
     assert!(seconds > 0.0);
     hpl_flops(n) / seconds / 1e9
 }
@@ -74,6 +62,20 @@ pub fn gflops(n: usize, seconds: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhaseTimes {
+        /// Element-wise maximum (the slowest process per phase).
+        pub(crate) fn max(&self, other: &PhaseTimes) -> PhaseTimes {
+            PhaseTimes {
+                pfact: self.pfact.max(other.pfact),
+                mxswp: self.mxswp.max(other.mxswp),
+                update: self.update.max(other.update),
+                laswp: self.laswp.max(other.laswp),
+                uptrsv: self.uptrsv.max(other.uptrsv),
+                bcast: self.bcast.max(other.bcast),
+            }
+        }
+    }
 
     fn sample() -> PhaseTimes {
         PhaseTimes {

@@ -29,13 +29,13 @@ const UPTRSV_TAG: u32 = 0x0770;
 #[derive(Clone, Copy, Debug)]
 pub struct Block {
     /// First global column (and diagonal row) of the block.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Block width.
-    pub w: usize,
+    pub(crate) w: usize,
     /// Rows from the diagonal down, `N − start`: the panel's height.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Columns this rank owns to the right of the block.
-    pub tcols: usize,
+    pub(crate) tcols: usize,
 }
 
 /// The work of each phase of [`hpl_rank`] on one backend. The body calls

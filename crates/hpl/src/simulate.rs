@@ -31,14 +31,10 @@ use crate::rank::{hpl_rank, Block, RankWork};
 /// Outcome of one simulated HPL run.
 #[derive(Debug, Clone)]
 pub struct SimulatedRun {
-    /// Run parameters.
-    pub params: HplParams,
-    /// The configuration that ran.
-    pub config: Configuration,
     /// Per-rank phase breakdown (virtual seconds).
     pub phases: Vec<PhaseTimes>,
     /// PE kind of each rank.
-    pub kinds: Vec<KindId>,
+    pub(crate) kinds: Vec<KindId>,
     /// Number of distinct nodes the run spanned.
     pub nodes_used: usize,
     /// End-to-end virtual seconds.
@@ -72,13 +68,6 @@ impl SimulatedRun {
             }
         }
         best
-    }
-
-    /// Phase totals of the slowest rank per field.
-    pub fn max_phases(&self) -> PhaseTimes {
-        self.phases
-            .iter()
-            .fold(PhaseTimes::default(), |acc, p| acc.max(p))
     }
 }
 
@@ -214,11 +203,6 @@ impl Default for ExecutionPerturbation {
 }
 
 impl ExecutionPerturbation {
-    /// Whether this perturbation leaves the fabric untouched.
-    pub fn is_clean(&self) -> bool {
-        self.net_slowdown == 1.0 && self.cpu_slowdown.iter().all(|&(_, s)| s == 1.0)
-    }
-
     /// Derates `fabric` before any rank runs. Every factor other than
     /// `1.0` is checked, including one for a kind with no rank here.
     fn apply(&self, sim: &mut FabricSim, fabric: &SimFabric, placement: &Placement) {
@@ -239,7 +223,6 @@ impl ExecutionPerturbation {
 /// communicator and cost model and returns its phase times.
 pub(crate) fn simulate_ranks<F, Fut>(
     spec: &ClusterSpec,
-    config: &Configuration,
     placement: &Placement,
     params: &HplParams,
     name: &str,
@@ -268,8 +251,6 @@ where
         },
     );
     SimulatedRun {
-        params: *params,
-        config: config.clone(),
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
         nodes_used: placement.used_nodes().len(),
         phases,
@@ -285,7 +266,6 @@ where
 /// [`simulate_hpl_weighted`](crate::simulate_hpl_weighted).
 pub(crate) fn simulate_1d<D: ColumnAssignment + 'static>(
     spec: &ClusterSpec,
-    config: &Configuration,
     placement: &Placement,
     params: &HplParams,
     name: &str,
@@ -294,21 +274,13 @@ pub(crate) fn simulate_1d<D: ColumnAssignment + 'static>(
 ) -> SimulatedRun {
     let dist = Rc::new(dist); // one copy for every rank
     let run_params = *params;
-    simulate_ranks(
-        spec,
-        config,
-        placement,
-        params,
-        name,
-        perturb,
-        |comm, cost| {
-            let dist = Rc::clone(&dist);
-            async move {
-                let mut work = TimedWork::new(&comm, cost, run_params.n);
-                hpl_rank(&comm, &*dist, run_params.bcast, &mut work).await.0
-            }
-        },
-    )
+    simulate_ranks(spec, placement, params, name, perturb, |comm, cost| {
+        let dist = Rc::clone(&dist);
+        async move {
+            let mut work = TimedWork::new(&comm, cost, run_params.n);
+            hpl_rank(&comm, &*dist, run_params.bcast, &mut work).await.0
+        }
+    })
 }
 
 /// Simulates one HPL run of `params` under `config` on `spec`.
@@ -341,7 +313,7 @@ pub fn simulate_hpl_perturbed(
 ) -> SimulatedRun {
     let placement = Placement::new(spec, config).expect("invalid configuration");
     let dist = BlockCyclic::new(params.n, params.nb, placement.len());
-    simulate_1d(spec, config, &placement, params, "hpl-rank", dist, perturb)
+    simulate_1d(spec, &placement, params, "hpl-rank", dist, perturb)
 }
 
 #[cfg(test)]
@@ -394,7 +366,6 @@ mod tests {
             cpu_slowdown: vec![(KindId(0), 1.0)],
             net_slowdown: 1.0,
         };
-        assert!(clean.is_clean());
         let run = simulate_hpl_perturbed(&s, &cfg, &params, &clean);
         assert_eq!(base.wall_seconds.to_bits(), run.wall_seconds.to_bits());
         for (a, b) in base.phases.iter().zip(&run.phases) {
@@ -425,7 +396,6 @@ mod tests {
             cpu_slowdown: vec![(KindId(1), 3.0)],
             net_slowdown: 1.0,
         };
-        assert!(!straggle.is_clean());
         let slow = simulate_hpl_perturbed(&s, &cfg, &params, &straggle);
         assert!(
             slow.wall_seconds > base.wall_seconds * 1.05,

@@ -46,7 +46,6 @@ pub fn simulate_hpl_weighted(
     let dist = WeightedDist::new(params.n, params.nb, &weights);
     simulate_1d(
         spec,
-        config,
         &placement,
         params,
         "hplw-rank",

@@ -3,39 +3,9 @@
 //! Signatures follow the reference BLAS (unit stride only — HPL's panel
 //! kernels never need non-unit strides with our storage scheme).
 
-/// Dot product `xᵀy`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
-/// `y := alpha·x + y`.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    if alpha == 0.0 {
-        return;
-    }
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `x := alpha·x`.
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= alpha;
-    }
-}
-
 /// Index of the element with maximum absolute value (first on ties),
 /// or `None` for an empty slice. LAPACK's pivot search.
-pub fn idamax(x: &[f64]) -> Option<usize> {
+pub(crate) fn idamax(x: &[f64]) -> Option<usize> {
     if x.is_empty() {
         return None;
     }
@@ -50,83 +20,14 @@ pub fn idamax(x: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Swaps the contents of two vectors.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (a, b) in x.iter_mut().zip(y.iter_mut()) {
-        std::mem::swap(a, b);
-    }
-}
-
-/// Euclidean norm with scaling to avoid overflow, like reference `dnrm2`.
-pub fn dnrm2(x: &[f64]) -> f64 {
-    let mut scale = 0.0_f64;
-    let mut ssq = 1.0_f64;
-    for &v in x {
-        if v != 0.0 {
-            let a = v.abs();
-            if scale < a {
-                ssq = 1.0 + ssq * (scale / a) * (scale / a);
-                scale = a;
-            } else {
-                ssq += (a / scale) * (a / scale);
-            }
-        }
-    }
-    scale * ssq.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ddot_basic() {
-        assert_eq!(ddot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(ddot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn daxpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        daxpy(2.0, &[3.0, 4.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-        daxpy(0.0, &[100.0, 100.0], &mut y);
-        assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn dscal_scales() {
-        let mut x = vec![1.0, -2.0];
-        dscal(-3.0, &mut x);
-        assert_eq!(x, vec![-3.0, 6.0]);
-    }
 
     #[test]
     fn idamax_finds_largest_magnitude() {
         assert_eq!(idamax(&[1.0, -5.0, 3.0]), Some(1));
         assert_eq!(idamax(&[2.0, -2.0]), Some(0), "first wins ties");
         assert_eq!(idamax(&[]), None);
-    }
-
-    #[test]
-    fn dswap_swaps() {
-        let mut x = vec![1.0, 2.0];
-        let mut y = vec![3.0, 4.0];
-        dswap(&mut x, &mut y);
-        assert_eq!(x, vec![3.0, 4.0]);
-        assert_eq!(y, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn dnrm2_is_euclidean_and_overflow_safe() {
-        assert_eq!(dnrm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(dnrm2(&[]), 0.0);
-        let huge = 1e300;
-        let n = dnrm2(&[huge, huge]);
-        assert!((n - huge * std::f64::consts::SQRT_2).abs() / n < 1e-12);
     }
 }

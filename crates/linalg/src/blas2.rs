@@ -24,24 +24,6 @@ pub fn dgemv(alpha: f64, a: &Matrix, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// Rank-1 update `A := A + alpha·x·yᵀ` (dger).
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn dger(alpha: f64, x: &[f64], y: &[f64], a: &mut Matrix) {
-    assert_eq!(x.len(), a.rows(), "dger: x length");
-    assert_eq!(y.len(), a.cols(), "dger: y length");
-    for (j, &yj) in y.iter().enumerate() {
-        let ay = alpha * yj;
-        if ay != 0.0 {
-            let col = a.col_mut(j);
-            for (aij, &xi) in col.iter_mut().zip(x) {
-                *aij += xi * ay;
-            }
-        }
-    }
-}
-
 /// Which triangle of the coefficient matrix participates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Triangle {
@@ -121,14 +103,6 @@ mod tests {
         let mut y2 = vec![1.0, 1.0];
         dgemv(2.0, &a, &[5.0, 6.0], 1.0, &mut y2);
         assert_eq!(y2, vec![35.0, 79.0]);
-    }
-
-    #[test]
-    fn dger_rank1_update() {
-        let mut a = Matrix::zeros(2, 3);
-        dger(2.0, &[1.0, 2.0], &[3.0, 4.0, 5.0], &mut a);
-        assert_eq!(a[(0, 0)], 6.0);
-        assert_eq!(a[(1, 2)], 20.0);
     }
 
     #[test]

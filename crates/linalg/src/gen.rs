@@ -51,16 +51,6 @@ pub fn hpl_rhs(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|i| hpl_element(seed, i, n)).collect()
 }
 
-/// A diagonally dominant symmetric matrix — always non-singular, used by
-/// tests that must not hit pivoting edge cases.
-pub fn diag_dominant_matrix(n: usize, seed: u64) -> Matrix {
-    let mut m = seeded_matrix(n, n, seed);
-    for i in 0..n {
-        m[(i, i)] = n as f64 + 1.0;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,10 +66,10 @@ mod tests {
 
     #[test]
     fn elements_in_range() {
-        let m = seeded_matrix(10, 10, 7);
-        assert!(m.as_slice().iter().all(|&v| (-0.5..0.5).contains(&v)));
-        let x = hpl_matrix(10, 7);
-        assert!(x.as_slice().iter().all(|&v| (-0.5..=0.5).contains(&v)));
+        let m = seeded_matrix(10, 10, 7).into_col_major();
+        assert!(m.iter().all(|&v| (-0.5..0.5).contains(&v)));
+        let x = hpl_matrix(10, 7).into_col_major();
+        assert!(x.iter().all(|&v| (-0.5..=0.5).contains(&v)));
     }
 
     #[test]
@@ -100,20 +90,11 @@ mod tests {
     fn hpl_elements_look_uniform() {
         // Crude sanity: mean near 0, spread over the interval.
         let n = 64;
-        let m = hpl_matrix(n, 1);
-        let mean: f64 = m.as_slice().iter().sum::<f64>() / (n * n) as f64;
+        let m = hpl_matrix(n, 1).into_col_major();
+        let mean: f64 = m.iter().sum::<f64>() / (n * n) as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
-        let lo = m.as_slice().iter().filter(|v| **v < -0.4).count();
-        let hi = m.as_slice().iter().filter(|v| **v > 0.4).count();
+        let lo = m.iter().filter(|v| **v < -0.4).count();
+        let hi = m.iter().filter(|v| **v > 0.4).count();
         assert!(lo > 100 && hi > 100, "tails lo={lo} hi={hi}");
-    }
-
-    #[test]
-    fn diag_dominant_is_dominant() {
-        let m = diag_dominant_matrix(6, 3);
-        for i in 0..6 {
-            let off: f64 = (0..6).filter(|&j| j != i).map(|j| m[(i, j)].abs()).sum();
-            assert!(m[(i, i)].abs() > off);
-        }
     }
 }

@@ -5,10 +5,10 @@
 //! right-looking, partially-pivoted LU factorization needs:
 //!
 //! * [`Matrix`] — column-major dense storage (BLAS convention);
-//! * BLAS-1 ([`blas1`]): `ddot`, `daxpy`, `dscal`, `idamax`, `dswap`, `dnrm2`;
-//! * BLAS-2 ([`blas2`]): `dgemv`, `dger`, `dtrsv`;
-//! * BLAS-3 ([`blas3`]): `dgemm` (blocked, optionally Rayon-parallel) and
-//!   `dtrsm`;
+//! * BLAS-1: `idamax`, the pivot search;
+//! * BLAS-2 ([`blas2`]): `dgemv`, `dtrsv`;
+//! * BLAS-3 ([`blas3`]): `dgemm` (blocked; `par_dgemm` splits it over
+//!   `etm_support::pool`) and `dtrsm`;
 //! * LAPACK-style LU ([`lu`]): `dgetf2`, blocked `dgetrf` and `dlaswp`,
 //!   and solvers ([`solve`]): `dgetrs`;
 //! * HPL-style verification ([`verify`]): the scaled residual
@@ -22,7 +22,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blas1;
+mod blas1;
 pub mod blas2;
 pub mod blas3;
 pub mod gen;

@@ -75,7 +75,7 @@ pub fn dgetf2(a: &mut Matrix, pivots: &mut Vec<usize>) -> Result<(), LuError> {
 /// Applies a sequence of row interchanges (LAPACK `dlaswp`): for each
 /// `k`, swap row `offset + k` with row `pivots[k]` (absolute indices),
 /// in order. This is the `laswp` item of the paper's timing breakdown.
-pub fn dlaswp(a: &mut Matrix, offset: usize, pivots: &[usize]) {
+pub(crate) fn dlaswp(a: &mut Matrix, offset: usize, pivots: &[usize]) {
     for (k, &p) in pivots.iter().enumerate() {
         let r = offset + k;
         if p != r {

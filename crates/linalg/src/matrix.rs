@@ -23,7 +23,7 @@ impl Matrix {
     }
 
     /// Creates the `n × n` identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -69,28 +69,22 @@ impl Matrix {
         self.cols
     }
 
-    /// The whole column-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Mutable column-major buffer.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Immutable view of column `j`.
     #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
+    pub(crate) fn col(&self, j: usize) -> &[f64] {
         debug_assert!(j < self.cols);
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
     /// Mutable view of column `j`.
     #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+    pub(crate) fn col_mut(&mut self, j: usize) -> &mut [f64] {
         debug_assert!(j < self.cols);
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
@@ -118,7 +112,7 @@ impl Matrix {
     }
 
     /// Swaps rows `r1` and `r2` across all columns.
-    pub fn swap_rows(&mut self, r1: usize, r2: usize) {
+    pub(crate) fn swap_rows(&mut self, r1: usize, r2: usize) {
         assert!(r1 < self.rows && r2 < self.rows);
         if r1 == r2 {
             return;
@@ -141,25 +135,8 @@ impl Matrix {
         }
     }
 
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Maximum absolute element (∞-like magnitude; 0 for empty).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
-    }
-
-    /// 1-norm: maximum absolute column sum.
-    pub fn norm_one(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| self.col(j).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
     /// ∞-norm: maximum absolute row sum.
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         (0..self.rows)
             .map(|i| (0..self.cols).map(|j| self[(i, j)].abs()).sum::<f64>())
             .fold(0.0, f64::max)
@@ -169,7 +146,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols);
         let mut y = vec![0.0; self.rows];
         for (j, &x) in v.iter().enumerate() {
@@ -232,7 +209,7 @@ mod tests {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
-        assert!(z.as_slice().iter().all(|&v| v == 0.0));
+        assert!(z.into_col_major().iter().all(|&v| v == 0.0));
         let i = Matrix::identity(3);
         assert_eq!(i[(1, 1)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
@@ -252,7 +229,7 @@ mod tests {
     #[test]
     fn from_fn_and_transpose() {
         let m = Matrix::from_fn(2, 3, |i, j| (i * 10 + j) as f64);
-        let t = m.transpose();
+        let t = Matrix::from_fn(3, 2, |i, j| m[(j, i)]);
         assert_eq!(t.rows(), 3);
         for i in 0..2 {
             for j in 0..3 {
@@ -286,11 +263,8 @@ mod tests {
     #[test]
     fn norms() {
         let m = Matrix::from_col_major(2, 2, vec![1.0, -3.0, 2.0, 4.0]);
-        // Columns: [1,-3], [2,4]. 1-norm = max(4, 6) = 6.
-        assert_eq!(m.norm_one(), 6.0);
         // Rows: [1,2], [-3,4]. inf-norm = max(3, 7) = 7.
         assert_eq!(m.norm_inf(), 7.0);
-        assert_eq!(m.max_abs(), 4.0);
     }
 
     #[test]

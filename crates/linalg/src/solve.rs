@@ -10,7 +10,7 @@ use crate::Matrix;
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn dgetrs(factored: &Matrix, pivots: &[usize], b: &mut [f64]) {
+pub(crate) fn dgetrs(factored: &Matrix, pivots: &[usize], b: &mut [f64]) {
     let n = factored.rows();
     assert_eq!(factored.cols(), n);
     assert_eq!(b.len(), n, "rhs length");

@@ -7,13 +7,13 @@
 use crate::Matrix;
 
 /// Threshold HPL uses to declare a factorization numerically correct.
-pub const HPL_THRESHOLD: f64 = 16.0;
+pub(crate) const HPL_THRESHOLD: f64 = 16.0;
 
 /// The scaled residual of a candidate solution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Residual {
     /// `‖Ax − b‖∞`.
-    pub raw: f64,
+    pub(crate) raw: f64,
     /// The HPL scaled residual.
     pub scaled: f64,
 }

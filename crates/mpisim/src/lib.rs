@@ -49,7 +49,7 @@ mod threadcomm;
 
 pub use simcomm::{run_sim_ranks, FabricSim, SimComm, SimCommSeed, SimFabric, SimMsg, SimRanks};
 pub use subcomm::SubComm;
-pub use threadcomm::{build_thread_comms, run_thread_ranks, ThreadComm, ThreadMsg};
+pub use threadcomm::{run_thread_ranks, ThreadComm, ThreadMsg};
 
 /// Message-passing endpoint: what the generic collectives require.
 ///

@@ -261,7 +261,7 @@ impl SimComm {
 
     /// The CPU resource this rank runs on (shared with co-resident
     /// ranks).
-    pub fn cpu(&self) -> ResourceId {
+    pub(crate) fn cpu(&self) -> ResourceId {
         self.shared.cpu_of_rank[self.rank]
     }
 
@@ -277,7 +277,7 @@ impl SimComm {
     }
 
     /// Whether `other` is on the same node (intra-node path).
-    pub fn same_node(&self, other: usize) -> bool {
+    pub(crate) fn same_node(&self, other: usize) -> bool {
         self.shared.node_of_rank[self.rank] == self.shared.node_of_rank[other]
     }
 

@@ -34,7 +34,7 @@ type Wire = (u32, ThreadMsg);
 
 /// One rank's endpoint of a fully-connected thread fabric.
 ///
-/// Created in bulk by [`build_thread_comms`]; each endpoint is moved into
+/// Created in bulk by `build_thread_comms`; each endpoint is moved into
 /// its rank's thread.
 pub struct ThreadComm {
     rank: usize,
@@ -77,7 +77,7 @@ impl Comm for ThreadComm {
 ///
 /// # Panics
 /// Panics if `size == 0`.
-pub fn build_thread_comms(size: usize) -> Vec<ThreadComm> {
+pub(crate) fn build_thread_comms(size: usize) -> Vec<ThreadComm> {
     assert!(size > 0, "need at least one rank");
     // channels[from][to]
     let mut senders: Vec<Vec<Option<Sender<Wire>>>> = vec![];

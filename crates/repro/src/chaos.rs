@@ -26,7 +26,7 @@ use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::{Engine, EngineSnapshot};
 use etm_core::faults::{CorruptKind, FaultLog, FaultPlan};
 use etm_core::pipeline::groups_of;
-use etm_core::plan::{MeasurementPlan, PlanKind};
+use etm_core::plan::MeasurementPlan;
 use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, TrialBatch};
 use etm_core::MeasurementDb;
 use etm_search::OnlineOptimizer;
@@ -37,8 +37,6 @@ use crate::stream::{banks_bit_equal, evaluation_space};
 /// One chaos scenario's outcome against the ladder invariants.
 #[derive(Clone, Debug)]
 pub struct ChaosRow {
-    /// Which campaign was streamed.
-    pub plan: PlanKind,
     /// Scenario label.
     pub scenario: &'static str,
     /// Whether the injected faults are recoverable (lost trials
@@ -52,8 +50,6 @@ pub struct ChaosRow {
     pub rejected: usize,
     /// Trials the fault plan corrupted.
     pub corrupted: usize,
-    /// Batches the fault plan dropped whole.
-    pub dropped_batches: usize,
     /// Final quarantined `(kind, m)` groups.
     pub quarantined: Vec<(usize, usize)>,
     /// Final quarantined groups served by a §3.5 composed fallback.
@@ -66,8 +62,6 @@ pub struct ChaosRow {
     pub quarantine_matches_injection: bool,
     /// Decisions the online optimizer logged.
     pub decisions: usize,
-    /// Decisions whose recommendation rode a composed fallback.
-    pub degraded_decisions: usize,
     /// Decisions that recommended a configuration backed by an
     /// untrusted group — must be zero, always.
     pub untrusted_recommendations: usize,
@@ -77,7 +71,7 @@ pub struct ChaosRow {
 
 /// The fixed scenario sweep: one plan per rung of the fault model.
 /// Every plan is a pure literal — the sweep is reproducible bit-for-bit.
-pub fn chaos_scenarios() -> Vec<(&'static str, FaultPlan)> {
+pub(crate) fn chaos_scenarios() -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("clean", FaultPlan::default()),
         (
@@ -156,7 +150,7 @@ fn is_recoverable(fault: &FaultPlan) -> bool {
 /// campaign (every `Ta` inflated 10%), so every group is fittable from
 /// generation 0 and the faults hit a *serving* engine, not a
 /// bootstrapping one — the production shape of the problem.
-pub fn run_chaos_scenario(
+pub(crate) fn run_chaos_scenario(
     plan: &MeasurementPlan,
     scenario: &'static str,
     fault: &FaultPlan,
@@ -192,7 +186,6 @@ pub fn run_chaos_scenario(
     };
     let quarantine_matches_injection = quarantined_set == expected_set;
     let decisions = optimizer.log().len();
-    let degraded_decisions = optimizer.log().iter().filter(|d| d.degraded).count();
     let ok = untrusted_recommendations == 0
         && quarantine_matches_injection
         && if recoverable {
@@ -201,20 +194,17 @@ pub fn run_chaos_scenario(
             !quarantined_set.is_empty()
         };
     ChaosRow {
-        plan: plan.kind,
         scenario,
         recoverable,
         batches: report.batches,
         published: report.published,
         rejected: health.rejected_samples,
         corrupted: log.corrupted,
-        dropped_batches: log.dropped_batches,
         quarantined: health.quarantined.clone(),
         fallback: health.composed_fallback.clone(),
         converged,
         quarantine_matches_injection,
         decisions,
-        degraded_decisions,
         untrusted_recommendations,
         ok,
     }
@@ -242,7 +232,7 @@ fn stale_engine_and_faulted_batches(
 }
 
 /// Streams one fault scenario in the same shape as
-/// [`run_chaos_scenario`] (stale seed, faulted batches drained by
+/// `run_chaos_scenario` (stale seed, faulted batches drained by
 /// [`consume`]) and captures every published snapshot, in publication
 /// order.
 ///
@@ -264,7 +254,7 @@ pub fn chaos_snapshot_trace(
     trace
 }
 
-/// Sweeps every scenario of [`chaos_scenarios`] over one campaign.
+/// Sweeps every scenario of `chaos_scenarios` over one campaign.
 pub fn chaos_suite(plan: &MeasurementPlan, n: usize) -> Vec<ChaosRow> {
     let cfg = StreamConfig {
         batch_size: 16,

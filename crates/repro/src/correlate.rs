@@ -27,7 +27,7 @@ pub struct CorrelationPoint {
 /// so the grid fans out over the worker pool; results come
 /// back in grid order regardless of worker count. Estimates are served
 /// from an engine snapshot, so the workers share it lock-free.
-pub fn correlation_at(
+pub(crate) fn correlation_at(
     spec: &ClusterSpec,
     snapshot: &EngineSnapshot,
     n: usize,
@@ -50,26 +50,6 @@ pub fn correlation_at(
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Mean absolute relative deviation of a correlation set, using the
-/// chosen estimate field.
-pub fn mean_abs_rel_error(points: &[CorrelationPoint], adjusted: bool) -> f64 {
-    if points.is_empty() {
-        return 0.0;
-    }
-    points
-        .iter()
-        .map(|p| {
-            let e = if adjusted {
-                p.estimate_adjusted
-            } else {
-                p.estimate_raw
-            };
-            ((e - p.measured) / p.measured).abs()
-        })
-        .sum::<f64>()
-        / points.len() as f64
 }
 
 /// The Table 4/7/9 row for one problem size: best-by-estimate vs
@@ -105,7 +85,7 @@ impl BestConfigRow {
 
 /// Computes the best-configuration comparison at one problem size from a
 /// pre-measured correlation set.
-pub fn best_config_row(points: &[CorrelationPoint], n: usize) -> BestConfigRow {
+pub(crate) fn best_config_row(points: &[CorrelationPoint], n: usize) -> BestConfigRow {
     let est_best = points
         .iter()
         .min_by(|a, b| a.estimate_adjusted.total_cmp(&b.estimate_adjusted))

@@ -9,7 +9,7 @@ use etm_cluster::{ClusterSpec, CommLibProfile, Configuration, KindId};
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::Engine;
 use etm_core::pipeline::{run_construction, Estimator};
-use etm_core::plan::{MeasurementPlan, PlanKind};
+use etm_core::plan::MeasurementPlan;
 use etm_core::MeasurementDb;
 use etm_hpl::{simulate_hpl, HplParams};
 use etm_mpisim::netpipe::{fig2_block_sizes, intra_node_sweep, ThroughputSample};
@@ -119,8 +119,6 @@ pub fn fig3b_multiprocess() -> Vec<GflopsSeries> {
 /// per-N measurement seconds for each kind, plus totals.
 #[derive(Clone, Debug)]
 pub struct CampaignCost {
-    /// Which campaign.
-    pub plan: PlanKind,
     /// `(N, athlon_seconds, pentium_seconds)` ascending in N.
     pub rows: Vec<(usize, f64, f64)>,
     /// Total simulated measurement seconds.
@@ -162,7 +160,6 @@ pub fn campaign_cost(plan: &MeasurementPlan) -> (MeasurementDb, CampaignCost) {
         rows.push((*n, *at, pt));
     }
     let cost = CampaignCost {
-        plan: plan.kind,
         rows,
         total: db.total_cost(),
     };
@@ -189,8 +186,6 @@ pub fn estimator_for(plan: &MeasurementPlan) -> Estimator {
 /// N and the best-configuration table.
 #[derive(Clone, Debug)]
 pub struct CampaignEvaluation {
-    /// Which campaign.
-    pub plan: PlanKind,
     /// Correlation points per evaluation N.
     pub correlations: Vec<(usize, Vec<CorrelationPoint>)>,
     /// One row per evaluation N (Tables 4/7/9).
@@ -210,7 +205,6 @@ pub fn evaluate_campaign(plan: &MeasurementPlan) -> CampaignEvaluation {
         correlations.push((n, points));
     }
     CampaignEvaluation {
-        plan: plan.kind,
         correlations,
         best_rows,
     }

@@ -27,9 +27,9 @@ pub mod stream;
 pub mod table;
 
 /// Output directory for CSV artifacts, relative to the invocation cwd.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 
-/// Writes `name.csv` under [`RESULTS_DIR`] with a header row.
+/// Writes `name.csv` under `RESULTS_DIR` (`results/`) with a header row.
 ///
 /// # Panics
 /// Panics on I/O failure (the harness is a batch tool; failing loudly is

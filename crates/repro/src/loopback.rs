@@ -23,7 +23,7 @@
 //!   `threshold` failures trips, and every tripped configuration is
 //!   backed by enough failure + flap strikes;
 //! * cumulative regret vs the clean-trace oracle stays within the
-//!   pinned bound ([`REGRET_BOUND`] × the oracle's total runtime);
+//!   pinned bound (`REGRET_BOUND` × the oracle's total runtime);
 //! * the fault-free scenario is the zero-regret baseline: its final
 //!   bank is bit-identical to a one-shot fit of the same measurements
 //!   and its decision log equals the offline optimizer's trace over
@@ -62,7 +62,7 @@ pub const LOOP_TAU: f64 = 0.05;
 pub const LOOP_PENALTY: f64 = 1.25;
 /// Pinned regret bound: cumulative regret must stay below this
 /// fraction of the clean-trace oracle's total execution time.
-pub const REGRET_BOUND: f64 = 0.75;
+pub(crate) const REGRET_BOUND: f64 = 0.75;
 
 /// Breaker policy for the replays: two strikes in a window as long as
 /// the run, probe after four held-out steps.
@@ -161,7 +161,7 @@ pub struct LoopRow {
     /// Fallback penalty the optimizer ran with.
     pub penalty: f64,
     /// Steps the loop completed (must equal [`LOOP_STEPS`]).
-    pub steps: usize,
+    pub(crate) steps: usize,
     /// Steps that executed a configuration.
     pub executed: usize,
     /// Terminal execution failures.
@@ -175,17 +175,13 @@ pub struct LoopRow {
     /// Configurations whose breaker tripped.
     pub tripped: usize,
     /// Untrusted recommendations observed (must be zero).
-    pub untrusted: usize,
+    pub(crate) untrusted: usize,
     /// Cumulative execution-time regret vs the clean-trace oracle [s].
     pub regret_seconds: f64,
     /// The oracle's total execution time over the run [s].
     pub oracle_seconds: f64,
     /// Breaker trips match the injected-fault oracle exactly.
-    pub breaker_exact: bool,
-    /// Fault-free only: final bank bit-identical to the one-shot fit.
-    pub converged: bool,
-    /// Fault-free only: decision log equals the offline trace.
-    pub trace_matches: bool,
+    pub(crate) breaker_exact: bool,
     /// Every invariant for this row held.
     pub ok: bool,
 }
@@ -223,13 +219,6 @@ pub const LOOP_CSV_HEADER: &str = "scenario,tau,penalty,steps,executed,failures,
 pub struct LoopSuite {
     /// All scored rows, scenarios first.
     pub rows: Vec<LoopRow>,
-}
-
-impl LoopSuite {
-    /// Whether every row's invariants held.
-    pub fn ok(&self) -> bool {
-        self.rows.iter().all(|r| r.ok)
-    }
 }
 
 /// Ground-truth runtimes: clean simulation per configuration, memoized.
@@ -462,16 +451,14 @@ fn score(
         regret_seconds: regret,
         oracle_seconds: oracle_total,
         breaker_exact,
-        converged,
-        trace_matches,
         ok,
     }
 }
 
 /// τ grid for the hysteresis sweep.
-pub const SWEEP_TAUS: [f64; 4] = [0.0, 0.02, 0.05, 0.1];
+pub(crate) const SWEEP_TAUS: [f64; 4] = [0.0, 0.02, 0.05, 0.1];
 /// Fallback-penalty grid for the hysteresis sweep.
-pub const SWEEP_PENALTIES: [f64; 3] = [1.0, 1.5, 2.0];
+pub(crate) const SWEEP_PENALTIES: [f64; 3] = [1.0, 1.5, 2.0];
 
 /// Runs the full `repro loop` suite: every seeded scenario at the
 /// pinned (τ, penalty), then the deterministic τ × penalty sweep over
@@ -616,8 +603,6 @@ mod tests {
             regret_seconds: 0.0,
             oracle_seconds: 120.5,
             breaker_exact: true,
-            converged: true,
-            trace_matches: true,
             ok: true,
         };
         assert_eq!(

@@ -42,7 +42,7 @@ pub struct ParetoRow {
     pub identical: bool,
     /// Whether the time-only run visited the whole space (it always
     /// should — no budget is set).
-    pub exhausted: bool,
+    pub(crate) exhausted: bool,
     /// Configurations in the search space.
     pub candidates: usize,
     /// Candidates the time-only run actually estimated.

@@ -17,7 +17,7 @@ use etm_cluster::{CommLibProfile, Configuration};
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::Engine;
 use etm_core::pipeline::ModelBank;
-use etm_core::plan::{MeasurementPlan, PlanKind};
+use etm_core::plan::MeasurementPlan;
 use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, StreamReport};
 use etm_core::MeasurementDb;
 use etm_search::{best_config, ConfigSpace, OnlineDecision, OnlineOptimizer, SearchResult};
@@ -70,7 +70,7 @@ pub fn evaluation_space() -> ConfigSpace {
 /// # Panics
 /// Panics if the campaign never becomes fittable or contains non-finite
 /// samples — both impossible for a completed construction campaign.
-pub fn stream_through<F>(
+pub(crate) fn stream_through<F>(
     trials: Vec<(etm_core::SampleKey, etm_core::Sample)>,
     cfg: StreamConfig,
     mut on_snapshot: F,
@@ -101,10 +101,6 @@ where
 /// Outcome of one streamed campaign with online re-optimization.
 #[derive(Clone, Debug)]
 pub struct StreamRun {
-    /// Which campaign was streamed.
-    pub plan: PlanKind,
-    /// Problem size the online selection optimizes.
-    pub n: usize,
     /// What the consumer loop did with the stream.
     pub report: StreamReport,
     /// One decision per observed snapshot, in generation order.
@@ -148,8 +144,6 @@ pub fn stream_experiment(
         .cloned()
         .expect("at least the bootstrap snapshot is estimable");
     StreamRun {
-        plan: plan.kind,
-        n,
         report,
         decisions: optimizer.log().to_vec(),
         recommended,

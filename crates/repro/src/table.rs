@@ -26,16 +26,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with right-aligned columns separated by two spaces.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -81,8 +71,7 @@ mod tests {
         assert!(lines[0].contains('N'));
         assert!(lines[2].ends_with("3.9"));
         assert!(lines[3].ends_with("341.1"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

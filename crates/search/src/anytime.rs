@@ -86,7 +86,7 @@ pub struct Incumbent {
     pub time: f64,
     /// Evaluations spent when it took over (1-based; the warm start is
     /// evaluation 1 when present).
-    pub evaluations: usize,
+    pub(crate) evaluations: usize,
 }
 
 /// One point of the time × energy Pareto front.
@@ -806,8 +806,8 @@ pub fn pareto_front_of(points: &[(Configuration, f64, f64)]) -> Vec<ParetoPoint>
 ///
 /// Run to exhaustion (no budget), the result is bit-identical to
 /// [`best_config`](crate::best_config) while evaluating only the
-/// candidates pruning could not discard. See the [module
-/// docs](self) for the bounding machinery, and [`AnytimeOptions`] for
+/// candidates pruning could not discard. See the `anytime` module docs
+/// for the bounding machinery, and [`AnytimeOptions`] for
 /// warm starts, budgets, and the energy objective.
 pub fn anytime_search(
     snapshot: &EngineSnapshot,

@@ -12,20 +12,20 @@
 //!   against);
 //! * [`anytime_search`] — exact branch-and-bound with certified
 //!   monotone pruning, an anytime incumbent stream, warm starts, and
-//!   an optional time × energy Pareto front (the [`anytime`] module).
+//!   an optional time × energy Pareto front (the `anytime` module).
 //!   It shrinks the evaluated space without approximating: an
 //!   exhausted run returns the exhaustive argmin bit for bit.
 //!
 //! [`exhaustive`] is generic over the objective `f(config) → time`, so
 //! it works with the model estimator, the simulator itself, or any
-//! other cost function. The [`engine`] module supplies the canonical
+//! other cost function. The `engine` module supplies the canonical
 //! objective: a lock-free query closure over an estimator-engine
 //! snapshot ([`snapshot_objective`]), plus the paper's exhaustive §4
-//! selection served from it ([`best_config`]). The [`online`] module
+//! selection served from it ([`best_config`]). The `online` module
 //! re-runs that selection against every snapshot a streaming engine
 //! publishes, with hysteresis ([`OnlineOptimizer`]) so the standing
 //! recommendation only moves on material improvement. The
-//! [`closed_loop`] module closes that loop end to end: each
+//! `closed_loop` module closes that loop end to end: each
 //! recommendation is executed (fault-injected via
 //! `etm_core::loopback`), gated through a per-configuration circuit
 //! breaker, and its measurement streamed back into the engine
@@ -34,10 +34,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anytime;
-pub mod closed_loop;
-pub mod engine;
-pub mod online;
+mod anytime;
+mod closed_loop;
+mod engine;
+mod online;
 
 pub use anytime::{
     anytime_search, pareto_front_of, AnytimeOptions, AnytimeReport, Incumbent, ParetoPoint,
@@ -52,9 +52,9 @@ use etm_cluster::{ClusterSpec, Configuration, KindId, KindUse};
 #[derive(Clone, Debug)]
 pub struct ConfigSpace {
     /// Per kind: available PEs.
-    pub available: Vec<usize>,
+    pub(crate) available: Vec<usize>,
     /// Per kind: maximum processes per PE considered.
-    pub max_m: Vec<usize>,
+    pub(crate) max_m: Vec<usize>,
 }
 
 impl ConfigSpace {
@@ -113,18 +113,13 @@ impl ConfigSpace {
 
     /// Size of the enumeration without materializing it:
     /// `Π (1 + availableᵢ·max_mᵢ) − 1`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.available
             .iter()
             .zip(&self.max_m)
             .map(|(&a, &m)| 1 + a * m)
             .product::<usize>()
             - 1
-    }
-
-    /// Whether the space is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -201,7 +196,6 @@ mod tests {
         assert_eq!(all.len(), s.len());
         // (1 + 1*6)(1 + 8*6) - 1 = 7*49 - 1 = 342.
         assert_eq!(all.len(), 342);
-        assert!(!s.is_empty());
         // All distinct and valid.
         for cfg in &all {
             assert!(cfg.total_processes() > 0);

@@ -312,7 +312,6 @@ fn is_empty<M>(slot: &Cell<Option<M>>) -> bool {
 /// built from them); any other pending future is a programming error.
 /// `M` is the one message type of the simulation's mailboxes.
 pub struct Ctx<M> {
-    pid: Pid,
     shared: Rc<Shared<M>>,
 }
 
@@ -368,11 +367,6 @@ impl<M> Future for Recv<'_, M> {
 }
 
 impl<M> Ctx<M> {
-    /// The process's own id.
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
     /// Current virtual time in seconds.
     pub fn now(&self) -> f64 {
         self.shared.clock.get().secs()
@@ -553,7 +547,6 @@ impl<M> Simulation<M> {
         assert!(!self.ran, "cannot spawn after the simulation has run");
         let pid = Pid(self.processes.len());
         let ctx = Ctx {
-            pid,
             shared: Rc::clone(&self.shared),
         };
         self.processes.push(ProcessRecord {

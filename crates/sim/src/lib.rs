@@ -67,7 +67,7 @@
 mod kernel;
 mod mailbox;
 mod resource;
-pub mod stats;
+mod stats;
 mod time;
 
 pub use kernel::{Ctx, DeadlockError, Pid, Simulation};

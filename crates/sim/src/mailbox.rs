@@ -61,11 +61,6 @@ impl<M> Mailbox<M> {
         );
         self.waiters.push_back(pid);
     }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn queued(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +83,7 @@ mod tests {
         assert_eq!(mb.take(), None);
         mb.park(Pid(7));
         assert_eq!(mb.post(42u32), Some((Pid(7), 42)));
-        assert_eq!(mb.queued(), 0, "a delivered message is not queued");
+        assert_eq!(mb.queue.len(), 0, "a delivered message is not queued");
     }
 
     #[test]
@@ -104,9 +99,9 @@ mod tests {
     #[test]
     fn queued_counts_messages() {
         let mut mb = Mailbox::default();
-        assert_eq!(mb.queued(), 0);
+        assert_eq!(mb.queue.len(), 0);
         mb.post(());
-        assert_eq!(mb.queued(), 1);
+        assert_eq!(mb.queue.len(), 1);
     }
 
     #[test]

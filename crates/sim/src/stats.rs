@@ -22,7 +22,7 @@ pub struct ResourceStats {
 impl ResourceStats {
     /// Fraction of the run the resource was busy (0 when the run had
     /// zero length).
-    pub fn utilization(&self, run_seconds: f64) -> f64 {
+    pub(crate) fn utilization(&self, run_seconds: f64) -> f64 {
         if run_seconds <= 0.0 {
             0.0
         } else {
@@ -39,7 +39,7 @@ pub struct SimStats {
     /// Total events dispatched by the kernel.
     pub events: u64,
     /// Total process polls made by the kernel.
-    pub polls: u64,
+    pub(crate) polls: u64,
     /// Per-resource usage, keyed by resource name.
     pub resources: BTreeMap<String, ResourceStats>,
 }

@@ -18,14 +18,14 @@ pub struct SimTime(f64);
 
 impl SimTime {
     /// The simulation epoch, `t = 0`.
-    pub const ZERO: SimTime = SimTime(0.0);
+    pub(crate) const ZERO: SimTime = SimTime(0.0);
 
     /// Creates a time point from seconds.
     ///
     /// # Panics
     /// Panics if `secs` is NaN or negative: virtual time flows forward from
     /// zero only.
-    pub fn new(secs: f64) -> Self {
+    pub(crate) fn new(secs: f64) -> Self {
         assert!(!secs.is_nan(), "SimTime cannot be NaN");
         assert!(secs >= 0.0, "SimTime cannot be negative: {secs}");
         SimTime(secs)

@@ -12,7 +12,7 @@
 //!
 //! * [`numeric`] — real arithmetic over the thread-backed message
 //!   passing, validated against a serial reference sweep;
-//! * [`simulate`] — calibrated virtual-time execution on the
+//! * [`simulate_stencil`] — calibrated virtual-time execution on the
 //!   discrete-event fabric, producing `(Ta, Tc)` samples that feed the
 //!   *unchanged* `etm-core` estimation pipeline (the models never ask
 //!   what application produced the measurements).
@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod numeric;
-pub mod simulate;
+mod simulate;
 
-pub use numeric::{run_numeric_stencil, NumericStencil};
 pub use simulate::{simulate_stencil, StencilParams, StencilRun, StencilTimes};

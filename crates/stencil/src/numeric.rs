@@ -8,10 +8,6 @@ use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadComm, ThreadMsg};
 pub struct NumericStencil {
     /// Final grid (row-major, `n × n`), gathered on return.
     pub grid: Vec<f64>,
-    /// Grid side length.
-    pub n: usize,
-    /// Iterations performed.
-    pub iters: usize,
 }
 
 /// Serial reference: `iters` Jacobi sweeps of the 5-point stencil over an
@@ -36,7 +32,7 @@ pub fn serial_jacobi(n: usize, iters: usize, init: impl Fn(usize, usize) -> f64)
 
 /// Rows `start..end` (global) owned by `rank` out of `p` in a balanced
 /// row-strip partition of the `n` rows.
-pub fn strip(n: usize, p: usize, rank: usize) -> (usize, usize) {
+pub(crate) fn strip(n: usize, p: usize, rank: usize) -> (usize, usize) {
     let base = n / p;
     let extra = n % p;
     let start = rank * base + rank.min(extra);
@@ -137,8 +133,6 @@ pub fn run_numeric_stencil(n: usize, iters: usize, p: usize) -> NumericStencil {
         .flatten();
     NumericStencil {
         grid: grid.expect("rank 0 gathers"),
-        n,
-        iters,
     }
 }
 

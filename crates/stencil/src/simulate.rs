@@ -13,9 +13,9 @@ use crate::numeric::strip;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StencilParams {
     /// Grid side length N (the problem-size axis for the models).
-    pub n: usize,
+    pub(crate) n: usize,
     /// Jacobi iterations.
-    pub iters: usize,
+    pub(crate) iters: usize,
 }
 
 impl StencilParams {
@@ -39,12 +39,12 @@ pub struct StencilTimes {
 
 impl StencilTimes {
     /// Computation time for the estimation models.
-    pub fn ta(&self) -> f64 {
+    pub(crate) fn ta(&self) -> f64 {
         self.compute
     }
 
     /// Communication time for the estimation models.
-    pub fn tc(&self) -> f64 {
+    pub(crate) fn tc(&self) -> f64 {
         self.halo + self.reduce
     }
 }
@@ -52,12 +52,10 @@ impl StencilTimes {
 /// Outcome of one timed stencil run.
 #[derive(Clone, Debug)]
 pub struct StencilRun {
-    /// Run parameters.
-    pub params: StencilParams,
     /// Per-rank phases.
     pub phases: Vec<StencilTimes>,
     /// Kind of each rank.
-    pub kinds: Vec<KindId>,
+    pub(crate) kinds: Vec<KindId>,
     /// Nodes spanned.
     pub nodes_used: usize,
     /// End-to-end virtual seconds.
@@ -160,7 +158,6 @@ pub fn simulate_stencil(
         },
     );
     StencilRun {
-        params,
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
         nodes_used: placement.used_nodes().len(),
         phases,

@@ -41,16 +41,15 @@ impl Fnv1a {
     }
 }
 
-/// One-shot FNV-1a 64-bit hash of a byte string.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fnv1a_64(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update(bytes);
+        h.finish()
+    }
 
     /// Reference vectors from the FNV specification (Noll's test suite).
     #[test]

@@ -94,7 +94,7 @@ impl Json {
     }
 
     /// Short name of the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Json::Null => "null",
             Json::Bool(_) => "bool",

@@ -4,23 +4,13 @@
 //! [`check`] runs a property over `cases` pseudo-random cases derived
 //! from a fixed seed, so `cargo test` is fully reproducible offline. On
 //! failure the panic message carries the case index and the per-case
-//! seed; re-running the property at just that seed (`check(1,
-//! case_seed, ..)` semantics via [`case_seed`]) reproduces the failure.
-//! There is no shrinking: keep generators small-biased instead.
+//! seed; running the property on `Rng64::seed_from_u64(case_seed)`
+//! reproduces the failure. There is no shrinking: keep generators
+//! small-biased instead.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::rng::{splitmix64, Rng64};
-
-/// The seed the `i`-th case of a [`check`] run uses.
-pub fn case_seed(run_seed: u64, case: usize) -> u64 {
-    let mut s = run_seed;
-    let mut last = splitmix64(&mut s);
-    for _ in 0..case {
-        last = splitmix64(&mut s);
-    }
-    last
-}
 
 /// Runs `property` over `cases` deterministic pseudo-random cases.
 ///
@@ -51,24 +41,21 @@ pub mod gen {
         let len = rng.range_inclusive(min_len, max_len);
         (0..len).map(|_| rng.range_f64(lo, hi)).collect()
     }
-
-    /// A `Vec<usize>` of length `[min_len, max_len]` with entries in
-    /// `[lo, hi]`.
-    pub fn vec_usize(
-        rng: &mut Rng64,
-        min_len: usize,
-        max_len: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<usize> {
-        let len = rng.range_inclusive(min_len, max_len);
-        (0..len).map(|_| rng.range_inclusive(lo, hi)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The seed the `i`-th case of a [`check`] run uses.
+    fn case_seed(run_seed: u64, case: usize) -> u64 {
+        let mut s = run_seed;
+        let mut last = splitmix64(&mut s);
+        for _ in 0..case {
+            last = splitmix64(&mut s);
+        }
+        last
+    }
 
     #[test]
     fn runs_every_case() {
@@ -111,9 +98,6 @@ mod tests {
             let v = gen::vec_f64(rng, 1, 8, -2.0, 3.0);
             assert!((1..=8).contains(&v.len()));
             assert!(v.iter().all(|x| (-2.0..3.0).contains(x)));
-            let u = gen::vec_usize(rng, 0, 5, 10, 20);
-            assert!(u.len() <= 5);
-            assert!(u.iter().all(|x| (10..=20).contains(x)));
         });
     }
 }

@@ -9,7 +9,7 @@
 /// One step of the SplitMix64 sequence: advances `state` and returns the
 /// next output. Also usable as a 64-bit finalizer/hash by seeding with
 /// the value to mix.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
