@@ -1,16 +1,14 @@
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-//! Zero-dependency static policy analyzer for the workspace.
+//! Zero-dependency static policy analyzer: the retired P001–P005 rules.
 //!
 //! The pipeline: a lossless Rust [`lexer`], a structural [`scan`]ner
 //! (matched delimiters and precise `#[cfg(test)]` regions), and a set
 //! of [`passes`] that walk the indexed [`workspace`] emitting sorted
-//! [`diag::Diagnostic`]s. A checked-in suppression [`baseline`]
-//! (`analyze.allow`) silences deliberate findings — entries need a
-//! justification, and stale entries fail the gate so the list can only
-//! shrink.
+//! [`diag::Diagnostic`]s. Nothing gates on it any more: the rules are
+//! declared as rustc and clippy lints in the root `Cargo.toml` and
+//! `clippy.toml` (see `DESIGN.md` §12), and this crate is kept only
+//! until its passes and then its lexer are deleted.
 //!
-//! Rule catalog (stable IDs — see `DESIGN.md` §12):
+//! Rule catalog:
 //!
 //! | ID   | name                  | checks                          |
 //! |------|-----------------------|---------------------------------|
@@ -19,19 +17,13 @@
 //! | P003 | no-placeholders       | no todo!/unimplemented!         |
 //! | P004 | no-f32-narrowing      | no `as f32` in numerics crates  |
 //! | P005 | crate-headers         | required crate-root lint headers|
-//!
-//! Every finding fails `cargo xtask analyze`.
 
-pub mod baseline;
 pub mod diag;
 pub mod lexer;
 pub mod passes;
 pub mod scan;
 pub mod workspace;
 
-use std::path::Path;
-
-pub use baseline::Baseline;
 pub use diag::{Diagnostic, Report, Rule};
 pub use workspace::Workspace;
 
@@ -48,41 +40,15 @@ pub fn all_passes() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// The full rule catalog in ID order.
-pub fn rules() -> Vec<&'static Rule> {
-    vec![
-        &passes::policy::UNWRAP_BAN,
-        &passes::policy::BIN_EXPECT_BAN,
-        &passes::policy::NO_PLACEHOLDERS,
-        &passes::policy::NO_F32_NARROWING,
-        &passes::policy::CRATE_HEADERS,
-    ]
-}
-
-/// Runs `passes` over `ws` under `baseline` and assembles the sorted
-/// [`Report`] (including baseline staleness).
-pub fn run_passes(ws: &Workspace, baseline: &Baseline, passes: &[Box<dyn Pass>]) -> Report {
-    let mut ctx = Context::new(baseline);
+/// Runs `passes` over `ws` and assembles the sorted [`Report`].
+pub fn run_passes(ws: &Workspace, passes: &[Box<dyn Pass>]) -> Report {
+    let mut ctx = Context::default();
     for p in passes {
         p.run(ws, &mut ctx);
     }
     let mut report = Report {
         diagnostics: ctx.diagnostics,
-        suppressed: ctx.suppressed,
-        stale: baseline.stale(),
-        files: ws.files.len(),
     };
     report.sort();
     report
-}
-
-/// Loads the workspace and baseline at `root` and runs every pass — the
-/// `cargo xtask analyze` entry point.
-///
-/// # Errors
-/// Unreadable sources or a malformed `analyze.allow`.
-pub fn analyze_root(root: &Path) -> Result<Report, String> {
-    let ws = Workspace::load(root)?;
-    let baseline = Baseline::load(root)?;
-    Ok(run_passes(&ws, &baseline, &all_passes()))
 }

@@ -1,12 +1,9 @@
 //! P-series policy passes: the old line-regex `srclint` rules, re-hosted
 //! on the token stream. Being token-aware fixes the classic lies of the
 //! regex lint: `.unwrap()` inside comments, doc comments, or string
-//! literals no longer counts as code, and a `// unwrap-ok:` marker
-//! inside a *string* no longer justifies anything.
+//! literals no longer counts as code.
 //!
 //! * **P001** `unwrap-ban` — `.unwrap()` is banned in non-test code.
-//!   An `analyze.allow` entry only relaxes the rule to "with an
-//!   adjacent `// unwrap-ok: <reason>` comment" ([`BaselineMode::InPass`]).
 //! * **P002** `bin-expect-ban` — `.expect(` is banned in binary roots
 //!   (`src/bin/**`) outside tests.
 //! * **P003** `no-placeholders` — `todo!` / `unimplemented!` are banned
@@ -17,8 +14,7 @@
 //!   `#![deny(unsafe_code)]`; every `lib.rs` additionally
 //!   `#![warn(missing_docs)]`.
 
-use crate::diag::{BaselineMode, Rule};
-use crate::lexer::TokenKind;
+use crate::diag::Rule;
 use crate::scan::FileIndex;
 use crate::workspace::Workspace;
 
@@ -28,44 +24,31 @@ use super::{Context, Pass};
 pub static UNWRAP_BAN: Rule = Rule {
     id: "P001",
     name: "unwrap-ban",
-    brief: "no .unwrap() outside tests; allow-listed files still need // unwrap-ok: comments",
-    baseline: BaselineMode::InPass,
 };
 
 /// The P002 rule.
 pub static BIN_EXPECT_BAN: Rule = Rule {
     id: "P002",
     name: "bin-expect-ban",
-    brief: "no .expect( in binary roots — report the error and exit nonzero",
-    baseline: BaselineMode::PerFile,
 };
 
 /// The P003 rule.
 pub static NO_PLACEHOLDERS: Rule = Rule {
     id: "P003",
     name: "no-placeholders",
-    brief: "todo!/unimplemented! never ship, tests included",
-    baseline: BaselineMode::PerFile,
 };
 
 /// The P004 rule.
 pub static NO_F32_NARROWING: Rule = Rule {
     id: "P004",
     name: "no-f32-narrowing",
-    brief: "no `as f32` in the numerics crates — keep f64 end to end",
-    baseline: BaselineMode::PerFile,
 };
 
 /// The P005 rule.
 pub static CRATE_HEADERS: Rule = Rule {
     id: "P005",
     name: "crate-headers",
-    brief: "crate roots carry #![deny(unsafe_code)]; lib.rs also #![warn(missing_docs)]",
-    baseline: BaselineMode::PerFile,
 };
-
-/// The comment marker that justifies an allowed unwrap call site.
-const UNWRAP_OK: &str = "unwrap-ok:";
 
 /// Crate directories where `as f32` narrowing is banned.
 const NO_F32_CRATES: &[&str] = &["lsq", "core"];
@@ -82,32 +65,6 @@ fn is_method_call(file: &FileIndex, i: usize, name: &str) -> bool {
         && file.next_nt(i).is_some_and(|n| file.is_punct(n, '('))
 }
 
-/// True when a `// unwrap-ok:` line comment justifies the token at `i`:
-/// on the same line, or alone on the line above.
-fn has_unwrap_ok(file: &FileIndex, i: usize) -> bool {
-    let line = file.tokens[i].line;
-    for (j, t) in file.tokens.iter().enumerate() {
-        if t.kind != TokenKind::LineComment || !file.text_of(j).contains(UNWRAP_OK) {
-            continue;
-        }
-        if t.line == line {
-            return true;
-        }
-        if t.line + 1 == line {
-            // Must be a pure comment line: no non-trivia token shares it.
-            let alone = !file
-                .tokens
-                .iter()
-                .enumerate()
-                .any(|(k, u)| u.line == t.line && !u.is_trivia() && k != j);
-            if alone {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 /// P001: the unwrap ban.
 pub struct UnwrapBanPass;
 
@@ -116,44 +73,18 @@ impl Pass for UnwrapBanPass {
         &UNWRAP_BAN
     }
 
-    fn run(&self, ws: &Workspace, ctx: &mut Context<'_>) {
+    fn run(&self, ws: &Workspace, ctx: &mut Context) {
         for file in &ws.files {
-            let allowed = ctx.baseline().is_listed(UNWRAP_BAN.id, &file.path);
             for i in 0..file.tokens.len() {
-                if !is_method_call(file, i, "unwrap") || file.is_test_token(i) {
-                    continue;
-                }
-                let justified = has_unwrap_ok(file, i);
-                match (allowed, justified) {
-                    (true, true) => {
-                        // Consume the baseline entry so it is not stale.
-                        ctx.baseline().suppress(UNWRAP_BAN.id, &file.path);
-                        ctx.record_suppressed(
-                            &UNWRAP_BAN,
-                            file,
-                            i,
-                            "justified `.unwrap()` under an analyze.allow entry".to_string(),
-                        );
-                    }
-                    (true, false) => ctx.emit_at(
+                if is_method_call(file, i, "unwrap") && !file.is_test_token(i) {
+                    ctx.emit_at(
                         &UNWRAP_BAN,
                         file,
                         i,
-                        format!(
-                            "`.unwrap()` in an allow-listed file still needs an adjacent \
-                             `// {UNWRAP_OK} <reason>` comment"
-                        ),
-                    ),
-                    (false, _) => ctx.emit_at(
-                        &UNWRAP_BAN,
-                        file,
-                        i,
-                        format!(
-                            "`.unwrap()` in library code — return a Result, use \
-                             `expect(\"why this cannot fail\")`, or add an analyze.allow \
-                             entry plus a `// {UNWRAP_OK}` comment"
-                        ),
-                    ),
+                        "`.unwrap()` in library code — return a Result or use \
+                         `expect(\"why this cannot fail\")`"
+                            .to_string(),
+                    );
                 }
             }
         }
@@ -168,7 +99,7 @@ impl Pass for BinExpectPass {
         &BIN_EXPECT_BAN
     }
 
-    fn run(&self, ws: &Workspace, ctx: &mut Context<'_>) {
+    fn run(&self, ws: &Workspace, ctx: &mut Context) {
         for file in &ws.files {
             if !file.path.contains("src/bin/") {
                 continue;
@@ -197,7 +128,7 @@ impl Pass for PlaceholderPass {
         &NO_PLACEHOLDERS
     }
 
-    fn run(&self, ws: &Workspace, ctx: &mut Context<'_>) {
+    fn run(&self, ws: &Workspace, ctx: &mut Context) {
         for file in &ws.files {
             for i in 0..file.tokens.len() {
                 let is_macro = (file.is_ident(i, "todo") || file.is_ident(i, "unimplemented"))
@@ -223,7 +154,7 @@ impl Pass for F32NarrowingPass {
         &NO_F32_NARROWING
     }
 
-    fn run(&self, ws: &Workspace, ctx: &mut Context<'_>) {
+    fn run(&self, ws: &Workspace, ctx: &mut Context) {
         for file in &ws.files {
             let banned = NO_F32_CRATES
                 .iter()
@@ -255,7 +186,7 @@ impl Pass for CrateHeadersPass {
         &CRATE_HEADERS
     }
 
-    fn run(&self, ws: &Workspace, ctx: &mut Context<'_>) {
+    fn run(&self, ws: &Workspace, ctx: &mut Context) {
         for file in &ws.files {
             if !is_crate_root(&file.path) {
                 continue;
@@ -310,22 +241,13 @@ fn has_inner_attr(file: &FileIndex, level: &str, lint: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::Baseline;
     use crate::workspace::Workspace;
 
-    fn run_with(pass: &dyn Pass, baseline: &Baseline, src: &str) -> (Vec<String>, Vec<String>) {
-        let ws = Workspace::from_sources(vec![("crates/demo/src/a.rs".into(), src.into())]);
-        let mut ctx = Context::new(baseline);
-        pass.run(&ws, &mut ctx);
-        (
-            ctx.diagnostics.iter().map(|d| d.to_string()).collect(),
-            ctx.suppressed.iter().map(|d| d.to_string()).collect(),
-        )
-    }
-
     fn run(pass: &dyn Pass, src: &str) -> Vec<String> {
-        let baseline = Baseline::default();
-        run_with(pass, &baseline, src).0
+        let ws = Workspace::from_sources(vec![("crates/demo/src/a.rs".into(), src.into())]);
+        let mut ctx = Context::default();
+        pass.run(&ws, &mut ctx);
+        ctx.diagnostics.iter().map(|d| d.to_string()).collect()
     }
 
     #[test]
@@ -344,46 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn allowance_requires_adjacent_justification() {
-        let baseline =
-            Baseline::parse("P001 crates/demo/src/a.rs load-bearing legacy\n").expect("parses");
-        // Same line.
-        let (d, s) = run_with(
-            &UnwrapBanPass,
-            &baseline,
-            "fn f() { x().unwrap(); } // unwrap-ok: infallible here\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-        assert_eq!(s.len(), 1, "{s:?}");
-        assert!(baseline.stale().is_empty());
-        // Line above.
-        let baseline =
-            Baseline::parse("P001 crates/demo/src/a.rs load-bearing legacy\n").expect("parses");
-        let (d, _) = run_with(
-            &UnwrapBanPass,
-            &baseline,
-            "fn f() {\n    // unwrap-ok: slot filled above\n    x().unwrap();\n}\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // Listed but bare: flagged, and the entry goes stale.
-        let baseline =
-            Baseline::parse("P001 crates/demo/src/a.rs load-bearing legacy\n").expect("parses");
-        let (d, _) = run_with(&UnwrapBanPass, &baseline, "fn f() { x().unwrap(); }\n");
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].contains("unwrap-ok"), "{d:?}");
-        assert_eq!(baseline.stale().len(), 1);
-    }
-
-    #[test]
-    fn justification_comment_alone_does_not_help() {
-        let got = run(
-            &UnwrapBanPass,
-            "// unwrap-ok: not listed, does nothing\nfn f() { x().unwrap(); }\n",
-        );
-        assert_eq!(got.len(), 1, "{got:?}");
-    }
-
-    #[test]
     fn expect_flagged_only_in_bin_roots() {
         let ws = Workspace::from_sources(vec![
             (
@@ -395,8 +277,7 @@ mod tests {
                 "fn f() { x().expect(\"why\"); }\n".into(),
             ),
         ]);
-        let baseline = Baseline::default();
-        let mut ctx = Context::new(&baseline);
+        let mut ctx = Context::default();
         BinExpectPass.run(&ws, &mut ctx);
         assert_eq!(ctx.diagnostics.len(), 1, "{:?}", ctx.diagnostics);
         assert!(
@@ -418,14 +299,13 @@ mod tests {
     #[test]
     fn as_f32_only_in_numerics_crates() {
         let src = "fn f(x: f64) -> f32 { x as f32 }\n";
-        let baseline = Baseline::default();
         for (path, expect_hit) in [
             ("crates/lsq/src/a.rs", true),
             ("crates/core/src/a.rs", true),
             ("crates/sim/src/a.rs", false),
         ] {
             let ws = Workspace::from_sources(vec![(path.into(), src.into())]);
-            let mut ctx = Context::new(&baseline);
+            let mut ctx = Context::default();
             F32NarrowingPass.run(&ws, &mut ctx);
             assert_eq!(!ctx.diagnostics.is_empty(), expect_hit, "{path}");
         }
@@ -437,8 +317,7 @@ mod tests {
             "crates/demo/src/lib.rs".into(),
             "//! docs\npub fn f() {}\n".into(),
         )]);
-        let baseline = Baseline::default();
-        let mut ctx = Context::new(&baseline);
+        let mut ctx = Context::default();
         CrateHeadersPass.run(&ws, &mut ctx);
         assert_eq!(ctx.diagnostics.len(), 2, "{:?}", ctx.diagnostics);
 
@@ -446,7 +325,7 @@ mod tests {
             "crates/demo/src/lib.rs".into(),
             "#![deny(unsafe_code)]\n#![warn(missing_docs)]\npub fn f() {}\n".into(),
         )]);
-        let mut ctx = Context::new(&baseline);
+        let mut ctx = Context::default();
         CrateHeadersPass.run(&ws, &mut ctx);
         assert!(ctx.diagnostics.is_empty(), "{:?}", ctx.diagnostics);
     }

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use etm_analyze::lexer::{lex, TokenKind};
 use etm_analyze::passes::{policy, Context, Pass};
-use etm_analyze::{Baseline, Workspace};
+use etm_analyze::Workspace;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -90,8 +90,7 @@ fn marker_comments_report_exact_spans() {
 /// Runs P001 over one in-memory file.
 fn unwrap_diags(src: &str) -> Vec<String> {
     let ws = Workspace::from_sources(vec![("crates/demo/src/a.rs".to_string(), src.to_string())]);
-    let baseline = Baseline::default();
-    let mut ctx = Context::new(&baseline);
+    let mut ctx = Context::default();
     policy::UnwrapBanPass.run(&ws, &mut ctx);
     ctx.diagnostics.iter().map(|d| d.to_string()).collect()
 }
@@ -116,20 +115,6 @@ fn unwrap_in_string_literal_is_not_code() {
     assert!(got.is_empty(), "{got:?}");
     let got = unwrap_diags("fn f() -> &'static str { r#\"raw .unwrap() text\"# }\n");
     assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn unwrap_ok_marker_inside_a_string_justifies_nothing() {
-    // A real unwrap on the same line as a *string* containing the
-    // marker: the old lint read the line, saw "unwrap-ok:", and (for
-    // allowance-listed files) counted the call as justified.
-    let baseline = Baseline::parse("P001 crates/demo/src/a.rs pretend allowance\n").expect("ok");
-    let src = "fn f() { let m = \"unwrap-ok: fake\"; x().unwrap(); }\n";
-    let ws = Workspace::from_sources(vec![("crates/demo/src/a.rs".to_string(), src.to_string())]);
-    let mut ctx = Context::new(&baseline);
-    policy::UnwrapBanPass.run(&ws, &mut ctx);
-    let got: Vec<String> = ctx.diagnostics.iter().map(|d| d.to_string()).collect();
-    assert_eq!(got.len(), 1, "marker in a string must not justify: {got:?}");
 }
 
 #[test]

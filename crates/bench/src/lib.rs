@@ -14,8 +14,6 @@
 //! diff with `cargo xtask bench-diff <old> <new>`, which fails on median
 //! regressions — the CI full tier's replacement for criterion's
 //! `--save-baseline` workflow.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use std::hint::black_box;
 

@@ -21,9 +21,6 @@
 //!
 //! All quantities are SI: seconds, bytes, flops.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod commlib;
 mod config;
 pub mod energy;

@@ -103,15 +103,6 @@ pub struct FaultLog {
     /// sample — the expected quarantine set when the corruption is
     /// unrecoverable and heavy enough to exhaust the budget.
     pub corrupted_groups: BTreeSet<(usize, usize)>,
-    /// Batches dropped whole.
-    pub(crate) dropped_batches: usize,
-    /// Trials cut off by batch truncation.
-    pub(crate) truncated_trials: usize,
-    /// Batches re-delivered by the duplicate flood.
-    pub(crate) flooded_batches: usize,
-    /// Clean trials re-delivered in the tail (when
-    /// [`FaultPlan::redeliver`] is on).
-    pub(crate) redelivered: usize,
 }
 
 fn corrupt_sample(mut s: Sample, kind: CorruptKind, factor: f64, rng: &mut Rng64) -> Sample {
@@ -149,14 +140,12 @@ impl FaultPlan {
         for (i, batch) in batches.iter().enumerate() {
             batch_len = batch_len.max(batch.trials.len());
             if self.drop_every > 0 && (i + 1).is_multiple_of(self.drop_every) {
-                log.dropped_batches += 1;
                 lost.extend(batch.trials.iter().copied());
                 continue;
             }
             let mut trials = batch.trials.clone();
             if self.truncate_every > 0 && (i + 1).is_multiple_of(self.truncate_every) {
                 let keep = trials.len() / 2;
-                log.truncated_trials += trials.len() - keep;
                 lost.extend(trials[keep..].iter().copied());
                 trials.truncate(keep);
             }
@@ -181,12 +170,10 @@ impl FaultPlan {
             }
             out.push(trials.clone());
             if self.flood_every > 0 && (i + 1).is_multiple_of(self.flood_every) {
-                log.flooded_batches += 1;
                 out.push(trials);
             }
         }
         if self.redeliver && !lost.is_empty() {
-            log.redelivered = lost.len();
             for chunk in lost.chunks(batch_len) {
                 out.push(chunk.to_vec());
             }
@@ -285,7 +272,15 @@ mod tests {
         for (i, batch) in a.iter().enumerate() {
             assert_eq!(batch.seq, i as u64, "contiguous post-fault sequence");
         }
-        assert!(log_a.corrupted > 0 && log_a.dropped_batches > 0);
+        assert!(log_a.corrupted > 0);
+        // The plan drops batches: without redelivery, trials go missing.
+        let trials = |bs: &[TrialBatch]| bs.iter().map(|b| b.trials.len()).sum::<usize>();
+        let drop_only = FaultPlan {
+            drop_every: plan.drop_every,
+            redeliver: false,
+            ..FaultPlan::default()
+        };
+        assert!(trials(&drop_only.apply(&batches()).0) < trials(&batches()));
     }
 
     #[test]
@@ -323,8 +318,19 @@ mod tests {
             ..FaultPlan::default()
         };
         let original = batches();
-        let (faulted, log) = plan.apply(&original);
-        assert!(log.redelivered > 0);
+        let (faulted, _) = plan.apply(&original);
+        // Redelivery only appends: past the stream the plan leaves
+        // without it come the lost trials, clean.
+        let (bare, _) = FaultPlan {
+            redeliver: false,
+            ..plan
+        }
+        .apply(&original);
+        assert!(faulted.len() > bare.len(), "lost trials come back");
+        assert!(faulted[bare.len()..]
+            .iter()
+            .flat_map(|b| &b.trials)
+            .all(|(_, s)| s.is_finite()));
         // Every (key, N) of the original stream appears in the faulted
         // stream with its *clean* value at least once.
         let clean: Vec<(SampleKey, Sample)> = original

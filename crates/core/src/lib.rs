@@ -53,9 +53,6 @@
 //!   checks (finite coefficients, non-negative predictions, basis
 //!   conditioning) that `cargo xtask check` runs over a fitted bank.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod adjust;
 pub mod backend;
 pub mod compose;

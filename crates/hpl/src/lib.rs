@@ -41,9 +41,6 @@
 //! and every timed run through [`run_sim_ranks`](etm_mpisim::run_sim_ranks),
 //! which spawn the ranks; this crate supplies only the rank bodies.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod dist;
 mod grid2d;
 pub mod numeric;

@@ -7,7 +7,7 @@
 //! broadcast of the solution. It sends and receives through any
 //! [`Comm`] and leaves the work of each phase to a [`RankWork`]:
 //! [`NumericWork`](crate::numeric::NumericWork) does the arithmetic on
-//! the rank's columns and reads a wall clock,
+//! the rank's columns and is untimed,
 //! [`TimedWork`](crate::simulate::TimedWork) charges calibrated virtual
 //! time. Phase attribution follows `-DHPL_DETAILED_TIMING`: the body
 //! reads the work's clock around every phase, so waiting inside a

@@ -19,9 +19,6 @@
 //! crate, which is how the reproduction validates that the *algorithm*
 //! whose execution time is being modelled is the genuine article.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod blas1;
 pub mod blas2;
 pub mod blas3;

@@ -24,9 +24,6 @@
 //! assert!((k[2] - 0.05).abs() < 1e-6);
 //! ```
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod multifit;
 mod qr;
 

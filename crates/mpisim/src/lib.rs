@@ -34,9 +34,6 @@
 //! [`netpipe`] is the NetPIPE analogue: a ping-pong throughput sweep over
 //! the simulated fabric, regenerating Fig. 2.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::future::Future;
 use std::pin::pin;
 use std::task::{Context, Poll, Waker};

@@ -17,7 +17,7 @@ where
     Fut: Future<Output = ()> + 'static,
 {
     let spec = paper_cluster(CommLibProfile::mpich122());
-    let placement = Placement::new(&spec, &cfg).unwrap();
+    let placement = Placement::new(&spec, &cfg).expect("the paper cluster fits the configuration");
     run_sim_ranks(&spec, &placement, "rank", |_, _| {}, |comm, _| body(comm)).makespan
 }
 

@@ -8,7 +8,7 @@
 //!
 //! Text renderings go to stdout; CSV artifacts go to `results/`.
 
-#![deny(unsafe_code)]
+#![deny(clippy::expect_used)]
 
 use etm_cluster::spec::paper_cluster;
 use etm_cluster::CommLibProfile;

@@ -14,7 +14,7 @@
 //!   of the clean campaign and no group is quarantined.
 //! * **Unrecoverable faults degrade, typed**: the run ends with the
 //!   quarantined set exactly equal to the injected-faulty groups of the
-//!   [`FaultLog`](etm_core::faults::FaultLog) — no more, no fewer.
+//!   [`FaultLog`] — no more, no fewer.
 //! * **The optimizer never trusts a quarantined model**: no logged
 //!   decision recommends a configuration backed by an untrusted
 //!   (quarantined, non-composed) group, at any generation.

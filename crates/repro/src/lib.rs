@@ -15,9 +15,6 @@
 //! execution-side fault plans and scores regret, breaker exactness,
 //! and the fault-free bit-identity baseline.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod chaos;
 pub mod correlate;
 pub mod experiments;

@@ -176,9 +176,10 @@ pub struct LoopRow {
     pub tripped: usize,
     /// Untrusted recommendations observed (must be zero).
     pub(crate) untrusted: usize,
-    /// Cumulative execution-time regret vs the clean-trace oracle [s].
+    /// Cumulative execution-time regret vs the clean-trace oracle, in
+    /// seconds.
     pub regret_seconds: f64,
-    /// The oracle's total execution time over the run [s].
+    /// The oracle's total execution time over the run, in seconds.
     pub oracle_seconds: f64,
     /// Breaker trips match the injected-fault oracle exactly.
     pub(crate) breaker_exact: bool,

@@ -5,7 +5,7 @@
 //! [`TrialBatch`](etm_core::stream::TrialBatch)es through
 //! [`Engine::ingest_batch`], runs the §4 exhaustive selection against
 //! every published snapshot via an
-//! [`OnlineOptimizer`](etm_search::OnlineOptimizer), and reports the
+//! [`OnlineOptimizer`], and reports the
 //! decision log next to the offline optimum of the completed campaign.
 //!
 //! The engines run *unadjusted* (no §4.1 transformation): the

@@ -31,9 +31,6 @@
 //! breaker, and its measurement streamed back into the engine
 //! ([`run_closed_loop`]).
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod anytime;
 mod closed_loop;
 mod engine;

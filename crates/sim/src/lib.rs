@@ -61,9 +61,6 @@
 //! assert!((end - 2.0).abs() < 1e-9);
 //! ```
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 mod kernel;
 mod mailbox;
 mod resource;

@@ -22,9 +22,6 @@
 //! communication is O(N·iters) per process pair plus a per-iteration
 //! all-reduce, and the balance is memory-bandwidth-, not flops-, bound.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod numeric;
 mod simulate;
 

@@ -11,9 +11,6 @@
 //! workspace reintroduces a registry dependency; this crate is what they
 //! use instead.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod hash;
 pub mod json;
 pub mod pool;

@@ -6,6 +6,10 @@
 //! a `[workspace.dependencies]` entry, which must itself be a path
 //! dependency). `git`, `registry`, and bare-version dependencies are
 //! violations, as are `[patch]`/`[replace]` tables.
+//!
+//! The pass also requires every manifest to opt in to the root's
+//! `[workspace.lints]` tables (`[lints] workspace = true`): a crate that
+//! skips the opt-in would build without the workspace's source policy.
 
 use std::fs;
 use std::path::Path;
@@ -28,8 +32,13 @@ pub fn run(root: &Path) -> Result<Vec<String>, String> {
     for manifest in &manifests {
         let text = fs::read_to_string(manifest)
             .map_err(|e| format!("cannot read {}: {e}", manifest.display()))?;
-        let rel = manifest.strip_prefix(root).unwrap_or(manifest).display();
-        check_manifest(&format!("{rel}"), &text, &mut violations);
+        let rel = manifest
+            .strip_prefix(root)
+            .unwrap_or(manifest)
+            .display()
+            .to_string();
+        check_manifest(&rel, &text, &mut violations);
+        check_lint_opt_in(&rel, &text, &mut violations);
     }
     Ok(violations)
 }
@@ -138,6 +147,34 @@ fn check_manifest(file: &str, text: &str, out: &mut Vec<String>) {
     flush(&mut open_subtable, out);
 }
 
+/// Flags a manifest that does not opt in to the workspace lints, either
+/// as `workspace = true` under `[lints]` or as the top-level dotted key
+/// `lints.workspace = true`.
+fn check_lint_opt_in(file: &str, text: &str, out: &mut Vec<String>) {
+    let mut section = "";
+    for raw in text.lines() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let opt_in_key = match section {
+            "" => "lints.workspace",
+            "[lints]" => "workspace",
+            _ => continue,
+        };
+        if key.trim() == opt_in_key && value.trim().starts_with("true") {
+            return;
+        }
+    }
+    out.push(format!(
+        "{file}: no `[lints] workspace = true` — the crate would skip the workspace's declared lints"
+    ));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,6 +237,37 @@ mod tests {
              [features]\nproptest = []\n\
              [[bench]]\nname = \"b\"\nharness = false\n",
         );
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    fn lint_violations(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        check_lint_opt_in("test/Cargo.toml", text, &mut out);
+        out
+    }
+
+    #[test]
+    fn manifest_without_lint_opt_in_fails() {
+        for text in [
+            "[package]\nname = \"x\"\n",
+            "[lints]\nworkspace = false\n",
+            "[package]\nlints.workspace = true\n",
+        ] {
+            let v = lint_violations(text);
+            assert_eq!(v.len(), 1, "{text:?}: {v:?}");
+            assert!(v[0].contains("[lints] workspace = true"), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn lints_table_opt_in_passes() {
+        let v = lint_violations("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n");
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn dotted_lints_opt_in_passes() {
+        let v = lint_violations("lints.workspace = true\n\n[package]\nname = \"x\"\n");
         assert!(v.is_empty(), "{v:?}");
     }
 }

@@ -1,26 +1,23 @@
-//! `cargo xtask check` — the workspace's in-tree static-analysis gate.
+//! `cargo xtask check` — the workspace's in-tree gate.
 //!
-//! Four passes, all exercised by CI (`scripts/ci.sh`) and runnable
+//! Three passes, all exercised by CI (`scripts/ci.sh`) and runnable
 //! offline with an empty cargo cache:
 //!
 //! 1. **hermetic** — every dependency in every `Cargo.toml` is a path
-//!    (or workspace-inherited path) dependency; no registry or git
-//!    dependencies can sneak in.
-//! 2. **lint** — the `etm-analyze` policy passes (token-aware
-//!    successors of the old line-regex lint): bans `unwrap()` in
-//!    non-test library code, `expect(` in binary roots,
-//!    `todo!`/`unimplemented!` anywhere, `as f32` in the numerics
-//!    crates, and missing `#![deny(unsafe_code)]` /
-//!    `#![warn(missing_docs)]` crate headers.
-//! 3. **toolchain** — `cargo clippy --workspace --all-targets -- -D
-//!    warnings` and `cargo fmt --all --check`.
-//! 4. **audit** — the model-validity audit (`etm_core::validate`): fits
+//!    (or workspace-inherited path) dependency, so no registry or git
+//!    dependency can sneak in, and every manifest opts in to the
+//!    workspace's declared lints (`[lints] workspace = true`).
+//! 2. **toolchain** — `cargo clippy --workspace --all-targets -- -D
+//!    warnings` and `cargo fmt --all --check`. The source policy lives
+//!    in the root manifest's `[workspace.lints]` tables and in
+//!    `clippy.toml`, so clippy enforces it.
+//! 3. **audit** — the model-validity audit (`etm_core::validate`): fits
 //!    a model bank from the simulated paper cluster and runs every
 //!    registered invariant check over it, then drives a live engine
 //!    into quarantine and audits the degraded snapshot's health
 //!    metadata and composed-fallback coefficients.
 //!
-//! Run a subset with e.g. `cargo xtask check hermetic lint`.
+//! Run a subset with e.g. `cargo xtask check hermetic audit`.
 //!
 //! A second subcommand, `cargo xtask bench-diff <old> <new>
 //! [--threshold [SUITE=]PCT]...`, compares two `BENCH_<suite>.json`
@@ -34,16 +31,7 @@
 //! A third, `cargo xtask bench-trend [suite...]`, renders the store's
 //! history (`results/bench/index.log`) as one markdown table of medians
 //! per commit and suite, written to `results/bench/TREND.md`.
-//!
-//! A fourth, `cargo xtask analyze [--json PATH]`, runs the
-//! `etm-analyze` policy analyzer (P001–P005) over the workspace and
-//! fails on any finding not covered by a justified `analyze.allow`
-//! entry — or on any stale entry.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
-mod analyze;
 mod audit;
 mod benchdiff;
 mod hermetic;
@@ -61,16 +49,11 @@ struct Pass {
     run: fn(&Path) -> Result<Vec<String>, String>,
 }
 
-const PASSES: [Pass; 4] = [
+const PASSES: [Pass; 3] = [
     Pass {
         name: "hermetic",
-        what: "all manifest dependencies are path dependencies",
+        what: "path-only dependencies and the workspace lint opt-in in every manifest",
         run: hermetic::run,
-    },
-    Pass {
-        name: "lint",
-        what: "policy lints via etm-analyze (unwrap/bin-expect/todo!/as-f32/crate headers)",
-        run: analyze::run_lint,
     },
     Pass {
         name: "toolchain",
@@ -87,7 +70,6 @@ const PASSES: [Pass; 4] = [
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo xtask check [pass...]\n       \
-         cargo xtask analyze [--json PATH]\n       \
          cargo xtask bench-diff <old.json> <new.json> [--threshold [SUITE=]PCT]...\n       \
          cargo xtask bench-diff --latest <new.json> [--threshold [SUITE=]PCT]...\n       \
          cargo xtask bench-trend [suite...]\n\n\
@@ -97,41 +79,6 @@ fn usage() -> ExitCode {
         eprintln!("  {:<10} {}", p.name, p.what);
     }
     ExitCode::from(2)
-}
-
-/// `analyze` argument parsing + execution.
-fn run_analyze(rest: &[String]) -> ExitCode {
-    let mut json: Option<PathBuf> = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--json" {
-            json = match it.next() {
-                Some(p) => Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--json needs a path");
-                    return usage();
-                }
-            };
-        } else {
-            eprintln!("unknown analyze argument `{arg}`");
-            return usage();
-        }
-    }
-    println!("==> analyze (static policy passes)");
-    match analyze::run_full(&workspace_root(), json.as_deref()) {
-        Ok(true) => {
-            println!("xtask analyze: clean");
-            ExitCode::SUCCESS
-        }
-        Ok(false) => {
-            println!("xtask analyze: FAILED");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("analyze: ERROR: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `bench-diff` argument parsing + execution.
@@ -205,9 +152,6 @@ fn main() -> ExitCode {
         Some((c, r)) => (c.as_str(), r),
         None => return usage(),
     };
-    if cmd == "analyze" {
-        return run_analyze(rest);
-    }
     if cmd == "bench-diff" {
         return run_bench_diff(rest);
     }

@@ -50,7 +50,7 @@ fn main() {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i + 1)
-            .unwrap();
+            .expect("1..=4 is non-empty");
         println!(
             "{n:>8} {:>8.2} {:>8.2} {:>8.2} {:>8.2}  n={best}",
             gs[0], gs[1], gs[2], gs[3]

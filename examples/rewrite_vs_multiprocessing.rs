@@ -31,7 +31,7 @@ fn main() {
                 (m1, t)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap();
+            .expect("1..=6 is non-empty");
         let rewrite = simulate_hpl_weighted(&spec, &Configuration::p1m1_p2m2(1, 1, 8, 1), &params)
             .wall_seconds;
         let captured = 100.0 * (equal - multi) / (equal - rewrite);

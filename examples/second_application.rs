@@ -48,8 +48,12 @@ fn main() {
                     key,
                     Sample {
                         n: side,
-                        ta: run.ta_of_kind(kind).unwrap(),
-                        tc: run.tc_of_kind(kind).unwrap(),
+                        ta: run
+                            .ta_of_kind(kind)
+                            .expect("every configuration runs its kind"),
+                        tc: run
+                            .tc_of_kind(kind)
+                            .expect("every configuration runs its kind"),
                         wall: run.wall_seconds,
                         multi_node: run.nodes_used > 1,
                     },

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tiered CI gate, runnable offline with an empty cargo registry cache.
 #
-#   scripts/ci.sh --quick   fail-fast inner loop: fmt + source lints +
-#                           hermeticity + the static policy analyzer
-#                           (`cargo xtask analyze`, P001-P005), then
-#                           the tier-1 build, clippy over every target
+#   scripts/ci.sh --quick   fail-fast inner loop: fmt + hermeticity
+#                           (path-only dependencies, and every manifest
+#                           opts in to the declared workspace lints),
+#                           then the tier-1 build, clippy over every
+#                           target with warnings denied (which enforces
+#                           the source policy declared in Cargo.toml's
+#                           [workspace.lints] and clippy.toml), rustdoc
 #                           with warnings denied, and the tier-1 tests.
-#   scripts/ci.sh           everything in --quick (the analyze stage
-#                           additionally writes its machine-readable
-#                           report to results/analyze_report.json),
-#                           plus the model-validity audit
+#   scripts/ci.sh           everything in --quick, plus the
+#                           model-validity audit
 #                           (on a freshly measured Basic campaign), the
 #                           simulator-driven experiments (`repro fig1
 #                           fig2 fig3 ablations baselines`, which
@@ -31,12 +32,11 @@
 #                           those twenty-six CSVs differs from its
 #                           committed copy, and a bench smoke run that
 #                           writes the substrates + streaming +
-#                           analyze + optimizer + loopback +
-#                           model_speed baselines, gates each against
-#                           the per-commit store in results/bench/ via
+#                           optimizer + loopback + model_speed
+#                           baselines, gates each against the
+#                           per-commit store in results/bench/ via
 #                           `cargo xtask bench-diff --latest` (the
-#                           workspace-sized `analyze`,
-#                           microsecond-scale `optimizer`, and
+#                           microsecond-scale `optimizer` and
 #                           simulator-driven `loopback` suites get a
 #                           wider 40% gate via repeated
 #                           `--threshold` flags; everything else
@@ -123,19 +123,16 @@ trap summary EXIT
 
 bench_smoke() {
   # Time the suites fast enough for every CI run (substrate
-  # microbenches, streaming-ingestion throughput, the static
-  # analyzer itself, the pruned optimizer, the closed-loop round
-  # trip, and the paper's model-construction and incremental-refit
-  # speeds) and gate each against the per-commit baseline store:
-  # `bench-diff --latest` compares to the newest entry under
-  # results/bench/ and then records this run for the current commit.
-  # The `analyze` suite times the analyzer over the live workspace —
-  # a corpus that legitimately changes size every PR — the
-  # `optimizer` suite's pruned searches finish in single-digit
-  # microseconds where a few nanoseconds of scheduler noise is a
-  # whole percentage point, and the `loopback` round-trip runs a
-  # whole discrete-event simulation per iteration, so all three get a
-  # wider per-suite gate. The
+  # microbenches, streaming-ingestion throughput, the pruned
+  # optimizer, the closed-loop round trip, and the paper's
+  # model-construction and incremental-refit speeds) and gate each
+  # against the per-commit baseline store: `bench-diff --latest`
+  # compares to the newest entry under results/bench/ and then records
+  # this run for the current commit. The `optimizer` suite's pruned
+  # searches finish in single-digit microseconds where a few
+  # nanoseconds of scheduler noise is a whole percentage point, and
+  # the `loopback` round-trip runs a whole discrete-event simulation
+  # per iteration, so both get a wider per-suite gate. The
   # `model_speed` gate is the measured spread of its medians over three
   # back-to-back runs on a shared 2-vCPU host: up to 87%
   # (`lsq_kernels/nt_fit_9x4`, `model_construction_speed/basic_54_configs`
@@ -148,32 +145,21 @@ bench_smoke() {
   local out_dir="$PWD/target/etm-bench"
   mkdir -p "$out_dir"
   local suite
-  for suite in substrates streaming analyze optimizer loopback model_speed; do
+  for suite in substrates streaming optimizer loopback model_speed; do
     ETM_BENCH_OUT="$out_dir" ETM_BENCH_SAMPLES=5 \
       cargo bench -q -p etm-bench --bench "$suite"
     cargo xtask bench-diff --latest "$out_dir/BENCH_$suite.json" \
-      --threshold analyze=40 \
       --threshold optimizer=40 --threshold loopback=40 --threshold model_speed=90
   done
   cargo xtask bench-trend
 }
 
-analyze_gate() {
-  # The static policy analyzer (P001-P005). Both tiers gate on it;
-  # the full tier also archives the machine-readable report.
-  if [ "$QUICK" = 1 ]; then
-    cargo xtask analyze
-  else
-    cargo xtask analyze --json results/analyze_report.json
-  fi
-}
-
 # --- quick tier: cheap static checks first, then tier-1 -------------
 stage "fmt"        cargo fmt --all --check
-stage "lint"       cargo xtask check hermetic lint
-stage "analyze"    analyze_gate
+stage "hermetic"   cargo xtask check hermetic
 stage "build"      cargo build --release
 stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
+stage "doc"        env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 stage "test"       cargo test -q --workspace
 
 if [ "$QUICK" = 1 ]; then

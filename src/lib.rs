@@ -22,9 +22,6 @@
 //! See the `examples/` directory for runnable scenarios and `DESIGN.md`
 //! for the system inventory and per-experiment index.
 
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use etm_cluster as cluster;
 pub use etm_core as core;
 pub use etm_hpl as hpl;
