@@ -7,8 +7,7 @@
 //! line-regex cannot: nested block comments, raw strings with arbitrary
 //! hash fences, byte/C strings, raw identifiers, and the char-literal /
 //! lifetime ambiguity (`'a'` vs `'a`). Spans are byte-accurate and every
-//! token records the 1-based line/column where it starts, so passes can
-//! emit clickable `file:line:col` diagnostics.
+//! token records the 1-based line/column where it starts.
 
 /// Lexical class of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +53,8 @@ impl Token {
         &src[self.start..self.end]
     }
 
-    /// True for whitespace and comments — tokens the item scanner and
-    /// the passes skip over.
+    /// True for whitespace and comments — tokens the item scanner skips
+    /// over.
     pub fn is_trivia(&self) -> bool {
         matches!(
             self.kind,

@@ -1,8 +1,8 @@
 //! Item scanner: a lightweight structural layer over the token stream.
 //!
-//! No AST — just enough shape recovery for the passes: matched
-//! delimiter pairs and `#[cfg(test)]` / `#[test]` regions, so test code
-//! can be exempted precisely (the old line-regex lint assumed
+//! No AST — just enough shape recovery to tell test code from the
+//! rest: matched delimiter pairs and `#[cfg(test)]` / `#[test]`
+//! regions, found precisely (the old line-regex lint assumed
 //! "everything after the first `#[cfg(test)]` line is tests", which is
 //! wrong for files with a single cfg-gated item).
 
@@ -41,16 +41,6 @@ impl FileIndex {
         self.tokens[i].text(&self.text)
     }
 
-    /// Index of the next non-trivia token after `i`, if any.
-    pub fn next_nt(&self, i: usize) -> Option<usize> {
-        (i + 1..self.tokens.len()).find(|&j| !self.tokens[j].is_trivia())
-    }
-
-    /// Index of the previous non-trivia token before `i`, if any.
-    pub fn prev_nt(&self, i: usize) -> Option<usize> {
-        (0..i).rev().find(|&j| !self.tokens[j].is_trivia())
-    }
-
     /// True when token `i` is inside a test-gated item.
     pub fn is_test_token(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= i && i <= b)
@@ -59,11 +49,6 @@ impl FileIndex {
     /// True when token `i` is an identifier with exactly this text.
     pub fn is_ident(&self, i: usize, text: &str) -> bool {
         self.tokens[i].kind == TokenKind::Ident && self.text_of(i) == text
-    }
-
-    /// True when token `i` is a punctuation char `c`.
-    pub fn is_punct(&self, i: usize, c: char) -> bool {
-        self.tokens[i].kind == TokenKind::Punct && self.text_of(i).starts_with(c)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Workspace loading: walks every `src/` tree (the root facade crate
-//! plus `crates/*/src`, including `xtask` and this crate itself — the
-//! analyzer dogfoods its own source) and indexes each `.rs` file.
+//! plus `crates/*/src`, including `xtask` and this crate itself) and
+//! indexes each `.rs` file.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -51,17 +51,6 @@ impl Workspace {
             files.push(FileIndex::new(rel, text));
         }
         Ok(Workspace { files })
-    }
-
-    /// Builds a workspace from in-memory `(path, text)` pairs — the
-    /// fixture/test entry point.
-    pub fn from_sources(sources: Vec<(String, String)>) -> Workspace {
-        let mut files: Vec<FileIndex> = sources
-            .into_iter()
-            .map(|(path, text)| FileIndex::new(path, text))
-            .collect();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        Workspace { files }
     }
 }
 

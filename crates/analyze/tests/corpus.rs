@@ -1,11 +1,9 @@
 //! Corpus tests: the lexer must be lossless over every `.rs` file in
-//! the real workspace, with byte-accurate spans — plus regression tests
-//! for the token-blindness bugs of the old line-regex lint.
+//! the real workspace, with byte-accurate spans.
 
 use std::path::Path;
 
 use etm_analyze::lexer::{lex, TokenKind};
-use etm_analyze::passes::{policy, Context, Pass};
 use etm_analyze::Workspace;
 
 fn repo_root() -> &'static Path {
@@ -85,53 +83,4 @@ fn marker_comments_report_exact_spans() {
     assert_eq!(b.kind, TokenKind::BlockComment);
     assert_eq!((b.line, b.col), (4, 1));
     assert_eq!(&src[b.start..b.end], "/* MARK-B */");
-}
-
-/// Runs P001 over one in-memory file.
-fn unwrap_diags(src: &str) -> Vec<String> {
-    let ws = Workspace::from_sources(vec![("crates/demo/src/a.rs".to_string(), src.to_string())]);
-    let mut ctx = Context::default();
-    policy::UnwrapBanPass.run(&ws, &mut ctx);
-    ctx.diagnostics.iter().map(|d| d.to_string()).collect()
-}
-
-// ---- regression: the old line-regex lint miscounted all of these ----
-
-#[test]
-fn unwrap_in_line_comment_is_not_code() {
-    let got = unwrap_diags("fn f() {\n    // call .unwrap() here? never.\n    g();\n}\n");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn unwrap_in_doc_comment_is_not_code() {
-    let got = unwrap_diags("/// Returns `x.unwrap()` semantics without the panic.\nfn f() {}\n");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn unwrap_in_string_literal_is_not_code() {
-    let got = unwrap_diags("fn f() -> &'static str { \"do not call .unwrap() in prod\" }\n");
-    assert!(got.is_empty(), "{got:?}");
-    let got = unwrap_diags("fn f() -> &'static str { r#\"raw .unwrap() text\"# }\n");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn commented_out_unwrap_does_not_trip_even_with_marker_nearby() {
-    // `// x().unwrap()  // unwrap-ok: dead code` — no code at all.
-    let got = unwrap_diags("fn f() {\n    // x().unwrap()  // unwrap-ok: dead code\n}\n");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn code_after_single_cfg_test_item_is_still_linted() {
-    // The old lint treated everything after the first `#[cfg(test)]`
-    // line as tests; the scanner gates only the attributed item.
-    let got = unwrap_diags(
-        "#[cfg(test)]\nmod tests {\n    fn t() { x().unwrap(); }\n}\n\
-         fn shipped() { y().unwrap(); }\n",
-    );
-    assert_eq!(got.len(), 1, "{got:?}");
-    assert!(got[0].contains(":5:"), "should point at shipped(): {got:?}");
 }

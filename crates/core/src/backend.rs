@@ -91,9 +91,6 @@ pub struct PtMemo {
 /// the same backend fit yields exactly what a full `fit` of the updated
 /// database would.
 pub trait ModelBackend: Send + Sync {
-    /// Stable identifier, used in reports.
-    fn name(&self) -> &'static str;
-
     /// Refits from `db` the N-T model of every key in `dirty` and the
     /// measured P-T model of every `(kind, m)` group holding one,
     /// carrying every other model over from `previous`, and re-runs the
@@ -218,10 +215,6 @@ impl PolyLsqBackend {
 }
 
 impl ModelBackend for PolyLsqBackend {
-    fn name(&self) -> &'static str {
-        "poly_lsq"
-    }
-
     fn refit_groups(
         &self,
         db: &MeasurementDb,

@@ -1036,10 +1036,6 @@ mod tests {
     }
 
     impl ModelBackend for FlakyBackend {
-        fn name(&self) -> &'static str {
-            "flaky_poly"
-        }
-
         fn refit_groups(
             &self,
             db: &MeasurementDb,
@@ -1168,10 +1164,6 @@ mod tests {
     }
 
     impl ModelBackend for FailsAfterFit {
-        fn name(&self) -> &'static str {
-            "fails_after_fit"
-        }
-
         fn refit_groups(
             &self,
             db: &MeasurementDb,

@@ -477,10 +477,6 @@ mod tests {
     }
 
     impl ModelBackend for FailingRefits {
-        fn name(&self) -> &'static str {
-            "failing_refits"
-        }
-
         fn refit_groups(
             &self,
             db: &MeasurementDb,

@@ -17,9 +17,10 @@
 //!   compute-bound sizes — adding PEs must not make the predicted run
 //!   slower where `Ta ∝ N³/P` dominates.
 //!
-//! `cargo xtask check` runs the registry over a bank fit from the
-//! simulated paper cluster; library consumers can run it over any bank
-//! they load or fit (e.g. after editing a persisted model JSON by hand).
+//! The tier-1 test `tests/audit.rs` runs the registry over the bank fit
+//! from the simulated Basic campaign; library consumers can run it over
+//! any bank they load or fit (e.g. after editing a persisted model JSON
+//! by hand).
 
 use std::fmt;
 
@@ -154,7 +155,7 @@ pub fn registry() -> Vec<Check> {
 }
 
 /// Audits the health metadata of a *degraded* serving bank — what
-/// `cargo xtask check audit` runs after poisoning a group past the
+/// `tests/quarantine.rs` runs after poisoning a group past the
 /// quarantine budget:
 ///
 /// * every composed-fallback group must also be quarantined (a fallback

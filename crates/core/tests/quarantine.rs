@@ -10,9 +10,13 @@
 //! * **Re-admission is immediate and complete**: one admitted sample
 //!   for a quarantined group clears its bad ledger, and the group then
 //!   has its whole budget again.
+//!
+//! A last test audits the degraded snapshot a quarantine publishes with
+//! [`etm_core::validate::audit_degraded`].
 
 use etm_core::backend::PolyLsqBackend;
 use etm_core::engine::{Engine, QuarantinePolicy};
+use etm_core::validate::{self, Severity};
 use etm_core::{MeasurementDb, Sample, SampleKey};
 use etm_support::prop;
 use etm_support::rng::Rng64;
@@ -146,4 +150,37 @@ fn quarantined_group_readmits_after_a_clean_ingest() {
             }
         }
     });
+}
+
+/// Poisons one group past its quarantine budget and audits the degraded
+/// snapshot: the health metadata must be self-consistent, and the
+/// composed fallback (the other kind is the healthy donor) must still
+/// be a finite, non-negative model.
+#[test]
+fn quarantined_group_serves_an_audited_composed_fallback() {
+    const TARGET: (usize, usize) = (1, 1);
+    let e = engine(2);
+    let key = SampleKey {
+        kind: TARGET.0,
+        pes: 1,
+        m: TARGET.1,
+    };
+    let mut snap = e.snapshot();
+    // Three distinct bad (key, N) slots exceed the budget of two.
+    for n in [400, 800, 1600] {
+        let mut bad = synth_sample(TARGET.0, 1, TARGET.1, n);
+        bad.wall = f64::NAN;
+        snap = e.ingest(&[(key, bad)]).expect("rejection is not an error");
+    }
+    let health = snap.health();
+    assert_eq!(health.quarantined, vec![TARGET]);
+    assert_eq!(health.composed_fallback, vec![TARGET]);
+    let findings = validate::audit_degraded(snap.bank(), health);
+    for f in &findings {
+        println!("{f}");
+    }
+    assert!(
+        findings.iter().all(|f| f.severity == Severity::Warning),
+        "degraded-health violations: {findings:#?}"
+    );
 }

@@ -25,7 +25,7 @@ pub struct ThroughputSample {
 /// returns the measured one-way throughput.
 ///
 /// `placement` must contain at least two ranks; ranks 0 and 1 are used.
-pub fn ping_pong(
+pub(crate) fn ping_pong(
     spec: &ClusterSpec,
     placement: &Placement,
     block_bytes: f64,

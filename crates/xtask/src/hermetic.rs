@@ -1,4 +1,4 @@
-//! Pass 1: hermeticity lint over every `Cargo.toml` in the workspace.
+//! `cargo xtask check`: the hermeticity lint over every `Cargo.toml`.
 //!
 //! The invariant: the workspace builds with an empty cargo registry
 //! cache and no network. Concretely, every entry in a dependency table
@@ -7,14 +7,14 @@
 //! dependency). `git`, `registry`, and bare-version dependencies are
 //! violations, as are `[patch]`/`[replace]` tables.
 //!
-//! The pass also requires every manifest to opt in to the root's
+//! The check also requires every manifest to opt in to the root's
 //! `[workspace.lints]` tables (`[lints] workspace = true`): a crate that
 //! skips the opt-in would build without the workspace's source policy.
 
 use std::fs;
 use std::path::Path;
 
-/// Runs the pass. Returns one message per violation.
+/// Runs the check. Returns one message per violation.
 pub fn run(root: &Path) -> Result<Vec<String>, String> {
     let mut manifests = vec![root.join("Cargo.toml")];
     let crates = root.join("crates");

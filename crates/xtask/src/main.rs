@@ -1,83 +1,41 @@
-//! `cargo xtask check` — the workspace's in-tree gate.
+//! `cargo xtask` — the workspace's manifest gate and bench-store tools.
 //!
-//! Three passes, all exercised by CI (`scripts/ci.sh`) and runnable
-//! offline with an empty cargo cache:
+//! `cargo xtask check` runs the hermeticity check over every
+//! `Cargo.toml` (run by `scripts/ci.sh`, offline, with an empty cargo
+//! cache): every dependency is a path (or workspace-inherited path)
+//! dependency, so no registry or git dependency can sneak in, and every
+//! manifest opts in to the workspace's declared lints (`[lints]
+//! workspace = true`). The source policy itself is those lints, which
+//! clippy enforces, and the model-validity audit is a tier-1 test
+//! (`crates/core/tests/audit.rs`).
 //!
-//! 1. **hermetic** — every dependency in every `Cargo.toml` is a path
-//!    (or workspace-inherited path) dependency, so no registry or git
-//!    dependency can sneak in, and every manifest opts in to the
-//!    workspace's declared lints (`[lints] workspace = true`).
-//! 2. **toolchain** — `cargo clippy --workspace --all-targets -- -D
-//!    warnings` and `cargo fmt --all --check`. The source policy lives
-//!    in the root manifest's `[workspace.lints]` tables and in
-//!    `clippy.toml`, so clippy enforces it.
-//! 3. **audit** — the model-validity audit (`etm_core::validate`): fits
-//!    a model bank from the simulated paper cluster and runs every
-//!    registered invariant check over it, then drives a live engine
-//!    into quarantine and audits the degraded snapshot's health
-//!    metadata and composed-fallback coefficients.
+//! `cargo xtask bench-diff <old> <new> [--threshold [SUITE=]PCT]...`
+//! compares two `BENCH_<suite>.json` baselines written by the
+//! `etm-bench` harness and fails on median regressions; `--threshold`
+//! repeats, and a `SUITE=PCT` form overrides the gate for that one
+//! suite. `cargo xtask bench-diff --latest <new> [--threshold
+//! [SUITE=]PCT]...` instead diffs against — and then updates — the
+//! per-commit baseline store under `results/bench/<short-sha>/`.
 //!
-//! Run a subset with e.g. `cargo xtask check hermetic audit`.
-//!
-//! A second subcommand, `cargo xtask bench-diff <old> <new>
-//! [--threshold [SUITE=]PCT]...`, compares two `BENCH_<suite>.json`
-//! baselines written by the `etm-bench` harness and fails on median
-//! regressions; `--threshold` repeats, and a `SUITE=PCT` form
-//! overrides the gate for that one suite. `cargo xtask bench-diff
-//! --latest <new> [--threshold [SUITE=]PCT]...` instead diffs against
-//! — and then updates — the per-commit baseline store under
-//! `results/bench/<short-sha>/`.
-//!
-//! A third, `cargo xtask bench-trend [suite...]`, renders the store's
-//! history (`results/bench/index.log`) as one markdown table of medians
-//! per commit and suite, written to `results/bench/TREND.md`.
+//! `cargo xtask bench-trend [suite...]` renders the store's history
+//! (`results/bench/index.log`) as one markdown table of medians per
+//! commit and suite, written to `results/bench/TREND.md`.
 
-mod audit;
 mod benchdiff;
 mod hermetic;
-mod toolchain;
 mod trend;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// A single gate pass: a name for the CLI and a runner returning the
-/// list of violations (empty = pass).
-struct Pass {
-    name: &'static str,
-    what: &'static str,
-    run: fn(&Path) -> Result<Vec<String>, String>,
-}
-
-const PASSES: [Pass; 3] = [
-    Pass {
-        name: "hermetic",
-        what: "path-only dependencies and the workspace lint opt-in in every manifest",
-        run: hermetic::run,
-    },
-    Pass {
-        name: "toolchain",
-        what: "cargo clippy -D warnings and cargo fmt --check",
-        run: toolchain::run,
-    },
-    Pass {
-        name: "audit",
-        what: "model-validity audit + degraded-health metadata check",
-        run: audit::run,
-    },
-];
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo xtask check [pass...]\n       \
+        "usage: cargo xtask check\n       \
          cargo xtask bench-diff <old.json> <new.json> [--threshold [SUITE=]PCT]...\n       \
          cargo xtask bench-diff --latest <new.json> [--threshold [SUITE=]PCT]...\n       \
          cargo xtask bench-trend [suite...]\n\n\
-         check passes (default: all, in order):"
+         check: path-only dependencies and the workspace lint opt-in in every manifest"
     );
-    for p in &PASSES {
-        eprintln!("  {:<10} {}", p.name, p.what);
-    }
     ExitCode::from(2)
 }
 
@@ -165,49 +123,25 @@ fn main() -> ExitCode {
             }
         };
     }
-    if cmd != "check" {
+    if cmd != "check" || !rest.is_empty() {
         return usage();
     }
-    let selected: Vec<&Pass> = if rest.is_empty() {
-        PASSES.iter().collect()
-    } else {
-        let mut sel = Vec::new();
-        for want in rest {
-            match PASSES.iter().find(|p| p.name == want) {
-                Some(p) => sel.push(p),
-                None => {
-                    eprintln!("unknown pass `{want}`");
-                    return usage();
-                }
-            }
+    println!("==> hermetic (path-only dependencies, workspace lint opt-in)");
+    match hermetic::run(&workspace_root()) {
+        Ok(violations) if violations.is_empty() => {
+            println!("xtask check: green");
+            ExitCode::SUCCESS
         }
-        sel
-    };
-
-    let root = workspace_root();
-    let mut failed = false;
-    for pass in selected {
-        println!("==> {} ({})", pass.name, pass.what);
-        match (pass.run)(&root) {
-            Ok(violations) if violations.is_empty() => println!("    ok"),
-            Ok(violations) => {
-                failed = true;
-                for v in &violations {
-                    println!("    FAIL: {v}");
-                }
-                println!("    {} violation(s)", violations.len());
+        Ok(violations) => {
+            for v in &violations {
+                println!("    FAIL: {v}");
             }
-            Err(e) => {
-                failed = true;
-                println!("    ERROR: {e}");
-            }
+            println!("xtask check: {} violation(s)", violations.len());
+            ExitCode::FAILURE
         }
-    }
-    if failed {
-        println!("xtask check: FAILED");
-        ExitCode::FAILURE
-    } else {
-        println!("xtask check: all passes green");
-        ExitCode::SUCCESS
+        Err(e) => {
+            println!("xtask check: ERROR: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -3,15 +3,18 @@
 #
 #   scripts/ci.sh --quick   fail-fast inner loop: fmt + hermeticity
 #                           (path-only dependencies, and every manifest
-#                           opts in to the declared workspace lints),
+#                           opts in to the declared workspace lints;
+#                           `cargo xtask` links only etm-support, so
+#                           this stage compiles no simulator code),
 #                           then the tier-1 build, clippy over every
 #                           target with warnings denied (which enforces
 #                           the source policy declared in Cargo.toml's
 #                           [workspace.lints] and clippy.toml), rustdoc
-#                           with warnings denied, and the tier-1 tests.
+#                           with warnings denied, and the tier-1 tests
+#                           (which include the model-validity audit of
+#                           the freshly measured Basic bank and of a
+#                           quarantined engine's degraded snapshot).
 #   scripts/ci.sh           everything in --quick, plus the
-#                           model-validity audit
-#                           (on a freshly measured Basic campaign), the
 #                           simulator-driven experiments (`repro fig1
 #                           fig2 fig3 ablations baselines`, which
 #                           rewrite eleven CSVs through the rank
@@ -156,7 +159,7 @@ bench_smoke() {
 
 # --- quick tier: cheap static checks first, then tier-1 -------------
 stage "fmt"        cargo fmt --all --check
-stage "hermetic"   cargo xtask check hermetic
+stage "hermetic"   cargo xtask check
 stage "build"      cargo build --release
 stage "clippy"     cargo clippy --workspace --all-targets -q -- -D warnings
 stage "doc"        env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -169,7 +172,6 @@ if [ "$QUICK" = 1 ]; then
 fi
 
 # --- full tier ------------------------------------------------------
-stage "audit"      cargo xtask check audit
 stage "sim"        cargo run -q --release -p etm-repro --bin repro -- \
                      fig1 fig2 fig3 ablations baselines
 stage "paper"      cargo run -q --release -p etm-repro --bin repro -- \
