@@ -13,7 +13,6 @@ use etm_core::measurement::{MeasurementDb, Sample, SampleKey};
 use etm_core::ntmodel::NtModel;
 use etm_core::pipeline::{Estimator, ModelBank};
 use etm_core::plan::evaluation_configs;
-use etm_core::ptmodel::{PtModel, PtObservation};
 use etm_lsq::lstsq;
 
 /// A synthetic but realistically-shaped measurement database with the
@@ -94,7 +93,7 @@ fn estimation_speed_62_configs(r: &mut Runner) {
 
 /// The engine's headline trade: a full-bank refit vs an incremental
 /// ingest that dirties a single `(kind, m)` group of the Basic-sized
-/// grid. The ISSUE's acceptance bar is a ≥3× median win for ingest.
+/// grid, timed as a same-run pair. The claim is a ≥3× win for ingest.
 fn engine_refit_speed(r: &mut Runner) {
     use etm_core::backend::PolyLsqBackend;
     use etm_core::engine::Engine;
@@ -105,21 +104,23 @@ fn engine_refit_speed(r: &mut Runner) {
     let key = SampleKey::new(etm_cluster::KindId(1), 4, 2);
     let base = db.samples(&key)[0];
 
-    let engine = Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("fit");
-    r.bench("engine_refit/full_bank", || {
-        black_box(engine.refit_full().expect("refit"))
-    });
-
+    let full = Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("fit");
     let engine = Engine::new(Box::new(PolyLsqBackend::paper()), db, None).expect("fit");
     let mut round = 0u64;
-    r.bench("engine_refit/ingest_single_group", || {
-        // Nudge the sample every call so its bits always change and
-        // every iteration pays for a real refit.
-        round += 1;
-        let mut s = base;
-        s.ta *= 1.0 + 1e-9 * round as f64;
-        black_box(engine.ingest(&[(key, s)]).expect("refit"))
-    });
+    r.pair(
+        "engine_refit/ingest_single_group",
+        "engine_refit/full_bank",
+        || {
+            // Nudge the sample every call so its bits always change and
+            // every iteration pays for a real refit.
+            round += 1;
+            let mut s = base;
+            s.ta *= 1.0 + 1e-9 * round as f64;
+            black_box(engine.ingest(&[(key, s)]).expect("refit"))
+        },
+        || black_box(full.refit_full().expect("refit")),
+        Some(INGEST_OVER_FULL),
+    );
 }
 
 fn lsq_kernels(r: &mut Runner) {
@@ -172,24 +173,17 @@ fn single_prediction_speed(r: &mut Runner) {
         ka: [1e-9, 2e-7, 1e-4, 0.3],
         kc: [1e-8, 1e-5, 0.05],
     };
-    let obs: Vec<PtObservation> = (1..=8)
-        .flat_map(|p| {
-            [800usize, 1600, 3200, 6400].map(|n| PtObservation {
-                n,
-                p,
-                ta: nt.ta(n) / p as f64,
-                tc: nt.tc(n) * p as f64 * 0.1,
-            })
-        })
-        .collect();
-    let pt = PtModel::fit(nt, &obs).expect("fit");
     r.bench("single_prediction/nt_total", || {
         black_box(nt.total(black_box(6400)))
     });
-    r.bench("single_prediction/pt_total", || {
-        black_box(pt.total(black_box(6400), black_box(12)))
-    });
 }
+
+/// Bound on `engine_refit/ingest_single_group /
+/// engine_refit/full_bank`, tighter than the ≥3× claim (1/3): the
+/// median of the per-sample ratios measured 0.135–0.179 over 34 runs
+/// pinned to one CPU and 34 unpinned on a shared 2-vCPU host, so 0.22
+/// passes every run and fails a 2× slowdown of the ingest (≥ 0.270).
+const INGEST_OVER_FULL: f64 = 0.22;
 
 fn main() {
     let mut r = Runner::new("model_speed");

@@ -57,44 +57,44 @@ fn replay_speed(r: &mut Runner) {
     });
 }
 
-/// One streamed batch through `ingest_batch`: the consumer's steady-state
-/// unit of work. The batch is nudged every call so its samples' bits
-/// always change and every iteration pays for a refit.
+/// One streamed batch through `ingest_batch`, the consumer's
+/// steady-state unit of work, timed against a re-delivered batch.
+///
+/// The changing batch is nudged every call so its samples' bits always
+/// change and every iteration pays for a refit. The re-delivered batch
+/// holds samples the database already has: every upsert finds the same
+/// bits, so the ingest refits and publishes nothing. This is the path
+/// at-least-once redelivery and a quiescent closed loop take.
 fn ingest_batch_speed(r: &mut Runner) {
     let db = synthetic_db();
-    let engine = Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("fit");
     let key = SampleKey::new(etm_cluster::KindId(1), 4, 2);
     let trials: Vec<(SampleKey, Sample)> = db.samples(&key).iter().map(|s| (key, *s)).collect();
-    let mut round = 0u64;
-    r.bench("stream/ingest_batch_one_group", || {
-        round += 1;
-        let mut batch = etm_core::stream::TrialBatch {
-            seq: round,
-            sim_time: round as f64,
-            trials: trials.clone(),
-        };
-        for (_, s) in &mut batch.trials {
-            s.ta *= 1.0 + 1e-9 * round as f64;
-        }
-        black_box(engine.ingest_batch(&batch).expect("refit"))
-    });
-}
-
-/// A re-delivered batch the database already holds: every upsert finds
-/// the same bits, so the ingest refits and publishes nothing. This is
-/// the path at-least-once redelivery and a quiescent closed loop take.
-fn ingest_redelivered_speed(r: &mut Runner) {
-    let db = synthetic_db();
-    let engine = Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("fit");
-    let key = SampleKey::new(etm_cluster::KindId(1), 4, 2);
-    let batch = etm_core::stream::TrialBatch {
+    let changing = Engine::new(Box::new(PolyLsqBackend::paper()), db.clone(), None).expect("fit");
+    let quiet = Engine::new(Box::new(PolyLsqBackend::paper()), db, None).expect("fit");
+    let redelivered = etm_core::stream::TrialBatch {
         seq: 0,
         sim_time: 0.0,
-        trials: db.samples(&key).iter().map(|s| (key, *s)).collect(),
+        trials: trials.clone(),
     };
-    r.bench("stream/ingest_batch_redelivered", || {
-        black_box(engine.ingest_batch(&batch).expect("no-op"))
-    });
+    let mut round = 0u64;
+    r.pair(
+        "stream/ingest_batch_redelivered",
+        "stream/ingest_batch_one_group",
+        || black_box(quiet.ingest_batch(&redelivered).expect("no-op")),
+        || {
+            round += 1;
+            let mut batch = etm_core::stream::TrialBatch {
+                seq: round,
+                sim_time: round as f64,
+                trials: trials.clone(),
+            };
+            for (_, s) in &mut batch.trials {
+                s.ta *= 1.0 + 1e-9 * round as f64;
+            }
+            black_box(changing.ingest_batch(&batch).expect("refit"))
+        },
+        Some(REDELIVERED_OVER_ONE_GROUP),
+    );
 }
 
 /// The full drain: replay, consumer loop, snapshot per effective batch
@@ -126,11 +126,17 @@ fn end_to_end_speed(r: &mut Runner) {
     });
 }
 
+/// Bound on `stream/ingest_batch_redelivered /
+/// stream/ingest_batch_one_group`: the median of the per-sample ratios
+/// measured 0.033–0.042 over 34 runs pinned to one CPU and 34 unpinned
+/// on a shared 2-vCPU host, so 0.055 passes every run and fails a 2×
+/// slowdown of the re-delivered batch (≥ 0.066).
+const REDELIVERED_OVER_ONE_GROUP: f64 = 0.055;
+
 fn main() {
     let mut r = Runner::new("streaming");
     replay_speed(&mut r);
     ingest_batch_speed(&mut r);
-    ingest_redelivered_speed(&mut r);
     end_to_end_speed(&mut r);
     r.finish();
 }

@@ -14,20 +14,29 @@ use etm_linalg::lu::dgetrf;
 use etm_linalg::Matrix;
 use etm_sim::Simulation;
 
+/// Blocked `dgemm` is gated against the naive triple loop. The parallel
+/// kernel's ratio to the blocked one depends on the host's core count,
+/// so it is printed ungated.
 fn gemm_kernels(r: &mut Runner) {
-    for &n in &[64usize, 192] {
+    for (n, bound) in BLOCKED_OVER_NAIVE {
         let a = seeded_matrix(n, n, 1);
         let b = seeded_matrix(n, n, 2);
-        let mut cm = Matrix::zeros(n, n);
-        r.bench(&format!("gemm_kernels/naive/{n}"), || {
-            dgemm_naive(1.0, &a, &b, 0.0, black_box(&mut cm))
-        });
-        r.bench(&format!("gemm_kernels/blocked/{n}"), || {
-            dgemm(1.0, &a, &b, 0.0, black_box(&mut cm))
-        });
-        r.bench(&format!("gemm_kernels/parallel/{n}"), || {
-            par_dgemm(1.0, &a, &b, 0.0, black_box(&mut cm))
-        });
+        let (mut c_naive, mut c_blocked) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        r.pair(
+            &format!("gemm_kernels/blocked/{n}"),
+            &format!("gemm_kernels/naive/{n}"),
+            || dgemm(1.0, &a, &b, 0.0, black_box(&mut c_blocked)),
+            || dgemm_naive(1.0, &a, &b, 0.0, black_box(&mut c_naive)),
+            Some(bound),
+        );
+        let mut c_parallel = Matrix::zeros(n, n);
+        r.pair(
+            &format!("gemm_kernels/parallel/{n}"),
+            &format!("gemm_kernels/blocked/{n}"),
+            || par_dgemm(1.0, &a, &b, 0.0, black_box(&mut c_parallel)),
+            || dgemm(1.0, &a, &b, 0.0, black_box(&mut c_blocked)),
+            None,
+        );
     }
 }
 
@@ -119,6 +128,14 @@ fn des_event_throughput(r: &mut Runner) {
         black_box(simulate_hpl(&spec, &single, &params).wall_seconds)
     });
 }
+
+/// Matrix orders of the `gemm` rows, each with its bound on
+/// `gemm_kernels/blocked/n / gemm_kernels/naive/n`. The medians of the
+/// per-sample ratios measured 0.276–0.437 at 64 and 0.221–0.320 at 192
+/// over 34 runs pinned to one CPU and 34 unpinned on a shared 2-vCPU
+/// host; each bound passes every run and fails a 2× slowdown of the
+/// blocked kernel (≥ 0.552 and ≥ 0.442).
+const BLOCKED_OVER_NAIVE: [(usize, f64); 2] = [(64, 0.5), (192, 0.4)];
 
 fn main() {
     let mut r = Runner::new("substrates");

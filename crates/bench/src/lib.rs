@@ -2,24 +2,22 @@
 //! criterion, so the hermetic build keeps its timing suites.
 //!
 //! Each `benches/*.rs` target is a plain binary (`harness = false`) that
-//! builds a [`Runner`], registers closures with [`Runner::bench`], and
-//! prints a table from [`Runner::finish`]. Iteration counts are
-//! auto-calibrated so every sample runs long enough for `Instant` to
-//! resolve it; set `ETM_BENCH_SAMPLES` to trade precision for wall time
-//! (default 10, minimum 2).
+//! builds a [`Runner`], registers closures with [`Runner::bench`] and
+//! [`Runner::pair`], and prints a table from [`Runner::finish`].
+//! Iteration counts are auto-calibrated so every sample runs long enough
+//! for `Instant` to resolve it; set `ETM_BENCH_SAMPLES` to trade
+//! precision for wall time (default 10, minimum 2).
 //!
-//! Besides the human-readable table, `finish` writes a machine-readable
-//! baseline `BENCH_<suite>.json` into the directory named by the
-//! `ETM_BENCH_OUT` environment variable (when set). Two such baselines
-//! diff with `cargo xtask bench-diff <old> <new>`, which fails on median
-//! regressions — the CI full tier's replacement for criterion's
-//! `--save-baseline` workflow.
+//! Absolute times do not carry from one host, or one run, to the next,
+//! so no absolute time is gated. A speed claim is a ratio of two paths
+//! timed in the same run: [`Runner::pair`] alternates their samples and
+//! reports the median of the per-sample ratios with its quartiles, and
+//! [`Runner::finish`] exits non-zero when a median breaks the bound the
+//! suite wrote next to its pair.
 
 pub use std::hint::black_box;
 
 use std::time::{Duration, Instant};
-
-use etm_support::json::{to_string_pretty, Json, ToJson};
 
 /// Target duration of one timed sample. Short enough that even the
 /// heavyweight simulation benches finish in seconds, long enough that
@@ -36,26 +34,76 @@ struct Row {
     max_ns: f64,
 }
 
-impl ToJson for Row {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".to_string(), self.name.to_json()),
-            ("iters".to_string(), self.iters.to_json()),
-            ("samples".to_string(), self.samples.to_json()),
-            ("min_ns".to_string(), self.min_ns.to_json()),
-            ("median_ns".to_string(), self.median_ns.to_json()),
-            ("mean_ns".to_string(), self.mean_ns.to_json()),
-            ("max_ns".to_string(), self.max_ns.to_json()),
-        ])
+impl Row {
+    fn new(name: &str, iters: u64, per_iter_ns: &[f64]) -> Self {
+        let mut sorted = per_iter_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        Row {
+            name: name.to_string(),
+            iters,
+            samples: sorted.len(),
+            min_ns: sorted[0],
+            median_ns: quantile(&sorted, 0.5),
+            mean_ns: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            max_ns: sorted[sorted.len() - 1],
+        }
     }
 }
 
-/// Collects benchmark timings and renders them as a table plus an
-/// optional JSON baseline.
+/// The median and quartiles of the per-sample ratios `A/B` of one pair.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct RatioStats {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+/// Divides each sample of `a` by the sample of `b` taken next to it and
+/// summarizes the ratios.
+fn ratio_stats(a: &[f64], b: &[f64]) -> RatioStats {
+    assert_eq!(a.len(), b.len(), "a pair takes one B sample per A sample");
+    let mut ratios: Vec<f64> = a.iter().zip(b).map(|(a, b)| a / b).collect();
+    ratios.sort_by(f64::total_cmp);
+    RatioStats {
+        q1: quantile(&ratios, 0.25),
+        median: quantile(&ratios, 0.5),
+        q3: quantile(&ratios, 0.75),
+    }
+}
+
+/// The `q`-quantile of a non-empty sorted slice, interpolated linearly
+/// between the two nearest ranks (so the median of an even count is the
+/// mean of the middle two).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// One pair's same-run ratio and the bound its median must not exceed.
+struct Ratio {
+    /// `"<name> / <reference>"`.
+    label: String,
+    stats: RatioStats,
+    bound: Option<f64>,
+}
+
+impl Ratio {
+    /// Whether the median ratio breaks its bound (a NaN median does).
+    fn broken(&self) -> bool {
+        let median = self.stats.median;
+        self.bound
+            .is_some_and(|bound| median.is_nan() || median > bound)
+    }
+}
+
+/// Collects benchmark timings and same-run ratios and renders them as a
+/// table.
 pub struct Runner {
     suite: String,
     samples: usize,
     rows: Vec<Row>,
+    ratios: Vec<Ratio>,
 }
 
 impl Runner {
@@ -70,6 +118,7 @@ impl Runner {
             suite: suite.to_string(),
             samples,
             rows: Vec::new(),
+            ratios: Vec::new(),
         }
     }
 
@@ -77,44 +126,75 @@ impl Runner {
     /// The closure's return value is passed through [`black_box`] so the
     /// optimizer cannot delete the work.
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        // Warm-up call doubles as the calibration probe.
-        let probe_start = Instant::now();
-        black_box(f());
-        let probe = probe_start.elapsed().max(Duration::from_nanos(1));
-        let iters = (SAMPLE_TARGET.as_nanos() / probe.as_nanos()).clamp(1, 10_000_000) as u64;
-        // Heavyweight workloads (whole simulated HPL runs) get fewer
-        // samples so a full suite stays in minutes.
-        let samples = if probe > Duration::from_millis(200) {
-            self.samples.min(3)
-        } else {
-            self.samples
-        };
-
-        let mut per_iter_ns: Vec<f64> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    black_box(f());
-                }
-                start.elapsed().as_nanos() as f64 / iters as f64
-            })
+        let (iters, probe) = calibrate(&mut f);
+        let per_iter_ns: Vec<f64> = (0..self.samples_for(probe))
+            .map(|_| sample(iters, &mut f))
             .collect();
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let mean_ns = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
-        self.rows.push(Row {
-            name: name.to_string(),
-            iters,
-            samples,
-            min_ns: per_iter_ns[0],
-            median_ns: per_iter_ns[per_iter_ns.len() / 2],
-            mean_ns,
-            max_ns: per_iter_ns[per_iter_ns.len() - 1],
+        self.push_row(Row::new(name, iters, &per_iter_ns));
+    }
+
+    /// Times `a` (row `name`) against its reference `b` (row
+    /// `reference`) in the same run and records the ratio `A/B` of
+    /// their per-call times. Each side is calibrated on its own; the
+    /// samples then alternate in ABBA order (A leads on even samples, B
+    /// on odd ones), so a drift or a short stall lands on both sides
+    /// alike, and each A sample is divided by the B sample next to it.
+    ///
+    /// [`Runner::finish`] fails the run when the median ratio exceeds
+    /// `bound`. `None` prints the ratio ungated: for a claim that
+    /// depends on the host's core count, or whose spread across runs
+    /// leaves no bound that would catch a 2× slowdown. A row already
+    /// recorded under the same name keeps its first timing.
+    pub fn pair<RA, RB>(
+        &mut self,
+        name: &str,
+        reference: &str,
+        mut a: impl FnMut() -> RA,
+        mut b: impl FnMut() -> RB,
+        bound: Option<f64>,
+    ) {
+        let (iters_a, probe_a) = calibrate(&mut a);
+        let (iters_b, probe_b) = calibrate(&mut b);
+        let samples = self.samples_for(probe_a.max(probe_b));
+        let mut per_iter_a = Vec::with_capacity(samples);
+        let mut per_iter_b = Vec::with_capacity(samples);
+        for i in 0..samples {
+            if i % 2 == 0 {
+                per_iter_a.push(sample(iters_a, &mut a));
+                per_iter_b.push(sample(iters_b, &mut b));
+            } else {
+                per_iter_b.push(sample(iters_b, &mut b));
+                per_iter_a.push(sample(iters_a, &mut a));
+            }
+        }
+        self.push_row(Row::new(name, iters_a, &per_iter_a));
+        self.push_row(Row::new(reference, iters_b, &per_iter_b));
+        self.ratios.push(Ratio {
+            label: format!("{name} / {reference}"),
+            stats: ratio_stats(&per_iter_a, &per_iter_b),
+            bound,
         });
     }
 
-    /// Prints the collected rows, writes the `BENCH_<suite>.json`
-    /// baseline when `ETM_BENCH_OUT` names a directory, and consumes
-    /// the runner.
+    /// Heavyweight workloads (whole simulated HPL runs) get fewer
+    /// samples so a full suite stays in minutes.
+    fn samples_for(&self, probe: Duration) -> usize {
+        if probe > Duration::from_millis(200) {
+            self.samples.min(3)
+        } else {
+            self.samples
+        }
+    }
+
+    fn push_row(&mut self, row: Row) {
+        if self.rows.iter().all(|r| r.name != row.name) {
+            self.rows.push(row);
+        }
+    }
+
+    /// Prints the collected rows and ratios and consumes the runner.
+    /// Exits the process with status 1 when any median ratio breaks its
+    /// bound.
     pub fn finish(self) {
         println!("\n== {} ==", self.suite);
         let width = self.rows.iter().map(|r| r.name.len()).max().unwrap_or(4);
@@ -130,26 +210,43 @@ impl Runner {
                 r.iters,
             );
         }
-        if let Ok(dir) = std::env::var("ETM_BENCH_OUT") {
-            let path = std::path::Path::new(&dir).join(format!("BENCH_{}.json", self.suite));
-            let write = || -> std::io::Result<()> {
-                std::fs::create_dir_all(&dir)?;
-                std::fs::write(&path, to_string_pretty(&self.baseline_json()))
+        let width = self.ratios.iter().map(|r| r.label.len()).max().unwrap_or(4);
+        for r in &self.ratios {
+            let verdict = match r.bound {
+                Some(bound) if r.broken() => format!("FAIL: bound {bound}"),
+                Some(bound) => format!("ok: bound {bound}"),
+                None => "ungated".to_string(),
             };
-            match write() {
-                Ok(()) => println!("baseline -> {}", path.display()),
-                Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-            }
+            println!(
+                "{:width$}  ratio {:.3}  (q1 {:.3}, q3 {:.3})  {verdict}",
+                r.label, r.stats.median, r.stats.q1, r.stats.q3,
+            );
+        }
+        let broken = self.ratios.iter().filter(|r| r.broken()).count();
+        if broken > 0 {
+            eprintln!("{}: {broken} ratio(s) above their bound", self.suite);
+            std::process::exit(1);
         }
     }
+}
 
-    /// The machine-readable baseline document.
-    fn baseline_json(&self) -> Json {
-        Json::Obj(vec![
-            ("suite".to_string(), self.suite.to_json()),
-            ("rows".to_string(), self.rows.to_json()),
-        ])
+/// One warm-up call, which doubles as the calibration probe: returns
+/// how many calls make up one sample, and the probe's duration.
+fn calibrate<R>(f: &mut impl FnMut() -> R) -> (u64, Duration) {
+    let probe_start = Instant::now();
+    black_box(f());
+    let probe = probe_start.elapsed().max(Duration::from_nanos(1));
+    let iters = (SAMPLE_TARGET.as_nanos() / probe.as_nanos()).clamp(1, 10_000_000) as u64;
+    (iters, probe)
+}
+
+/// Times `iters` calls of `f`; returns nanoseconds per call.
+fn sample<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
     }
+    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Renders nanoseconds with an adaptive unit.
@@ -168,6 +265,7 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn runner_times_and_reports() {
@@ -188,18 +286,85 @@ mod tests {
     }
 
     #[test]
-    fn baseline_json_is_machine_readable() {
-        let mut r = Runner::new("jsontest");
-        r.bench("noop", || 1u8);
-        let text = to_string_pretty(&r.baseline_json());
-        let doc = etm_support::json::parse(&text).unwrap();
-        assert_eq!(doc.field::<String>("suite").unwrap(), "jsontest");
-        let rows: Vec<Json> = doc.field("rows").unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].field::<String>("name").unwrap(), "noop");
-        assert!(rows[0].field::<f64>("median_ns").unwrap() >= 0.0);
-        assert!(rows[0].field::<f64>("mean_ns").unwrap() >= 0.0);
-        assert!(rows[0].field::<f64>("min_ns").unwrap() >= 0.0);
+    fn pair_alternates_samples_in_abba_order() {
+        // Which side each call ran, run-length encoded. ABBA order shows
+        // as doubled runs between the first and last sample, which
+        // plain ABAB alternation never makes.
+        let log = RefCell::new(Vec::<(char, u64)>::new());
+        let call = |side: char| {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_micros(50) {}
+            let mut log = log.borrow_mut();
+            match log.last_mut() {
+                Some((last, n)) if *last == side => *n += 1,
+                _ => log.push((side, 1)),
+            }
+        };
+        let mut r = Runner {
+            suite: "abba".to_string(),
+            samples: 4,
+            rows: Vec::new(),
+            ratios: Vec::new(),
+        };
+        r.pair("a", "b", || call('a'), || call('b'), None);
+        assert_eq!(r.rows.len(), 2);
+        assert_eq!(r.ratios.len(), 1);
+        let (ia, ib) = (r.rows[0].iters, r.rows[1].iters);
+        assert!(r.rows.iter().all(|row| row.samples == 4));
+        // The two probes, then samples A B | B A | A B | B A.
+        let expected = vec![
+            ('a', 1),
+            ('b', 1),
+            ('a', ia),
+            ('b', 2 * ib),
+            ('a', 2 * ia),
+            ('b', 2 * ib),
+            ('a', ia),
+        ];
+        assert_eq!(log.into_inner(), expected);
+    }
+
+    #[test]
+    fn ratio_quartiles_for_odd_and_even_sample_counts() {
+        // Ratios 5, 1, 4, 2, 3 (each A sample over the B sample next to
+        // it), unsorted on purpose.
+        let odd = ratio_stats(&[10.0, 1.0, 8.0, 6.0, 3.0], &[2.0, 1.0, 2.0, 3.0, 1.0]);
+        assert_eq!(
+            odd,
+            RatioStats {
+                q1: 2.0,
+                median: 3.0,
+                q3: 4.0
+            }
+        );
+        // Ratios 4, 1, 3, 2: the median is the mean of the middle two.
+        let even = ratio_stats(&[4.0, 1.0, 3.0, 2.0], &[1.0; 4]);
+        assert_eq!(
+            even,
+            RatioStats {
+                q1: 1.75,
+                median: 2.5,
+                q3: 3.25
+            }
+        );
+    }
+
+    #[test]
+    fn a_ratio_above_its_bound_fails_and_one_at_or_under_it_passes() {
+        let ratio = |median: f64, bound: Option<f64>| Ratio {
+            label: "a / b".to_string(),
+            stats: RatioStats {
+                q1: median,
+                median,
+                q3: median,
+            },
+            bound,
+        };
+        assert!(ratio(2.01, Some(2.0)).broken());
+        assert!(ratio(f64::NAN, Some(2.0)).broken());
+        assert!(!ratio(2.0, Some(2.0)).broken());
+        assert!(!ratio(1.5, Some(2.0)).broken());
+        assert!(!ratio(100.0, None).broken());
     }
 
     #[test]

@@ -666,8 +666,8 @@ pub(crate) mod tests {
         assert_eq!(factored, 2);
     }
 
-    /// A group whose Tc regime holds a single P fits Tc on every sample
-    /// (the `PtModel::fit` branch). Reuse there gives the fresh fit's
+    /// A group whose Tc regime holds a single P fits Tc on every sample,
+    /// the same rows as Ta. Reuse there gives the fresh fit's
     /// coefficients, and a rank-deficient Tc design stays stored and
     /// gives the fresh fit's error again; a failed refit leaves a memo
     /// that later refits can still trust.

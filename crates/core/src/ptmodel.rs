@@ -19,20 +19,6 @@ use etm_support::json_struct;
 
 use crate::ntmodel::NtModel;
 
-/// One fitting observation for a P-T model: a measured `(N, P)` trial of
-/// the kind at this multiplicity.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PtObservation {
-    /// Matrix order.
-    pub n: usize,
-    /// Total process count of the trial.
-    pub p: usize,
-    /// Measured computation time.
-    pub ta: f64,
-    /// Measured communication time.
-    pub tc: f64,
-}
-
 /// P-T model for one `(kind, Mᵢ)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PtModel {
@@ -47,40 +33,6 @@ pub struct PtModel {
 json_struct!(PtModel { ka, kc, reference });
 
 impl PtModel {
-    /// Fits `k7..k11` from observations spanning several `P`.
-    ///
-    /// # Errors
-    /// [`LsqError::Underdetermined`] with fewer than 3 observations (the
-    /// paper's "at least three different P": `Tc` has three coefficients);
-    /// [`LsqError::RankDeficient`] if all observations share one `P`.
-    pub fn fit(reference: NtModel, obs: &[PtObservation]) -> Result<PtModel, LsqError> {
-        Self::fit_split(reference, obs, obs)
-    }
-
-    /// Fits with separate observation sets for the computation and
-    /// communication halves. Used by the §3.4 communication-regime
-    /// binning: `Ta` is fit on everything, `Tc` only on trials that had
-    /// real inter-node communication.
-    ///
-    /// # Errors
-    /// Same contract as [`PtModel::fit`], applied per half.
-    pub(crate) fn fit_split(
-        reference: NtModel,
-        obs_ta: &[PtObservation],
-        obs_tc: &[PtObservation],
-    ) -> Result<PtModel, LsqError> {
-        let layout = |obs: &[PtObservation]| obs.iter().map(|o| (o.n, o.p)).collect();
-        let mut inputs = PtInputs {
-            ta_layout: layout(obs_ta),
-            ta: obs_ta.iter().map(|o| o.ta).collect(),
-            tc_layout: layout(obs_tc),
-            tc: obs_tc.iter().map(|o| o.tc).collect(),
-        };
-        PtDesigns::default()
-            .fit(reference, &mut inputs)
-            .map(|(model, _)| model)
-    }
-
     /// The model at one problem size `n`: both reference polynomials
     /// evaluated once, ready to price any `P`.
     #[inline]
@@ -331,6 +283,30 @@ mod tests {
     use super::*;
     use crate::measurement::Sample;
 
+    /// One measured `(N, P)` trial of the kind at this multiplicity.
+    #[derive(Clone, Copy)]
+    struct PtObservation {
+        n: usize,
+        p: usize,
+        ta: f64,
+        tc: f64,
+    }
+
+    /// Fits `k7..k11` from observations spanning several `P`, both
+    /// halves on every observation, through fresh designs.
+    fn fit(reference: NtModel, obs: &[PtObservation]) -> Result<PtModel, LsqError> {
+        let layout: Vec<(usize, usize)> = obs.iter().map(|o| (o.n, o.p)).collect();
+        let mut inputs = PtInputs {
+            ta_layout: layout.clone(),
+            ta: obs.iter().map(|o| o.ta).collect(),
+            tc_layout: layout,
+            tc: obs.iter().map(|o| o.tc).collect(),
+        };
+        PtDesigns::default()
+            .fit(reference, &mut inputs)
+            .map(|(model, _)| model)
+    }
+
     /// Synthetic world with known structure: Ta = W(N)/P + 0.3,
     /// Tc = 0.2·P·C(N) + 0.4·C(N)/P + 0.001 with C = 1e-7·N².
     /// (The Tc constant is kept small: the paper's P-T form scales the
@@ -372,7 +348,7 @@ mod tests {
             .iter()
             .flat_map(|&p| [800, 1600, 3200, 6400].iter().map(move |&n| world(n, p)))
             .collect();
-        let m = PtModel::fit(reference(), &obs).unwrap();
+        let m = fit(reference(), &obs).unwrap();
         // Interpolation and extrapolation in P.
         for (n, p) in [(1600, 3), (3200, 6), (6400, 10), (9600, 12)] {
             let truth = world(n, p);
@@ -391,14 +367,14 @@ mod tests {
             .collect();
         // Single P: the Tc design matrix columns P·C and C/P are
         // proportional -> rank deficient.
-        assert!(PtModel::fit(reference(), &obs).is_err());
+        assert!(fit(reference(), &obs).is_err());
     }
 
     #[test]
     fn too_few_observations_rejected() {
         let obs = [world(400, 1), world(400, 2)];
         assert!(matches!(
-            PtModel::fit(reference(), &obs),
+            fit(reference(), &obs),
             Err(LsqError::Underdetermined { .. })
         ));
     }
@@ -409,7 +385,7 @@ mod tests {
             .iter()
             .flat_map(|&p| [800, 1600, 3200, 6400].iter().map(move |&n| world(n, p)))
             .collect();
-        let m = PtModel::fit(reference(), &obs).unwrap();
+        let m = fit(reference(), &obs).unwrap();
         let s = m.scaled(0.27, 0.85);
         let (n, p) = (3200, 5);
         assert!((s.ta(n, p) - 0.27 * m.ta(n, p)).abs() < 1e-9);

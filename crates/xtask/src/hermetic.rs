@@ -15,7 +15,7 @@ use std::fs;
 use std::path::Path;
 
 /// Runs the check. Returns one message per violation.
-pub fn run(root: &Path) -> Result<Vec<String>, String> {
+pub(crate) fn run(root: &Path) -> Result<Vec<String>, String> {
     let mut manifests = vec![root.join("Cargo.toml")];
     let crates = root.join("crates");
     let entries =

@@ -4,7 +4,7 @@
 #   scripts/ci.sh --quick   fail-fast inner loop: fmt + hermeticity
 #                           (path-only dependencies, and every manifest
 #                           opts in to the declared workspace lints;
-#                           `cargo xtask` links only etm-support, so
+#                           `cargo xtask` has no dependencies, so
 #                           this stage compiles no simulator code),
 #                           then the tier-1 build, clippy over every
 #                           target with warnings denied (which enforces
@@ -33,25 +33,17 @@
 #                           which writes results/stream_decisions.csv),
 #                           a determinism gate that fails if any of
 #                           those twenty-six CSVs differs from its
-#                           committed copy, and a bench smoke run that
-#                           writes the substrates + streaming +
-#                           optimizer + loopback + model_speed
-#                           baselines, gates each against the
-#                           per-commit store in results/bench/ via
-#                           `cargo xtask bench-diff --latest` (the
-#                           microsecond-scale `optimizer` and
-#                           simulator-driven `loopback` suites get a
-#                           wider 40% gate via repeated
-#                           `--threshold` flags; everything else
-#                           keeps the 25% default), and re-renders
-#                           the median trend table (`cargo xtask
-#                           bench-trend` -> results/bench/TREND.md).
+#                           committed copy, and a bench smoke run of
+#                           the substrates + streaming + optimizer +
+#                           loopback + model_speed suites, each of
+#                           which exits non-zero when a same-run ratio
+#                           breaks the bound written in its source.
 #
 # Both tiers write machine-readable per-stage results to
-# results/ci_timing.json (stage name, seconds, status `ok`/`failed`,
-# tier, and the name of the failed stage or null) next to the
-# human-readable summary, so CI dashboards can trend stage cost and see
-# where a run stopped without scraping the log.
+# results/ci_timing.json (git-ignored; stage name, seconds, status
+# `ok`/`failed`, tier, and the name of the failed stage or null) next
+# to the human-readable summary, so CI dashboards can trend stage cost
+# and see where a run stopped without scraping the log.
 #
 # Stages run in cheapest-first order so a formatting slip fails in
 # seconds, not after a full build. Per-stage wall times are printed in a
@@ -128,33 +120,15 @@ bench_smoke() {
   # Time the suites fast enough for every CI run (substrate
   # microbenches, streaming-ingestion throughput, the pruned
   # optimizer, the closed-loop round trip, and the paper's
-  # model-construction and incremental-refit speeds) and gate each
-  # against the per-commit baseline store: `bench-diff --latest`
-  # compares to the newest entry under results/bench/ and then records
-  # this run for the current commit. The `optimizer` suite's pruned
-  # searches finish in single-digit microseconds where a few
-  # nanoseconds of scheduler noise is a whole percentage point, and
-  # the `loopback` round-trip runs a whole discrete-event simulation
-  # per iteration, so both get a wider per-suite gate. The
-  # `model_speed` gate is the measured spread of its medians over three
-  # back-to-back runs on a shared 2-vCPU host: up to 87%
-  # (`lsq_kernels/nt_fit_9x4`, `model_construction_speed/basic_54_configs`
-  # 84%), rounded up to 90%; its `engine_refit/*` rows spread at most
-  # 24%. The
-  # repeated `--threshold` flags
-  # are inert for every other suite (and bench-diff hard-errors if a
-  # suite key is ever repeated). Finally re-render the
-  # median-per-commit trend table (informational, never gates).
-  local out_dir="$PWD/target/etm-bench"
-  mkdir -p "$out_dir"
+  # model-construction and incremental-refit speeds). Absolute times
+  # are printed, never compared across runs or hosts: each speed claim
+  # is a pair timed in alternating samples of the same run, and a
+  # suite fails when the median ratio of a pair breaks the bound
+  # written next to it in crates/bench/benches/.
   local suite
   for suite in substrates streaming optimizer loopback model_speed; do
-    ETM_BENCH_OUT="$out_dir" ETM_BENCH_SAMPLES=5 \
-      cargo bench -q -p etm-bench --bench "$suite"
-    cargo xtask bench-diff --latest "$out_dir/BENCH_$suite.json" \
-      --threshold optimizer=40 --threshold loopback=40 --threshold model_speed=90
+    cargo bench -q -p etm-bench --bench "$suite"
   done
-  cargo xtask bench-trend
 }
 
 # --- quick tier: cheap static checks first, then tier-1 -------------
