@@ -12,13 +12,18 @@
 //!   (bit-identical argmin, strictly fewer estimates);
 //! * `anytime_warm` — the same search seeded with its own optimum,
 //!   the steady-state re-optimization cost after a snapshot refresh;
+//! * `anytime_342` / `sweep_342` and `anytime_5382` / `sweep_5382` —
+//!   the cold search and the sweep over configurations enumerated once
+//!   on the paper cluster at `M ≤ 6` on both kinds (342 candidates) and
+//!   with 64 dual P-II nodes (5,382): how the search's cost against
+//!   the sweep falls as the space grows;
 //! * `anytime_energy_front` — the energy-priced run that also emits
 //!   the time×energy Pareto front;
 //! * `front_extract` — non-dominated filtering alone over the
 //!   pre-estimated full grid (the pure selection cost, no model
 //!   walks).
 //!
-//! The three anytime rows are gated as same-run ratios against their
+//! The five anytime rows are gated as same-run ratios against their
 //! references (bounds below); the other rows are printed only.
 
 use etm_bench::Runner;
@@ -28,22 +33,26 @@ use etm_cluster::spec::paper_cluster;
 use etm_cluster::Configuration;
 use etm_core::plan::MeasurementPlan;
 use etm_repro::experiments::engine_for;
-use etm_repro::stream::evaluation_space;
+use etm_repro::stream::{evaluation_space, scaled_space};
 use etm_search::{
     anytime_search, best_config, exhaustive, pareto_front_of, snapshot_objective, AnytimeOptions,
 };
 
 // Each bound passes every calibration run and fails a 2× slowdown of
-// its row: medians of the per-sample ratios over 34 runs pinned to one
-// CPU and 34 unpinned on a shared 2-vCPU host.
+// its row: medians of the per-sample ratios over 48 runs, 24 pinned to
+// one CPU and 24 unpinned on a shared 2-vCPU host.
 
-/// `anytime_cold / sweep_62`: measured 1.44–2.19; 2× is ≥ 2.88.
-const COLD_OVER_SWEEP: f64 = 2.4;
-/// `anytime_warm / anytime_cold`: measured 0.71–0.91; 2× is ≥ 1.42.
-const WARM_OVER_COLD: f64 = 1.1;
-/// `anytime_energy_front / anytime_cold`: measured 2.40–3.06;
-/// 2× is ≥ 4.81.
-const FRONT_OVER_COLD: f64 = 3.6;
+/// `anytime_cold / sweep_62`: measured 1.31–1.60; 2× is ≥ 2.62.
+const COLD_OVER_SWEEP: f64 = 2.0;
+/// `anytime_warm / anytime_cold`: measured 0.48–0.62; 2× is ≥ 0.96.
+const WARM_OVER_COLD: f64 = 0.8;
+/// `anytime_342 / sweep_342`: measured 0.61–0.74; 2× is ≥ 1.22.
+const ANYTIME_342_OVER_SWEEP: f64 = 0.9;
+/// `anytime_5382 / sweep_5382`: measured 0.098–0.128; 2× is ≥ 0.196.
+const ANYTIME_5382_OVER_SWEEP: f64 = 0.18;
+/// `anytime_energy_front / anytime_cold`: measured 2.74–3.64 (47 of
+/// 48 runs at or below 3.0); 2× is ≥ 5.48.
+const FRONT_OVER_COLD: f64 = 4.0;
 
 fn main() {
     let mut r = Runner::new("optimizer");
@@ -90,6 +99,33 @@ fn main() {
         cold,
         Some(WARM_OVER_COLD),
     );
+
+    // Larger clusters of the paper's kinds: the search's cost against
+    // the sweep it replaces as the space grows.
+    for (nodes, name, reference, bound) in [
+        (
+            4,
+            "optimizer/anytime_342",
+            "optimizer/sweep_342",
+            ANYTIME_342_OVER_SWEEP,
+        ),
+        (
+            64,
+            "optimizer/anytime_5382",
+            "optimizer/sweep_5382",
+            ANYTIME_5382_OVER_SWEEP,
+        ),
+    ] {
+        let space = scaled_space(nodes);
+        let configs = space.enumerate();
+        r.pair(
+            name,
+            reference,
+            || anytime_search(&snapshot, &space, n, &AnytimeOptions::default()),
+            || exhaustive(&configs, snapshot_objective(&snapshot, n)),
+            Some(bound),
+        );
+    }
 
     r.pair(
         "optimizer/anytime_energy_front",

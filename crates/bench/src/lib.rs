@@ -4,9 +4,10 @@
 //! Each `benches/*.rs` target is a plain binary (`harness = false`) that
 //! builds a [`Runner`], registers closures with [`Runner::bench`] and
 //! [`Runner::pair`], and prints a table from [`Runner::finish`].
-//! Iteration counts are auto-calibrated so every sample runs long enough
-//! for `Instant` to resolve it; set `ETM_BENCH_SAMPLES` to trade
-//! precision for wall time (default 10, minimum 2).
+//! Iteration counts are calibrated from a warmed, timed batch so every
+//! sample runs for about 20 ms, however fast the call; set
+//! `ETM_BENCH_SAMPLES` to trade precision for wall time (default 10,
+//! minimum 2).
 //!
 //! Absolute times do not carry from one host, or one run, to the next,
 //! so no absolute time is gated. A speed claim is a ratio of two paths
@@ -230,14 +231,33 @@ impl Runner {
     }
 }
 
-/// One warm-up call, which doubles as the calibration probe: returns
-/// how many calls make up one sample, and the probe's duration.
+/// Returns how many calls make up one sample, and the time of a first,
+/// warm-up call. When that call takes a whole sample, a sample is one
+/// call. Otherwise batches of 1, 2, 4, … calls are timed until one
+/// spans a tenth of a sample, and the calls per sample follow from that
+/// batch's mean, not from the cold first call, which can be many times
+/// slower than the calls a sample repeats.
 fn calibrate<R>(f: &mut impl FnMut() -> R) -> (u64, Duration) {
-    let probe_start = Instant::now();
+    const CAP: u64 = 10_000_000;
+    let start = Instant::now();
     black_box(f());
-    let probe = probe_start.elapsed().max(Duration::from_nanos(1));
-    let iters = (SAMPLE_TARGET.as_nanos() / probe.as_nanos()).clamp(1, 10_000_000) as u64;
-    (iters, probe)
+    let first = start.elapsed();
+    if first >= SAMPLE_TARGET {
+        return (1, first);
+    }
+    let mut batch = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let spent = start.elapsed();
+        if spent >= SAMPLE_TARGET / 10 || batch >= CAP {
+            let iters = SAMPLE_TARGET.as_nanos() * u128::from(batch) / spent.as_nanos().max(1);
+            return (iters.clamp(1, CAP.into()) as u64, first);
+        }
+        batch *= 2;
+    }
 }
 
 /// Times `iters` calls of `f`; returns nanoseconds per call.
@@ -280,8 +300,13 @@ mod tests {
         assert!(row.min_ns <= row.median_ns && row.median_ns <= row.max_ns);
         assert!(row.min_ns <= row.mean_ns && row.mean_ns <= row.max_ns);
         assert!(row.iters >= 1);
-        // warm-up + samples*iters calls happened.
-        assert_eq!(count, 1 + row.samples as u64 * row.iters);
+        // The warm-up call and the calibration batches of 1, 2, 4, …
+        // calls (2^k calls in all), then samples*iters.
+        let calibration = count - row.samples as u64 * row.iters;
+        assert!(
+            calibration.is_power_of_two(),
+            "{calibration} calibration calls"
+        );
         r.finish();
     }
 
@@ -311,17 +336,21 @@ mod tests {
         assert_eq!(r.ratios.len(), 1);
         let (ia, ib) = (r.rows[0].iters, r.rows[1].iters);
         assert!(r.rows.iter().all(|row| row.samples == 4));
-        // The two probes, then samples A B | B A | A B | B A.
+        // Each side's calibration (a warm-up call and batches of 1, 2,
+        // 4, … calls), then samples A B | B A | A B | B A.
+        let log = log.into_inner();
+        let (ca, cb) = (log[0].1, log[1].1);
+        assert!(ca.is_power_of_two() && cb.is_power_of_two(), "{log:?}");
         let expected = vec![
-            ('a', 1),
-            ('b', 1),
+            ('a', ca),
+            ('b', cb),
             ('a', ia),
             ('b', 2 * ib),
             ('a', 2 * ia),
             ('b', 2 * ib),
             ('a', ia),
         ];
-        assert_eq!(log.into_inner(), expected);
+        assert_eq!(log, expected);
     }
 
     #[test]

@@ -252,6 +252,13 @@ json_struct!(ClusterSpec {
 /// The paper's evaluation platform (Table 1): one Athlon node plus four
 /// dual-Pentium-II nodes, 100base-TX, 768 MB everywhere.
 pub fn paper_cluster(comm_lib: CommLibProfile) -> ClusterSpec {
+    scaled_paper_cluster(4, comm_lib)
+}
+
+/// The paper cluster with `dual_pii_nodes` dual Pentium-II nodes in
+/// place of its four: a larger heterogeneous cluster of the paper's
+/// kinds, for measuring how a search's cost grows with the cluster.
+pub fn scaled_paper_cluster(dual_pii_nodes: usize, comm_lib: CommLibProfile) -> ClusterSpec {
     let kinds = vec![athlon_1333(), pentium2_400()];
     let mem = 768.0 * 1024.0 * 1024.0;
     let mut nodes = vec![NodeSpec {
@@ -260,7 +267,7 @@ pub fn paper_cluster(comm_lib: CommLibProfile) -> ClusterSpec {
         cpus: 1,
         memory_bytes: mem,
     }];
-    for i in 2..=5 {
+    for i in 2..=dual_pii_nodes + 1 {
         nodes.push(NodeSpec {
             name: format!("node{i}"),
             kind: KindId(1),

@@ -78,4 +78,4 @@ pub use measurement::{MeasurementDb, Sample, SampleKey};
 pub use ntmodel::NtModel;
 pub use pipeline::{EstimateTerms, ProcessCounts};
 pub use plan::MeasurementPlan;
-pub use ptmodel::{PtAt, PtModel};
+pub use ptmodel::{convex_min, PtAt, PtModel};

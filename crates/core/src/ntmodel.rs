@@ -1,6 +1,5 @@
 //! The N-T model (§3.2): per configuration `(P, Mᵢ)`, polynomials in N
-//! for computation and communication time, plus the §3.4 memory-regime
-//! piecewise extension.
+//! for computation and communication time.
 
 use etm_lsq::{FactoredDesign, LsqError};
 use etm_support::json_struct;

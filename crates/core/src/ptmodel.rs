@@ -119,7 +119,7 @@ impl PtAt {
     #[inline]
     pub fn tc(&self, p: usize) -> f64 {
         assert!(p > 0);
-        self.kc[0] * p as f64 * self.tc_ref + self.tc_num / p as f64 + self.kc[2]
+        self.tc_rising(p) + self.tc_falling(p) + self.kc[2]
     }
 
     /// Predicted total time `Ta + Tc`.
@@ -135,11 +135,13 @@ impl PtAt {
     /// The total is `t(P) = A/P + B + C·P` with
     /// `A = k7·TaRef(N) + k10·TcRef(N)`, `C = k9·TcRef(N)` and `B`
     /// independent of `P`. When `k7, k9, k10 ≥ 0` and both reference
-    /// polynomials are finite and non-negative at `N`, `t` is
-    /// non-increasing on `P ∈ [1, √(A/C)]`; `Some(f64::INFINITY)` means
-    /// on every `P ≥ 1` (the `C = 0` case). The branch-and-bound
-    /// optimizer uses this to take a P-range's minimum at the range's
-    /// upper end without scanning.
+    /// polynomials are finite and non-negative at `N`, `A, C ≥ 0`, so
+    /// `t` is convex on `P > 0` with its vertex at `√(A/C)`: it is
+    /// non-increasing on `P ∈ [1, √(A/C)]` and non-decreasing beyond;
+    /// `Some(f64::INFINITY)` means non-increasing on every `P ≥ 1` (the
+    /// `C = 0` case). [`convex_min`] reads any P-range's minimum off
+    /// this vertex, which is how the branch-and-bound optimizer bounds
+    /// a range without scanning it ([`PtAt::certified_min`]).
     pub fn monotone_p_limit(&self) -> Option<f64> {
         if !(self.ka[0] >= 0.0 && self.kc[0] >= 0.0 && self.kc[1] >= 0.0) {
             return None;
@@ -156,6 +158,92 @@ impl PtAt {
         } else {
             (a / c).sqrt()
         })
+    }
+
+    /// The minimum of [`PtAt::total`] over `lo..=hi` (`1 ≤ lo ≤ hi`),
+    /// read off the convexity certificate of [`PtAt::monotone_p_limit`]
+    /// with at most two evaluations ([`convex_min`]); `None` when the
+    /// certificate cannot vouch. The float evaluation of a convex curve
+    /// is convex only up to rounding, so a caller that lower-bounds with
+    /// this minimum keeps a relative margin.
+    pub fn certified_min(&self, lo: usize, hi: usize) -> Option<f64> {
+        let vertex = self.monotone_p_limit()?;
+        Some(convex_min(vertex, lo, hi, |p| self.total(p)))
+    }
+
+    /// `(k9·P)·TcRef(N)`, the rising term of [`PtAt::tc`].
+    #[inline]
+    fn tc_rising(&self, p: usize) -> f64 {
+        self.kc[0] * p as f64 * self.tc_ref
+    }
+
+    /// `k10·TcRef(N)/P`, the falling term of [`PtAt::tc`].
+    #[inline]
+    fn tc_falling(&self, p: usize) -> f64 {
+        self.tc_num / p as f64
+    }
+
+    /// Whether [`PtAt::ta`] and [`PtAt::tc`] are both finite and
+    /// non-negative at every `P` in `lo..=hi` (`1 ≤ lo ≤ hi`).
+    ///
+    /// Decided from the range's ends where the coefficient signs allow,
+    /// else by evaluating every `P`; either way the answer is the
+    /// per-`P` check's. Every float operation is monotone, so `Ta`, a
+    /// constant plus a multiple of `1/P`, is monotone in `P` as
+    /// evaluated, and so is `Tc` when its two `P` terms move the same
+    /// way. When they move apart with both terms non-negative
+    /// (`k9·TcRef ≥ 0` and `k10·TcRef ≥ 0`), `Tc` lies below the sum of
+    /// each term's value at the end where it is largest, plus `k11`, and
+    /// above `2·√(k9·TcRef·k10·TcRef) + k11` up to a rounding far below
+    /// the `1e-12` margin kept.
+    pub fn split_non_negative(&self, lo: usize, hi: usize) -> bool {
+        debug_assert!(1 <= lo && lo <= hi);
+        let ok = |v: f64| v.is_finite() && v >= 0.0;
+        if !(ok(self.ta(lo)) && ok(self.ta(hi))) {
+            return false;
+        }
+        let (k9, c, a) = (self.kc[0], self.tc_ref, self.tc_num);
+        let rising_up = (k9 >= 0.0 && c >= 0.0) || (k9 <= 0.0 && c <= 0.0);
+        let rising_down = (k9 >= 0.0 && c <= 0.0) || (k9 <= 0.0 && c >= 0.0);
+        if (rising_up && a <= 0.0) || (rising_down && a >= 0.0) {
+            return ok(self.tc(lo)) && ok(self.tc(hi));
+        }
+        if rising_up && a >= 0.0 {
+            let peak = self.tc_rising(hi) + self.tc_falling(lo) + self.kc[2];
+            let ka = k9 * c * a;
+            if peak.is_finite()
+                && ka.is_finite()
+                && 2.0 * ka.sqrt() * (1.0 - 1e-12) + self.kc[2] > 0.0
+            {
+                return true;
+            }
+        }
+        (lo..=hi).all(|p| ok(self.ta(p)) && ok(self.tc(p)))
+    }
+}
+
+/// The minimum over `lo..=hi` (`1 ≤ lo ≤ hi`) of `total`, a curve that
+/// is convex on `P > 0` with its vertex at `vertex` (see
+/// [`PtAt::monotone_p_limit`]): its value at `hi` when the vertex lies
+/// at or above the range, at `lo` when at or below it, and otherwise
+/// the smaller of its values at `⌊vertex⌋` and `⌈vertex⌉`.
+#[inline]
+pub fn convex_min(vertex: f64, lo: usize, hi: usize, total: impl Fn(usize) -> f64) -> f64 {
+    debug_assert!(1 <= lo && lo <= hi);
+    if vertex >= hi as f64 {
+        total(hi)
+    } else if vertex <= lo as f64 {
+        total(lo)
+    } else {
+        let (floor, ceil) = (
+            total(vertex.floor() as usize),
+            total(vertex.ceil() as usize),
+        );
+        if ceil < floor {
+            ceil
+        } else {
+            floor
+        }
     }
 }
 
@@ -377,6 +465,87 @@ mod tests {
             fit(reference(), &obs),
             Err(LsqError::Underdetermined { .. })
         ));
+    }
+
+    /// Per-size models over a grid of coefficient and reference signs,
+    /// zeros and magnitudes included: `(ka, kc, TaRef, TcRef)`.
+    fn sign_grid() -> Vec<PtAt> {
+        let vals = [-2.5, -0.04, 0.0, 0.03, 1.7];
+        let refs = [-3.0, 0.0, 0.6, 250.0];
+        let mut out = Vec::new();
+        for &k7 in &vals {
+            for &k8 in &[-1.2, 0.0, 0.4] {
+                for &k9 in &vals {
+                    for &k10 in &vals {
+                        for &k11 in &[-1.5, -0.02, 0.0, 0.8] {
+                            for &ta_ref in &refs {
+                                for &tc_ref in &refs {
+                                    out.push(PtAt {
+                                        ka: [k7, k8],
+                                        kc: [k9, k10, k11],
+                                        ta_ref,
+                                        tc_ref,
+                                        ta_num: k7 * ta_ref,
+                                        tc_num: k10 * tc_ref,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn certified_minimum_is_the_scanned_minimum_of_every_range() {
+        let mut certified = 0usize;
+        for at in sign_grid() {
+            for lo in 1..=12usize {
+                let mut scanned = f64::INFINITY;
+                for hi in lo..=40usize {
+                    scanned = scanned.min(at.total(hi));
+                    let Some(min) = at.certified_min(lo, hi) else {
+                        continue;
+                    };
+                    certified += 1;
+                    let tol = 1e-12 * scanned.abs().max(1.0);
+                    assert!(
+                        (min - scanned).abs() <= tol,
+                        "{at:?} over {lo}..={hi}: certified {min}, scanned {scanned}"
+                    );
+                }
+            }
+        }
+        assert!(certified > 0);
+    }
+
+    #[test]
+    fn split_sign_check_agrees_with_evaluating_every_p() {
+        let every_p = |at: &PtAt, lo: usize, hi: usize| {
+            (lo..=hi).all(|p| {
+                let (ta, tc) = (at.ta(p), at.tc(p));
+                ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0
+            })
+        };
+        let (mut safe, mut unsafe_) = (0usize, 0usize);
+        for at in sign_grid() {
+            for (lo, hi) in [(1, 1), (1, 14), (3, 60), (7, 774)] {
+                let expect = every_p(&at, lo, hi);
+                assert_eq!(
+                    at.split_non_negative(lo, hi),
+                    expect,
+                    "{at:?} over {lo}..={hi}"
+                );
+                if expect {
+                    safe += 1;
+                } else {
+                    unsafe_ += 1;
+                }
+            }
+        }
+        assert!(safe > 0 && unsafe_ > 0);
     }
 
     #[test]

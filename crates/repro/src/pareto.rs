@@ -159,11 +159,11 @@ mod tests {
         // (n, evaluated, pruned, certificate_hits, argmin time bits,
         // Athlon M, Pentium-II PEs)
         const PINNED: [(usize, usize, usize, usize, u64, usize, usize); 5] = [
-            (3200, 14, 48, 142, 0x4034_0282_5a50_ed21, 1, 0),
-            (4800, 18, 44, 151, 0x4049_e75c_7e57_6b8c, 3, 8),
-            (6400, 22, 40, 154, 0x4059_68e5_8cd4_457e, 3, 8),
-            (8000, 21, 41, 161, 0x4065_c42e_08fc_442c, 3, 8),
-            (9600, 21, 41, 162, 0x4071_111c_6599_15cb, 3, 8),
+            (3200, 14, 48, 33, 0x4034_0282_5a50_ed21, 1, 0),
+            (4800, 18, 44, 69, 0x4049_e75c_7e57_6b8c, 3, 8),
+            (6400, 22, 40, 93, 0x4059_68e5_8cd4_457e, 3, 8),
+            (8000, 21, 41, 89, 0x4065_c42e_08fc_442c, 3, 8),
+            (9600, 21, 41, 89, 0x4071_111c_6599_15cb, 3, 8),
         ];
         let plan = MeasurementPlan::basic();
         assert_eq!(plan.evaluation_ns, PINNED.map(|row| row.0));

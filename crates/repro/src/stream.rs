@@ -12,7 +12,7 @@
 //! adjustment is fit from reference measurements that are themselves
 //! campaign data still arriving mid-stream.
 
-use etm_cluster::spec::paper_cluster;
+use etm_cluster::spec::{paper_cluster, scaled_paper_cluster};
 use etm_cluster::{CommLibProfile, Configuration};
 use etm_core::backend::{ModelBackend, PolyLsqBackend};
 use etm_core::engine::Engine;
@@ -57,6 +57,19 @@ pub fn banks_bit_equal(a: &ModelBank, b: &ModelBank) -> bool {
 /// `M₂ = 1` — 62 configurations.
 pub fn evaluation_space() -> ConfigSpace {
     ConfigSpace::new(&paper_cluster(CommLibProfile::mpich122()), vec![6, 1])
+}
+
+/// The paper cluster with `dual_pii_nodes` dual Pentium-II nodes, both
+/// kinds at `M ≤ 6`: 342 configurations at the paper's 4 nodes, 1,350
+/// at 16 and 5,382 at 64. A Basic snapshot prices these spaces' larger
+/// process counts (up to 774 at 64 nodes) by extrapolating its P-T
+/// models, so they measure a search's cost and exactness, never its
+/// selection quality.
+pub fn scaled_space(dual_pii_nodes: usize) -> ConfigSpace {
+    ConfigSpace::new(
+        &scaled_paper_cluster(dual_pii_nodes, CommLibProfile::mpich122()),
+        vec![6, 6],
+    )
 }
 
 /// Streams `trials` through a fresh engine on the paper's backend:

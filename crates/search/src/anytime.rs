@@ -3,30 +3,43 @@
 //!
 //! The paper's §4 selection evaluates *every* candidate; §5 asks for a
 //! way to shrink the search. This module answers with an exact
-//! branch-and-bound:
+//! branch-and-bound whose cost follows what it evaluates, not the size
+//! of the space:
 //!
-//! * **Pruning** — partial configurations (a prefix of kinds fixed, the
+//! * **Bounds** — partial configurations (a prefix of kinds fixed, the
 //!   rest free) are lower-bounded from the snapshot's P-T models, each
 //!   taken once per search to its per-size form
-//!   [`PtModel::at`](etm_core::PtModel::at) and tabulated into one flat
-//!   buffer over the reachable total-process range: every multi-PE
-//!   completion's P-T term is `≥ min` of its model's tabulated times
-//!   over that range. Where
+//!   [`PtModel::at`](etm_core::PtModel::at): every multi-PE completion's
+//!   P-T term is `≥ min` of its model's totals over the reachable
+//!   process range. Where
 //!   [`PtAt::monotone_p_limit`](etm_core::PtAt::monotone_p_limit)
-//!   vouches that a model is non-increasing across the whole range, the
-//!   minimum is a single table probe
-//!   ([`AnytimeReport::certificate_hits`] counts these) instead of a
-//!   scan. Subtrees whose bound cannot beat the incumbent are discarded
-//!   wholesale; subtrees whose fixed prefix uses a group with no P-T
-//!   model are all-error and discarded unconditionally.
+//!   certifies the model convex in `P`, that minimum costs at most two
+//!   evaluations ([`convex_min`](etm_core::convex_min):
+//!   [`AnytimeReport::certificate_hits`] counts these); a model the
+//!   certificate cannot vouch for is tabulated over its range and
+//!   scanned. Subtrees whose bound cannot beat the incumbent are
+//!   discarded wholesale; subtrees whose fixed prefix uses a group with
+//!   no P-T model are all-error and discarded unconditionally.
+//! * **Runs** — the last kind's multi-PE leaves under one prefix form a
+//!   run over `P` per `M`. A run is bounded as a whole by one probe over
+//!   its process and baseline ranges; where only part of it prunes, its
+//!   prunable prefix and suffix are found by bisection, and past a leaf
+//!   its own bound discards, the rest of the run is probed again. Pruned
+//!   stretches are counted in closed form; only the leaves left between
+//!   them are visited, in enumeration order, each with its own bound. A
+//!   run's bound is below each of its leaves' bounds and the pruning bar
+//!   only rises, so the walk evaluates, prunes and improves on exactly
+//!   the leaves a leaf-by-leaf walk would.
 //! * **Leaf prices** — a leaf that survives its bound is priced from the
-//!   same tables (and the single-PE N-T splits tabulated beside them)
-//!   through [`Estimator::estimate_terms`](etm_core::Estimator::estimate_terms),
+//!   same per-size models (and the single-PE N-T splits taken beside
+//!   them) through
+//!   [`Estimator::estimate_terms`](etm_core::Estimator::estimate_terms),
 //!   the estimator's one §3.4/§4.1 fold, with the process counts the
-//!   bound already summed. The tables hold the walk's own terms, so a
-//!   price equals [`EngineSnapshot::estimate`] bit for bit; a
-//!   [`Configuration`] is built only for a new incumbent (and, with an
-//!   energy model, for a point of the front).
+//!   bound already summed, so a price equals
+//!   [`EngineSnapshot::estimate`] bit for bit. The walk carries
+//!   enumeration indices, not configurations: an incumbent records its
+//!   index ([`ConfigSpace::config_at`] decodes it), and a search builds
+//!   a [`Configuration`] only for its reported best and its front.
 //! * **Anytime** — every improvement is appended to
 //!   [`AnytimeReport::incumbents`], so the best-so-far after any
 //!   evaluation budget is recoverable; at exhaustion the result is the
@@ -40,25 +53,24 @@
 //!   estimable candidate is also priced in joules
 //!   ([`EnergyModel::joules`] over the makespan kind's raw `(Ta, Tc)`
 //!   split, which the leaf's own fold names) and the report carries
-//!   the exact non-dominated time ×
-//!   energy front. Pruning then requires a front point that strictly
-//!   dominates the subtree's `(time, energy)` lower bounds — strict
-//!   dominance is transitive, so the surviving set provably contains
-//!   the full brute-force front.
+//!   the exact non-dominated time × energy front, kept as it grows.
+//!   Pruning then requires a front point that strictly dominates the
+//!   subtree's `(time, energy)` lower bounds — strict dominance is
+//!   transitive, so the surviving set provably contains the full
+//!   brute-force front.
 //!
 //! # Soundness margins
 //!
-//! Lower bounds combined through the §4.1 adjustment or shortcut by the
-//! certificate are shaved by a relative `1e-9` before any prune
-//! comparison, absorbing floating-point jitter between the tabulated
-//! values and the estimate path's own rounding. Exact-range scans need
-//! no margin: they read the very values the estimate computes. A
-//! candidate tied with the final optimum can therefore never be pruned,
-//! which is what makes the full-budget result bit-identical.
+//! Lower bounds are shaved by a relative `1e-9` before any prune
+//! comparison, absorbing floating-point jitter between the certificate's
+//! reading of a convex curve, the §4.1 adjustment's combination of
+//! bounds, and the estimate path's own rounding. A candidate tied with
+//! the final optimum can therefore never be pruned, which is what makes
+//! the full-budget result bit-identical.
 
 use etm_cluster::{Configuration, EnergyModel, KindId, KindUse};
 use etm_core::engine::EngineSnapshot;
-use etm_core::{EstimateTerms, ProcessCounts, PtAt, SampleKey};
+use etm_core::{convex_min, EstimateTerms, ProcessCounts, PtAt, SampleKey};
 
 use crate::{ConfigSpace, SearchResult};
 
@@ -80,13 +92,14 @@ pub struct AnytimeOptions {
 /// One improvement of the best-so-far stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Incumbent {
-    /// The configuration that became the incumbent.
-    pub config: Configuration,
+    /// The enumeration index of the configuration that became the
+    /// incumbent; [`ConfigSpace::config_at`] decodes it.
+    pub index: usize,
     /// Its estimated time (seconds).
     pub time: f64,
     /// Evaluations spent when it took over (1-based; the warm start is
     /// evaluation 1 when present).
-    pub(crate) evaluations: usize,
+    pub evaluations: usize,
 }
 
 /// One point of the time × energy Pareto front.
@@ -122,28 +135,36 @@ pub struct AnytimeReport {
     pub evaluated: usize,
     /// Candidates discarded by pruning without evaluation.
     pub pruned: usize,
-    /// Range-minimum queries answered by the monotonicity certificate
-    /// with a single table probe instead of a scan.
+    /// Range-minimum queries answered by the convexity certificate
+    /// instead of a scan.
     pub certificate_hits: usize,
     /// Whether the walk covered the whole space
     /// (`evaluated + pruned == candidates`).
     pub exhausted: bool,
 }
 
-/// Where one `(kind, m)` group's P-T totals sit in [`Tables::times`]:
-/// the process counts `lo..=hi` a candidate using the group can reach,
-/// as its own `P` or as a baseline's.
+/// One `(kind, m)` group of [`Tables`]: its per-size model and the
+/// process counts `lo..=hi` a candidate using the group can reach, as
+/// its own `P` or as a baseline's.
 #[derive(Clone, Copy)]
 struct Slot {
-    /// `times[start + p - lo]` = the group's total at `P = p`.
-    start: usize,
-    lo: usize,
-    hi: usize,
-    /// Largest `P` up to which the model is certified non-increasing;
-    /// `NEG_INFINITY` when the certificate cannot vouch.
-    mono_limit: f64,
     /// The group's per-size model in [`Tables::ats`].
     at: usize,
+    lo: usize,
+    hi: usize,
+    minima: Minima,
+}
+
+/// How a [`Slot`] answers the minimum of its totals over a P-range.
+#[derive(Clone, Copy)]
+enum Minima {
+    /// The model is certified convex with this vertex
+    /// ([`PtAt::monotone_p_limit`]): [`convex_min`] reads any range's
+    /// minimum off it.
+    Convex(f64),
+    /// The certificate cannot vouch: the totals over `lo..=hi` are
+    /// tabulated from [`Tables::times`]`[start]` on, and scanned.
+    Scan { start: usize },
 }
 
 /// One `(kind, m)` entry of [`Tables`].
@@ -155,32 +176,34 @@ struct Entry {
     single: Option<(f64, f64)>,
 }
 
-/// The snapshot's models at the search's size, tabulated once per
-/// search from [`PtModel::at`](etm_core::PtModel::at): every group's
-/// P-T totals over its reachable process range, and the single-PE N-T
-/// splits. Both the bounds and the leaf prices read them; the prices
-/// through [`Estimator::estimate_terms`], so the estimate rules live in
-/// the estimator alone.
+/// The snapshot's models at the search's size, taken once per search:
+/// every group's P-T model in its per-size form
+/// [`PtModel::at`](etm_core::PtModel::at), and the single-PE N-T
+/// splits. A group that the convexity certificate cannot vouch for also
+/// has its totals tabulated over its reachable range, for the scans
+/// that bound it. Both the bounds and the leaf prices read these; the
+/// prices through [`Estimator::estimate_terms`], so the estimate rules
+/// live in the estimator alone.
 struct Tables {
     /// Per kind, the index of its `m = 1` entry in `entries`.
     first: Vec<usize>,
     entries: Vec<Entry>,
-    /// Every group's totals, one group after another.
+    /// The scanned groups' totals, one group after another.
     times: Vec<f64>,
-    /// Every group's per-size model, for the makespan term's split.
+    /// Every group's per-size model.
     ats: Vec<PtAt>,
 }
 
 impl Tables {
-    /// Tabulates `snapshot`'s models of every `(kind, m)` of `space` at
-    /// size `n`; `p_max` is the largest total process count in `space`.
+    /// Takes `snapshot`'s models of every `(kind, m)` of `space` to size
+    /// `n`; `p_max` is the largest total process count in `space`.
     fn new(snapshot: &EngineSnapshot, space: &ConfigSpace, n: usize, p_max: usize) -> Tables {
         let bank = snapshot.bank();
         let groups: usize = space.max_m.iter().sum();
         let mut tables = Tables {
             first: Vec::with_capacity(space.max_m.len()),
             entries: Vec::with_capacity(groups),
-            times: Vec::with_capacity(groups * p_max),
+            times: Vec::new(),
             ats: Vec::with_capacity(groups),
         };
         for (kind, &max_m) in space.max_m.iter().enumerate() {
@@ -192,16 +215,20 @@ impl Tables {
                 let slot = bank.pt.get(&(kind, m)).map(|pt| {
                     let at = pt.at(n);
                     let (lo, hi) = (m, space.available[kind] * m + others);
-                    let start = tables.times.len();
-                    tables.times.extend((lo..=hi).map(|p| at.total(p)));
-                    let mono_limit = at.monotone_p_limit().unwrap_or(f64::NEG_INFINITY);
+                    let minima = match at.monotone_p_limit() {
+                        Some(vertex) => Minima::Convex(vertex),
+                        None => {
+                            let start = tables.times.len();
+                            tables.times.extend((lo..=hi).map(|p| at.total(p)));
+                            Minima::Scan { start }
+                        }
+                    };
                     tables.ats.push(at);
                     Slot {
-                        start,
+                        at: tables.ats.len() - 1,
                         lo,
                         hi,
-                        mono_limit,
-                        at: tables.ats.len() - 1,
+                        minima,
                     }
                 });
                 tables.entries.push(Entry {
@@ -222,49 +249,53 @@ impl Tables {
         self.entry(kind, m).slot
     }
 
-    /// The slot's totals over `P ∈ [lo, hi]`.
-    fn range(&self, slot: Slot, lo: usize, hi: usize) -> &[f64] {
-        debug_assert!(slot.lo <= lo && lo <= hi && hi <= slot.hi);
-        &self.times[slot.start + lo - slot.lo..=slot.start + hi - slot.lo]
-    }
-
     /// Minimum of the slot's totals over `P ∈ [lo, hi]`. Answered by the
-    /// certificate as the total at `hi` when the whole range is
-    /// certified non-increasing, else by scanning; a `NaN` entry in the
-    /// scanned range yields `NEG_INFINITY` (that term is invisible to
-    /// the estimate's `max` fold, so it bounds nothing).
+    /// convexity certificate with at most two evaluations
+    /// ([`convex_min`]) where the model has one, else by scanning; a
+    /// `NaN` total in the scanned range yields `NEG_INFINITY` (that term
+    /// is invisible to the estimate's `max` fold, so it bounds nothing).
     fn range_min(&self, slot: Slot, lo: usize, hi: usize, hits: &mut usize) -> f64 {
-        let times = self.range(slot, lo, hi);
-        if slot.mono_limit >= hi as f64 {
-            let v = times[times.len() - 1];
-            if !v.is_nan() {
-                *hits += 1;
-                return v;
+        debug_assert!(slot.lo <= lo && lo <= hi && hi <= slot.hi);
+        match slot.minima {
+            Minima::Convex(vertex) => {
+                let v = convex_min(vertex, lo, hi, |p| self.total(slot, p));
+                if !v.is_nan() {
+                    *hits += 1;
+                    return v;
+                }
+                scan_min((lo..=hi).map(|p| self.total(slot, p)))
             }
+            Minima::Scan { start } => scan_min(
+                self.times[start + lo - slot.lo..=start + hi - slot.lo]
+                    .iter()
+                    .copied(),
+            ),
         }
-        let mut m = f64::INFINITY;
-        for &v in times {
-            if v.is_nan() {
-                return f64::NEG_INFINITY;
-            }
-            if v < m {
-                m = v;
-            }
-        }
-        m
     }
 
     /// Whether every group's `(Ta, Tc)` split is finite and non-negative
     /// over its reachable range, where each candidate's makespan term
     /// lies — the precondition of the floor-watts energy bound.
     fn parts_safe(&self) -> bool {
-        self.entries.iter().filter_map(|e| e.slot).all(|slot| {
-            (slot.lo..=slot.hi).all(|p| {
-                let (ta, tc) = self.split(slot, p);
-                ta.is_finite() && tc.is_finite() && ta >= 0.0 && tc >= 0.0
-            })
-        })
+        self.entries
+            .iter()
+            .filter_map(|e| e.slot)
+            .all(|slot| self.ats[slot.at].split_non_negative(slot.lo, slot.hi))
     }
+}
+
+/// The smallest of `totals`, or `NEG_INFINITY` at the first `NaN`.
+fn scan_min(totals: impl Iterator<Item = f64>) -> f64 {
+    let mut m = f64::INFINITY;
+    for v in totals {
+        if v.is_nan() {
+            return f64::NEG_INFINITY;
+        }
+        if v < m {
+            m = v;
+        }
+    }
+    m
 }
 
 impl EstimateTerms for Tables {
@@ -279,7 +310,7 @@ impl EstimateTerms for Tables {
     }
 
     fn total(&self, slot: Slot, p: usize) -> f64 {
-        self.range(slot, p, p)[0]
+        self.ats[slot.at].total(p)
     }
 
     fn split(&self, slot: Slot, p: usize) -> (f64, f64) {
@@ -289,6 +320,7 @@ impl EstimateTerms for Tables {
 }
 
 /// Subtree assessment from the fixed prefix.
+#[derive(Clone, Copy)]
 enum Bound {
     /// Every completion errors (a fixed group has no P-T model).
     AllError,
@@ -309,9 +341,29 @@ struct Fixed {
     base: usize,
 }
 
-struct Best {
-    n: usize,
-    time: f64,
+/// The last kind's leaves under one fixed prefix of the other kinds.
+#[derive(Clone, Copy)]
+struct LastNode {
+    /// The prefix's enumeration index; leaf `(P, M)` adds its digit.
+    base_n: usize,
+    /// The prefix's sums.
+    sums: Fixed,
+    /// The smallest `P` whose leaves are multi-PE (1, or 2 under an
+    /// all-unused prefix), where each run starts.
+    first: usize,
+    /// The warm-start leaf's `(P, M)`, when it lies under this prefix.
+    warm: Option<(usize, usize)>,
+}
+
+/// One run of [`Searcher::last_kind`]: its leaves at `P ∈ first..=pre`
+/// and `suf..=available` are pruned, those between are left to visit.
+#[derive(Clone, Copy)]
+struct Run {
+    pre: usize,
+    suf: usize,
+    /// [`Searcher::evaluated`] when the rest of the run last failed to
+    /// prune.
+    tried: Option<usize>,
 }
 
 /// Shaves a relative margin off a lower bound before it is compared
@@ -338,25 +390,25 @@ struct Searcher<'a> {
     scale: f64,
     base_coeff: f64,
     energy: Option<&'a EnergyModel>,
-    /// Whether every tabulated `(Ta, Tc)` split is finite and
-    /// non-negative — the precondition of the floor-watts energy bound.
-    parts_safe: bool,
+    /// Whether a finite bound can discard anything: always for time
+    /// alone; with energy, only where every `(Ta, Tc)` split a candidate
+    /// can price is finite and non-negative, the precondition of the
+    /// floor-watts energy bound.
+    bounds_prune: bool,
     budget: Option<usize>,
     warm_n: Option<usize>,
-    warm_seen: bool,
     evaluated: usize,
     pruned: usize,
     cert_hits: usize,
     stopped: bool,
-    best: Option<Best>,
-    /// Every improvement; the last entry is `best`'s configuration.
+    /// Every improvement; the last entry is the best so far.
     incumbents: Vec<Incumbent>,
-    /// Running non-dominated `(time, energy)` set for bi-criteria
-    /// pruning (energy mode).
-    archive: Vec<(f64, f64)>,
-    /// Every finite estimable candidate: `(enum index, time, energy,
-    /// config)` (energy mode).
-    points: Vec<(usize, f64, f64, Configuration)>,
+    /// Per `M` of the last kind, the current node's run.
+    runs: Vec<Run>,
+    /// The non-dominated `(enum index, time, energy)` points of the
+    /// finite estimable candidates evaluated so far (energy mode): the
+    /// bi-criteria pruning's archive, and at the end the front.
+    archive: Vec<(usize, f64, f64)>,
 }
 
 impl<'a> Searcher<'a> {
@@ -395,20 +447,17 @@ impl<'a> Searcher<'a> {
             scale: adjustment.scale,
             base_coeff: adjustment.base_coeff,
             energy: opts.energy.as_ref(),
-            // Read only by the energy bound.
-            parts_safe: opts.energy.is_some() && tables.parts_safe(),
+            bounds_prune: opts.energy.is_none() || tables.parts_safe(),
             tables,
             budget: opts.max_evaluations,
             warm_n: None,
-            warm_seen: false,
             evaluated: 0,
             pruned: 0,
             cert_hits: 0,
             stopped: false,
-            best: None,
             incumbents: Vec::new(),
+            runs: Vec::with_capacity(space.max_m.last().copied().unwrap_or(0)),
             archive: Vec::new(),
-            points: Vec::new(),
         }
     }
 
@@ -451,9 +500,24 @@ impl<'a> Searcher<'a> {
         Some((uses, n_idx))
     }
 
+    /// The sums of `sums` with `pes` PEs of kind `k` at `m` processes
+    /// each added.
+    fn with_use(&self, sums: Fixed, k: usize, pes: usize, m: usize) -> Fixed {
+        let base_m = if k == self.fast_kind { 1 } else { m };
+        Fixed {
+            pes: sums.pes + pes,
+            procs: sums.procs + pes * m,
+            base: sums.base + pes * base_m,
+        }
+    }
+
     /// Iterates kind `k`'s choices; `fixed` holds kinds `0..k`, whose
     /// sums are `sums`.
     fn node(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, sums: Fixed) {
+        if k + 1 == self.kinds {
+            self.last_kind(fixed, base_n, sums);
+            return;
+        }
         let max_m = self.space.max_m[k];
         let avail = self.space.available[k];
         // Choice 0 is "unused"; then (pes, m) in enumeration order. The
@@ -467,23 +531,13 @@ impl<'a> Searcher<'a> {
             } else {
                 ((choice - 1) / max_m + 1, (choice - 1) % max_m + 1)
             };
-            let child_n = base_n + choice * self.suffix[k + 1];
             fixed.push(KindUse {
                 kind: KindId(k),
                 pes,
                 procs_per_pe: m,
             });
-            let base_m = if k == self.fast_kind { 1 } else { m };
-            let child = Fixed {
-                pes: sums.pes + pes,
-                procs: sums.procs + pes * m,
-                base: sums.base + pes * base_m,
-            };
-            if k + 1 == self.kinds {
-                self.leaf(fixed, child_n, child);
-            } else {
-                self.subtree(k, fixed, child_n, child);
-            }
+            let child = self.with_use(sums, k, pes, m);
+            self.subtree(k, fixed, base_n + choice * self.suffix[k + 1], child);
             fixed.pop();
         }
     }
@@ -492,44 +546,233 @@ impl<'a> Searcher<'a> {
     /// recursing.
     fn subtree(&mut self, k: usize, fixed: &mut Vec<KindUse>, base_n: usize, sums: Fixed) {
         if sums.pes >= 2 {
-            match self.bound(fixed, k, sums) {
-                Bound::AllError => {
-                    self.count_pruned(base_n, self.suffix[k + 1]);
-                    return;
-                }
-                Bound::Lb { time, energy } => {
-                    if self.should_prune(time, energy) {
-                        self.count_pruned(base_n, self.suffix[k + 1]);
-                        return;
-                    }
-                }
-                Bound::Unbounded => {}
+            let bound = self.bound(fixed, k, sums, sums);
+            if self.prunes(bound) {
+                self.count_pruned(base_n, self.suffix[k + 1]);
+                return;
             }
         }
         self.node(k + 1, fixed, base_n, sums);
     }
 
-    fn leaf(&mut self, fixed: &[KindUse], n_idx: usize, sums: Fixed) {
-        if n_idx == 0 {
-            return; // the all-unused non-candidate
+    /// Visits the last kind's choices under `fixed` (every other kind,
+    /// summed in `sums`). Its multi-PE leaves form one run over `P` per
+    /// `M`. Each run is bounded as a whole; where only part of it
+    /// prunes, its prunable prefix and suffix are found by bisection
+    /// ([`Searcher::run`]). Both are counted in closed form, and only
+    /// the leaves between them are visited, in enumeration order, each
+    /// with its own bound; past a leaf its bound discards, the rest of
+    /// the run is probed again.
+    ///
+    /// A run's bound is below each of its leaves' bounds, and the
+    /// pruning bar only rises, so every leaf a run discards would have
+    /// been discarded on its own visit: the walk evaluates, prunes and
+    /// improves on exactly the leaves a leaf-by-leaf walk would.
+    fn last_kind(&mut self, fixed: &mut Vec<KindUse>, base_n: usize, sums: Fixed) {
+        let k = self.kinds - 1;
+        let (avail, max_m) = (self.space.available[k], self.space.max_m[k]);
+        let node = LastNode {
+            base_n,
+            sums,
+            first: if sums.pes == 0 { 2 } else { 1 },
+            warm: self
+                .warm_n
+                .filter(|&w| base_n < w && w <= base_n + avail * max_m)
+                .map(|w| ((w - base_n - 1) / max_m + 1, (w - base_n - 1) % max_m + 1)),
+        };
+        fixed.push(KindUse {
+            kind: KindId(k),
+            pes: 0,
+            procs_per_pe: 0,
+        });
+        self.leaf(fixed, base_n, sums);
+        // Under an all-unused prefix, `P = 1` leaves are single-PE:
+        // priced, never bounded.
+        for m in 1..=max_m {
+            if node.first == 1 || avail == 0 || self.stopped {
+                break;
+            }
+            self.visit(fixed, &node, 1, m);
         }
-        if self.warm_n == Some(n_idx) {
-            self.warm_seen = true; // already evaluated up front
-            return;
-        }
-        if sums.pes >= 2 {
-            match self.bound(fixed, self.kinds - 1, sums) {
-                Bound::AllError => {
-                    self.pruned += 1;
-                    return;
-                }
-                Bound::Lb { time, energy } => {
-                    if self.should_prune(time, energy) {
-                        self.pruned += 1;
-                        return;
+        if !self.stopped {
+            self.runs.clear();
+            for m in 1..=max_m {
+                let (pre, suf) = self.run(fixed, &node, m);
+                self.runs.push(Run {
+                    pre,
+                    suf,
+                    tried: None,
+                });
+            }
+            let mut pes = self.runs.iter().map(|r| r.pre + 1).min().unwrap_or(1);
+            'rows: while pes < self.runs.iter().map(|r| r.suf).max().unwrap_or(0) {
+                for m in 1..=max_m {
+                    let run = self.runs[m - 1];
+                    if run.pre < pes && pes < run.suf {
+                        let pruned = self.visit(fixed, &node, pes, m);
+                        if self.stopped {
+                            self.unprune_after(&node, pes, m);
+                            break 'rows;
+                        }
+                        // Past a leaf its own bound discards, the bar that
+                        // discarded it may discard the rest of the run
+                        // too (a convex model's totals rise past its
+                        // vertex). Tried again only after an evaluation
+                        // may have raised the bar.
+                        let suf = run.suf;
+                        if pruned && run.tried != Some(self.evaluated) && pes + 1 < suf {
+                            if self.prunes_run(fixed, node.sums, m, pes + 1, suf - 1) {
+                                self.pruned += self.pruned_leaves(&node, m, pes + 1, suf - 1);
+                                self.runs[m - 1].suf = pes + 1;
+                            } else {
+                                self.runs[m - 1].tried = Some(self.evaluated);
+                            }
+                        }
                     }
                 }
-                Bound::Unbounded => {}
+                pes += 1;
+            }
+        }
+        fixed.pop();
+    }
+
+    /// Visits the last kind's leaf `(pes, m)` of `node`; returns whether
+    /// its bound discarded it.
+    fn visit(&mut self, fixed: &mut [KindUse], node: &LastNode, pes: usize, m: usize) -> bool {
+        let k = self.kinds - 1;
+        fixed[k] = KindUse {
+            kind: KindId(k),
+            pes,
+            procs_per_pe: m,
+        };
+        let sums = self.with_use(node.sums, k, pes, m);
+        let n_idx = node.base_n + (pes - 1) * self.space.max_m[k] + m;
+        self.leaf(fixed, n_idx, sums)
+    }
+
+    /// Bounds run `m` of `node`, its leaves `(P, m)` for
+    /// `P ∈ first..=available`, and counts its prunable prefix
+    /// `first..=pre` and suffix `suf..=available` as pruned. Returns
+    /// `(pre, suf)`; the leaves strictly between are left to visit.
+    /// Bisection applies because a sub-range's bound is at least its
+    /// range's, so whether a prefix (suffix) prunes only changes once
+    /// as it grows.
+    fn run(&mut self, fixed: &mut [KindUse], node: &LastNode, m: usize) -> (usize, usize) {
+        let (first, avail) = (node.first, self.space.available[self.kinds - 1]);
+        let whole = if first > avail {
+            Bound::Unbounded
+        } else {
+            self.run_bound(fixed, node.sums, m, first, avail)
+        };
+        let (pre, suf) = if self.prunes(whole) {
+            (avail, avail + 1)
+        } else if matches!(whole, Bound::Unbounded) {
+            // Nothing to bisect: each leaf is left to its own bound.
+            (first - 1, avail + 1)
+        } else {
+            // `lo` prunes (the empty prefix at first), `hi` does not.
+            let (mut lo, mut hi) = (first - 1, avail);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if self.prunes_run(fixed, node.sums, m, first, mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            // The smallest start whose suffix prunes; the empty suffix
+            // at `avail + 1` does.
+            let (mut start, mut end) = (lo + 1, avail + 1);
+            while start < end {
+                let mid = start + (end - start) / 2;
+                if self.prunes_run(fixed, node.sums, m, mid, avail) {
+                    end = mid;
+                } else {
+                    start = mid + 1;
+                }
+            }
+            (lo, start)
+        };
+        self.pruned +=
+            self.pruned_leaves(node, m, first, pre) + self.pruned_leaves(node, m, suf, avail);
+        (pre, suf)
+    }
+
+    /// Whether every leaf `(P, m)` of the last kind under `fixed` with
+    /// `P ∈ a..=b` can be discarded, from one bound over their process
+    /// and baseline ranges ([`Searcher::run_bound`]).
+    fn prunes_run(
+        &mut self,
+        fixed: &mut [KindUse],
+        sums: Fixed,
+        m: usize,
+        a: usize,
+        b: usize,
+    ) -> bool {
+        let bound = self.run_bound(fixed, sums, m, a, b);
+        self.prunes(bound)
+    }
+
+    /// One bound below every leaf `(P, m)` of the last kind under
+    /// `fixed` with `P ∈ a..=b`.
+    fn run_bound(
+        &mut self,
+        fixed: &mut [KindUse],
+        sums: Fixed,
+        m: usize,
+        a: usize,
+        b: usize,
+    ) -> Bound {
+        let k = self.kinds - 1;
+        // The fewest PEs of the range set the energy floor.
+        fixed[k] = KindUse {
+            kind: KindId(k),
+            pes: a,
+            procs_per_pe: m,
+        };
+        let (lo, hi) = (self.with_use(sums, k, a, m), self.with_use(sums, k, b, m));
+        self.bound(fixed, k, lo, hi)
+    }
+
+    /// How many leaves `(P, m)` of `node` with `P ∈ a..=b` a pruned run
+    /// discards: all but the warm start, which was evaluated up front.
+    fn pruned_leaves(&self, node: &LastNode, m: usize, a: usize, b: usize) -> usize {
+        if a > b {
+            return 0;
+        }
+        let warm = node
+            .warm
+            .is_some_and(|(pes, wm)| wm == m && (a..=b).contains(&pes));
+        b + 1 - a - usize::from(warm)
+    }
+
+    /// Takes back the run leaves counted as pruned that lie after leaf
+    /// `(pes, m)` in enumeration order: a walk stopped by its budget
+    /// there never reaches them.
+    fn unprune_after(&mut self, node: &LastNode, pes: usize, m: usize) {
+        let avail = self.space.available[self.kinds - 1];
+        for m2 in 1..=self.runs.len() {
+            let Run { pre, suf, .. } = self.runs[m2 - 1];
+            let from = if m2 > m { pes } else { pes + 1 };
+            self.pruned -= self.pruned_leaves(node, m2, from.max(node.first), pre)
+                + self.pruned_leaves(node, m2, from.max(suf), avail);
+        }
+    }
+
+    /// Bounds and prices the leaf `fixed` (enumeration index `n_idx`,
+    /// with sums `sums`); returns whether its bound discarded it.
+    fn leaf(&mut self, fixed: &[KindUse], n_idx: usize, sums: Fixed) -> bool {
+        if n_idx == 0 {
+            return false; // the all-unused non-candidate
+        }
+        if self.warm_n == Some(n_idx) {
+            return false; // already evaluated up front
+        }
+        if sums.pes >= 2 {
+            let bound = self.bound(fixed, self.kinds - 1, sums, sums);
+            if self.prunes(bound) {
+                self.pruned += 1;
+                return true;
             }
         }
         let counts = ProcessCounts {
@@ -539,6 +782,7 @@ impl<'a> Searcher<'a> {
             single_pe: sums.pes == 1,
         };
         self.evaluate(fixed, n_idx, counts);
+        false
     }
 
     /// The fast kind's multiplicity in `fixed` (0 when unused or not
@@ -551,33 +795,41 @@ impl<'a> Searcher<'a> {
     }
 
     fn count_pruned(&mut self, base_n: usize, count: usize) {
-        let mut c = count;
-        if let Some(w) = self.warm_n {
-            // The warm start inside this subtree was already evaluated;
-            // it must not also be counted as pruned.
-            if !self.warm_seen && base_n <= w && w < base_n + count {
-                self.warm_seen = true;
-                c -= 1;
-            }
+        // The warm start inside this subtree was already evaluated; it
+        // must not also be counted as pruned.
+        let warm = self
+            .warm_n
+            .is_some_and(|w| base_n <= w && w < base_n + count);
+        self.pruned += count - usize::from(warm);
+    }
+
+    /// Whether `bound` discards its whole subtree.
+    fn prunes(&self, bound: Bound) -> bool {
+        match bound {
+            Bound::AllError => true,
+            Bound::Lb { time, energy } => self.should_prune(time, energy),
+            Bound::Unbounded => false,
         }
-        self.pruned += c;
     }
 
     /// Lower-bounds every completion of `fixed` (kinds `0..=k`, all
-    /// multi-PE by the caller's `sums.pes ≥ 2` gate).
-    fn bound(&mut self, fixed: &[KindUse], k: usize, sums: Fixed) -> Bound {
+    /// multi-PE by the caller's `sums.pes ≥ 2` gate) whose kinds
+    /// `0..=k` sum to between `lo` and `hi` (equal, except over a run
+    /// of last-kind leaves, where `fixed` holds the run's first).
+    fn bound(&mut self, fixed: &[KindUse], k: usize, lo: Fixed, hi: Fixed) -> Bound {
         let mut hits = 0usize;
-        let free_pm = self.free_pm_max[k + 1];
+        let procs_hi = hi.procs + self.free_pm_max[k + 1];
         // Raw §3.4 bound: each completion's P-T term for a fixed used
-        // slot is one of the tabulated values in the reachable range.
+        // slot is one of the slot's totals over the reachable range.
         let mut raw_lb = f64::NEG_INFINITY;
         for u in fixed.iter().filter(|u| u.pes > 0) {
             let Some(slot) = self.tables.slot(u.kind.0, u.procs_per_pe) else {
                 return Bound::AllError;
             };
-            let lb = self
-                .tables
-                .range_min(slot, sums.procs, sums.procs + free_pm, &mut hits);
+            if !self.bounds_prune {
+                continue; // only the all-error check can still prune
+            }
+            let lb = self.tables.range_min(slot, lo.procs, procs_hi, &mut hits);
             raw_lb = raw_lb.max(lb);
         }
         self.cert_hits += hits;
@@ -617,7 +869,8 @@ impl<'a> Searcher<'a> {
             time_lb = time_lb.min(raw_lb);
         }
         if m1_hi >= self.min_m1 {
-            time_lb = time_lb.min(self.adjusted_lb(fixed, k, sums, raw_lb));
+            let base = (lo.base, hi.base + self.free_base_max[k + 1]);
+            time_lb = time_lb.min(self.adjusted_lb(fixed, base, raw_lb));
         }
         Bound::Lb {
             time: time_lb,
@@ -626,9 +879,10 @@ impl<'a> Searcher<'a> {
     }
 
     /// Lower bound on `scale·raw + base_coeff·baseline` over the
-    /// subtree's adjusted completions; `NEG_INFINITY` when the folded
-    /// coefficients cannot be bounded from below.
-    fn adjusted_lb(&mut self, fixed: &[KindUse], k: usize, sums: Fixed, raw_lb: f64) -> f64 {
+    /// completions of `fixed` whose baseline process count lies in
+    /// `base`; `NEG_INFINITY` when the folded coefficients cannot be
+    /// bounded from below.
+    fn adjusted_lb(&mut self, fixed: &[KindUse], base: (usize, usize), raw_lb: f64) -> f64 {
         if self.scale < 0.0 || self.base_coeff < 0.0 {
             return f64::NEG_INFINITY;
         }
@@ -636,7 +890,6 @@ impl<'a> Searcher<'a> {
             return self.scale * raw_lb;
         }
         let mut hits = 0usize;
-        let base_phi = sums.base + self.free_base_max[k + 1];
         let mut base_lb = f64::NEG_INFINITY;
         let mut all_base_present = true;
         for u in fixed.iter().filter(|u| u.pes > 0) {
@@ -647,7 +900,7 @@ impl<'a> Searcher<'a> {
             };
             match self.tables.slot(u.kind.0, bm) {
                 Some(slot) => {
-                    let lb = self.tables.range_min(slot, sums.base, base_phi, &mut hits);
+                    let lb = self.tables.range_min(slot, base.0, base.1, &mut hits);
                     base_lb = base_lb.max(lb);
                 }
                 None => all_base_present = false,
@@ -674,7 +927,7 @@ impl<'a> Searcher<'a> {
         match self.energy {
             // Time-only: nothing in the subtree can beat (or tie) the
             // incumbent.
-            None => match &self.best {
+            None => match self.incumbents.last() {
                 Some(b) => t_lb > b.time,
                 None => false,
             },
@@ -682,18 +935,17 @@ impl<'a> Searcher<'a> {
             // dominates everything in the subtree, so no completion
             // can be the time argmin *or* sit on the front.
             Some(_) => {
-                if !self.parts_safe {
-                    return false;
-                }
                 let e_lb = shave(energy_lb);
-                self.archive.iter().any(|&(at, ae)| at < t_lb && ae < e_lb)
+                self.archive
+                    .iter()
+                    .any(|&(_, at, ae)| at < t_lb && ae < e_lb)
             }
         }
     }
 
-    /// Prices the candidate `fixed` (with `counts` read off it) from the
-    /// tables. A configuration is built only for a new incumbent and,
-    /// in energy mode, for a point of the front.
+    /// Prices the candidate `fixed` (enumeration index `n_idx − 1`, with
+    /// `counts` read off it) from the tables. It is recorded by index:
+    /// no configuration is built.
     fn evaluate(&mut self, fixed: &[KindUse], n_idx: usize, counts: ProcessCounts) {
         if self.stopped {
             return;
@@ -714,91 +966,89 @@ impl<'a> Searcher<'a> {
             let parts = est.parts(fixed, counts, &self.tables);
             let e = em.joules(fixed, parts.ta, parts.tc);
             if t.is_finite() && e.is_finite() {
-                let cfg = Configuration {
-                    uses: fixed.to_vec(),
-                };
-                self.points.push((n_idx, t, e, cfg));
-                self.archive_insert(t, e);
+                insert_non_dominated(&mut self.archive, (n_idx - 1, t, e));
             }
         }
-        let better = match &self.best {
+        let index = n_idx - 1;
+        let better = match self.incumbents.last() {
             None => true,
-            Some(b) => t < b.time || (t == b.time && n_idx < b.n),
+            Some(b) => t < b.time || (t == b.time && index < b.index),
         };
         if better {
-            self.best = Some(Best { n: n_idx, time: t });
             self.incumbents.push(Incumbent {
-                config: Configuration {
-                    uses: fixed.to_vec(),
-                },
+                index,
                 time: t,
                 evaluations: self.evaluated,
             });
         }
     }
 
-    fn archive_insert(&mut self, t: f64, e: f64) {
-        if self.archive.iter().any(|&(at, ae)| at <= t && ae <= e) {
-            return;
-        }
-        self.archive.retain(|&(at, ae)| !(t <= at && e <= ae));
-        self.archive.push((t, e));
-    }
-
-    /// The exact non-dominated set over every stored point, ordered by
-    /// enumeration index before extraction so the output is independent
-    /// of evaluation order (warm starts evaluate out of order).
+    /// The exact non-dominated set over every finite estimable
+    /// candidate: the archive, sorted by ascending time, then energy,
+    /// then enumeration index, so the output is independent of
+    /// evaluation order (warm starts evaluate out of order). Only the
+    /// front's configurations are built.
     fn extract_front(&mut self) -> Vec<ParetoPoint> {
-        let mut points = std::mem::take(&mut self.points);
-        points.sort_by_key(|p| p.0);
-        let flat: Vec<(Configuration, f64, f64)> = points
+        let mut front = std::mem::take(&mut self.archive);
+        sort_front(&mut front);
+        front
             .into_iter()
-            .map(|(_, t, e, cfg)| (cfg, t, e))
-            .collect();
-        pareto_front_of(&flat)
+            .map(|(index, time, energy)| ParetoPoint {
+                config: self.space.config_at(index),
+                time,
+                energy,
+            })
+            .collect()
     }
 }
 
 /// The exact non-dominated subset of `(config, time, energy)` points
 /// under standard Pareto dominance (`q` dominates `p` when it is no
-/// worse on both axes and strictly better on one). Points with
-/// bit-equal `(time, energy)` are all kept; output is sorted by
-/// ascending time, ties by energy, then input order.
+/// worse on both axes and strictly better on one); points with a `NaN`
+/// coordinate are left out. Points with bit-equal `(time, energy)` are
+/// all kept; output is sorted by ascending time, ties by energy, then
+/// input order.
 pub fn pareto_front_of(points: &[(Configuration, f64, f64)]) -> Vec<ParetoPoint> {
-    let mut idx: Vec<usize> = (0..points.len()).collect();
-    idx.sort_by(|&a, &b| {
-        points[a]
-            .1
-            .total_cmp(&points[b].1)
-            .then(points[a].2.total_cmp(&points[b].2))
-            .then(a.cmp(&b))
-    });
     let mut front = Vec::new();
-    let mut best_e = f64::INFINITY;
-    let mut i = 0;
-    while i < idx.len() {
-        let t0 = points[idx[i]].1;
-        let mut j = i;
-        let mut min_e = f64::INFINITY;
-        while j < idx.len() && points[idx[j]].1 == t0 {
-            min_e = min_e.min(points[idx[j]].2);
-            j += 1;
+    for (i, &(_, t, e)) in points.iter().enumerate() {
+        if !(t.is_nan() || e.is_nan()) {
+            insert_non_dominated(&mut front, (i, t, e));
         }
-        if min_e < best_e {
-            for &q in &idx[i..j] {
-                if points[q].2 == min_e {
-                    front.push(ParetoPoint {
-                        config: points[q].0.clone(),
-                        time: points[q].1,
-                        energy: points[q].2,
-                    });
-                }
-            }
-            best_e = min_e;
-        }
-        i = j;
     }
+    sort_front(&mut front);
     front
+        .into_iter()
+        .map(|(i, time, energy)| ParetoPoint {
+            config: points[i].0.clone(),
+            time,
+            energy,
+        })
+        .collect()
+}
+
+/// Adds `point` to `front`, a non-dominated set of `(key, time,
+/// energy)` points, unless a point of `front` dominates it, and drops
+/// the points it dominates. A point bit-equal to one in `front` joins
+/// it. Dominance is transitive, so inserting points one by one leaves
+/// exactly their non-dominated subset.
+fn insert_non_dominated(front: &mut Vec<(usize, f64, f64)>, point: (usize, f64, f64)) {
+    let dominates =
+        |a: (f64, f64), b: (f64, f64)| a.0 <= b.0 && a.1 <= b.1 && (a.0 < b.0 || a.1 < b.1);
+    let (_, t, e) = point;
+    if front.iter().any(|&(_, qt, qe)| dominates((qt, qe), (t, e))) {
+        return;
+    }
+    front.retain(|&(_, qt, qe)| !dominates((t, e), (qt, qe)));
+    front.push(point);
+}
+
+/// Orders a front by ascending time, then energy, then key.
+fn sort_front(front: &mut [(usize, f64, f64)]) {
+    front.sort_unstable_by(|a, b| {
+        a.1.total_cmp(&b.1)
+            .then(a.2.total_cmp(&b.2))
+            .then(a.0.cmp(&b.0))
+    });
 }
 
 /// Anytime branch-and-bound minimization of the §4.1-adjusted estimate
@@ -833,7 +1083,7 @@ pub fn anytime_search(
     let evaluated = s.evaluated;
     AnytimeReport {
         best: s.incumbents.last().map(|b| SearchResult {
-            config: b.config.clone(),
+            config: space.config_at(b.index),
             time: b.time,
             evaluations: evaluated,
         }),
@@ -929,7 +1179,7 @@ mod tests {
                 assert!(report.pruned > 0);
                 let last = report.incumbents.last().expect("incumbent stream");
                 assert_eq!(last.time.to_bits(), best.time.to_bits());
-                assert_eq!(last.config, best.config);
+                assert_eq!(space.config_at(last.index), best.config);
             }
         }
     }
@@ -1017,7 +1267,7 @@ mod tests {
                 .find(|i| i.evaluations <= budget)
                 .expect("first evaluation estimable");
             let got = run.best.expect("estimable");
-            assert_eq!(got.config, expect.config, "budget={budget}");
+            assert_eq!(got.config, space.config_at(expect.index), "budget={budget}");
             assert_eq!(got.time.to_bits(), expect.time.to_bits(), "budget={budget}");
         }
         let zero = anytime_search(
@@ -1095,6 +1345,29 @@ mod tests {
         }
     }
 
+    /// Bit-equal points are all kept, in input order; dominated ones
+    /// and those with a `NaN` coordinate are left out.
+    #[test]
+    fn pareto_front_of_keeps_ties_and_leaves_out_nan_points() {
+        let cfg = |p| Configuration::p1m1_p2m2(1, 1, p, 1);
+        let points = vec![
+            (cfg(1), 2.0, 5.0),
+            (cfg(2), f64::NAN, 1.0),
+            (cfg(3), 1.0, 6.0),
+            (cfg(4), 3.0, f64::NAN),
+            (cfg(5), 1.0, 6.0),
+            (cfg(6), 2.5, 5.0),
+        ];
+        let front: Vec<_> = pareto_front_of(&points)
+            .into_iter()
+            .map(|p| (p.config, p.time, p.energy))
+            .collect();
+        assert_eq!(
+            front,
+            vec![(cfg(3), 1.0, 6.0), (cfg(5), 1.0, 6.0), (cfg(1), 2.0, 5.0)]
+        );
+    }
+
     #[test]
     fn pareto_front_is_deterministic_across_runs_and_warm_starts() {
         let e = engine();
@@ -1168,6 +1441,28 @@ mod tests {
             report.certificate_hits > 0,
             "no certified range-min shortcuts on a monotone-friendly model"
         );
+    }
+
+    /// A kind with no PEs has no leaves: with either kind absent, the
+    /// walk covers exactly the space and returns the sweep's argmin.
+    #[test]
+    fn spaces_with_an_absent_kind_match_the_exhaustive_oracle() {
+        let e = engine();
+        let snapshot = e.snapshot();
+        for available in [vec![1, 0], vec![0, 4]] {
+            let space = ConfigSpace {
+                available,
+                max_m: vec![2, 2],
+            };
+            for n in [400usize, 1600, 3200] {
+                let brute = best_config(&snapshot, &space, n).expect("estimable");
+                let report = anytime_search(&snapshot, &space, n, &AnytimeOptions::default());
+                let best = report.best.expect("estimable");
+                assert_eq!(best.config, brute.config, "{space:?} n={n}");
+                assert_eq!(best.time.to_bits(), brute.time.to_bits());
+                assert_eq!(report.evaluated + report.pruned, space.len(), "{space:?}");
+            }
+        }
     }
 
     /// A three-kind campaign: kind speeds 1.5 / 1.0 / 0.8, every kind

@@ -108,6 +108,43 @@ impl ConfigSpace {
         }
     }
 
+    /// The configuration at position `index` of
+    /// [`ConfigSpace::enumerate`], decoded from the index's mixed-radix
+    /// digits (one per kind, radix `1 + availableᵢ·max_mᵢ`, digit 0 for
+    /// an unused kind, then `(P, M)` with `M` varying fastest) without
+    /// enumerating. The search walks carry this index and build a
+    /// configuration only where they report one.
+    ///
+    /// # Panics
+    /// When `index` is not below the space's size.
+    pub fn config_at(&self, index: usize) -> Configuration {
+        assert!(index < self.len(), "index {index} outside the space");
+        // Position 0 of the mixed-radix order is the all-unused
+        // non-candidate, which `enumerate` skips.
+        let mut rest = index + 1;
+        let mut uses: Vec<KindUse> = (0..self.available.len())
+            .rev()
+            .map(|k| {
+                let max_m = self.max_m[k];
+                let radix = 1 + self.available[k] * max_m;
+                let digit = rest % radix;
+                rest /= radix;
+                let (pes, m) = if digit == 0 {
+                    (0, 0)
+                } else {
+                    ((digit - 1) / max_m + 1, (digit - 1) % max_m + 1)
+                };
+                KindUse {
+                    kind: KindId(k),
+                    pes,
+                    procs_per_pe: m,
+                }
+            })
+            .collect();
+        uses.reverse();
+        Configuration { uses }
+    }
+
     /// Size of the enumeration without materializing it:
     /// `Π (1 + availableᵢ·max_mᵢ) − 1`.
     pub(crate) fn len(&self) -> usize {
@@ -196,6 +233,22 @@ mod tests {
         // All distinct and valid.
         for cfg in &all {
             assert!(cfg.total_processes() > 0);
+        }
+    }
+
+    #[test]
+    fn config_at_decodes_every_enumeration_index() {
+        for space in [
+            space(),
+            ConfigSpace::new(&paper_cluster(CommLibProfile::mpich122()), vec![6, 1]),
+            ConfigSpace {
+                available: vec![2, 3, 1],
+                max_m: vec![2, 1, 3],
+            },
+        ] {
+            for (i, cfg) in space.enumerate().iter().enumerate() {
+                assert_eq!(&space.config_at(i), cfg, "index {i}");
+            }
         }
     }
 
