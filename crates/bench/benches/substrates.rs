@@ -8,15 +8,13 @@ use etm_cluster::spec::paper_cluster;
 use etm_cluster::{CommLibProfile, Configuration, KindId, KindUse};
 use etm_hpl::numeric::run_numeric;
 use etm_hpl::{simulate_hpl, HplParams};
-use etm_linalg::blas3::{dgemm, dgemm_naive, par_dgemm};
+use etm_linalg::blas3::{dgemm, dgemm_naive};
 use etm_linalg::gen::{hpl_matrix, seeded_matrix};
 use etm_linalg::lu::dgetrf;
 use etm_linalg::Matrix;
 use etm_sim::Simulation;
 
-/// Blocked `dgemm` is gated against the naive triple loop. The parallel
-/// kernel's ratio to the blocked one depends on the host's core count,
-/// so it is printed ungated.
+/// Blocked `dgemm` is gated against the naive triple loop.
 fn gemm_kernels(r: &mut Runner) {
     for (n, bound) in BLOCKED_OVER_NAIVE {
         let a = seeded_matrix(n, n, 1);
@@ -28,14 +26,6 @@ fn gemm_kernels(r: &mut Runner) {
             || dgemm(1.0, &a, &b, 0.0, black_box(&mut c_blocked)),
             || dgemm_naive(1.0, &a, &b, 0.0, black_box(&mut c_naive)),
             Some(bound),
-        );
-        let mut c_parallel = Matrix::zeros(n, n);
-        r.pair(
-            &format!("gemm_kernels/parallel/{n}"),
-            &format!("gemm_kernels/blocked/{n}"),
-            || par_dgemm(1.0, &a, &b, 0.0, black_box(&mut c_parallel)),
-            || dgemm(1.0, &a, &b, 0.0, black_box(&mut c_blocked)),
-            None,
         );
     }
 }

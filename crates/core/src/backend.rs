@@ -11,28 +11,32 @@
 //! result against a seed capture. Tests substitute fakes through the
 //! trait to inject fit failures.
 //!
-//! There is one fit path, [`ModelBackend::refit_groups`] over a set of
-//! dirty keys, and a full [`ModelBackend::fit`] is that refit with every
-//! key dirty against the empty bank. A refit does only what the dirty
-//! keys require:
+//! There is one fit path, [`ModelBackend::refit_groups`] over a sorted,
+//! distinct slice of dirty keys, and a full [`ModelBackend::fit`] is
+//! that refit with every key dirty against the empty bank. A refit does
+//! only what the dirty keys require:
 //!
 //! * the N-T model of each dirty key, and no other: an N-T model is a
 //!   pure function of its key's samples, so every clean key's model is
 //!   carried over bit for bit;
 //! * one factored least-squares design (`NtDesign`) per distinct list
 //!   of sizes among the dirty keys, shared by every key measured at
-//!   those sizes — the whole Basic campaign is one 9-size design;
+//!   those sizes — the whole Basic campaign is one 9-size design — and
+//!   kept in the [`FitMemo`] for the next refit, which factors only the
+//!   size lists the last one did not fit;
 //! * the measured P-T model of each `(kind, m)` group holding a dirty
-//!   key, gathered in one pass over the group's samples into buffers
-//!   the [`PtMemo`] keeps, and solved on the group's factored designs
-//!   from its previous fit wherever their inputs match (below);
+//!   key, gathered key by key into buffers the [`FitMemo`] keeps, and
+//!   solved on the group's factored designs from its previous fit
+//!   wherever their inputs match (below);
 //! * the (cheap) §3.5 composition pass, always, over the database's kept
 //!   size list (`MeasurementDb::sizes`).
 //!
 //! The result is bit-identical to a full fit over the same database, and
 //! the [`FitWork`] returned with it counts what was done.
 //!
-//! A P-T design is reused only on exact inputs. Each half of a group's
+//! A design is reused only on exact inputs. An N-T design is a pure
+//! function of its size list, so a stored one serves every key measured
+//! at exactly those sizes, in order. Each half of a group's
 //! P-T fit (`Ta`, `Tc`) solves a design whose rows are a function of the
 //! reference N-T coefficients that half reads and of the `(N, P)` row
 //! layout. The memo keeps each group's factored halves with those
@@ -41,14 +45,16 @@
 //! A reused design is thus exactly the one a fresh fit would build, and
 //! nothing ever has to invalidate the memo: a half whose inputs moved
 //! simply misses. Streamed samples mostly move times, not sizes or the
-//! reference model: in the seeded replay `tests/refit_work.rs` pins,
-//! 170 P-T fits factor 48 of their 340 halves.
+//! reference model: in the seeded replay `tests/campaign.rs` pins, 434
+//! N-T fits factor no design (the engine's initial fit factored the one
+//! 9-size design they all share) and 170 P-T fits factor 48 of their
+//! 340 halves.
 
 use std::collections::BTreeSet;
 
 use crate::compose::{compose_fitted, PAPER_TC_SCALE};
 use crate::grid::KeyGrid;
-use crate::measurement::{groups_of_keys, MeasurementDb, SampleKey};
+use crate::measurement::{MeasurementDb, SampleKey};
 use crate::ntmodel::{NtDesign, NtModel};
 use crate::pipeline::{ModelBank, PipelineError};
 use crate::ptmodel::{PtDesigns, PtInputs, PtModel};
@@ -60,27 +66,33 @@ pub struct FitWork {
     /// N-T models fit: one per dirty key with at least 4 sizes.
     pub nt_fits: usize,
     /// QR factorizations of N-T designs: two (`Ta` and `Tc`) per
-    /// distinct size list among the keys fit.
+    /// distinct size list among the keys fit whose design the
+    /// [`FitMemo`] did not hold. `0` when every list was fit before.
     pub nt_factorizations: usize,
     /// Measured P-T models fit: one per fittable group holding a dirty
     /// key.
     pub pt_fits: usize,
     /// QR factorizations of P-T designs: up to two (`Ta` and `Tc`) per
-    /// P-T fit, one for each half whose design the [`PtMemo`] could not
+    /// P-T fit, one for each half whose design the [`FitMemo`] could not
     /// reuse. `2 · pt_fits − pt_factorizations` is what the memo saved.
     pub pt_factorizations: usize,
 }
 
-/// The factored P-T designs of every `(kind, m)` group, carried from one
-/// refit to the next, and the buffers a P-T fit gathers into.
+/// The factored designs a refit solves on, carried from one refit to
+/// the next — the N-T designs of the size lists the last refit fit and
+/// the P-T designs of every `(kind, m)` group — and the buffers the fits
+/// gather into.
 ///
-/// A stored design is reused only when the reference coefficients its
-/// rows read and its `(N, P)` layout equal the new fit's bit for bit;
-/// see the module docs. An empty memo (`PtMemo::default()`) makes every
-/// P-T fit factor afresh, and any memo gives the same bank.
+/// A stored design is reused only when the inputs its rows read equal
+/// the new fit's bit for bit: an N-T design's size list, a P-T half's
+/// reference coefficients and `(N, P)` layout; see the module docs. An
+/// empty memo (`FitMemo::default()`) makes every fit factor afresh, and
+/// any memo gives the same bank.
 #[derive(Debug, Default)]
-pub struct PtMemo {
+pub struct FitMemo {
+    nt: Vec<NtDesign>,
     groups: KeyGrid<(usize, usize), PtDesigns>,
+    nt_times: Vec<f64>,
     inputs: PtInputs,
 }
 
@@ -95,11 +107,12 @@ pub trait ModelBackend: Send + Sync {
     /// measured P-T model of every `(kind, m)` group holding one,
     /// carrying every other model over from `previous`, and re-runs the
     /// §3.5 composition pass (composed models depend on their donors,
-    /// so they are always rebuilt). `dirty` must contain every key whose
-    /// samples changed since `previous` was fit; given that, the bank is
-    /// bit-identical to `self.fit(db)`. Also returns the work done.
+    /// so they are always rebuilt). `dirty` is sorted and distinct, and
+    /// must contain every key whose samples changed since `previous` was
+    /// fit; given that, the bank is bit-identical to `self.fit(db)`.
+    /// Also returns the work done.
     ///
-    /// `memo` carries factored P-T designs between calls; a backend
+    /// `memo` carries factored designs between calls; a backend
     /// reuses a stored design only when its inputs match exactly, so
     /// the bank never depends on what the memo holds, and a call that
     /// fails leaves it valid.
@@ -110,8 +123,8 @@ pub trait ModelBackend: Send + Sync {
         &self,
         db: &MeasurementDb,
         previous: &ModelBank,
-        dirty: &BTreeSet<SampleKey>,
-        memo: &mut PtMemo,
+        dirty: &[SampleKey],
+        memo: &mut FitMemo,
     ) -> Result<(ModelBank, FitWork), PipelineError>;
 
     /// Fits every model the database supports: a `refit_groups` of
@@ -121,7 +134,7 @@ pub trait ModelBackend: Send + Sync {
     /// [`PipelineError::Fit`] if a well-posed fit fails numerically;
     /// [`PipelineError::NoDonor`] if §3.5 composition is impossible.
     fn fit(&self, db: &MeasurementDb) -> Result<ModelBank, PipelineError> {
-        full_refit(self, db, &mut PtMemo::default()).map(|(bank, _)| bank)
+        full_refit(self, db, &mut FitMemo::default()).map(|(bank, _)| bank)
     }
 }
 
@@ -134,9 +147,10 @@ pub trait ModelBackend: Send + Sync {
 pub(crate) fn full_refit<B: ModelBackend + ?Sized>(
     backend: &B,
     db: &MeasurementDb,
-    memo: &mut PtMemo,
+    memo: &mut FitMemo,
 ) -> Result<(ModelBank, FitWork), PipelineError> {
-    let every: BTreeSet<SampleKey> = db.keys().copied().collect();
+    // Grid iteration is key order: sorted and distinct.
+    let every: Vec<SampleKey> = db.keys().copied().collect();
     backend.refit_groups(db, &ModelBank::default(), &every, memo)
 }
 
@@ -219,8 +233,8 @@ impl ModelBackend for PolyLsqBackend {
         &self,
         db: &MeasurementDb,
         previous: &ModelBank,
-        dirty: &BTreeSet<SampleKey>,
-        memo: &mut PtMemo,
+        dirty: &[SampleKey],
+        memo: &mut FitMemo,
     ) -> Result<(ModelBank, FitWork), PipelineError> {
         refit_bank(db, previous, dirty, memo)
     }
@@ -236,7 +250,7 @@ fn fit_pt_group(
     nt: &KeyGrid<SampleKey, NtModel>,
     group: (usize, usize),
     keys: &[SampleKey],
-    memo: &mut PtMemo,
+    memo: &mut FitMemo,
 ) -> Result<Option<(PtModel, usize)>, PipelineError> {
     // The keys of one group differ only in `pes`: one distinct P each.
     if keys.len() < 2 {
@@ -256,23 +270,26 @@ fn fit_pt_group(
     // different regime whose near-zero Tc would distort the P-slope of
     // the fit. That regime holds one P per key with a multi-node
     // sample; with fewer than two, Tc is fit on every sample, like Ta.
-    // One pass gathers both halves, in key then N order.
-    let multi_node_keys = keys
+    // Both halves are gathered key by key, each in key then N order.
+    let binned = keys
         .iter()
         .filter(|k| db.samples(k).iter().any(|s| s.multi_node))
-        .count();
-    let binned = multi_node_keys >= 2;
+        .nth(1)
+        .is_some();
     let inputs = &mut memo.inputs;
     inputs.clear();
     for k in keys {
         let p = k.total_p();
-        for s in db.samples(k) {
-            inputs.ta_layout.push((s.n, p));
-            inputs.ta.push(s.ta);
-            if s.multi_node || !binned {
-                inputs.tc_layout.push((s.n, p));
-                inputs.tc.push(s.tc);
-            }
+        let samples = db.samples(k);
+        inputs.ta_layout.extend(samples.iter().map(|s| (s.n, p)));
+        inputs.ta.extend(samples.iter().map(|s| s.ta));
+        if binned {
+            let regime = || samples.iter().filter(|s| s.multi_node);
+            inputs.tc_layout.extend(regime().map(|s| (s.n, p)));
+            inputs.tc.extend(regime().map(|s| s.tc));
+        } else {
+            inputs.tc_layout.extend(samples.iter().map(|s| (s.n, p)));
+            inputs.tc.extend(samples.iter().map(|s| s.tc));
         }
     }
     let designs = memo.groups.get_or_insert_with(group, PtDesigns::default);
@@ -314,38 +331,53 @@ fn compose_unfittable(
 /// *other* groups, so reuse would be unsound). `NtModel::fit` is a pure
 /// function of a key's samples, so a carried N-T model is bitwise what
 /// its refit would give. Dirty keys measured at the same sizes share one
-/// `NtDesign`, and each refit group solves on its designs in `memo`;
-/// see `ModelBank::fit` for the model-selection rules. The bank's grids
-/// and the memo's are sized to the database's boxes first, so no insert
+/// `NtDesign`, found in `memo` when the last refit fit that size list,
+/// and each refit group solves on its P-T designs in `memo`; see
+/// `ModelBank::fit` for the model-selection rules. The bank's grids and
+/// the memo's are sized to the database's boxes first, so no insert
 /// regrows them.
 fn refit_bank(
     db: &MeasurementDb,
     previous: &ModelBank,
-    dirty: &BTreeSet<SampleKey>,
-    memo: &mut PtMemo,
+    dirty: &[SampleKey],
+    memo: &mut FitMemo,
 ) -> Result<(ModelBank, FitWork), PipelineError> {
+    debug_assert!(
+        dirty.windows(2).all(|w| w[0] < w[1]),
+        "dirty keys must be sorted and distinct"
+    );
     let mut work = FitWork::default();
     let mut nt = previous.nt.clone();
     nt.cover(db.key_extent());
-    let mut designs: Vec<NtDesign> = Vec::new();
+    // The designs this call uses are moved to the front of the memo's
+    // list, `used` of them; the rest are dropped once every fit is done,
+    // so the memo holds the size lists of the last refit only.
+    let mut used = 0;
     for key in dirty {
         let samples = db.samples(key);
         if samples.len() < 4 {
             nt.remove(key);
             continue;
         }
-        let at = match designs.iter().position(|d| d.matches(samples)) {
+        let at = match memo.nt.iter().position(|d| d.matches(samples)) {
             Some(at) => at,
             None => {
-                designs.push(NtDesign::new(samples)?);
-                designs.len() - 1
+                memo.nt.push(NtDesign::new(samples)?);
+                work.nt_factorizations += 2;
+                memo.nt.len() - 1
             }
         };
-        nt.insert(*key, designs[at].fit(samples)?);
+        let at = if at >= used {
+            memo.nt.swap(at, used);
+            used += 1;
+            used - 1
+        } else {
+            at
+        };
+        nt.insert(*key, memo.nt[at].fit(samples, &mut memo.nt_times)?);
         work.nt_fits += 1;
     }
-    work.nt_factorizations = 2 * designs.len();
-    let dirty_groups = groups_of_keys(dirty);
+    memo.nt.truncate(used);
     // Measured P-T models: refit every group holding a dirty key, carry
     // the others over. A clean group that was *composed* before stays on
     // the composition path — its donors may have moved.
@@ -355,7 +387,7 @@ fn refit_bank(
     pt.cover(groups.extent());
     let mut unfittable: Vec<(usize, usize)> = Vec::new();
     for (&group, keys) in groups {
-        if dirty_groups.binary_search(&group).is_ok() {
+        if keys.iter().any(|k| dirty.binary_search(k).is_ok()) {
             match fit_pt_group(db, &nt, group, keys, memo)? {
                 Some((model, factored)) => {
                     pt.insert(group, model);
@@ -461,7 +493,7 @@ pub(crate) mod tests {
     fn refit_of_measured_group_matches_full_fit_bit_for_bit() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         // Perturb one sample and add a brand-new size to the group.
         let key = SampleKey {
@@ -473,9 +505,8 @@ pub(crate) mod tests {
         s.ta *= 1.1;
         db.upsert(key, s);
         db.upsert(key, synth_sample(1, 2, 1, 4000));
-        let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
         let (incremental, work) = backend
-            .refit_groups(&db, &old_bank, &dirty, &mut memo)
+            .refit_groups(&db, &old_bank, &[key], &mut memo)
             .unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
@@ -502,7 +533,7 @@ pub(crate) mod tests {
     fn refit_of_composed_groups_donor_recomposes_it() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         assert_eq!(old_bank.composed_groups, vec![(0, 1), (0, 2)]);
         // Dirty the donor group (1, 1): the composed (0, 1) model must
@@ -515,9 +546,8 @@ pub(crate) mod tests {
         let mut s = db.samples(&key)[2];
         s.tc *= 1.25;
         db.upsert(key, s);
-        let dirty: BTreeSet<SampleKey> = [key].into_iter().collect();
         let (incremental, _) = backend
-            .refit_groups(&db, &old_bank, &dirty, &mut memo)
+            .refit_groups(&db, &old_bank, &[key], &mut memo)
             .unwrap();
         let full = backend.fit(&db).unwrap();
         assert_banks_bit_equal(&incremental, &full);
@@ -532,7 +562,7 @@ pub(crate) mod tests {
     fn new_group_appears_through_refit() {
         let backend = PolyLsqBackend::paper();
         let mut db = synth_db();
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (old_bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
         // A whole new multiplicity group for kind 1, spanning three PE
         // counts so it gets a measured P-T model of its own.
@@ -541,20 +571,21 @@ pub(crate) mod tests {
                 db.upsert(SampleKey { kind: 1, pes, m: 3 }, synth_sample(1, pes, 3, n));
             }
         }
-        let dirty: BTreeSet<SampleKey> = [1usize, 2, 4]
+        let dirty: Vec<SampleKey> = [1usize, 2, 4]
             .into_iter()
             .map(|pes| SampleKey { kind: 1, pes, m: 3 })
             .collect();
         let (incremental, work) = backend
             .refit_groups(&db, &old_bank, &dirty, &mut memo)
             .unwrap();
-        // Three keys at the same five sizes: one shared design; the new
-        // group's P-T designs are factored for the first time.
+        // Three keys at the five sizes every key shares: the design the
+        // full fit factored serves them; the new group's P-T designs are
+        // factored for the first time.
         assert_eq!(
             work,
             FitWork {
                 nt_fits: 3,
-                nt_factorizations: 2,
+                nt_factorizations: 0,
                 pt_fits: 1,
                 pt_factorizations: 2,
             }
@@ -567,6 +598,32 @@ pub(crate) mod tests {
             pes: 1,
             m: 3,
         }));
+    }
+
+    /// An N-T design serves only keys at exactly its size list, and the
+    /// memo keeps the lists the last refit used: a new list of the same
+    /// length is factored, and so is a list an earlier refit dropped.
+    #[test]
+    fn nt_designs_are_reused_only_on_their_exact_size_list() {
+        let backend = PolyLsqBackend::paper();
+        let mut db = synth_db();
+        let mut memo = FitMemo::default();
+        let (mut bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
+        let key = |pes| SampleKey { kind: 1, pes, m: 1 };
+        let mut refit = |db: &MeasurementDb, dirty: &[SampleKey]| {
+            let (next, work) = backend.refit_groups(db, &bank, dirty, &mut memo).unwrap();
+            assert_banks_bit_equal(&next, &backend.fit(db).unwrap());
+            bank = next;
+            work.nt_factorizations
+        };
+        scale(&mut db, key(1), 800, 1.1, 1.0);
+        assert_eq!(refit(&db, &[key(1)]), 0, "the full fit's five sizes");
+        db.upsert(key(2), synth_sample(1, 2, 1, 4000));
+        assert_eq!(refit(&db, &[key(2)]), 2, "six sizes ending at 4000");
+        db.upsert(key(4), synth_sample(1, 4, 1, 4800));
+        assert_eq!(refit(&db, &[key(4)]), 2, "six sizes ending at 4800");
+        scale(&mut db, key(1), 400, 0.9, 1.0);
+        assert_eq!(refit(&db, &[key(1)]), 2, "five sizes, dropped since");
     }
 
     /// Upserts `key`'s sample at `n` with `ta`/`tc` scaled.
@@ -588,11 +645,10 @@ pub(crate) mod tests {
         db: &MeasurementDb,
         bank: &ModelBank,
         dirty: &[SampleKey],
-        memo: &mut PtMemo,
+        memo: &mut FitMemo,
     ) -> (ModelBank, usize) {
-        let dirty: BTreeSet<SampleKey> = dirty.iter().copied().collect();
         let (refit, work) = PolyLsqBackend::paper()
-            .refit_groups(db, bank, &dirty, memo)
+            .refit_groups(db, bank, dirty, memo)
             .unwrap();
         assert_banks_bit_equal(&refit, &PolyLsqBackend::paper().fit(db).unwrap());
         (refit, work.pt_factorizations)
@@ -603,7 +659,7 @@ pub(crate) mod tests {
     #[test]
     fn memo_refactors_exactly_the_halves_whose_reference_moved() {
         let mut db = synth_db();
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (bank, work) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
         // Groups (1, 1) and (1, 2), two halves each.
         assert_eq!((work.pt_fits, work.pt_factorizations), (2, 4));
@@ -644,7 +700,7 @@ pub(crate) mod tests {
     #[test]
     fn memo_refactors_both_halves_when_the_layout_moves() {
         let mut db = synth_db();
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (bank, _) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
         let other = SampleKey {
             kind: 1,
@@ -681,7 +737,7 @@ pub(crate) mod tests {
                 db.record(key(pes), synth_sample(1, pes, 1, n));
             }
         }
-        let mut memo = PtMemo::default();
+        let mut memo = FitMemo::default();
         let (bank, work) = full_refit(&PolyLsqBackend::paper(), &db, &mut memo).unwrap();
         assert_eq!((work.pt_fits, work.pt_factorizations), (1, 2));
         scale(&mut db, key(1), 800, 1.1, 1.0);
@@ -699,9 +755,8 @@ pub(crate) mod tests {
             fresh,
             PipelineError::Fit(etm_lsq::LsqError::RankDeficient { .. })
         ));
-        let dirty: BTreeSet<SampleKey> = [key(2)].into_iter().collect();
         let first = PolyLsqBackend::paper()
-            .refit_groups(&db, &bank, &dirty, &mut memo)
+            .refit_groups(&db, &bank, &[key(2)], &mut memo)
             .unwrap_err();
         assert_eq!(first, fresh);
         let kc = NtModel::fit(db.samples(&key(2))).unwrap().kc;
@@ -709,9 +764,8 @@ pub(crate) mod tests {
         assert_eq!(memo.groups[&(1, 1)].tc_coeffs(), Some(kc.map(f64::to_bits)));
         // Solved again on the stored design: the same error.
         scale(&mut db, key(1), 1600, 0.9, 1.0);
-        let dirty: BTreeSet<SampleKey> = [key(1), key(2)].into_iter().collect();
         let again = PolyLsqBackend::paper()
-            .refit_groups(&db, &bank, &dirty, &mut memo)
+            .refit_groups(&db, &bank, &[key(1), key(2)], &mut memo)
             .unwrap_err();
         assert_eq!(again, fresh);
         // Restored, the group fits again as a fresh fit does.

@@ -16,9 +16,10 @@
 //!   snapshot or the new one, both complete, and an old snapshot stays
 //!   valid (and bit-stable) for as long as anyone holds it.
 //! * **Incremental ingestion.** [`Engine::ingest`] upserts samples into
-//!   the database, which reports each slot whose bits changed; a key is
-//!   dirty when it ends the batch holding different bits than before
-//!   it. Only the dirty keys' N-T models and their `(kind, m)` groups'
+//!   the database and records each `(key, N)` slot it changes, with the
+//!   slot's pre-ingest sample; a key is dirty when one of those slots
+//!   ends the batch holding different bits than before it. Only the
+//!   dirty keys' N-T models and their `(kind, m)` groups'
 //!   measured P-T models are refit ([`ModelBackend::refit_groups`]) —
 //!   plus the composed models and the §4.1 adjustment, which depend on
 //!   other groups and are always rebuilt. A no-op ingest (every key's
@@ -48,8 +49,8 @@ use std::sync::Arc;
 use etm_cluster::{ClusterSpec, Configuration};
 
 use crate::adjust::AdjustmentRule;
-use crate::backend::{compose_fallback, full_refit, FitWork, ModelBackend, PtMemo};
-use crate::measurement::{groups_of_keys, same_bits, MeasurementDb, Sample, SampleKey};
+use crate::backend::{compose_fallback, full_refit, FitMemo, FitWork, ModelBackend};
+use crate::measurement::{groups_of_keys, MeasurementDb, Sample, SampleKey};
 use crate::pipeline::{
     groups_of, paper_adjustment_policy, AdjustmentPolicy, Estimator, ModelBank, PipelineError,
 };
@@ -237,8 +238,8 @@ impl EngineSnapshot {
 }
 
 /// The engine's mutable state: the measurement database, the pristine
-/// bank fit from it with the P-T designs behind it, the quarantine
-/// ledger and the published snapshot.
+/// bank fit from it with the designs behind it, the quarantine ledger,
+/// the published snapshot and the buffers an ingest reuses.
 ///
 /// The database sits behind an `Arc` so [`Engine::db`] can hand out the
 /// current version with an O(1) pointer clone instead of deep-copying
@@ -250,11 +251,15 @@ struct EngineState {
     /// they already hold.
     current: Arc<EngineSnapshot>,
     db: Arc<MeasurementDb>,
-    /// Keys a *failed* refit left dirty: their samples are upserted but
-    /// the published bank predates them. Merged into the next ingest's
-    /// dirty set so the retry refits everything outstanding, not just
-    /// the keys that ingest touches.
-    pending_dirty: BTreeSet<SampleKey>,
+    /// The slots the current ingest changed, each at its first change:
+    /// `(key, N, what the slot held before the batch)`. Empty between
+    /// ingests; kept only for its capacity.
+    touched: Vec<(SampleKey, usize, Option<Sample>)>,
+    /// Keys whose samples the pristine bank predates, sorted and
+    /// distinct. An ingest adds the keys it changed and refits them all;
+    /// a *failed* refit leaves them here, so the next ingest retries
+    /// everything outstanding, not just the keys it touches.
+    pending_dirty: Vec<SampleKey>,
     /// The last bank fit purely from admitted measurements — the refit
     /// base — when the published snapshot serves another: `None` while
     /// nothing is quarantined, as the snapshot then serves the pristine
@@ -264,9 +269,9 @@ struct EngineState {
     /// laundered back in as a measured one on the next incremental
     /// refit.
     pristine: Option<ModelBank>,
-    /// The factored P-T designs behind the pristine bank, reused by the
-    /// next refit wherever their inputs match exactly.
-    pt_memo: PtMemo,
+    /// The factored N-T and P-T designs behind the pristine bank, reused
+    /// by the next refit wherever their inputs match exactly.
+    memo: FitMemo,
     /// Distinct bad observations per group, keyed `(sample key, N)` so
     /// duplicate delivery of one bad sample cannot double-count. A clean
     /// observation for a group clears its entry (re-admission).
@@ -317,9 +322,9 @@ impl Engine {
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
     ) -> Result<Self, PipelineError> {
-        let mut pt_memo = PtMemo::default();
-        let fitted = full_refit(&*backend, &db, &mut pt_memo)?;
-        Self::with_bank(backend, db, policy, fitted, pt_memo)
+        let mut memo = FitMemo::default();
+        let fitted = full_refit(&*backend, &db, &mut memo)?;
+        Self::with_bank(backend, db, policy, fitted, memo)
     }
 
     /// Builds an engine from a completed measurement campaign: fits the
@@ -336,10 +341,10 @@ impl Engine {
         db: MeasurementDb,
         backend: Box<dyn ModelBackend>,
     ) -> Result<Self, PipelineError> {
-        let mut pt_memo = PtMemo::default();
-        let fitted = full_refit(&*backend, &db, &mut pt_memo)?;
+        let mut memo = FitMemo::default();
+        let fitted = full_refit(&*backend, &db, &mut memo)?;
         let policy = paper_adjustment_policy(spec, &fitted.0, plan, nb);
-        Self::with_bank(backend, db, Some(policy), fitted, pt_memo)
+        Self::with_bank(backend, db, Some(policy), fitted, memo)
     }
 
     fn with_bank(
@@ -347,7 +352,7 @@ impl Engine {
         db: MeasurementDb,
         policy: Option<AdjustmentPolicy>,
         (bank, work): (ModelBank, FitWork),
-        pt_memo: PtMemo,
+        memo: FitMemo,
     ) -> Result<Self, PipelineError> {
         let estimator = assemble_estimator(bank, policy.as_ref())?;
         let snapshot = Arc::new(EngineSnapshot {
@@ -364,9 +369,10 @@ impl Engine {
             state: RefCell::new(EngineState {
                 current: snapshot,
                 db: Arc::new(db),
-                pending_dirty: BTreeSet::new(),
+                touched: Vec::new(),
+                pending_dirty: Vec::new(),
                 pristine: None,
-                pt_memo,
+                memo,
                 bad: BTreeMap::new(),
                 quarantined: BTreeSet::new(),
                 last_healthy_gen: 0,
@@ -444,9 +450,6 @@ impl Engine {
     ) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.borrow_mut();
         let state = &mut *state;
-        // Pre-ingest samples of every key an upsert changed, saved at
-        // the key's first change: at most one entry per trial.
-        let mut before: Vec<(SampleKey, Vec<Sample>)> = Vec::new();
         for (key, sample) in samples {
             let group = (key.kind, key.m);
             if !self.quarantine.admits(sample) {
@@ -458,24 +461,32 @@ impl Engine {
             }
             // A clean observation re-admits the group in delivery order.
             state.bad.remove(&group);
-            let held = state.db.samples(key);
-            // A sample the slot already holds changes nothing: no copy,
-            // no write (which would copy a database a reader holds).
-            if held.iter().any(|s| s.same_bits(sample)) {
+            // A sample the slot already holds changes nothing: no write
+            // (which would copy a database a reader holds).
+            let Some(slot) = state.db.changed_slot(key, sample) else {
                 continue;
+            };
+            if !state
+                .touched
+                .iter()
+                .any(|&(k, n, _)| k == *key && n == sample.n)
+            {
+                state.touched.push((*key, sample.n, slot.held));
             }
-            if !before.iter().any(|(k, _)| k == key) {
-                before.push((*key, held.to_vec()));
-            }
-            let changed = Arc::make_mut(&mut state.db).upsert(*key, *sample);
-            debug_assert!(changed, "an upsert of new bits changes its slot");
+            Arc::make_mut(&mut state.db).write(*key, slot, *sample);
         }
-        let mut dirty: BTreeSet<SampleKey> = state.pending_dirty.clone();
-        for (key, saved) in &before {
-            if !same_bits(state.db.samples(key), saved) {
-                dirty.insert(*key);
+        // A key is dirty when one of its touched slots ends the batch
+        // holding other bits than before it; slots are never removed, so
+        // a new one always counts.
+        for (key, n, before) in state.touched.drain(..) {
+            let after = state.db.held(&key, n);
+            if !matches!((before, after), (Some(b), Some(a)) if a.same_bits(&b)) {
+                state.pending_dirty.push(key);
             }
         }
+        state.pending_dirty.sort_unstable();
+        state.pending_dirty.dedup();
+        let dirty = &state.pending_dirty;
         let quarantined: BTreeSet<(usize, usize)> = state
             .bad
             .iter()
@@ -486,9 +497,9 @@ impl Engine {
             return Ok(Arc::clone(&state.current));
         }
         // Build everything that can fail before committing any of it, so
-        // a failed publication leaves pristine untouched and the
-        // pending-dirty retry contract holds. (A refit may update the P-T
-        // memo before failing; the memo stays valid whatever it holds.)
+        // a failed publication leaves pristine untouched and the dirty
+        // keys pending for the retry. (A refit may update the memo
+        // before failing; the memo stays valid whatever it holds.)
         let (pristine, work) = if dirty.is_empty() {
             (state.pristine().clone(), FitWork::default())
         } else {
@@ -496,26 +507,13 @@ impl Engine {
                 .pristine
                 .as_ref()
                 .unwrap_or(&state.current.estimator.bank);
-            match self
-                .backend
-                .refit_groups(&state.db, base, &dirty, &mut state.pt_memo)
-            {
-                Ok(fitted) => fitted,
-                Err(e) => {
-                    state.pending_dirty = dirty;
-                    return Err(e);
-                }
-            }
+            self.backend
+                .refit_groups(&state.db, base, dirty, &mut state.memo)?
         };
         let (serving, kept, composed_fallback) = serving_bank(&state.db, pristine, &quarantined);
-        let estimator = match assemble_estimator(serving, self.policy.as_ref()) {
-            Ok(e) => e,
-            Err(e) => {
-                state.pending_dirty = dirty;
-                return Err(e);
-            }
-        };
+        let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         // Commit: the pristine bank now covers every dirty key.
+        let refit = groups_of_keys(&state.pending_dirty);
         state.pristine = kept;
         state.pending_dirty.clear();
         let generation = state.current.generation + 1;
@@ -532,7 +530,7 @@ impl Engine {
         let snapshot = Arc::new(EngineSnapshot {
             estimator,
             generation,
-            refit: groups_of_keys(&dirty),
+            refit,
             work,
             health,
         });
@@ -563,7 +561,7 @@ impl Engine {
     pub fn refit_full(&self) -> Result<Arc<EngineSnapshot>, PipelineError> {
         let mut state = self.state.borrow_mut();
         let state = &mut *state;
-        let (bank, work) = full_refit(&*self.backend, &state.db, &mut state.pt_memo)?;
+        let (bank, work) = full_refit(&*self.backend, &state.db, &mut state.memo)?;
         let (serving, kept, composed_fallback) = serving_bank(&state.db, bank, &state.quarantined);
         let estimator = assemble_estimator(serving, self.policy.as_ref())?;
         state.pristine = kept;
@@ -1040,8 +1038,8 @@ mod tests {
             &self,
             db: &MeasurementDb,
             previous: &ModelBank,
-            dirty: &BTreeSet<SampleKey>,
-            memo: &mut PtMemo,
+            dirty: &[SampleKey],
+            memo: &mut FitMemo,
         ) -> Result<(ModelBank, FitWork), PipelineError> {
             self.check()?;
             self.inner.refit_groups(db, previous, dirty, memo)
@@ -1139,12 +1137,13 @@ mod tests {
         let snap = e.ingest(&[(key_b, s_b)]).expect("backend recovered");
         assert_eq!(snap.refit_groups(), &[(0, 2), (1, 1)]);
         // Kind 0 is single-PE (composed, no P-T fit); group (1, 1) is
-        // measured.
+        // measured. Both keys keep the five sizes of the initial fit,
+        // whose N-T design the memo still holds.
         assert_eq!(
             snap.fit_work(),
             FitWork {
                 nt_fits: 2,
-                nt_factorizations: 2,
+                nt_factorizations: 0,
                 pt_fits: 1,
                 pt_factorizations: 1,
             }
@@ -1168,8 +1167,8 @@ mod tests {
             &self,
             db: &MeasurementDb,
             previous: &ModelBank,
-            dirty: &BTreeSet<SampleKey>,
-            memo: &mut PtMemo,
+            dirty: &[SampleKey],
+            memo: &mut FitMemo,
         ) -> Result<(ModelBank, FitWork), PipelineError> {
             let fitted = self.inner.refit_groups(db, previous, dirty, memo)?;
             if self.fail.load(std::sync::atomic::Ordering::SeqCst) {
@@ -1213,11 +1212,12 @@ mod tests {
         s.ta *= 1.1;
         let snap = e.ingest(&[(other, s)]).expect("the retry refits");
         assert_eq!(snap.refit_groups(), &[(1, 1)]);
+        // The failed refit's N-T design is reused as well.
         assert_eq!(
             snap.fit_work(),
             FitWork {
                 nt_fits: 2,
-                nt_factorizations: 2,
+                nt_factorizations: 0,
                 pt_fits: 1,
                 pt_factorizations: 0,
             }
@@ -1277,11 +1277,12 @@ mod tests {
             .ingest(&[(key(3), changed), (key(6), other), (key(3), original)])
             .expect("refit ok");
         assert_eq!(snap.refit_groups(), &[(1, 1)]);
+        // The key's N-T design is the initial fit's, kept in the memo.
         assert_eq!(
             snap.fit_work(),
             FitWork {
                 nt_fits: 1,
-                nt_factorizations: 2,
+                nt_factorizations: 0,
                 pt_fits: 1,
                 pt_factorizations: 0,
             }
@@ -1319,17 +1320,175 @@ mod tests {
             ])
             .expect("refit ok");
         assert_eq!(e.db().samples(&key(2)).len(), 10);
+        // Only the new 10-size list is factored; the 9-size design is
+        // the initial fit's, kept in the memo.
         assert_eq!(
             snap.fit_work(),
             FitWork {
                 nt_fits: 3,
-                nt_factorizations: 4,
+                nt_factorizations: 2,
                 pt_fits: 1,
                 pt_factorizations: 2,
             }
         );
         let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
         assert_banks_bit_equal(snap.bank(), &full);
+    }
+
+    /// The per-key change detection the per-slot tracking replaced, kept
+    /// as its oracle: the keys `batch` names whose whole sample list
+    /// differs bitwise between `before` and `after`, sorted and distinct.
+    fn per_key_dirty(
+        before: &MeasurementDb,
+        after: &MeasurementDb,
+        batch: &[(SampleKey, Sample)],
+    ) -> Vec<SampleKey> {
+        let mut dirty: Vec<SampleKey> = batch
+            .iter()
+            .map(|(key, _)| *key)
+            .filter(|key| !crate::measurement::same_bits(before.samples(key), after.samples(key)))
+            .collect();
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
+    }
+
+    /// One seeded batch over `db`: re-deliveries, changes, changes the
+    /// batch later reverts, new sizes, a new key, sign-of-zero flips of
+    /// one slot and inadmissible samples, in random order.
+    fn random_batch(
+        rng: &mut etm_support::rng::Rng64,
+        db: &MeasurementDb,
+    ) -> Vec<(SampleKey, Sample)> {
+        // Six measured keys and (1, 3, 1), which the database lacks.
+        let keys = [
+            (0, 1, 1),
+            (0, 1, 2),
+            (1, 1, 1),
+            (1, 2, 1),
+            (1, 4, 1),
+            (1, 2, 2),
+            (1, 3, 1),
+        ]
+        .map(|(kind, pes, m)| SampleKey { kind, pes, m });
+        let sizes = [400usize, 800, 1600, 2400, 3200, 4000, 4800];
+        let mut batch = Vec::new();
+        if rng.chance(0.3) {
+            // Only bad samples, all of group (1, 1): enough of these in a
+            // row quarantine it.
+            for _ in 0..rng.range_inclusive(1, 3) {
+                let mut bad = synth_sample(1, 4, 1, sizes[rng.range_usize(sizes.len())]);
+                bad.ta = f64::NAN;
+                batch.push((
+                    SampleKey {
+                        kind: 1,
+                        pes: 4,
+                        m: 1,
+                    },
+                    bad,
+                ));
+            }
+            return batch;
+        }
+        let mut reverts = Vec::new();
+        for _ in 0..rng.range_inclusive(1, 6) {
+            let key = keys[rng.range_usize(keys.len())];
+            let n = sizes[rng.range_usize(sizes.len())];
+            let held = db.samples(&key).iter().find(|s| s.n == n).copied();
+            let base = held.unwrap_or_else(|| synth_sample(key.kind, key.pes, key.m, n));
+            let mut changed = base;
+            changed.ta *= rng.range_f64(0.5, 1.5);
+            changed.tc *= rng.range_f64(0.5, 1.5);
+            match rng.range_usize(6) {
+                0 => batch.push((key, base)),
+                1 => batch.push((key, changed)),
+                2 => {
+                    batch.push((key, changed));
+                    if let Some(held) = held {
+                        reverts.push((key, held));
+                    }
+                }
+                3 => {
+                    let mut flip = synth_sample(1, 2, 1, 800);
+                    flip.tc = if rng.chance(0.5) { 0.0 } else { -0.0 };
+                    batch.push((
+                        SampleKey {
+                            kind: 1,
+                            pes: 2,
+                            m: 1,
+                        },
+                        flip,
+                    ));
+                }
+                4 => {
+                    let mut bad = changed;
+                    bad.wall = [f64::NAN, f64::INFINITY, -1.0][rng.range_usize(3)];
+                    batch.push((key, bad));
+                }
+                _ => {
+                    batch.push((key, changed));
+                    batch.push((key, changed));
+                }
+            }
+        }
+        batch.extend(reverts);
+        batch
+    }
+
+    /// Per-slot change detection decides exactly what the per-key
+    /// before/after comparison decides: after every seeded ingest the
+    /// publication and `refit_groups()` match the oracle's, and the bank
+    /// equals a full fit of the database bit for bit (the models of
+    /// quarantined groups aside, which serve composed fallbacks).
+    #[test]
+    fn per_slot_change_detection_matches_the_per_key_oracle() {
+        // Ingests that published with dirty keys, that published only a
+        // quarantine move, that published nothing, and that served a
+        // degraded bank: the generator must reach each.
+        let mut seen = [0usize; 4];
+        etm_support::prop::check(48, 0x0d17_7e57, |rng| {
+            let e = engine();
+            for _ in 0..6 {
+                let before = e.db();
+                let batch = random_batch(rng, &before);
+                let quarantined = e.quarantined();
+                let previous = e.snapshot();
+                let snap = e.ingest(&batch).expect("the batch fits");
+                let dirty = per_key_dirty(&before, &e.db(), &batch);
+                let published = !Arc::ptr_eq(&previous, &snap);
+                let moved = e.quarantined() != quarantined;
+                assert_eq!(published, !dirty.is_empty() || moved, "{batch:?}");
+                if published {
+                    assert_eq!(snap.refit_groups(), groups_of_keys(&dirty), "{batch:?}");
+                }
+                seen[match (published, dirty.is_empty()) {
+                    (true, false) => 0,
+                    (true, true) => 1,
+                    (false, _) => 2,
+                }] += 1;
+                let full = PolyLsqBackend::paper().fit(&e.db()).expect("full fit ok");
+                if snap.health().is_healthy() {
+                    assert_banks_bit_equal(snap.bank(), &full);
+                    continue;
+                }
+                seen[3] += 1;
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(snap.bank().nt.len(), full.nt.len());
+                for (key, model) in &full.nt {
+                    let got = &snap.bank().nt[key];
+                    assert_eq!(bits(&got.ka), bits(&model.ka), "{key:?} ka");
+                    assert_eq!(bits(&got.kc), bits(&model.kc), "{key:?} kc");
+                }
+                for (group, model) in &full.pt {
+                    if !snap.health().quarantined.contains(group) {
+                        let got = &snap.bank().pt[group];
+                        assert_eq!(bits(&got.ka), bits(&model.ka), "{group:?} ka");
+                        assert_eq!(bits(&got.kc), bits(&model.kc), "{group:?} kc");
+                    }
+                }
+            }
+        });
+        assert!(seen.iter().all(|&n| n > 0), "cases reached: {seen:?}");
     }
 
     /// The ownership contract: a held snapshot keeps answering with its

@@ -51,7 +51,7 @@
 //!   configurations out of the decision stream.
 //! * [`validate`] — the model-validity audit: registered invariant
 //!   checks (finite coefficients, non-negative predictions, basis
-//!   conditioning) that `tests/audit.rs` runs over the Basic bank.
+//!   conditioning) that `tests/campaign.rs` runs over the Basic bank.
 
 pub mod adjust;
 pub mod backend;

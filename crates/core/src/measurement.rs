@@ -83,18 +83,27 @@ impl Sample {
 
 /// True when two sample lists match element for element in
 /// [`Sample::same_bits`].
+#[cfg(test)]
 pub(crate) fn same_bits(a: &[Sample], b: &[Sample]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
 }
 
 /// The `(kind, m)` groups of `keys`, ascending and distinct.
-pub(crate) fn groups_of_keys<'a>(
-    keys: impl IntoIterator<Item = &'a SampleKey>,
-) -> Vec<(usize, usize)> {
-    let mut groups: Vec<(usize, usize)> = keys.into_iter().map(|k| (k.kind, k.m)).collect();
+pub(crate) fn groups_of_keys(keys: &[SampleKey]) -> Vec<(usize, usize)> {
+    let mut groups: Vec<(usize, usize)> = keys.iter().map(|k| (k.kind, k.m)).collect();
     groups.sort_unstable();
     groups.dedup();
     groups
+}
+
+/// One `(key, N)` slot of a [`MeasurementDb`], as
+/// [`MeasurementDb::changed_slot`] found it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    /// The slot's position among the key's samples (ascending N).
+    at: usize,
+    /// The sample the slot holds; `None` when the key has none at N.
+    pub(crate) held: Option<Sample>,
 }
 
 json_struct!(SampleKey { kind, pes, m });
@@ -141,16 +150,12 @@ impl MeasurementDb {
 
     /// Records a trial.
     pub fn record(&mut self, key: SampleKey, sample: Sample) {
-        let entry = self.samples.get_or_insert_with(key, Vec::new);
         debug_assert!(
-            entry.iter().all(|s| s.n != sample.n),
+            self.held(&key, sample.n).is_none(),
             "duplicate measurement for {key:?} at N={}",
             sample.n
         );
-        entry.push(sample);
-        entry.sort_by_key(|s| s.n);
-        let first = entry.len() == 1;
-        self.index(key, sample.n, first);
+        self.upsert(key, sample);
     }
 
     /// Records a trial, replacing any existing sample of the same key
@@ -159,20 +164,50 @@ impl MeasurementDb {
     /// whether the stored slot changed: an insert, or a replacement
     /// that differs in any bit (`Sample::same_bits`).
     pub fn upsert(&mut self, key: SampleKey, sample: Sample) -> bool {
-        let entry = self.samples.get_or_insert_with(key, Vec::new);
-        match entry.iter_mut().find(|s| s.n == sample.n) {
-            Some(slot) if slot.same_bits(&sample) => false,
+        match self.changed_slot(&key, &sample) {
             Some(slot) => {
-                *slot = sample;
+                self.write(key, slot, sample);
                 true
             }
-            None => {
-                entry.push(sample);
-                entry.sort_by_key(|s| s.n);
-                let first = entry.len() == 1;
-                self.index(key, sample.n, first);
-                true
-            }
+            None => false,
+        }
+    }
+
+    /// The sample `key` holds at size `n`, if any.
+    pub(crate) fn held(&self, key: &SampleKey, n: usize) -> Option<&Sample> {
+        self.samples(key).iter().find(|s| s.n == n)
+    }
+
+    /// The slot an upsert of `sample` under `key` would change: where the
+    /// key's sample at `sample.n` lives, or where an insert would put
+    /// it, and what it holds now. `None` when it already holds
+    /// `sample`'s bits, so the upsert would change nothing.
+    pub(crate) fn changed_slot(&self, key: &SampleKey, sample: &Sample) -> Option<Slot> {
+        let samples = self.samples(key);
+        let at = samples
+            .iter()
+            .position(|s| s.n >= sample.n)
+            .unwrap_or(samples.len());
+        match samples.get(at).filter(|s| s.n == sample.n) {
+            Some(held) if held.same_bits(sample) => None,
+            held => Some(Slot {
+                at,
+                held: held.copied(),
+            }),
+        }
+    }
+
+    /// Writes `sample` into `slot`, which
+    /// [`MeasurementDb::changed_slot`] found for it under `key` with no
+    /// write in between.
+    pub(crate) fn write(&mut self, key: SampleKey, slot: Slot, sample: Sample) {
+        let entry = self.samples.get_or_insert_with(key, Vec::new);
+        if slot.held.is_some() {
+            entry[slot.at] = sample;
+        } else {
+            entry.insert(slot.at, sample);
+            let first = entry.len() == 1;
+            self.index(key, sample.n, first);
         }
     }
 

@@ -32,7 +32,7 @@ impl NtModel {
     /// paper's "at least four different N" requirement (Ta has four
     /// coefficients).
     pub fn fit(samples: &[Sample]) -> Result<NtModel, LsqError> {
-        NtDesign::new(samples)?.fit(samples)
+        NtDesign::new(samples)?.fit(samples, &mut Vec::new())
     }
 
     /// Predicted computation time `Ta(N)`.
@@ -60,7 +60,8 @@ impl NtModel {
 /// same 9 sizes, so one design serves every fit.
 ///
 /// A fit reads only the factors and the key's own times, so it is
-/// bitwise what [`NtModel::fit`] gives on that key's samples alone.
+/// bitwise what [`NtModel::fit`] gives on that key's samples alone, and
+/// a design kept from an earlier refit serves a later one unchanged.
 #[derive(Debug)]
 pub(crate) struct NtDesign {
     ns: Vec<usize>,
@@ -101,22 +102,24 @@ impl NtDesign {
     }
 
     /// Fits one key's N-T model from its samples, which must match
-    /// ([`NtDesign::matches`]) the design.
+    /// ([`NtDesign::matches`]) the design. `y` is scratch for the
+    /// times each solve overwrites.
     ///
     /// # Errors
     /// [`LsqError::RankDeficient`] on a numerically singular design,
     /// `Ta`'s before `Tc`'s; [`LsqError::DimensionMismatch`] when
     /// `samples` has another length than the design.
-    pub(crate) fn fit(&self, samples: &[Sample]) -> Result<NtModel, LsqError> {
+    pub(crate) fn fit(&self, samples: &[Sample], y: &mut Vec<f64>) -> Result<NtModel, LsqError> {
         debug_assert!(
             samples.len() != self.ns.len() || self.matches(samples),
             "samples at other sizes than the design"
         );
-        let mut y: Vec<f64> = samples.iter().map(|s| s.ta).collect();
-        let ka = self.ta.solve(&mut y)?;
+        y.clear();
+        y.extend(samples.iter().map(|s| s.ta));
+        let ka = self.ta.solve(y)?;
         y.clear();
         y.extend(samples.iter().map(|s| s.tc));
-        let kc = self.tc.solve(&mut y)?;
+        let kc = self.tc.solve(y)?;
         Ok(NtModel { ka, kc })
     }
 }

@@ -199,12 +199,11 @@ where
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
     use crate::backend::tests::assert_banks_bit_equal;
-    use crate::backend::{FitWork, ModelBackend, PolyLsqBackend, PtMemo};
+    use crate::backend::{FitMemo, FitWork, ModelBackend, PolyLsqBackend};
     use crate::pipeline::ModelBank;
 
     fn synth_sample(kind: usize, pes: usize, m: usize, n: usize) -> Sample {
@@ -481,8 +480,8 @@ mod tests {
             &self,
             db: &MeasurementDb,
             previous: &ModelBank,
-            dirty: &BTreeSet<SampleKey>,
-            memo: &mut PtMemo,
+            dirty: &[SampleKey],
+            memo: &mut FitMemo,
         ) -> Result<(ModelBank, FitWork), PipelineError> {
             let fail = self
                 .failures

@@ -17,8 +17,9 @@
 //!   compute-bound sizes — adding PEs must not make the predicted run
 //!   slower where `Ta ∝ N³/P` dominates.
 //!
-//! The tier-1 test `tests/audit.rs` runs the registry over the bank fit
-//! from the simulated Basic campaign; library consumers can run it over
+//! The tier-1 test `basic_bank_passes_the_model_audit`
+//! (`tests/campaign.rs`) runs the registry over the bank fit from the
+//! simulated Basic campaign; library consumers can run it over
 //! any bank they load or fit (e.g. after editing a persisted model JSON
 //! by hand).
 

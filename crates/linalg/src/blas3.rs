@@ -1,12 +1,8 @@
 //! BLAS level-3: matrix-matrix operations.
 //!
 //! `dgemm` dominates HPL's update phase (the paper's `update` item is
-//! ~100× `rfact`/`uptrsv` at N = 9600), so it gets three implementations:
-//! a naive reference used by tests, a cache-blocked sequential kernel, and
-//! a thread-parallel kernel that splits the output columns across scoped
-//! worker threads — the `etm_support::pool::par_chunks_mut` decomposition.
-
-use etm_support::pool;
+//! ~100× `rfact`/`uptrsv` at N = 9600), so it gets two implementations:
+//! a naive reference used by tests and a cache-blocked sequential kernel.
 
 use crate::blas2::{Diagonal, Triangle};
 use crate::Matrix;
@@ -39,35 +35,30 @@ fn check_dims(a: &Matrix, b: &Matrix, c: &Matrix) {
     assert_eq!(c.cols(), b.cols(), "dgemm: C cols");
 }
 
-/// Computes one column stripe of the product: `c_cols[:, 0..w] :=
-/// alpha·A·B[:, j0..j0+w] + beta·C_stripe`, with `c_cols` the column-major
-/// stripe buffer.
-fn gemm_stripe(
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c_stripe: &mut [f64],
-    j0: usize,
-    width: usize,
-) {
-    let m = a.rows();
+/// Cache-blocked sequential `C := alpha·A·B + beta·C`.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn dgemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
+    check_dims(a, b, c);
+    let (m, n) = (c.rows(), c.cols());
     let kk = a.cols();
+    let c = &mut c.as_mut_slice()[..m * n];
     if beta != 1.0 {
-        for v in c_stripe.iter_mut() {
+        for v in c.iter_mut() {
             *v *= beta;
         }
     }
     // Blocked j-k-i loops: for each k-block, stream A's columns once while
-    // updating the stripe columns (sequence of fused daxpys on contiguous
+    // updating C's columns (sequence of fused daxpys on contiguous
     // column-major data).
     let mut k0 = 0;
     while k0 < kk {
         let kb = BLOCK.min(kk - k0);
-        for j in 0..width {
-            let cj = &mut c_stripe[j * m..(j + 1) * m];
+        for j in 0..n {
+            let cj = &mut c[j * m..(j + 1) * m];
             for k in k0..k0 + kb {
-                let bkj = alpha * b[(k, j0 + j)];
+                let bkj = alpha * b[(k, j)];
                 if bkj != 0.0 {
                     let ak = a.col(k);
                     for (ci, &aik) in cj.iter_mut().zip(ak) {
@@ -78,43 +69,6 @@ fn gemm_stripe(
         }
         k0 += kb;
     }
-}
-
-/// Cache-blocked sequential `C := alpha·A·B + beta·C`.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn dgemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    check_dims(a, b, c);
-    let (m, n) = (c.rows(), c.cols());
-    gemm_stripe(alpha, a, b, beta, &mut c.as_mut_slice()[..m * n], 0, n);
-}
-
-/// Thread-parallel `C := alpha·A·B + beta·C`, splitting C's columns over
-/// scoped worker threads.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn par_dgemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    check_dims(a, b, c);
-    let m = c.rows();
-    if m == 0 || c.cols() == 0 {
-        return;
-    }
-    // Stripe width balancing parallelism against per-task overhead.
-    let threads = pool::num_threads();
-    let stripe = BLOCK.max(c.cols() / (4 * threads).max(1));
-    let (mn, chunk_len) = (m * c.cols(), stripe * m);
-    pool::par_chunks_mut(
-        &mut c.as_mut_slice()[..mn],
-        chunk_len,
-        threads,
-        |idx, chunk| {
-            let j0 = idx * stripe;
-            let width = chunk.len() / m;
-            gemm_stripe(alpha, a, b, beta, chunk, j0, width);
-        },
-    );
 }
 
 /// Solves `A·X = alpha·B` in place (left-side dtrsm): `B` is overwritten
@@ -215,19 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_naive() {
-        for &(m, k, n) in &[(17usize, 29usize, 41usize), (128, 64, 200)] {
-            let a = seeded_matrix(m, k, 4);
-            let b = seeded_matrix(k, n, 5);
-            let mut c1 = seeded_matrix(m, n, 6);
-            let mut c2 = c1.clone();
-            dgemm_naive(-0.5, &a, &b, 2.0, &mut c1);
-            par_dgemm(-0.5, &a, &b, 2.0, &mut c2);
-            assert_close(&c1, &c2, 1e-10 * (k as f64));
-        }
-    }
-
-    #[test]
     fn gemm_identity_is_noop() {
         let a = seeded_matrix(6, 6, 7);
         let id = Matrix::identity(6);
@@ -288,6 +229,5 @@ mod tests {
         let b = Matrix::zeros(0, 0);
         let mut c = Matrix::zeros(0, 0);
         dgemm(1.0, &a, &b, 0.0, &mut c);
-        par_dgemm(1.0, &a, &b, 0.0, &mut c);
     }
 }

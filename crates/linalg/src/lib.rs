@@ -7,8 +7,7 @@
 //! * [`Matrix`] — column-major dense storage (BLAS convention);
 //! * BLAS-1: `idamax`, the pivot search;
 //! * BLAS-2 ([`blas2`]): `dgemv`, `dtrsv`;
-//! * BLAS-3 ([`blas3`]): `dgemm` (blocked; `par_dgemm` splits it over
-//!   `etm_support::pool`) and `dtrsm`;
+//! * BLAS-3 ([`blas3`]): `dgemm` (cache-blocked) and `dtrsm`;
 //! * LAPACK-style LU ([`lu`]): `dgetf2`, blocked `dgetrf` and `dlaswp`,
 //!   and solvers ([`solve`]): `dgetrs`;
 //! * HPL-style verification ([`verify`]): the scaled residual

@@ -177,23 +177,18 @@ pub fn exhaustive<E>(
     candidates: &[Configuration],
     mut objective: impl FnMut(&Configuration) -> Result<f64, E>,
 ) -> Option<SearchResult> {
-    let mut best: Option<SearchResult> = None;
-    let mut evals = 0;
+    let mut best: Option<(&Configuration, f64)> = None;
     for cfg in candidates {
-        evals += 1;
         if let Ok(t) = objective(cfg) {
-            if best.as_ref().is_none_or(|b| t < b.time) {
-                best = Some(SearchResult {
-                    config: cfg.clone(),
-                    time: t,
-                    evaluations: 0,
-                });
+            if best.is_none_or(|(_, time)| t < time) {
+                best = Some((cfg, t));
             }
         }
     }
-    best.map(|mut b| {
-        b.evaluations = evals;
-        b
+    best.map(|(config, time)| SearchResult {
+        config: config.clone(),
+        time,
+        evaluations: candidates.len(),
     })
 }
 

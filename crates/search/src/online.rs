@@ -95,6 +95,10 @@ pub struct OnlineOptimizer {
     held: Option<Configuration>,
     log: Vec<OnlineDecision>,
     last_seen: Option<u64>,
+    /// Scratch for each candidate's time under the snapshot being
+    /// observed, in enumeration order; kept between observations only
+    /// for its capacity.
+    times: Vec<Option<f64>>,
 }
 
 impl OnlineOptimizer {
@@ -125,6 +129,7 @@ impl OnlineOptimizer {
             held: None,
             log: Vec::new(),
             last_seen: None,
+            times: Vec::new(),
         })
     }
 
@@ -164,7 +169,8 @@ impl OnlineOptimizer {
         let objective = health_aware_objective(snapshot, self.n, self.fallback_penalty);
         // `exhaustive` evaluates every candidate once, in order; keep
         // each time so nothing below walks a candidate again.
-        let mut times: Vec<Option<f64>> = Vec::with_capacity(configs.len());
+        let times = &mut self.times;
+        times.clear();
         let best = exhaustive(configs, |cfg| {
             let t = objective(cfg);
             times.push(t.as_ref().ok().copied());
@@ -190,7 +196,9 @@ impl OnlineOptimizer {
             (held, t)
         };
         let degraded = snapshot.health().any_fallback(&recommended);
-        self.held = Some(recommended.clone());
+        if switched {
+            self.held = Some(recommended.clone());
+        }
         self.log.push(OnlineDecision {
             generation: snapshot.generation(),
             best,

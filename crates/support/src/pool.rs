@@ -1,8 +1,8 @@
 //! Scoped data-parallelism over `std::thread` — the rayon subset the
-//! linear-algebra kernels and the measurement campaign need. Neither
-//! helper takes a lock: chunks are dealt to workers up front, items are
-//! claimed through one atomic counter, and a worker's panic is re-raised
-//! by joining the workers in order.
+//! measurement campaign needs. Neither helper takes a lock: chunks are
+//! dealt to workers up front, items are claimed through one atomic
+//! counter, and a worker's panic is re-raised by joining the workers in
+//! order.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,7 +6,8 @@
 //! registry or git dependency can sneak in, and every manifest opts in
 //! to the workspace's declared lints (`[lints] workspace = true`). The
 //! source policy itself is those lints, which clippy enforces, and the
-//! model-validity audit is a tier-1 test (`crates/core/tests/audit.rs`).
+//! model-validity audit is a tier-1 test
+//! (`basic_bank_passes_the_model_audit` in `crates/core/tests/campaign.rs`).
 
 mod hermetic;
 
