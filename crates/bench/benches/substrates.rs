@@ -109,15 +109,27 @@ fn des_event_throughput(r: &mut Runner) {
         }],
     };
     let large = HplParams::order(6400).with_nb(64);
-    r.bench("des_event_throughput/hpl_trial_p2x8m5_n6400", || {
-        black_box(simulate_hpl(&spec, &heaviest, &large).wall_seconds)
-    });
     // The closed loop's repeated trial: one Athlon, one process, N = 1600.
+    // Every job in it has its CPU to itself, so it is timed against the
+    // mostly shared trial above: a slower lone-job path raises the ratio.
     let single = Configuration::p1m1_p2m2(1, 1, 0, 0);
-    r.bench("des_event_throughput/hpl_trial_p1m1_n1600", || {
-        black_box(simulate_hpl(&spec, &single, &params).wall_seconds)
-    });
+    r.pair(
+        "des_event_throughput/hpl_trial_p1m1_n1600",
+        "des_event_throughput/hpl_trial_p2x8m5_n6400",
+        || black_box(simulate_hpl(&spec, &single, &params).wall_seconds),
+        || black_box(simulate_hpl(&spec, &heaviest, &large).wall_seconds),
+        Some(LONE_OVER_SHARED),
+    );
 }
+
+/// Bound on `hpl_trial_p1m1_n1600 / hpl_trial_p2x8m5_n6400`. The
+/// medians of the per-sample ratios measured 0.00245–0.00263 over 24
+/// runs pinned to one CPU and 0.00235–0.00284 over 24 unpinned on a
+/// shared 2-vCPU host. The bound passes every run and fails a 2×
+/// slowdown of the lone-job trial (≥ 0.0047); with the lone jobs served
+/// through the resource's job list and queue entry instead, the ratio
+/// read 0.00328–0.00367 over 24 runs, above it every time.
+const LONE_OVER_SHARED: f64 = 0.0032;
 
 /// Matrix orders of the `gemm` rows, each with its bound on
 /// `gemm_kernels/blocked/n / gemm_kernels/naive/n`. The medians of the

@@ -218,9 +218,11 @@ impl Runner {
                 Some(bound) => format!("ok: bound {bound}"),
                 None => "ungated".to_string(),
             };
+            let RatioStats { q1, median, q3 } = r.stats;
+            let digits = ratio_digits(median);
             println!(
-                "{:width$}  ratio {:.3}  (q1 {:.3}, q3 {:.3})  {verdict}",
-                r.label, r.stats.median, r.stats.q1, r.stats.q3,
+                "{:width$}  ratio {median:.digits$}  (q1 {q1:.digits$}, q3 {q3:.digits$})  {verdict}",
+                r.label,
             );
         }
         let broken = self.ratios.iter().filter(|r| r.broken()).count();
@@ -269,6 +271,16 @@ fn sample<R>(iters: u64, f: &mut impl FnMut() -> R) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Decimals to print a ratio with: three, or three significant digits
+/// for a ratio below 0.1 (a microsecond row over a millisecond one).
+fn ratio_digits(ratio: f64) -> usize {
+    if ratio > 0.0 && ratio < 0.1 {
+        (2.0 - ratio.log10().floor()) as usize
+    } else {
+        3
+    }
+}
+
 /// Renders nanoseconds with an adaptive unit.
 fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
@@ -308,6 +320,16 @@ mod tests {
             "{calibration} calibration calls"
         );
         r.finish();
+    }
+
+    #[test]
+    fn small_ratios_keep_three_significant_digits() {
+        let show = |x: f64| format!("{x:.digits$}", digits = ratio_digits(x));
+        assert_eq!(show(0.332), "0.332");
+        assert_eq!(show(1.39), "1.390");
+        assert_eq!(show(0.0251), "0.0251");
+        assert_eq!(show(0.002468), "0.00247");
+        assert_eq!(show(f64::NAN), "NaN");
     }
 
     #[test]

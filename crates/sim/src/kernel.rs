@@ -28,11 +28,26 @@
 //! ## Event queue
 //!
 //! The queue is an indexed binary min-heap holding at most one entry
-//! per process (its pending wake) and one per resource (its next
-//! completion). A membership or speed change on a resource overwrites
-//! that resource's entry in place with a fresh sequence number, and an
-//! idle resource has no entry, so the queue never holds a stale event
-//! and every dispatched event is live.
+//! per process (its pending wake) and one per resource that lists jobs
+//! (its next completion). A resource serving one job alone has no
+//! entry: a `compute` on an idle resource schedules the process's own
+//! wake at the job's completion, and the wake does the resource's
+//! completion accounting before it resumes the process. A second job
+//! arriving moves the lone job into the resource's list and drops its
+//! wake; from then on a membership or speed change overwrites the
+//! resource's entry in place with a fresh sequence number. An idle
+//! resource has no entry, so the queue never holds a stale event and
+//! every dispatched event is live.
+//!
+//! Serving a job alone leaves every virtual time, the pop order and the
+//! event and poll counts bit-identical to listing it. The wake is
+//! scheduled at the same time expression the resource's completion
+//! would have had, with the one sequence number that completion would
+//! have taken, so it holds the same `(time, seq)` key; it is one
+//! dispatched event either way. A lone job moved into the list gets
+//! its resource entry from the insert that used to overwrite it in
+//! place, under the same fresh sequence number, so that key is the
+//! same too, and keys alone decide the pop order.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -294,6 +309,9 @@ struct ProcessRecord<M> {
     /// The message posted to this parked receiver, handed over when its
     /// wake event fires.
     delivery: Option<M>,
+    /// The resource serving this process alone: its pending wake is the
+    /// job's completion.
+    alone_on: Option<ResourceId>,
 }
 
 /// Whether the delivery slot holds nothing (leaves the slot as it was).
@@ -514,13 +532,16 @@ impl<M> Simulation<M> {
     /// completion ordering all reflect the fault — unlike post-hoc
     /// scaling of measured outputs. Jobs already in service keep the
     /// work served so far; the completion scheduled under the old rate
-    /// is recomputed in place.
+    /// is recomputed in place. Processes cannot reach the
+    /// `Simulation`, so a derate runs before [`Simulation::run`], when
+    /// no job is in service.
     ///
     /// # Panics
     /// Panics if `slowdown` is not a finite positive factor.
     pub fn derate_resource(&mut self, id: ResourceId, slowdown: f64) {
         let now = self.now();
         let res = &mut self.resources[id.0];
+        // `advance_to` also asserts that no job is served alone.
         res.advance_to(now);
         res.derate(slowdown);
         self.reschedule_resource(id);
@@ -553,6 +574,7 @@ impl<M> Simulation<M> {
             name: name.into(),
             future: Some(Box::pin(body(ctx))),
             delivery: None,
+            alone_on: None,
         });
         self.queue.register(EvKind::WakeProcess(pid));
         // Start event at t = 0.
@@ -631,12 +653,32 @@ impl<M> Simulation<M> {
         match request {
             Request::Hold(dt) => self.push_event(now + dt, EvKind::WakeProcess(pid)),
             Request::Compute { res, work } => {
-                self.resources[res.0].advance_to(now);
-                self.resources[res.0].add_job(pid, work);
+                let resource = &mut self.resources[res.0];
+                if let Some(done) = resource.start_lone(now, pid, work) {
+                    self.processes[pid.0].alone_on = Some(res);
+                    self.push_event(done, EvKind::WakeProcess(pid));
+                    return;
+                }
+                if let Some(alone) = resource.share_lone() {
+                    self.processes[alone.0].alone_on = None;
+                    self.queue.remove(EvKind::WakeProcess(alone));
+                }
+                resource.advance_to(now);
+                resource.add_job(pid, work);
                 self.reschedule_resource(res);
             }
             Request::Recv { mb } => self.shared.mail.borrow_mut().boxes[mb.0].park(pid),
         }
+    }
+
+    /// Dispatches `pid`'s wake: completes the job it ran alone, if any,
+    /// then resumes it.
+    fn wake(&mut self, pid: Pid) {
+        if let Some(res) = self.processes[pid.0].alone_on.take() {
+            let now = self.now();
+            self.resources[res.0].finish_lone(now);
+        }
+        self.resume(pid);
     }
 
     /// Runs the simulation to completion.
@@ -655,7 +697,7 @@ impl<M> Simulation<M> {
             self.events_dispatched += 1;
             self.shared.clock.set(time);
             match kind {
-                EvKind::WakeProcess(pid) => self.resume(pid),
+                EvKind::WakeProcess(pid) => self.wake(pid),
                 EvKind::ResourceFire(res) => {
                     // The entry is the resource's only one, so the job set
                     // is unchanged since it was scheduled.
@@ -749,6 +791,61 @@ mod tests {
         }
         let queued = q.pos.iter().filter(|&&p| p != NOT_QUEUED).count();
         assert_eq!(queued, q.heap.len());
+    }
+
+    /// Pops the next event, which must be a wake, and dispatches it as
+    /// [`Simulation::run`] does.
+    fn step(sim: &mut Simulation<()>) -> Pid {
+        let (time, kind) = sim.queue.pop().expect("an event is pending");
+        let EvKind::WakeProcess(pid) = kind else {
+            panic!("expected a wake, got {kind:?}");
+        };
+        sim.shared.clock.set(time);
+        sim.wake(pid);
+        pid
+    }
+
+    #[test]
+    fn a_lone_job_is_its_process_wake_until_a_second_job_joins() {
+        // Speed 2: a (4 units) starts alone at t=0; b (1 unit) joins at
+        // t=0.5, when a has 3 left. Both run at rate 1 until b is done at
+        // 1.5; a, the only job again with 2 left, is done at 2.5.
+        let mut sim = Simulation::<()>::new();
+        let cpu = sim.add_shared_resource("cpu", 2.0);
+        let fire = EvKind::ResourceFire(cpu);
+        let done = Rc::new(RefCell::new(Vec::new()));
+        for (name, arrive, work) in [("a", 0.0, 4.0), ("b", 0.5, 1.0)] {
+            let done = Rc::clone(&done);
+            sim.spawn(name, move |ctx| async move {
+                ctx.hold(arrive).await;
+                ctx.compute(cpu, work).await;
+                done.borrow_mut().push((name, ctx.now()));
+            });
+        }
+        let (a, b) = (Pid(0), Pid(1));
+        // The two start wakes, then a's zero hold ends and a computes.
+        assert_eq!((step(&mut sim), step(&mut sim)), (a, b));
+        assert_eq!(step(&mut sim), a);
+        // a computes alone: its wake is the completion, and the CPU has
+        // no entry.
+        assert_eq!(sim.processes[a.0].alone_on, Some(cpu));
+        assert!(!queued(&sim.queue, fire));
+        let wake = sim.queue.heap[sim.queue.pos[EvKind::WakeProcess(a).slot()]];
+        assert_eq!(wake.time(), SimTime::new(2.0));
+        // b joins: a's wake is dropped and the CPU's entry carries the
+        // shared completion.
+        assert_eq!(step(&mut sim), b);
+        assert_eq!(sim.processes[a.0].alone_on, None);
+        assert!(!queued(&sim.queue, EvKind::WakeProcess(a)));
+        assert!(queued(&sim.queue, fire));
+        assert_eq!(sim.resources[cpu.0].load(), 2);
+        assert_eq!(sim.run().unwrap(), 2.5);
+        assert_eq!(*done.borrow(), [("b", 1.5), ("a", 2.5)]);
+        let stats = sim.stats().resources["cpu"];
+        assert_eq!(
+            (stats.busy_seconds, stats.work_served, stats.jobs_completed),
+            (2.5, 5.0, 2)
+        );
     }
 
     #[test]

@@ -10,12 +10,24 @@
 //!   sharing over the quanta relevant here;
 //! * a NIC/link carrying several concurrent transfers.
 //!
-//! The resource is a pure state machine driven by the simulation kernel:
-//! the kernel advances it to the current virtual time before every
-//! membership change and asks for the next completion to schedule. The
-//! kernel keeps exactly one queue entry per busy resource and rewrites
-//! it after each change, so a resource never sees a completion event
-//! scheduled for a job set it no longer has.
+//! The resource is a pure state machine driven by the simulation kernel.
+//! Most jobs find their resource idle, so a job that arrives on an idle
+//! resource is served *alone*: it stays out of the job list, and the
+//! resource hands back the one-job completion time, which the kernel
+//! schedules as the process's own wake. When a second job arrives, the
+//! lone job moves into the list as it stood when it started, and from
+//! then on the shared path runs: the kernel advances the resource to
+//! the current virtual time before every membership change and asks for
+//! the next completion to schedule. The kernel keeps exactly one queue
+//! entry per resource with a listed job and rewrites it after each
+//! change, so a resource never sees a completion event scheduled for a
+//! job set it no longer has.
+//!
+//! The lone path is bit-identical to serving the job through the list:
+//! its completion time is the expression [`SharedResource::next_completion`]
+//! gives one job (`speed / 1` and `served · 1` are exact), and its
+//! accounting on completion is that of `advance_to` plus
+//! `take_completed`.
 
 use crate::kernel::Pid;
 use crate::time::SimTime;
@@ -43,6 +55,9 @@ pub(crate) struct SharedResource {
     /// Work-units served per second when a single job is active.
     speed: f64,
     jobs: Vec<Job>,
+    /// The job served alone, kept out of `jobs`: its pid and its work.
+    /// Set only while `jobs` is empty.
+    lone: Option<(Pid, f64)>,
     last_update: SimTime,
     /// Accumulated statistics (busy time, served work, completions).
     pub(crate) stats: crate::stats::ResourceStats,
@@ -55,6 +70,7 @@ impl SharedResource {
             name: name.into(),
             speed,
             jobs: Vec::new(),
+            lone: None,
             last_update: SimTime::ZERO,
             stats: crate::stats::ResourceStats::default(),
         }
@@ -90,7 +106,14 @@ impl SharedResource {
     }
 
     /// Advances all in-service jobs to `now`, consuming remaining work.
+    /// A lone job must have been moved into the list first
+    /// ([`share_lone`](Self::share_lone)).
     pub(crate) fn advance_to(&mut self, now: SimTime) {
+        debug_assert!(
+            self.lone.is_none(),
+            "{}: advanced with a lone job in service",
+            self.name
+        );
         let dt = now - self.last_update;
         debug_assert!(dt >= -1e-12, "time went backwards: {dt}");
         if !self.jobs.is_empty() && dt > 0.0 {
@@ -107,17 +130,63 @@ impl SharedResource {
     /// Adds a job of `work` work-units for `pid`. The caller must have
     /// called [`advance_to`](Self::advance_to) first.
     pub(crate) fn add_job(&mut self, pid: Pid, work: f64) {
-        assert!(
-            work >= 0.0 && work.is_finite(),
-            "job work must be finite and non-negative, got {work} on {}",
-            self.name
-        );
+        self.check_work(work);
         let eps = 1e-12 * work.max(1.0);
         self.jobs.push(Job {
             pid,
             remaining: work,
             eps,
         });
+    }
+
+    /// Panics unless `work` is finite and non-negative.
+    fn check_work(&self, work: f64) {
+        assert!(
+            work >= 0.0 && work.is_finite(),
+            "job work must be finite and non-negative, got {work} on {}",
+            self.name
+        );
+    }
+
+    /// Starts `work` work-units for `pid` at `now` as the lone job, if
+    /// the resource is idle, and returns its completion time: the time
+    /// [`next_completion`](Self::next_completion) gives one job, clamped
+    /// to `now` as the kernel clamps it. `None` leaves a busy resource
+    /// as it was.
+    pub(crate) fn start_lone(&mut self, now: SimTime, pid: Pid, work: f64) -> Option<SimTime> {
+        if self.lone.is_some() || !self.jobs.is_empty() {
+            return None;
+        }
+        self.check_work(work);
+        self.lone = Some((pid, work));
+        self.last_update = now;
+        Some((now + work.max(0.0) / self.speed).max(now))
+    }
+
+    /// Moves the lone job, if any, into the job list as it stood when it
+    /// started (`last_update` is its start), and returns its pid. The
+    /// shared path then advances it exactly as if it had been listed all
+    /// along.
+    pub(crate) fn share_lone(&mut self) -> Option<Pid> {
+        let (pid, work) = self.lone.take()?;
+        self.add_job(pid, work);
+        Some(pid)
+    }
+
+    /// Completes the lone job at `now`, the time
+    /// [`start_lone`](Self::start_lone) returned: the busy time, served
+    /// work and completion that `advance_to` and `take_completed` count
+    /// for a single job.
+    pub(crate) fn finish_lone(&mut self, now: SimTime) {
+        debug_assert!(self.lone.is_some(), "{}: no lone job to finish", self.name);
+        self.lone = None;
+        let dt = now - self.last_update;
+        if dt > 0.0 {
+            self.stats.busy_seconds += dt;
+            self.stats.work_served += self.speed * dt;
+        }
+        self.last_update = now;
+        self.stats.jobs_completed += 1;
     }
 
     /// Removes every job whose remaining work is (numerically) zero and
@@ -170,10 +239,10 @@ impl SharedResource {
         }
     }
 
-    /// Number of in-service jobs (used by tests and diagnostics).
+    /// Number of in-service jobs, a lone one included (used by tests).
     #[cfg(test)]
     pub(crate) fn load(&self) -> usize {
-        self.jobs.len()
+        self.jobs.len() + usize::from(self.lone.is_some())
     }
 }
 
@@ -201,6 +270,70 @@ mod tests {
         r.advance_to(t);
         assert_eq!(completed(&mut r, false), vec![pid(0)]);
         assert_eq!(r.load(), 0);
+    }
+
+    #[test]
+    fn a_lone_job_matches_the_two_step_accounting_bit_for_bit() {
+        // Each case serves one job twice on fresh resources with the same
+        // history: once alone, once through the list (advance, add,
+        // next completion clamped as the kernel clamps it, advance to it,
+        // forced completion). Times, busy seconds, served work and the
+        // completion count must agree to the bit.
+        for (speed, start, work) in [
+            (1.0, 0.0, 3.0),
+            (1.3, 0.7, 0.1),
+            (3.0, 1e-3, 0.0),
+            (0.37, 12.5, 1.0 / 3.0),
+            (2.0, 1e9, 7.25),
+        ] {
+            let mut alone = SharedResource::new("alone", speed);
+            let mut listed = SharedResource::new("listed", speed);
+            for r in [&mut alone, &mut listed] {
+                // Earlier service, so the stats start from non-zero sums.
+                r.advance_to(SimTime::ZERO);
+                r.add_job(pid(9), 0.3);
+                r.advance_to(SimTime::new(0.3 / speed));
+                completed(r, true);
+            }
+            let start = SimTime::new(start).max(SimTime::new(0.3 / speed));
+            let t_alone = alone.start_lone(start, pid(0), work).unwrap();
+            assert_eq!(alone.load(), 1);
+            alone.finish_lone(t_alone);
+
+            listed.advance_to(start);
+            listed.add_job(pid(0), work);
+            let t_listed = listed.next_completion().unwrap().max(start);
+            listed.advance_to(t_listed);
+            assert_eq!(completed(&mut listed, true), vec![pid(0)]);
+
+            let what = format!("speed {speed}, start {start:?}, work {work}");
+            assert_eq!(
+                t_alone.secs().to_bits(),
+                t_listed.secs().to_bits(),
+                "{what}"
+            );
+            let (a, l) = (alone.stats, listed.stats);
+            assert_eq!(a.busy_seconds.to_bits(), l.busy_seconds.to_bits(), "{what}");
+            assert_eq!(a.work_served.to_bits(), l.work_served.to_bits(), "{what}");
+            assert_eq!(a.jobs_completed, l.jobs_completed, "{what}");
+            assert_eq!((alone.load(), listed.load()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_busy_resource_starts_no_lone_job_and_shares_its_lone_one() {
+        let mut r = SharedResource::new("cpu", 2.0);
+        let t = r.start_lone(SimTime::new(1.0), pid(0), 4.0).unwrap();
+        assert_eq!(t, SimTime::new(3.0));
+        assert!(r.start_lone(SimTime::new(2.0), pid(1), 1.0).is_none());
+        // Job 1 joins at t=2: job 0 moves into the list as it started
+        // (4 units at t=1), has 2 left, and both then run at rate 1.
+        assert_eq!(r.share_lone(), Some(pid(0)));
+        assert_eq!(r.share_lone(), None);
+        r.advance_to(SimTime::new(2.0));
+        r.add_job(pid(1), 1.0);
+        assert_eq!(r.next_completion(), Some(SimTime::new(3.0)));
+        assert_eq!(r.load(), 2);
     }
 
     #[test]

@@ -592,8 +592,10 @@ fn late_arrivals_and_a_derate_dispatch_only_live_events() {
     //   t=3.5  a completes, c now due at 4.5                 1
     //   t=4.5  c completes, b (1.5 left, alone) due at 6     1
     //   t=6    b completes                                   1
-    // Each arrival rewrites the CPU's one queue entry, so neither the
-    // t=2 nor the t=3 completion it replaced is ever dispatched.
+    // a starts alone, so its completion is its own wake at t=2; b's
+    // arrival drops that wake for the CPU's one queue entry, and c's
+    // rewrites the entry, so neither the t=2 nor the t=3 completion is
+    // ever dispatched.
     let mut sim = Simulation::<()>::new();
     let cpu = sim.add_shared_resource("cpu", 2.0);
     sim.derate_resource(cpu, 2.0);

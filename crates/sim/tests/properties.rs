@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use etm_sim::Simulation;
+use etm_support::hash::Fnv1a;
 use etm_support::prop::check;
 use etm_support::rng::Rng64;
 
@@ -164,4 +165,128 @@ fn arbitrary_workloads_are_deterministic() {
         let b = run(works);
         assert_eq!(a.to_bits(), b.to_bits());
     });
+}
+
+/// One step of a [`lone_and_shared_golden`] process script.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Hold(f64),
+    Compute(usize, f64),
+    /// Post to the mailbox of a higher-numbered process.
+    Send(usize),
+    /// Take one message from the process's own mailbox.
+    Recv,
+}
+
+/// Resource speeds: powers of two keep quantized times exact, so jobs
+/// join and finish at the same instant; 1.3 and 3.0 do not.
+const SPEEDS: [f64; 5] = [0.5, 1.0, 2.0, 1.3, 3.0];
+
+/// A duration or work amount: half the time a multiple of 0.25 in
+/// `[0, 0.75]` (zero included), else uniform in `[0, hi)`.
+fn amount(rng: &mut Rng64, hi: f64) -> f64 {
+    if rng.chance(0.5) {
+        rng.range_usize(4) as f64 * 0.25
+    } else {
+        rng.range_f64(0.0, hi)
+    }
+}
+
+/// Seeded scripts for `nprocs` processes over `nres` resources. A
+/// process receives only from lower-numbered ones, one `Recv` per
+/// message sent to it, so every script runs to the end.
+fn scripts(rng: &mut Rng64, nprocs: usize, nres: usize) -> Vec<Vec<Step>> {
+    let mut scripts: Vec<Vec<Step>> = vec![Vec::new(); nprocs];
+    for (p, script) in scripts.iter_mut().enumerate() {
+        for _ in 0..rng.range_inclusive(1, 6) {
+            let step = match rng.range_usize(5) {
+                0 => Step::Hold(amount(rng, 0.6)),
+                1..=3 => Step::Compute(rng.range_usize(nres), amount(rng, 0.6)),
+                _ if p + 1 < nprocs => Step::Send(rng.range_inclusive(p + 1, nprocs - 1)),
+                _ => Step::Hold(0.0),
+            };
+            script.push(step);
+        }
+    }
+    for p in 0..nprocs {
+        let sends: Vec<usize> = scripts[p]
+            .iter()
+            .filter_map(|s| match s {
+                Step::Send(to) => Some(*to),
+                _ => None,
+            })
+            .collect();
+        for to in sends {
+            let at = rng.range_inclusive(0, scripts[to].len());
+            scripts[to].insert(at, Step::Recv);
+        }
+    }
+    scripts
+}
+
+/// Kernel golden for a resource's lone and shared service: seeded
+/// workloads of 2–6 processes over 1–3 resources of unequal speed mix
+/// holds, zero-work computes, joins at the same instant and mid-service,
+/// and mailbox wakes at equal times, sometimes on a derated resource.
+/// An FNV-1a digest folds every step's completion time, each resource's
+/// statistics, and the kernel's events and polls, so any change to the
+/// order or the arithmetic of service moves it.
+#[test]
+fn lone_and_shared_golden() {
+    let mut h = Fnv1a::new();
+    check(200, 0x4c4f_4e45, |rng| {
+        let nres = rng.range_inclusive(1, 3);
+        let speeds: Vec<f64> = (0..nres)
+            .map(|_| SPEEDS[rng.range_usize(SPEEDS.len())])
+            .collect();
+        let nprocs = rng.range_inclusive(2, 6);
+        let scripts = scripts(rng, nprocs, nres);
+        let derate = rng.chance(0.25).then(|| rng.range_f64(0.5, 3.0));
+
+        let mut sim = Simulation::new();
+        let res: Vec<_> = speeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| sim.add_shared_resource(format!("r{i}"), s))
+            .collect();
+        if let Some(slowdown) = derate {
+            sim.derate_resource(res[0], slowdown);
+        }
+        let boxes: Vec<_> = (0..nprocs).map(|_| sim.add_mailbox()).collect();
+        let times = Rc::new(RefCell::new(vec![Vec::new(); nprocs]));
+        for (p, script) in scripts.into_iter().enumerate() {
+            let (res, boxes, times) = (res.clone(), boxes.clone(), Rc::clone(&times));
+            sim.spawn(format!("p{p}"), move |ctx| async move {
+                for step in script {
+                    match step {
+                        Step::Hold(dt) => ctx.hold(dt).await,
+                        Step::Compute(r, work) => ctx.compute(res[r], work).await,
+                        Step::Send(to) => ctx.send(boxes[to], p),
+                        Step::Recv => {
+                            let from: usize = ctx.recv(boxes[p]).await;
+                            assert!(from < p, "p{p} received from p{from}");
+                        }
+                    }
+                    times.borrow_mut()[p].push(ctx.now());
+                }
+            });
+        }
+        let end = sim.run().expect("scripts never deadlock");
+        h.update(&end.to_bits().to_le_bytes());
+        for t in times.borrow().iter().flatten() {
+            h.update(&t.to_bits().to_le_bytes());
+        }
+        h.update(&sim.events().to_le_bytes());
+        h.update(&sim.polls().to_le_bytes());
+        for s in sim.stats().resources.values() {
+            h.update(&s.busy_seconds.to_bits().to_le_bytes());
+            h.update(&s.work_served.to_bits().to_le_bytes());
+            h.update(&s.jobs_completed.to_le_bytes());
+        }
+    });
+    let (got, want) = (h.finish(), 0xf84b_1e52_517b_918d);
+    assert_eq!(
+        got, want,
+        "kernel digest moved (got {got:#018x}, want {want:#018x})"
+    );
 }

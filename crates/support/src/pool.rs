@@ -1,8 +1,7 @@
 //! Scoped data-parallelism over `std::thread` — the rayon subset the
-//! measurement campaign needs. Neither helper takes a lock: chunks are
-//! dealt to workers up front, items are claimed through one atomic
-//! counter, and a worker's panic is re-raised by joining the workers in
-//! order.
+//! measurement campaign needs. [`par_map`] takes no lock: items are
+//! claimed through one atomic counter, and a worker's panic is
+//! re-raised by joining the workers in order.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,54 +10,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// available parallelism, or 1 when that cannot be determined.
 pub fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Applies `f` to consecutive `chunk_len`-sized chunks of `data` (last
-/// chunk may be shorter), fanning the chunks out over `threads` scoped
-/// worker threads: chunk `i` goes to worker `i % threads`. `f` receives
-/// the chunk index and the chunk. Equivalent to
-/// `data.chunks_mut(chunk_len).enumerate().for_each(...)` but parallel.
-/// With `threads == 1` (or a single chunk) the chunks run inline on the
-/// caller's thread.
-///
-/// # Panics
-/// Panics if `chunk_len == 0` or `threads == 0`. If `f` panics, every
-/// worker is joined and the panic of the lowest-numbered panicking
-/// worker is re-raised with its own payload.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    assert!(threads > 0, "need at least one worker");
-    let threads = threads.min(data.len().div_ceil(chunk_len));
-    if threads <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let mut dealt: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        dealt[i % threads].push((i, chunk));
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = dealt
-            .into_iter()
-            .map(|chunks| {
-                s.spawn(move || {
-                    for (i, chunk) in chunks {
-                        f(i, chunk);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap_or_else(|payload| resume_unwind(payload));
-        }
-    });
 }
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning
@@ -121,50 +72,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_chunks_matches_serial_at_any_width() {
-        let mut ser: Vec<u64> = (0..1000).collect();
-        for (i, c) in ser.chunks_mut(64).enumerate() {
-            for v in c.iter_mut() {
-                *v = *v * 3 + i as u64;
-            }
-        }
-        for threads in [1, 2, 3, 8] {
-            let mut par: Vec<u64> = (0..1000).collect();
-            par_chunks_mut(&mut par, 64, threads, |i, c| {
-                for v in c.iter_mut() {
-                    *v = *v * 3 + i as u64;
-                }
-            });
-            assert_eq!(par, ser, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_empty_and_tiny() {
-        let mut empty: Vec<u8> = vec![];
-        par_chunks_mut(&mut empty, 8, 4, |_, _| panic!("no chunks expected"));
-        let mut one = vec![7u8];
-        par_chunks_mut(&mut one, 8, 4, |i, c| {
-            assert_eq!(i, 0);
-            c[0] += 1;
-        });
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk blew up")]
-    fn par_chunks_propagates_panics() {
-        // Four workers on any core count: the worker's own message must
-        // reach the caller, not the scope's generic one.
-        let mut data = vec![0u8; 256];
-        par_chunks_mut(&mut data, 16, 4, |i, _| {
-            if i == 7 {
-                panic!("chunk blew up");
-            }
-        });
-    }
 
     #[test]
     fn par_map_preserves_order_at_any_width() {
