@@ -27,15 +27,16 @@
 //!   it) swaps nothing.
 //! * **Quarantine & graceful degradation.** Inadmissible samples (NaN /
 //!   infinite / negative / implausibly huge times) never reach the
-//!   database; a [`QuarantinePolicy`] counts *distinct* bad observations
-//!   per `(kind, m)` group and quarantines a group whose budget is
-//!   exhausted. A quarantined group's serving P-T model is replaced by a
-//!   §3.5 composed fallback from a healthy donor kind where one exists —
-//!   the paper's own answer to missing direct measurements — and every
-//!   snapshot carries [`EngineHealth`] metadata (quarantined groups,
-//!   composed fallbacks, last-healthy generation) so consumers such as
-//!   the online optimizer can discount or refuse degraded estimates. A
-//!   clean sample for a quarantined group re-admits it automatically.
+//!   database; the engine counts *distinct* bad observations per
+//!   `(kind, m)` group and quarantines a group that has more than
+//!   [`QUARANTINE_BUDGET`] of them. A quarantined group's serving P-T
+//!   model is replaced by a §3.5 composed fallback from a healthy donor
+//!   kind where one exists — the paper's own answer to missing direct
+//!   measurements — and every snapshot carries [`EngineHealth`]
+//!   metadata (quarantined groups, composed fallbacks, last-healthy
+//!   generation) so consumers such as the online optimizer can discount
+//!   or refuse degraded estimates. A clean sample for a quarantined
+//!   group re-admits it automatically.
 //!
 //! The engine keeps all of its mutable state, the published snapshot
 //! included, in one `RefCell`, and takes no lock. It is therefore
@@ -56,44 +57,30 @@ use crate::pipeline::{
 };
 use crate::plan::MeasurementPlan;
 
-/// Per-group admission thresholds for the ingest degradation ladder.
-///
-/// The ladder's first rung: a sample the policy does not admit is never
-/// upserted (it would poison the least-squares solve), but it is not a
-/// fatal error either — it counts against its `(kind, m)` group's bad
-/// budget, and a group whose budget is exhausted is *quarantined* until
-/// clean data re-admits it. See the module docs for how quarantined
-/// groups degrade to §3.5 composed fallbacks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QuarantinePolicy {
-    /// How many *distinct* bad observations a `(kind, m)` group absorbs
-    /// before it is quarantined. Distinct means distinct `(key, N)`
-    /// slots: re-delivery of the same bad sample never double-counts.
-    pub budget: usize,
-    /// Largest plausible measured time in seconds (per component: Ta,
-    /// Tc, wall). Finite samples beyond it are gross outliers —
-    /// physically impossible trial durations — and count as bad.
-    pub max_seconds: f64,
-}
+/// How many *distinct* bad observations a `(kind, m)` group absorbs
+/// before it is quarantined: the ingest degradation ladder's first rung.
+/// An inadmissible sample (non-finite, negative, or implausibly huge
+/// times) is never upserted (it would poison the least-squares solve),
+/// but it is not a fatal error either — it counts against its group's
+/// budget, and a group past the budget is *quarantined* until clean
+/// data re-admits it. Distinct means distinct `(key, N)` slots:
+/// re-delivery of the same bad sample never double-counts. See the
+/// module docs for how quarantined groups degrade to §3.5 composed
+/// fallbacks.
+pub const QUARANTINE_BUDGET: usize = 2;
 
-impl Default for QuarantinePolicy {
-    fn default() -> Self {
-        QuarantinePolicy {
-            budget: 2,
-            max_seconds: 1e6,
-        }
-    }
-}
+/// Largest plausible measured time in seconds (per component: Ta, Tc,
+/// wall). Finite samples beyond it are gross outliers — physically
+/// impossible trial durations — and count as bad.
+const MAX_SAMPLE_SECONDS: f64 = 1e6;
 
-impl QuarantinePolicy {
-    /// Whether `sample` may enter the database: all three measured times
-    /// finite, non-negative, and within [`QuarantinePolicy::max_seconds`].
-    pub(crate) fn admits(&self, sample: &Sample) -> bool {
-        sample.is_finite()
-            && (0.0..=self.max_seconds).contains(&sample.ta)
-            && (0.0..=self.max_seconds).contains(&sample.tc)
-            && (0.0..=self.max_seconds).contains(&sample.wall)
-    }
+/// Whether `sample` may enter the database: all three measured times
+/// finite, non-negative, and within [`MAX_SAMPLE_SECONDS`].
+fn admits(sample: &Sample) -> bool {
+    sample.is_finite()
+        && (0.0..=MAX_SAMPLE_SECONDS).contains(&sample.ta)
+        && (0.0..=MAX_SAMPLE_SECONDS).contains(&sample.tc)
+        && (0.0..=MAX_SAMPLE_SECONDS).contains(&sample.wall)
 }
 
 /// Health metadata carried by every [`EngineSnapshot`] — the serving
@@ -281,7 +268,7 @@ struct EngineState {
     quarantined: BTreeSet<(usize, usize)>,
     /// Generation of the last snapshot whose quarantine set was empty.
     last_healthy_gen: u64,
-    /// Running count of samples the quarantine policy rejected.
+    /// Running count of samples the admission check rejected.
     rejected: usize,
 }
 
@@ -307,7 +294,6 @@ impl EngineState {
 pub struct Engine {
     backend: Box<dyn ModelBackend>,
     policy: Option<AdjustmentPolicy>,
-    quarantine: QuarantinePolicy,
     state: RefCell<EngineState>,
 }
 
@@ -365,7 +351,6 @@ impl Engine {
         Ok(Engine {
             backend,
             policy,
-            quarantine: QuarantinePolicy::default(),
             state: RefCell::new(EngineState {
                 current: snapshot,
                 db: Arc::new(db),
@@ -381,14 +366,6 @@ impl Engine {
         })
     }
 
-    /// Replaces the default [`QuarantinePolicy`] (builder style; apply
-    /// before the first ingest).
-    #[must_use]
-    pub fn with_quarantine_policy(mut self, policy: QuarantinePolicy) -> Self {
-        self.quarantine = policy;
-        self
-    }
-
     /// The groups whose bad-sample budget is currently exhausted — the
     /// quarantine set the *next* publication will carry. Unlike
     /// [`EngineSnapshot::health`] this reads live writer state, so tests
@@ -398,7 +375,7 @@ impl Engine {
             .borrow()
             .bad
             .iter()
-            .filter(|(_, seen)| seen.len() > self.quarantine.budget)
+            .filter(|(_, seen)| seen.len() > QUARANTINE_BUDGET)
             .map(|(&group, _)| group)
             .collect()
     }
@@ -425,13 +402,13 @@ impl Engine {
     /// *and* the quarantine set did not move, nothing is refit and the
     /// current snapshot is returned.
     ///
-    /// Samples the [`QuarantinePolicy`] rejects (non-finite, negative,
-    /// or implausibly huge times) are never upserted — they count
-    /// against their group's bad budget instead, in delivery order, and
-    /// an admitted sample for the same group resets that budget
-    /// (re-admission). A change in the resulting quarantine set forces a
-    /// publication even when no group is dirty, so consumers see
-    /// degradation (and recovery) promptly; see [`EngineSnapshot::health`].
+    /// Inadmissible samples (non-finite, negative, or implausibly huge
+    /// times) are never upserted — they count against their group's bad
+    /// budget instead, in delivery order, and an admitted sample for the
+    /// same group resets that budget (re-admission). A change in the
+    /// resulting quarantine set forces a publication even when no group
+    /// is dirty, so consumers see degradation (and recovery) promptly;
+    /// see [`EngineSnapshot::health`].
     ///
     /// On a fitting error the database keeps the new samples but no
     /// snapshot is published; the failed keys are remembered and
@@ -452,7 +429,7 @@ impl Engine {
         let state = &mut *state;
         for (key, sample) in samples {
             let group = (key.kind, key.m);
-            if !self.quarantine.admits(sample) {
+            if !admits(sample) {
                 // Distinct `(key, N)` slots only: a duplicate delivery
                 // of one bad sample must not double-count.
                 state.rejected += 1;
@@ -490,7 +467,7 @@ impl Engine {
         let quarantined: BTreeSet<(usize, usize)> = state
             .bad
             .iter()
-            .filter(|(_, seen)| seen.len() > self.quarantine.budget)
+            .filter(|(_, seen)| seen.len() > QUARANTINE_BUDGET)
             .map(|(&group, _)| group)
             .collect();
         if dirty.is_empty() && quarantined == state.quarantined {
@@ -830,7 +807,7 @@ mod tests {
 
     #[test]
     fn bad_samples_never_upsert_and_quarantine_over_budget() {
-        let e = engine(); // default budget: 2 distinct bad observations
+        let e = engine(); // QUARANTINE_BUDGET: 2 distinct bad observations
         let before = e.snapshot();
         let db_before = e.db();
         // Two distinct bad samples: within budget — no upsert, no swap,
@@ -894,19 +871,20 @@ mod tests {
 
     #[test]
     fn duplicate_bad_delivery_never_double_counts() {
-        let e = engine().with_quarantine_policy(QuarantinePolicy {
-            budget: 1,
-            ..QuarantinePolicy::default()
-        });
+        let e = engine();
         // The same bad (key, N) slot five times: one distinct
-        // observation, within a budget of 1.
+        // observation, within the budget.
         for _ in 0..5 {
             e.ingest(&[poisoned(1, 2, 1, 800, f64::NAN)])
                 .expect("bad samples are not fatal");
         }
         assert!(e.quarantined().is_empty(), "duplicates must not count");
-        // A second *distinct* slot exhausts the budget.
+        // A second distinct slot is still within the budget of two...
         e.ingest(&[poisoned(1, 2, 1, 1600, f64::NAN)])
+            .expect("bad samples are not fatal");
+        assert!(e.quarantined().is_empty(), "two distinct slots");
+        // ...and a third exhausts it.
+        e.ingest(&[poisoned(1, 2, 1, 2400, f64::NAN)])
             .expect("quarantine is not fatal");
         assert_eq!(e.quarantined(), vec![(1, 1)]);
     }

@@ -40,7 +40,7 @@
 //! * [`faults`] — deterministic fault injection for the streaming
 //!   layer: a seeded [`faults::FaultPlan`] corrupts, drops, truncates,
 //!   or floods a replayed stream, and the engine's
-//!   quarantine ladder ([`engine::QuarantinePolicy`],
+//!   quarantine ladder ([`engine::QUARANTINE_BUDGET`],
 //!   [`engine::EngineHealth`]) degrades to §3.5 composed fallbacks
 //!   instead of crashing.
 //! * `loopback` — the execution side of the predict → execute →

@@ -45,7 +45,7 @@ pub enum PipelineError {
     /// The configuration to estimate uses no PEs.
     EmptyConfiguration,
     /// An ingested sample carried a NaN or infinite time. The engine's
-    /// quarantine policy counts such samples against the group's bad
+    /// quarantine ladder counts such samples against the group's bad
     /// budget instead of returning this error; the variant remains the
     /// typed vocabulary for callers that validate samples themselves
     /// (non-finite values defeat the `PartialEq`-based dedup and would

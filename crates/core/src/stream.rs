@@ -159,8 +159,8 @@ pub struct StreamReport {
 /// composed kind whose donor hasn't arrived). A batch whose refit fails
 /// is charged to [`StreamReport::fit_errors`], and [`Engine::ingest`]'s
 /// pending-dirty contract refits its groups with the next batch. Bad
-/// *samples* are not an error at all: the engine's quarantine policy
-/// absorbs them (see [`crate::engine::QuarantinePolicy`]). After the
+/// *samples* are not an error at all: the engine's quarantine ladder
+/// absorbs them (see [`crate::engine::QUARANTINE_BUDGET`]). After the
 /// last batch, a final `ingest(&[])` flush retries anything still
 /// outstanding.
 ///

@@ -15,7 +15,7 @@
 //! [`etm_core::validate::audit_degraded`].
 
 use etm_core::backend::PolyLsqBackend;
-use etm_core::engine::{Engine, QuarantinePolicy};
+use etm_core::engine::{Engine, QUARANTINE_BUDGET};
 use etm_core::validate::{self, Severity};
 use etm_core::{MeasurementDb, Sample, SampleKey};
 use etm_support::prop;
@@ -55,23 +55,18 @@ fn synth_db() -> MeasurementDb {
     db
 }
 
-fn engine(budget: usize) -> Engine {
-    Engine::new(Box::new(PolyLsqBackend::paper()), synth_db(), None)
-        .expect("synth db fits")
-        .with_quarantine_policy(QuarantinePolicy {
-            budget,
-            max_seconds: 1e6,
-        })
+fn engine() -> Engine {
+    Engine::new(Box::new(PolyLsqBackend::paper()), synth_db(), None).expect("synth db fits")
 }
 
-/// A sample the policy must reject, poisoned a randomly chosen way.
+/// A sample the engine must reject, poisoned a randomly chosen way.
 fn poisoned(rng: &mut Rng64, kind: usize, pes: usize, m: usize, n: usize) -> Sample {
     let mut s = synth_sample(kind, pes, m, n);
     match rng.range_usize(4) {
         0 => s.wall = f64::NAN,
         1 => s.tc = f64::INFINITY,
         2 => s.ta = -1.0,
-        _ => s.wall = 2e6, // finite but past max_seconds
+        _ => s.wall = 2e6, // finite but past the largest plausible time
     }
     s
 }
@@ -79,8 +74,8 @@ fn poisoned(rng: &mut Rng64, kind: usize, pes: usize, m: usize, n: usize) -> Sam
 #[test]
 fn duplicate_bad_delivery_never_double_counts() {
     prop::check(32, 0xe7a_0001, |rng| {
-        let budget = rng.range_inclusive(1, 3);
-        let e = engine(budget);
+        let budget = QUARANTINE_BUDGET;
+        let e = engine();
         let kind = rng.range_usize(2);
         let m = rng.range_inclusive(1, 2);
         let pes = PES[rng.range_usize(PES.len())];
@@ -116,8 +111,8 @@ fn duplicate_bad_delivery_never_double_counts() {
 #[test]
 fn quarantined_group_readmits_after_a_clean_ingest() {
     prop::check(32, 0xe7a_0002, |rng| {
-        let budget = rng.range_inclusive(1, 3);
-        let e = engine(budget);
+        let budget = QUARANTINE_BUDGET;
+        let e = engine();
         let kind = rng.range_usize(2);
         let m = rng.range_inclusive(1, 2);
         let pes = PES[rng.range_usize(PES.len())];
@@ -159,7 +154,7 @@ fn quarantined_group_readmits_after_a_clean_ingest() {
 #[test]
 fn quarantined_group_serves_an_audited_composed_fallback() {
     const TARGET: (usize, usize) = (1, 1);
-    let e = engine(2);
+    let e = engine();
     let key = SampleKey {
         kind: TARGET.0,
         pes: 1,

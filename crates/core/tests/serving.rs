@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use etm_cluster::{Configuration, KindId, KindUse};
 use etm_core::backend::PolyLsqBackend;
-use etm_core::engine::{Engine, QuarantinePolicy};
+use etm_core::engine::{Engine, QUARANTINE_BUDGET};
 use etm_core::pipeline::{AdjustmentPolicy, Estimator, ModelBank, RawParts};
 use etm_core::{EngineSnapshot, MeasurementDb, NtModel, PtModel, Sample, SampleKey};
 use etm_support::prop;
@@ -156,9 +156,10 @@ fn batch_is_bit_identical_on_healthy_snapshots() {
     });
 }
 
-/// Poisons `budget + 1` distinct `(key, N)` slots of one group.
-fn quarantine_group(engine: &Engine, key: SampleKey, budget: usize) {
-    for (i, &n) in NS.iter().enumerate().take(budget + 1) {
+/// Poisons one more distinct `(key, N)` slot of one group than the
+/// quarantine budget allows.
+fn quarantine_group(engine: &Engine, key: SampleKey) {
+    for (i, &n) in NS.iter().enumerate().take(QUARANTINE_BUDGET + 1) {
         let mut bad = synth_sample(key.kind, key.pes, key.m, n);
         if i % 2 == 0 {
             bad.wall = f64::NAN;
@@ -175,12 +176,8 @@ fn quarantine_group(engine: &Engine, key: SampleKey, budget: usize) {
 fn batch_is_bit_identical_on_fallback_and_untrusted_snapshots() {
     // Two-kind engine: the poisoned slow-kind group gets a §3.5
     // composed fallback from the healthy fast kind.
-    let with_donor = Engine::new(Box::new(PolyLsqBackend::paper()), synth_db(), None)
-        .expect("synth db fits")
-        .with_quarantine_policy(QuarantinePolicy {
-            budget: 2,
-            max_seconds: 1e6,
-        });
+    let with_donor =
+        Engine::new(Box::new(PolyLsqBackend::paper()), synth_db(), None).expect("synth db fits");
     quarantine_group(
         &with_donor,
         SampleKey {
@@ -188,7 +185,6 @@ fn batch_is_bit_identical_on_fallback_and_untrusted_snapshots() {
             pes: 1,
             m: 2,
         },
-        2,
     );
     let fallback_snap = with_donor.snapshot();
     assert!(
@@ -200,11 +196,7 @@ fn batch_is_bit_identical_on_fallback_and_untrusted_snapshots() {
     // Single-kind engine: no donor exists, so the group stays
     // quarantined without a fallback — untrusted.
     let no_donor = Engine::new(Box::new(PolyLsqBackend::paper()), single_kind_db(), None)
-        .expect("single-kind db fits")
-        .with_quarantine_policy(QuarantinePolicy {
-            budget: 2,
-            max_seconds: 1e6,
-        });
+        .expect("single-kind db fits");
     quarantine_group(
         &no_donor,
         SampleKey {
@@ -212,7 +204,6 @@ fn batch_is_bit_identical_on_fallback_and_untrusted_snapshots() {
             pes: 2,
             m: 2,
         },
-        2,
     );
     let untrusted_snap = no_donor.snapshot();
     assert!(

@@ -1,7 +1,10 @@
-//! The numeric and the timed HPL send the same messages.
+//! The numeric and the timed runs of each application send the same
+//! messages.
 //!
-//! Both runs are the one rank body, [`hpl_rank`], with a different
-//! [`RankWork`](etm_hpl::rank::RankWork); this gate checks what that
+//! Both HPL runs are the one rank body, [`hpl_rank`], with a different
+//! [`RankWork`](etm_hpl::rank::RankWork); both stencil runs are
+//! [`stencil_rank`] with a different
+//! [`SweepWork`](etm_stencil::rank::SweepWork). This gate checks what a
 //! body cannot check itself: that the two works make it send the same
 //! sequence of `(peer, tag, bytes)` from every rank. A timed payload
 //! whose byte count drifts from the numeric one, or a send only one
@@ -18,6 +21,9 @@ use etm_hpl::rank::hpl_rank;
 use etm_hpl::simulate::TimedWork;
 use etm_hpl::{BcastAlgo, BlockCyclic, ColumnAssignment, HplParams, WeightedDist};
 use etm_mpisim::{block_on, run_sim_ranks, run_thread_ranks, Comm, SimMsg, ThreadMsg};
+use etm_stencil::numeric::NumericSweep;
+use etm_stencil::rank::stencil_rank;
+use etm_stencil::simulate::{SweepPrices, TimedSweep};
 
 /// One send: destination rank, tag and payload bytes.
 type Sent = (usize, u32, f64);
@@ -60,6 +66,11 @@ impl<C: Comm> Comm for Recording<'_, C> {
     }
 }
 
+/// Bytes a thread message carries.
+fn thread_bytes(m: &ThreadMsg) -> f64 {
+    8.0 * (m.data.len() + m.ints.len()) as f64
+}
+
 /// A paper-cluster configuration of `p` ranks, mixing kinds, nodes and
 /// multiprocessing.
 fn config_of(p: usize) -> Configuration {
@@ -79,9 +90,7 @@ fn numeric_sends<D: ColumnAssignment + Sync>(
     dist: &D,
 ) -> Vec<Vec<Sent>> {
     run_thread_ranks(p, |comm| {
-        let rec = Recording::new(&comm, |m: &ThreadMsg| {
-            8.0 * (m.data.len() + m.ints.len()) as f64
-        });
+        let rec = Recording::new(&comm, thread_bytes);
         let mut work = NumericWork::new(comm.rank(), params, dist);
         block_on(hpl_rank(&rec, dist, params.bcast, &mut work));
         rec.sends.into_inner()
@@ -124,11 +133,21 @@ fn assert_same_sends<D>(params: &HplParams, p: usize, dist: &D) -> usize
 where
     D: ColumnAssignment + Clone + Sync + 'static,
 {
-    let numeric = numeric_sends(params, p, dist);
-    let timed = timed_sends(params, p, dist);
+    let what = format!("{params:?} P={p}");
+    assert_same(
+        &what,
+        p,
+        &numeric_sends(params, p, dist),
+        &timed_sends(params, p, dist),
+    )
+}
+
+/// Checks that `numeric` and `timed` hold the same sends for each of `p`
+/// ranks; returns the number of sends.
+fn assert_same(what: &str, p: usize, numeric: &[Vec<Sent>], timed: &[Vec<Sent>]) -> usize {
     assert_eq!((numeric.len(), timed.len()), (p, p));
-    for (rank, (a, b)) in numeric.iter().zip(&timed).enumerate() {
-        assert_eq!(a, b, "{params:?} P={p}: rank {rank} sends differ");
+    for (rank, (a, b)) in numeric.iter().zip(timed).enumerate() {
+        assert_eq!(a, b, "{what}: rank {rank} sends differ");
     }
     numeric.iter().map(Vec::len).sum()
 }
@@ -159,4 +178,53 @@ fn weighted_runs_send_the_same_messages() {
     let params = HplParams::order(90).with_nb(8);
     let dist = WeightedDist::new(params.n, params.nb, &[3.0, 1.0, 1.0, 1.0, 1.0]);
     assert!(assert_same_sends(&params, 5, &dist) > 0);
+}
+
+fn stencil_numeric_sends(n: usize, iters: usize, p: usize) -> Vec<Vec<Sent>> {
+    run_thread_ranks(p, |comm| {
+        let rec = Recording::new(&comm, thread_bytes);
+        let mut work = NumericSweep::new(n, p, comm.rank());
+        block_on(stencil_rank(&rec, iters, &mut work));
+        rec.sends.into_inner()
+    })
+}
+
+fn stencil_timed_sends(n: usize, iters: usize, p: usize) -> Vec<Vec<Sent>> {
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &config_of(p)).expect("valid configuration");
+    assert_eq!(placement.len(), p);
+    let pm = PerfModel::new(&spec, n, p);
+    let run = run_sim_ranks(
+        &spec,
+        &placement,
+        "gate",
+        |_, _| {},
+        |comm, slot| {
+            let prices = SweepPrices::new(&pm, &placement, slot, n);
+            async move {
+                let rec = Recording::new(&comm, |m: &SimMsg| m.bytes);
+                let mut work = TimedSweep::new(&comm, prices);
+                stencil_rank(&rec, iters, &mut work).await;
+                rec.sends.into_inner()
+            }
+        },
+    );
+    run.outs
+}
+
+#[test]
+fn numeric_and_timed_stencils_send_the_same_messages() {
+    for p in 1..=5 {
+        // (N, iters): strips of equal height only at some P, one-row
+        // strips (P = N), and no iteration at all.
+        for (n, iters) in [(12, 3), (13, 2), (p, 2), (10, 0)] {
+            let what = format!("stencil N={n} iters={iters} P={p}");
+            let numeric = stencil_numeric_sends(n, iters, p);
+            let timed = stencil_timed_sends(n, iters, p);
+            let sends = assert_same(&what, p, &numeric, &timed);
+            // Per iteration, P − 1 each of rows sent up, rows sent
+            // down, changes gathered and broadcast hops.
+            assert_eq!(sends, iters * 4 * (p - 1), "{what}");
+        }
+    }
 }

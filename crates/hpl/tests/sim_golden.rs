@@ -136,6 +136,27 @@ fn stencil_runs() {
     assert_digest("stencil", &h, 0x38b4_8bb9_45c5_621d);
 }
 
+/// Sixteen ranks dealt round-robin over eight slow CPUs, two on each,
+/// so every strip's neighbours run on other CPUs, each shared with a
+/// distant rank. Unlike in the runs above, the order of the rank body's
+/// two halo receives shows in these phase times.
+#[test]
+fn stencil_multiprocessed_runs() {
+    let s = spec();
+    let mut h = Fnv1a::new();
+    let cfg = Configuration::p1m1_p2m2(0, 0, 8, 2);
+    for side in [64, 200] {
+        let run = simulate_stencil(&s, &cfg, &StencilParams::side(side));
+        fold(&mut h, run.wall_seconds);
+        for p in &run.phases {
+            for x in [p.compute, p.halo, p.reduce] {
+                fold(&mut h, x);
+            }
+        }
+    }
+    assert_digest("stencil_multiprocessed", &h, 0xe22a_c250_1760_1233);
+}
+
 #[test]
 fn netpipe_sweeps() {
     let mut h = Fnv1a::new();

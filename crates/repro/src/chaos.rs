@@ -46,7 +46,7 @@ pub struct ChaosRow {
     pub batches: usize,
     /// Snapshots published.
     pub published: usize,
-    /// Samples the quarantine policy rejected.
+    /// Samples the engine's admission check rejected.
     pub rejected: usize,
     /// Trials the fault plan corrupted.
     pub corrupted: usize,

@@ -7,15 +7,20 @@
 //! decomposition and halo exchange — the canonical *memory- and
 //! latency-bound* counterpoint to HPL's compute-bound LU.
 //!
-//! Like `etm-hpl` it comes in two flavours, each a rank body handed to
-//! an `etm-mpisim` launcher:
+//! Like `etm-hpl` it runs one rank program, [`rank::stencil_rank`],
+//! with two works, each launched by an `etm-mpisim` launcher:
 //!
-//! * [`numeric`] — real arithmetic over the thread-backed message
-//!   passing, validated against a serial reference sweep;
-//! * [`simulate_stencil`] — calibrated virtual-time execution on the
-//!   discrete-event fabric, producing `(Ta, Tc)` samples that feed the
+//! * [`numeric`] — [`NumericSweep`](numeric::NumericSweep) does real
+//!   arithmetic over the thread-backed message passing, validated bit
+//!   for bit against a serial reference sweep;
+//! * [`simulate`] — [`TimedSweep`](simulate::TimedSweep) charges
+//!   calibrated virtual time on the discrete-event fabric
+//!   ([`simulate_stencil`]), producing `(Ta, Tc)` samples that feed the
 //!   *unchanged* `etm-core` estimation pipeline (the models never ask
 //!   what application produced the measurements).
+//!
+//! `etm-hpl`'s `tests/send_sequence.rs` checks that the two send the
+//! same `(peer, tag, bytes)` sequence from every rank.
 //!
 //! The cost structure differs from HPL in exactly the ways that stress
 //! the model: computation is O(N²·iters) (so the fitted `k0 ≈ 0`),
@@ -23,6 +28,8 @@
 //! all-reduce, and the balance is memory-bandwidth-, not flops-, bound.
 
 pub mod numeric;
-mod simulate;
+pub mod rank;
+pub mod simulate;
 
-pub use simulate::{simulate_stencil, StencilParams, StencilRun, StencilTimes};
+pub use rank::StencilTimes;
+pub use simulate::{simulate_stencil, StencilParams, StencilRun};

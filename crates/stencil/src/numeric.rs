@@ -1,13 +1,27 @@
 //! Numeric 2-D Jacobi: real arithmetic, distributed by row strips over
 //! the thread-backed communicator, validated against a serial sweep.
+//!
+//! [`NumericSweep`] is the arithmetic of [`stencil_rank`]'s phases: the
+//! strip's edge rows travel as real halo rows, the sweep computes the
+//! 5-point average, and the all-reduce carries each strip's largest
+//! change. The timed stencil runs the same body with calibrated charges
+//! in place of the arithmetic, so the grid checked here comes from the
+//! control flow the simulation times; `crates/hpl/tests/send_sequence.rs`
+//! checks that both backends send the same messages.
 
-use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadComm, ThreadMsg};
+use etm_mpisim::coll::gather;
+use etm_mpisim::{block_on, run_thread_ranks, Comm, ThreadMsg};
+
+use crate::rank::{stencil_rank, strip, Side, SweepWork};
 
 /// Result of a numeric stencil run.
 #[derive(Debug, Clone)]
 pub struct NumericStencil {
     /// Final grid (row-major, `n × n`), gathered on return.
     pub grid: Vec<f64>,
+    /// The last sweep's largest change over the grid, as the
+    /// convergence all-reduce delivered it; `0.0` when `iters == 0`.
+    pub residual: f64,
 }
 
 /// Serial reference: `iters` Jacobi sweeps of the 5-point stencil over an
@@ -30,94 +44,114 @@ pub fn serial_jacobi(n: usize, iters: usize, init: impl Fn(usize, usize) -> f64)
     cur
 }
 
-/// Rows `start..end` (global) owned by `rank` out of `p` in a balanced
-/// row-strip partition of the `n` rows.
-pub(crate) fn strip(n: usize, p: usize, rank: usize) -> (usize, usize) {
-    let base = n / p;
-    let extra = n % p;
-    let start = rank * base + rank.min(extra);
-    let end = start + base + usize::from(rank < extra);
-    (start, end)
+/// One rank's strip of the numeric Jacobi: its rows of the grid between
+/// a halo row above and one below.
+pub struct NumericSweep {
+    /// Grid side length.
+    n: usize,
+    /// First global row of the strip.
+    start: usize,
+    /// Rows in the strip.
+    rows: usize,
+    /// The strip and its halo rows, `(rows + 2) × n` row-major: row 0 is
+    /// the halo from above, row `rows + 1` the halo from below.
+    cur: Vec<f64>,
+    /// The sweep's output, laid out as `cur`.
+    next: Vec<f64>,
+    /// The strip's largest `|next − cur|` in the last sweep.
+    change: f64,
+    /// The last sweep's largest change over the grid.
+    residual: f64,
 }
 
-const HALO_UP: u32 = 0x57E1;
-const HALO_DOWN: u32 = 0x57E2;
-const GATHER: u32 = 0x57E3;
-
-fn run_rank(comm: ThreadComm, n: usize, iters: usize) -> Option<Vec<f64>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let (start, end) = strip(n, p, me);
-    let rows = end - start;
-    let init = |r: usize, c: usize| {
-        if r == 0 || c == 0 || r == n - 1 || c == n - 1 {
-            1.0
-        } else {
-            0.0
+impl NumericSweep {
+    /// Rank `me`'s strip of the `n × n` grid split over `p` ranks, at the
+    /// initial values: 1 on the grid's boundary, 0 inside.
+    pub fn new(n: usize, p: usize, me: usize) -> Self {
+        let (start, end) = strip(n, p, me);
+        let rows = end - start;
+        let mut cur = vec![0.0; (rows + 2) * n];
+        for lr in 0..rows {
+            let r = start + lr;
+            for c in 0..n {
+                if r == 0 || c == 0 || r == n - 1 || c == n - 1 {
+                    cur[(lr + 1) * n + c] = 1.0;
+                }
+            }
         }
-    };
-    // Local rows plus two halo rows.
-    let mut cur = vec![0.0; (rows + 2) * n];
-    let mut next = cur.clone();
-    for lr in 0..rows {
-        for c in 0..n {
-            cur[(lr + 1) * n + c] = init(start + lr, c);
+        NumericSweep {
+            n,
+            start,
+            rows,
+            next: cur.clone(),
+            cur,
+            change: 0.0,
+            residual: 0.0,
         }
     }
-    for _ in 0..iters {
-        // Halo exchange with neighbours (boundary strips skip one side).
-        if me > 0 {
-            block_on(comm.send(me - 1, HALO_UP, ThreadMsg::floats(cur[n..2 * n].to_vec())));
-        }
-        if me < p - 1 {
-            block_on(comm.send(
-                me + 1,
-                HALO_DOWN,
-                ThreadMsg::floats(cur[rows * n..(rows + 1) * n].to_vec()),
-            ));
-        }
-        if me > 0 {
-            let up = block_on(comm.recv(me - 1, HALO_DOWN)).data;
-            cur[..n].copy_from_slice(&up);
-        }
-        if me < p - 1 {
-            let down = block_on(comm.recv(me + 1, HALO_UP)).data;
-            cur[(rows + 1) * n..].copy_from_slice(&down);
-        }
-        // Sweep interior of my strip (global boundary rows/cols fixed).
-        for lr in 0..rows {
-            let g = start + lr;
+}
+
+impl SweepWork for NumericSweep {
+    type Msg = ThreadMsg;
+
+    /// The numeric run is untimed: nothing reads its phase times.
+    fn now(&self) -> f64 {
+        0.0
+    }
+
+    fn edge_row(&self, side: Side) -> ThreadMsg {
+        let lr = match side {
+            Side::Up => 1,
+            Side::Down => self.rows,
+        };
+        ThreadMsg::floats(self.cur[lr * self.n..(lr + 1) * self.n].to_vec())
+    }
+
+    fn fill_halo(&mut self, side: Side, row: ThreadMsg) {
+        let lr = match side {
+            Side::Up => 0,
+            Side::Down => self.rows + 1,
+        };
+        self.cur[lr * self.n..(lr + 1) * self.n].copy_from_slice(&row.data);
+    }
+
+    async fn sync_stall(&mut self) {}
+
+    /// Sweeps the strip's interior; the grid's boundary rows and columns
+    /// stay fixed.
+    async fn sweep(&mut self) {
+        let (n, cur, next) = (self.n, &self.cur, &mut self.next);
+        let mut change = 0.0f64;
+        for lr in 0..self.rows {
+            let g = self.start + lr;
+            let row = (lr + 1) * n;
             if g == 0 || g == n - 1 {
-                next[(lr + 1) * n..(lr + 2) * n].copy_from_slice(&cur[(lr + 1) * n..(lr + 2) * n]);
+                next[row..row + n].copy_from_slice(&cur[row..row + n]);
                 continue;
             }
-            let row = (lr + 1) * n;
             next[row] = cur[row];
             next[row + n - 1] = cur[row + n - 1];
             for c in 1..n - 1 {
                 next[row + c] = 0.25
                     * (cur[row - n + c] + cur[row + n + c] + cur[row + c - 1] + cur[row + c + 1]);
+                change = change.max((next[row + c] - cur[row + c]).abs());
             }
         }
-        std::mem::swap(&mut cur, &mut next);
+        self.change = change;
+        std::mem::swap(&mut self.cur, &mut self.next);
     }
-    // Gather strips on rank 0.
-    if me == 0 {
-        let mut full = vec![0.0; n * n];
-        full[..rows * n].copy_from_slice(&cur[n..(rows + 1) * n]);
-        for r in 1..p {
-            let msg = block_on(comm.recv(r, GATHER)).data;
-            let (rs, _) = strip(n, p, r);
-            full[rs * n..rs * n + msg.len()].copy_from_slice(&msg);
-        }
-        Some(full)
-    } else {
-        block_on(comm.send(
-            0,
-            GATHER,
-            ThreadMsg::floats(cur[n..(rows + 1) * n].to_vec()),
-        ));
-        None
+
+    fn local_change(&self) -> ThreadMsg {
+        ThreadMsg::floats(vec![self.change])
+    }
+
+    fn max_change(&self, changes: Vec<ThreadMsg>) -> ThreadMsg {
+        let max = changes.iter().map(|m| m.data[0]).fold(0.0, f64::max);
+        ThreadMsg::floats(vec![max])
+    }
+
+    fn set_residual(&mut self, residual: ThreadMsg) {
+        self.residual = residual.data[0];
     }
 }
 
@@ -127,13 +161,20 @@ fn run_rank(comm: ThreadComm, n: usize, iters: usize) -> Option<Vec<f64>> {
 /// Panics if `p == 0`, `p > n`, or a rank thread panics.
 pub fn run_numeric_stencil(n: usize, iters: usize, p: usize) -> NumericStencil {
     assert!(p > 0 && p <= n, "need 0 < p <= n");
-    let grid = run_thread_ranks(p, |c| run_rank(c, n, iters))
-        .into_iter()
-        .next()
-        .flatten();
-    NumericStencil {
-        grid: grid.expect("rank 0 gathers"),
-    }
+    run_thread_ranks(p, |comm| {
+        let mut work = NumericSweep::new(n, p, comm.rank());
+        block_on(stencil_rank(&comm, iters, &mut work));
+        let rows = ThreadMsg::floats(work.cur[n..(work.rows + 1) * n].to_vec());
+        // Strips are contiguous in rank order: rank 0 concatenates them.
+        block_on(gather(&comm, 0, rows)).map(|strips| NumericStencil {
+            grid: strips.into_iter().flat_map(|m| m.data).collect(),
+            residual: work.residual,
+        })
+    })
+    .into_iter()
+    .next()
+    .flatten()
+    .expect("rank 0 gathers")
 }
 
 #[cfg(test)]
@@ -169,17 +210,39 @@ mod tests {
 
     #[test]
     fn distributed_matches_serial() {
+        // The distributed sweep adds in the serial sweep's order, so the
+        // grids agree bit for bit, down to one-row strips (P = N).
         let n = 24;
         let iters = 15;
         let reference = serial_jacobi(n, iters, boundary_init(n));
-        for p in [1usize, 2, 3, 5] {
+        for p in [1usize, 2, 3, 5, n] {
             let dist = run_numeric_stencil(n, iters, p);
+            assert_eq!(dist.grid.len(), n * n);
             for (i, (a, b)) in reference.iter().zip(&dist.grid).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-12,
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
                     "p={p}: cell {i}: serial {a} vs distributed {b}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn residual_is_the_last_sweeps_largest_change() {
+        let n = 24;
+        let iters = 15;
+        let last = serial_jacobi(n, iters, boundary_init(n));
+        let before = serial_jacobi(n, iters - 1, boundary_init(n));
+        let want = last
+            .iter()
+            .zip(&before)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(want > 0.0);
+        for p in [1usize, 2, 3, 5] {
+            let got = run_numeric_stencil(n, iters, p).residual;
+            assert_eq!(got.to_bits(), want.to_bits(), "p={p}: {got} vs {want}");
         }
     }
 
@@ -201,5 +264,6 @@ mod tests {
         let r = run_numeric_stencil(n, 0, 2);
         assert_eq!(r.grid[0], 1.0);
         assert_eq!(r.grid[(n / 2) * n + n / 2], 0.0);
+        assert_eq!(r.residual, 0.0);
     }
 }

@@ -1,13 +1,18 @@
-//! Timed Jacobi on the discrete-event fabric: memory-bound sweeps, halo
-//! exchanges and a per-iteration convergence all-reduce, producing the
-//! same `(Ta, Tc)` sample shape as the HPL simulation so the estimation
-//! pipeline runs unchanged on a second application.
+//! The *timed* Jacobi: [`TimedSweep`] runs the numeric stencil's rank
+//! body, [`stencil_rank`], against the discrete-event fabric with
+//! calibrated virtual-time charges instead of arithmetic: memory-bound
+//! sweeps, byte-count halo rows and an 8-byte convergence all-reduce.
+//! It produces the same `(Ta, Tc)` sample shape as the HPL simulation,
+//! so the estimation pipeline runs unchanged on a second application;
+//! `crates/hpl/tests/send_sequence.rs` checks that it sends the numeric
+//! run's messages, byte for byte.
 
-use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
-use etm_mpisim::coll::{gather, ring_bcast};
-use etm_mpisim::{run_sim_ranks, Comm, SimMsg, SimRanks};
+use std::future::Future;
 
-use crate::numeric::strip;
+use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement, ProcSlot};
+use etm_mpisim::{run_sim_ranks, SimComm, SimMsg, SimRanks};
+
+use crate::rank::{stencil_rank, strip, Side, StencilTimes, SweepWork};
 
 /// Parameters of a timed stencil run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,29 +28,6 @@ impl StencilParams {
     /// (keeps total work O(N³)-ish like a real convergence run).
     pub fn side(n: usize) -> Self {
         StencilParams { n, iters: n / 4 }
-    }
-}
-
-/// Per-rank phase times of a stencil run.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StencilTimes {
-    /// Sweep computation (memory-bound).
-    pub compute: f64,
-    /// Halo exchanges with neighbours.
-    pub halo: f64,
-    /// Convergence all-reduce.
-    pub reduce: f64,
-}
-
-impl StencilTimes {
-    /// Computation time for the estimation models.
-    pub(crate) fn ta(&self) -> f64 {
-        self.compute
-    }
-
-    /// Communication time for the estimation models.
-    pub(crate) fn tc(&self) -> f64 {
-        self.halo + self.reduce
     }
 }
 
@@ -85,8 +67,83 @@ impl StencilRun {
     }
 }
 
-const HALO_UP: u32 = 0x57E1;
-const HALO_DOWN: u32 = 0x57E2;
+/// What one stencil rank pays per iteration. Its kind, CPU sharing and
+/// strip fix every charge, so a rank is priced once, before it starts.
+#[derive(Clone, Copy, Debug)]
+pub struct SweepPrices {
+    /// Seconds of one sweep over the strip.
+    sweep: f64,
+    /// Seconds idled after the halo exchange to get the CPU back.
+    stall: f64,
+    /// Bytes of one halo row: N doubles.
+    halo_bytes: f64,
+}
+
+impl SweepPrices {
+    /// The charges of the rank on `slot` of `placement` for a side-`n`
+    /// grid, under `pm`.
+    pub fn new(pm: &PerfModel, placement: &Placement, slot: &ProcSlot, n: usize) -> Self {
+        let (kind, m) = (slot.kind, placement.procs_on_cpu(slot));
+        let oc = pm.node_overcommit(placement, slot.node, 1);
+        let (start, end) = strip(n, placement.len(), slot.rank);
+        // 5-point sweep: ~5 reads + 1 write per cell, memory-bound.
+        let sweep_bytes = 6.0 * 8.0 * ((end - start) * n) as f64;
+        SweepPrices {
+            sweep: pm.memop_time(kind, sweep_bytes, oc) * pm.mp_factor(kind, m),
+            stall: pm.sync_stall(kind, m),
+            halo_bytes: 8.0 * n as f64,
+        }
+    }
+}
+
+/// One rank's charges for the timed stencil, on its simulated
+/// communicator.
+pub struct TimedSweep<'a> {
+    comm: &'a SimComm,
+    prices: SweepPrices,
+}
+
+impl<'a> TimedSweep<'a> {
+    /// The rank behind `comm`, charged `prices`.
+    pub fn new(comm: &'a SimComm, prices: SweepPrices) -> Self {
+        TimedSweep { comm, prices }
+    }
+}
+
+impl SweepWork for TimedSweep<'_> {
+    type Msg = SimMsg;
+
+    fn now(&self) -> f64 {
+        self.comm.now()
+    }
+
+    fn edge_row(&self, _: Side) -> SimMsg {
+        SimMsg::of(self.prices.halo_bytes)
+    }
+
+    fn fill_halo(&mut self, _: Side, _: SimMsg) {}
+
+    async fn sync_stall(&mut self) {
+        if self.prices.stall > 0.0 {
+            self.comm.idle(self.prices.stall).await;
+        }
+    }
+
+    fn sweep(&mut self) -> impl Future<Output = ()> {
+        self.comm.compute(self.prices.sweep)
+    }
+
+    /// One double, as the numeric run's change.
+    fn local_change(&self) -> SimMsg {
+        SimMsg::of(8.0)
+    }
+
+    fn max_change(&self, _: Vec<SimMsg>) -> SimMsg {
+        SimMsg::of(8.0)
+    }
+
+    fn set_residual(&mut self, _: SimMsg) {}
+}
 
 /// Simulates a stencil run under `config`.
 ///
@@ -110,50 +167,10 @@ pub fn simulate_stencil(
         "stencil-rank",
         |_, _| {},
         |comm, slot| {
-            // A rank's per-iteration charges are fixed by its kind, CPU
-            // sharing and strip, so price them once here.
-            let (kind, m) = (slot.kind, placement.procs_on_cpu(slot));
-            let oc = pm.node_overcommit(&placement, slot.node, 1);
-            let stall = pm.sync_stall(kind, m);
-            let (me, np) = (comm.rank(), comm.size());
-            let (start, end) = strip(params.n, np, me);
-            // 5-point sweep: ~5 reads + 1 write per cell, memory-bound.
-            let sweep_bytes = 6.0 * 8.0 * ((end - start) * params.n) as f64;
-            let sweep = pm.memop_time(kind, sweep_bytes, oc) * pm.mp_factor(kind, m);
-            let halo_bytes = 8.0 * params.n as f64;
+            let prices = SweepPrices::new(&pm, &placement, slot, params.n);
             async move {
-                let mut ph = StencilTimes::default();
-                for _ in 0..params.iters {
-                    // Halo exchange (send both, then receive both).
-                    let t0 = comm.now();
-                    if me > 0 {
-                        comm.send(me - 1, HALO_UP, SimMsg::of(halo_bytes)).await;
-                    }
-                    if me < np - 1 {
-                        comm.send(me + 1, HALO_DOWN, SimMsg::of(halo_bytes)).await;
-                    }
-                    if me > 0 {
-                        let _ = comm.recv(me - 1, HALO_DOWN).await;
-                    }
-                    if me < np - 1 {
-                        let _ = comm.recv(me + 1, HALO_UP).await;
-                    }
-                    if stall > 0.0 {
-                        comm.idle(stall).await;
-                    }
-                    ph.halo += comm.now() - t0;
-                    // Sweep.
-                    let t1 = comm.now();
-                    comm.compute(sweep).await;
-                    ph.compute += comm.now() - t1;
-                    // Convergence all-reduce (gather 8 B to 0, broadcast back).
-                    let t2 = comm.now();
-                    let _ = gather(&comm, 0, SimMsg::of(8.0)).await;
-                    let payload = (me == 0).then(|| SimMsg::of(8.0));
-                    let _ = ring_bcast(&comm, 0, payload).await;
-                    ph.reduce += comm.now() - t2;
-                }
-                ph
+                let mut work = TimedSweep::new(&comm, prices);
+                stencil_rank(&comm, params.iters, &mut work).await
             }
         },
     );

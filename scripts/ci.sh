@@ -33,7 +33,12 @@
 #                           which writes results/stream_decisions.csv),
 #                           a determinism gate that fails if any of
 #                           those twenty-six CSVs differs from its
-#                           committed copy, and a bench smoke run of
+#                           committed copy, a run of every example
+#                           under examples/ (each asserts what it
+#                           shows: the numeric stencil against a
+#                           serial sweep, the numeric HPL's residual,
+#                           the model's JSON round trip bit for bit),
+#                           and a bench smoke run of
 #                           the substrates + streaming + optimizer +
 #                           loopback + model_speed suites, each of
 #                           which exits non-zero when a same-run ratio
@@ -131,6 +136,17 @@ bench_smoke() {
   done
 }
 
+run_examples() {
+  # clippy --all-targets only compiles the examples; running them is
+  # what checks their assertions.
+  local ex
+  for ex in examples/*.rs; do
+    ex=$(basename "$ex" .rs)
+    echo "--- example: $ex"
+    cargo run -q --release --example "$ex" > /dev/null
+  done
+}
+
 # --- quick tier: cheap static checks first, then tier-1 -------------
 stage "fmt"        cargo fmt --all --check
 stage "hermetic"   cargo xtask check
@@ -157,6 +173,7 @@ stage "stream"     cargo run -q --release -p etm-repro --bin repro -- stream
 # rewrite all twenty-six committed CSVs under results/: any byte of
 # drift from the committed artifacts is a behaviour change, not noise.
 stage "artifacts"  git diff --exit-code -- 'results/*.csv'
+stage "examples"   run_examples
 stage "bench"      bench_smoke
 
 echo
