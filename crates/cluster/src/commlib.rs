@@ -8,15 +8,13 @@
 //! multiprocessing viable at all (their Fig. 1). A [`CommLibProfile`]
 //! captures that intra-node throughput curve.
 
-use etm_support::json_struct;
-
 /// Intra-node communication profile of an MPI implementation.
 ///
 /// Throughput for a message of `b` bytes follows the classic saturating
 /// curve `bw_max · b / (b + half_size)`, optionally degraded beyond a
 /// buffer-management cliff — the signature of MPICH-1.2.1's localhost
 /// path in Fig. 2(a).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct CommLibProfile {
     /// Profile name ("MPICH-1.2.1").
     pub name: String,
@@ -30,14 +28,6 @@ pub struct CommLibProfile {
     /// decays as `cliff / b` of its plateau value (buffer thrashing).
     pub(crate) intra_cliff_bytes: Option<f64>,
 }
-
-json_struct!(CommLibProfile {
-    name,
-    intra_bw_max,
-    intra_half_bytes,
-    intra_latency,
-    intra_cliff_bytes,
-});
 
 impl CommLibProfile {
     /// MPICH-1.2.1 analogue: low plateau (~0.35 Gb/s ≈ 44 MB/s) with a

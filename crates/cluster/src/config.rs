@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use etm_support::json_struct;
-
 use crate::spec::{ClusterSpec, KindId};
 
 /// Participation of one PE kind in a run.
@@ -29,13 +27,6 @@ pub struct Configuration {
     /// Per-kind usage.
     pub uses: Vec<KindUse>,
 }
-
-json_struct!(KindUse {
-    kind,
-    pes,
-    procs_per_pe
-});
-json_struct!(Configuration { uses });
 
 /// Errors validating a configuration against a cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]

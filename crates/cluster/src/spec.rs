@@ -1,25 +1,10 @@
 //! Cluster hardware description.
 
-use etm_support::json::{FromJson, Json, JsonError, ToJson};
-use etm_support::json_struct;
-
 use crate::commlib::CommLibProfile;
 
 /// Index of a PE kind within a [`ClusterSpec`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct KindId(pub usize);
-
-impl ToJson for KindId {
-    fn to_json(&self) -> Json {
-        self.0.to_json()
-    }
-}
-
-impl FromJson for KindId {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        usize::from_json(v).map(KindId)
-    }
-}
 
 /// A *kind* of processing element (one CPU model), with the calibration
 /// constants the performance model needs.
@@ -27,13 +12,10 @@ impl FromJson for KindId {
 /// The defaults in [`athlon_1333`] / [`pentium2_400`] are calibrated so
 /// the simulated cluster reproduces the *shapes* of the paper's figures
 /// (see DESIGN.md §4); they are not claimed to be cycle-accurate.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct PeKind {
     /// Human-readable name ("Athlon", "Pentium-II").
     pub name: String,
-    /// Core clock in GHz (informational; performance comes from the
-    /// fields below).
-    pub(crate) clock_ghz: f64,
     /// Peak sustained DGEMM rate of one process with a large in-memory
     /// working set, in flop/s.
     pub peak_flops: f64,
@@ -84,7 +66,6 @@ pub(crate) struct PePower {
 pub fn athlon_1333() -> PeKind {
     PeKind {
         name: "Athlon".to_string(),
-        clock_ghz: 1.33,
         peak_flops: 1.30e9,
         eff_min: 0.42,
         eff_halfway_bytes: 24e6,
@@ -105,7 +86,6 @@ pub fn athlon_1333() -> PeKind {
 pub fn pentium2_400() -> PeKind {
     PeKind {
         name: "Pentium-II".to_string(),
-        clock_ghz: 0.4,
         peak_flops: 0.27e9,
         eff_min: 0.45,
         eff_halfway_bytes: 12e6,
@@ -122,7 +102,7 @@ pub fn pentium2_400() -> PeKind {
 }
 
 /// One physical node: CPUs of a single kind sharing memory and a NIC.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct NodeSpec {
     /// Node name ("node1").
     pub name: String,
@@ -135,7 +115,7 @@ pub struct NodeSpec {
 }
 
 /// Inter-node network parameters (the paper measures over 100base-TX).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkSpec {
     /// Per-NIC sustained bandwidth in bytes/s.
     pub bandwidth: f64,
@@ -163,7 +143,7 @@ impl NetworkSpec {
 }
 
 /// A complete heterogeneous cluster: kinds, nodes, network, MPI library.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct ClusterSpec {
     /// The PE kinds present, indexed by [`KindId`].
     pub kinds: Vec<PeKind>,
@@ -216,38 +196,6 @@ impl ClusterSpec {
         &self.kinds[id.0]
     }
 }
-
-json_struct!(PeKind {
-    name,
-    clock_ghz,
-    peak_flops,
-    eff_min,
-    eff_halfway_bytes,
-    panel_eff,
-    mem_bw,
-    mp_overhead,
-    sched_quantum,
-    power,
-});
-json_struct!(PePower {
-    busy_watts,
-    comm_watts
-});
-json_struct!(NodeSpec {
-    name,
-    kind,
-    cpus,
-    memory_bytes
-});
-json_struct!(NetworkSpec { bandwidth, latency });
-json_struct!(ClusterSpec {
-    kinds,
-    nodes,
-    network,
-    comm_lib,
-    usable_mem_frac,
-    swap_beta,
-});
 
 /// The paper's evaluation platform (Table 1): one Athlon node plus four
 /// dual-Pentium-II nodes, 100base-TX, 768 MB everywhere.
@@ -316,13 +264,5 @@ mod tests {
             c.kind(KindId(0)).power.busy_watts > c.kind(KindId(1)).power.busy_watts,
             "the Athlon is the hotter part"
         );
-    }
-
-    #[test]
-    fn spec_json_roundtrip() {
-        let c = paper_cluster(CommLibProfile::mpich121());
-        let json = etm_support::json::to_string(&c);
-        let back: ClusterSpec = etm_support::json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -25,10 +25,9 @@
 //! problem's own time scale at every N.
 
 use etm_lsq::{lstsq, LsqError};
-use etm_support::json_struct;
 
 /// The conditional linear correction of §4.1.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdjustmentRule {
     /// Apply the transform only when the fast kind's multiplicity is at
     /// least this (the paper: 3; `M₁ ≤ 2` estimates already match).
@@ -38,12 +37,6 @@ pub struct AdjustmentRule {
     /// Coefficient `c` on the `M₁ = 1` baseline estimate.
     pub base_coeff: f64,
 }
-
-json_struct!(AdjustmentRule {
-    min_m1,
-    scale,
-    base_coeff
-});
 
 impl AdjustmentRule {
     /// The no-op rule.

@@ -14,8 +14,6 @@
 use crate::ntmodel::NtModel;
 use crate::ptmodel::PtModel;
 
-/// The paper's hand-picked Athlon/Pentium-II computation scale.
-pub const PAPER_TA_SCALE: f64 = 0.27;
 /// The paper's hand-picked Athlon/Pentium-II communication scale.
 pub(crate) const PAPER_TC_SCALE: f64 = 0.85;
 

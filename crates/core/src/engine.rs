@@ -418,9 +418,8 @@ impl Engine {
     /// whatever a failed ingest left outstanding and nothing else.)
     ///
     /// # Errors
-    /// Any fitting failure. (Bad samples are no longer an error: the
-    /// quarantine ladder absorbs what used to surface as
-    /// [`PipelineError::NonFiniteSample`].)
+    /// Any fitting failure. Bad samples are not an error: the quarantine
+    /// ladder absorbs them.
     pub fn ingest(
         &self,
         samples: &[(SampleKey, Sample)],

@@ -16,13 +16,12 @@
 use std::collections::BTreeSet;
 
 use etm_support::rng::Rng64;
-use etm_support::{json_enum, json_struct};
 
 use crate::measurement::{Sample, SampleKey};
 use crate::stream::TrialBatch;
 
 /// How a corrupted sample's poisoned field is rewritten.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub enum CorruptKind {
     /// The field becomes NaN.
     Nan,
@@ -33,11 +32,9 @@ pub enum CorruptKind {
     Outlier,
 }
 
-json_enum!(CorruptKind { Nan, Inf, Outlier });
-
 /// A seeded, declarative fault-injection plan over a replayed batch
 /// stream. All counters are 1-based "every k-th" knobs; 0 disables.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// Seed for the corruption RNG (which of ta/tc/wall is poisoned).
     pub seed: u64,
@@ -63,18 +60,6 @@ pub struct FaultPlan {
     /// recoverable and the stream still carries the whole campaign.
     pub redeliver: bool,
 }
-
-json_struct!(FaultPlan {
-    seed,
-    corrupt_every,
-    corrupt,
-    outlier_factor,
-    target,
-    drop_every,
-    truncate_every,
-    flood_every,
-    redeliver,
-});
 
 impl Default for FaultPlan {
     /// The clean plan: no faults, redelivery on.

@@ -18,12 +18,10 @@
 //!   `KeyGrid::cover` sizes a grid up front, so a fill never regrows.
 //! * **Bound.** A box may hold at most `MAX_SLOTS` (65,536) slots. A key whose
 //!   box would exceed it is a caller error: inserting it panics with the
-//!   key in the message, and reading one back from JSON is an error.
+//!   key in the message.
 
 use std::fmt;
 use std::ops::Index;
-
-use etm_support::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::measurement::SampleKey;
 
@@ -264,39 +262,9 @@ impl<K: GridKey, V: fmt::Debug> fmt::Debug for KeyGrid<K, V> {
     }
 }
 
-/// A list of `[key, value]` pairs in key order, as a `BTreeMap` writes.
-impl<K: GridKey + ToJson, V: ToJson> ToJson for KeyGrid<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Arr(
-            self.iter()
-                .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: GridKey + FromJson, V: FromJson> FromJson for KeyGrid<K, V> {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let pairs: Vec<(K, V)> = Vec::from_json(v)?;
-        let mut extent = [0; 3];
-        for (k, _) in &pairs {
-            extent = grown(extent, k.coords()).ok_or_else(|| {
-                JsonError::new(format!("{k:?} lies beyond a box of {MAX_SLOTS} slots"))
-            })?;
-        }
-        let mut grid = KeyGrid::new();
-        grid.cover(extent);
-        for (k, v) in pairs {
-            grid.insert(k, v);
-        }
-        Ok(grid)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etm_support::json::{from_str, to_string};
     use etm_support::prop::check;
     use etm_support::rng::Rng64;
     use std::collections::BTreeMap;
@@ -311,8 +279,8 @@ mod tests {
     /// Random `insert` / `remove` / `get` / `get_mut` steps over keys of
     /// small ranges, starting from an empty box, checked after every
     /// step against a `BTreeMap` doing the same: length, the full
-    /// iteration and the JSON bytes.
-    fn matches_a_btreemap<K: GridKey + ToJson>(
+    /// iteration.
+    fn matches_a_btreemap<K: GridKey>(
         rng: &mut Rng64,
         seen: &mut Seen,
         key: impl Fn(&mut Rng64) -> K,
@@ -341,7 +309,6 @@ mod tests {
             assert_eq!(grid.len(), map.len(), "step {step}");
             assert_eq!(grid.is_empty(), map.is_empty());
             assert!(grid.iter().eq(map.iter()), "step {step}");
-            assert_eq!(to_string(&grid), to_string(&map), "step {step}");
         }
     }
 
@@ -370,21 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_in_key_order() {
-        let pairs = [((1, 3), 0.5), ((0, 6), -2.0), ((1, 1), 4.0)];
-        let mut grid: KeyGrid<(usize, usize), f64> = KeyGrid::new();
-        for (k, v) in pairs {
-            grid.insert(k, v);
-        }
-        let map: BTreeMap<(usize, usize), f64> = pairs.into_iter().collect();
-        let text = to_string(&grid);
-        assert_eq!(text, to_string(&map));
-        let back: KeyGrid<(usize, usize), f64> = from_str(&text).unwrap();
-        assert_eq!(back, grid);
-        assert_eq!(back.extent(), [2, 7, 1]);
-    }
-
-    #[test]
     fn cover_sizes_the_box_once_and_keeps_entries() {
         let mut grid: KeyGrid<(usize, usize), u8> = KeyGrid::new();
         grid.insert((1, 1), 7);
@@ -408,11 +360,5 @@ mod tests {
             },
             (),
         );
-    }
-
-    #[test]
-    fn json_beyond_the_slot_bound_is_an_error() {
-        let err = from_str::<KeyGrid<(usize, usize), u32>>("[[[1,70000],1]]").unwrap_err();
-        assert!(err.to_string().contains("70000"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 //! keep failing or flapping.
 //!
 //! [`ExecutionFaultPlan`] mirrors [`crate::faults::FaultPlan`] on the
-//! execution side: a seeded, pure-literal-JSON description of node
+//! execution side: a seeded, plain-data description of node
 //! crashes mid-run, stragglers (per-kind CPU slowdown through the
 //! processor-sharing kernel), transient cluster-wide network
 //! degradation windows, and lost or NaN-poisoned measurements.
@@ -29,7 +29,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use etm_support::json_struct;
 use etm_support::rng::Rng64;
 
 use etm_cluster::{ClusterSpec, Configuration, KindId};
@@ -57,7 +56,7 @@ pub fn config_key(config: &Configuration) -> ConfigKey {
 /// A seeded, declarative fault plan over closed-loop *executions* —
 /// the decision-side mirror of [`crate::faults::FaultPlan`]. All
 /// counters are 1-based "every k-th" knobs; 0 disables.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct ExecutionFaultPlan {
     /// Seed for the straggler RNG (which used kind straggles).
     pub seed: u64,
@@ -90,20 +89,6 @@ pub struct ExecutionFaultPlan {
     /// ingest, where the quarantine ladder must absorb them. 0 off.
     pub nan_every: usize,
 }
-
-json_struct!(ExecutionFaultPlan {
-    seed,
-    crash_every,
-    crash_from,
-    crash_until,
-    straggle_every,
-    straggle_factor,
-    degrade_from,
-    degrade_until,
-    degrade_factor,
-    lose_every,
-    nan_every,
-});
 
 impl Default for ExecutionFaultPlan {
     /// The clean plan: every execution succeeds and measures truthfully.
@@ -577,7 +562,6 @@ mod tests {
     use super::*;
     use etm_cluster::commlib::CommLibProfile;
     use etm_cluster::spec::paper_cluster;
-    use etm_support::json;
 
     fn spec() -> ClusterSpec {
         paper_cluster(CommLibProfile::mpich122())
@@ -607,23 +591,6 @@ mod tests {
 
     const N: usize = 800;
     const NB: usize = 64;
-
-    #[test]
-    fn plan_roundtrips_through_json() {
-        let plan = ExecutionFaultPlan {
-            seed: 7,
-            crash_every: 3,
-            crash_from: Some(4),
-            crash_until: Some(6),
-            straggle_every: 2,
-            lose_every: 5,
-            nan_every: 9,
-            ..ExecutionFaultPlan::default()
-        };
-        let text = json::to_string(&plan);
-        let back: ExecutionFaultPlan = json::from_str(&text).expect("decodes");
-        assert_eq!(back, plan);
-    }
 
     #[test]
     fn clean_executor_matches_direct_simulation_bit_for_bit() {

@@ -5,8 +5,6 @@
 use std::collections::BTreeMap;
 
 use etm_cluster::KindId;
-use etm_support::json::{Json, ToJson};
-use etm_support::json_struct;
 
 use crate::grid::KeyGrid;
 
@@ -62,8 +60,7 @@ pub struct Sample {
 
 impl Sample {
     /// True when every measured time is finite. Non-finite samples are
-    /// rejected at ingest: a NaN `ta`/`tc`/`wall` defeats `Sample`'s
-    /// `PartialEq`-based dedup (NaN never compares equal) and silently
+    /// rejected at ingest: a NaN or infinite `ta`/`tc`/`wall` silently
     /// poisons the least-squares fit.
     pub(crate) fn is_finite(&self) -> bool {
         self.ta.is_finite() && self.tc.is_finite() && self.wall.is_finite()
@@ -106,26 +103,10 @@ pub(crate) struct Slot {
     pub(crate) held: Option<Sample>,
 }
 
-json_struct!(SampleKey { kind, pes, m });
-
-impl ToJson for Sample {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("n".to_string(), self.n.to_json()),
-            ("ta".to_string(), self.ta.to_json()),
-            ("tc".to_string(), self.tc.to_json()),
-            ("wall".to_string(), self.wall.to_json()),
-            ("multi_node".to_string(), self.multi_node.to_json()),
-        ])
-    }
-}
-
 /// All measurements of one campaign.
 ///
-/// Serialized as a list of `(key, samples)` pairs (JSON objects cannot
-/// key on structs). The distinct problem sizes and the `(kind, m)`
-/// groups are kept beside the samples, updated as samples arrive, and
-/// not serialized. Samples and groups live in [`KeyGrid`]s, so a lookup
+/// The distinct problem sizes and the `(kind, m)` groups are kept
+/// beside the samples, updated as samples arrive. Samples and groups live in [`KeyGrid`]s, so a lookup
 /// by key is an index computation.
 #[derive(Clone, Debug, Default)]
 pub struct MeasurementDb {
@@ -134,12 +115,6 @@ pub struct MeasurementDb {
     sizes: Vec<usize>,
     /// Every key by `(kind, m)` group, ascending by `pes` within one.
     groups: KeyGrid<(usize, usize), Vec<SampleKey>>,
-}
-
-impl ToJson for MeasurementDb {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("entries".to_string(), self.samples.to_json())])
-    }
 }
 
 impl MeasurementDb {

@@ -2,7 +2,6 @@
 //! for computation and communication time.
 
 use etm_lsq::{FactoredDesign, LsqError};
-use etm_support::json_struct;
 
 use crate::measurement::Sample;
 
@@ -20,8 +19,6 @@ pub struct NtModel {
     /// `[k4, k5, k6]`, descending powers.
     pub kc: [f64; 3],
 }
-
-json_struct!(NtModel { ka, kc });
 
 impl NtModel {
     /// Fits both polynomials from measured samples: one `NtDesign`

@@ -7,8 +7,6 @@ use std::fmt;
 use etm_cluster::{ClusterSpec, Configuration, KindId, KindUse};
 use etm_hpl::{simulate_hpl, HplParams, SimulatedRun};
 use etm_lsq::LsqError;
-use etm_support::json::{FromJson, Json, JsonError, ToJson};
-use etm_support::json_struct;
 use etm_support::pool;
 
 use crate::adjust::AdjustmentRule;
@@ -44,18 +42,6 @@ pub enum PipelineError {
     },
     /// The configuration to estimate uses no PEs.
     EmptyConfiguration,
-    /// An ingested sample carried a NaN or infinite time. The engine's
-    /// quarantine ladder counts such samples against the group's bad
-    /// budget instead of returning this error; the variant remains the
-    /// typed vocabulary for callers that validate samples themselves
-    /// (non-finite values defeat the `PartialEq`-based dedup and would
-    /// poison the least-squares fit).
-    NonFiniteSample {
-        /// Key of the offending sample.
-        key: SampleKey,
-        /// Problem size of the offending sample.
-        n: usize,
-    },
     /// A configuration depends on a quarantined `(kind, m)` group whose
     /// serving model has no §3.5 composed fallback — a health-aware
     /// consumer refuses to estimate with it (see
@@ -84,11 +70,6 @@ impl fmt::Display for PipelineError {
                 write!(f, "no donor P-T model to compose kind {kind} at M={m}")
             }
             PipelineError::EmptyConfiguration => write!(f, "configuration uses no PEs"),
-            PipelineError::NonFiniteSample { key, n } => write!(
-                f,
-                "non-finite sample for kind {} pes {} m {} at N={n}",
-                key.kind, key.pes, key.m
-            ),
             PipelineError::ModelUntrusted { kind, m } => {
                 write!(
                     f,
@@ -107,11 +88,8 @@ impl From<LsqError> for PipelineError {
     }
 }
 
-/// All fitted models of one campaign.
-///
-/// Serialized as lists of `(key, model)` pairs in key order (JSON
-/// objects cannot key on structs or tuples). The default bank is empty:
-/// the fit of an empty database.
+/// All fitted models of one campaign. The default bank is empty: the
+/// fit of an empty database.
 #[derive(Clone, Debug, Default)]
 pub struct ModelBank {
     /// N-T models per homogeneous configuration.
@@ -123,35 +101,6 @@ pub struct ModelBank {
     /// The `(kind, m)` groups whose P-T entry is composed rather than
     /// measured — what an incremental refit must always rebuild.
     pub composed_groups: Vec<(usize, usize)>,
-}
-
-impl ToJson for ModelBank {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("nt".to_string(), self.nt.to_json()),
-            ("pt".to_string(), self.pt.to_json()),
-            ("composed_kinds".to_string(), self.composed_kinds.to_json()),
-            (
-                "composed_groups".to_string(),
-                self.composed_groups.to_json(),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ModelBank {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ModelBank {
-            nt: v.field("nt")?,
-            pt: v.field("pt")?,
-            composed_kinds: v.field("composed_kinds")?,
-            // Banks persisted before the backend-engine refactor lack
-            // this list; default to empty (refits then recompose from
-            // the composed-kind markers' groups being absent from `pt`'s
-            // measured set — i.e. conservatively on first full fit).
-            composed_groups: v.field_or_default("composed_groups")?,
-        })
-    }
 }
 
 impl ModelBank {
@@ -404,12 +353,6 @@ pub struct Estimator {
     pub fast_kind: usize,
 }
 
-json_struct!(Estimator {
-    bank,
-    adjustment,
-    fast_kind
-});
-
 impl Estimator {
     /// Wraps a bank with no adjustment.
     pub fn unadjusted(bank: ModelBank) -> Self {
@@ -571,7 +514,7 @@ pub fn sample_from_run(run: &SimulatedRun, kind: KindId, n: usize) -> Sample {
 /// [`AdjustmentRule`] against a new bank *without* touching the
 /// simulator again. The engine stores one of these so incremental refits
 /// stay pure model math.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct AdjustmentPolicy {
     /// Fast-kind multiplicity gate (the paper's `M1 ≥ 3`).
     pub min_m1: usize,
@@ -586,14 +529,6 @@ pub struct AdjustmentPolicy {
     /// Measured reference wall times, `(m1, seconds)` ascending in `m1`.
     pub walls: Vec<(usize, f64)>,
 }
-
-json_struct!(AdjustmentPolicy {
-    min_m1,
-    ref_n,
-    ref_p2,
-    fast_kind,
-    walls
-});
 
 impl AdjustmentPolicy {
     /// Reference multiplicities the bank supports: every `m ≥ min_m1`

@@ -15,7 +15,6 @@
 //! scales as `1/P`, `bcast` as `(P−1) ≈ P`, `laswp` as `1/P`.
 
 use etm_lsq::{FactoredDesign, LsqError};
-use etm_support::json_struct;
 
 use crate::ntmodel::NtModel;
 
@@ -29,8 +28,6 @@ pub struct PtModel {
     /// The reference N-T model the bases are built from.
     pub reference: NtModel,
 }
-
-json_struct!(PtModel { ka, kc, reference });
 
 impl PtModel {
     /// The model at one problem size `n`: both reference polynomials

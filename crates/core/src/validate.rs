@@ -20,8 +20,7 @@
 //! The tier-1 test `basic_bank_passes_the_model_audit`
 //! (`tests/campaign.rs`) runs the registry over the bank fit from the
 //! simulated Basic campaign; library consumers can run it over
-//! any bank they load or fit (e.g. after editing a persisted model JSON
-//! by hand).
+//! any bank they fit or build by hand.
 
 use std::fmt;
 
@@ -99,7 +98,7 @@ pub struct Finding {
     /// Whether the finding fails the audit.
     pub severity: Severity,
     /// Human-readable description, including the offending key.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for Finding {

@@ -1,11 +1,24 @@
-//! Backend-equivalence golden test: the `PolyLsqBackend` extraction must
-//! reproduce the seed pipeline's fitted coefficients and estimates
-//! bit-for-bit.
+//! Backend golden test: `PolyLsqBackend`, behind `build_estimator`, must
+//! fit the trimmed campaign below to the pinned coefficients and
+//! estimates bit for bit.
 //!
-//! The golden file `tests/golden/backend_seed.json` was captured from the
-//! pre-refactor monolithic `ModelBank::fit` path on a trimmed campaign.
-//! Regenerate it (only when the *simulator* legitimately changes, never
-//! to paper over a fitting regression) with:
+//! The golden file `tests/golden/backend_bank.txt` holds one record a
+//! line, each `f64` as the 16 hex digits of its bit pattern:
+//!
+//! ```text
+//! nt kind=K pes=P m=M ka=k0,k1,k2,k3 kc=k4,k5,k6
+//! pt kind=K m=M ka=k7,k8 kc=k9,k10,k11 ref.ka=… ref.kc=…
+//! composed_kinds=K,…
+//! adjustment min_m1=M scale=a base_coeff=c
+//! fast_kind=K
+//! probe n=N uses=kind:pes:procs_per_pe,… raw=t adjusted=t
+//! ```
+//!
+//! N-T and P-T models come in key order, each P-T model with its
+//! reference N-T model; the probes are [`probe_points`] in order. Its
+//! bits were first pinned from the monolithic `ModelBank::fit` the
+//! backend replaced. Regenerate it (only when the *simulator*
+//! legitimately changes, never to paper over a fitting regression) with:
 //!
 //! ```text
 //! ETM_REGEN_GOLDEN=1 cargo test -p etm-core --test backend_golden
@@ -16,7 +29,6 @@ use etm_cluster::{CommLibProfile, Configuration, KindId};
 use etm_core::measurement::SampleKey;
 use etm_core::pipeline::{build_estimator, Estimator};
 use etm_core::plan::{ConstructionPoint, EvalPoint, MeasurementPlan, PlanKind};
-use etm_support::json::{self, Json, ToJson};
 
 const NB: usize = 64;
 
@@ -72,37 +84,73 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("backend_seed.json")
+        .join("backend_bank.txt")
 }
 
-fn golden_doc(est: &Estimator) -> Json {
-    let estimates: Vec<Json> = probe_points()
+/// The bit patterns of `xs`, comma-separated.
+fn bits(xs: &[f64]) -> String {
+    let hex: Vec<String> = xs.iter().map(|x| format!("{:016x}", x.to_bits())).collect();
+    hex.join(",")
+}
+
+/// `est` in the golden format (module docs), one record a line: the
+/// bank, the adjustment, the fast kind, then each probe's estimates.
+fn render(est: &Estimator) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (key, model) in &est.bank.nt {
+        lines.push(format!(
+            "nt kind={} pes={} m={} ka={} kc={}",
+            key.kind,
+            key.pes,
+            key.m,
+            bits(&model.ka),
+            bits(&model.kc)
+        ));
+    }
+    for ((kind, m), model) in &est.bank.pt {
+        lines.push(format!(
+            "pt kind={kind} m={m} ka={} kc={} ref.ka={} ref.kc={}",
+            bits(&model.ka),
+            bits(&model.kc),
+            bits(&model.reference.ka),
+            bits(&model.reference.kc)
+        ));
+    }
+    let kinds: Vec<String> = est
+        .bank
+        .composed_kinds
         .iter()
-        .map(|(cfg, n)| {
-            Json::Obj(vec![
-                ("n".to_string(), n.to_json()),
-                ("config".to_string(), cfg.to_json()),
-                (
-                    "raw".to_string(),
-                    est.estimate_raw(cfg, *n)
-                        .expect("probe estimable")
-                        .to_json(),
-                ),
-                (
-                    "adjusted".to_string(),
-                    est.estimate(cfg, *n).expect("probe estimable").to_json(),
-                ),
-            ])
-        })
+        .map(usize::to_string)
         .collect();
-    Json::Obj(vec![
-        ("estimator".to_string(), est.to_json()),
-        ("estimates".to_string(), Json::Arr(estimates)),
-    ])
+    lines.push(format!("composed_kinds={}", kinds.join(",")));
+    let rule = &est.adjustment;
+    lines.push(format!(
+        "adjustment min_m1={} scale={} base_coeff={}",
+        rule.min_m1,
+        bits(&[rule.scale]),
+        bits(&[rule.base_coeff])
+    ));
+    lines.push(format!("fast_kind={}", est.fast_kind));
+    for (cfg, n) in probe_points() {
+        let raw = est.estimate_raw(&cfg, n).expect("probe estimable");
+        let adjusted = est.estimate(&cfg, n).expect("probe estimable");
+        let uses: Vec<String> = cfg
+            .uses
+            .iter()
+            .map(|u| format!("{}:{}:{}", u.kind.0, u.pes, u.procs_per_pe))
+            .collect();
+        lines.push(format!(
+            "probe n={n} uses={} raw={} adjusted={}",
+            uses.join(","),
+            bits(&[raw]),
+            bits(&[adjusted])
+        ));
+    }
+    lines
 }
 
-/// Builds the estimator under test through the *current* pipeline entry
-/// point (post-refactor: the engine's `PolyLsqBackend` path).
+/// Builds the estimator under test through the current pipeline entry
+/// point (the engine's `PolyLsqBackend` path).
 fn fit_current() -> Estimator {
     let spec = paper_cluster(CommLibProfile::mpich122());
     build_estimator(&spec, &mini_plan(), NB)
@@ -112,67 +160,28 @@ fn fit_current() -> Estimator {
 
 #[test]
 fn poly_lsq_backend_matches_seed_golden() {
-    let est = fit_current();
+    let got = render(&fit_current());
     if std::env::var("ETM_REGEN_GOLDEN").is_ok() {
         let path = golden_path();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, json::to_string_pretty(&golden_doc(&est))).unwrap();
+        std::fs::write(&path, got.join("\n") + "\n").unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
 
     let text = std::fs::read_to_string(golden_path()).expect("golden file exists");
-    let doc = json::parse(&text).expect("golden parses");
-    let golden: Estimator = doc.field("estimator").expect("golden estimator");
-
-    // Coefficients bit-for-bit: every N-T and P-T model the seed fit.
-    assert_eq!(golden.bank.nt.len(), est.bank.nt.len(), "N-T model count");
-    for (key, want) in &golden.bank.nt {
-        let got = est.bank.nt.get(key).expect("golden N-T key refit");
-        for i in 0..4 {
-            assert_eq!(want.ka[i].to_bits(), got.ka[i].to_bits(), "{key:?} ka[{i}]");
-        }
-        for i in 0..3 {
-            assert_eq!(want.kc[i].to_bits(), got.kc[i].to_bits(), "{key:?} kc[{i}]");
-        }
+    let want: Vec<&str> = text.lines().collect();
+    // Record by record: every N-T and P-T coefficient (with each P-T
+    // model's key and reference), the composed kinds, the §4.1 rule,
+    // the fast kind, and each probe's size, configuration and raw and
+    // adjusted estimates.
+    for (i, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert_eq!(want, got, "golden record {}", i + 1);
     }
-    assert_eq!(golden.bank.pt.len(), est.bank.pt.len(), "P-T model count");
-    for (key, want) in &golden.bank.pt {
-        let got = est.bank.pt.get(key).expect("golden P-T key refit");
-        for i in 0..2 {
-            assert_eq!(want.ka[i].to_bits(), got.ka[i].to_bits(), "{key:?} ka[{i}]");
-        }
-        for i in 0..3 {
-            assert_eq!(want.kc[i].to_bits(), got.kc[i].to_bits(), "{key:?} kc[{i}]");
-        }
+    let count = |lines: &[&str], tag: &str| lines.iter().filter(|l| l.starts_with(tag)).count();
+    let got: Vec<&str> = got.iter().map(String::as_str).collect();
+    for tag in ["nt ", "pt ", "probe "] {
+        assert_eq!(count(&want, tag), count(&got, tag), "{tag}record count");
     }
-    assert_eq!(golden.bank.composed_kinds, est.bank.composed_kinds);
-
-    // The §4.1 adjustment rule.
-    assert_eq!(golden.adjustment.min_m1, est.adjustment.min_m1);
-    assert_eq!(
-        golden.adjustment.scale.to_bits(),
-        est.adjustment.scale.to_bits()
-    );
-    assert_eq!(
-        golden.adjustment.base_coeff.to_bits(),
-        est.adjustment.base_coeff.to_bits()
-    );
-
-    // Table estimates at the probe points.
-    let rows: Vec<Json> = doc.field("estimates").expect("golden estimates");
-    assert_eq!(rows.len(), probe_points().len());
-    for (row, (cfg, n)) in rows.iter().zip(probe_points()) {
-        assert_eq!(row.field::<usize>("n").expect("n"), n);
-        let raw: f64 = row.field("raw").expect("raw");
-        let adjusted: f64 = row.field("adjusted").expect("adjusted");
-        let got_raw = est.estimate_raw(&cfg, n).expect("probe estimable");
-        let got_adj = est.estimate(&cfg, n).expect("probe estimable");
-        assert_eq!(raw.to_bits(), got_raw.to_bits(), "raw estimate at N={n}");
-        assert_eq!(
-            adjusted.to_bits(),
-            got_adj.to_bits(),
-            "adjusted estimate at N={n}"
-        );
-    }
+    assert_eq!(want.len(), got.len(), "record count");
 }

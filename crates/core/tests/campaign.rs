@@ -14,13 +14,13 @@ use etm_cluster::spec::paper_cluster;
 use etm_cluster::{ClusterSpec, CommLibProfile};
 use etm_core::backend::{FitWork, ModelBackend, PolyLsqBackend};
 use etm_core::engine::Engine;
+use etm_core::measurement::{Sample, SampleKey};
 use etm_core::pipeline::{run_construction_threads, sample_from_run, simulate_construction_point};
 use etm_core::plan::{MeasurementPlan, PlanKind};
 use etm_core::stream::{consume, replay, trials_of_db, StreamConfig, StreamReport};
 use etm_core::validate::{self, Severity};
 use etm_core::MeasurementDb;
 use etm_hpl::SimulatedRun;
-use etm_support::json;
 use etm_support::pool;
 
 /// HPL block size of the campaigns (the repro's NB).
@@ -70,14 +70,27 @@ fn small_plan() -> MeasurementPlan {
     plan
 }
 
+/// Each key in key order, with every sample's `n`, `multi_node` and
+/// `ta`/`tc`/`wall` bit patterns.
+type DbBits = Vec<(SampleKey, Vec<(usize, bool, [u64; 3])>)>;
+
+/// `db`'s samples as bit patterns, so `-0.0` and `0.0`, or two NaN
+/// payloads, differ.
+fn db_bits(db: &MeasurementDb) -> DbBits {
+    let bits = |s: &Sample| (s.n, s.multi_node, [s.ta, s.tc, s.wall].map(f64::to_bits));
+    db.keys()
+        .map(|key| (*key, db.samples(key).iter().map(bits).collect()))
+        .collect()
+}
+
 #[test]
 fn campaign_is_bit_identical_at_any_worker_count() {
     let spec = paper_cluster(CommLibProfile::mpich122());
     let plan = small_plan();
-    let serial = json::to_string(&run_construction_threads(&spec, &plan, NB, 1));
+    let serial = db_bits(&run_construction_threads(&spec, &plan, NB, 1));
     let widths = [2, pool::num_threads().max(2)];
     for threads in widths {
-        let parallel = json::to_string(&run_construction_threads(&spec, &plan, NB, threads));
+        let parallel = db_bits(&run_construction_threads(&spec, &plan, NB, threads));
         assert_eq!(serial, parallel, "campaign diverged at {threads} worker(s)");
     }
 }

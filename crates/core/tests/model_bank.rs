@@ -156,16 +156,3 @@ fn adjustment_gates_on_multiplicity_and_multi_pe() {
         est.estimate_raw(&cfg_single, n).unwrap()
     );
 }
-
-#[test]
-fn bank_json_roundtrip_preserves_predictions() {
-    let bank = ModelBank::fit(&synthetic_db()).expect("fit");
-    let est = Estimator::unadjusted(bank);
-    let json = etm_support::json::to_string(&est);
-    let back: Estimator = etm_support::json::from_str(&json).expect("deserialize");
-    let cfg = Configuration::p1m1_p2m2(1, 2, 4, 1);
-    assert_eq!(
-        est.estimate(&cfg, 4800).unwrap().to_bits(),
-        back.estimate(&cfg, 4800).unwrap().to_bits()
-    );
-}

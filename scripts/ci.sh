@@ -36,8 +36,7 @@
 #                           committed copy, a run of every example
 #                           under examples/ (each asserts what it
 #                           shows: the numeric stencil against a
-#                           serial sweep, the numeric HPL's residual,
-#                           the model's JSON round trip bit for bit),
+#                           serial sweep, the numeric HPL's residual),
 #                           and a bench smoke run of
 #                           the substrates + streaming + optimizer +
 #                           loopback + model_speed suites, each of

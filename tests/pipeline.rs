@@ -1,11 +1,10 @@
 //! Cross-crate integration tests: the full measure → fit → estimate →
 //! select pipeline on the simulated paper cluster.
 //!
-//! These use trimmed campaigns (fewer sizes / PE counts than the paper's
-//! plans) so the suite stays fast in debug builds; the full-scale
-//! reproduction lives in `etm-repro` and is exercised by the `#[ignore]`d
-//! test at the bottom (run with `cargo test -- --ignored` or via
-//! `repro all`).
+//! Most use trimmed campaigns (fewer sizes / PE counts than the paper's
+//! plans); the test at the bottom fits the full NL campaign and checks
+//! its selections against the simulated optimum (the whole
+//! reproduction runs through `repro all` in `etm-repro`).
 
 use hetero_etm::cluster::spec::paper_cluster;
 use hetero_etm::cluster::{CommLibProfile, Configuration, KindId};
@@ -191,10 +190,10 @@ fn estimate_errors_are_typed() {
     ));
 }
 
-/// Full-scale NL campaign (the paper's Table 7). Slow: run explicitly
-/// with `cargo test --release -- --ignored`.
+/// Full-scale NL campaign (the paper's Table 7): at each N the
+/// estimator's pick runs within 20 % of the best evaluated
+/// configuration's simulated time.
 #[test]
-#[ignore = "full-scale campaign: ~2 minutes in release"]
 fn full_nl_campaign_selects_near_optimal_configs() {
     use hetero_etm::core::plan::evaluation_configs;
     use hetero_etm::search::exhaustive;
