@@ -103,14 +103,16 @@ fn simulator_work(runs: &[SimulatedRun]) -> (u64, u64) {
 
 /// Count gate on the simulator. Events are exact: a different count
 /// means the simulated behaviour changed. Polls are an upper bound, to
-/// be lowered by the change that earns it.
+/// be lowered by the change that earns it; they sit a third or more
+/// below the events, since a hold or a lone compute whose wake is the
+/// next event finishes inside its own poll.
 #[test]
 fn campaign_simulator_work_is_pinned() {
     let spec = paper_cluster(CommLibProfile::mpich122());
     for (plan, events, max_polls) in [
-        (MeasurementPlan::basic(), 1_808_005, 1_814_161),
-        (MeasurementPlan::nl(), 585_741, 590_911),
-        (MeasurementPlan::ns(), 137_502, 138_418),
+        (MeasurementPlan::basic(), 1_808_005, 1_201_533),
+        (MeasurementPlan::nl(), 585_741, 397_849),
+        (MeasurementPlan::ns(), 137_502, 80_885),
     ] {
         let (got_events, got_polls) = if plan.kind == PlanKind::Basic {
             simulator_work(basic_runs())

@@ -177,7 +177,10 @@ fn netpipe_sweeps() {
 /// Count gate on the three `des_event_throughput/hpl_trial_*` bench
 /// shapes, built as the bench builds them. Events are exact: a
 /// different count means the simulated behaviour changed. Polls are an
-/// upper bound, to be lowered by the change that earns it.
+/// upper bound, to be lowered by the change that earns it. They sit
+/// below the events since a hold or a lone compute whose wake is the
+/// next event finishes inside its own poll: the single-Athlon trial is
+/// one poll.
 #[test]
 fn bench_trial_simulator_work_is_pinned() {
     let s = spec();
@@ -189,14 +192,14 @@ fn bench_trial_simulator_work_is_pinned() {
         }],
     };
     for (name, cfg, n, events, max_polls) in [
-        ("p2x8m6_n1600", slow(8, 6), 1600, 6_928, 6_928),
-        ("p2x8m5_n6400", slow(8, 5), 6400, 27_323, 27_323),
+        ("p2x8m6_n1600", slow(8, 6), 1600, 6_928, 4_250),
+        ("p2x8m5_n6400", slow(8, 5), 6400, 27_323, 19_604),
         (
             "p1m1_n1600",
             Configuration::p1m1_p2m2(1, 1, 0, 0),
             1600,
             149,
-            149,
+            1,
         ),
     ] {
         let run = simulate_hpl(&s, &cfg, &HplParams::order(n).with_nb(64));

@@ -5,13 +5,14 @@
 //!
 //! Every simulated process is a future polled on the thread that calls
 //! [`Simulation::run`]; there is one runnable process at a time and no
-//! OS thread per process. A blocking primitive on [`Ctx`] stores its
-//! plain-data `Request` in a slot shared with the kernel and returns
-//! `Pending` once; the kernel then services the request, and the next
-//! poll of the primitive is ready. Message passing completes in place
-//! and never yields by itself: a `send` posts into the mailbox, which
-//! lives in the state shared with the kernel, and a `recv` that finds a
-//! message waiting takes it. A `send` that meets a parked receiver
+//! OS thread per process. A blocking primitive on [`Ctx`] either
+//! finishes in place (below) or stores its plain-data `Request` in a
+//! slot shared with the kernel and returns `Pending` once; the kernel
+//! then services the request, and the next poll of the primitive is
+//! ready. Message passing completes in place and never yields by
+//! itself: a `send` posts into the mailbox, which lives in the state
+//! shared with the kernel, and a `recv` that finds a message waiting
+//! takes it. A `send` that meets a parked receiver
 //! records the pair `(receiver, message)` in a `woken` list; a `recv`
 //! yields only on an empty mailbox and parks there. After every poll,
 //! whether the process finished or yielded, the kernel first schedules
@@ -20,6 +21,24 @@
 //! receiver woken before its sender's next primitive holds the lower
 //! sequence number. A resumed receiver finds its message in a delivery
 //! slot, written just before the poll that resumes it.
+//!
+//! A `hold`, or a `compute` on an idle resource, finishes inside its
+//! own first poll when its wake would be the very next event the kernel
+//! pops: its `(time, seq)` key sorts below the *horizon*, the smallest
+//! key queued when the kernel resumed the process, and no receiver
+//! woken earlier in the poll still waits to be scheduled. It then does
+//! what pushing, popping and dispatching that wake would: it takes the
+//! wake's sequence number, counts one event, moves the clock to the
+//! wake's time and, for a compute, starts and completes the lone job on
+//! the resource. The process runs on without yielding, so a process
+//! alone in the queue runs its whole body in one poll. Nothing a
+//! process does in place touches the queue, so the horizon holds for
+//! the whole poll. When one resource completion finishes several jobs,
+//! the kernel resumes them one by one at the same instant, and each but
+//! the last is resumed under a horizon of 0: it may not run ahead of a
+//! peer that is still waiting to be polled. A `recv` and a `compute` on
+//! a busy resource always yield.
+//!
 //! Events at equal virtual time are ordered by an insertion sequence
 //! number, so a whole simulation is a deterministic function of its
 //! inputs — re-running a measurement campaign always reproduces the same
@@ -48,6 +67,11 @@
 //! its resource entry from the insert that used to overwrite it in
 //! place, under the same fresh sequence number, so that key is the
 //! same too, and keys alone decide the pop order.
+//!
+//! A primitive finished in place never enters the queue. Its key is the
+//! one its wake would have had, and it sorts below every queued key, so
+//! it is the event the next pop would have returned: times, the pop
+//! order and the event count stay bit-identical, and only polls fall.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -184,6 +208,11 @@ impl EventQueue {
         }
     }
 
+    /// The earliest entry's key, or `u128::MAX` on an empty queue.
+    fn min_key(&self) -> u128 {
+        self.heap.first().map_or(u128::MAX, |e| e.key)
+    }
+
     /// Removes and returns the earliest entry.
     fn pop(&mut self) -> Option<(SimTime, EvKind)> {
         if self.heap.is_empty() {
@@ -281,16 +310,76 @@ impl fmt::Display for DeadlockError {
 impl std::error::Error for DeadlockError {}
 
 /// State shared between the kernel and every [`Ctx`]: the virtual
-/// clock, the hand-off slots of the one process being polled, and the
-/// mail. The delivery slot is empty whenever the kernel has serviced a
-/// request.
+/// clock, the sequence and event counters, the hand-off slots of the one
+/// process being polled, the mail and the resources. The delivery slot
+/// is empty whenever the kernel has serviced a request.
 struct Shared<M> {
     clock: Cell<SimTime>,
+    /// The next insertion sequence number.
+    seq: Cell<u64>,
+    /// Events dispatched so far, those finished in place included.
+    events: Cell<u64>,
+    /// The smallest key the queue held when the polled process was
+    /// resumed, or 0 when the process may not run ahead of anything. A
+    /// primitive whose wake would sort below it finishes in place.
+    horizon: Cell<u128>,
     /// The request the polled process yielded with.
     request: Cell<Option<Request>>,
     /// The message a resumed `recv` picks up.
     delivery: Cell<Option<M>>,
     mail: RefCell<Mail<M>>,
+    resources: RefCell<Vec<SharedResource>>,
+}
+
+impl<M> Shared<M> {
+    /// Takes the next insertion sequence number.
+    fn take_seq(&self) -> u64 {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        seq
+    }
+
+    /// Finishes `request`, made by `pid`, inside the poll that made it
+    /// when its wake would be the next event the kernel pops: a `Hold`,
+    /// or a `Compute` on an idle resource, with no receiver woken in this
+    /// poll still to schedule and a key below the horizon. It then does
+    /// what pushing, popping and dispatching that wake would: takes its
+    /// sequence number, counts one event, moves the clock to the wake's
+    /// time and, for a compute, starts and finishes the lone job. Returns
+    /// whether it did; a refused request goes to the kernel.
+    fn finish_in_place(&self, pid: Pid, request: Request) -> bool {
+        if !self.mail.borrow().woken.is_empty() {
+            return false;
+        }
+        let (now, seq) = (self.clock.get(), self.seq.get());
+        let below_horizon = |t: SimTime| order_key(t, seq) < self.horizon.get();
+        let done = match request {
+            Request::Hold(dt) => {
+                let t = now + dt;
+                if !below_horizon(t) {
+                    return false;
+                }
+                t
+            }
+            Request::Compute { res, work } => {
+                let mut resources = self.resources.borrow_mut();
+                let resource = &mut resources[res.0];
+                match resource.lone_completion(now, work) {
+                    Some(t) if below_horizon(t) => {
+                        resource.start_lone(now, pid, work);
+                        resource.finish_lone(t);
+                        t
+                    }
+                    _ => return false,
+                }
+            }
+            Request::Recv { .. } => return false,
+        };
+        self.seq.set(seq + 1);
+        self.events.set(self.events.get() + 1);
+        self.clock.set(done);
+        true
+    }
 }
 
 /// Everything message passing touches, posted to and taken from in
@@ -326,17 +415,23 @@ fn is_empty<M>(slot: &Cell<Option<M>>) -> bool {
 ///
 /// The primitives that take virtual time return futures: awaiting one
 /// suspends the calling process and resumes it when the corresponding
-/// event fires. A process may only await these primitives (and futures
-/// built from them); any other pending future is a programming error.
+/// event fires, or, when that event is the next one the kernel would
+/// dispatch, finishes it in the same poll (see the module doc). A
+/// process may only await these primitives (and futures built from
+/// them); any other pending future is a programming error.
 /// `M` is the one message type of the simulation's mailboxes.
 pub struct Ctx<M> {
     shared: Rc<Shared<M>>,
+    pid: Pid,
 }
 
-/// The future of a primitive that yields once: its first poll hands
-/// the request to the kernel, its second is ready.
+/// The future of a primitive that yields at most once: its first poll
+/// finishes the request in place when it may (`Shared::finish_in_place`)
+/// and is ready, or hands the request to the kernel, and then its second
+/// poll is ready.
 struct Yield<'a, M> {
     shared: &'a Shared<M>,
+    pid: Pid,
     request: Option<Request>,
 }
 
@@ -345,11 +440,11 @@ impl<M> Future for Yield<'_, M> {
 
     fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         match self.request.take() {
-            Some(req) => {
+            Some(req) if !self.shared.finish_in_place(self.pid, req) => {
                 self.shared.request.set(Some(req));
                 Poll::Pending
             }
-            None => Poll::Ready(()),
+            _ => Poll::Ready(()),
         }
     }
 }
@@ -393,6 +488,7 @@ impl<M> Ctx<M> {
     fn yield_with(&self, request: Request) -> Yield<'_, M> {
         Yield {
             shared: &self.shared,
+            pid: self.pid,
             request: Some(request),
         }
     }
@@ -474,12 +570,9 @@ impl<M> Ctx<M> {
 pub struct Simulation<M> {
     shared: Rc<Shared<M>>,
     queue: EventQueue,
-    seq: u64,
-    resources: Vec<SharedResource>,
     processes: Vec<ProcessRecord<M>>,
     /// Reused buffer for the processes a resource completion wakes.
     completed: Vec<Pid>,
-    events_dispatched: u64,
     polls: u64,
     ran: bool,
 }
@@ -496,19 +589,20 @@ impl<M> Simulation<M> {
         Simulation {
             shared: Rc::new(Shared {
                 clock: Cell::new(SimTime::ZERO),
+                seq: Cell::new(0),
+                events: Cell::new(0),
+                horizon: Cell::new(0),
                 request: Cell::new(None),
                 delivery: Cell::new(None),
                 mail: RefCell::new(Mail {
                     boxes: Vec::new(),
                     woken: Vec::new(),
                 }),
+                resources: RefCell::new(Vec::new()),
             }),
             queue: EventQueue::default(),
-            seq: 0,
-            resources: Vec::new(),
             processes: Vec::new(),
             completed: Vec::new(),
-            events_dispatched: 0,
             polls: 0,
             ran: false,
         }
@@ -517,8 +611,10 @@ impl<M> Simulation<M> {
     /// Registers a processor-sharing resource (CPU: `speed` = 1.0 for a
     /// unit-speed processor; link: `speed` = bytes per second).
     pub fn add_shared_resource(&mut self, name: impl Into<String>, speed: f64) -> ResourceId {
-        let id = ResourceId(self.resources.len());
-        self.resources.push(SharedResource::new(name, speed));
+        let mut resources = self.shared.resources.borrow_mut();
+        let id = ResourceId(resources.len());
+        resources.push(SharedResource::new(name, speed));
+        drop(resources);
         self.queue.register(EvKind::ResourceFire(id));
         id
     }
@@ -540,10 +636,12 @@ impl<M> Simulation<M> {
     /// Panics if `slowdown` is not a finite positive factor.
     pub fn derate_resource(&mut self, id: ResourceId, slowdown: f64) {
         let now = self.now();
-        let res = &mut self.resources[id.0];
-        // `advance_to` also asserts that no job is served alone.
-        res.advance_to(now);
-        res.derate(slowdown);
+        {
+            let res = &mut self.shared.resources.borrow_mut()[id.0];
+            // `advance_to` also asserts that no job is served alone.
+            res.advance_to(now);
+            res.derate(slowdown);
+        }
         self.reschedule_resource(id);
     }
 
@@ -569,6 +667,7 @@ impl<M> Simulation<M> {
         let pid = Pid(self.processes.len());
         let ctx = Ctx {
             shared: Rc::clone(&self.shared),
+            pid,
         };
         self.processes.push(ProcessRecord {
             name: name.into(),
@@ -583,9 +682,7 @@ impl<M> Simulation<M> {
     }
 
     fn push_event(&mut self, time: SimTime, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.schedule(kind, time, seq);
+        self.queue.schedule(kind, time, self.shared.take_seq());
     }
 
     fn now(&self) -> SimTime {
@@ -596,7 +693,8 @@ impl<M> Simulation<M> {
     /// or speed change: overwrites its queue entry with a fresh sequence
     /// number, or removes the entry once the resource is idle.
     fn reschedule_resource(&mut self, res: ResourceId) {
-        match self.resources[res.0].next_completion() {
+        let next = self.shared.resources.borrow()[res.0].next_completion();
+        match next {
             Some(t) => {
                 // Guard against float drift placing the completion
                 // marginally in the past.
@@ -607,10 +705,11 @@ impl<M> Simulation<M> {
         }
     }
 
-    /// Polls `pid` once, schedules the wakes of the receivers it
-    /// delivered to, then services the request it yielded with, if any.
-    /// A panic in the process body unwinds out of here.
-    fn resume(&mut self, pid: Pid) {
+    /// Polls `pid` once under `horizon` (see [`Shared::horizon`]),
+    /// schedules the wakes of the receivers it delivered to, then
+    /// services the request it yielded with, if any. A panic in the
+    /// process body unwinds out of here.
+    fn resume(&mut self, pid: Pid, horizon: u128) {
         let proc = &mut self.processes[pid.0];
         let Some(future) = proc.future.as_mut() else {
             return;
@@ -618,6 +717,7 @@ impl<M> Simulation<M> {
         if let Some(msg) = proc.delivery.take() {
             self.shared.delivery.set(Some(msg));
         }
+        self.shared.horizon.set(horizon);
         self.polls += 1;
         let finished = future
             .as_mut()
@@ -637,8 +737,7 @@ impl<M> Simulation<M> {
             self.processes[waiter.0].delivery = Some(msg);
             // Inlined `push_event`: the loop keeps `self.shared` borrowed.
             self.queue
-                .schedule(EvKind::WakeProcess(waiter), now, self.seq);
-            self.seq += 1;
+                .schedule(EvKind::WakeProcess(waiter), now, self.shared.take_seq());
         }
         if finished {
             debug_assert!(request.is_none(), "a finished process yielded a request");
@@ -653,8 +752,11 @@ impl<M> Simulation<M> {
         match request {
             Request::Hold(dt) => self.push_event(now + dt, EvKind::WakeProcess(pid)),
             Request::Compute { res, work } => {
-                let resource = &mut self.resources[res.0];
-                if let Some(done) = resource.start_lone(now, pid, work) {
+                let mut resources = self.shared.resources.borrow_mut();
+                let resource = &mut resources[res.0];
+                if let Some(done) = resource.lone_completion(now, work) {
+                    resource.start_lone(now, pid, work);
+                    drop(resources);
                     self.processes[pid.0].alone_on = Some(res);
                     self.push_event(done, EvKind::WakeProcess(pid));
                     return;
@@ -665,6 +767,7 @@ impl<M> Simulation<M> {
                 }
                 resource.advance_to(now);
                 resource.add_job(pid, work);
+                drop(resources);
                 self.reschedule_resource(res);
             }
             Request::Recv { mb } => self.shared.mail.borrow_mut().boxes[mb.0].park(pid),
@@ -676,9 +779,9 @@ impl<M> Simulation<M> {
     fn wake(&mut self, pid: Pid) {
         if let Some(res) = self.processes[pid.0].alone_on.take() {
             let now = self.now();
-            self.resources[res.0].finish_lone(now);
+            self.shared.resources.borrow_mut()[res.0].finish_lone(now);
         }
-        self.resume(pid);
+        self.resume(pid, self.queue.min_key());
     }
 
     /// Runs the simulation to completion.
@@ -694,7 +797,7 @@ impl<M> Simulation<M> {
         self.ran = true;
         while let Some((time, kind)) = self.queue.pop() {
             debug_assert!(time >= self.now(), "event in the past");
-            self.events_dispatched += 1;
+            self.shared.events.set(self.shared.events.get() + 1);
             self.shared.clock.set(time);
             match kind {
                 EvKind::WakeProcess(pid) => self.wake(pid),
@@ -703,11 +806,22 @@ impl<M> Simulation<M> {
                     // is unchanged since it was scheduled.
                     let now = self.now();
                     let mut done = std::mem::take(&mut self.completed);
-                    self.resources[res.0].advance_to(now);
-                    self.resources[res.0].take_completed(true, &mut done);
+                    {
+                        let resource = &mut self.shared.resources.borrow_mut()[res.0];
+                        resource.advance_to(now);
+                        resource.take_completed(true, &mut done);
+                    }
                     self.reschedule_resource(res);
-                    for &pid in &done {
-                        self.resume(pid);
+                    for (i, &pid) in done.iter().enumerate() {
+                        // Co-completers are resumed one by one at `now`:
+                        // one resumed before the last may not run ahead
+                        // of a peer still waiting to be polled.
+                        let horizon = if i + 1 == done.len() {
+                            self.queue.min_key()
+                        } else {
+                            0
+                        };
+                        self.resume(pid, horizon);
                     }
                     self.completed = done;
                 }
@@ -731,9 +845,10 @@ impl<M> Simulation<M> {
 }
 
 impl<M> Simulation<M> {
-    /// Events the kernel has dispatched so far.
+    /// Events the kernel has dispatched so far, a primitive finished in
+    /// place counting as the wake it stands for.
     pub fn events(&self) -> u64 {
-        self.events_dispatched
+        self.shared.events.get()
     }
 
     /// Process polls the kernel has made so far: one per resumption of
@@ -749,13 +864,13 @@ impl<M> Simulation<M> {
     pub fn stats(&mut self) -> crate::stats::SimStats {
         let now = self.now();
         let mut resources = std::collections::BTreeMap::new();
-        for r in &mut self.resources {
+        for r in self.shared.resources.borrow_mut().iter_mut() {
             r.advance_to(now);
             resources.insert(r.name().to_string(), r.stats);
         }
         crate::stats::SimStats {
             end_seconds: now.secs(),
-            events: self.events_dispatched,
+            events: self.events(),
             polls: self.polls,
             resources,
         }
@@ -838,7 +953,7 @@ mod tests {
         assert_eq!(sim.processes[a.0].alone_on, None);
         assert!(!queued(&sim.queue, EvKind::WakeProcess(a)));
         assert!(queued(&sim.queue, fire));
-        assert_eq!(sim.resources[cpu.0].load(), 2);
+        assert_eq!(sim.shared.resources.borrow()[cpu.0].load(), 2);
         assert_eq!(sim.run().unwrap(), 2.5);
         assert_eq!(*done.borrow(), [("b", 1.5), ("a", 2.5)]);
         let stats = sim.stats().resources["cpu"];
@@ -846,6 +961,28 @@ mod tests {
             (stats.busy_seconds, stats.work_served, stats.jobs_completed),
             (2.5, 5.0, 2)
         );
+    }
+
+    #[test]
+    fn an_in_place_finish_takes_the_sequence_number_its_wake_would_have() {
+        // Two processes interleave: each compute finds its wake ahead of
+        // the other's and finishes in place, each hold yields. Nothing is
+        // rescheduled or dropped, so every key issued is one dispatched
+        // event, and the counter ends where it did when each of these
+        // wakes went through the queue.
+        let mut sim = Simulation::<()>::new();
+        let cpu = sim.add_shared_resource("cpu", 1.0);
+        for arrive in [0.0, 0.5] {
+            sim.spawn("p", move |ctx| async move {
+                ctx.hold(arrive).await;
+                ctx.compute(cpu, 0.25).await;
+                ctx.hold(1.0).await;
+            });
+        }
+        assert_eq!(sim.run().unwrap(), 1.75);
+        assert_eq!((sim.events(), sim.polls()), (8, 6));
+        assert_eq!(sim.shared.seq.get(), sim.events());
+        assert_eq!(sim.stats().resources["cpu"].jobs_completed, 2);
     }
 
     #[test]

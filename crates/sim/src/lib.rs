@@ -35,7 +35,8 @@
 //!   whatever the sender does next.
 //!
 //! `hold`, `compute` and a parking `recv` return one flat future that
-//! yields to the kernel exactly once.
+//! yields to the kernel at most once: a `hold`, or a `compute` on an
+//! idle resource, whose wake would be the next event finishes in place.
 //!
 //! ## Example
 //!

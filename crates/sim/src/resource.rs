@@ -14,14 +14,15 @@
 //! Most jobs find their resource idle, so a job that arrives on an idle
 //! resource is served *alone*: it stays out of the job list, and the
 //! resource hands back the one-job completion time, which the kernel
-//! schedules as the process's own wake. When a second job arrives, the
-//! lone job moves into the list as it stood when it started, and from
-//! then on the shared path runs: the kernel advances the resource to
-//! the current virtual time before every membership change and asks for
-//! the next completion to schedule. The kernel keeps exactly one queue
-//! entry per resource with a listed job and rewrites it after each
-//! change, so a resource never sees a completion event scheduled for a
-//! job set it no longer has.
+//! schedules as the process's own wake or, when that wake would be the
+//! next event, completes at once inside the process's poll. When a
+//! second job arrives, the lone job moves into the list as it stood
+//! when it started, and from then on the shared path runs: the kernel
+//! advances the resource to the current virtual time before every
+//! membership change and asks for the next completion to schedule. The
+//! kernel keeps exactly one queue entry per resource with a listed job
+//! and rewrites it after each change, so a resource never sees a
+//! completion event scheduled for a job set it no longer has.
 //!
 //! The lone path is bit-identical to serving the job through the list:
 //! its completion time is the expression [`SharedResource::next_completion`]
@@ -148,19 +149,29 @@ impl SharedResource {
         );
     }
 
-    /// Starts `work` work-units for `pid` at `now` as the lone job, if
-    /// the resource is idle, and returns its completion time: the time
+    /// The completion time of `work` work-units started alone at `now`,
+    /// if the resource is idle: the time
     /// [`next_completion`](Self::next_completion) gives one job, clamped
-    /// to `now` as the kernel clamps it. `None` leaves a busy resource
-    /// as it was.
-    pub(crate) fn start_lone(&mut self, now: SimTime, pid: Pid, work: f64) -> Option<SimTime> {
+    /// to `now` as the kernel clamps it. `None` on a busy resource.
+    pub(crate) fn lone_completion(&self, now: SimTime, work: f64) -> Option<SimTime> {
         if self.lone.is_some() || !self.jobs.is_empty() {
             return None;
         }
         self.check_work(work);
+        Some((now + work.max(0.0) / self.speed).max(now))
+    }
+
+    /// Starts `work` work-units for `pid` at `now` as the lone job. The
+    /// resource must be idle ([`lone_completion`](Self::lone_completion)
+    /// gave its completion time).
+    pub(crate) fn start_lone(&mut self, now: SimTime, pid: Pid, work: f64) {
+        debug_assert!(
+            self.lone.is_none() && self.jobs.is_empty(),
+            "{}: a lone job started on a busy resource",
+            self.name
+        );
         self.lone = Some((pid, work));
         self.last_update = now;
-        Some((now + work.max(0.0) / self.speed).max(now))
     }
 
     /// Moves the lone job, if any, into the job list as it stood when it
@@ -174,7 +185,7 @@ impl SharedResource {
     }
 
     /// Completes the lone job at `now`, the time
-    /// [`start_lone`](Self::start_lone) returned: the busy time, served
+    /// [`lone_completion`](Self::lone_completion) gave: the busy time, served
     /// work and completion that `advance_to` and `take_completed` count
     /// for a single job.
     pub(crate) fn finish_lone(&mut self, now: SimTime) {
@@ -296,7 +307,8 @@ mod tests {
                 completed(r, true);
             }
             let start = SimTime::new(start).max(SimTime::new(0.3 / speed));
-            let t_alone = alone.start_lone(start, pid(0), work).unwrap();
+            let t_alone = alone.lone_completion(start, work).unwrap();
+            alone.start_lone(start, pid(0), work);
             assert_eq!(alone.load(), 1);
             alone.finish_lone(t_alone);
 
@@ -323,9 +335,10 @@ mod tests {
     #[test]
     fn a_busy_resource_starts_no_lone_job_and_shares_its_lone_one() {
         let mut r = SharedResource::new("cpu", 2.0);
-        let t = r.start_lone(SimTime::new(1.0), pid(0), 4.0).unwrap();
+        let t = r.lone_completion(SimTime::new(1.0), 4.0).unwrap();
         assert_eq!(t, SimTime::new(3.0));
-        assert!(r.start_lone(SimTime::new(2.0), pid(1), 1.0).is_none());
+        r.start_lone(SimTime::new(1.0), pid(0), 4.0);
+        assert!(r.lone_completion(SimTime::new(2.0), 1.0).is_none());
         // Job 1 joins at t=2: job 0 moves into the list as it started
         // (4 units at t=1), has 2 left, and both then run at rate 1.
         assert_eq!(r.share_lone(), Some(pid(0)));

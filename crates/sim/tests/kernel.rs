@@ -386,7 +386,10 @@ fn counted<F: Future<Output = ()>>(polls: &Rc<Cell<u32>>, body: F) -> CountPolls
 fn a_woken_receiver_runs_before_its_senders_next_primitive_at_the_same_instant() {
     // The sender wakes a parked receiver and then yields a zero-time
     // primitive at the same instant. The receiver's wake is scheduled
-    // first, so it holds the lower sequence number and runs first.
+    // first, so it holds the lower sequence number and runs first. The
+    // sender's one-second hold finishes in place (the queue is empty),
+    // but the zero-time primitive must not: the receiver woken in the
+    // same poll still waits to be scheduled.
     for zero_work_compute in [false, true] {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut sim = Simulation::new();
@@ -414,6 +417,9 @@ fn a_woken_receiver_runs_before_its_senders_next_primitive_at_the_same_instant()
             [("receiver", 5, 1.0), ("sender", 0, 1.0)],
             "zero-work compute: {zero_work_compute}"
         );
+        // Two starts, the in-place hold, the receiver's wake and the
+        // zero-time primitive's.
+        assert_eq!((sim.events(), sim.polls()), (5, 4));
     }
 }
 
@@ -468,8 +474,11 @@ fn a_ring_of_parked_receivers_dispatches_one_event_per_hand_off() {
     //   per lap  rank 0's hold                           1
     //            four hand-offs, each waking a parked
     //            receiver at the instant of its send      4
-    // 4 + 3 * (1 + 4) = 19. Each event resumes one live process, so
-    // the kernel polls 19 times too.
+    // 4 + 3 * (1 + 4) = 19. Every event but two resumes one live
+    // process: in laps 2 and 3, rank 0 is the last rank woken and the
+    // queue is empty when it starts its hold, so the hold's wake is the
+    // next event and finishes in place, inside the poll that received
+    // the message. The kernel polls 19 - 2 = 17 times.
     const RANKS: usize = 4;
     const LAPS: u32 = 3;
     let log = Rc::new(RefCell::new(Vec::new()));
@@ -499,7 +508,130 @@ fn a_ring_of_parked_receivers_dispatches_one_event_per_hand_off() {
         .collect();
     assert_eq!(*log.borrow(), want);
     assert_eq!(sim.stats().events, 19);
-    assert_eq!(sim.polls(), 19);
+    assert_eq!(sim.polls(), 17);
+}
+
+#[test]
+fn a_lone_process_runs_in_one_poll_with_one_event_per_primitive() {
+    // Nothing else is queued, so every hold and every compute on the idle
+    // CPU (speed 2) finishes inside the process's start poll, moving the
+    // clock as its wake would. The receive takes a message the process
+    // posted to itself, so it takes no event.
+    let polls = Rc::new(Cell::new(0));
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 2.0);
+    let mb = sim.add_mailbox();
+    let log = Rc::clone(&seen);
+    sim.spawn("alone", |ctx| {
+        counted(&polls, async move {
+            let mark = || log.borrow_mut().push(ctx.now());
+            ctx.hold(0.5).await;
+            mark();
+            ctx.compute(cpu, 1.0).await;
+            mark();
+            ctx.hold(0.0).await;
+            mark();
+            ctx.compute(cpu, 0.0).await;
+            mark();
+            ctx.compute(cpu, 3.0).await;
+            mark();
+            ctx.send(mb, 1u32);
+            assert_eq!(ctx.recv(mb).await, 1);
+            mark();
+            ctx.hold(0.25).await;
+            mark();
+        })
+    });
+    assert_eq!(sim.run().unwrap(), 2.75);
+    assert_eq!(*seen.borrow(), [0.5, 1.0, 1.0, 1.0, 2.5, 2.5, 2.75]);
+    assert_eq!((polls.get(), sim.polls()), (1, 1));
+    let stats = sim.stats();
+    assert_eq!(stats.events, 1 + 6, "the start and six primitives");
+    let cpu = stats.resources["cpu"];
+    assert_eq!(
+        (cpu.busy_seconds, cpu.work_served, cpu.jobs_completed),
+        (2.0, 4.0, 3)
+    );
+}
+
+#[test]
+fn a_co_completer_still_waiting_runs_before_the_first_ones_next_hold() {
+    // a and b share the CPU and complete together at t = 2. The kernel
+    // resumes a first; its zero hold must not finish in place, since b
+    // has not yet been polled at that instant. b, the last one resumed,
+    // sees a's wake queued ahead of its own zero hold.
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::<()>::new();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    for name in ["a", "b"] {
+        let seen = Rc::clone(&log);
+        sim.spawn(name, move |ctx| async move {
+            ctx.compute(cpu, 1.0).await;
+            seen.borrow_mut().push((name, 1, ctx.now()));
+            ctx.hold(0.0).await;
+            seen.borrow_mut().push((name, 2, ctx.now()));
+        });
+    }
+    assert_eq!(sim.run().unwrap(), 2.0);
+    assert_eq!(
+        *log.borrow(),
+        [("a", 1, 2.0), ("b", 1, 2.0), ("a", 2, 2.0), ("b", 2, 2.0)]
+    );
+    // Two starts, the shared completion, two zero holds; no hold was in
+    // place.
+    assert_eq!((sim.events(), sim.polls()), (5, 6));
+}
+
+#[test]
+fn a_compute_on_a_busy_resource_yields() {
+    // a computes 4 units alone from t = 0. b's hold finishes in place at
+    // t = 1, ahead of a's wake at t = 4, but its compute finds the CPU
+    // busy and yields: from t = 1 both run at half speed, b finishes at
+    // t = 3 and a, with 2 units left, at t = 5.
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::<()>::new();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    for (name, arrive, work) in [("a", 0.0, 4.0), ("b", 1.0, 1.0)] {
+        let seen = Rc::clone(&log);
+        sim.spawn(name, move |ctx| async move {
+            if arrive > 0.0 {
+                ctx.hold(arrive).await;
+            }
+            ctx.compute(cpu, work).await;
+            seen.borrow_mut().push((name, ctx.now()));
+        });
+    }
+    assert_eq!(sim.run().unwrap(), 5.0);
+    assert_eq!(*log.borrow(), [("b", 3.0), ("a", 5.0)]);
+    // Two starts, b's in-place hold, the completions at t = 3 and 5.
+    assert_eq!((sim.events(), sim.polls()), (5, 4));
+    assert_eq!(sim.stats().resources["cpu"].jobs_completed, 2);
+}
+
+#[test]
+fn a_wake_behind_a_queued_event_yields() {
+    // p's wake at t = 3 is queued. q's first hold ends at t = 1, ahead
+    // of it, and finishes in place; its second ends at t = 3 too, but
+    // with the higher sequence number, so it yields and p runs first.
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulation::<()>::new();
+    let seen = Rc::clone(&log);
+    sim.spawn("p", move |ctx| async move {
+        ctx.hold(3.0).await;
+        seen.borrow_mut().push(("p", ctx.now()));
+    });
+    let seen = Rc::clone(&log);
+    sim.spawn("q", move |ctx| async move {
+        ctx.hold(1.0).await;
+        seen.borrow_mut().push(("q", ctx.now()));
+        ctx.hold(2.0).await;
+        seen.borrow_mut().push(("q", ctx.now()));
+    });
+    assert_eq!(sim.run().unwrap(), 3.0);
+    assert_eq!(*log.borrow(), [("q", 1.0), ("p", 3.0), ("q", 3.0)]);
+    // p's own hold yields too: q's start was queued ahead of it.
+    assert_eq!((sim.events(), sim.polls()), (5, 4));
 }
 
 #[test]
