@@ -14,10 +14,10 @@
 /// curve `bw_max · b / (b + half_size)`, optionally degraded beyond a
 /// buffer-management cliff — the signature of MPICH-1.2.1's localhost
 /// path in Fig. 2(a).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CommLibProfile {
     /// Profile name ("MPICH-1.2.1").
-    pub name: String,
+    pub name: &'static str,
     /// Peak intra-node throughput in bytes/s.
     pub intra_bw_max: f64,
     /// Message size at which half the peak throughput is reached.
@@ -34,7 +34,7 @@ impl CommLibProfile {
     /// collapse past 32 KiB messages — multiprocessing hostile.
     pub fn mpich121() -> Self {
         CommLibProfile {
-            name: "MPICH-1.2.1".to_string(),
+            name: "MPICH-1.2.1",
             intra_bw_max: 44e6,
             intra_half_bytes: 2.0 * 1024.0,
             intra_latency: 45e-6,
@@ -46,7 +46,7 @@ impl CommLibProfile {
     /// adequately buffered shared-memory path.
     pub fn mpich122() -> Self {
         CommLibProfile {
-            name: "MPICH-1.2.2".to_string(),
+            name: "MPICH-1.2.2",
             intra_bw_max: 275e6,
             intra_half_bytes: 4.0 * 1024.0,
             intra_latency: 30e-6,

@@ -159,6 +159,8 @@ pub struct ProcSlot {
     pub cpu: usize,
     /// The PE kind of that CPU.
     pub kind: KindId,
+    /// Processes sharing this CPU, this one included: its kind's `Mᵢ`.
+    procs_on_cpu: usize,
 }
 
 /// A validated mapping of a configuration onto a cluster.
@@ -166,9 +168,8 @@ pub struct ProcSlot {
 pub struct Placement {
     /// One slot per process, ordered by rank.
     pub slots: Vec<ProcSlot>,
-    /// Number of processes sharing each used CPU, indexed like `slots`
-    /// by `(node, cpu)` — exposed as a helper below.
-    procs_on_cpu: Vec<((usize, usize), usize)>,
+    /// Number of used CPUs, `Σ Pᵢ`.
+    cpus: usize,
 }
 
 impl Placement {
@@ -182,11 +183,10 @@ impl Placement {
     /// # Errors
     /// See [`ConfigError`].
     pub fn new(spec: &ClusterSpec, cfg: &Configuration) -> Result<Self, ConfigError> {
-        if cfg.total_processes() == 0 {
+        let total = cfg.total_processes();
+        if total == 0 {
             return Err(ConfigError::Empty);
         }
-        // Collect the used CPUs per kind.
-        let mut used_cpus: Vec<(usize, usize, KindId, usize)> = Vec::new(); // (node, cpu, kind, m)
         for u in &cfg.uses {
             if u.kind.0 >= spec.kinds.len() {
                 return Err(ConfigError::UnknownKind(u.kind));
@@ -205,52 +205,29 @@ impl Placement {
                     available,
                 });
             }
-            let mut remaining = u.pes;
-            for (ni, node) in spec.nodes.iter().enumerate() {
-                if node.kind != u.kind {
-                    continue;
-                }
-                for ci in 0..node.cpus {
-                    if remaining == 0 {
-                        break;
-                    }
-                    used_cpus.push((ni, ci, u.kind, u.procs_per_pe));
-                    remaining -= 1;
-                }
-            }
-            debug_assert_eq!(remaining, 0);
         }
-        // Round-robin ranks over used CPUs until each CPU has its m
-        // processes.
-        let mut slots = Vec::new();
-        let mut placed = vec![0usize; used_cpus.len()];
-        let mut rank = 0;
-        loop {
-            let mut progressed = false;
-            for (i, &(node, cpu, kind, m)) in used_cpus.iter().enumerate() {
-                if placed[i] < m {
+        // Round-robin ranks over the used CPUs until each CPU has its m
+        // processes: round `r` places one more process on every CPU
+        // whose m exceeds `r`.
+        let rounds = cfg.uses.iter().map(|u| u.procs_per_pe).max().unwrap_or(0);
+        let mut slots = Vec::with_capacity(total);
+        for round in 0..rounds {
+            for (node, cpu, u) in used_cpus(spec, cfg) {
+                if round < u.procs_per_pe {
                     slots.push(ProcSlot {
-                        rank,
+                        rank: slots.len(),
                         node,
                         cpu,
-                        kind,
+                        kind: u.kind,
+                        procs_on_cpu: u.procs_per_pe,
                     });
-                    placed[i] += 1;
-                    rank += 1;
-                    progressed = true;
                 }
             }
-            if !progressed {
-                break;
-            }
         }
-        let procs_on_cpu = used_cpus
-            .iter()
-            .map(|&(node, cpu, _, m)| ((node, cpu), m))
-            .collect();
+        debug_assert_eq!(slots.len(), total);
         Ok(Placement {
             slots,
-            procs_on_cpu,
+            cpus: cfg.total_pes(),
         })
     }
 
@@ -266,11 +243,7 @@ impl Placement {
 
     /// Processes co-resident on the CPU of `slot` (including itself).
     pub fn procs_on_cpu(&self, slot: &ProcSlot) -> usize {
-        self.procs_on_cpu
-            .iter()
-            .find(|((n, c), _)| *n == slot.node && *c == slot.cpu)
-            .map(|(_, m)| *m)
-            .unwrap_or(0)
+        slot.procs_on_cpu
     }
 
     /// Total processes on a node (across its CPUs).
@@ -278,13 +251,35 @@ impl Placement {
         self.slots.iter().filter(|s| s.node == node).count()
     }
 
-    /// Distinct nodes in use.
-    pub fn used_nodes(&self) -> Vec<usize> {
-        let mut nodes: Vec<usize> = self.slots.iter().map(|s| s.node).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
+    /// Number of CPUs in use.
+    pub fn cpus_used(&self) -> usize {
+        self.cpus
     }
+
+    /// The distinct nodes in use, ascending.
+    pub fn used_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        let end = self.slots.iter().map(|s| s.node + 1).max().unwrap_or(0);
+        (0..end).filter(move |&node| self.slots.iter().any(|s| s.node == node))
+    }
+}
+
+/// The CPUs `cfg` uses, in placement order, each with its node, its
+/// index in the node and the kind's use: for each used kind, the first
+/// `Pᵢ` CPUs of that kind's nodes in declaration order. `cfg` must have
+/// passed [`Placement::new`]'s checks.
+fn used_cpus<'a>(
+    spec: &'a ClusterSpec,
+    cfg: &'a Configuration,
+) -> impl Iterator<Item = (usize, usize, &'a KindUse)> + 'a {
+    cfg.uses.iter().filter(|u| u.pes > 0).flat_map(move |u| {
+        spec.nodes
+            .iter()
+            .enumerate()
+            .filter(move |(_, node)| node.kind == u.kind)
+            .flat_map(|(ni, node)| (0..node.cpus).map(move |ci| (ni, ci)))
+            .take(u.pes)
+            .map(move |(ni, ci)| (ni, ci, u))
+    })
 }
 
 #[cfg(test)]
@@ -322,7 +317,8 @@ mod tests {
         // Node 0 is the Athlon with both its processes.
         assert_eq!(p.procs_on_node(0), 2);
         // Four P-II CPUs used: nodes 1 and 2 (dual) fill first.
-        assert_eq!(p.used_nodes(), vec![0, 1, 2]);
+        assert_eq!(p.used_nodes().collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(p.cpus_used(), 5);
     }
 
     #[test]

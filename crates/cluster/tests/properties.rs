@@ -33,8 +33,7 @@ fn placement_consistency() {
         // Node process totals partition the ranks.
         let node_total: usize = placement
             .used_nodes()
-            .iter()
-            .map(|&n| placement.procs_on_node(n))
+            .map(|n| placement.procs_on_node(n))
             .sum();
         assert_eq!(node_total, placement.len());
     });

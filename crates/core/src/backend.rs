@@ -278,6 +278,14 @@ fn fit_pt_group(
         .is_some();
     let inputs = &mut memo.inputs;
     inputs.clear();
+    // A re-factored half takes its layout buffer over, so the next group
+    // may gather into an empty one: size every buffer once for the
+    // group's rows (the binned `Tc` half gathers at most that many).
+    let rows: usize = keys.iter().map(|k| db.samples(k).len()).sum();
+    inputs.ta_layout.reserve(rows);
+    inputs.ta.reserve(rows);
+    inputs.tc_layout.reserve(rows);
+    inputs.tc.reserve(rows);
     for k in keys {
         let p = k.total_p();
         let samples = db.samples(k);

@@ -251,10 +251,11 @@ pub struct ExecutedStep {
 /// Executes recommended configurations on the discrete-event substrate
 /// under an [`ExecutionFaultPlan`]. Deterministic: the outcome of a
 /// step depends only on the plan, the step number, the session-wide
-/// attempt counter, and the configuration.
+/// attempt counter, and the configuration. It borrows the cluster it
+/// runs on.
 #[derive(Debug)]
-pub struct StepExecutor {
-    spec: ClusterSpec,
+pub struct StepExecutor<'a> {
+    spec: &'a ClusterSpec,
     n: usize,
     nb: usize,
     plan: ExecutionFaultPlan,
@@ -263,18 +264,18 @@ pub struct StepExecutor {
     log: ExecutionFaultLog,
 }
 
-impl StepExecutor {
+impl<'a> StepExecutor<'a> {
     /// An executor running order-`n` HPL with block size `nb` on
     /// `spec`, faulted by `plan` and retried per `retry`.
     pub fn new(
-        spec: &ClusterSpec,
+        spec: &'a ClusterSpec,
         n: usize,
         nb: usize,
         plan: ExecutionFaultPlan,
         retry: RetryPolicy,
-    ) -> StepExecutor {
+    ) -> StepExecutor<'a> {
         StepExecutor {
-            spec: spec.clone(),
+            spec,
             n,
             nb,
             plan,
@@ -368,7 +369,7 @@ impl StepExecutor {
             self.log.degraded += 1;
         }
         let params = HplParams::order(self.n).with_nb(self.nb);
-        let run = simulate_hpl_perturbed(&self.spec, config, &params, &perturb);
+        let run = simulate_hpl_perturbed(self.spec, config, &params, &perturb);
         let poisoned = self.plan.poisons_at(step);
         if poisoned {
             self.log.poisoned += 1;

@@ -225,7 +225,7 @@ pub(crate) fn simulate_ranks<F, Fut>(
     spec: &ClusterSpec,
     placement: &Placement,
     params: &HplParams,
-    name: &str,
+    name: &'static str,
     perturb: &ExecutionPerturbation,
     mut rank: F,
 ) -> SimulatedRun
@@ -252,7 +252,7 @@ where
     );
     SimulatedRun {
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
-        nodes_used: placement.used_nodes().len(),
+        nodes_used: placement.used_nodes().count(),
         phases,
         wall_seconds,
         gflops: gflops(params.n, wall_seconds),
@@ -268,7 +268,7 @@ pub(crate) fn simulate_1d<D: ColumnAssignment + 'static>(
     spec: &ClusterSpec,
     placement: &Placement,
     params: &HplParams,
-    name: &str,
+    name: &'static str,
     dist: D,
     perturb: &ExecutionPerturbation,
 ) -> SimulatedRun {

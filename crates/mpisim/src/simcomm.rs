@@ -1,12 +1,12 @@
 //! Discrete-event-backed communicator: messages carry byte counts and
 //! sending charges virtual time against the shared CPU/NIC resources.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::future::Future;
 use std::rc::Rc;
 
 use etm_cluster::{ClusterSpec, CommLibProfile, KindId, NetworkSpec, Placement, ProcSlot};
-use etm_sim::{Ctx, MailboxId, ResourceId, Simulation};
+use etm_sim::{Ctx, Label, MailboxBlock, MailboxId, ResourceId, Simulation};
 
 use crate::Comm;
 
@@ -28,17 +28,22 @@ impl SimMsg {
 /// message's tag and its [`SimMsg`].
 pub type FabricSim = Simulation<(u32, SimMsg)>;
 
+/// Where one rank runs.
+#[derive(Clone, Copy)]
+struct Seat {
+    node: usize,
+    /// The CPU resource, shared with co-resident ranks (speed 1.0: one
+    /// second of CPU work per virtual second when uncontended).
+    cpu: ResourceId,
+    /// The node's NIC resource (speed = bandwidth in bytes/s).
+    nic: ResourceId,
+}
+
 struct FabricShared {
-    node_of_rank: Vec<usize>,
-    /// Per-rank CPU resource (speed 1.0: one second of CPU work per
-    /// virtual second when uncontended).
-    cpu_of_rank: Vec<ResourceId>,
-    /// Per-node NIC resource (speed = bandwidth in bytes/s). Indexed by
-    /// node id; unused nodes hold `None`.
-    nic_of_node: Vec<Option<ResourceId>>,
-    /// `mailboxes[from * size + to]`.
-    mailboxes: Vec<MailboxId>,
-    size: usize,
+    /// One seat per rank.
+    seats: Vec<Seat>,
+    /// The mailbox from `from` to `to` is `mailboxes.get(from * size + to)`.
+    mailboxes: MailboxBlock,
     profile: CommLibProfile,
     network: NetworkSpec,
 }
@@ -56,43 +61,39 @@ impl SimFabric {
     /// One CPU resource is created per *used* (node, cpu) pair — ranks
     /// sharing a CPU share its processor-sharing resource, which is how
     /// multiprocessing contention arises. One NIC resource is created per
-    /// used node.
+    /// used node. Each is registered at the first rank that uses it,
+    /// labelled `nic:{node}` or `cpu:{node}:{cpu}` with the node's index
+    /// in `spec`, so every resource's key in [`Simulation::stats`] is
+    /// its own.
     pub fn build(sim: &mut FabricSim, spec: &ClusterSpec, placement: &Placement) -> SimFabric {
         let size = placement.len();
-        let mut nic_of_node: Vec<Option<ResourceId>> = vec![None; spec.nodes.len()];
-        for &node in &placement.used_nodes() {
-            nic_of_node[node] = Some(sim.add_shared_resource(
-                format!("nic:{}", spec.nodes[node].name),
-                spec.network.bandwidth,
-            ));
-        }
-        // CPU resources, deduplicated by (node, cpu).
-        let mut cpu_map: Vec<((usize, usize), ResourceId)> = Vec::new();
-        let mut cpu_of_rank = Vec::with_capacity(size);
-        for slot in &placement.slots {
-            let key = (slot.node, slot.cpu);
-            let res = match cpu_map.iter().find(|(k, _)| *k == key) {
-                Some((_, r)) => *r,
+        let mut seats: Vec<Seat> = Vec::with_capacity(size);
+        for (rank, slot) in placement.slots.iter().enumerate() {
+            let earlier = &placement.slots[..rank];
+            let nic = match earlier.iter().position(|s| s.node == slot.node) {
+                Some(j) => seats[j].nic,
+                None => sim
+                    .add_shared_resource(Label::indexed("nic:", slot.node), spec.network.bandwidth),
+            };
+            let on_cpu = |s: &ProcSlot| s.node == slot.node && s.cpu == slot.cpu;
+            let cpu = match earlier.iter().position(on_cpu) {
+                Some(j) => seats[j].cpu,
                 None => {
-                    let r = sim.add_shared_resource(
-                        format!("cpu:{}:{}", spec.nodes[slot.node].name, slot.cpu),
-                        1.0,
-                    );
-                    cpu_map.push((key, r));
-                    r
+                    sim.add_shared_resource(Label::indexed_pair("cpu:", slot.node, slot.cpu), 1.0)
                 }
             };
-            cpu_of_rank.push(res);
+            seats.push(Seat {
+                node: slot.node,
+                cpu,
+                nic,
+            });
         }
-        let mailboxes = (0..size * size).map(|_| sim.add_mailbox()).collect();
+        let mailboxes = sim.add_mailboxes(size * size);
         SimFabric {
             shared: Rc::new(FabricShared {
-                node_of_rank: placement.slots.iter().map(|s| s.node).collect(),
-                cpu_of_rank,
-                nic_of_node,
+                seats,
                 mailboxes,
-                size,
-                profile: spec.comm_lib.clone(),
+                profile: spec.comm_lib,
                 network: spec.network,
             }),
         }
@@ -120,15 +121,12 @@ impl SimFabric {
             slowdown.is_finite() && slowdown > 0.0,
             "slowdown must be a finite positive factor, got {slowdown}"
         );
-        let mut done: Vec<ResourceId> = Vec::new();
+        let seats = &self.shared.seats;
         for (rank, slot) in placement.slots.iter().enumerate() {
-            if slot.kind != kind {
-                continue;
-            }
-            let res = self.shared.cpu_of_rank[rank];
-            if !done.contains(&res) {
-                sim.derate_resource(res, slowdown);
-                done.push(res);
+            let cpu = seats[rank].cpu;
+            // A shared CPU is derated at the first rank on it.
+            if slot.kind == kind && seats[..rank].iter().all(|s| s.cpu != cpu) {
+                sim.derate_resource(cpu, slowdown);
             }
         }
     }
@@ -140,14 +138,18 @@ impl SimFabric {
     /// # Panics
     /// Panics if `slowdown` is not a finite positive factor.
     pub fn derate_nics(&self, sim: &mut FabricSim, slowdown: f64) {
-        for res in self.shared.nic_of_node.iter().flatten() {
-            sim.derate_resource(*res, slowdown);
+        let seats = &self.shared.seats;
+        for (rank, seat) in seats.iter().enumerate() {
+            // A node's NIC is derated at the first rank on the node.
+            if seats[..rank].iter().all(|s| s.nic != seat.nic) {
+                sim.derate_resource(seat.nic, slowdown);
+            }
         }
     }
 
     /// The seed for `rank`, to be moved into that rank's spawned process.
     pub fn seed(&self, rank: usize) -> SimCommSeed {
-        assert!(rank < self.shared.size, "rank out of range");
+        assert!(rank < self.shared.seats.len(), "rank out of range");
         SimCommSeed {
             rank,
             shared: Rc::clone(&self.shared),
@@ -158,10 +160,13 @@ impl SimFabric {
 /// Runs one SPMD program on the simulated fabric: the one launcher
 /// every timed run goes through.
 ///
-/// Builds a fresh [`Simulation`] and the [`SimFabric`] for
-/// `placement`, hands both to `derate` before any rank starts, then
-/// spawns one process per `placement.slots` entry, in slot order and
-/// named `{name}{rank}`. `body` receives the rank's bound [`SimComm`]
+/// Builds a fresh [`Simulation`], sized up front for the placement's
+/// ranks, used CPUs and NICs and its ranks² mailboxes, and the
+/// [`SimFabric`] for `placement`, hands both to `derate` before any
+/// rank starts, then spawns one process per `placement.slots` entry, in
+/// slot order. Rank `r`'s process is labelled `{name}{r}`; the label is
+/// written out only in the deadlock panic, so a run that succeeds
+/// formats no name. `body` receives the rank's bound [`SimComm`]
 /// and its slot, and returns the future the process runs. Spawn order
 /// fixes process ids, which break ties between simultaneous events, so
 /// it is part of every virtual time this returns.
@@ -175,7 +180,7 @@ impl SimFabric {
 pub fn run_sim_ranks<T, F, Fut>(
     spec: &ClusterSpec,
     placement: &Placement,
-    name: &str,
+    name: &'static str,
     derate: impl FnOnce(&mut FabricSim, &SimFabric),
     mut body: F,
 ) -> SimRanks<T>
@@ -184,27 +189,24 @@ where
     F: FnMut(SimComm, &ProcSlot) -> Fut,
     Fut: Future<Output = T> + 'static,
 {
-    let mut sim = Simulation::new();
+    let size = placement.len();
+    let resources = placement.cpus_used() + placement.used_nodes().count();
+    let mut sim = Simulation::with_capacity(size, resources, size * size);
     let fabric = SimFabric::build(&mut sim, spec, placement);
     derate(&mut sim, &fabric);
-    let results: Rc<RefCell<Vec<Option<T>>>> =
-        Rc::new(RefCell::new(placement.slots.iter().map(|_| None).collect()));
+    let results: Rc<[Cell<Option<T>>]> = (0..size).map(|_| Cell::new(None)).collect();
     for slot in &placement.slots {
         let rank = slot.rank;
         let seed = fabric.seed(rank);
         let results = Rc::clone(&results);
-        sim.spawn(format!("{name}{rank}"), |ctx| {
+        sim.spawn(Label::indexed(name, rank), |ctx| {
             let run = body(seed.bind(ctx), slot);
-            async move {
-                let out = run.await;
-                results.borrow_mut()[rank] = Some(out);
-            }
+            async move { results[rank].set(Some(run.await)) }
         });
     }
     let makespan = sim.run().unwrap_or_else(|e| panic!("{e}"));
     let outs = results
-        .borrow_mut()
-        .iter_mut()
+        .iter()
         .map(|r| r.take().expect("every rank reports"))
         .collect();
     SimRanks {
@@ -241,6 +243,7 @@ impl SimCommSeed {
         SimComm {
             ctx,
             rank: self.rank,
+            seat: self.shared.seats[self.rank],
             shared: self.shared,
         }
     }
@@ -250,6 +253,7 @@ impl SimCommSeed {
 pub struct SimComm {
     ctx: Ctx<(u32, SimMsg)>,
     rank: usize,
+    seat: Seat,
     shared: Rc<FabricShared>,
 }
 
@@ -262,7 +266,7 @@ impl SimComm {
     /// The CPU resource this rank runs on (shared with co-resident
     /// ranks).
     pub(crate) fn cpu(&self) -> ResourceId {
-        self.shared.cpu_of_rank[self.rank]
+        self.seat.cpu
     }
 
     /// Performs `seconds` of uncontended-equivalent CPU work (elongated
@@ -278,11 +282,13 @@ impl SimComm {
 
     /// Whether `other` is on the same node (intra-node path).
     pub(crate) fn same_node(&self, other: usize) -> bool {
-        self.shared.node_of_rank[self.rank] == self.shared.node_of_rank[other]
+        self.seat.node == self.shared.seats[other].node
     }
 
     fn mailbox(&self, from: usize, to: usize) -> MailboxId {
-        self.shared.mailboxes[from * self.shared.size + to]
+        self.shared
+            .mailboxes
+            .get(from * self.shared.seats.len() + to)
     }
 }
 
@@ -294,7 +300,7 @@ impl Comm for SimComm {
     }
 
     fn size(&self) -> usize {
-        self.shared.size
+        self.shared.seats.len()
     }
 
     /// Charges the transfer cost to the sender, then posts the message.
@@ -319,11 +325,9 @@ impl Comm for SimComm {
                     self.ctx.compute(self.cpu(), copy).await;
                 }
             } else {
-                let node = self.shared.node_of_rank[self.rank];
-                let nic = self.shared.nic_of_node[node].expect("sender node has a NIC");
                 self.ctx.hold(self.shared.network.latency).await;
                 if msg.bytes > 0.0 {
-                    self.ctx.compute(nic, msg.bytes).await;
+                    self.ctx.compute(self.seat.nic, msg.bytes).await;
                 }
             }
         }
@@ -342,9 +346,7 @@ impl Comm for SimComm {
             self.rank
         );
         if from != self.rank && !self.same_node(from) && msg.bytes > 0.0 {
-            let node = self.shared.node_of_rank[self.rank];
-            let nic = self.shared.nic_of_node[node].expect("receiver node has a NIC");
-            self.ctx.compute(nic, msg.bytes).await;
+            self.ctx.compute(self.seat.nic, msg.bytes).await;
         }
         msg
     }

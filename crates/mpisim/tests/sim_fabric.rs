@@ -1,6 +1,7 @@
 //! Integration tests: collectives and contention on the discrete-event
 //! fabric.
 
+use std::collections::BTreeSet;
 use std::future::Future;
 
 use etm_cluster::spec::paper_cluster;
@@ -78,6 +79,57 @@ fn launcher_derates_the_fabric_before_any_rank_runs() {
         assert_eq!(*finish, want, "rank {}", slot.rank);
     }
     assert_eq!(makespan, 3.0);
+}
+
+#[test]
+#[should_panic(expected = "blocked processes: stuck1")]
+fn a_deadlocked_rank_is_named_by_the_launcher_name_and_its_rank() {
+    // Rank 1 waits for a message rank 0 never sends: the launcher's
+    // panic names the one blocked process `{name}{rank}`.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 1, 1, 1)).unwrap();
+    run_sim_ranks(
+        &spec,
+        &placement,
+        "stuck",
+        |_, _| {},
+        |comm, _| async move {
+            if comm.rank() == 1 {
+                let _ = comm.recv(0, 7).await;
+            }
+        },
+    );
+}
+
+#[test]
+fn fabric_stats_hold_one_key_per_registered_cpu_and_nic() {
+    // One Athlon with two processes and eight dual-CPU P-II PEs with two
+    // each: nine CPUs on five nodes, two CPUs on most nodes. Colliding
+    // labels would merge resources into one key.
+    let spec = paper_cluster(CommLibProfile::mpich122());
+    let placement = Placement::new(&spec, &Configuration::p1m1_p2m2(1, 2, 8, 2)).unwrap();
+    let cpus: BTreeSet<(usize, usize)> = placement.slots.iter().map(|s| (s.node, s.cpu)).collect();
+    let nodes: BTreeSet<usize> = placement.slots.iter().map(|s| s.node).collect();
+    assert_eq!((cpus.len(), nodes.len()), (9, 5));
+    let mut sim = Simulation::new();
+    let fabric = SimFabric::build(&mut sim, &spec, &placement);
+    let size = placement.len();
+    for slot in &placement.slots {
+        let seed = fabric.seed(slot.rank);
+        sim.spawn("ring", move |ctx| async move {
+            let comm = seed.bind(ctx);
+            let (next, prev) = ((comm.rank() + 1) % size, (comm.rank() + size - 1) % size);
+            comm.compute(0.5).await;
+            comm.send(next, 1, SimMsg::of(1e5)).await;
+            let _ = comm.recv(prev, 1).await;
+        });
+    }
+    sim.run().expect("the ring completes");
+    let stats = sim.stats();
+    assert_eq!(stats.resources.len(), cpus.len() + nodes.len());
+    // Every CPU served its ranks' work, every NIC its inter-node sends.
+    let busy = stats.resources.values().filter(|s| s.busy_seconds > 0.0);
+    assert_eq!(busy.count(), cpus.len() + nodes.len());
 }
 
 #[test]

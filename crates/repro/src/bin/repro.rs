@@ -143,7 +143,7 @@ fn fig1() {
         ("a_mpich121", CommLibProfile::mpich121()),
         ("b_mpich122", CommLibProfile::mpich122()),
     ] {
-        let rows = fig1_multiprocessing(profile.clone());
+        let rows = fig1_multiprocessing(profile);
         let mut t = TextTable::new(vec!["n (P/CPU)", "N", "Gflops"]);
         let csv: Vec<String> = rows
             .iter()
@@ -164,7 +164,7 @@ fn fig2() {
         ("a_mpich121", CommLibProfile::mpich121()),
         ("b_mpich122", CommLibProfile::mpich122()),
     ] {
-        let samples = fig2_netpipe(profile.clone());
+        let samples = fig2_netpipe(profile);
         let mut t = TextTable::new(vec!["block KiB", "Gbps"]);
         let csv: Vec<String> = samples
             .iter()

@@ -80,7 +80,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::mailbox::{Mailbox, MailboxId};
+use crate::label::Label;
+use crate::mailbox::{Mailbox, MailboxBlock, MailboxId};
 use crate::resource::{ResourceId, SharedResource};
 use crate::time::SimTime;
 
@@ -164,6 +165,15 @@ struct EventQueue {
 }
 
 impl EventQueue {
+    /// An empty queue with room for the entries of `processes` processes
+    /// and `resources` resources.
+    fn with_capacity(processes: usize, resources: usize) -> Self {
+        EventQueue {
+            heap: Vec::with_capacity(processes + resources),
+            pos: Vec::with_capacity(2 * processes.max(resources)),
+        }
+    }
+
     /// Makes room in `pos` for a newly registered owner.
     fn register(&mut self, kind: EvKind) {
         let slot = kind.slot();
@@ -392,7 +402,7 @@ struct Mail<M> {
 }
 
 struct ProcessRecord<M> {
-    name: String,
+    name: Label,
     /// The process body; `None` once it has returned.
     future: Option<Pin<Box<dyn Future<Output = ()>>>>,
     /// The message posted to this parked receiver, handed over when its
@@ -586,6 +596,13 @@ impl<M> Default for Simulation<M> {
 impl<M> Simulation<M> {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
+        Self::with_capacity(0, 0, 0)
+    }
+
+    /// Creates an empty simulation with room for `processes` processes,
+    /// `resources` resources and `mailboxes` mailboxes, so registering
+    /// that many grows no table. Registering more is allowed.
+    pub fn with_capacity(processes: usize, resources: usize, mailboxes: usize) -> Self {
         Simulation {
             shared: Rc::new(Shared {
                 clock: Cell::new(SimTime::ZERO),
@@ -595,13 +612,13 @@ impl<M> Simulation<M> {
                 request: Cell::new(None),
                 delivery: Cell::new(None),
                 mail: RefCell::new(Mail {
-                    boxes: Vec::new(),
+                    boxes: Vec::with_capacity(mailboxes),
                     woken: Vec::new(),
                 }),
-                resources: RefCell::new(Vec::new()),
+                resources: RefCell::new(Vec::with_capacity(resources)),
             }),
-            queue: EventQueue::default(),
-            processes: Vec::new(),
+            queue: EventQueue::with_capacity(processes, resources),
+            processes: Vec::with_capacity(processes),
             completed: Vec::new(),
             polls: 0,
             ran: false,
@@ -609,8 +626,11 @@ impl<M> Simulation<M> {
     }
 
     /// Registers a processor-sharing resource (CPU: `speed` = 1.0 for a
-    /// unit-speed processor; link: `speed` = bytes per second).
-    pub fn add_shared_resource(&mut self, name: impl Into<String>, speed: f64) -> ResourceId {
+    /// unit-speed processor; link: `speed` = bytes per second). `name`
+    /// is rendered only when read: in a panic message and as the
+    /// resource's key in [`Simulation::stats`], where resources whose
+    /// labels read alike share one key.
+    pub fn add_shared_resource(&mut self, name: impl Into<Label>, speed: f64) -> ResourceId {
         let mut resources = self.shared.resources.borrow_mut();
         let id = ResourceId(resources.len());
         resources.push(SharedResource::new(name, speed));
@@ -647,18 +667,25 @@ impl<M> Simulation<M> {
 
     /// Registers a mailbox for message passing between processes.
     pub fn add_mailbox(&mut self) -> MailboxId {
+        self.add_mailboxes(1).get(0)
+    }
+
+    /// Registers `count` mailboxes at once.
+    pub fn add_mailboxes(&mut self, count: usize) -> MailboxBlock {
         let boxes = &mut self.shared.mail.borrow_mut().boxes;
-        boxes.push(Mailbox::default());
-        MailboxId(boxes.len() - 1)
+        let first = boxes.len();
+        boxes.extend((0..count).map(|_| Mailbox::default()));
+        MailboxBlock { first, len: count }
     }
 
     /// Spawns a simulated process, starting at virtual time 0. `body`
     /// receives the process's [`Ctx`] and returns the future the kernel
-    /// polls, typically an `async move` block.
+    /// polls, typically an `async move` block. `name` is rendered only
+    /// when read: in a [`DeadlockError`] and in panic messages.
     ///
     /// # Panics
     /// Panics if called after [`Simulation::run`].
-    pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, body: F) -> Pid
+    pub fn spawn<F, Fut>(&mut self, name: impl Into<Label>, body: F) -> Pid
     where
         F: FnOnce(Ctx<M>) -> Fut,
         Fut: Future<Output = ()> + 'static,
@@ -831,7 +858,7 @@ impl<M> Simulation<M> {
             .processes
             .iter()
             .filter(|p| p.future.is_some())
-            .map(|p| p.name.clone())
+            .map(|p| p.name.to_string())
             .collect();
         if blocked.is_empty() {
             Ok(self.now().secs())

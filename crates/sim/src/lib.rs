@@ -38,6 +38,14 @@
 //! yields to the kernel at most once: a `hold`, or a `compute` on an
 //! idle resource, whose wake would be the next event finishes in place.
 //!
+//! Processes and resources are named by a [`Label`]: a `&'static str`
+//! or `String`, or a base with one or two indices
+//! ([`Label::indexed`], [`Label::indexed_pair`]) that is written out
+//! only when read, in a [`DeadlockError`], a panic message or a
+//! [`SimStats`] key. A simulation that succeeds formats no name. Its
+//! tables can be sized up front with [`Simulation::with_capacity`], and
+//! [`Simulation::add_mailboxes`] registers a block of mailboxes at once.
+//!
 //! ## Example
 //!
 //! ```
@@ -63,13 +71,15 @@
 //! ```
 
 mod kernel;
+mod label;
 mod mailbox;
 mod resource;
 mod stats;
 mod time;
 
 pub use kernel::{Ctx, DeadlockError, Pid, Simulation};
-pub use mailbox::MailboxId;
+pub use label::Label;
+pub use mailbox::{MailboxBlock, MailboxId};
 pub use resource::ResourceId;
 pub use stats::{ResourceStats, SimStats};
 pub use time::SimTime;

@@ -17,6 +17,26 @@ use crate::kernel::Pid;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct MailboxId(pub(crate) usize);
 
+/// Mailboxes registered together by
+/// [`crate::Simulation::add_mailboxes`], numbered `0..len` within the
+/// block.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct MailboxBlock {
+    pub(crate) first: usize,
+    pub(crate) len: usize,
+}
+
+impl MailboxBlock {
+    /// The block's `i`-th mailbox.
+    ///
+    /// # Panics
+    /// Panics if the block has no `i`-th mailbox.
+    pub fn get(&self, i: usize) -> MailboxId {
+        assert!(i < self.len, "mailbox {i} of a block of {}", self.len);
+        MailboxId(self.first + i)
+    }
+}
+
 pub(crate) struct Mailbox<M> {
     queue: VecDeque<M>,
     waiters: VecDeque<Pid>,

@@ -31,6 +31,7 @@
 //! `take_completed`.
 
 use crate::kernel::Pid;
+use crate::label::Label;
 use crate::time::SimTime;
 
 /// Identifies a resource registered with a [`crate::Simulation`].
@@ -52,7 +53,7 @@ struct Job {
 /// A processor-sharing resource (CPU or network link).
 #[derive(Debug)]
 pub(crate) struct SharedResource {
-    name: String,
+    name: Label,
     /// Work-units served per second when a single job is active.
     speed: f64,
     jobs: Vec<Job>,
@@ -65,7 +66,7 @@ pub(crate) struct SharedResource {
 }
 
 impl SharedResource {
-    pub(crate) fn new(name: impl Into<String>, speed: f64) -> Self {
+    pub(crate) fn new(name: impl Into<Label>, speed: f64) -> Self {
         assert!(speed > 0.0, "resource speed must be positive");
         SharedResource {
             name: name.into(),
@@ -77,7 +78,7 @@ impl SharedResource {
         }
     }
 
-    pub(crate) fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &Label {
         &self.name
     }
 

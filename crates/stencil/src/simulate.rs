@@ -176,7 +176,7 @@ pub fn simulate_stencil(
     );
     StencilRun {
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
-        nodes_used: placement.used_nodes().len(),
+        nodes_used: placement.used_nodes().count(),
         phases,
         wall_seconds,
     }
