@@ -23,7 +23,8 @@
 //!   of sizes among the dirty keys, shared by every key measured at
 //!   those sizes — the whole Basic campaign is one 9-size design — and
 //!   kept in the [`FitMemo`] for the next refit, which factors only the
-//!   size lists the last one did not fit;
+//!   size lists the last one did not fit; runs of four dirty keys on one
+//!   design are solved in lockstep, bit for bit what four solves give;
 //! * the measured P-T model of each `(kind, m)` group holding a dirty
 //!   key, gathered key by key into buffers the [`FitMemo`] keeps, and
 //!   solved on the group's factored designs from its previous fit
@@ -92,6 +93,8 @@ pub struct FitWork {
 pub struct FitMemo {
     nt: Vec<NtDesign>,
     groups: KeyGrid<(usize, usize), PtDesigns>,
+    /// Scratch for the N-T times the solves overwrite: one key's, or a
+    /// lockstep run's side by side.
     nt_times: Vec<f64>,
     inputs: PtInputs,
 }
@@ -332,6 +335,10 @@ fn compose_unfittable(
     Ok((composed_groups, composed_kinds))
 }
 
+/// Dirty keys a refit solves in lockstep on one shared N-T design
+/// (`NtDesign::fit_many`); a shorter run goes key by key.
+const LANES: usize = 4;
+
 /// The one fit path: refit the N-T models of the dirty keys and the
 /// measured P-T models of their groups from `db`, carry every other
 /// model over from `previous`, and re-run the composition pass from
@@ -340,7 +347,9 @@ fn compose_unfittable(
 /// function of a key's samples, so a carried N-T model is bitwise what
 /// its refit would give. Dirty keys measured at the same sizes share one
 /// `NtDesign`, found in `memo` when the last refit fit that size list,
-/// and each refit group solves on its P-T designs in `memo`; see
+/// and each run of [`LANES`] consecutive dirty keys on one design is
+/// solved in lockstep, bit for bit what key-by-key solves give. Each
+/// refit group solves on its P-T designs in `memo`; see
 /// `ModelBank::fit` for the model-selection rules. The bank's grids and
 /// the memo's are sized to the database's boxes first, so no insert
 /// regrows them.
@@ -361,10 +370,12 @@ fn refit_bank(
     // list, `used` of them; the rest are dropped once every fit is done,
     // so the memo holds the size lists of the last refit only.
     let mut used = 0;
-    for key in dirty {
+    let mut rest = dirty;
+    while let Some(key) = rest.first() {
         let samples = db.samples(key);
         if samples.len() < 4 {
             nt.remove(key);
+            rest = &rest[1..];
             continue;
         }
         let at = match memo.nt.iter().position(|d| d.matches(samples)) {
@@ -382,8 +393,25 @@ fn refit_bank(
         } else {
             at
         };
-        nt.insert(*key, memo.nt[at].fit(samples, &mut memo.nt_times)?);
-        work.nt_fits += 1;
+        let design = &memo.nt[at];
+        // This key and the next `LANES - 1`, when all are measured at
+        // its sizes, are solved in lockstep. A fit error belongs to the
+        // design, so the run raises the one this key alone would.
+        let run = rest
+            .first_chunk::<LANES>()
+            .filter(|run| run[1..].iter().all(|k| design.matches(db.samples(k))));
+        if let Some(run) = run {
+            let fits = design.fit_many(run.map(|k| db.samples(&k)), &mut memo.nt_times)?;
+            for (k, fit) in run.iter().zip(fits) {
+                nt.insert(*k, fit);
+            }
+            work.nt_fits += LANES;
+            rest = &rest[LANES..];
+        } else {
+            nt.insert(*key, design.fit(samples, &mut memo.nt_times)?);
+            work.nt_fits += 1;
+            rest = &rest[1..];
+        }
     }
     memo.nt.truncate(used);
     // Measured P-T models: refit every group holding a dirty key, carry
@@ -535,6 +563,56 @@ pub(crate) mod tests {
             incremental.pt[&(1, 2)].ka[0].to_bits(),
             old_bank.pt[&(1, 2)].ka[0].to_bits()
         );
+    }
+
+    /// Refits of 1, 3, 4, 5 and all 54 dirty keys of a Basic-shaped
+    /// campaign, every key on one 9-size design, so the dirty keys run
+    /// through the lockstep solve in fours with 0–3 left over: each bank
+    /// is bit for bit a full fit of the changed database, and no N-T
+    /// design is factored again. A last refit whose dirty keys straddle
+    /// two size lists breaks the run and matches too.
+    #[test]
+    fn lockstep_refits_of_any_dirty_count_match_a_full_fit() {
+        let backend = PolyLsqBackend::paper();
+        let plan = crate::plan::MeasurementPlan::basic();
+        let mut db = MeasurementDb::new();
+        for point in &plan.construction {
+            let k = point.key;
+            db.record(k, synth_sample(k.kind, k.pes, k.m, point.n));
+        }
+        let keys: Vec<SampleKey> = db.keys().copied().collect();
+        assert_eq!(keys.len(), 54);
+        let mut memo = FitMemo::default();
+        let (mut bank, _) = full_refit(&backend, &db, &mut memo).unwrap();
+        for (round, count) in [1usize, 3, 4, 5, 54].into_iter().enumerate() {
+            let step = keys.len() / count;
+            let dirty: Vec<SampleKey> = keys.iter().step_by(step).take(count).copied().collect();
+            for (i, k) in dirty.iter().enumerate() {
+                for mut s in db.samples(k).to_vec() {
+                    s.ta *= 1.0 + 0.01 * (round + i + 1) as f64;
+                    s.tc *= 1.0 - 0.005 * (i + 1) as f64;
+                    db.upsert(*k, s);
+                }
+            }
+            let (refit, work) = backend.refit_groups(&db, &bank, &dirty, &mut memo).unwrap();
+            assert_banks_bit_equal(&refit, &backend.fit(&db).unwrap());
+            assert_eq!(
+                (work.nt_fits, work.nt_factorizations),
+                (count, 0),
+                "{count}"
+            );
+            bank = refit;
+        }
+        let dirty = [keys[10], keys[11], keys[12], keys[13], keys[14]];
+        db.upsert(keys[12], synth_sample(1, 1, 1, 12_000));
+        for k in &dirty {
+            let mut s = db.samples(k)[0];
+            s.ta *= 0.9;
+            db.upsert(*k, s);
+        }
+        let (refit, work) = backend.refit_groups(&db, &bank, &dirty, &mut memo).unwrap();
+        assert_banks_bit_equal(&refit, &backend.fit(&db).unwrap());
+        assert_eq!((work.nt_fits, work.nt_factorizations), (5, 2));
     }
 
     #[test]

@@ -972,16 +972,30 @@ mod tests {
         let e = engine();
         let held = e.db();
         let held_len = held.len();
+        let bits: Vec<(SampleKey, Vec<Sample>)> = held
+            .keys()
+            .map(|k| (*k, held.samples(k).to_vec()))
+            .collect();
         let key = SampleKey {
             kind: 1,
             pes: 2,
             m: 1,
         };
-        // A brand-new problem size: the writer must copy-on-write past
-        // the held handle rather than mutate it in place.
-        e.ingest(&[(key, synth_sample(1, 2, 1, 4000))])
+        // A brand-new problem size and a replaced sample: the writer must
+        // copy-on-write past the held handle rather than mutate it in
+        // place.
+        let mut replaced = held.samples(&key)[0];
+        replaced.ta *= 1.5;
+        e.ingest(&[(key, synth_sample(1, 2, 1, 4000)), (key, replaced)])
             .expect("refit ok");
         assert_eq!(held.len(), held_len, "held handle must stay immutable");
+        for (k, samples) in &bits {
+            assert!(
+                crate::measurement::same_bits(held.samples(k), samples),
+                "held handle changed at {k:?}"
+            );
+        }
+        assert_eq!(e.db().samples(&key)[0].ta, replaced.ta);
         let fresh = e.db();
         assert_eq!(fresh.len(), held_len + 1);
         assert!(!Arc::ptr_eq(&held, &fresh));

@@ -3,6 +3,7 @@
 //! Tables 3 and 6 (how long the measurement campaign itself took).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use etm_cluster::KindId;
 
@@ -106,15 +107,24 @@ pub(crate) struct Slot {
 /// All measurements of one campaign.
 ///
 /// The distinct problem sizes and the `(kind, m)` groups are kept
-/// beside the samples, updated as samples arrive. Samples and groups live in [`KeyGrid`]s, so a lookup
-/// by key is an index computation.
+/// beside the samples, updated as samples arrive. Samples and groups
+/// live in [`KeyGrid`]s, so a lookup by key is an index computation.
+///
+/// The store is copy-on-write. Each key's sample list, the size list
+/// and the group index sit behind `Arc`s, so a clone is one grid of
+/// pointers plus reference-count bumps, and clones share every list
+/// until one of them writes it. A replaced sample copies its key's list
+/// only while another clone still shares it (`Arc::make_mut`), and a new
+/// size or key copies the size list or group index only then too; a
+/// sample at a new size builds its key's longer list afresh. A clone
+/// never sees another's writes.
 #[derive(Clone, Debug, Default)]
 pub struct MeasurementDb {
-    samples: KeyGrid<SampleKey, Vec<Sample>>,
+    samples: KeyGrid<SampleKey, Arc<[Sample]>>,
     /// Every problem size held by any sample, ascending and distinct.
-    sizes: Vec<usize>,
+    sizes: Arc<Vec<usize>>,
     /// Every key by `(kind, m)` group, ascending by `pes` within one.
-    groups: KeyGrid<(usize, usize), Vec<SampleKey>>,
+    groups: Arc<KeyGrid<(usize, usize), Vec<SampleKey>>>,
 }
 
 impl MeasurementDb {
@@ -174,26 +184,37 @@ impl MeasurementDb {
 
     /// Writes `sample` into `slot`, which
     /// [`MeasurementDb::changed_slot`] found for it under `key` with no
-    /// write in between.
+    /// write in between. A replacement copies the key's list first if
+    /// another clone shares it.
     pub(crate) fn write(&mut self, key: SampleKey, slot: Slot, sample: Sample) {
-        let entry = self.samples.get_or_insert_with(key, Vec::new);
+        let entry = self.samples.get_or_insert_with(key, Arc::default);
         if slot.held.is_some() {
-            entry[slot.at] = sample;
+            Arc::make_mut(entry)[slot.at] = sample;
         } else {
-            entry.insert(slot.at, sample);
+            // An insert builds the longer list afresh: one allocation,
+            // whether or not another clone shares the old one.
+            let (before, after) = entry.split_at(slot.at);
+            *entry = before
+                .iter()
+                .chain([&sample])
+                .chain(after)
+                .copied()
+                .collect();
             let first = entry.len() == 1;
             self.index(key, sample.n, first);
         }
     }
 
     /// Keeps the size list and the group index current after `key`
-    /// gained a sample at size `n` (`first`: its first sample).
+    /// gained a sample at size `n` (`first`: its first sample). Either
+    /// is copied only when it changes while another clone shares it.
     fn index(&mut self, key: SampleKey, n: usize, first: bool) {
         if let Err(at) = self.sizes.binary_search(&n) {
-            self.sizes.insert(at, n);
+            Arc::make_mut(&mut self.sizes).insert(at, n);
         }
         if first {
-            let keys = self.groups.get_or_insert_with((key.kind, key.m), Vec::new);
+            let groups = Arc::make_mut(&mut self.groups);
+            let keys = groups.get_or_insert_with((key.kind, key.m), Vec::new);
             if let Err(at) = keys.binary_search(&key) {
                 keys.insert(at, key);
             }
@@ -220,7 +241,23 @@ impl MeasurementDb {
 
     /// Samples for a configuration (ascending N), empty if none.
     pub fn samples(&self, key: &SampleKey) -> &[Sample] {
-        self.samples.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.samples.get(key).map_or(&[], |s| s)
+    }
+
+    /// Whether `self` and `other` share `key`'s sample list, the size
+    /// list and the group index, in that order: a clone shares all three
+    /// until either side writes one.
+    #[cfg(test)]
+    pub(crate) fn shared_with(&self, other: &MeasurementDb, key: &SampleKey) -> [bool; 3] {
+        let list = match (self.samples.get(key), other.samples.get(key)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        [
+            list,
+            Arc::ptr_eq(&self.sizes, &other.sizes),
+            Arc::ptr_eq(&self.groups, &other.groups),
+        ]
     }
 
     /// All keys with at least one sample.
@@ -236,7 +273,7 @@ impl MeasurementDb {
             if key.kind != kind.0 {
                 continue;
             }
-            for s in samples {
+            for s in samples.iter() {
                 *acc.entry(s.n).or_default() += s.wall;
             }
         }
@@ -254,7 +291,7 @@ impl MeasurementDb {
 
     /// Number of (configuration, N) trials recorded.
     pub fn len(&self) -> usize {
-        self.samples.values().map(Vec::len).sum()
+        self.samples.values().map(|s| s.len()).sum()
     }
 
     /// True when nothing has been recorded.
@@ -366,6 +403,45 @@ mod tests {
             db.samples(&key(1, 1)),
             &[zero, sample(800, 1.5)]
         ));
+    }
+
+    /// A clone of a campaign database shares every list; an upsert into
+    /// the clone copies only the list it changes, and the original keeps
+    /// its bits.
+    #[test]
+    fn a_clone_copies_only_what_it_writes() {
+        let plan = crate::plan::MeasurementPlan::basic();
+        let mut db = MeasurementDb::new();
+        for (i, point) in plan.construction.iter().enumerate() {
+            db.record(point.key, sample(point.n, 1.0 + i as f64));
+        }
+        let keys: Vec<SampleKey> = db.keys().copied().collect();
+        assert_eq!(keys.len(), 54);
+        let lists: Vec<Vec<Sample>> = keys.iter().map(|k| db.samples(k).to_vec()).collect();
+        let (sizes, groups) = (db.sizes().to_vec(), db.groups().clone());
+        let mut copy = db.clone();
+        assert!(keys.iter().all(|k| db.shared_with(&copy, k) == [true; 3]));
+        let hit = keys[7];
+        let held = db.samples(&hit)[3];
+        assert!(copy.upsert(hit, Sample { ta: 99.0, ..held }), "replace");
+        assert_eq!(db.shared_with(&copy, &hit), [false, true, true]);
+        assert!(
+            copy.upsert(hit, sample(12_345, 2.0)),
+            "insert at a new size"
+        );
+        assert_eq!(db.shared_with(&copy, &hit), [false, false, true]);
+        let new_key = SampleKey::new(KindId(0), 2, 1);
+        assert!(db.samples(&new_key).is_empty());
+        assert!(copy.upsert(new_key, sample(400, 3.0)), "a new key");
+        assert_eq!(db.shared_with(&copy, &hit), [false; 3]);
+        for (k, list) in keys.iter().zip(&lists) {
+            assert!(same_bits(db.samples(k), list), "{k:?}");
+            assert_eq!(db.shared_with(&copy, k)[0], *k != hit, "{k:?}");
+        }
+        assert_eq!((db.sizes(), db.groups()), (&sizes[..], &groups));
+        assert!(db.samples(&new_key).is_empty());
+        assert_eq!(copy.samples(&hit)[3].ta, 99.0);
+        assert_eq!(copy.len(), db.len() + 2);
     }
 
     /// The kept size list and group index are always what a rescan of

@@ -99,26 +99,68 @@ impl NtDesign {
     }
 
     /// Fits one key's N-T model from its samples, which must match
-    /// ([`NtDesign::matches`]) the design. `y` is scratch for the
-    /// times each solve overwrites.
+    /// ([`NtDesign::matches`]) the design: [`NtDesign::fit_many`] with
+    /// one key. `y` is scratch for the times each solve overwrites.
     ///
     /// # Errors
     /// [`LsqError::RankDeficient`] on a numerically singular design,
     /// `Ta`'s before `Tc`'s; [`LsqError::DimensionMismatch`] when
     /// `samples` has another length than the design.
     pub(crate) fn fit(&self, samples: &[Sample], y: &mut Vec<f64>) -> Result<NtModel, LsqError> {
+        self.fit_many([samples], y).map(|[fit]| fit)
+    }
+
+    /// Fits `L` keys' N-T models at once, each key's samples matching
+    /// the design, by solving each design for all of them in lockstep
+    /// (`FactoredDesign::solve_many`): fit `l` is bit for bit what
+    /// [`NtDesign::fit`] gives on `samples[l]`. `y` is scratch for the
+    /// times, gathered side by side.
+    ///
+    /// # Errors
+    /// As [`NtDesign::fit`] on the first key: the errors belong to the
+    /// design, or to a key measured at another number of sizes.
+    pub(crate) fn fit_many<const L: usize>(
+        &self,
+        samples: [&[Sample]; L],
+        y: &mut Vec<f64>,
+    ) -> Result<[NtModel; L], LsqError> {
+        let m = self.ns.len();
+        if let Some(s) = samples.iter().find(|s| s.len() != m) {
+            return Err(LsqError::DimensionMismatch {
+                expected: m,
+                got: s.len(),
+            });
+        }
         debug_assert!(
-            samples.len() != self.ns.len() || self.matches(samples),
+            samples.iter().all(|s| self.matches(s)),
             "samples at other sizes than the design"
         );
-        y.clear();
-        y.extend(samples.iter().map(|s| s.ta));
-        let ka = self.ta.solve(y)?;
-        y.clear();
-        y.extend(samples.iter().map(|s| s.tc));
-        let kc = self.tc.solve(y)?;
-        Ok(NtModel { ka, kc })
+        let ka = self.ta.solve_many(gather(y, samples, |s| s.ta))?;
+        let kc = self.tc.solve_many(gather(y, samples, |s| s.tc))?;
+        let mut kc = kc.into_iter();
+        Ok(ka.map(|ka| NtModel {
+            ka,
+            kc: kc.next().expect("one Tc fit per Ta fit"),
+        }))
     }
+}
+
+/// Lays one time of each of `L` keys' samples side by side into `y`, one
+/// row per size: row `i` holds `time` of every key's `i`-th sample.
+fn gather<'y, const L: usize>(
+    y: &'y mut Vec<f64>,
+    samples: [&[Sample]; L],
+    time: impl Fn(&Sample) -> f64,
+) -> &'y mut [[f64; L]] {
+    y.clear();
+    y.resize(samples[0].len() * L, 0.0);
+    let rows = y.as_chunks_mut::<L>().0;
+    for (l, key) in samples.iter().enumerate() {
+        for (row, s) in rows.iter_mut().zip(*key) {
+            row[l] = time(s);
+        }
+    }
+    rows
 }
 
 #[cfg(test)]

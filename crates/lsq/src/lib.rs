@@ -4,7 +4,8 @@
 //! `gsl_multifit_linear()`. This crate is the from-scratch Rust analogue:
 //! one in-place Householder-QR kernel over fixed-width rows (one row per
 //! observation, one column per regressor). [`FactoredDesign`] factors a
-//! design once and solves it against any number of observation vectors;
+//! design once and solves it against any number of observation vectors,
+//! one at a time or several in lockstep;
 //! [`lstsq`] is that factorization with a single solve, and
 //! [`condition_estimate`] is what the model-validity audit reads from the
 //! same factorization.

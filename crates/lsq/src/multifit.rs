@@ -82,6 +82,9 @@ pub fn lstsq<const C: usize>(rows: &mut [[f64; C]], y: &mut [f64]) -> Result<[f6
 /// factor the caller's rows in place, `Vec<[f64; C]>` to own them. A
 /// solve reads the factors and nothing else, so every solve returns
 /// bit for bit what [`lstsq`] returns on a fresh copy of the rows.
+/// [`FactoredDesign::solve_many`] solves several vectors in lockstep,
+/// each bit for bit what [`FactoredDesign::solve`] returns on it;
+/// `solve` is its one-vector case.
 #[derive(Clone, Debug)]
 pub struct FactoredDesign<R, const C: usize> {
     rows: R,
@@ -113,32 +116,56 @@ impl<R: BorrowMut<[[f64; C]]>, const C: usize> FactoredDesign<R, C> {
     }
 
     /// Solves the factored design against `y` (scratch: overwritten with
-    /// `Qᵀy`).
+    /// `Qᵀy`): [`FactoredDesign::solve_many`] with one vector.
     ///
     /// # Errors
     /// In this order: [`LsqError::DimensionMismatch`] when `y` does not
     /// have one entry per row; [`LsqError::RankDeficient`] at the last
     /// numerically zero diagonal entry of `R`.
+    #[inline]
     pub fn solve(&self, y: &mut [f64]) -> Result<[f64; C], LsqError> {
+        self.solve_many(y.as_chunks_mut::<1>().0).map(|[c]| c)
+    }
+
+    /// Solves the factored design against `L` observation vectors kept
+    /// side by side, one row of `ys` per design row (`ys[i][l]` is
+    /// vector `l`'s observation `i`; scratch, overwritten with `Qᵀy`).
+    /// `Qᵀ` and the back-substitution run over all of them in lockstep,
+    /// reading each factor once per step instead of once per vector, and
+    /// each vector gets the same float operations in the same order as
+    /// it would alone: coefficient set `l` is bit for bit what
+    /// [`FactoredDesign::solve`] returns on vector `l`.
+    ///
+    /// # Errors
+    /// As [`FactoredDesign::solve`], for all the vectors at once: both
+    /// errors are properties of the design and the row count, not of the
+    /// observations.
+    #[inline]
+    pub fn solve_many<const L: usize>(
+        &self,
+        ys: &mut [[f64; L]],
+    ) -> Result<[[f64; C]; L], LsqError> {
         let rows = self.rows.borrow();
-        if y.len() != rows.len() {
+        if ys.len() != rows.len() {
             return Err(LsqError::DimensionMismatch {
                 expected: rows.len(),
-                got: y.len(),
+                got: ys.len(),
             });
         }
-        apply_qt(rows, &self.tau, y);
-        let mut c = [0.0; C];
+        apply_qt(rows, &self.tau, ys);
+        let mut c = [[0.0; C]; L];
         for j in (0..C).rev() {
             let rjj = rows[j][j];
             if rjj.abs() <= self.tol {
                 return Err(LsqError::RankDeficient { column: j });
             }
-            let mut s = y[j];
-            for k in (j + 1)..C {
-                s -= rows[j][k] * c[k];
+            for (lane, &yj) in c.iter_mut().zip(&ys[j]) {
+                let mut s = yj;
+                for k in (j + 1)..C {
+                    s -= rows[j][k] * lane[k];
+                }
+                lane[j] = s / rjj;
             }
-            c[j] = s / rjj;
         }
         Ok(c)
     }

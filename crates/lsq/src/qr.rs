@@ -52,20 +52,36 @@ pub(crate) fn factor<const C: usize>(rows: &mut [[f64; C]]) -> [f64; C] {
     tau
 }
 
-/// Applies the factored `Qᵀ` to `y` in place.
-pub(crate) fn apply_qt<const C: usize>(rows: &[[f64; C]], tau: &[f64; C], y: &mut [f64]) {
+/// Applies the factored `Qᵀ` in place to `L` observation vectors kept
+/// side by side, one row of `ys` per row of the factors (`ys[i][l]` is
+/// vector `l`'s entry `i`). Each row of the factors is read once for all
+/// of them, and each vector gets the same float operations in the same
+/// order as it would alone, so `L = 1` is the single-vector solve.
+#[inline]
+pub(crate) fn apply_qt<const C: usize, const L: usize>(
+    rows: &[[f64; C]],
+    tau: &[f64; C],
+    ys: &mut [[f64; L]],
+) {
     for k in 0..C {
         if tau[k] == 0.0 {
             continue;
         }
-        let mut dot = y[k];
-        for (r, &yi) in rows[k + 1..].iter().zip(&y[k + 1..]) {
-            dot += r[k] * yi;
+        let (head, tail) = ys[k..].split_first_mut().expect("k < m");
+        let mut dot = *head;
+        for (r, y) in rows[k + 1..].iter().zip(tail.iter()) {
+            for (d, yl) in dot.iter_mut().zip(y) {
+                *d += r[k] * yl;
+            }
         }
-        let scale = tau[k] * dot;
-        y[k] -= scale;
-        for (r, yi) in rows[k + 1..].iter().zip(&mut y[k + 1..]) {
-            *yi -= scale * r[k];
+        let scale = dot.map(|d| tau[k] * d);
+        for (h, s) in head.iter_mut().zip(scale) {
+            *h -= s;
+        }
+        for (r, y) in rows[k + 1..].iter().zip(tail) {
+            for (yl, s) in y.iter_mut().zip(scale) {
+                *yl -= s * r[k];
+            }
         }
     }
 }

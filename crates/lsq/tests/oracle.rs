@@ -4,7 +4,8 @@
 //! systems the kernel must return bit-identical coefficients, or the
 //! same [`LsqError`] with the same column. A [`FactoredDesign`] factored
 //! once and solved against several observation vectors must in turn
-//! match [`lstsq`] on a fresh copy of each case.
+//! match [`lstsq`] on a fresh copy of each case, and solving four
+//! vectors in lockstep must match four single solves.
 
 use etm_lsq::{lstsq, FactoredDesign, LsqError};
 use etm_support::prop::check;
@@ -341,4 +342,132 @@ fn one_factorization_matches_lstsq_on_the_edge_systems() {
         .map(|k| ns.iter().map(|n| k * n * n * n + 0.3).collect())
         .collect();
     assert_factored_matches(&rows, &ys);
+}
+
+/// What [`lanes_solve_like_four_single_solves`] exercised.
+#[derive(Default)]
+struct Lanes {
+    solved: usize,
+    zero_column: usize,
+    rank_deficient: usize,
+    mismatched: usize,
+}
+
+/// Lays four equally long vectors side by side, one row per entry.
+fn side_by_side(ys: &[Vec<f64>; 4]) -> Vec<[f64; 4]> {
+    (0..ys[0].len())
+        .map(|i| ys.each_ref().map(|y| y[i]))
+        .collect()
+}
+
+/// Solves one factored design against four vectors in lockstep and
+/// against each alone, and asserts the outcomes agree bit for bit, error
+/// for error.
+fn assert_lanes_match<const C: usize>(rows: &[[f64; C]], ys: &[Vec<f64>; 4], seen: &mut Lanes) {
+    let Ok(design) = FactoredDesign::factor(rows.to_vec()) else {
+        panic!("{} rows factor for {C} columns", rows.len());
+    };
+    let many = design.solve_many(&mut side_by_side(ys));
+    for (l, y) in ys.iter().enumerate() {
+        let want = design.solve(&mut y.clone());
+        match (&many, &want) {
+            (Ok(g), Ok(w)) => {
+                let g: Vec<u64> = g[l].iter().map(|c| c.to_bits()).collect();
+                let w: Vec<u64> = w.iter().map(|c| c.to_bits()).collect();
+                assert_eq!(g, w, "lane {l} differs for {rows:?}, y = {y:?}");
+                seen.solved += 1;
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "lane {l} error for {rows:?}, y = {y:?}"),
+            _ => panic!("lane {l}: {many:?} in lockstep, {want:?} alone, for {rows:?}"),
+        }
+        match want {
+            Err(LsqError::RankDeficient { .. }) => seen.rank_deficient += 1,
+            Err(LsqError::DimensionMismatch { .. }) => seen.mismatched += 1,
+            _ => {}
+        }
+    }
+    if (0..C).any(|j| rows.iter().all(|r| r[j] == 0.0)) {
+        seen.zero_column += 1;
+    }
+}
+
+/// A random system of at least four rows, and four observation vectors
+/// for it: the system's own `y` (one short for a `ShortY` case) in a
+/// random lane, and fresh ones of the same length in the others.
+fn lane_case<const C: usize>(rng: &mut Rng64) -> (Vec<[f64; C]>, [Vec<f64>; 4]) {
+    let (rows, y) = loop {
+        let (rows, y) = random_system::<C>(rng);
+        if rows.len() >= 4 {
+            break (rows, y);
+        }
+    };
+    let at = rng.range_usize(4);
+    let len = y.len();
+    let mut own = Some(y);
+    let ys = std::array::from_fn(|l| match own.take_if(|_| l == at) {
+        Some(y) => y,
+        None => (0..len).map(|_| rng.range_f64(-100.0, 100.0)).collect(),
+    });
+    (rows, ys)
+}
+
+#[test]
+fn lanes_solve_like_four_single_solves() {
+    let mut seen = Lanes::default();
+    check(256, 0x4c41_4e45, |rng| {
+        let (rows, ys) = lane_case::<2>(rng);
+        assert_lanes_match(&rows, &ys, &mut seen);
+        let (rows, ys) = lane_case::<3>(rng);
+        assert_lanes_match(&rows, &ys, &mut seen);
+        let (rows, ys) = lane_case::<4>(rng);
+        assert_lanes_match(&rows, &ys, &mut seen);
+    });
+    // The edge shapes, pinned: a zero column (its τ is 0, so `Qᵀ` skips
+    // it in every lane) and a collinear pair report the same column for
+    // every lane, and so does a row count the design does not have.
+    let three = |a: f64| {
+        [
+            vec![1.0, 2.0, 3.0, a],
+            vec![-4.0, 0.5, 9.0, a],
+            vec![a; 4],
+            vec![0.0; 4],
+        ]
+    };
+    let zero_column = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [5.0, 0.0]];
+    assert_lanes_match(&zero_column, &three(1.0), &mut seen);
+    let d = FactoredDesign::factor(zero_column.to_vec()).expect("four rows factor");
+    assert_eq!(
+        d.solve_many(&mut side_by_side(&three(2.0))),
+        Err(LsqError::RankDeficient { column: 1 })
+    );
+    assert_lanes_match(
+        &[[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [4.0, 8.0]],
+        &three(3.0),
+        &mut seen,
+    );
+    let line = [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 1.0]];
+    let ys = three(4.0).map(|mut y| {
+        y.pop();
+        y
+    });
+    assert_lanes_match(&line, &ys, &mut seen);
+    let d = FactoredDesign::factor(line.to_vec()).expect("four rows factor");
+    assert_eq!(
+        d.solve_many(&mut side_by_side(&ys)),
+        Err(LsqError::DimensionMismatch {
+            expected: 4,
+            got: 3
+        })
+    );
+    assert!(
+        seen.solved > 1300
+            && seen.zero_column > 100
+            && seen.rank_deficient > 800
+            && seen.mismatched > 500,
+        "solved {}, zero columns {}, rank-deficient lanes {}, mismatched lanes {}",
+        seen.solved,
+        seen.zero_column,
+        seen.rank_deficient,
+        seen.mismatched
+    );
 }

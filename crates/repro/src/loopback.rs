@@ -257,7 +257,7 @@ fn config_of_key(key: &ConfigKey) -> Configuration {
 /// A stale copy of the campaign (`Ta` off by 10 %), so the loop's
 /// measurements actually move the model — same seeding the streaming
 /// experiments use.
-fn stale_seed(db: &MeasurementDb) -> MeasurementDb {
+pub fn stale_seed(db: &MeasurementDb) -> MeasurementDb {
     let mut seed = MeasurementDb::new();
     for key in db.keys() {
         for s in db.samples(key) {

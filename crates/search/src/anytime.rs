@@ -1453,6 +1453,7 @@ mod tests {
             let space = ConfigSpace {
                 available,
                 max_m: vec![2, 2],
+                configs: std::sync::OnceLock::new(),
             };
             for n in [400usize, 1600, 3200] {
                 let brute = best_config(&snapshot, &space, n).expect("estimable");

@@ -81,7 +81,7 @@ pub fn best_config(
     space: &ConfigSpace,
     n: usize,
 ) -> Option<SearchResult> {
-    exhaustive(&space.enumerate(), snapshot_objective(snapshot, n))
+    exhaustive(space.configs(), snapshot_objective(snapshot, n))
 }
 
 #[cfg(test)]

@@ -43,15 +43,25 @@ pub use closed_loop::{run_closed_loop, LoopReport, LoopStep};
 pub use engine::{best_config, health_aware_objective, snapshot_objective};
 pub use online::{OnlineDecision, OnlineOptimizer, OptimizerError};
 
+use std::sync::{Arc, OnceLock};
+
 use etm_cluster::{ClusterSpec, Configuration, KindId, KindUse};
 
 /// The space of candidate configurations for a cluster.
+///
+/// The space enumerates its candidates once, on first use, into one
+/// shared list: clones made after that share it, so every optimizer
+/// and exhaustive search over a space and its clones reads the same
+/// `Arc<[Configuration]>` instead of building its own.
+/// [`ConfigSpace::enumerate`] still returns an owned copy.
 #[derive(Clone, Debug)]
 pub struct ConfigSpace {
     /// Per kind: available PEs.
     pub(crate) available: Vec<usize>,
     /// Per kind: maximum processes per PE considered.
     pub(crate) max_m: Vec<usize>,
+    /// Every candidate in enumeration order, built on first use.
+    pub(crate) configs: OnceLock<Arc<[Configuration]>>,
 }
 
 impl ConfigSpace {
@@ -65,15 +75,25 @@ impl ConfigSpace {
                 .map(|k| spec.cpus_of_kind(KindId(k)))
                 .collect(),
             max_m,
+            configs: OnceLock::new(),
         }
     }
 
-    /// Enumerates every non-empty configuration.
+    /// Enumerates every non-empty configuration, as an owned copy of
+    /// the shared list.
     pub fn enumerate(&self) -> Vec<Configuration> {
-        let mut out = Vec::new();
-        let mut current: Vec<KindUse> = Vec::new();
-        self.rec(0, &mut current, &mut out);
-        out
+        self.configs().to_vec()
+    }
+
+    /// Every non-empty configuration in enumeration order: the space's
+    /// shared list, built on the first call.
+    pub(crate) fn configs(&self) -> &Arc<[Configuration]> {
+        self.configs.get_or_init(|| {
+            let mut out = Vec::with_capacity(self.len());
+            let mut current: Vec<KindUse> = Vec::new();
+            self.rec(0, &mut current, &mut out);
+            out.into()
+        })
     }
 
     fn rec(&self, kind: usize, current: &mut Vec<KindUse>, out: &mut Vec<Configuration>) {
@@ -239,12 +259,30 @@ mod tests {
             ConfigSpace {
                 available: vec![2, 3, 1],
                 max_m: vec![2, 1, 3],
+                configs: OnceLock::new(),
             },
         ] {
-            for (i, cfg) in space.enumerate().iter().enumerate() {
+            let owned = space.enumerate();
+            assert_eq!(owned.len(), space.configs().len());
+            for (i, cfg) in owned.iter().enumerate() {
                 assert_eq!(&space.config_at(i), cfg, "index {i}");
+                assert_eq!(&space.configs()[i], cfg, "index {i}");
             }
         }
+    }
+
+    /// The list is built once: later calls and clones made after it
+    /// share it, and a clone made before builds an equal one.
+    #[test]
+    fn clones_share_one_candidate_list() {
+        let early = space();
+        let s = early.clone();
+        let first = Arc::clone(s.configs());
+        assert!(Arc::ptr_eq(&first, s.configs()));
+        let late = s.clone();
+        assert!(Arc::ptr_eq(&first, late.configs()));
+        assert!(!Arc::ptr_eq(&first, early.configs()));
+        assert_eq!(early.configs(), &first);
     }
 
     #[test]

@@ -87,8 +87,8 @@ impl std::error::Error for OptimizerError {}
 /// Re-runs the §4 exhaustive selection per snapshot, switching its
 /// standing recommendation only past a relative-improvement threshold.
 pub struct OnlineOptimizer {
-    /// The candidate space, enumerated once.
-    configs: Vec<Configuration>,
+    /// The candidate space's shared list.
+    configs: Arc<[Configuration]>,
     n: usize,
     hysteresis: f64,
     fallback_penalty: f64,
@@ -122,7 +122,7 @@ impl OnlineOptimizer {
             return Err(OptimizerError::ZeroProblemSize);
         }
         Ok(OnlineOptimizer {
-            configs: space.enumerate(),
+            configs: Arc::clone(space.configs()),
             n,
             hysteresis,
             fallback_penalty: 1.25,
